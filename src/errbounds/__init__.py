@@ -25,8 +25,8 @@ from .parabolic import (heat_isometry_check, heat_two_sided,
 from .quadrature import (QuadratureRule, l2_inner, norm_sq, partint_residual,
                          space_nodes, spacetime_nodes, timecross_check,
                          trace_norm_sq)
-from .reports import (BoundReport, EqualityReport, SpaceTimeErrorReport,
-                      efficiency, relative_residual)
+from .reports import (BoundReport, EqualityReport, efficiency,
+                      relative_residual)
 from .runner import RunReport, emit, read_report, run
 from .symbolic import gradient_field, scalar_field, vector_field
 
@@ -37,7 +37,7 @@ __all__ = [
     "CaseSpec", "ConfigError", "ConformityError", "EqualityReport",
     "EstimatorSpec", "FriedrichsConstant", "KINDS", "LEVELS",
     "PARABOLIC_KINDS", "ProblemCase", "QuadratureRule", "RunConfig",
-    "RunReport", "ScalarField", "SpaceTimeErrorReport", "VectorField",
+    "RunReport", "ScalarField", "VectorField",
     "cftwo_check", "combine_vector_fields", "constant_scalar",
     "default_suite_config", "efficiency", "emit", "flux_basis", "free_fields",
     "friedrichs_constant", "friedrichs_margin", "gradient_field",

@@ -11,18 +11,9 @@ import dataclasses
 import sys
 from pathlib import Path
 
-from .config import (BOUND_ESTIMATORS, EQUALITY_ESTIMATORS, ConfigError,
-                     EstimatorSpec, RunConfig, default_suite_config,
-                     parse_config)
-from .runner import default_output_dir, emit, run
-
-_FILTERS = {
-    "verify-equality": EQUALITY_ESTIMATORS,
-    "verify-bounds": BOUND_ESTIMATORS,
-    "optimize-majorant": ("optimize_majorant",),
-    "friedrichs": ("friedrichs",),
-    "suite": None,
-}
+from .config import (ConfigError, EstimatorSpec, RunConfig,
+                     default_suite_config, parse_config)
+from .runner import ESTIMATORS, default_output_dir, emit, run
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -71,9 +62,9 @@ def _load_config(args) -> RunConfig:
 
 
 def _filter_estimators(config: RunConfig, command: str) -> RunConfig:
-    allowed = _FILTERS[command]
-    if allowed is None:
+    if command == "suite":
         return config
+    allowed = [n for n, e in ESTIMATORS.items() if e.family == command]
     kept = tuple(e for e in config.estimators if e.name in allowed)
     if not kept and command in ("optimize-majorant", "friedrichs"):
         # these commands are meaningful even when the config lists neither

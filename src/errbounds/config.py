@@ -3,44 +3,15 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from typing import Dict, List, Optional, Tuple
+from typing import Optional, Tuple
 
 from .fields import BoxDomain
 from .manufactured import KINDS, LEVELS, PARABOLIC_KINDS
+from .runner import ESTIMATORS
 
 
 class ConfigError(ValueError):
     """Raised for malformed or semantically invalid run configurations."""
-
-
-# estimator name -> (compatible kinds, compatible approximation levels)
-# Levels list the conformity an estimator's hypotheses demand; isometry
-# checks take no approximation and accept any level.
-_ALL_LEVELS = tuple(LEVELS)
-_CONFORMING = ("very_conforming", "conforming_mixed")
-ESTIMATORS: Dict[str, Tuple[Tuple[str, ...], Tuple[str, ...]]] = {
-    "rd_equality": (("RD",), _CONFORMING),
-    "rd_very_conforming_equality": (("RD",), ("very_conforming",)),
-    "poisson_very_conforming_equality": (("Poisson",), ("very_conforming",)),
-    "poisson_two_sided": (("Poisson",), _CONFORMING),
-    "rd_semiconforming_bounds": (
-        ("RD",), ("semi_conforming_primal", "semi_conforming_dual")),
-    "rd_nonconforming_bounds": (("RD",), _ALL_LEVELS),
-    "poisson_nonconforming": (("Poisson",), _ALL_LEVELS),
-    "trd_equality": (("TRD",), _CONFORMING),
-    "trd_very_conforming_equality": (("TRD",), ("very_conforming",)),
-    "heat_very_conforming_equality": (("Heat",), ("very_conforming",)),
-    "heat_two_sided": (("Heat",), _CONFORMING),
-    "trd_isometry_check": (("TRD",), _ALL_LEVELS),
-    "heat_isometry_check": (("Heat",), _ALL_LEVELS),
-    "friedrichs": (KINDS, _ALL_LEVELS),
-    "optimize_majorant": (("RD", "Poisson"), _CONFORMING),
-}
-EQUALITY_ESTIMATORS = tuple(n for n in ESTIMATORS
-                            if n.endswith("equality") or "isometry" in n)
-BOUND_ESTIMATORS = tuple(n for n in ESTIMATORS
-                         if "two_sided" in n or "conforming_bounds" in n
-                         or n == "poisson_nonconforming")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -67,7 +38,7 @@ class ApproxSpec:
 @dataclasses.dataclass(frozen=True)
 class EstimatorSpec:
     name: str
-    gamma: Optional[float] = None
+    gamma: float = 2.0
     which: Optional[str] = None
     free_strategy: str = "exact"
     basis_size: int = 4
@@ -149,11 +120,9 @@ def _parse_estimator(obj: dict, idx: int) -> EstimatorSpec:
         raise ConfigError(
             f"{where}: unknown estimator {name!r}; expected one of "
             f"{sorted(ESTIMATORS)}")
-    gamma = obj.get("gamma")
-    if gamma is not None:
-        gamma = float(gamma)
-        if gamma <= 0:
-            raise ConfigError(f"{where}: gamma must be positive")
+    gamma = float(obj.get("gamma", 2.0))
+    if gamma <= 0:
+        raise ConfigError(f"{where}: gamma must be positive")
     return EstimatorSpec(name=name, gamma=gamma, which=obj.get("which"),
                          free_strategy=str(obj.get("free_strategy", "exact")),
                          basis_size=int(obj.get("basis_size", 4)))
@@ -205,15 +174,15 @@ def parse_config(text: str) -> RunConfig:
     kinds = {c.kind for c in cases}
     levels = {a.level for a in approxs}
     for i, est in enumerate(ests):
-        ok_kinds, ok_levels = ESTIMATORS[est.name]
-        if not kinds & set(ok_kinds):
+        entry = ESTIMATORS[est.name]
+        if not kinds & set(entry.kinds):
             raise ConfigError(
-                f"estimators[{i}] ({est.name}) applies to kinds {ok_kinds} "
+                f"estimators[{i}] ({est.name}) applies to kinds {entry.kinds} "
                 f"but the config declares only {sorted(kinds)}")
-        if not levels & set(ok_levels):
+        if not levels & set(entry.levels):
             raise ConfigError(
                 f"estimators[{i}] ({est.name}) needs approximation levels "
-                f"{ok_levels} but the config declares only {sorted(levels)}")
+                f"{entry.levels} but the config declares only {sorted(levels)}")
     return RunConfig(cases=cases, approximations=approxs, estimators=ests,
                      space_order=space_order, time_order=time_order,
                      equality_rel=equality_rel, bound_slack=bound_slack,

@@ -84,10 +84,7 @@ def rd_equality(case: ProblemCase, approx: ApproxPair,
         "residual_sq": norm_sq("L2", residual, dom, rule),
         "gap_sq": norm_sq("L2", gap, dom, rule),
     }
-    lhs_total = math.fsum(lhs.values())
-    rhs_total = math.fsum(rhs.values())
-    return EqualityReport(lhs, rhs, lhs_total, rhs_total,
-                          relative_residual(lhs_total, rhs_total))
+    return EqualityReport.summed(lhs, rhs)
 
 
 def rd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
@@ -106,10 +103,7 @@ def rd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     }
     residual = case.f - u_tilde + u_tilde.laplacian_field()
     rhs = {"residual_sq": norm_sq("L2", residual, dom, rule)}
-    lhs_total = math.fsum(lhs.values())
-    rhs_total = math.fsum(rhs.values())
-    return EqualityReport(lhs, rhs, lhs_total, rhs_total,
-                          relative_residual(lhs_total, rhs_total))
+    return EqualityReport.summed(lhs, rhs)
 
 
 def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,

@@ -5,51 +5,34 @@ from __future__ import annotations
 
 import math
 
-from .elliptic import two_sided_prefactors
-from .fields import ConformityError, ScalarField
+from .elliptic import _check_kind, _require, two_sided_prefactors
+from .fields import ScalarField
 from .manufactured import ApproxPair, ProblemCase
 from .quadrature import QuadratureRule, norm_sq, trace_norm_sq
-from .reports import SpaceTimeErrorReport, relative_residual
+from .reports import BoundReport, EqualityReport, relative_residual
 
 
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ConformityError(msg)
-
-
-def _check_kind(case: ProblemCase, kind: str):
-    if case.kind != kind:
-        raise ValueError(f"estimator expects a {kind} case, got {case.kind}")
-
-
-def trd_isometry_check(case: ProblemCase, rule: QuadratureRule) -> SpaceTimeErrorReport:
+def trd_isometry_check(case: ProblemCase, rule: QuadratureRule) -> EqualityReport:
     """Solution-operator isometry of the parabolic reaction-diffusion problem:
     combined space-time norm of u equals ||f||^2 + ||u0||_H1^2."""
     _check_kind(case, "TRD")
     dom = case.dom
-    lhs = norm_sq("Wstar", case.exact_u, dom, rule)
-    rhs_f = norm_sq("L2", case.f, dom, rule)
-    rhs_u0 = norm_sq("H1", case.u0, dom.spatial(), rule)
-    rhs = math.fsum([rhs_f, rhs_u0])
-    return SpaceTimeErrorReport(
-        components={"combined_norm_sq": lhs, "f_sq": rhs_f, "u0_h1_sq": rhs_u0},
-        lhs_total=lhs, rhs_total=rhs,
-        rel_residual=relative_residual(lhs, rhs))
+    return EqualityReport.summed(
+        {"combined_norm_sq": norm_sq("Wstar", case.exact_u, dom, rule)},
+        {"f_sq": norm_sq("L2", case.f, dom, rule),
+         "u0_h1_sq": norm_sq("H1", case.u0, dom.spatial(), rule)})
 
 
-def heat_isometry_check(case: ProblemCase, rule: QuadratureRule) -> SpaceTimeErrorReport:
+def heat_isometry_check(case: ProblemCase, rule: QuadratureRule) -> EqualityReport:
     """Heat solution-operator isometry:
     ||dt u||^2 + ||lap u||^2 + ||grad u(T)||^2 = ||f||^2 + ||grad u0||^2."""
     _check_kind(case, "Heat")
     dom = case.dom
-    lhs = norm_sq("triple", case.exact_u, dom, rule)
-    rhs_f = norm_sq("L2", case.f, dom, rule)
-    rhs_u0 = norm_sq("L2", case.u0.gradient_field(), dom.spatial(), rule)
-    rhs = math.fsum([rhs_f, rhs_u0])
-    return SpaceTimeErrorReport(
-        components={"triple_norm_sq": lhs, "f_sq": rhs_f, "grad_u0_sq": rhs_u0},
-        lhs_total=lhs, rhs_total=rhs,
-        rel_residual=relative_residual(lhs, rhs))
+    return EqualityReport.summed(
+        {"triple_norm_sq": norm_sq("triple", case.exact_u, dom, rule)},
+        {"f_sq": norm_sq("L2", case.f, dom, rule),
+         "grad_u0_sq": norm_sq("L2", case.u0.gradient_field(), dom.spatial(),
+                               rule)})
 
 
 def omega_identity_check(w: ScalarField, omega: float, dom, rule: QuadratureRule) -> float:
@@ -72,7 +55,7 @@ def omega_identity_check(w: ScalarField, omega: float, dom, rule: QuadratureRule
 
 
 def trd_equality(case: ProblemCase, approx: ApproxPair,
-                 rule: QuadratureRule) -> SpaceTimeErrorReport:
+                 rule: QuadratureRule) -> EqualityReport:
     """Mixed space-time error equality for dt - lap + 1."""
     _check_kind(case, "TRD")
     dom = case.dom
@@ -98,21 +81,15 @@ def trd_equality(case: ProblemCase, approx: ApproxPair,
         "gap_sq": norm_sq("L2", pt - ut.gradient_field(), dom, rule),
         "initial_sq": norm_sq("L2", case.u0 - ut.at_time(0.0), dom.spatial(), rule),
     }
-    lhs_total = math.fsum(lhs.values())
-    rhs_total = math.fsum(rhs.values())
     # data-side surrogate of the middle term (needs the exact u)
     mid_data_sq = norm_sq(
         "L2", case.f - ut.dt_field() + pt.div_field() - case.exact_u, dom, rule)
-    return SpaceTimeErrorReport(
-        components={**{f"lhs.{k}": v for k, v in lhs.items()},
-                    **{f"rhs.{k}": v for k, v in rhs.items()}},
-        lhs_total=lhs_total, rhs_total=rhs_total,
-        rel_residual=relative_residual(lhs_total, rhs_total),
-        checks={"mid_identity_rel": relative_residual(mid_sq, mid_data_sq)})
+    return EqualityReport.summed(
+        lhs, rhs, {"mid_identity_rel": relative_residual(mid_sq, mid_data_sq)})
 
 
 def trd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
-                                 rule: QuadratureRule) -> SpaceTimeErrorReport:
+                                 rule: QuadratureRule) -> EqualityReport:
     """Primal space-time error equality for dt - lap + 1 with a very
     conforming approximation (dt, laplacian, mantle-boundary vanishing)."""
     _check_kind(case, "TRD")
@@ -133,17 +110,11 @@ def trd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
         "initial_h1_sq": norm_sq("H1", case.u0 - u_tilde.at_time(0.0),
                                  dom.spatial(), rule),
     }
-    lhs_total = math.fsum(lhs.values())
-    rhs_total = math.fsum(rhs.values())
-    return SpaceTimeErrorReport(
-        components={**{f"lhs.{k}": v for k, v in lhs.items()},
-                    **{f"rhs.{k}": v for k, v in rhs.items()}},
-        lhs_total=lhs_total, rhs_total=rhs_total,
-        rel_residual=relative_residual(lhs_total, rhs_total))
+    return EqualityReport.summed(lhs, rhs)
 
 
 def heat_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
-                                  rule: QuadratureRule) -> SpaceTimeErrorReport:
+                                  rule: QuadratureRule) -> EqualityReport:
     """Primal space-time error equality for the heat operator; the
     Friedrichs constant is absent."""
     _check_kind(case, "Heat")
@@ -164,17 +135,11 @@ def heat_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
         "residual_sq": norm_sq("L2", residual, dom, rule),
         "initial_grad_sq": norm_sq("L2", e0.gradient_field(), dom.spatial(), rule),
     }
-    lhs_total = math.fsum(lhs.values())
-    rhs_total = math.fsum(rhs.values())
-    return SpaceTimeErrorReport(
-        components={**{f"lhs.{k}": v for k, v in lhs.items()},
-                    **{f"rhs.{k}": v for k, v in rhs.items()}},
-        lhs_total=lhs_total, rhs_total=rhs_total,
-        rel_residual=relative_residual(lhs_total, rhs_total))
+    return EqualityReport.summed(lhs, rhs)
 
 
 def heat_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
-                   rule: QuadratureRule, gamma: float = 2.0) -> SpaceTimeErrorReport:
+                   rule: QuadratureRule, gamma: float = 2.0) -> BoundReport:
     """Two-sided space-time estimate for the heat equation with conforming
     mixed approximations; both lower candidates are reported individually."""
     _check_kind(case, "Heat")
@@ -196,18 +161,17 @@ def heat_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
         "mid_sq": mid_sq,
         "terminal_sq": trace_norm_sq(e, T, "value", dom, rule),
     }
-    true_total = math.fsum(true.values())
+    true["total"] = math.fsum(true.values())
     a, b = two_sided_prefactors(cf, gamma)
-    upper = a * residual_sq + b * gap_sq + b * initial_sq
-    lower = {
-        "residual_plus_half_gap": residual_sq + 0.5 * gap_sq,
-        "gap_plus_initial_scaled": (gap_sq + initial_sq) / (1.0 + cf ** 2),
-    }
-    lower_max = max(lower.values())
-    return SpaceTimeErrorReport(
-        components={**true, "residual_sq": residual_sq, "gap_sq": gap_sq,
-                    "initial_sq": initial_sq},
-        lower_bounds=lower, upper_bound=upper, true_total=true_total,
-        ordering_ok=(lower_max <= true_total + 1e-9
-                     and true_total <= upper + 1e-9),
-        checks={"fdivpt_identity_rel": relative_residual(residual_sq, mid_sq)})
+    report = BoundReport(
+        lower_bounds={
+            "residual_plus_half_gap": residual_sq + 0.5 * gap_sq,
+            "gap_plus_initial_scaled": (gap_sq + initial_sq) / (1.0 + cf ** 2),
+        },
+        true_error=true,
+        upper_bound=a * residual_sq + b * gap_sq + b * initial_sq,
+        gamma=gamma,
+        checks={"residual_sq": residual_sq, "gap_sq": gap_sq,
+                "initial_sq": initial_sq,
+                "fdivpt_identity_rel": relative_residual(residual_sq, mid_sq)})
+    return report.finalize()

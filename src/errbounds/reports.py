@@ -24,6 +24,15 @@ class EqualityReport:
     rel_residual: float
     checks: dict = dataclasses.field(default_factory=dict)
 
+    @classmethod
+    def summed(cls, lhs: dict, rhs: dict,
+               checks: Optional[dict] = None) -> "EqualityReport":
+        """Report whose totals are the fsum of each side's components."""
+        lhs_total = math.fsum(lhs.values())
+        rhs_total = math.fsum(rhs.values())
+        return cls(lhs, rhs, lhs_total, rhs_total,
+                   relative_residual(lhs_total, rhs_total), checks or {})
+
     def to_record(self) -> dict:
         rec = {"lhs_total": self.lhs_total, "rhs_total": self.rhs_total,
                "rel_residual": self.rel_residual}
@@ -71,39 +80,6 @@ class BoundReport:
                "ordering_ok": self.ordering_ok}
         rec.update({f"lower.{k}": v for k, v in self.lower_bounds.items()})
         rec.update({f"true.{k}": v for k, v in self.true_error.items()})
-        rec.update({f"check.{k}": v for k, v in self.checks.items()})
-        return rec
-
-
-@dataclasses.dataclass
-class SpaceTimeErrorReport:
-    """Space-time estimator output: equality sides or two-sided bounds."""
-
-    components: dict
-    lhs_total: Optional[float] = None
-    rhs_total: Optional[float] = None
-    rel_residual: Optional[float] = None
-    lower_bounds: dict = dataclasses.field(default_factory=dict)
-    upper_bound: Optional[float] = None
-    true_total: Optional[float] = None
-    ordering_ok: Optional[bool] = None
-    checks: dict = dataclasses.field(default_factory=dict)
-
-    @property
-    def lower_bound(self) -> float:
-        return max(self.lower_bounds.values()) if self.lower_bounds else 0.0
-
-    def to_record(self) -> dict:
-        rec = {}
-        for k in ("lhs_total", "rhs_total", "rel_residual", "upper_bound",
-                  "true_total", "ordering_ok"):
-            v = getattr(self, k)
-            if v is not None:
-                rec[k] = v
-        if self.lower_bounds:
-            rec["lower_bound"] = self.lower_bound
-        rec.update({f"component.{k}": v for k, v in self.components.items()})
-        rec.update({f"lower.{k}": v for k, v in self.lower_bounds.items()})
         rec.update({f"check.{k}": v for k, v in self.checks.items()})
         return rec
 

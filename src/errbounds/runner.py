@@ -9,23 +9,25 @@ import math
 import os
 import time
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Tuple
 
-from .config import ESTIMATORS, ApproxSpec, CaseSpec, EstimatorSpec, RunConfig
 from .elliptic import (cftwo_check, friedrichs_constant, friedrichs_margin,
                        poisson_nonconforming, poisson_two_sided,
                        poisson_very_conforming_equality, rd_equality,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
                        rd_very_conforming_equality)
-from .manufactured import (ProblemCase, flux_basis, free_fields, make_case,
-                           perturb)
+from .manufactured import (KINDS, LEVELS, ProblemCase, flux_basis,
+                           free_fields, make_case, perturb)
 from .optimize import minimize_flux_majorant
 from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, trd_equality,
                         trd_isometry_check, trd_very_conforming_equality)
 from .quadrature import QuadratureRule
 
-SCHEMA_VERSION = 1
+if TYPE_CHECKING:  # config imports the registry from here
+    from .config import CaseSpec, RunConfig
+
+SCHEMA_VERSION = 2
 
 # keys kept in memory but stripped from serialized reports so that repeated
 # runs of one configuration produce byte-identical files
@@ -47,49 +49,43 @@ class RunReport:
         return 0 if all(r.get("passed", True) for r in self.records) else 1
 
 
-def _dispatch(case: ProblemCase, spec: EstimatorSpec, approx, rule):
-    name = spec.name
-    gamma = spec.gamma if spec.gamma is not None else 2.0
-    if name == "rd_equality":
-        return rd_equality(case, approx, rule)
-    if name == "rd_very_conforming_equality":
-        return rd_very_conforming_equality(case, approx.u_tilde, rule)
-    if name == "poisson_very_conforming_equality":
-        return poisson_very_conforming_equality(case, approx.u_tilde, rule)
-    if name == "poisson_two_sided":
-        cf = friedrichs_constant(case.dom.spatial()).value
-        return poisson_two_sided(case, approx, cf, rule, gamma=gamma)
-    if name == "rd_semiconforming_bounds":
-        phi, flux = free_fields(case, spec.free_strategy)
-        free = flux if approx.level == "semi_conforming_primal" else phi
-        return rd_semiconforming_bounds(case, approx, free,
-                                        gamma=gamma, rule=rule)
-    if name == "rd_nonconforming_bounds":
-        phi, flux = free_fields(case, spec.free_strategy)
-        return rd_nonconforming_bounds(case, approx, phi, flux, gamma=gamma,
-                                       which=spec.which or "iii", rule=rule)
-    if name == "poisson_nonconforming":
-        cf = friedrichs_constant(case.dom.spatial()).value
-        phi, flux = free_fields(case, spec.free_strategy)
-        return poisson_nonconforming(case, approx.u_tilde, approx.p_tilde,
-                                     phi, flux, cf, spec.which or "i", rule)
-    if name == "trd_equality":
-        return trd_equality(case, approx, rule)
-    if name == "trd_very_conforming_equality":
-        return trd_very_conforming_equality(case, approx.u_tilde, rule)
-    if name == "heat_very_conforming_equality":
-        return heat_very_conforming_equality(case, approx.u_tilde, rule)
-    if name == "heat_two_sided":
-        cf = friedrichs_constant(case.dom.spatial()).value
-        return heat_two_sided(case, approx, cf, rule, gamma=gamma)
-    if name == "trd_isometry_check":
-        return trd_isometry_check(case, rule)
-    if name == "heat_isometry_check":
-        return heat_isometry_check(case, rule)
-    raise ValueError(f"no dispatch for estimator {name!r}")
+class Estimator(NamedTuple):
+    """Registry entry. ``levels`` are the conformity levels the estimator's
+    hypotheses admit, ``family`` is the CLI command that selects it, and
+    ``record(case, spec, approx, rule)`` returns the record's fields."""
+
+    kinds: Tuple[str, ...]
+    levels: Tuple[str, ...]
+    family: str
+    record: Callable[..., dict]
 
 
-def _friedrichs_record(case: ProblemCase, rule: QuadratureRule) -> dict:
+def _cf(case: ProblemCase) -> float:
+    return friedrichs_constant(case.dom.spatial()).value
+
+
+def _semiconforming(case, spec, approx, rule) -> dict:
+    phi, flux = free_fields(case, spec.free_strategy)
+    free = flux if approx.level == "semi_conforming_primal" else phi
+    return rd_semiconforming_bounds(case, approx, free, gamma=spec.gamma,
+                                    rule=rule).to_record()
+
+
+def _rd_nonconforming(case, spec, approx, rule) -> dict:
+    phi, flux = free_fields(case, spec.free_strategy)
+    return rd_nonconforming_bounds(case, approx, phi, flux, gamma=spec.gamma,
+                                   which=spec.which or "iii",
+                                   rule=rule).to_record()
+
+
+def _poisson_nonconforming(case, spec, approx, rule) -> dict:
+    phi, flux = free_fields(case, spec.free_strategy)
+    return poisson_nonconforming(case, approx.u_tilde, approx.p_tilde, phi,
+                                 flux, _cf(case), spec.which or "i",
+                                 rule).to_record()
+
+
+def _friedrichs(case, spec, approx, rule) -> dict:
     dom = case.dom.spatial()
     cf = friedrichs_constant(dom)
     w = case.exact_u if not case.dom.is_parabolic else case.u0
@@ -101,13 +97,74 @@ def _friedrichs_record(case: ProblemCase, rule: QuadratureRule) -> dict:
     return rec
 
 
-def _optimize_record(case: ProblemCase, spec: EstimatorSpec, approx,
-                     rule: QuadratureRule) -> dict:
+def _optimize_majorant(case, spec, approx, rule) -> dict:
     basis = flux_basis(case.dom.spatial(), spec.basis_size)
     _, majorant, coeffs = minimize_flux_majorant(
         case, approx.u_tilde, basis, rule)
     return {"majorant": majorant, "basis_size": len(basis),
             "coeff_norm": float(math.fsum(c * c for c in coeffs)) ** 0.5}
+
+
+# The one declaration of every estimator. Adapters look the estimator
+# functions up as module globals at call time, so rebinding them (for
+# monkeypatching or tracing) reaches the runner. Isometry checks take no
+# approximation and accept any level.
+_ALL_LEVELS = tuple(LEVELS)
+_CONFORMING = ("very_conforming", "conforming_mixed")
+_EQ, _BOUNDS = "verify-equality", "verify-bounds"
+ESTIMATORS: Dict[str, Estimator] = {
+    "rd_equality": Estimator(
+        ("RD",), _CONFORMING, _EQ,
+        lambda case, spec, approx, rule:
+            rd_equality(case, approx, rule).to_record()),
+    "rd_very_conforming_equality": Estimator(
+        ("RD",), ("very_conforming",), _EQ,
+        lambda case, spec, approx, rule: rd_very_conforming_equality(
+            case, approx.u_tilde, rule).to_record()),
+    "poisson_very_conforming_equality": Estimator(
+        ("Poisson",), ("very_conforming",), _EQ,
+        lambda case, spec, approx, rule: poisson_very_conforming_equality(
+            case, approx.u_tilde, rule).to_record()),
+    "poisson_two_sided": Estimator(
+        ("Poisson",), _CONFORMING, _BOUNDS,
+        lambda case, spec, approx, rule: poisson_two_sided(
+            case, approx, _cf(case), rule, gamma=spec.gamma).to_record()),
+    "rd_semiconforming_bounds": Estimator(
+        ("RD",), ("semi_conforming_primal", "semi_conforming_dual"), _BOUNDS,
+        _semiconforming),
+    "rd_nonconforming_bounds": Estimator(
+        ("RD",), _ALL_LEVELS, _BOUNDS, _rd_nonconforming),
+    "poisson_nonconforming": Estimator(
+        ("Poisson",), _ALL_LEVELS, _BOUNDS, _poisson_nonconforming),
+    "trd_equality": Estimator(
+        ("TRD",), _CONFORMING, _EQ,
+        lambda case, spec, approx, rule:
+            trd_equality(case, approx, rule).to_record()),
+    "trd_very_conforming_equality": Estimator(
+        ("TRD",), ("very_conforming",), _EQ,
+        lambda case, spec, approx, rule: trd_very_conforming_equality(
+            case, approx.u_tilde, rule).to_record()),
+    "heat_very_conforming_equality": Estimator(
+        ("Heat",), ("very_conforming",), _EQ,
+        lambda case, spec, approx, rule: heat_very_conforming_equality(
+            case, approx.u_tilde, rule).to_record()),
+    "heat_two_sided": Estimator(
+        ("Heat",), _CONFORMING, _BOUNDS,
+        lambda case, spec, approx, rule: heat_two_sided(
+            case, approx, _cf(case), rule, gamma=spec.gamma).to_record()),
+    "trd_isometry_check": Estimator(
+        ("TRD",), _ALL_LEVELS, _EQ,
+        lambda case, spec, approx, rule:
+            trd_isometry_check(case, rule).to_record()),
+    "heat_isometry_check": Estimator(
+        ("Heat",), _ALL_LEVELS, _EQ,
+        lambda case, spec, approx, rule:
+            heat_isometry_check(case, rule).to_record()),
+    "friedrichs": Estimator(KINDS, _ALL_LEVELS, "friedrichs", _friedrichs),
+    "optimize_majorant": Estimator(
+        ("RD", "Poisson"), _CONFORMING, "optimize-majorant",
+        _optimize_majorant),
+}
 
 
 def run(config: RunConfig) -> RunReport:
@@ -127,20 +184,15 @@ def run(config: RunConfig) -> RunReport:
         for ap in config.approximations:
             approx = perturb(case, ap.level, ap.epsilon, ap.seed)
             for est in config.estimators:
-                ok_kinds, ok_levels = ESTIMATORS[est.name]
-                if cs.kind not in ok_kinds or ap.level not in ok_levels:
+                entry = ESTIMATORS[est.name]
+                if cs.kind not in entry.kinds or ap.level not in entry.levels:
                     continue
                 rec = {"case": cs.label, "kind": cs.kind, "level": ap.level,
                        "epsilon": ap.epsilon, "seed": ap.seed,
                        "estimator": est.name, "status": "ok", "error": ""}
                 t0 = time.perf_counter()
                 try:
-                    if est.name == "friedrichs":
-                        rec.update(_friedrichs_record(case, rule))
-                    elif est.name == "optimize_majorant":
-                        rec.update(_optimize_record(case, est, approx, rule))
-                    else:
-                        rec.update(_dispatch(case, est, approx, rule).to_record())
+                    rec.update(entry.record(case, est, approx, rule))
                 except Exception as exc:  # captured, batch continues
                     rec["status"] = "error"
                     rec["error"] = f"{type(exc).__name__}: {exc}"
@@ -245,11 +297,13 @@ def _emit_plotdata(report: RunReport, outdir: Path) -> List[Path]:
 
 
 def read_report(path) -> RunReport:
-    """Inverse of the json emitter, for round-trip checks and tooling."""
+    """Inverse of the json emitter; a report of another schema raises."""
     doc = json.loads(Path(path).read_text())
-    report = RunReport(records=doc["records"])
-    report.schema_version = doc["schema_version"]
-    return report
+    version = doc.get("schema_version")
+    if version != SCHEMA_VERSION:
+        raise ValueError(f"{path} has schema_version {version!r}; this "
+                         f"errbounds reads schema_version {SCHEMA_VERSION}")
+    return RunReport(records=doc["records"])
 
 
 def default_output_dir() -> Path:

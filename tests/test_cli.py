@@ -1,5 +1,7 @@
 import csv
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +99,14 @@ def test_unknown_estimator_and_format():
         parse_config(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown output format"):
         parse_config(config_text(output={"formats": ["yaml"]}))
+
+
+def test_readme_configs_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.S)
+    assert blocks
+    for block in blocks:
+        parse_config(block)
 
 
 # --------------------------------------------------------------------------

@@ -82,7 +82,7 @@ def test_trd_equality_linear_in_solution():
     assert rep.rel_residual <= 1e-10
     # halving the pair halves each error field; the terminal L2 piece is
     # ||u(1)||^2 / 4
-    term = rep.components["lhs.terminal_sq"]
+    term = rep.lhs_components["terminal_sq"]
     assert term == pytest.approx(math.exp(-2.0) / 8, rel=1e-12)
 
 
@@ -95,8 +95,8 @@ def test_trd_very_conforming_equality():
     mixed = trd_equality(TRD, ApproxPair(ap.u_tilde,
                                          ap.u_tilde.gradient_field(),
                                          "conforming_mixed"), RULE)
-    grad0 = (rep.components["rhs.initial_h1_sq"]
-             - mixed.components["rhs.initial_sq"])
+    grad0 = (rep.rhs_components["initial_h1_sq"]
+             - mixed.rhs_components["initial_sq"])
     assert mixed.lhs_total + grad0 == pytest.approx(rep.lhs_total, rel=1e-10)
     assert mixed.rhs_total + grad0 == pytest.approx(rep.rhs_total, rel=1e-10)
 
