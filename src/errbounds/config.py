@@ -6,7 +6,7 @@ import json
 from typing import Optional, Tuple
 
 from .fields import BoxDomain
-from .manufactured import KINDS, LEVELS, PARABOLIC_KINDS
+from .manufactured import FREE_STRATEGIES, KINDS, LEVELS, PARABOLIC_KINDS
 from .runner import ESTIMATORS
 
 
@@ -123,9 +123,25 @@ def _parse_estimator(obj: dict, idx: int) -> EstimatorSpec:
     gamma = float(obj.get("gamma", 2.0))
     if gamma <= 0:
         raise ConfigError(f"{where}: gamma must be positive")
-    return EstimatorSpec(name=name, gamma=gamma, which=obj.get("which"),
-                         free_strategy=str(obj.get("free_strategy", "exact")),
-                         basis_size=int(obj.get("basis_size", 4)))
+    which = obj.get("which")
+    allowed = ESTIMATORS[name].which
+    if which is not None and which not in allowed:
+        raise ConfigError(
+            f"{where}: unknown 'which' {which!r} for {name}; "
+            + (f"expected one of {allowed}" if allowed
+               else "this estimator takes no 'which'"))
+    free_strategy = obj.get("free_strategy", "exact")
+    if free_strategy not in FREE_STRATEGIES:
+        raise ConfigError(
+            f"{where}: unknown 'free_strategy' {free_strategy!r}; expected "
+            f"one of {FREE_STRATEGIES}")
+    basis_size = obj.get("basis_size", 4)
+    if type(basis_size) is not int or basis_size < 1:
+        raise ConfigError(
+            f"{where}: 'basis_size' must be a positive integer, got "
+            f"{basis_size!r}")
+    return EstimatorSpec(name=name, gamma=gamma, which=which,
+                         free_strategy=free_strategy, basis_size=basis_size)
 
 
 def parse_config(text: str) -> RunConfig:

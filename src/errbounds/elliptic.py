@@ -11,6 +11,10 @@ from .manufactured import ApproxPair, ProblemCase
 from .quadrature import QuadratureRule, norm_sq
 from .reports import BoundReport, EqualityReport, relative_residual
 
+# the bounds each non-conforming estimator can be asked for (``which``)
+RD_NONCONFORMING_WHICH = ("i", "ii", "iii")
+POISSON_NONCONFORMING_WHICH = ("i", "ii", "mixed-i", "mixed-ii")
+
 
 @dataclasses.dataclass(frozen=True)
 class FriedrichsConstant:
@@ -116,8 +120,8 @@ def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
     _check_kind(case, "RD")
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if which not in ("i", "ii", "iii"):
-        raise ValueError("which must be 'i', 'ii' or 'iii'")
+    if which not in RD_NONCONFORMING_WHICH:
+        raise ValueError(f"which must be one of {RD_NONCONFORMING_WHICH}")
     dom = case.dom
     _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
              "free scalar field must be conforming")
@@ -334,5 +338,5 @@ def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
         true["total"] = math.fsum(true.values())
         report = BoundReport(lower_bounds={}, true_error=true, upper_bound=bound)
     else:
-        raise ValueError("which must be 'i', 'ii', 'mixed-i' or 'mixed-ii'")
+        raise ValueError(f"which must be one of {POISSON_NONCONFORMING_WHICH}")
     return report.finalize()

@@ -16,7 +16,7 @@ import numpy as np
 import sympy as sp
 
 from .fields import BoxDomain, ConformityError, ScalarField, VectorField
-from .quadrature import QuadratureRule, norm_sq
+from .quadrature import QuadratureRule, norm_sq, tensor_axes
 from .symbolic import T_SYMBOL, scalar_field, gradient_field
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
@@ -121,10 +121,17 @@ class _TrigSum:
 
     def _axis_factors(self, k, X, d_axis=None):
         """Product over axes of the trig factors of term k; ``d_axis`` takes
-        one spatial derivative along that axis."""
-        out = np.ones(X.shape[0])
+        one spatial derivative along that axis.
+
+        On a tensor node set of :mod:`quadrature` the factors are evaluated
+        on the 1-D axis nodes and broadcast to the grid (sum factorisation);
+        every grid value is the same product, in the same order, as on the
+        pointwise path."""
+        tensor = tensor_axes(X)
+        axes = tensor[0] if tensor else X.T
+        out = 1.0
         for i in range(self.dom.dim):
-            th = self.freq[k][i] * (X[:, i] - self.lo[i])
+            th = self.freq[k][i] * (axes[i] - self.lo[i])
             fi = self.funcs[k][i]
             if i == d_axis:
                 if fi == "sin":
@@ -133,7 +140,7 @@ class _TrigSum:
                     out = out * (-self.freq[k][i]) * np.sin(th)
             else:
                 out = out * (np.sin(th) if fi == "sin" else np.cos(th))
-        return out
+        return np.tile(out.ravel(), tensor[1]) if tensor else out
 
     def _tfactor(self, k, t, order=0):
         p = self.tpolys[k]
@@ -293,6 +300,9 @@ def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPai
         u_t = (u + scale * du_nc).restricted()
         p_t = (p + scale * dp).restricted()
     return ApproxPair(u_t, p_t, level)
+
+
+FREE_STRATEGIES = ("exact", "coarse", "basis")
 
 
 def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):

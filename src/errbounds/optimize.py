@@ -123,32 +123,34 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     grad_phi = phi_free.gradient_field()
     data = case.f - phi_free
     u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
-    basis = list(make_flux_basis(dom.spatial(), start_size + budget - 1))
+    size = start_size + budget - 1
+    basis = list(make_flux_basis(dom.spatial(), size))
+    divs = [b.div_field() for b in basis]
+    # Raw inner products of the nested basis, each computed once: step k
+    # works on the leading (start_size + k) block, and the last step uses all.
+    DD = np.empty((size, size))  # <div b_i, div b_j>
+    BB = np.empty((size, size))  # <b_i, b_j>
+    for i in range(size):
+        for j in range(i, size):
+            DD[i, j] = DD[j, i] = l2_inner(divs[i], divs[j], dom, rule)
+            BB[i, j] = BB[j, i] = l2_inner(basis[i], basis[j], dom, rule)
+    RD = np.array([l2_inner(data, d, dom, rule) for d in divs])
+    RG = np.array([l2_inner(grad_phi, b, dom, rule) for b in basis])
+    RP = np.array([l2_inner(pt, b, dom, rule) for b in basis])
 
     gamma = gamma0
     reports: List[BoundReport] = []
     for step in range(budget):
-        sub = basis[:start_size + step]
-        n = len(sub)
-        divs = [b.div_field() for b in sub]
+        n = start_size + step
         wa = 1.0 + 1.0 / gamma
         wb = 1.0 + gamma
         # quadratic in psi: wa (||data + div psi||^2 + ||psi - grad phi||^2)
         #                   + wb ||psi - p_tilde||^2
-        G = np.empty((n, n))
-        rhs = np.empty(n)
-        for i in range(n):
-            for j in range(i, n):
-                G[i, j] = G[j, i] = (
-                    wa * (l2_inner(divs[i], divs[j], dom, rule)
-                          + l2_inner(sub[i], sub[j], dom, rule))
-                    + wb * l2_inner(sub[i], sub[j], dom, rule))
-            rhs[i] = (-wa * l2_inner(data, divs[i], dom, rule)
-                      + wa * l2_inner(grad_phi, sub[i], dom, rule)
-                      + wb * l2_inner(pt, sub[i], dom, rule))
+        G = wa * (DD[:n, :n] + BB[:n, :n]) + wb * BB[:n, :n]
+        rhs = -wa * RD[:n] + wa * RG[:n] + wb * RP[:n]
         G[np.diag_indices(n)] += 1e-12 * (1.0 + np.trace(G) / n)
         coeffs = np.linalg.solve(G, rhs)
-        psi = combine_vector_fields(sub, coeffs)
+        psi = combine_vector_fields(basis[:n], coeffs)
         A = math.fsum([
             norm_sq("L2", data + psi.div_field(), dom, rule),
             norm_sq("L2", psi - grad_phi, dom, rule),

@@ -50,6 +50,20 @@ def _gauss_interval(order: int, lo: float, hi: float, panels: int = 1):
     return x, w
 
 
+# id of a cached node array -> (the array, its per-axis 1-D nodes shaped to
+# broadcast against each other, repeats). Column i of the array is the
+# product grid of those axes, raveled in C order and tiled ``repeats`` times
+# (once per time node of a space-time set). Holding the array keeps its id
+# from being reused.
+_TENSOR = {}
+
+
+def tensor_axes(X: np.ndarray):
+    """(axes, repeats) of a node array cached by this module, else None."""
+    entry = _TENSOR.get(id(X))
+    return entry[1:] if entry else None
+
+
 @lru_cache(maxsize=None)
 def space_nodes(dom: BoxDomain, rule: QuadratureRule):
     """Spatial tensor nodes: X with shape (N, d) and weights (N,)."""
@@ -64,6 +78,7 @@ def space_nodes(dom: BoxDomain, rule: QuadratureRule):
         w = w * wm.ravel()
     X.setflags(write=False)
     w.setflags(write=False)
+    _TENSOR[id(X)] = (X, np.ix_(*(a[0] for a in axes)), 1)
     return X, w
 
 
@@ -81,6 +96,7 @@ def spacetime_nodes(dom: BoxDomain, rule: QuadratureRule):
     t.setflags(write=False)
     X.setflags(write=False)
     w.setflags(write=False)
+    _TENSOR[id(X)] = (X, tensor_axes(Xs)[0], tq.shape[0])
     return t, X, w
 
 
@@ -114,7 +130,7 @@ def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
     _check_domain_match(b, dom)
     args, w = _quad_args(dom, rule)
     va = a.value(*args)
-    vb = b.value(*args)
+    vb = va if b is a else b.value(*args)
     if scalar:
         prod = va * vb
     else:

@@ -11,7 +11,8 @@ import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Dict, List, NamedTuple, Tuple
 
-from .elliptic import (cftwo_check, friedrichs_constant, friedrichs_margin,
+from .elliptic import (POISSON_NONCONFORMING_WHICH, RD_NONCONFORMING_WHICH,
+                       cftwo_check, friedrichs_constant, friedrichs_margin,
                        poisson_nonconforming, poisson_two_sided,
                        poisson_very_conforming_equality, rd_equality,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
@@ -51,13 +52,15 @@ class RunReport:
 
 class Estimator(NamedTuple):
     """Registry entry. ``levels`` are the conformity levels the estimator's
-    hypotheses admit, ``family`` is the CLI command that selects it, and
-    ``record(case, spec, approx, rule)`` returns the record's fields."""
+    hypotheses admit, ``family`` is the CLI command that selects it,
+    ``record(case, spec, approx, rule)`` returns the record's fields, and
+    ``which`` lists the values its spec's ``which`` may take (none if empty)."""
 
     kinds: Tuple[str, ...]
     levels: Tuple[str, ...]
     family: str
     record: Callable[..., dict]
+    which: Tuple[str, ...] = ()
 
 
 def _cf(case: ProblemCase) -> float:
@@ -133,9 +136,11 @@ ESTIMATORS: Dict[str, Estimator] = {
         ("RD",), ("semi_conforming_primal", "semi_conforming_dual"), _BOUNDS,
         _semiconforming),
     "rd_nonconforming_bounds": Estimator(
-        ("RD",), _ALL_LEVELS, _BOUNDS, _rd_nonconforming),
+        ("RD",), _ALL_LEVELS, _BOUNDS, _rd_nonconforming,
+        RD_NONCONFORMING_WHICH),
     "poisson_nonconforming": Estimator(
-        ("Poisson",), _ALL_LEVELS, _BOUNDS, _poisson_nonconforming),
+        ("Poisson",), _ALL_LEVELS, _BOUNDS, _poisson_nonconforming,
+        POISSON_NONCONFORMING_WHICH),
     "trd_equality": Estimator(
         ("TRD",), _CONFORMING, _EQ,
         lambda case, spec, approx, rule:

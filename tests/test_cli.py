@@ -289,3 +289,68 @@ def test_cli_env_output_dir(tmp_path, monkeypatch):
     code = main(["suite"])
     assert code == 0
     assert (tmp_path / "envout" / "report.json").exists()
+
+
+# --------------------------------------------------------------------------
+# estimator options are validated when the config is read
+# --------------------------------------------------------------------------
+
+NONCONFORMING = {
+    "cases": [{"kind": "RD", "lower": [0.0], "upper": [1.0],
+               "solution": "sin(pi*x)"},
+              {"kind": "Poisson", "lower": [0.0], "upper": [1.0],
+               "solution": "sin(pi*x)"}],
+    "approximations": [{"level": "non_conforming", "epsilon": 0.1,
+                        "seed": 0}],
+}
+
+
+@pytest.mark.parametrize("command, estimator, key, expected", [
+    ("verify-bounds", {"name": "rd_nonconforming_bounds", "which": "iv"},
+     "'which'", "('i', 'ii', 'iii')"),
+    ("verify-bounds", {"name": "rd_nonconforming_bounds", "which": "mixed-i"},
+     "'which'", "('i', 'ii', 'iii')"),
+    ("verify-bounds", {"name": "poisson_nonconforming", "which": "iii"},
+     "'which'", "('i', 'ii', 'mixed-i', 'mixed-ii')"),
+    ("suite", {"name": "friedrichs", "which": "i"},
+     "'which'", "takes no 'which'"),
+    ("verify-bounds", {"name": "rd_nonconforming_bounds",
+                       "free_strategy": "exactly"},
+     "'free_strategy'", "('exact', 'coarse', 'basis')"),
+    ("verify-bounds", {"name": "poisson_nonconforming", "free_strategy": 1},
+     "'free_strategy'", "('exact', 'coarse', 'basis')"),
+    ("optimize-majorant", {"name": "friedrichs", "basis_size": "x"},
+     "'basis_size'", "positive integer"),
+    ("optimize-majorant", {"name": "friedrichs", "basis_size": 0},
+     "'basis_size'", "positive integer"),
+    ("optimize-majorant", {"name": "friedrichs", "basis_size": -3},
+     "'basis_size'", "positive integer"),
+    ("optimize-majorant", {"name": "friedrichs", "basis_size": 2.5},
+     "'basis_size'", "positive integer"),
+    ("optimize-majorant", {"name": "friedrichs", "basis_size": True},
+     "'basis_size'", "positive integer"),
+])
+def test_cli_rejects_bad_estimator_options(tmp_path, capsys, command,
+                                           estimator, key, expected):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(dict(NONCONFORMING, estimators=[estimator])))
+    code = main([command, "--config", str(cfg_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: estimators[0]")
+    assert key in err and expected in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_valid_estimator_options_parse():
+    doc = dict(NONCONFORMING, estimators=[
+        {"name": "rd_nonconforming_bounds", "which": "ii",
+         "free_strategy": "coarse"},
+        {"name": "poisson_nonconforming", "which": "mixed-ii",
+         "free_strategy": "basis"},
+        {"name": "friedrichs", "basis_size": 9},
+    ])
+    ests = parse_config(json.dumps(doc)).estimators
+    assert [(e.which, e.free_strategy, e.basis_size) for e in ests] == [
+        ("ii", "coarse", 4), ("mixed-ii", "basis", 4), (None, "exact", 9)]

@@ -1,5 +1,9 @@
-"""Each narrated demo script runs to completion."""
+"""Each narrated demo script, and the README library example, runs to
+completion."""
+import contextlib
+import io
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -22,3 +26,13 @@ def test_demo_runs(demo):
     proc = subprocess.run([sys.executable, str(demo)], cwd=ROOT, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_example_runs():
+    readme = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, flags=re.S)
+    assert len(blocks) == 1
+    scope = {}
+    with contextlib.redirect_stdout(io.StringIO()):
+        exec(blocks[0], scope)
+    assert scope["rep"].rel_residual < 1e-8

@@ -14,6 +14,8 @@ from errbounds import (
     perturb,
     rd_equality,
 )
+from errbounds.manufactured import _random_trig
+from errbounds.quadrature import space_nodes, spacetime_nodes, tensor_axes
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -163,3 +165,59 @@ def test_perturbations_normalized():
     ap = perturb(case, "conforming_mixed", 1.0, 11)
     diff = ap.u_tilde - case.exact_u
     assert norm_sq("L2", diff, DOM1, RULE) == pytest.approx(1.0, rel=1e-10)
+
+
+# Sum factorisation: on a cached tensor node set the trig factors are
+# evaluated per axis and broadcast; on any other array (here a copy of the
+# same nodes) pointwise. Both must agree to the last bit.
+TENSOR_DOMS = [
+    BoxDomain((0.0,), (1.0,)),
+    BoxDomain((-1.0, 0.5), (0.5, 3.0)),
+    BoxDomain((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)),
+    BoxDomain((0.25, -2.0, 1.0), (0.75, -1.0, 4.0)),
+    BoxDomain((0.0,), (1.0,), time_horizon=0.7),
+    BoxDomain((-1.0, 0.5), (0.5, 3.0), time_horizon=2.0),
+]
+TENSOR_RULE = QuadratureRule(space_order=3, time_order=3)
+
+
+def _evaluators(ts):
+    evs = {"value": ts.value, "grad": ts.grad, "laplacian": ts.laplacian}
+    if ts.dom.is_parabolic:
+        evs.update(dt=ts.dt, dt_grad=ts.dt_grad)
+    if ts.dom.dim == 2:
+        rot = ts.rotgrad_field()
+        evs["rotgrad"] = rot.value
+        if rot.has_dt:
+            evs["rotgrad_dt"] = rot.dt
+    return evs
+
+
+@pytest.mark.parametrize("dom", TENSOR_DOMS, ids=repr)
+@pytest.mark.parametrize("seed", [0, 7])
+def test_tensor_path_matches_pointwise_bitwise(dom, seed):
+    if dom.is_parabolic:
+        args = spacetime_nodes(dom, TENSOR_RULE)[:2]
+    else:
+        args = space_nodes(dom, TENSOR_RULE)[:1]
+    copies = tuple(a.copy() for a in args)
+    assert tensor_axes(args[-1]) is not None
+    assert tensor_axes(copies[-1]) is None
+    rng = np.random.default_rng(seed)
+    for nonconforming in (False, True):
+        ts = _random_trig(dom, rng, n_terms=4, nonconforming=nonconforming)
+        for name, ev in _evaluators(ts).items():
+            assert np.array_equal(ev(*args), ev(*copies)), name
+
+
+@pytest.mark.parametrize("dom", TENSOR_DOMS[4:], ids=repr)
+def test_tensor_path_at_time_slice_bitwise(dom):
+    X = space_nodes(dom, TENSOR_RULE)[0]
+    assert tensor_axes(X) is not None
+    ts = _random_trig(dom, np.random.default_rng(3), nonconforming=True)
+    for t0 in (0.0, 0.3, dom.time_horizon):
+        sliced = ts.scalar_field().at_time(t0)
+        for ev in (sliced.value, sliced.grad, sliced.laplacian):
+            assert np.array_equal(ev(X), ev(X.copy()))
+        flux = ts.gradient_field().at_time(t0)
+        assert np.array_equal(flux.value(X), flux.value(X.copy()))

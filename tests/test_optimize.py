@@ -13,6 +13,7 @@ from errbounds import (
     flux_basis,
     free_fields,
     improve_bound,
+    l2_inner,
     make_case,
     minimize_flux_majorant,
     norm_sq,
@@ -170,6 +171,28 @@ def test_improve_bound_exact_approximation_stays_zero():
     for r in reports:
         assert r.true_total == pytest.approx(0.0, abs=1e-18)
         assert r.upper_bound <= 1e-12
+
+
+def test_improve_bound_computes_each_inner_product_once(monkeypatch):
+    from errbounds import optimize
+
+    calls = []
+
+    def counting(a, b, dom, rule):
+        calls.append((a, b))
+        return l2_inner(a, b, dom, rule)
+
+    monkeypatch.setattr(optimize, "l2_inner", counting)
+    ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
+    phi, _ = free_fields(RD_RICH, "coarse")
+    reports = improve_bound(RD_RICH, ap, phi, RULE, budget=4, start_size=2)
+    size = 5
+    # two Gram blocks (upper triangles) and three right-hand-side vectors
+    assert len(calls) == size * (size + 1) + 3 * size
+    # a longer run repeats the steps of a shorter one to the last bit
+    shorter = improve_bound(RD_RICH, ap, phi, RULE, budget=2, start_size=2)
+    assert [r.to_record() for r in shorter] == [
+        r.to_record() for r in reports[:2]]
 
 
 def test_combine_vector_fields_validation():

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from errbounds import (
     CapabilityError,
     ConformityError,
     QuadratureRule,
+    ScalarField,
+    VectorField,
     l2_inner,
     norm_sq,
     partint_residual,
@@ -174,3 +177,68 @@ def test_determinism_bitwise():
     a = norm_sq("L2", u, DOM1, RULE)
     b = norm_sq("L2", u, DOM1, RULE)
     assert a == b
+
+
+def _counting(field, counts, prefix=""):
+    """Copy of ``field`` whose primitive evaluators count their calls."""
+    def wrap(name, fn):
+        if fn is None:
+            return None
+
+        def h(*args):
+            counts[prefix + name] += 1
+            return fn(*args)
+        return h
+
+    opts = dict(dim=field.dim, time_dependent=field.time_dependent)
+    if isinstance(field, VectorField):
+        return VectorField(wrap("value", field._value), wrap("div", field._div),
+                           wrap("dt", field._dt), **opts)
+    return ScalarField(wrap("value", field._value), wrap("grad", field._grad),
+                       wrap("laplacian", field._laplacian), wrap("dt", field._dt),
+                       vanishes_on_boundary=field.vanishes_on_boundary, **opts)
+
+
+@pytest.mark.parametrize("kind, expected", [
+    ("L2", {"value": 1}),
+    ("H1", {"value": 1, "grad": 1}),
+    ("V", {"value": 1, "grad": 1, "laplacian": 1}),
+])
+def test_norm_sq_evaluates_each_primitive_once(kind, expected):
+    counts = Counter()
+    w = _counting(scalar_field("sin(pi*x)*sin(2*pi*y)", DOM2), counts)
+    norm_sq(kind, w, DOM2, RULE)
+    assert counts == expected
+
+
+def test_norm_sq_evaluates_vector_and_composite_primitives_once():
+    counts = Counter()
+    psi = _counting(vector_field(["sin(pi*x)", "x*y"], DOM2), counts)
+    norm_sq("Hdiv", psi, DOM2, RULE)
+    assert counts == {"value": 1, "div": 1}
+    # a closure tree evaluates each leaf once per occurrence, not twice
+    counts.clear()
+    u = _counting(scalar_field("sin(pi*x)*sin(pi*y)", DOM2), counts, "u.")
+    v = _counting(scalar_field("x*y*(1-x)*(1-y)", DOM2), counts, "v.")
+    norm_sq("L2", 2.0 * u - v, DOM2, RULE)
+    assert counts == {"u.value": 1, "v.value": 1}
+    counts.clear()
+    w = _counting(scalar_field("(1+t)*sin(pi*x)", TDOM), counts)
+    norm_sq("triple", w, TDOM, RULE)
+    assert counts == {"dt": 1, "laplacian": 1, "grad": 1}
+
+
+def test_l2_inner_evaluates_distinct_fields_both():
+    counts = Counter()
+    a = _counting(scalar_field("sin(pi*x)", DOM1), counts, "a.")
+    b = _counting(scalar_field("sin(2*pi*x)+x", DOM1), counts, "b.")
+    ab = l2_inner(a, b, DOM1, RULE)
+    assert counts == {"a.value": 1, "b.value": 1}
+    assert ab == l2_inner(b, a, DOM1, RULE)
+    X, w = space_nodes(DOM1, RULE)
+    va, vb = a.value(X), b.value(X)
+    assert ab == math.fsum((va * vb * w).tolist())
+    counts.clear()
+    # the same field paired with itself is evaluated once
+    assert l2_inner(a, a, DOM1, RULE) == norm_sq("L2", a, DOM1, RULE)
+    assert counts == {"a.value": 2}
