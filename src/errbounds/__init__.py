@@ -22,9 +22,9 @@ from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, omega_identity_check,
                         trd_equality, trd_isometry_check,
                         trd_very_conforming_equality)
-from .quadrature import (QuadratureRule, l2_inner, norm_sq, partint_residual,
-                         space_nodes, spacetime_nodes, timecross_check,
-                         trace_norm_sq)
+from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
+                         partint_residual, space_nodes, spacetime_nodes,
+                         timecross_check, trace_norm_sq)
 from .reports import (BoundReport, EqualityReport, efficiency,
                       relative_residual)
 from .runner import RunReport, emit, read_report, run
@@ -42,8 +42,9 @@ __all__ = [
     "default_suite_config", "efficiency", "emit", "flux_basis", "free_fields",
     "friedrichs_constant", "friedrichs_margin", "gradient_field",
     "heat_isometry_check", "heat_two_sided", "heat_very_conforming_equality",
-    "improve_bound", "l2_inner", "make_case", "minimize_flux_majorant",
-    "norm_sq", "omega_identity_check", "optimal_gamma", "parse_config",
+    "improve_bound", "l2_gram", "l2_inner", "make_case",
+    "minimize_flux_majorant", "norm_sq", "omega_identity_check",
+    "optimal_gamma", "parse_config",
     "partint_residual", "perturb", "poisson_nonconforming",
     "poisson_two_sided", "poisson_very_conforming_equality", "rd_equality",
     "rd_nonconforming_bounds", "rd_semiconforming_bounds",

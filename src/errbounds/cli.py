@@ -45,6 +45,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> RunConfig:
+    # the overrides bypass parse_config, so they are checked here
+    if args.quad_order is not None and args.quad_order < 1:
+        raise ConfigError(
+            f"--quad-order must be at least 1, got {args.quad_order}")
+    if args.seed is not None and args.seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
     if args.config is not None:
         config = parse_config(args.config.read_text())
     else:

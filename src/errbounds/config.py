@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from typing import Optional, Tuple
 
 from .fields import BoxDomain
@@ -57,16 +58,42 @@ class RunConfig:
 
 
 def _only_keys(obj: dict, allowed: set, where: str):
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = set(obj) - allowed
     if unknown:
         raise ConfigError(
             f"unknown key(s) {sorted(unknown)} in {where}; allowed: {sorted(allowed)}")
 
 
+def _number(value, what: str) -> float:
+    """A finite JSON number (NaN and infinities are not), else ConfigError."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise ConfigError(f"{what} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _integer(value, what: str, positive: bool = True) -> int:
+    """A positive (else nonnegative) JSON integer, else ConfigError."""
+    if type(value) is not int or value < (1 if positive else 0):
+        raise ConfigError(f"{what} must be a "
+                          f"{'positive' if positive else 'nonnegative'} "
+                          f"integer, got {value!r}")
+    return value
+
+
+def _axes(obj: dict, key: str, where: str) -> Tuple[float, ...]:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ConfigError(f"{where}: {key!r} must be a list of numbers, "
+                          f"got {value!r}")
+    return tuple(_number(v, f"{where}: {key!r}[{i}]")
+                 for i, v in enumerate(value))
+
+
 def _parse_case(obj: dict, idx: int) -> CaseSpec:
     where = f"cases[{idx}]"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
     _only_keys(obj, {"kind", "lower", "upper", "solution", "T", "f_scale",
                      "label"}, where)
     for key in ("kind", "lower", "upper", "solution"):
@@ -75,52 +102,57 @@ def _parse_case(obj: dict, idx: int) -> CaseSpec:
     kind = obj["kind"]
     if kind not in KINDS:
         raise ConfigError(f"{where}: unknown kind {kind!r}; expected one of {KINDS}")
-    lower = tuple(float(v) for v in obj["lower"])
-    upper = tuple(float(v) for v in obj["upper"])
-    if len(lower) != len(upper) or not lower:
-        raise ConfigError(f"{where}: lower/upper must be equal-length nonempty lists")
+    lower = _axes(obj, "lower", where)
+    upper = _axes(obj, "upper", where)
+    if len(lower) != len(upper) or not 1 <= len(lower) <= 3:
+        raise ConfigError(f"{where}: 'lower' and 'upper' must be lists of "
+                          f"equal length 1, 2 or 3")
+    for axis, (lo, hi) in enumerate(zip(lower, upper)):
+        if not hi > lo:
+            raise ConfigError(f"{where}: 'upper'[{axis}] = {hi!r} must exceed "
+                              f"'lower'[{axis}] = {lo!r}")
     T = obj.get("T")
+    if T is not None:
+        T = _number(T, f"{where}: 'T'")
     if kind in PARABOLIC_KINDS:
         if T is None:
             raise ConfigError(f"{where}: kind {kind} requires a time horizon T")
-        T = float(T)
         if T <= 0:
             raise ConfigError(f"{where}: T must be positive")
     elif T is not None:
         raise ConfigError(f"{where}: kind {kind} must not set T")
     return CaseSpec(kind=kind, lower=lower, upper=upper,
                     solution=str(obj["solution"]), T=T,
-                    f_scale=float(obj.get("f_scale", 1.0)),
+                    f_scale=_number(obj.get("f_scale", 1.0),
+                                    f"{where}: 'f_scale'"),
                     label=str(obj.get("label", f"case{idx}")))
 
 
 def _parse_approx(obj: dict, idx: int) -> ApproxSpec:
     where = f"approximations[{idx}]"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
     _only_keys(obj, {"level", "epsilon", "seed"}, where)
     level = obj.get("level")
     if level not in LEVELS:
         raise ConfigError(f"{where}: unknown level {level!r}; expected one of {LEVELS}")
     if "epsilon" not in obj:
         raise ConfigError(f"{where} is missing required key 'epsilon'")
-    eps = float(obj["epsilon"])
+    eps = _number(obj["epsilon"], f"{where}: 'epsilon'")
     if eps < 0:
         raise ConfigError(f"{where}: epsilon must be nonnegative")
-    return ApproxSpec(level=level, epsilon=eps, seed=int(obj.get("seed", 0)))
+    return ApproxSpec(level=level, epsilon=eps,
+                      seed=_integer(obj.get("seed", 0), f"{where}: 'seed'",
+                                    positive=False))
 
 
 def _parse_estimator(obj: dict, idx: int) -> EstimatorSpec:
     where = f"estimators[{idx}]"
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{where} must be an object")
     _only_keys(obj, {"name", "gamma", "which", "free_strategy", "basis_size"}, where)
     name = obj.get("name")
-    if name not in ESTIMATORS:
+    if not isinstance(name, str) or name not in ESTIMATORS:
         raise ConfigError(
             f"{where}: unknown estimator {name!r}; expected one of "
             f"{sorted(ESTIMATORS)}")
-    gamma = float(obj.get("gamma", 2.0))
+    gamma = _number(obj.get("gamma", 2.0), f"{where}: 'gamma'")
     if gamma <= 0:
         raise ConfigError(f"{where}: gamma must be positive")
     which = obj.get("which")
@@ -135,11 +167,7 @@ def _parse_estimator(obj: dict, idx: int) -> EstimatorSpec:
         raise ConfigError(
             f"{where}: unknown 'free_strategy' {free_strategy!r}; expected "
             f"one of {FREE_STRATEGIES}")
-    basis_size = obj.get("basis_size", 4)
-    if type(basis_size) is not int or basis_size < 1:
-        raise ConfigError(
-            f"{where}: 'basis_size' must be a positive integer, got "
-            f"{basis_size!r}")
+    basis_size = _integer(obj.get("basis_size", 4), f"{where}: 'basis_size'")
     return EstimatorSpec(name=name, gamma=gamma, which=which,
                          free_strategy=free_strategy, basis_size=basis_size)
 
@@ -168,19 +196,24 @@ def parse_config(text: str) -> RunConfig:
 
     quad = doc.get("quadrature", {})
     _only_keys(quad, {"space_order", "time_order"}, "quadrature")
-    space_order = int(quad.get("space_order", 12))
-    time_order = int(quad.get("time_order", 12))
-    if space_order < 1 or time_order < 1:
-        raise ConfigError("quadrature orders must be positive")
+    space_order = _integer(quad.get("space_order", 12),
+                           "quadrature: 'space_order'")
+    time_order = _integer(quad.get("time_order", 12),
+                          "quadrature: 'time_order'")
     tol = doc.get("tolerances", {})
     _only_keys(tol, {"equality_rel", "bound_slack"}, "tolerances")
-    equality_rel = float(tol.get("equality_rel", 1e-8))
-    bound_slack = float(tol.get("bound_slack", 1e-9))
+    equality_rel = _number(tol.get("equality_rel", 1e-8),
+                           "tolerances: 'equality_rel'")
+    bound_slack = _number(tol.get("bound_slack", 1e-9),
+                          "tolerances: 'bound_slack'")
     if equality_rel <= 0 or bound_slack < 0:
         raise ConfigError("tolerances must be positive")
     out = doc.get("output", {})
     _only_keys(out, {"formats"}, "output")
-    formats = tuple(out.get("formats", ["json"]))
+    formats = out.get("formats", ["json"])
+    if not isinstance(formats, list):
+        raise ConfigError(f"output: 'formats' must be a list, got {formats!r}")
+    formats = tuple(formats)
     for fmt in formats:
         if fmt not in ("json", "csv", "plotdata"):
             raise ConfigError(f"unknown output format {fmt!r}")

@@ -8,7 +8,7 @@ import numpy as np
 
 from .fields import ScalarField, VectorField
 from .manufactured import ApproxPair, ProblemCase
-from .quadrature import QuadratureRule, l2_inner, norm_sq
+from .quadrature import QuadratureRule, l2_gram, norm_sq
 from .reports import BoundReport
 
 
@@ -41,6 +41,15 @@ def combine_vector_fields(basis: Sequence[VectorField],
     return out
 
 
+def _solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve G c = rhs with the diagonal of G (modified in place) lifted by
+    1e-12 (1 + tr G / n), so that a singular Gram matrix of a zero or
+    dependent basis still yields a minimizer."""
+    n = len(rhs)
+    G[np.diag_indices(n)] += 1e-12 * (1.0 + np.trace(G) / n)
+    return np.linalg.solve(G, rhs)
+
+
 def _majorant_terms(case: ProblemCase, u_tilde: ScalarField, phi: VectorField,
                     rule: QuadratureRule) -> Tuple[float, float]:
     """(residual term, gap term) of the quadratic flux majorant."""
@@ -61,7 +70,8 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
                            weights: Tuple[float, float] = (1.0, 1.0),
                            ) -> Tuple[VectorField, float, np.ndarray]:
     """Minimize w_r * ||residual(phi)||^2 + w_g * ||phi - grad u_tilde||^2
-    over phi in span(basis) by solving the normal equations.
+    over phi in span(basis) by solving the normal equations. Only phi comes
+    from the Gram system: the majorant is norms of phi, not a quadratic form.
 
     Returns (optimal flux, majorant value, coefficient vector).
     """
@@ -77,21 +87,15 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         data = case.f
     else:
         raise ValueError(f"flux majorant supports RD and Poisson, got {case.kind}")
-    grad_ut = u_tilde.gradient_field()
     n = len(basis)
-    G = np.empty((n, n))
-    rhs = np.empty(n)
-    divs = [b.div_field() for b in basis]
-    for i in range(n):
-        for j in range(i, n):
-            G[i, j] = G[j, i] = (
-                w_r * l2_inner(divs[i], divs[j], dom, rule)
-                + w_g * l2_inner(basis[i], basis[j], dom, rule))
-        # residual is data + div(phi): minimize w_r ||data + div phi||^2
-        rhs[i] = (w_g * l2_inner(grad_ut, basis[i], dom, rule)
-                  - w_r * l2_inner(data, divs[i], dom, rule))
-    G[np.diag_indices(n)] += 1e-12 * (1.0 + np.trace(G) / n)
-    coeffs = np.linalg.solve(G, rhs)
+    vals = [*basis, u_tilde.gradient_field()]
+    divs = [*(b.div_field() for b in basis), data]
+    BB = l2_gram(vals, vals, dom, rule)
+    DD = l2_gram(divs, divs, dom, rule)
+    # residual is data + div(phi): minimize w_r ||data + div phi||^2; row n
+    # of each Gram block holds its right-hand side
+    coeffs = _solve_normal_equations(w_r * DD[:n, :n] + w_g * BB[:n, :n],
+                                     w_g * BB[n, :n] - w_r * DD[n, :n])
     phi = combine_vector_fields(basis, coeffs)
     r, g = _majorant_terms(case, u_tilde, phi, rule)
     return phi, w_r * r + w_g * g, coeffs
@@ -125,18 +129,13 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
     size = start_size + budget - 1
     basis = list(make_flux_basis(dom.spatial(), size))
-    divs = [b.div_field() for b in basis]
-    # Raw inner products of the nested basis, each computed once: step k
-    # works on the leading (start_size + k) block, and the last step uses all.
-    DD = np.empty((size, size))  # <div b_i, div b_j>
-    BB = np.empty((size, size))  # <b_i, b_j>
-    for i in range(size):
-        for j in range(i, size):
-            DD[i, j] = DD[j, i] = l2_inner(divs[i], divs[j], dom, rule)
-            BB[i, j] = BB[j, i] = l2_inner(basis[i], basis[j], dom, rule)
-    RD = np.array([l2_inner(data, d, dom, rule) for d in divs])
-    RG = np.array([l2_inner(grad_phi, b, dom, rule) for b in basis])
-    RP = np.array([l2_inner(pt, b, dom, rule) for b in basis])
+    # Gram blocks of the nested basis bordered by the data of the three
+    # right-hand sides: step k works on the leading (start_size + k) block.
+    vals = [*basis, grad_phi, pt]
+    divs = [*(b.div_field() for b in basis), data]
+    BB = l2_gram(vals, vals, dom, rule)  # <b_i, b_j>, then grad phi, p_tilde
+    DD = l2_gram(divs, divs, dom, rule)  # <div b_i, div b_j>, then data
+    RG, RP, RD = BB[size], BB[size + 1], DD[size]
 
     gamma = gamma0
     reports: List[BoundReport] = []
@@ -148,8 +147,7 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
         #                   + wb ||psi - p_tilde||^2
         G = wa * (DD[:n, :n] + BB[:n, :n]) + wb * BB[:n, :n]
         rhs = -wa * RD[:n] + wa * RG[:n] + wb * RP[:n]
-        G[np.diag_indices(n)] += 1e-12 * (1.0 + np.trace(G) / n)
-        coeffs = np.linalg.solve(G, rhs)
+        coeffs = _solve_normal_equations(G, rhs)
         psi = combine_vector_fields(basis[:n], coeffs)
         A = math.fsum([
             norm_sq("L2", data + psi.div_field(), dom, rule),

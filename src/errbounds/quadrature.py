@@ -1,8 +1,9 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
-All reductions go through :func:`math.fsum` over a fixed traversal order, so
-results are deterministic to the last bit regardless of how callers batch
-their work.
+Norms and single inner products reduce through :func:`math.fsum` over a fixed
+traversal order, so they are deterministic to the last bit regardless of how
+callers batch their work. :func:`l2_gram` trades fsum for one sequential
+weighted sum per entry, which is as deterministic but rounds differently.
 """
 from __future__ import annotations
 
@@ -136,6 +137,37 @@ def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
     else:
         prod = np.einsum("ij,ij->i", va, vb)
     return _fsum(prod * w)
+
+
+def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:
+    """Matrix of L2 inner products ``<left[i], right[j]>``.
+
+    Each field is evaluated once into one stacked array (shared when
+    ``right is left``), which a single einsum contracts with the weights.
+    Without BLAS, every entry is a sequential sum over the nodes in a fixed
+    order: it does not depend on the list lengths or the thread count, and
+    ``(l * r) * w`` makes the matrix of ``l2_gram(f, f)`` exactly symmetric.
+    Entries agree with :func:`l2_inner` to rounding, not to the last bit.
+    """
+    if not left or not right:
+        raise ValueError("l2_gram needs nonempty field lists")
+    scalar = isinstance(left[0], ScalarField)
+    for f in (*left, *right):
+        if isinstance(f, ScalarField) != scalar:
+            raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
+        _check_domain_match(f, dom)
+    args, w = _quad_args(dom, rule)
+
+    def stacked(fields):
+        shape = (len(fields), w.shape[0]) + (() if scalar else (dom.dim,))
+        out = np.empty(shape)
+        for i, f in enumerate(fields):
+            out[i] = f.value(*args)
+        return out
+
+    L = stacked(left)
+    R = L if right is left else stacked(right)
+    return np.einsum("ik,jk,k->ij" if scalar else "ikc,jkc,k->ij", L, R, w)
 
 
 def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:

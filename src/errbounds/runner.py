@@ -208,18 +208,17 @@ def run(config: RunConfig) -> RunReport:
 
 
 def _record_passes(rec: dict, config: RunConfig) -> bool:
+    # each check is stated affirmatively, so NaN in a residual, a total or a
+    # bound fails it
     if rec["status"] != "ok":
         return False
     rel = rec.get("rel_residual")
-    if rel is not None and rel > config.equality_rel:
-        return False
     true = rec.get("true_total")
-    if true is not None:
-        lower = rec.get("lower_bound", 0.0)
-        upper = rec.get("upper_bound", math.inf)
-        if lower > true + config.bound_slack or true > upper + config.bound_slack:
-            return False
-    return True
+    slack = config.bound_slack
+    return bool((rel is None or rel <= config.equality_rel)
+                and (true is None
+                     or (rec.get("lower_bound", 0.0) <= true + slack
+                         and true <= rec.get("upper_bound", math.inf) + slack)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import re
 from pathlib import Path
 
@@ -97,8 +98,14 @@ def test_unknown_estimator_and_format():
     doc["estimators"] = [{"name": "rd_eqality"}]
     with pytest.raises(ConfigError, match="unknown estimator"):
         parse_config(json.dumps(doc))
+    doc["estimators"] = [{"name": ["rd_equality"]}]
+    with pytest.raises(ConfigError, match="unknown estimator"):
+        parse_config(json.dumps(doc))
     with pytest.raises(ConfigError, match="unknown output format"):
         parse_config(config_text(output={"formats": ["yaml"]}))
+    for formats in ("json", 5):
+        with pytest.raises(ConfigError, match="'formats' must be a list"):
+            parse_config(config_text(output={"formats": formats}))
 
 
 def test_readme_configs_parse():
@@ -148,6 +155,24 @@ def test_run_captures_record_errors(monkeypatch):
     assert len(report.records) == 1
     assert report.records[0]["status"] == "error"
     assert "synthetic failure" in report.records[0]["error"]
+    assert report.exit_code == 1
+
+
+@pytest.mark.parametrize("fields", [
+    {"rel_residual": math.nan},
+    {"true_total": math.nan, "lower_bound": 0.0, "upper_bound": 1.0},
+    {"true_total": 0.5, "lower_bound": math.nan, "upper_bound": 1.0},
+    {"true_total": 0.5, "lower_bound": 0.0, "upper_bound": math.nan},
+    {"true_total": 0.5, "upper_bound": math.nan},
+])
+def test_run_fails_nan_records(monkeypatch, fields):
+    import errbounds.runner as runner_mod
+
+    entry = runner_mod.ESTIMATORS["rd_equality"]
+    monkeypatch.setitem(runner_mod.ESTIMATORS, "rd_equality", entry._replace(
+        record=lambda case, spec, approx, rule: dict(fields)))
+    report = run(parse_config(config_text()))
+    assert [r["passed"] for r in report.records] == [False]
     assert report.exit_code == 1
 
 
@@ -332,14 +357,83 @@ NONCONFORMING = {
 ])
 def test_cli_rejects_bad_estimator_options(tmp_path, capsys, command,
                                            estimator, key, expected):
+    _assert_rejected(tmp_path, capsys, [command],
+                     dict(NONCONFORMING, estimators=[estimator]),
+                     "estimators[0]", key, expected)
+
+
+def _assert_rejected(tmp_path, capsys, argv, doc, where, key, expected):
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(dict(NONCONFORMING, estimators=[estimator])))
-    code = main([command, "--config", str(cfg_path),
-                 "--out", str(tmp_path / "out")])
+    cfg_path.write_text(json.dumps(doc))
+    code = main(argv + ["--config", str(cfg_path),
+                        "--out", str(tmp_path / "out")])
     assert code == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: estimators[0]")
+    assert err.startswith(f"error: {where}")
     assert key in err and expected in err
+    assert not (tmp_path / "out").exists()
+
+
+def _malformed(section, updates):
+    """MINIMAL with the first entry of ``section`` (or the ``section``
+    object) updated by ``updates``."""
+    doc = json.loads(config_text())
+    if isinstance(doc.get(section), list):
+        doc[section][0].update(updates)
+    else:
+        doc[section] = updates
+    return doc
+
+
+@pytest.mark.parametrize("section, updates, where, expected", [
+    ("cases", {"lower": ["a"]}, "cases[0]", "'lower'[0] must be a finite number"),
+    ("cases", {"lower": 5}, "cases[0]", "'lower' must be a list of numbers"),
+    ("cases", {"upper": [0.0]}, "cases[0]", "'upper'[0] = 0.0 must exceed"),
+    ("cases", {"upper": [-1.0]}, "cases[0]", "'upper'[0] = -1.0 must exceed"),
+    ("cases", {"lower": [0.0] * 4, "upper": [1.0] * 4}, "cases[0]",
+     "'lower' and 'upper' must be lists of equal length 1, 2 or 3"),
+    ("cases", {"lower": [0.0, 0.0]}, "cases[0]",
+     "'lower' and 'upper' must be lists of equal length 1, 2 or 3"),
+    ("cases", {"f_scale": math.nan}, "cases[0]", "'f_scale' must be a finite"),
+    ("cases", {"f_scale": math.inf}, "cases[0]", "'f_scale' must be a finite"),
+    ("cases", {"T": math.nan}, "cases[0]", "'T' must be a finite"),
+    ("cases", {"T": "1"}, "cases[0]", "'T' must be a finite"),
+    ("approximations", {"seed": "x"}, "approximations[0]",
+     "'seed' must be a nonnegative integer"),
+    ("approximations", {"seed": -1}, "approximations[0]",
+     "'seed' must be a nonnegative integer"),
+    ("approximations", {"epsilon": math.nan}, "approximations[0]",
+     "'epsilon' must be a finite"),
+    ("approximations", {"epsilon": "0.1"}, "approximations[0]",
+     "'epsilon' must be a finite"),
+    ("estimators", {"gamma": math.nan}, "estimators[0]",
+     "'gamma' must be a finite"),
+    ("estimators", {"gamma": math.inf}, "estimators[0]",
+     "'gamma' must be a finite"),
+    ("quadrature", {"space_order": 0}, "quadrature",
+     "'space_order' must be a positive integer"),
+    ("quadrature", {"time_order": "x"}, "quadrature",
+     "'time_order' must be a positive integer"),
+    ("tolerances", {"equality_rel": math.nan}, "tolerances",
+     "'equality_rel' must be a finite"),
+    ("tolerances", {"bound_slack": math.inf}, "tolerances",
+     "'bound_slack' must be a finite"),
+])
+def test_cli_rejects_malformed_config(tmp_path, capsys, section, updates,
+                                      where, expected):
+    key = repr(next(iter(updates)))
+    _assert_rejected(tmp_path, capsys, ["verify-equality"],
+                     _malformed(section, updates), where, key, expected)
+
+
+@pytest.mark.parametrize("flag, value", [("--quad-order", "0"),
+                                         ("--quad-order", "-2"),
+                                         ("--seed", "-1")])
+def test_cli_rejects_bad_overrides(tmp_path, capsys, flag, value):
+    code = main(["suite", flag, value, "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and value in err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,7 +14,6 @@ from errbounds import (
     flux_basis,
     free_fields,
     improve_bound,
-    l2_inner,
     make_case,
     minimize_flux_majorant,
     norm_sq,
@@ -21,6 +21,7 @@ from errbounds import (
     perturb,
     zero_vector,
 )
+from test_quadrature import _counting
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -173,22 +174,55 @@ def test_improve_bound_exact_approximation_stays_zero():
         assert r.upper_bound <= 1e-12
 
 
-def test_improve_bound_computes_each_inner_product_once(monkeypatch):
+def _counting_assembly(monkeypatch, counts):
+    """Snapshots of ``counts`` taken when each solve combines its basis,
+    i.e. right after the Gram assembly of every normal-equation system."""
     from errbounds import optimize
 
-    calls = []
+    snapshots = []
 
-    def counting(a, b, dom, rule):
-        calls.append((a, b))
-        return l2_inner(a, b, dom, rule)
+    def combine(basis, coeffs):
+        snapshots.append(dict(counts))
+        return combine_vector_fields(basis, coeffs)
 
-    monkeypatch.setattr(optimize, "l2_inner", counting)
+    monkeypatch.setattr(optimize, "combine_vector_fields", combine)
+    return snapshots
+
+
+def _counting_basis(dom, n, counts):
+    return [_counting(b, counts, f"b{i}.")
+            for i, b in enumerate(flux_basis(dom, n))]
+
+
+def _once_each(n):
+    return {f"b{i}.{p}": 1 for i in range(n) for p in ("value", "div")}
+
+
+def test_minimize_flux_majorant_evaluates_each_basis_field_once(monkeypatch):
+    ut = perturb(RD_RICH, "conforming_mixed", 0.3, 2).u_tilde
+    _, expected, expected_coeffs = minimize_flux_majorant(
+        RD_RICH, ut, flux_basis(DOM1, 5), RULE)
+    counts = Counter()
+    snapshots = _counting_assembly(monkeypatch, counts)
+    basis = _counting_basis(DOM1, 5, counts)
+    _, majorant, coeffs = minimize_flux_majorant(RD_RICH, ut, basis, RULE)
+    assert snapshots == [_once_each(5)]
+    # counting copies of the basis leave the result unchanged
+    assert majorant == expected and np.array_equal(coeffs, expected_coeffs)
+
+
+def test_improve_bound_evaluates_each_basis_field_once(monkeypatch):
+    import errbounds.manufactured as manufactured
+
+    counts = Counter()
+    snapshots = _counting_assembly(monkeypatch, counts)
+    monkeypatch.setattr(manufactured, "flux_basis",
+                        lambda dom, n: _counting_basis(dom, n, counts))
     ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
     phi, _ = free_fields(RD_RICH, "coarse")
     reports = improve_bound(RD_RICH, ap, phi, RULE, budget=4, start_size=2)
-    size = 5
-    # two Gram blocks (upper triangles) and three right-hand-side vectors
-    assert len(calls) == size * (size + 1) + 3 * size
+    # one Gram assembly for all four steps, before the first solve
+    assert len(snapshots) == 4 and snapshots[0] == _once_each(5)
     # a longer run repeats the steps of a shorter one to the last bit
     shorter = improve_bound(RD_RICH, ap, phi, RULE, budget=2, start_size=2)
     assert [r.to_record() for r in shorter] == [

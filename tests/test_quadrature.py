@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,6 +17,8 @@ from errbounds import (
     QuadratureRule,
     ScalarField,
     VectorField,
+    flux_basis,
+    l2_gram,
     l2_inner,
     norm_sq,
     partint_residual,
@@ -242,3 +248,114 @@ def test_l2_inner_evaluates_distinct_fields_both():
     # the same field paired with itself is evaluated once
     assert l2_inner(a, a, DOM1, RULE) == norm_sq("L2", a, DOM1, RULE)
     assert counts == {"a.value": 2}
+
+
+# --------------------------------------------------------------------------
+# Gram matrices
+# --------------------------------------------------------------------------
+
+def _gram_fields(dom, vector):
+    """A few non-orthogonal scalar or vector fields on ``dom``."""
+    names = "xyz"[:dom.dim]
+    tfac = "*(1+t)" if dom.is_parabolic else ""
+    scalars = [f"(1 + {'*'.join(names)}){tfac}",
+               f"sin(pi*{names[-1]}) + {names[0]}**2{tfac}",
+               f"exp(({' + '.join(names)})/3){tfac}",
+               f"cos(2*{names[0]})*({names[-1]} - 1/3)"]
+    if not vector:
+        return [scalar_field(e, dom) for e in scalars]
+    return [vector_field([scalars[(k + j) % 4] for j in range(dom.dim)], dom)
+            for k in range(4)]
+
+
+GRAM_DOMAINS = [
+    (BoxDomain((0.0,), (1.0,)), RULE),
+    (BoxDomain((-2.0,), (0.5,)), RULE),
+    (BoxDomain((0.0, 0.0), (1.0, 1.0)), RULE),
+    (BoxDomain((0.5, -1.0), (1.0, 3.0)), RULE),
+    (BoxDomain((0.0, 0.0, 0.0), (1.0, 2.0, 0.5)), QuadratureRule(3)),
+    (BoxDomain((-1.0, 0.25, 2.0), (0.0, 0.5, 5.0)), QuadratureRule(3)),
+    (BoxDomain((0.0, -0.5), (1.0, 1.5), time_horizon=2.0),
+     QuadratureRule(4, 4)),
+]
+
+
+@pytest.mark.parametrize("vector", [False, True])
+@pytest.mark.parametrize("dom, rule", GRAM_DOMAINS)
+def test_l2_gram_matches_l2_inner(dom, rule, vector):
+    fields = _gram_fields(dom, vector)
+    G = l2_gram(fields, fields, dom, rule)
+    assert G.shape == (4, 4) and np.array_equal(G, G.T)
+    for i, a in enumerate(fields):
+        for j, b in enumerate(fields):
+            # relative to the Cauchy-Schwarz bound |<a, b>| <= ||a|| ||b||
+            scale = math.sqrt(G[i, i] * G[j, j])
+            assert abs(G[i, j] - l2_inner(a, b, dom, rule)) <= 1e-13 * scale
+    # distinct left and right lists give the off-diagonal block
+    assert np.array_equal(l2_gram(fields[:1], fields[2:], dom, rule),
+                          G[:1, 2:])
+
+
+def test_l2_gram_entries_independent_of_list_length():
+    dom = DOM2
+    basis = flux_basis(dom, 12)
+    divs = [b.div_field() for b in basis]
+    for fields in (basis, divs):
+        G = l2_gram(fields, fields, dom, RULE)
+        for m in range(1, len(fields)):
+            head = fields[:m]
+            assert np.array_equal(l2_gram(head, head, dom, RULE), G[:m, :m])
+            assert np.array_equal(l2_gram(head, fields, dom, RULE), G[:m])
+            assert np.array_equal(l2_gram(fields, fields[m:], dom, RULE),
+                                  G[:, m:])
+
+
+def test_l2_gram_evaluates_each_field_once():
+    counts = Counter()
+    left = [_counting(f, counts, f"{k}.")
+            for k, f in enumerate(_gram_fields(DOM2, vector=True))]
+    l2_gram(left, left, DOM2, RULE)
+    assert counts == {f"{k}.value": 1 for k in range(4)}
+    counts.clear()
+    l2_gram(left[:2], left[2:], DOM2, RULE)
+    assert counts == {f"{k}.value": 1 for k in range(4)}
+
+
+def test_l2_gram_validation():
+    u = scalar_field("sin(pi*x)", DOM1)
+    p = vector_field(["cos(pi*x)"], DOM1)
+    with pytest.raises(TypeError):
+        l2_gram([u], [p], DOM1, RULE)
+    with pytest.raises(TypeError):
+        l2_gram([u, p], [u], DOM1, RULE)
+    with pytest.raises(ValueError):
+        l2_gram([u], [u], TDOM, RULE)
+    with pytest.raises(ValueError):
+        l2_gram([u], [scalar_field("sin(pi*x)*y", DOM2)], DOM1, RULE)
+    with pytest.raises(ValueError):
+        l2_gram([], [u], DOM1, RULE)
+    with pytest.raises(ValueError):
+        l2_gram([u], [], DOM1, RULE)
+
+
+_GRAM_SCRIPT = """
+import hashlib
+from errbounds import BoxDomain, QuadratureRule, flux_basis, l2_gram
+dom, rule = BoxDomain((0.0, 0.0), (1.0, 2.0)), QuadratureRule()
+basis = flux_basis(dom, 16)
+divs = [b.div_field() for b in basis]
+for fields in (basis, divs):
+    print(hashlib.sha256(l2_gram(fields, fields, dom, rule).tobytes()).hexdigest())
+"""
+
+
+def test_l2_gram_independent_of_thread_count():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OMP_NUM_THREADS=threads,
+                   OPENBLAS_NUM_THREADS=threads, MKL_NUM_THREADS=threads)
+        out = subprocess.run([sys.executable, "-c", _GRAM_SCRIPT], env=env,
+                             capture_output=True, text=True, check=True)
+        digests.append(out.stdout)
+    assert len(digests[0].split()) == 2 and digests[0] == digests[1]
