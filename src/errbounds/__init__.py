@@ -25,8 +25,7 @@ from .parabolic import (heat_isometry_check, heat_two_sided,
 from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
                          partint_residual, space_nodes, spacetime_nodes,
                          timecross_check, trace_norm_sq)
-from .reports import (BoundReport, EqualityReport, efficiency,
-                      relative_residual)
+from .reports import BoundReport, EqualityReport, relative_residual
 from .runner import RunReport, emit, read_report, run
 from .symbolic import gradient_field, scalar_field, vector_field
 
@@ -39,7 +38,7 @@ __all__ = [
     "PARABOLIC_KINDS", "ProblemCase", "QuadratureRule", "RunConfig",
     "RunReport", "ScalarField", "VectorField",
     "cftwo_check", "combine_vector_fields", "constant_scalar",
-    "default_suite_config", "efficiency", "emit", "flux_basis", "free_fields",
+    "default_suite_config", "emit", "flux_basis", "free_fields",
     "friedrichs_constant", "friedrichs_margin", "gradient_field",
     "heat_isometry_check", "heat_two_sided", "heat_very_conforming_equality",
     "improve_bound", "l2_gram", "l2_inner", "make_case",

@@ -86,10 +86,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         config = _filter_estimators(_load_config(args), args.command)
+        report = run(config)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = run(config)
     outdir = args.out if args.out is not None else default_output_dir()
     written = emit(report, config.formats, outdir)
     n_fail = sum(1 for r in report.records if not r.get("passed", True))

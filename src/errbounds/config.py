@@ -6,9 +6,12 @@ import json
 import math
 from typing import Optional, Tuple
 
+import sympy as sp
+
 from .fields import BoxDomain
 from .manufactured import FREE_STRATEGIES, KINDS, LEVELS, PARABOLIC_KINDS
 from .runner import ESTIMATORS
+from .symbolic import T_SYMBOL, X_SYMBOLS
 
 
 class ConfigError(ValueError):
@@ -92,6 +95,29 @@ def _axes(obj: dict, key: str, where: str) -> Tuple[float, ...]:
                  for i, v in enumerate(value))
 
 
+def _solution(text: str, kind: str, dim: int, where: str) -> str:
+    """The solution string, once sympy parses it to an expression in the
+    case's coordinates (and t for parabolic kinds) alone."""
+    what = f"{where}: 'solution' {text!r}"
+    try:
+        expr = sp.sympify(text)
+    except Exception as exc:  # sympify evaluates the text as Python
+        detail = " ".join(str(exc).split())
+        raise ConfigError(f"{what} does not parse: {detail}") from None
+    if not isinstance(expr, sp.Expr):
+        raise ConfigError(f"{what} is not an expression")
+    allowed = set(X_SYMBOLS[:dim]) | ({T_SYMBOL} if kind in PARABOLIC_KINDS
+                                      else set())
+    unknown = sorted(str(s) for s in expr.free_symbols - allowed)
+    unknown += sorted(str(f.func) for f in
+                      expr.atoms(sp.core.function.AppliedUndef))
+    if unknown:
+        raise ConfigError(f"{what} uses unknown names {unknown}; a case of "
+                          f"kind {kind} in {dim}-D admits "
+                          f"{sorted(str(s) for s in allowed)}")
+    return text
+
+
 def _parse_case(obj: dict, idx: int) -> CaseSpec:
     where = f"cases[{idx}]"
     _only_keys(obj, {"kind", "lower", "upper", "solution", "T", "f_scale",
@@ -122,7 +148,9 @@ def _parse_case(obj: dict, idx: int) -> CaseSpec:
     elif T is not None:
         raise ConfigError(f"{where}: kind {kind} must not set T")
     return CaseSpec(kind=kind, lower=lower, upper=upper,
-                    solution=str(obj["solution"]), T=T,
+                    solution=_solution(str(obj["solution"]), kind, len(lower),
+                                      where),
+                    T=T,
                     f_scale=_number(obj.get("f_scale", 1.0),
                                     f"{where}: 'f_scale'"),
                     label=str(obj.get("label", f"case{idx}")))
@@ -155,8 +183,12 @@ def _parse_estimator(obj: dict, idx: int) -> EstimatorSpec:
     gamma = _number(obj.get("gamma", 2.0), f"{where}: 'gamma'")
     if gamma <= 0:
         raise ConfigError(f"{where}: gamma must be positive")
+    entry = ESTIMATORS[name]
+    if gamma <= entry.gamma_above:
+        raise ConfigError(f"{where}: 'gamma' must exceed "
+                          f"{entry.gamma_above:g} for {name}, got {gamma!r}")
     which = obj.get("which")
-    allowed = ESTIMATORS[name].which
+    allowed = entry.which
     if which is not None and which not in allowed:
         raise ConfigError(
             f"{where}: unknown 'which' {which!r} for {name}; "

@@ -91,261 +91,182 @@ class BoxDomain:
         return np.concatenate(pts, axis=0)
 
 
-def _lift2(op, f, g):
-    if f is None or g is None:
-        return None
+# how CapabilityError messages name each derivative evaluator
+_NOUNS = {"grad": "gradient", "laplacian": "laplacian",
+          "dt": "time-derivative", "div": "divergence"}
 
-    def h(*args):
-        return op(f(*args), g(*args))
 
-    return h
+def _add(f, g):
+    return lambda *args: np.add(f(*args), g(*args))
 
 
 def _scale(f, c):
-    if f is None:
-        return None
-
-    def h(*args):
-        return c * f(*args)
-
-    return h
+    return lambda *args: c * f(*args)
 
 
 def _freeze_time(f, t0):
-    if f is None:
-        return None
-
-    def h(X):
-        return f(np.full(X.shape[0], t0), X)
-
-    return h
+    return lambda X: f(np.full(X.shape[0], t0), X)
 
 
-class ScalarField:
+def _zeros(*tail):
+    """Evaluator of zeros shaped (n, *tail) for n points."""
+    return lambda *args: np.zeros((args[-1].shape[0],) + tail)
+
+
+def _evaluator(name):
+    """Method calling the ``name`` evaluator, or raising CapabilityError."""
+    def evaluate(self, *args) -> np.ndarray:
+        return self._get(name)(*args)
+
+    evaluate.__name__ = evaluate.__qualname__ = name
+    return evaluate
+
+
+def _has(name):
+    return property(lambda self: name in self._ev)
+
+
+class _Field:
+    """Evaluators in one map from name (``value``, ``grad``, ``laplacian``,
+    ``dt``, ``div``) to callable; a missing name is a missing capability.
+    The algebra is shared by both ranks, and a combination carries the
+    evaluators that all its operands carry."""
+
+    __slots__ = ("_ev", "dim", "time_dependent", "_vanishes")
+    _RANK = ""
+    _KEEP = ()  # the keywords of ``restricted``
+
+    def __init__(self, ev: dict, dim: int, time_dependent: bool,
+                 vanishes: bool = False):
+        self._ev = {k: f for k, f in ev.items() if f is not None}
+        self.dim = dim
+        self.time_dependent = time_dependent
+        self._vanishes = vanishes
+
+    def _like(self, ev: dict, vanishes: bool = False, time_dependent=None):
+        """A field of this rank and dimension with evaluator map ``ev``."""
+        out = object.__new__(type(self))
+        _Field.__init__(out, ev, self.dim, self.time_dependent
+                        if time_dependent is None else time_dependent, vanishes)
+        return out
+
+    def _get(self, name: str) -> Callable:
+        try:
+            return self._ev[name]
+        except KeyError:
+            raise CapabilityError(f"{self._RANK} field carries no "
+                                  f"{_NOUNS[name]} evaluator") from None
+
+    has_dt = _has("dt")
+    dt = _evaluator("dt")
+
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            name = type(self).__name__
+            raise TypeError(f"can only combine {name} with {name}")
+        if self.dim != other.dim or self.time_dependent != other.time_dependent:
+            raise ValueError("fields live on incompatible domains")
+        ev = {k: _add(f, other._ev[k]) for k, f in self._ev.items()
+              if k in other._ev}
+        return self._like(ev, self._vanishes and other._vanishes)
+
+    def __sub__(self, other):
+        return self + (-1.0) * other
+
+    def __mul__(self, c):
+        c = float(c)
+        return self._like({k: _scale(f, c) for k, f in self._ev.items()},
+                          self._vanishes)
+
+    __rmul__ = __mul__
+
+    def __neg__(self):
+        return (-1.0) * self
+
+    def dt_field(self):
+        return self._like({"value": self._get("dt")})
+
+    def at_time(self, t0: float):
+        """Spatial slice at a fixed time; the result is an elliptic field."""
+        if not self.time_dependent:
+            raise ValueError("at_time requires a space-time field")
+        ev = {k: _freeze_time(f, t0) for k, f in self._ev.items() if k != "dt"}
+        return self._like(ev, self._vanishes, time_dependent=False)
+
+    def restricted(self, **keep):
+        """Copy with ``value`` and only the selected capabilities retained."""
+        unknown = sorted(set(keep) - set(self._KEEP))
+        if unknown:
+            raise TypeError(f"restricted() got unexpected keywords {unknown}")
+        ev = {k: f for k, f in self._ev.items() if k == "value" or keep.get(k)}
+        return self._like(ev, self._vanishes and keep.get("boundary_flag", False))
+
+
+class ScalarField(_Field):
     """Pointwise-evaluable scalar field with optional analytic derivatives."""
 
-    __slots__ = ("_value", "_grad", "_laplacian", "_dt", "dim",
-                 "time_dependent", "vanishes_on_boundary")
+    __slots__ = ()
+    _RANK = "scalar"
+    _KEEP = ("grad", "laplacian", "dt", "boundary_flag")
 
     def __init__(self, value: Callable, grad: Callable | None = None,
                  laplacian: Callable | None = None, dt: Callable | None = None,
                  *, dim: int, time_dependent: bool = False,
                  vanishes_on_boundary: bool = False):
-        self._value = value
-        self._grad = grad
-        self._laplacian = laplacian
-        self._dt = dt
-        self.dim = dim
-        self.time_dependent = time_dependent
-        self.vanishes_on_boundary = vanishes_on_boundary
-
-    # capability flags
-    @property
-    def has_grad(self) -> bool:
-        return self._grad is not None
+        super().__init__(dict(value=value, grad=grad, laplacian=laplacian,
+                              dt=dt), dim, time_dependent, vanishes_on_boundary)
 
     @property
-    def has_laplacian(self) -> bool:
-        return self._laplacian is not None
+    def vanishes_on_boundary(self) -> bool:
+        return self._vanishes
 
-    @property
-    def has_dt(self) -> bool:
-        return self._dt is not None
+    @vanishes_on_boundary.setter
+    def vanishes_on_boundary(self, flag: bool):
+        self._vanishes = flag
 
-    # evaluation
+    has_grad, has_laplacian = _has("grad"), _has("laplacian")
+    grad, laplacian = _evaluator("grad"), _evaluator("laplacian")
+
     def value(self, *args) -> np.ndarray:
-        return self._value(*args)
+        return self._ev["value"](*args)
 
-    def grad(self, *args) -> np.ndarray:
-        if self._grad is None:
-            raise CapabilityError("scalar field carries no gradient evaluator")
-        return self._grad(*args)
-
-    def laplacian(self, *args) -> np.ndarray:
-        if self._laplacian is None:
-            raise CapabilityError("scalar field carries no laplacian evaluator")
-        return self._laplacian(*args)
-
-    def dt(self, *args) -> np.ndarray:
-        if self._dt is None:
-            raise CapabilityError("scalar field carries no time-derivative evaluator")
-        return self._dt(*args)
-
-    # algebra
-    def _check_compatible(self, other: "ScalarField"):
-        if not isinstance(other, ScalarField):
-            raise TypeError("can only combine ScalarField with ScalarField")
-        if self.dim != other.dim or self.time_dependent != other.time_dependent:
-            raise ValueError("fields live on incompatible domains")
-
-    def __add__(self, other: "ScalarField") -> "ScalarField":
-        self._check_compatible(other)
-        return ScalarField(
-            _lift2(np.add, self._value, other._value),
-            _lift2(np.add, self._grad, other._grad),
-            _lift2(np.add, self._laplacian, other._laplacian),
-            _lift2(np.add, self._dt, other._dt),
-            dim=self.dim, time_dependent=self.time_dependent,
-            vanishes_on_boundary=self.vanishes_on_boundary and other.vanishes_on_boundary)
-
-    def __sub__(self, other: "ScalarField") -> "ScalarField":
-        return self + (-1.0) * other
-
-    def __mul__(self, c) -> "ScalarField":
-        c = float(c)
-        return ScalarField(
-            _scale(self._value, c), _scale(self._grad, c),
-            _scale(self._laplacian, c), _scale(self._dt, c),
-            dim=self.dim, time_dependent=self.time_dependent,
-            vanishes_on_boundary=self.vanishes_on_boundary)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "ScalarField":
-        return (-1.0) * self
-
-    # derived fields
     def gradient_field(self) -> "VectorField":
-        if self._grad is None:
-            raise CapabilityError("scalar field carries no gradient evaluator")
-        return VectorField(self._grad, div=self._laplacian,
+        return VectorField(self._get("grad"), div=self._ev.get("laplacian"),
                            dim=self.dim, time_dependent=self.time_dependent)
 
     def laplacian_field(self) -> "ScalarField":
-        if self._laplacian is None:
-            raise CapabilityError("scalar field carries no laplacian evaluator")
-        return ScalarField(self._laplacian, dim=self.dim,
-                           time_dependent=self.time_dependent)
-
-    def dt_field(self) -> "ScalarField":
-        if self._dt is None:
-            raise CapabilityError("scalar field carries no time-derivative evaluator")
-        return ScalarField(self._dt, dim=self.dim,
-                           time_dependent=self.time_dependent)
-
-    def at_time(self, t0: float) -> "ScalarField":
-        """Spatial slice at a fixed time; the result is an elliptic field."""
-        if not self.time_dependent:
-            raise ValueError("at_time requires a space-time field")
-        return ScalarField(
-            _freeze_time(self._value, t0), _freeze_time(self._grad, t0),
-            _freeze_time(self._laplacian, t0), None,
-            dim=self.dim, time_dependent=False,
-            vanishes_on_boundary=self.vanishes_on_boundary)
-
-    def restricted(self, *, grad: bool = False, laplacian: bool = False,
-                   dt: bool = False, boundary_flag: bool = False) -> "ScalarField":
-        """Copy with only the selected capabilities retained."""
-        return ScalarField(
-            self._value,
-            self._grad if grad else None,
-            self._laplacian if laplacian else None,
-            self._dt if dt else None,
-            dim=self.dim, time_dependent=self.time_dependent,
-            vanishes_on_boundary=self.vanishes_on_boundary and boundary_flag)
+        return self._like({"value": self._get("laplacian")})
 
 
-class VectorField:
+class VectorField(_Field):
     """Pointwise-evaluable vector field with optional divergence."""
 
-    __slots__ = ("_value", "_div", "_dt", "dim", "time_dependent")
+    __slots__ = ()
+    _RANK = "vector"
+    _KEEP = ("div", "dt")
 
     def __init__(self, value: Callable, div: Callable | None = None,
                  dt: Callable | None = None, *, dim: int,
                  time_dependent: bool = False):
-        self._value = value
-        self._div = div
-        self._dt = dt
-        self.dim = dim
-        self.time_dependent = time_dependent
+        super().__init__(dict(value=value, div=div, dt=dt), dim, time_dependent)
 
-    @property
-    def has_div(self) -> bool:
-        return self._div is not None
-
-    @property
-    def has_dt(self) -> bool:
-        return self._dt is not None
+    has_div = _has("div")
+    div = _evaluator("div")
 
     def value(self, *args) -> np.ndarray:
-        return self._value(*args)
-
-    def div(self, *args) -> np.ndarray:
-        if self._div is None:
-            raise CapabilityError("vector field carries no divergence evaluator")
-        return self._div(*args)
-
-    def dt(self, *args) -> np.ndarray:
-        if self._dt is None:
-            raise CapabilityError("vector field carries no time-derivative evaluator")
-        return self._dt(*args)
-
-    def _check_compatible(self, other: "VectorField"):
-        if not isinstance(other, VectorField):
-            raise TypeError("can only combine VectorField with VectorField")
-        if self.dim != other.dim or self.time_dependent != other.time_dependent:
-            raise ValueError("fields live on incompatible domains")
-
-    def __add__(self, other: "VectorField") -> "VectorField":
-        self._check_compatible(other)
-        return VectorField(
-            _lift2(np.add, self._value, other._value),
-            _lift2(np.add, self._div, other._div),
-            _lift2(np.add, self._dt, other._dt),
-            dim=self.dim, time_dependent=self.time_dependent)
-
-    def __sub__(self, other: "VectorField") -> "VectorField":
-        return self + (-1.0) * other
-
-    def __mul__(self, c) -> "VectorField":
-        c = float(c)
-        return VectorField(
-            _scale(self._value, c), _scale(self._div, c), _scale(self._dt, c),
-            dim=self.dim, time_dependent=self.time_dependent)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "VectorField":
-        return (-1.0) * self
+        return self._ev["value"](*args)
 
     def div_field(self) -> ScalarField:
-        if self._div is None:
-            raise CapabilityError("vector field carries no divergence evaluator")
-        return ScalarField(self._div, dim=self.dim,
+        return ScalarField(self._get("div"), dim=self.dim,
                            time_dependent=self.time_dependent)
-
-    def at_time(self, t0: float) -> "VectorField":
-        if not self.time_dependent:
-            raise ValueError("at_time requires a space-time field")
-        return VectorField(
-            _freeze_time(self._value, t0), _freeze_time(self._div, t0), None,
-            dim=self.dim, time_dependent=False)
-
-    def restricted(self, *, div: bool = False, dt: bool = False) -> "VectorField":
-        """Copy with only the selected capabilities retained."""
-        return VectorField(
-            self._value,
-            self._div if div else None,
-            self._dt if dt else None,
-            dim=self.dim, time_dependent=self.time_dependent)
 
 
 def constant_scalar(c: float, dom: BoxDomain) -> ScalarField:
     c = float(c)
-    d = dom.dim
-
-    def value(*args):
-        return np.full(args[-1].shape[0], c)
-
-    def zero(*args):
-        return np.zeros(args[-1].shape[0])
-
-    def zero_vec(*args):
-        return np.zeros((args[-1].shape[0], d))
-
-    return ScalarField(value, zero_vec, zero,
-                       zero if dom.is_parabolic else None,
-                       dim=d, time_dependent=dom.is_parabolic,
+    return ScalarField(lambda *args: np.full(args[-1].shape[0], c),
+                       _zeros(dom.dim), _zeros(),
+                       _zeros() if dom.is_parabolic else None,
+                       dim=dom.dim, time_dependent=dom.is_parabolic,
                        vanishes_on_boundary=(c == 0.0))
 
 
@@ -354,13 +275,6 @@ def zero_scalar(dom: BoxDomain) -> ScalarField:
 
 
 def zero_vector(dom: BoxDomain) -> VectorField:
-    d = dom.dim
-
-    def value(*args):
-        return np.zeros((args[-1].shape[0], d))
-
-    def zero(*args):
-        return np.zeros(args[-1].shape[0])
-
-    return VectorField(value, zero, value if dom.is_parabolic else None,
-                       dim=d, time_dependent=dom.is_parabolic)
+    return VectorField(_zeros(dom.dim), _zeros(),
+                       _zeros(dom.dim) if dom.is_parabolic else None,
+                       dim=dom.dim, time_dependent=dom.is_parabolic)

@@ -8,6 +8,7 @@ level is exact by construction.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import itertools
 import math
 from typing import Optional
@@ -15,9 +16,10 @@ from typing import Optional
 import numpy as np
 import sympy as sp
 
-from .fields import BoxDomain, ConformityError, ScalarField, VectorField
+from .fields import (BoxDomain, ConformityError, ScalarField, VectorField,
+                     _zeros)
 from .quadrature import QuadratureRule, norm_sq, tensor_axes
-from .symbolic import T_SYMBOL, scalar_field, gradient_field
+from .symbolic import T_SYMBOL, X_SYMBOLS, _lambdify, scalar_field
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
 PARABOLIC_KINDS = ("TRD", "Heat")
@@ -61,7 +63,6 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
     if not parabolic and dom.is_parabolic:
         raise ValueError(f"{kind} requires a domain without a time horizon")
     expr = sp.sympify(u_expr)
-    from .symbolic import X_SYMBOLS
     lap = sum(sp.diff(expr, X_SYMBOLS[i], 2) for i in range(dom.dim))
     if kind == "RD":
         f_expr = -lap + expr
@@ -77,11 +78,11 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
     u0 = None
     if parabolic:
         u0 = scalar_field(expr.subs(T_SYMBOL, 0), dom.spatial())
-    return ProblemCase(
-        kind=kind, dom=dom,
-        f=scalar_field(float(f_factor) * f_expr, dom, vanishes_on_boundary=False),
-        u0=u0, exact_u=u, exact_p=gradient_field(expr, dom),
-        solution=str(expr))
+    # the estimators only evaluate f, so it carries no derivatives
+    f = ScalarField(_lambdify(float(f_factor) * f_expr, dom.dim, parabolic),
+                    dim=dom.dim, time_dependent=parabolic)
+    return ProblemCase(kind=kind, dom=dom, f=f, u0=u0, exact_u=u,
+                       exact_p=u.gradient_field(), solution=str(expr))
 
 
 # ---------------------------------------------------------------------------
@@ -151,45 +152,31 @@ class _TrigSum:
         return np.polynomial.polynomial.polyval(t, p)
 
     # evaluators -----------------------------------------------------------
-    def value(self, *args):
+    def _scalar_sum(self, *args, order=0, laplacian=False):
+        """The value (or Laplacian) of the ``order``-th time derivative."""
         t, X = self._split(args)
         out = np.zeros(X.shape[0])
         for k, c in enumerate(self.coefs):
-            out += c * self._tfactor(k, t) * self._axis_factors(k, X)
+            if laplacian:
+                c = c * -float(np.sum(self.freq[k] ** 2))
+            out += c * self._tfactor(k, t, order) * self._axis_factors(k, X)
         return out
 
-    def grad(self, *args):
+    def _grad_sum(self, *args, order=0):
+        """The spatial gradient of the ``order``-th time derivative."""
         t, X = self._split(args)
         out = np.zeros((X.shape[0], self.dom.dim))
         for k, c in enumerate(self.coefs):
-            tf = c * self._tfactor(k, t)
+            tf = c * self._tfactor(k, t, order)
             for j in range(self.dom.dim):
                 out[:, j] += tf * self._axis_factors(k, X, d_axis=j)
         return out
 
-    def laplacian(self, *args):
-        t, X = self._split(args)
-        out = np.zeros(X.shape[0])
-        for k, c in enumerate(self.coefs):
-            lam = -float(np.sum(self.freq[k] ** 2))
-            out += c * lam * self._tfactor(k, t) * self._axis_factors(k, X)
-        return out
-
-    def dt(self, *args):
-        t, X = self._split(args)
-        out = np.zeros(X.shape[0])
-        for k, c in enumerate(self.coefs):
-            out += c * self._tfactor(k, t, order=1) * self._axis_factors(k, X)
-        return out
-
-    def dt_grad(self, *args):
-        t, X = self._split(args)
-        out = np.zeros((X.shape[0], self.dom.dim))
-        for k, c in enumerate(self.coefs):
-            tf = c * self._tfactor(k, t, order=1)
-            for j in range(self.dom.dim):
-                out[:, j] += tf * self._axis_factors(k, X, d_axis=j)
-        return out
+    value = functools.partialmethod(_scalar_sum)
+    laplacian = functools.partialmethod(_scalar_sum, laplacian=True)
+    dt = functools.partialmethod(_scalar_sum, order=1)
+    grad = functools.partialmethod(_grad_sum)
+    dt_grad = functools.partialmethod(_grad_sum, order=1)
 
     # field views ----------------------------------------------------------
     def scalar_field(self) -> ScalarField:
@@ -211,18 +198,15 @@ class _TrigSum:
             raise ValueError("rotated gradients require d = 2")
         td = self.dom.is_parabolic
 
-        def value(*args):
-            g = self.grad(*args)
-            return np.stack([-g[:, 1], g[:, 0]], axis=1)
+        def rotated(grad):
+            def h(*args):
+                g = grad(*args)
+                return np.stack([-g[:, 1], g[:, 0]], axis=1)
 
-        def div(*args):
-            return np.zeros(args[-1].shape[0])
+            return h
 
-        def dtval(*args):
-            g = self.dt_grad(*args)
-            return np.stack([-g[:, 1], g[:, 0]], axis=1)
-
-        return VectorField(value, div, dtval if td else None,
+        return VectorField(rotated(self.grad), _zeros(),
+                           rotated(self.dt_grad) if td else None,
                            dim=2, time_dependent=td)
 
 

@@ -233,11 +233,7 @@ def timecross_check(w, dom: BoxDomain, rule: QuadratureRule) -> float:
         raise ValueError("timecross identity requires a space-time domain")
     if not w.has_dt:
         raise CapabilityError("field carries no time-derivative evaluator")
-    if isinstance(w, ScalarField):
-        dt_field = w.dt_field()
-    else:
-        dt_field = VectorField(w._dt, dim=w.dim, time_dependent=True)
-    pairing = 2.0 * l2_inner(dt_field, w, dom, rule)
+    pairing = 2.0 * l2_inner(w.dt_field(), w, dom, rule)
     lhs_T = trace_norm_sq(w, dom.time_horizon, "value", dom, rule)
     lhs_0 = trace_norm_sq(w, 0.0, "value", dom, rule)
     return abs(pairing - lhs_T + lhs_0)

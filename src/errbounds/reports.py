@@ -82,9 +82,3 @@ class BoundReport:
         rec.update({f"true.{k}": v for k, v in self.true_error.items()})
         rec.update({f"check.{k}": v for k, v in self.checks.items()})
         return rec
-
-
-def efficiency(bound: float, true: float) -> float:
-    if true <= RESIDUAL_FLOOR:
-        return math.nan
-    return bound / true

@@ -17,6 +17,7 @@ from .elliptic import (POISSON_NONCONFORMING_WHICH, RD_NONCONFORMING_WHICH,
                        poisson_very_conforming_equality, rd_equality,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
                        rd_very_conforming_equality)
+from .fields import ConformityError
 from .manufactured import (KINDS, LEVELS, ProblemCase, flux_basis,
                            free_fields, make_case, perturb)
 from .optimize import minimize_flux_majorant
@@ -53,14 +54,16 @@ class RunReport:
 class Estimator(NamedTuple):
     """Registry entry. ``levels`` are the conformity levels the estimator's
     hypotheses admit, ``family`` is the CLI command that selects it,
-    ``record(case, spec, approx, rule)`` returns the record's fields, and
-    ``which`` lists the values its spec's ``which`` may take (none if empty)."""
+    ``record(case, spec, approx, rule)`` returns the record's fields,
+    ``which`` lists the values its spec's ``which`` may take (none if empty)
+    and its spec's ``gamma`` must exceed ``gamma_above``."""
 
     kinds: Tuple[str, ...]
     levels: Tuple[str, ...]
     family: str
     record: Callable[..., dict]
     which: Tuple[str, ...] = ()
+    gamma_above: float = 0.0
 
 
 def _cf(case: ProblemCase) -> float:
@@ -131,7 +134,8 @@ ESTIMATORS: Dict[str, Estimator] = {
     "poisson_two_sided": Estimator(
         ("Poisson",), _CONFORMING, _BOUNDS,
         lambda case, spec, approx, rule: poisson_two_sided(
-            case, approx, _cf(case), rule, gamma=spec.gamma).to_record()),
+            case, approx, _cf(case), rule, gamma=spec.gamma).to_record(),
+        gamma_above=1.0),
     "rd_semiconforming_bounds": Estimator(
         ("RD",), ("semi_conforming_primal", "semi_conforming_dual"), _BOUNDS,
         _semiconforming),
@@ -156,7 +160,8 @@ ESTIMATORS: Dict[str, Estimator] = {
     "heat_two_sided": Estimator(
         ("Heat",), _CONFORMING, _BOUNDS,
         lambda case, spec, approx, rule: heat_two_sided(
-            case, approx, _cf(case), rule, gamma=spec.gamma).to_record()),
+            case, approx, _cf(case), rule, gamma=spec.gamma).to_record(),
+        gamma_above=1.0),
     "trd_isometry_check": Estimator(
         ("TRD",), _ALL_LEVELS, _EQ,
         lambda case, spec, approx, rule:
@@ -178,13 +183,20 @@ def run(config: RunConfig) -> RunReport:
     Failures of individual records are captured in place; the batch always
     completes. A record "passes" when its equality residual is within
     config.equality_rel and any bound ordering holds within config.bound_slack.
+    A case that ``make_case`` rejects raises ConfigError before any record.
     """
     rule = QuadratureRule(space_order=config.space_order,
                           time_order=config.time_order)
     records: List[dict] = []
-    cases: List[Tuple[CaseSpec, ProblemCase]] = [
-        (cs, make_case(cs.kind, cs.domain(), cs.solution, f_factor=cs.f_scale))
-        for cs in config.cases]
+    cases: List[Tuple[CaseSpec, ProblemCase]] = []
+    for i, cs in enumerate(config.cases):
+        try:
+            cases.append((cs, make_case(cs.kind, cs.domain(), cs.solution,
+                                        f_factor=cs.f_scale)))
+        except (ValueError, TypeError, ConformityError) as exc:
+            from .config import ConfigError  # config imports this module
+            raise ConfigError(f"cases[{i}] ({cs.label}): 'solution' "
+                              f"{cs.solution!r} rejected: {exc}") from exc
     for cs, case in cases:
         for ap in config.approximations:
             approx = perturb(case, ap.level, ap.epsilon, ap.seed)
@@ -289,10 +301,9 @@ def _emit_plotdata(report: RunReport, outdir: Path) -> List[Path]:
             true = rec.get("true_total", rec.get("lhs_total", math.nan))
             lower = rec.get("lower_bound", math.nan)
             upper = rec.get("upper_bound", math.nan)
-            eff = rec.get("efficiency_upper", math.nan)
-            if eff is None or eff != eff:
-                eff = (upper / true if true and true == true
-                       and upper == upper and true > 0 else math.nan)
+            eff = rec.get("efficiency_upper")
+            if eff is None:
+                eff = math.nan
             lines.append(" ".join(repr(float(v)) for v in
                                   (rec["epsilon"], true, lower, upper, eff)))
         path.write_text("\n".join(lines) + "\n")

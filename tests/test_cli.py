@@ -448,3 +448,73 @@ def test_valid_estimator_options_parse():
     ests = parse_config(json.dumps(doc)).estimators
     assert [(e.which, e.free_strategy, e.basis_size) for e in ests] == [
         ("ii", "coarse", 4), ("mixed-ii", "basis", 4), (None, "exact", 9)]
+
+
+# --------------------------------------------------------------------------
+# manufactured solutions are checked before any record runs
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("solution, expected", [
+    ("sin(pi*", "does not parse"),
+    ("sin(pi*w)", "unknown names ['w']"),
+    ("cos(pi*x)", "must vanish on the boundary"),
+])
+def test_cli_rejects_bad_solution(tmp_path, capsys, solution, expected):
+    _assert_rejected(tmp_path, capsys, ["verify-equality"],
+                     _malformed("cases", {"solution": solution}),
+                     "cases[0]", "'solution'", expected)
+
+
+@pytest.mark.parametrize("solution, kind, expected", [
+    ("sin(pi*x)*y", "RD", "unknown names ['y']"),
+    ("t*sin(pi*x)", "Poisson", "unknown names ['t']"),
+    ("g(x)*sin(pi*x)", "RD", "unknown names ['g']"),
+    ("x > 0", "RD", "is not an expression"),
+    ([1], "RD", "is not an expression"),
+])
+def test_solution_checked_at_parse_time(solution, kind, expected):
+    doc = _malformed("cases", {"solution": solution, "kind": kind})
+    doc["estimators"] = [{"name": "friedrichs"}]
+    with pytest.raises(ConfigError) as info:
+        parse_config(json.dumps(doc))
+    assert str(info.value).startswith("cases[0]: 'solution'")
+    assert expected in str(info.value)
+
+
+def test_parabolic_solution_may_use_t():
+    doc = _malformed("cases", {"kind": "Heat", "T": 1.0,
+                               "solution": "(1+t)*sin(pi*x)*sin(pi*y)",
+                               "lower": [0.0, 0.0], "upper": [1.0, 1.0]})
+    doc["estimators"] = [{"name": "heat_isometry_check"}]
+    assert parse_config(json.dumps(doc)).cases[0].solution \
+        == "(1+t)*sin(pi*x)*sin(pi*y)"
+
+
+@pytest.mark.parametrize("estimator, kind", [
+    ("poisson_two_sided", "Poisson"), ("heat_two_sided", "Heat")])
+@pytest.mark.parametrize("gamma", [1.0, 0.5])
+def test_cli_rejects_two_sided_gamma_at_most_one(tmp_path, capsys, estimator,
+                                                 kind, gamma):
+    case = {"kind": kind, "lower": [0.0], "upper": [1.0],
+            "solution": "(1+t)*sin(pi*x)" if kind == "Heat" else "sin(pi*x)"}
+    if kind == "Heat":
+        case["T"] = 1.0
+    doc = dict(MINIMAL, cases=[case],
+               estimators=[{"name": estimator, "gamma": gamma}])
+    _assert_rejected(tmp_path, capsys, ["verify-bounds"], doc,
+                     "estimators[0]", "'gamma'", f"must exceed 1 for {estimator}")
+
+
+def test_plotdata_efficiency_is_the_records(tmp_path):
+    # a true error at or below the residual floor has no efficiency index
+    rec = {"case": "c", "kind": "Poisson", "level": "conforming_mixed",
+           "epsilon": 0.0, "seed": 0, "estimator": "poisson_two_sided",
+           "status": "ok", "error": "", "true_total": 1e-16,
+           "lower_bound": 0.0, "upper_bound": 4e-16,
+           "efficiency_upper": None, "passed": True}
+    done = dict(rec, epsilon=0.1, true_total=2.0, upper_bound=3.0,
+                efficiency_upper=1.5)
+    emit(RunReport(records=[rec, done]), ["plotdata"], tmp_path)
+    rows = (tmp_path / "plot_poisson_two_sided.dat").read_text().splitlines()
+    assert rows[1].split()[4] == "nan"
+    assert rows[2].split()[4] == "1.5"

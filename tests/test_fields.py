@@ -138,3 +138,88 @@ def test_gradient_field_constructor():
     X = np.array([[0.5, 0.5]])
     assert g.value(X)[0, 0] == pytest.approx(0.0, abs=1e-12)
     assert g.value(X)[0, 1] == pytest.approx(1.0)
+
+
+# --------------------------------------------------------------------------
+# one evaluator map: capabilities under the shared algebra
+# --------------------------------------------------------------------------
+
+def test_scalar_capabilities_intersect_under_sum_and_scale():
+    u = scalar_field("(1+t)*sin(pi*x)", TDOM)
+    v = u.restricted(grad=True)
+    w = u + 2.0 * v
+    assert (w.has_grad, w.has_laplacian, w.has_dt) == (True, False, False)
+    s = -3.0 * v
+    assert (s.has_grad, s.has_laplacian, s.has_dt) == (True, False, False)
+    assert (u * 0.5).has_laplacian and (u - u).has_dt
+    with pytest.raises(CapabilityError, match="scalar field carries no "
+                                              "laplacian evaluator"):
+        w.laplacian_field()
+    with pytest.raises(CapabilityError, match="scalar field carries no "
+                                              "time-derivative evaluator"):
+        w.dt_field()
+
+
+def test_vector_capabilities_intersect_under_sum_and_scale():
+    p = vector_field(["(1+t)*x"], TDOM)
+    q = p.restricted(dt=True)
+    r = p - 2.0 * q
+    assert (r.has_div, r.has_dt) == (False, True)
+    assert (p * 0.5).has_div and (p + p).has_dt
+    with pytest.raises(CapabilityError, match="vector field carries no "
+                                              "divergence evaluator"):
+        r.div_field()
+    with pytest.raises(CapabilityError, match="vector field carries no "
+                                              "time-derivative evaluator"):
+        p.restricted(div=True).dt_field()
+
+
+def test_fields_combine_only_with_their_rank():
+    u = scalar_field("sin(pi*x)", DOM1)
+    p = vector_field(["x"], DOM1)
+    with pytest.raises(TypeError, match="ScalarField with ScalarField"):
+        u + p
+    with pytest.raises(TypeError, match="VectorField with VectorField"):
+        p + u
+    with pytest.raises(ValueError, match="incompatible domains"):
+        u + scalar_field("(1+t)*sin(pi*x)", TDOM)
+    with pytest.raises(TypeError):
+        u.restricted(div=True)
+    with pytest.raises(TypeError):
+        p.restricted(boundary_flag=True)
+
+
+def test_at_time_drops_dt_and_keeps_the_rest():
+    u = scalar_field("(1+t)*sin(pi*x)", TDOM)
+    s = u.at_time(0.5)
+    assert (s.has_grad, s.has_laplacian, s.has_dt) == (True, True, False)
+    assert s.vanishes_on_boundary and not s.time_dependent
+    p = vector_field(["(1+t)*x"], TDOM).at_time(0.5)
+    assert (p.has_div, p.has_dt, p.time_dependent) == (True, False, False)
+    X = np.array([[0.25]])
+    assert p.value(X)[0, 0] == pytest.approx(0.375)
+    with pytest.raises(ValueError):
+        s.at_time(0.0)
+
+
+def test_restricted_keeps_value_only_by_default():
+    u = scalar_field("(1+t)*sin(pi*x)", TDOM)
+    t, X = np.array([0.5]), np.array([[0.25]])
+    r = u.restricted()
+    assert not (r.has_grad or r.has_laplacian or r.has_dt)
+    assert not r.vanishes_on_boundary
+    assert np.array_equal(r.value(t, X), u.value(t, X))
+    assert u.restricted(boundary_flag=True).vanishes_on_boundary
+    p = vector_field(["(1+t)*x"], TDOM)
+    q = p.restricted()
+    assert not (q.has_div or q.has_dt)
+    assert np.array_equal(q.value(t, X), p.value(t, X))
+
+
+def test_dt_field_of_a_vector_field():
+    p = vector_field(["t**2*x"], TDOM)
+    t = np.array([0.5, 1.0])
+    X = np.array([[0.5], [0.25]])
+    d = p.dt_field()
+    assert not (d.has_div or d.has_dt)
+    assert d.value(t, X)[:, 0] == pytest.approx(2 * t * X[:, 0])

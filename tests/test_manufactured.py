@@ -54,6 +54,24 @@ def test_make_case_pde_residual_at_random_points():
     assert trd.exact_p.value(t, X) == pytest.approx(u.grad(t, X))
 
 
+@pytest.mark.parametrize("kind, dom, expr", [
+    ("RD", DOM2, "sin(pi*x)*sin(2*pi*y)"),
+    ("Poisson", DOM1, "sin(pi*x) + sin(2*pi*x)/4"),
+    ("TRD", TDOM, "exp(-t)*sin(pi*x)"),
+    ("Heat", TDOM, "(1+t)*sin(pi*x)"),
+])
+def test_exact_flux_is_the_solutions_gradient(kind, dom, expr):
+    case = make_case(kind, dom, expr)
+    args = (spacetime_nodes(dom, RULE)[:2] if dom.is_parabolic
+            else space_nodes(dom, RULE)[:1])
+    u, p = case.exact_u, case.exact_p
+    assert np.array_equal(p.value(*args), u.grad(*args))
+    assert np.array_equal(p.div(*args), u.laplacian(*args))
+    # the estimators only evaluate the source
+    assert not (case.f.has_grad or case.f.has_laplacian or case.f.has_dt)
+    assert not case.f.vanishes_on_boundary
+
+
 def test_make_case_validation():
     with pytest.raises(ValueError):
         make_case("Wave", DOM1, "sin(pi*x)")

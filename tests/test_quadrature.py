@@ -15,8 +15,6 @@ from errbounds import (
     CapabilityError,
     ConformityError,
     QuadratureRule,
-    ScalarField,
-    VectorField,
     flux_basis,
     l2_gram,
     l2_inner,
@@ -29,6 +27,7 @@ from errbounds import (
     trace_norm_sq,
     vector_field,
 )
+from errbounds.manufactured import _random_trig
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -141,6 +140,16 @@ def test_timecross_identity():
         assert timecross_check(p, TDOM, RULE) < 1e-12
 
 
+def test_timecross_identity_on_trig_gradient_field():
+    dom = BoxDomain((0.0, 0.5), (1.0, 2.0), time_horizon=0.7)
+    ts = _random_trig(dom, np.random.default_rng(5))
+    for w in (ts.gradient_field(), ts.scalar_field()):
+        assert w.has_dt
+        assert timecross_check(w, dom, RULE) < 1e-12
+    with pytest.raises(CapabilityError):
+        timecross_check(ts.gradient_field().restricted(div=True), dom, RULE)
+
+
 def test_timecross_needs_dt():
     u = scalar_field("(1+t)*sin(pi*x)", TDOM).restricted(grad=True)
     with pytest.raises(CapabilityError):
@@ -188,21 +197,13 @@ def test_determinism_bitwise():
 def _counting(field, counts, prefix=""):
     """Copy of ``field`` whose primitive evaluators count their calls."""
     def wrap(name, fn):
-        if fn is None:
-            return None
-
         def h(*args):
             counts[prefix + name] += 1
             return fn(*args)
         return h
 
-    opts = dict(dim=field.dim, time_dependent=field.time_dependent)
-    if isinstance(field, VectorField):
-        return VectorField(wrap("value", field._value), wrap("div", field._div),
-                           wrap("dt", field._dt), **opts)
-    return ScalarField(wrap("value", field._value), wrap("grad", field._grad),
-                       wrap("laplacian", field._laplacian), wrap("dt", field._dt),
-                       vanishes_on_boundary=field.vanishes_on_boundary, **opts)
+    return field._like({name: wrap(name, fn) for name, fn in field._ev.items()},
+                       field._vanishes)
 
 
 @pytest.mark.parametrize("kind, expected", [
