@@ -6,12 +6,10 @@ import json
 import math
 from typing import Optional, Tuple
 
-import sympy as sp
-
 from .fields import BoxDomain
 from .manufactured import FREE_STRATEGIES, KINDS, LEVELS, PARABOLIC_KINDS
 from .runner import ESTIMATORS
-from .symbolic import T_SYMBOL, X_SYMBOLS
+from .symbolic import SolutionError, parse
 
 
 class ConfigError(ValueError):
@@ -95,29 +93,6 @@ def _axes(obj: dict, key: str, where: str) -> Tuple[float, ...]:
                  for i, v in enumerate(value))
 
 
-def _solution(text: str, kind: str, dim: int, where: str) -> str:
-    """The solution string, once sympy parses it to an expression in the
-    case's coordinates (and t for parabolic kinds) alone."""
-    what = f"{where}: 'solution' {text!r}"
-    try:
-        expr = sp.sympify(text)
-    except Exception as exc:  # sympify evaluates the text as Python
-        detail = " ".join(str(exc).split())
-        raise ConfigError(f"{what} does not parse: {detail}") from None
-    if not isinstance(expr, sp.Expr):
-        raise ConfigError(f"{what} is not an expression")
-    allowed = set(X_SYMBOLS[:dim]) | ({T_SYMBOL} if kind in PARABOLIC_KINDS
-                                      else set())
-    unknown = sorted(str(s) for s in expr.free_symbols - allowed)
-    unknown += sorted(str(f.func) for f in
-                      expr.atoms(sp.core.function.AppliedUndef))
-    if unknown:
-        raise ConfigError(f"{what} uses unknown names {unknown}; a case of "
-                          f"kind {kind} in {dim}-D admits "
-                          f"{sorted(str(s) for s in allowed)}")
-    return text
-
-
 def _parse_case(obj: dict, idx: int) -> CaseSpec:
     where = f"cases[{idx}]"
     _only_keys(obj, {"kind", "lower", "upper", "solution", "T", "f_scale",
@@ -147,9 +122,12 @@ def _parse_case(obj: dict, idx: int) -> CaseSpec:
             raise ConfigError(f"{where}: T must be positive")
     elif T is not None:
         raise ConfigError(f"{where}: kind {kind} must not set T")
-    return CaseSpec(kind=kind, lower=lower, upper=upper,
-                    solution=_solution(str(obj["solution"]), kind, len(lower),
-                                      where),
+    solution = str(obj["solution"])
+    try:
+        parse(solution, len(lower), kind in PARABOLIC_KINDS)
+    except SolutionError as exc:
+        raise ConfigError(f"{where}: 'solution' {solution!r} {exc}") from None
+    return CaseSpec(kind=kind, lower=lower, upper=upper, solution=solution,
                     T=T,
                     f_scale=_number(obj.get("f_scale", 1.0),
                                     f"{where}: 'f_scale'"),

@@ -66,30 +66,6 @@ class BoxDomain:
             return self
         return BoxDomain(self.lower, self.upper)
 
-    def boundary_points(self, per_axis: int = 8) -> np.ndarray:
-        """Deterministic sample points on the spatial boundary, shape (m, d)."""
-        d = self.dim
-        if d == 1:
-            return np.array([[self.lower[0]], [self.upper[0]]])
-        # midpoint grids on each face, avoiding edges/corners
-        pts = []
-        for axis in range(d):
-            grids = []
-            for j in range(d):
-                if j == axis:
-                    continue
-                u = (np.arange(per_axis) + 0.5) / per_axis
-                grids.append(self.lower[j] + u * (self.upper[j] - self.lower[j]))
-            mesh = np.meshgrid(*grids, indexing="ij")
-            face = np.stack([m.ravel() for m in mesh], axis=1)
-            for val in (self.lower[axis], self.upper[axis]):
-                full = np.empty((face.shape[0], d))
-                cols = [j for j in range(d) if j != axis]
-                full[:, cols] = face
-                full[:, axis] = val
-                pts.append(full)
-        return np.concatenate(pts, axis=0)
-
 
 # how CapabilityError messages name each derivative evaluator
 _NOUNS = {"grad": "gradient", "laplacian": "laplacian",
@@ -219,10 +195,6 @@ class ScalarField(_Field):
     @property
     def vanishes_on_boundary(self) -> bool:
         return self._vanishes
-
-    @vanishes_on_boundary.setter
-    def vanishes_on_boundary(self, flag: bool):
-        self._vanishes = flag
 
     has_grad, has_laplacian = _has("grad"), _has("laplacian")
     grad, laplacian = _evaluator("grad"), _evaluator("laplacian")

@@ -1,7 +1,8 @@
 """Manufactured problem cases and controlled approximation pairs.
 
-Exact solutions are arbitrary sympy expressions; the data f (and u0) is
-produced by applying the model operator symbolically.  Perturbations are
+Exact solutions are solution text (see :func:`symbolic.parse`) or sympy
+expressions; the data f is produced by applying the model operator
+symbolically, and u0 is u at t = 0.  Perturbations are
 finite trigonometric sums with closed-form derivatives, so every conformity
 level is exact by construction.
 """
@@ -14,12 +15,12 @@ import math
 from typing import Optional
 
 import numpy as np
-import sympy as sp
 
 from .fields import (BoxDomain, ConformityError, ScalarField, VectorField,
                      _zeros)
 from .quadrature import QuadratureRule, norm_sq, tensor_axes
-from .symbolic import T_SYMBOL, X_SYMBOLS, _lambdify, scalar_field
+from .symbolic import (_expression, _lambdify, derivatives, nonvanishing_face,
+                       scalar_field)
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
 PARABOLIC_KINDS = ("TRD", "Heat")
@@ -62,22 +63,17 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
         raise ValueError(f"{kind} requires a domain with a time horizon")
     if not parabolic and dom.is_parabolic:
         raise ValueError(f"{kind} requires a domain without a time horizon")
-    expr = sp.sympify(u_expr)
-    lap = sum(sp.diff(expr, X_SYMBOLS[i], 2) for i in range(dom.dim))
-    if kind == "RD":
-        f_expr = -lap + expr
-    elif kind == "Poisson":
-        f_expr = -lap
-    elif kind == "TRD":
-        f_expr = sp.diff(expr, T_SYMBOL) - lap + expr
-    else:  # Heat
-        f_expr = sp.diff(expr, T_SYMBOL) - lap
+    expr = _expression(u_expr, dom.dim, parabolic)
+    _, lap, dt = derivatives(expr, dom.dim, parabolic)
+    # f = (dt u) - lap u (+ u for the reaction-diffusion kinds)
+    f_expr = ((dt if parabolic else 0) - lap
+              + (expr if kind in ("RD", "TRD") else 0))
     u = scalar_field(expr, dom)
     if not u.vanishes_on_boundary:
-        raise ConformityError("manufactured solution must vanish on the boundary")
-    u0 = None
-    if parabolic:
-        u0 = scalar_field(expr.subs(T_SYMBOL, 0), dom.spatial())
+        raise ConformityError("manufactured solution must vanish on the "
+                              "boundary; it does not on the face "
+                              f"{nonvanishing_face(expr, dom)}")
+    u0 = u.at_time(0.0) if parabolic else None
     # the estimators only evaluate f, so it carries no derivatives
     f = ScalarField(_lambdify(float(f_factor) * f_expr, dom.dim, parabolic),
                     dim=dom.dim, time_dependent=parabolic)

@@ -13,7 +13,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import BoxDomain, CapabilityError, ConformityError, ScalarField, VectorField
+from .fields import BoxDomain, ConformityError, ScalarField, VectorField
 
 
 @dataclasses.dataclass(frozen=True)
@@ -231,8 +231,6 @@ def timecross_check(w, dom: BoxDomain, rule: QuadratureRule) -> float:
     """Residual of 2<dt w, w> = ||w(T)||^2 - ||w(0)||^2."""
     if not dom.is_parabolic:
         raise ValueError("timecross identity requires a space-time domain")
-    if not w.has_dt:
-        raise CapabilityError("field carries no time-derivative evaluator")
     pairing = 2.0 * l2_inner(w.dt_field(), w, dom, rule)
     lhs_T = trace_norm_sq(w, dom.time_horizon, "value", dom, rule)
     lhs_0 = trace_norm_sq(w, 0.0, "value", dom, rule)
@@ -244,10 +242,6 @@ def partint_residual(u: ScalarField, psi: VectorField, dom: BoxDomain,
     """Residual of the integration-by-parts identity <grad u, psi> = -<u, div psi>."""
     if not u.vanishes_on_boundary:
         raise ConformityError("u must vanish on the boundary")
-    if not u.has_grad:
-        raise CapabilityError("u carries no gradient evaluator")
-    if not psi.has_div:
-        raise CapabilityError("psi carries no divergence evaluator")
     lhs = l2_inner(u.gradient_field(), psi, dom, rule)
     rhs = l2_inner(u, psi.div_field(), dom, rule)
     return abs(lhs + rhs)

@@ -1,9 +1,16 @@
-"""Build fields from sympy expressions in x, y, z and t.
+"""Solution text to sympy expressions to fields.
 
-Derivatives are taken symbolically and lambdified once, so the only error in
-any evaluated identity is quadrature error.
+Text enters sympy only through :func:`parse`, which builds the expression
+from the text's syntax tree and never runs it as Python. Derivatives are
+taken symbolically, once per expression, and lambdified once per field, so
+the only error in any evaluated identity is quadrature error. Whether a
+scalar field vanishes on the boundary is decided exactly, face by face.
 """
 from __future__ import annotations
+
+import ast
+import operator
+from functools import lru_cache
 
 import numpy as np
 import sympy as sp
@@ -13,90 +20,142 @@ from .fields import BoxDomain, ScalarField, VectorField
 X_SYMBOLS = sp.symbols("x y z")
 T_SYMBOL = sp.Symbol("t")
 
+# the names and functions a solution may use besides its coordinates
+CONSTANTS = {"pi": sp.pi, "E": sp.E}
+FUNCTIONS = {f.__name__: f for f in (
+    sp.exp, sp.log, sp.sqrt, sp.sin, sp.cos, sp.tan, sp.asin, sp.acos,
+    sp.atan, sp.sinh, sp.cosh, sp.tanh)}
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: operator.pow, ast.UAdd: operator.pos,
+              ast.USub: operator.neg}
+
+
+class SolutionError(ValueError):
+    """Solution text outside the grammar of :func:`parse`."""
+
+
+@lru_cache(maxsize=None)
+def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
+    """The sympy expression of ``text`` in the coordinates of a ``dim``-D
+    box (and ``t`` when ``time_dependent``), built node by node from the
+    text's Python syntax tree, so nothing in it is run. It may hold int and
+    float literals, those coordinates, ``pi`` and ``E``, calls of
+    :data:`FUNCTIONS` without keywords, ``+ - * / **``, ``^`` (read as
+    ``**``) and unary signs; anything else raises :class:`SolutionError`."""
+    text = text.strip().replace("^", "**")
+    coords = X_SYMBOLS[:dim] + ((T_SYMBOL,) if time_dependent else ())
+    names = {**{str(s): s for s in coords}, **CONSTANTS}
+
+    def build(node):
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            return (sp.Integer(node.value) if type(node.value) is int
+                    else sp.Float(ast.get_source_segment(text, node)))
+        if isinstance(node, ast.Name) and node.id in names:
+            return names[node.id]
+        op = _OPERATORS.get(type(getattr(node, "op", None)))
+        if isinstance(node, ast.BinOp) and op:
+            return op(build(node.left), build(node.right))
+        if isinstance(node, ast.UnaryOp) and op:
+            return op(build(node.operand))
+        if (isinstance(node, ast.Call) and not node.keywords
+                and getattr(node.func, "id", None) in FUNCTIONS):
+            return FUNCTIONS[node.func.id](*map(build, node.args))
+        raise SolutionError(f"is not an expression: "
+                            f"{ast.get_source_segment(text, node)!r} is "
+                            f"outside the solution grammar")
+
+    try:
+        tree = ast.parse(text, mode="eval")
+        unknown = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+                   - names.keys() - FUNCTIONS.keys())
+        if unknown:
+            raise SolutionError(
+                f"uses unknown names {sorted(unknown)}; in {dim}-D"
+                f"{' space-time' if time_dependent else ''} it may use "
+                f"{sorted(names)} and call {sorted(FUNCTIONS)}")
+        return build(tree.body)
+    except SolutionError:
+        raise
+    except (SyntaxError, TypeError, ValueError, ArithmeticError,
+            RecursionError, MemoryError) as exc:
+        raise SolutionError(
+            f"does not parse: {str(exc) or type(exc).__name__}") from None
+
+
+def _expression(source, dim: int, time_dependent: bool) -> sp.Expr:
+    """``source`` if it is a sympy expression, else its parse as text."""
+    if isinstance(source, sp.Basic):
+        return source
+    return parse(str(source), dim, time_dependent)
+
+
+@lru_cache(maxsize=None)
+def derivatives(expr: sp.Expr, dim: int, time_dependent: bool):
+    """The gradient components, the Laplacian and (else None) the time
+    derivative of ``expr``, derived once per expression."""
+    grad = tuple(sp.diff(expr, X_SYMBOLS[i]) for i in range(dim))
+    lap = sum(sp.diff(expr, X_SYMBOLS[i], 2) for i in range(dim))
+    return grad, lap, sp.diff(expr, T_SYMBOL) if time_dependent else None
+
+
+def nonvanishing_face(expr: sp.Expr, dom: BoxDomain):
+    """The first face of ``dom`` on which ``expr`` is not decided to vanish
+    identically, named like ``x = 0``, else None. The face coordinate enters
+    as the exact rational of its decimal; only a result that is not already
+    0 is simplified."""
+    for sym, lo, hi in zip(X_SYMBOLS, dom.lower, dom.upper):
+        for v in (lo, hi):
+            on_face = expr.subs(sym, sp.Rational(repr(v)))
+            if on_face != 0 and sp.simplify(on_face) != 0:
+                return f"{sym} = {repr(v).removesuffix('.0')}"
+    return None
+
 
 def _lambdify(expr, dim: int, time_dependent: bool):
-    args = ((T_SYMBOL,) if time_dependent else ()) + X_SYMBOLS[:dim]
-    fn = sp.lambdify(args, expr, modules="numpy")
+    symbols = ((T_SYMBOL,) if time_dependent else ()) + X_SYMBOLS[:dim]
+    fn = sp.lambdify(symbols, expr, modules="numpy")
 
-    def wrapped(*call_args):
-        X = call_args[-1]
-        coords = [X[:, i] for i in range(dim)]
-        if time_dependent:
-            out = fn(call_args[0], *coords)
-        else:
-            out = fn(*coords)
-        out = np.asarray(out, dtype=float)
-        if out.ndim == 0:
-            out = np.full(X.shape[0], float(out))
-        return out
+    def wrapped(*args):  # (X,) or (t, X)
+        out = np.asarray(fn(*args[:-1], *args[-1][:, :dim].T), dtype=float)
+        return np.full(len(args[-1]), float(out)) if out.ndim == 0 else out
 
     return wrapped
 
 
 def _lambdify_vector(exprs, dim: int, time_dependent: bool):
     comps = [_lambdify(e, dim, time_dependent) for e in exprs]
-
-    def wrapped(*call_args):
-        return np.stack([c(*call_args) for c in comps], axis=1)
-
-    return wrapped
+    return lambda *args: np.stack([c(*args) for c in comps], axis=1)
 
 
-def _boundary_vanishes(field: ScalarField, dom: BoxDomain) -> bool:
-    pts = dom.boundary_points()
-    if field.time_dependent:
-        times = np.linspace(0.0, dom.time_horizon, 5)
-        vals = np.concatenate([
-            field.value(np.full(pts.shape[0], t), pts) for t in times])
-    else:
-        vals = field.value(pts)
-    return bool(np.max(np.abs(vals)) <= 1e-10)
-
-
-def scalar_field(expr, dom: BoxDomain,
-                 vanishes_on_boundary: bool | None = None) -> ScalarField:
+def scalar_field(expr, dom: BoxDomain) -> ScalarField:
     """Scalar field with symbolic gradient, laplacian and (parabolic) dt.
-
-    ``expr`` may be a sympy expression or a string in x, y, z (and t for
-    parabolic domains).  The boundary-vanishing flag is spot-checked on
-    boundary sample points unless supplied.
-    """
-    expr = sp.sympify(expr)
-    d = dom.dim
-    td = dom.is_parabolic
-    grad_exprs = [sp.diff(expr, X_SYMBOLS[i]) for i in range(d)]
-    lap_expr = sum(sp.diff(expr, X_SYMBOLS[i], 2) for i in range(d))
-    field = ScalarField(
-        _lambdify(expr, d, td),
-        _lambdify_vector(grad_exprs, d, td),
-        _lambdify(lap_expr, d, td),
-        _lambdify(sp.diff(expr, T_SYMBOL), d, td) if td else None,
-        dim=d, time_dependent=td)
-    if vanishes_on_boundary is None:
-        vanishes_on_boundary = _boundary_vanishes(field, dom)
-    field.vanishes_on_boundary = vanishes_on_boundary
-    return field
+    ``expr`` is text for :func:`parse` or a sympy expression; the field
+    vanishes on the boundary when :func:`nonvanishing_face` finds no face."""
+    d, td = dom.dim, dom.is_parabolic
+    expr = _expression(expr, d, td)
+    grad, lap, dt = derivatives(expr, d, td)
+    return ScalarField(
+        _lambdify(expr, d, td), _lambdify_vector(grad, d, td),
+        _lambdify(lap, d, td), _lambdify(dt, d, td) if td else None,
+        dim=d, time_dependent=td,
+        vanishes_on_boundary=nonvanishing_face(expr, dom) is None)
 
 
 def vector_field(exprs, dom: BoxDomain) -> VectorField:
     """Vector field with symbolic divergence (and dt on parabolic domains)."""
-    exprs = [sp.sympify(e) for e in exprs]
-    d = dom.dim
+    d, td = dom.dim, dom.is_parabolic
+    exprs = [_expression(e, d, td) for e in exprs]
     if len(exprs) != d:
         raise ValueError("component count must match the domain dimension")
-    td = dom.is_parabolic
     div_expr = sum(sp.diff(exprs[i], X_SYMBOLS[i]) for i in range(d))
-    dt_fn = None
-    if td:
-        dt_fn = _lambdify_vector([sp.diff(e, T_SYMBOL) for e in exprs], d, td)
     return VectorField(
-        _lambdify_vector(exprs, d, td),
-        _lambdify(div_expr, d, td),
-        dt_fn, dim=d, time_dependent=td)
+        _lambdify_vector(exprs, d, td), _lambdify(div_expr, d, td),
+        _lambdify_vector([sp.diff(e, T_SYMBOL) for e in exprs], d, td)
+        if td else None, dim=d, time_dependent=td)
 
 
 def gradient_field(expr, dom: BoxDomain) -> VectorField:
     """The gradient of a scalar expression, with divergence = laplacian."""
-    expr = sp.sympify(expr)
-    d = dom.dim
-    return vector_field([sp.diff(expr, X_SYMBOLS[i]) for i in range(d)], dom)
+    d, td = dom.dim, dom.is_parabolic
+    return vector_field(derivatives(_expression(expr, d, td), d, td)[0], dom)

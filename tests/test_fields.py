@@ -39,13 +39,6 @@ def test_box_domain_properties():
     assert TDOM.spatial().lower == TDOM.lower
 
 
-def test_boundary_points_lie_on_boundary():
-    pts = DOM2.boundary_points(per_axis=4)
-    on_boundary = ((np.isclose(pts[:, 0], 0.0)) | (np.isclose(pts[:, 0], 2.0))
-                   | (np.isclose(pts[:, 1], 0.0)) | (np.isclose(pts[:, 1], 1.0)))
-    assert on_boundary.all()
-
-
 def test_scalar_field_evaluation_and_flags():
     u = scalar_field("sin(pi*x)", DOM1)
     X = np.array([[0.25], [0.5]])

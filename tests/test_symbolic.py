@@ -1,0 +1,331 @@
+"""The symbolic front end: solution text is parsed without being run, every
+derivative is derived once, and boundary vanishing is decided exactly."""
+import ast
+import json
+import re
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from errbounds import (
+    BoxDomain,
+    ConformityError,
+    QuadratureRule,
+    default_suite_config,
+    make_case,
+    scalar_field,
+    space_nodes,
+)
+from errbounds.cli import main
+from errbounds.symbolic import (
+    T_SYMBOL,
+    X_SYMBOLS,
+    SolutionError,
+    nonvanishing_face,
+    parse,
+)
+
+ROOT = Path(__file__).resolve().parents[1]
+RULE = QuadratureRule()
+DOM1 = BoxDomain((0.0,), (1.0,))
+SQUARE = BoxDomain((0.0, 0.0), (1.0, 1.0))
+
+
+def _run_cli(tmp_path, capsys, case):
+    doc = {"cases": [case],
+           "approximations": [{"level": "conforming_mixed", "epsilon": 0.1}],
+           "estimators": [{"name": "friedrichs"}]}
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(doc))
+    code = main(["friedrichs", "--config", str(cfg),
+                 "--out", str(tmp_path / "out")])
+    return code, capsys.readouterr().err
+
+
+# --------------------------------------------------------------------------
+# no text reaches eval
+# --------------------------------------------------------------------------
+
+def _attacks(sentinel):
+    return ['__import__("os")',
+            "x.__class__.__mro__[-1].__subclasses__()",
+            "(lambda: 0)()",
+            f'__import__("pathlib").Path({str(sentinel)!r}).touch()']
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_attack_strings_exit_2_without_side_effect(tmp_path, capsys, which):
+    sentinel = tmp_path / "pwned"
+    attack = _attacks(sentinel)[which]
+    code, err = _run_cli(tmp_path, capsys, {
+        "kind": "RD", "lower": [0.0], "upper": [1.0], "solution": attack})
+    assert code == 2
+    assert err.startswith("error: cases[0]: 'solution'")
+    assert not sentinel.exists()
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("which", range(4))
+def test_attack_strings_raise_in_make_case_and_scalar_field(tmp_path, which):
+    sentinel = tmp_path / "pwned"
+    attack = _attacks(sentinel)[which]
+    with pytest.raises(SolutionError):
+        make_case("RD", DOM1, attack)
+    with pytest.raises(SolutionError):
+        scalar_field(attack, DOM1)
+    assert not sentinel.exists()
+
+
+@pytest.mark.parametrize("text, expected", [
+    ("sin(pi*", "does not parse"),
+    ("sin(x, x)", "does not parse"),
+    ("-" * 100_000 + "x", "does not parse"),
+    ("sin(pi*w)*g(x)", "uses unknown names ['g', 'w']"),
+    ("sin", "is not an expression"),
+    ("x(1)", "is not an expression"),
+    ("t*x", "uses unknown names ['t']"),
+    ("x > 0", "is not an expression"),
+    ("[1]", "is not an expression"),
+    ("sin(x=1)", "is not an expression"),
+    ("sin(*[x])", "is not an expression"),
+    ("2j*x", "is not an expression"),
+    ("'x'", "is not an expression"),
+    ("x if x else 1", "is not an expression"),
+])
+def test_parse_rejects_text_outside_the_grammar(text, expected):
+    with pytest.raises(SolutionError, match=re.escape(expected)):
+        parse(text, 1, False)
+
+
+def test_parse_reads_caret_as_power_and_is_shared():
+    x, t = X_SYMBOLS[0], T_SYMBOL
+    assert parse(" x^2 - +E ", 1) == x ** 2 - sp.E
+    assert parse("2^3^2 - x^2", 1) == 512 - x ** 2
+    assert parse("(1+t)*x", 1, True) == (1 + t) * x
+    assert parse("sin(pi*x)", 1, False) is parse("sin(pi*x)", 1, False)
+
+
+_CALLS_INTO_SYMPY_TEXT = {"sympify", "parse_expr", "eval", "exec"}
+
+
+def test_no_source_module_evaluates_text():
+    # text has one way into sympy: symbolic.parse
+    offenders = []
+    for path in sorted((ROOT / "src" / "errbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = getattr(func, "id", getattr(func, "attr", None))
+                if name in _CALLS_INTO_SYMPY_TEXT:
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert offenders == []
+
+
+# --------------------------------------------------------------------------
+# parse agrees with sympy's own reader on every solution the project uses
+# --------------------------------------------------------------------------
+
+# the solution strings of the tests that are rejected on purpose
+_DELIBERATELY_INVALID = {"sin(pi*", "sin(pi*w)", "g(x)*sin(pi*x)", "x > 0",
+                         "[1]", "sin(x, x)", "sin(pi*w)*g(x)", "sin",
+                         "sin(x=1)", "sin(*[x])", "2j*x", "'x'",
+                         "x if x else 1", "x(1)"}
+_SOLUTION_CALLS = {"make_case", "scalar_field", "vector_field",
+                   "gradient_field"}
+_SOLUTION_PARAMS = {"solution", "expr", "u_expr", "text"}
+
+
+def _strings(node):
+    return [n.value for n in ast.walk(node)
+            if isinstance(n, ast.Constant) and isinstance(n.value, str)]
+
+
+def _python_solutions(source):
+    """String literals a Python source passes as a solution: arguments of
+    the field constructors and ``make_case``, ``"solution"`` values, and
+    parametrized ``expr``/``solution`` values."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in _SOLUTION_CALLS:
+                found += [s for a in node.args[-2:] for s in _strings(a)
+                          if isinstance(a, (ast.Constant, ast.List))]
+            if (name == "parametrize" and node.args
+                    and isinstance(node.args[0], ast.Constant)):
+                params = [p.strip() for p in node.args[0].value.split(",")]
+                for i, p in enumerate(params):
+                    if p not in _SOLUTION_PARAMS:
+                        continue
+                    for row in getattr(node.args[1], "elts", []):
+                        item = row.elts[i] if len(params) > 1 else row
+                        if isinstance(item, ast.Constant):
+                            found.append(item.value)
+        if isinstance(node, ast.Dict):
+            for k, v in zip(node.keys, node.values):
+                if (isinstance(k, ast.Constant) and k.value == "solution"
+                        and isinstance(v, ast.Constant)):
+                    found.append(v.value)
+    return [s for s in found if isinstance(s, str) and s not in
+            ("RD", "Poisson", "TRD", "Heat")]
+
+
+def _workload_cases(names=None):
+    """The cases of the benchmark's workload configs."""
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+    return [c for name in names or workloads.WORKLOADS
+            for c in workloads.config_doc(name, [0])["cases"]]
+
+
+def _project_solutions():
+    found = [c["solution"] for c in _workload_cases()]
+    found += [c.solution for c in default_suite_config(n_seeds=1).cases]
+    readme = (ROOT / "README.md").read_text()
+    for block in re.findall(r"```json\n(.*?)```", readme, flags=re.S):
+        found += [c["solution"] for c in json.loads(block)["cases"]]
+    for block in re.findall(r"```python\n(.*?)```", readme, flags=re.S):
+        found += _python_solutions(block)
+    for path in sorted((ROOT / "demos").glob("*.py")):
+        found += _python_solutions(path.read_text())
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        found += _python_solutions(path.read_text())
+    # test_acceptance composes its solutions from three module-level lists
+    lists = {n.targets[0].id: ast.literal_eval(n.value) for n in ast.parse(
+        (ROOT / "tests" / "test_acceptance.py").read_text()).body
+        if isinstance(n, ast.Assign)
+        and getattr(n.targets[0], "id", "") in ("_1D", "_2D", "_TIME")}
+    found += lists["_1D"] + lists["_2D"]
+    found += [tf + "(" + e + ")" for tf, e in
+              zip(lists["_TIME"], lists["_1D"] * 2)]
+    return sorted(set(found))
+
+
+def test_parse_equals_sympy_on_every_project_solution():
+    solutions = _project_solutions()
+    assert len(solutions) > 40
+    checked = 0
+    for text in solutions:
+        try:
+            expr = parse(text, 3, True)
+        except SolutionError:
+            assert text in _DELIBERATELY_INVALID, text
+            continue
+        # the reference reader, run only on text parse has accepted
+        assert expr == sp.sympify(text), text
+        checked += 1
+    assert checked > 40
+
+
+# --------------------------------------------------------------------------
+# each derivative derived once, u0 sliced from u
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["RD", "Poisson", "TRD", "Heat"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
+    calls = []
+    lambdify = sp.lambdify
+
+    def counting(*args, **kwargs):
+        calls.append(args[1])
+        return lambdify(*args, **kwargs)
+
+    monkeypatch.setattr(sp, "lambdify", counting)
+    parabolic = kind in ("TRD", "Heat")
+    dom = BoxDomain((0.0,) * d, (1.0,) * d,
+                    time_horizon=1.0 if parabolic else None)
+    text = "*".join(f"sin({k + 1}*pi*{v})" for k, v in enumerate("xyz"[:d]))
+    make_case(kind, dom, ("exp(-t)*" if parabolic else "") + text)
+    # value, d gradient components, Laplacian, f (and dt)
+    assert len(calls) == d + (4 if parabolic else 3)
+
+
+@pytest.mark.parametrize("kind, lower, upper, T, text", [
+    (c["kind"], c["lower"], c["upper"], c["T"], c["solution"])
+    for c in _workload_cases(("suite", "volume"))
+    if c["kind"] in ("TRD", "Heat")])
+def test_u0_equals_the_lambdified_initial_expression(kind, lower, upper, T,
+                                                     text):
+    dom = BoxDomain(tuple(lower), tuple(upper), time_horizon=T)
+    u0 = make_case(kind, dom, text).u0
+    initial = parse(text, dom.dim, True).subs(T_SYMBOL, 0)
+    ref = scalar_field(initial, dom.spatial())
+    X, _ = space_nodes(dom.spatial(), RULE)
+    for name in ("value", "grad", "laplacian"):
+        assert np.array_equal(getattr(u0, name)(X), getattr(ref, name)(X)), name
+    assert not u0.has_dt and u0.vanishes_on_boundary
+
+
+# --------------------------------------------------------------------------
+# boundary vanishing decided exactly
+# --------------------------------------------------------------------------
+
+@st.composite
+def _sine_products(draw):
+    # faces at two-digit decimals: shifted, anisotropic boxes
+    d = draw(st.integers(1, 3))
+    cents = [draw(st.integers(-200, 200)) for _ in range(d)]
+    lower = [c / 100 for c in cents]
+    upper = [(c + draw(st.integers(10, 300))) / 100 for c in cents]
+    parabolic = draw(st.booleans())
+    factors = []
+    for sym, lo, hi in zip("xyz", lower, upper):
+        a, b = sp.Rational(repr(lo)), sp.Rational(repr(hi))
+        k = draw(st.integers(1, 3))
+        factors.append(f"sin({k}*pi*({sym} - ({a}))/({b - a}))")
+    return lower, upper, parabolic, factors, draw(st.integers(0, d - 1))
+
+
+@given(_sine_products())
+@settings(max_examples=10, deadline=None)
+def test_sine_products_vanish_and_a_cosine_names_its_face(drawn):
+    lower, upper, parabolic, factors, j = drawn
+    dom = BoxDomain(tuple(lower), tuple(upper),
+                    time_horizon=1.0 if parabolic else None)
+    kind = "Heat" if parabolic else "RD"
+    prefix = "(1+t)*" if parabolic else ""
+    case = make_case(kind, dom, prefix + "*".join(factors))
+    assert case.exact_u.vanishes_on_boundary
+    swapped = list(factors)
+    swapped[j] = "cos" + swapped[j][3:]
+    with pytest.raises(ConformityError) as info:
+        make_case(kind, dom, prefix + "*".join(swapped))
+    msg = str(info.value)
+    assert "must vanish on the boundary" in msg
+    face = f"on the face {'xyz'[j]} = "
+    assert face in msg and float(msg.split(face)[1]) == lower[j]
+
+
+def test_high_frequency_counterexample_is_rejected(tmp_path, capsys):
+    # equal to 1 at (0, 1/32), yet 0 at every 8-point face midpoint
+    text = "cos(x)*sin(16*pi*y)"
+    assert nonvanishing_face(parse(text, 2), SQUARE) == "x = 0"
+    with pytest.raises(ConformityError, match="on the face x = 0"):
+        make_case("RD", SQUARE, text)
+    assert not scalar_field(text, SQUARE).vanishes_on_boundary
+    code, err = _run_cli(tmp_path, capsys, {
+        "kind": "RD", "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+        "solution": text})
+    assert code == 2
+    assert err.startswith("error: cases[0]")
+    assert "must vanish on the boundary" in err and "x = 0" in err
+
+
+def test_vanishing_that_needs_simplification_is_decided():
+    dom = BoxDomain((0.0,), (0.5,))
+    # sin(2x)**2 + cos(2x)**2 - 1 is 0 everywhere, but only after simplify
+    assert nonvanishing_face(
+        parse("sin(2*x)**2 + cos(2*x)**2 - 1", 1), dom) is None
+    # no tolerance: 1e-20 on the boundary is not 0
+    assert nonvanishing_face(parse("sin(pi*x) + 1e-20", 1), DOM1) == "x = 0"
+    assert nonvanishing_face(parse("sin(pi*x*10/3)", 1),
+                             BoxDomain((0.0,), (0.3,))) is None
