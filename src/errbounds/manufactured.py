@@ -18,7 +18,7 @@ import numpy as np
 
 from .fields import (BoxDomain, ConformityError, ScalarField, VectorField,
                      _zeros)
-from .quadrature import QuadratureRule, norm_sq, tensor_axes
+from .quadrature import QuadratureRule, coordinates, norm_sq
 from .symbolic import (_expression, _lambdify, derivatives, nonvanishing_face,
                        scalar_field)
 
@@ -111,21 +111,19 @@ class _TrigSum:
     def vanishes(self) -> bool:
         return all(all(f == "sin" for f in fs) for fs in self.funcs)
 
-    def _split(self, args):
-        if self.dom.is_parabolic:
-            return args[0], args[1]
-        return None, args[0]
+    def _coords(self, args):
+        """The time coordinate (None when elliptic), the spatial coordinates
+        and the shape of the values at ``args`` (see
+        :func:`quadrature.coordinates`)."""
+        coords, shape = coordinates(args, self.dom.dim)
+        t = coords[0] if self.dom.is_parabolic else None
+        return t, coords[-self.dom.dim:], shape
 
-    def _axis_factors(self, k, X, d_axis=None):
-        """Product over axes of the trig factors of term k; ``d_axis`` takes
-        one spatial derivative along that axis.
-
-        On a tensor node set of :mod:`quadrature` the factors are evaluated
-        on the 1-D axis nodes and broadcast to the grid (sum factorisation);
-        every grid value is the same product, in the same order, as on the
-        pointwise path."""
-        tensor = tensor_axes(X)
-        axes = tensor[0] if tensor else X.T
+    def _axis_factors(self, k, axes, d_axis=None):
+        """Product over the spatial ``axes`` of the trig factors of term k;
+        ``d_axis`` takes one spatial derivative along that axis. On grid
+        axes this is sum factorisation: every grid value is the product the
+        columns give at that node, in the same order."""
         out = 1.0
         for i in range(self.dom.dim):
             th = self.freq[k][i] * (axes[i] - self.lo[i])
@@ -137,7 +135,7 @@ class _TrigSum:
                     out = out * (-self.freq[k][i]) * np.sin(th)
             else:
                 out = out * (np.sin(th) if fi == "sin" else np.cos(th))
-        return np.tile(out.ravel(), tensor[1]) if tensor else out
+        return out
 
     def _tfactor(self, k, t, order=0):
         p = self.tpolys[k]
@@ -150,23 +148,23 @@ class _TrigSum:
     # evaluators -----------------------------------------------------------
     def _scalar_sum(self, *args, order=0, laplacian=False):
         """The value (or Laplacian) of the ``order``-th time derivative."""
-        t, X = self._split(args)
-        out = np.zeros(X.shape[0])
+        t, axes, shape = self._coords(args)
+        out = np.zeros(shape)
         for k, c in enumerate(self.coefs):
             if laplacian:
                 c = c * -float(np.sum(self.freq[k] ** 2))
-            out += c * self._tfactor(k, t, order) * self._axis_factors(k, X)
-        return out
+            out += c * self._tfactor(k, t, order) * self._axis_factors(k, axes)
+        return out.ravel()
 
     def _grad_sum(self, *args, order=0):
         """The spatial gradient of the ``order``-th time derivative."""
-        t, X = self._split(args)
-        out = np.zeros((X.shape[0], self.dom.dim))
+        t, axes, shape = self._coords(args)
+        out = np.zeros((*shape, self.dom.dim))
         for k, c in enumerate(self.coefs):
             tf = c * self._tfactor(k, t, order)
             for j in range(self.dom.dim):
-                out[:, j] += tf * self._axis_factors(k, X, d_axis=j)
-        return out
+                out[..., j] += tf * self._axis_factors(k, axes, d_axis=j)
+        return out.reshape(-1, self.dom.dim)
 
     value = functools.partialmethod(_scalar_sum)
     laplacian = functools.partialmethod(_scalar_sum, laplacian=True)

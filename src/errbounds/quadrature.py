@@ -1,9 +1,11 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
-Norms and single inner products reduce through :func:`math.fsum` over a fixed
-traversal order, so they are deterministic to the last bit regardless of how
-callers batch their work. :func:`l2_gram` trades fsum for one sequential
-weighted sum per entry, which is as deterministic but rounds differently.
+Norms and single inner products reduce through a correctly rounded sum,
+equal to :func:`math.fsum` bit for bit (see :func:`_fsum`), so they are
+deterministic to the last bit regardless of how callers batch their work.
+:func:`l2_gram` trades it for one sequential weighted sum per entry, which
+is as deterministic but rounds differently. Fields evaluate on the cached
+node sets through the per-coordinate axes of :func:`grid_axes`.
 """
 from __future__ import annotations
 
@@ -51,18 +53,32 @@ def _gauss_interval(order: int, lo: float, hi: float, panels: int = 1):
     return x, w
 
 
-# id of a cached node array -> (the array, its per-axis 1-D nodes shaped to
-# broadcast against each other, repeats). Column i of the array is the
-# product grid of those axes, raveled in C order and tiled ``repeats`` times
-# (once per time node of a space-time set). Holding the array keeps its id
-# from being reused.
-_TENSOR = {}
+# ids of the arrays of a cached node set, ``(X,)`` or ``(t, X)`` -> (those
+# arrays, their per-coordinate axes). The axes, time first, are the 1-D nodes
+# shaped to broadcast against each other; the grid they broadcast to, raveled
+# in C order, is the node order of the arrays. Holding the arrays keeps their
+# ids from being reused.
+_GRIDS = {}
 
 
-def tensor_axes(X: np.ndarray):
-    """(axes, repeats) of a node array cached by this module, else None."""
-    entry = _TENSOR.get(id(X))
-    return entry[1:] if entry else None
+def grid_axes(args):
+    """The broadcast axes of the node set whose cached arrays are ``args``,
+    ``(X,)`` of :func:`space_nodes` or ``(t, X)`` of
+    :func:`spacetime_nodes`; None for any other arrays, copies included."""
+    entry = _GRIDS.get(tuple(map(id, args)))
+    return entry[1] if entry else None
+
+
+def coordinates(args, dim: int):
+    """The coordinates of the nodes ``args``, ``(X,)`` or ``(t, X)``, time
+    first, and the shape they broadcast to: the axes of :func:`grid_axes`
+    and the grid shape on a cached node set, else t, the first ``dim``
+    columns of X and (N,). Values of that shape, raveled, are in the node
+    order of ``args``."""
+    coords = grid_axes(args)
+    if coords is None:
+        coords = (*args[:-1], *args[-1][:, :dim].T)
+    return coords, np.broadcast_shapes(*(np.shape(c) for c in coords))
 
 
 @lru_cache(maxsize=None)
@@ -79,7 +95,7 @@ def space_nodes(dom: BoxDomain, rule: QuadratureRule):
         w = w * wm.ravel()
     X.setflags(write=False)
     w.setflags(write=False)
-    _TENSOR[id(X)] = (X, np.ix_(*(a[0] for a in axes)), 1)
+    _GRIDS[(id(X),)] = ((X,), np.ix_(*(a[0] for a in axes)))
     return X, w
 
 
@@ -97,11 +113,46 @@ def spacetime_nodes(dom: BoxDomain, rule: QuadratureRule):
     t.setflags(write=False)
     X.setflags(write=False)
     w.setflags(write=False)
-    _TENSOR[id(X)] = (X, tensor_axes(Xs)[0], tq.shape[0])
+    _GRIDS[(id(t), id(X))] = ((t, X), np.ix_(
+        tq, *(a.ravel() for a in grid_axes((Xs,)))))
     return t, X, w
 
 
+# Below this length math.fsum over a list beats the vectorised exact sum.
+_FSUM_MIN_LENGTH = 2048
+# The bins of the exact sum below stay exact up to this length: each part
+# is an integer of magnitude at most 2**27, so no bin exceeds 2**53.
+_FSUM_MAX_LENGTH = 2 ** 26
+
+
 def _fsum(arr: np.ndarray) -> float:
+    """The correctly rounded sum of ``arr``: ``math.fsum(arr.tolist())``.
+
+    Long finite arrays are summed exactly without a Python loop over the
+    entries (after Neal, arXiv:1505.05571): each entry is m * 2**(e-53) with
+    an integer significand m, |m| < 2**53, split exactly into a high part
+    (m // 2**26) and a low part (its remainder). ``np.bincount`` sums each
+    part per exponent e exactly, the bins are combined in Python ints, and
+    the total is rounded once by int division. Everything else, and an
+    exact zero total (whose sign fsum decides), goes to ``math.fsum``. The
+    one difference: where fsum raises on an intermediate overflow although
+    the total is finite, this returns the total.
+    """
+    if (_FSUM_MIN_LENGTH <= arr.size <= _FSUM_MAX_LENGTH
+            and np.isfinite(arr).all()):
+        frac, exp = np.frexp(arr)
+        hi = np.floor(frac * 2.0 ** 27)
+        lo = frac * 2.0 ** 53 - hi * 2.0 ** 26
+        e0 = int(exp.min())
+        bins = exp - e0
+        total = 0
+        for k, (h, l) in enumerate(zip(np.bincount(bins, weights=hi).tolist(),
+                                       np.bincount(bins, weights=lo).tolist())):
+            if h or l:
+                total += ((int(h) << 26) + int(l)) << k
+        if total:
+            shift = e0 - 53
+            return float(total << shift) if shift >= 0 else total / (1 << -shift)
     return math.fsum(arr.tolist())
 
 

@@ -9,13 +9,16 @@ scalar field vanishes on the boundary is decided exactly, face by face.
 from __future__ import annotations
 
 import ast
+import math
 import operator
 from functools import lru_cache
 
 import numpy as np
 import sympy as sp
+from sympy.core.evalf import PrecisionExhausted
 
 from .fields import BoxDomain, ScalarField, VectorField
+from .quadrature import coordinates
 
 X_SYMBOLS = sp.symbols("x y z")
 T_SYMBOL = sp.Symbol("t")
@@ -25,14 +28,28 @@ CONSTANTS = {"pi": sp.pi, "E": sp.E}
 FUNCTIONS = {f.__name__: f for f in (
     sp.exp, sp.log, sp.sqrt, sp.sin, sp.cos, sp.tan, sp.asin, sp.acos,
     sp.atan, sp.sinh, sp.cosh, sp.tanh)}
-_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
-              ast.Mult: operator.mul, ast.Div: operator.truediv,
-              ast.Pow: operator.pow, ast.UAdd: operator.pos,
-              ast.USub: operator.neg}
+# sympy evaluates a rational power of a rational number eagerly, in time
+# that grows with the size of the result: above this many bits it is refused
+_POWER_BITS = 10_000
 
 
 class SolutionError(ValueError):
     """Solution text outside the grammar of :func:`parse`."""
+
+
+def _power(base, exponent):
+    if (isinstance(base, sp.Rational) and isinstance(exponent, sp.Rational)
+            and abs(exponent) * math.log2(max(abs(base.p), base.q))
+            > _POWER_BITS):
+        raise SolutionError(f"raises {base} to the power {exponent}, a "
+                            f"number of more than {_POWER_BITS} bits")
+    return base ** exponent
+
+
+_OPERATORS = {ast.Add: operator.add, ast.Sub: operator.sub,
+              ast.Mult: operator.mul, ast.Div: operator.truediv,
+              ast.Pow: _power, ast.UAdd: operator.pos,
+              ast.USub: operator.neg}
 
 
 @lru_cache(maxsize=None)
@@ -99,15 +116,39 @@ def derivatives(expr: sp.Expr, dim: int, time_dependent: bool):
     return grad, lap, sp.diff(expr, T_SYMBOL) if time_dependent else None
 
 
+# the fractions of each side, and of [0, T], at which a face is first
+# evaluated: generic, so that a nonvanishing face is rarely 0 there
+_FACE_POINT = (sp.Rational(7, 19), sp.Rational(11, 23), sp.Rational(13, 29))
+_TIME_FRACTION = sp.Rational(5, 17)
+
+
+def _proven_nonzero(expr) -> bool:
+    """Whether numerical evaluation proves the number ``expr`` is not 0."""
+    try:
+        value = expr.evalf(strict=True)
+    except PrecisionExhausted:
+        return False
+    return value.is_zero is False and value.is_finite is True
+
+
 def nonvanishing_face(expr: sp.Expr, dom: BoxDomain):
     """The first face of ``dom`` on which ``expr`` is not decided to vanish
-    identically, named like ``x = 0``, else None. The face coordinate enters
-    as the exact rational of its decimal; only a result that is not already
-    0 is simplified."""
+    identically, named like ``x = 0``, else None. Coordinates enter as the
+    exact rationals of their decimals. A face does not vanish when its value
+    at one interior point evaluates to a proven nonzero; otherwise only a
+    result that is not already 0 is simplified."""
+    def exact(v):
+        return sp.Rational(repr(v))
+
+    point = {s: exact(lo) + (exact(hi) - exact(lo)) * r for s, lo, hi, r in
+             zip(X_SYMBOLS, dom.lower, dom.upper, _FACE_POINT)}
+    if dom.is_parabolic:
+        point[T_SYMBOL] = exact(dom.time_horizon) * _TIME_FRACTION
     for sym, lo, hi in zip(X_SYMBOLS, dom.lower, dom.upper):
         for v in (lo, hi):
-            on_face = expr.subs(sym, sp.Rational(repr(v)))
-            if on_face != 0 and sp.simplify(on_face) != 0:
+            on_face = expr.subs(sym, exact(v))
+            if on_face != 0 and (_proven_nonzero(on_face.subs(point))
+                                 or sp.simplify(on_face) != 0):
                 return f"{sym} = {repr(v).removesuffix('.0')}"
     return None
 
@@ -117,8 +158,11 @@ def _lambdify(expr, dim: int, time_dependent: bool):
     fn = sp.lambdify(symbols, expr, modules="numpy")
 
     def wrapped(*args):  # (X,) or (t, X)
-        out = np.asarray(fn(*args[:-1], *args[-1][:, :dim].T), dtype=float)
-        return np.full(len(args[-1]), float(out)) if out.ndim == 0 else out
+        coords, shape = coordinates(args, dim)
+        out = np.asarray(fn(*coords), dtype=float)
+        if out.shape != shape:  # a constant, or an axis missing
+            out = np.broadcast_to(out, shape).copy()
+        return out.ravel()
 
     return wrapped
 

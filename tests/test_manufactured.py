@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+import sympy as sp
 
 from errbounds import (
     BoxDomain,
@@ -13,9 +15,11 @@ from errbounds import (
     norm_sq,
     perturb,
     rd_equality,
+    scalar_field,
+    vector_field,
 )
 from errbounds.manufactured import _random_trig
-from errbounds.quadrature import space_nodes, spacetime_nodes, tensor_axes
+from errbounds.quadrature import grid_axes, space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -185,9 +189,10 @@ def test_perturbations_normalized():
     assert norm_sq("L2", diff, DOM1, RULE) == pytest.approx(1.0, rel=1e-10)
 
 
-# Sum factorisation: on a cached tensor node set the trig factors are
-# evaluated per axis and broadcast; on any other array (here a copy of the
-# same nodes) pointwise. Both must agree to the last bit.
+# Grid path: on a cached node set every primitive is evaluated on the 1-D
+# axes and broadcast to the grid (sum factorisation for the trig sums); on
+# any other arrays (here copies of the same nodes) on the columns. Both must
+# agree to the last bit.
 TENSOR_DOMS = [
     BoxDomain((0.0,), (1.0,)),
     BoxDomain((-1.0, 0.5), (0.5, 3.0)),
@@ -211,6 +216,38 @@ def _evaluators(ts):
     return evs
 
 
+@functools.lru_cache(maxsize=None)
+def _lambdified_fields(dom):
+    """Name -> field: the fields of ``make_case`` for the two kinds of the
+    domain, ``sin(pi*x)`` (constant along every other axis), ``x*(1 - x)``
+    (constant Laplacian) and a vector field with a constant component."""
+    factors = []
+    for i, (v, lo, hi) in enumerate(zip("xyz", dom.lower, dom.upper)):
+        a, b = sp.Rational(repr(lo)), sp.Rational(repr(hi))
+        factors.append(f"sin({i + 1}*pi*({v} - ({a}))/({b - a}))")
+    td = dom.is_parabolic
+    fields = {}
+    for kind in (("TRD", "Heat") if td else ("RD", "Poisson")):
+        prefix = ("exp(-t)*" if kind == "TRD" else "(1 + t)*") if td else ""
+        case = make_case(kind, dom, prefix + "*".join(factors))
+        fields.update({f"{kind}.u": case.exact_u, f"{kind}.p": case.exact_p,
+                       f"{kind}.f": case.f})
+        if td:
+            fields[f"{kind}.u0"] = case.u0
+    fields["sin(pi*x)"] = scalar_field("sin(pi*x)", dom)
+    fields["x*(1 - x)"] = scalar_field("x*(1 - x)", dom)
+    comps = ["exp(-t)*sin(pi*x)" if td else "sin(pi*x)", "x*(1 - x) + y",
+             "2"][:dom.dim]
+    fields["vector"] = vector_field(comps, dom)
+    return fields
+
+
+def _field_evaluators(field):
+    return {name: getattr(field, name) for name in
+            ("value", "grad", "laplacian", "dt", "div")
+            if name == "value" or getattr(field, f"has_{name}", False)}
+
+
 @pytest.mark.parametrize("dom", TENSOR_DOMS, ids=repr)
 @pytest.mark.parametrize("seed", [0, 7])
 def test_tensor_path_matches_pointwise_bitwise(dom, seed):
@@ -219,23 +256,41 @@ def test_tensor_path_matches_pointwise_bitwise(dom, seed):
     else:
         args = space_nodes(dom, TENSOR_RULE)[:1]
     copies = tuple(a.copy() for a in args)
-    assert tensor_axes(args[-1]) is not None
-    assert tensor_axes(copies[-1]) is None
+    assert grid_axes(args) is not None
+    assert grid_axes(copies) is None
+    if dom.is_parabolic:
+        assert grid_axes((args[0], copies[1])) is None
+        assert grid_axes((copies[0], args[1])) is None
+        assert grid_axes(args[1:]) is None
+        assert grid_axes((args[0], space_nodes(dom, TENSOR_RULE)[0])) is None
     rng = np.random.default_rng(seed)
     for nonconforming in (False, True):
         ts = _random_trig(dom, rng, n_terms=4, nonconforming=nonconforming)
         for name, ev in _evaluators(ts).items():
             assert np.array_equal(ev(*args), ev(*copies)), name
+    for label, field in _lambdified_fields(dom).items():
+        if label.endswith(".u0"):
+            continue  # an elliptic slice: see the next test
+        for name, ev in _field_evaluators(field).items():
+            on_grid = ev(*args)
+            assert on_grid.shape[0] == args[-1].shape[0], (label, name)
+            assert np.array_equal(on_grid, ev(*copies)), (label, name)
 
 
 @pytest.mark.parametrize("dom", TENSOR_DOMS[4:], ids=repr)
 def test_tensor_path_at_time_slice_bitwise(dom):
     X = space_nodes(dom, TENSOR_RULE)[0]
-    assert tensor_axes(X) is not None
+    assert grid_axes((X,)) is not None
     ts = _random_trig(dom, np.random.default_rng(3), nonconforming=True)
+    lambdified = _lambdified_fields(dom)
     for t0 in (0.0, 0.3, dom.time_horizon):
         sliced = ts.scalar_field().at_time(t0)
         for ev in (sliced.value, sliced.grad, sliced.laplacian):
             assert np.array_equal(ev(X), ev(X.copy()))
         flux = ts.gradient_field().at_time(t0)
         assert np.array_equal(flux.value(X), flux.value(X.copy()))
+        for label, field in lambdified.items():
+            if not label.endswith(".u0"):
+                field = field.at_time(t0)
+            for name, ev in _field_evaluators(field).items():
+                assert np.array_equal(ev(X), ev(X.copy())), (label, name)

@@ -28,6 +28,7 @@ from errbounds import (
     vector_field,
 )
 from errbounds.manufactured import _random_trig
+from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -360,3 +361,92 @@ def test_l2_gram_independent_of_thread_count():
                              capture_output=True, text=True, check=True)
         digests.append(out.stdout)
     assert len(digests[0].split()) == 2 and digests[0] == digests[1]
+
+
+# --------------------------------------------------------------------------
+# the vectorised exact sum is math.fsum, bit for bit
+# --------------------------------------------------------------------------
+
+_CUT = _FSUM_MIN_LENGTH
+_SUM_LENGTHS = st.one_of(st.integers(_CUT - 4, _CUT + 4),
+                         st.integers(_CUT, 373_248), st.just(373_248))
+
+
+@st.composite
+def _sum_inputs(draw):
+    """Arrays from a drawn seed: decimal exponents in a drawn part of
+    [-300, 300], subnormals, and signs mixed or cancelling to a small rest."""
+    n = draw(_SUM_LENGTHS)
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    lo = draw(st.integers(-300, 300))
+    hi = draw(st.integers(lo, 300))
+    a = rng.uniform(1.0, 10.0, n) * 10.0 ** rng.integers(lo, hi + 1, n)
+    shape = draw(st.sampled_from(["positive", "mixed", "cancelling",
+                                  "subnormal"]))
+    if shape == "mixed":
+        a *= rng.choice([-1.0, 1.0], n)
+    elif shape == "cancelling":
+        # pairs x, -x, three of them one ulp apart
+        half = a[: n // 2] * rng.choice([-1.0, 1.0], n // 2)
+        other = -rng.permutation(half)
+        other[:3] = np.nextafter(other[:3], 0.0)
+        a = rng.permutation(np.concatenate([half, other, a[2 * (n // 2):]]))
+    elif shape == "subnormal":
+        a = rng.integers(-2 ** 52, 2 ** 52, n) * 5e-324
+        a[rng.integers(0, n, n // 8)] = 0.0
+    return a
+
+
+def _bits(x):
+    return float(x).hex()
+
+
+@given(_sum_inputs())
+@settings(max_examples=60, deadline=None)
+def test_exact_sum_equals_fsum_bitwise(a):
+    assert _bits(_fsum(a)) == _bits(math.fsum(a.tolist()))
+
+
+@pytest.mark.parametrize("n", [_CUT - 1, _CUT, 373_248])
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_exact_sum_of_signed_zeros(n, zero):
+    # the sign of a zero total is fsum's (-0.0 from Python 3.12 on)
+    a = np.full(n, zero)
+    assert _fsum(a) == 0.0
+    assert _bits(_fsum(a)) == _bits(math.fsum(a.tolist()))
+
+
+def test_exact_sum_of_cancelling_array_is_fsums_zero():
+    a = np.arange(1.0, _CUT + 1.0)
+    a = np.concatenate([a, -a])
+    assert _bits(_fsum(a)) == _bits(math.fsum(a.tolist())) == _bits(0.0)
+
+
+@pytest.mark.parametrize("n", [_CUT - 1, _CUT, 10_000])
+def test_exact_sum_of_non_finite_input_is_fsums(n):
+    a = np.ones(n)
+    a[n // 3] = np.nan
+    assert math.isnan(_fsum(a))
+    a[n // 3] = np.inf
+    assert _fsum(a) == math.inf
+    a[n // 2] = -np.inf
+    with pytest.raises(ValueError):
+        _fsum(a)
+
+
+@pytest.mark.parametrize("tail", [1e308, 1e-300])
+def test_exact_sum_overflow_raises(tail):
+    a = np.full(_CUT * 2, 1e308)
+    a[-1] = tail
+    with pytest.raises(OverflowError):
+        _fsum(a)
+    with pytest.raises(OverflowError):
+        math.fsum(a.tolist())
+
+
+def test_exact_sum_returns_a_finite_total_past_an_intermediate_overflow():
+    a = np.zeros(_CUT)
+    a[:3] = [1e308, 1e308, -1e308]
+    with pytest.raises(OverflowError, match="intermediate overflow"):
+        math.fsum(a.tolist())
+    assert _fsum(a) == 1e308

@@ -4,6 +4,7 @@ import ast
 import json
 import re
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,6 +103,25 @@ def test_parse_rejects_text_outside_the_grammar(text, expected):
         parse(text, 1, False)
 
 
+@pytest.mark.parametrize("text", ["9**9**7*sin(pi*x)", "2**-10001*sin(pi*x)",
+                                  "(2/3)**9000*sin(pi*x)"])
+def test_large_literal_powers_are_refused_quickly(tmp_path, capsys, text):
+    start = time.perf_counter()
+    with pytest.raises(SolutionError, match="more than 10000 bits"):
+        parse(text, 1)
+    code, err = _run_cli(tmp_path, capsys, {
+        "kind": "RD", "lower": [0.0], "upper": [1.0], "solution": text})
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert err.startswith("error: cases[0]: 'solution'")
+
+
+@pytest.mark.parametrize("text", ["2**10*sin(pi*x)", "(2/3)**5*sin(pi*x)",
+                                  "2**0.5*sin(pi*x)", "2**10000*sin(pi*x)"])
+def test_small_literal_powers_equal_sympy(text):
+    assert parse(text, 1) == sp.sympify(text)
+
+
 def test_parse_reads_caret_as_power_and_is_shared():
     x, t = X_SYMBOLS[0], T_SYMBOL
     assert parse(" x^2 - +E ", 1) == x ** 2 - sp.E
@@ -134,7 +154,8 @@ def test_no_source_module_evaluates_text():
 _DELIBERATELY_INVALID = {"sin(pi*", "sin(pi*w)", "g(x)*sin(pi*x)", "x > 0",
                          "[1]", "sin(x, x)", "sin(pi*w)*g(x)", "sin",
                          "sin(x=1)", "sin(*[x])", "2j*x", "'x'",
-                         "x if x else 1", "x(1)"}
+                         "x if x else 1", "x(1)", "9**9**7*sin(pi*x)",
+                         "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)"}
 _SOLUTION_CALLS = {"make_case", "scalar_field", "vector_field",
                    "gradient_field"}
 _SOLUTION_PARAMS = {"solution", "expr", "u_expr", "text"}
@@ -329,3 +350,25 @@ def test_vanishing_that_needs_simplification_is_decided():
     assert nonvanishing_face(parse("sin(pi*x) + 1e-20", 1), DOM1) == "x = 0"
     assert nonvanishing_face(parse("sin(pi*x*10/3)", 1),
                              BoxDomain((0.0,), (0.3,))) is None
+
+
+def test_face_proven_nonzero_at_a_point_skips_simplify(monkeypatch):
+    # a shifted 3-D product with a cosine along x, on decimal faces
+    dom = BoxDomain((-0.37, 1.2, 0.05), (1.5, 3.41, 2.0),
+                    time_horizon=0.5)
+    text = ("(1+t)*cos(pi*(x + 0.37)/1.87)*sin(2*pi*(y - 1.2)/2.21)"
+            "*sin(pi*(z - 0.05)/1.95)")
+
+    def no_simplify(expr):
+        raise AssertionError(f"simplify({expr}) was called")
+
+    monkeypatch.setattr(sp, "simplify", no_simplify)
+    assert nonvanishing_face(parse(text, 3, True), dom) == "x = -0.37"
+
+
+def test_face_zero_at_the_point_is_decided_by_simplify():
+    # sin(19*pi*y) is 0 at y = 7/19, the first point tried on x = 0
+    text = "cos(pi*x)*sin(19*pi*y)"
+    assert parse(text, 2).subs({X_SYMBOLS[0]: 0,
+                                X_SYMBOLS[1]: sp.Rational(7, 19)}) == 0
+    assert nonvanishing_face(parse(text, 2), SQUARE) == "x = 0"
