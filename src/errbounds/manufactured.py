@@ -12,13 +12,13 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .fields import (BoxDomain, ConformityError, ScalarField, VectorField,
                      _zeros)
-from .quadrature import QuadratureRule, coordinates, norm_sq
+from .quadrature import QuadratureRule, coordinates, grid_axes, norm_sq
 from .symbolic import (_expression, _lambdify, derivatives, nonvanishing_face,
                        scalar_field)
 
@@ -102,6 +102,14 @@ class _TrigSum:
         self.modes = [tuple(m) for m in modes]
         self.funcs = [tuple(f) for f in funcs]
         self.tpolys = [np.asarray(p, dtype=float) for p in tpolys]
+        # per term: tau_k and its derivative, their values at t = 0 (the
+        # factors of an elliptic box), and (k, order, id of a grid time
+        # axis) -> (that axis, the factor on it)
+        self._tderivs = [(p, np.polynomial.polynomial.polyder(p))
+                         for p in self.tpolys]
+        self._tconst = [[float(np.polynomial.polynomial.polyval(0.0, q))
+                         for q in pq] for pq in self._tderivs]
+        self._tmemo = {}
         self.dom = dom
         self.lo = np.asarray(dom.lower)
         self.freq = [np.array([m[i] * np.pi / dom.sides[i] for i in range(dom.dim)])
@@ -114,10 +122,11 @@ class _TrigSum:
     def _coords(self, args):
         """The time coordinate (None when elliptic), the spatial coordinates
         and the shape of the values at ``args`` (see
-        :func:`quadrature.coordinates`)."""
+        :func:`quadrature.coordinates`), and whether ``args`` is a cached
+        node set."""
         coords, shape = coordinates(args, self.dom.dim)
         t = coords[0] if self.dom.is_parabolic else None
-        return t, coords[-self.dom.dim:], shape
+        return t, coords[-self.dom.dim:], shape, coords is grid_axes(args)
 
     def _axis_factors(self, k, axes, d_axis=None):
         """Product over the spatial ``axes`` of the trig factors of term k;
@@ -137,31 +146,38 @@ class _TrigSum:
                 out = out * (np.sin(th) if fi == "sin" else np.cos(th))
         return out
 
-    def _tfactor(self, k, t, order=0):
-        p = self.tpolys[k]
-        for _ in range(order):
-            p = np.polynomial.polynomial.polyder(p)
+    def _tfactor(self, k, t, order=0, on_grid=False):
+        """tau_k (``order`` 0) or its derivative (1) at the times ``t``, or
+        at t = 0 when ``t`` is None. Only the time axis of a cached node
+        set is memoised, so the memo holds at most one entry per term,
+        order and node set."""
         if t is None:
-            return float(np.polynomial.polynomial.polyval(0.0, p)) if p.size else 0.0
-        return np.polynomial.polynomial.polyval(t, p)
+            return self._tconst[k][order]
+        if not on_grid:
+            return np.polynomial.polynomial.polyval(t, self._tderivs[k][order])
+        key = (k, order, id(t))
+        if key not in self._tmemo:  # holding t keeps its id from being reused
+            self._tmemo[key] = (t, np.polynomial.polynomial.polyval(
+                t, self._tderivs[k][order]))
+        return self._tmemo[key][1]
 
     # evaluators -----------------------------------------------------------
     def _scalar_sum(self, *args, order=0, laplacian=False):
         """The value (or Laplacian) of the ``order``-th time derivative."""
-        t, axes, shape = self._coords(args)
+        t, axes, shape, grid = self._coords(args)
         out = np.zeros(shape)
         for k, c in enumerate(self.coefs):
             if laplacian:
                 c = c * -float(np.sum(self.freq[k] ** 2))
-            out += c * self._tfactor(k, t, order) * self._axis_factors(k, axes)
+            out += c * self._tfactor(k, t, order, grid) * self._axis_factors(k, axes)
         return out.ravel()
 
     def _grad_sum(self, *args, order=0):
         """The spatial gradient of the ``order``-th time derivative."""
-        t, axes, shape = self._coords(args)
+        t, axes, shape, grid = self._coords(args)
         out = np.zeros((*shape, self.dom.dim))
         for k, c in enumerate(self.coefs):
-            tf = c * self._tfactor(k, t, order)
+            tf = c * self._tfactor(k, t, order, grid)
             for j in range(self.dom.dim):
                 out[..., j] += tf * self._axis_factors(k, axes, d_axis=j)
         return out.reshape(-1, self.dom.dim)
@@ -228,8 +244,11 @@ _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 
 
 def _normalized(ts: _TrigSum) -> _TrigSum:
-    nrm = math.sqrt(norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE))
-    return _TrigSum(ts.coefs / nrm, ts.modes, ts.funcs, ts.tpolys, ts.dom)
+    """``ts`` scaled in place to unit L2 norm; its time factors, which the
+    coefficients do not enter, stay derived and memoised."""
+    ts.coefs = ts.coefs / math.sqrt(
+        norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE))
+    return ts
 
 
 def _flux_noise(dom: BoxDomain, rng) -> VectorField:
@@ -243,21 +262,44 @@ def _flux_noise(dom: BoxDomain, rng) -> VectorField:
     return field
 
 
+class Directions(NamedTuple):
+    """The seeded perturbation directions of one box: normalised
+    conforming and non-conforming scalar sums and the flux noise."""
+
+    conforming: _TrigSum
+    nonconforming: _TrigSum
+    flux: VectorField
+
+
+def _build_directions(dom: BoxDomain, seed: int) -> Directions:
+    rng = np.random.default_rng(seed)
+    conforming = _normalized(_random_trig(dom, rng))
+    nonconforming = _normalized(_random_trig(dom, rng, nonconforming=True))
+    return Directions(conforming, nonconforming, _flux_noise(dom, rng))
+
+
+@functools.lru_cache(maxsize=None)
+def directions(dom: BoxDomain, seed: int) -> Directions:
+    """The directions of ``(dom, seed)``, built once until the cache is
+    cleared; :func:`runner.run` clears it on entry and on exit, so every
+    case on one box shares them within a run and none outlives it."""
+    return _build_directions(dom, seed)
+
+
 def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPair:
     """Exact pair plus ``scale`` times a seeded analytic perturbation.
 
     The perturbation is linear in ``scale``; capabilities of the returned
-    fields are restricted to exactly the level's contract.
+    fields are restricted to exactly the level's contract. The directions
+    depend on the box and the seed only (see :func:`directions`).
     """
     if level not in LEVELS:
         raise ValueError(f"unknown approximation level: {level!r}")
     if scale < 0:
         raise ValueError("scale must be non-negative")
-    rng = np.random.default_rng(seed)
-    du_sum = _normalized(_random_trig(case.dom, rng))
+    du_sum, du_nc_sum, dp = directions(case.dom, seed)
     du_conf = du_sum.scalar_field()
-    du_nc = _normalized(_random_trig(case.dom, rng, nonconforming=True)).scalar_field()
-    dp = _flux_noise(case.dom, rng)
+    du_nc = du_nc_sum.scalar_field()
 
     u, p = case.exact_u, case.exact_p
     if level == "very_conforming":

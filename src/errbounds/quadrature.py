@@ -54,10 +54,10 @@ def _gauss_interval(order: int, lo: float, hi: float, panels: int = 1):
 
 
 # ids of the arrays of a cached node set, ``(X,)`` or ``(t, X)`` -> (those
-# arrays, their per-coordinate axes). The axes, time first, are the 1-D nodes
-# shaped to broadcast against each other; the grid they broadcast to, raveled
-# in C order, is the node order of the arrays. Holding the arrays keeps their
-# ids from being reused.
+# arrays, their per-coordinate axes, the grid shape). The axes, time first,
+# are the 1-D nodes shaped to broadcast against each other; the grid they
+# broadcast to, raveled in C order, is the node order of the arrays. Holding
+# the arrays keeps their ids from being reused.
 _GRIDS = {}
 
 
@@ -75,9 +75,10 @@ def coordinates(args, dim: int):
     and the grid shape on a cached node set, else t, the first ``dim``
     columns of X and (N,). Values of that shape, raveled, are in the node
     order of ``args``."""
-    coords = grid_axes(args)
-    if coords is None:
-        coords = (*args[:-1], *args[-1][:, :dim].T)
+    entry = _GRIDS.get(tuple(map(id, args)))
+    if entry:
+        return entry[1:]
+    coords = (*args[:-1], *args[-1][:, :dim].T)
     return coords, np.broadcast_shapes(*(np.shape(c) for c in coords))
 
 
@@ -95,7 +96,7 @@ def space_nodes(dom: BoxDomain, rule: QuadratureRule):
         w = w * wm.ravel()
     X.setflags(write=False)
     w.setflags(write=False)
-    _GRIDS[(id(X),)] = ((X,), np.ix_(*(a[0] for a in axes)))
+    _GRIDS[(id(X),)] = ((X,), np.ix_(*(a[0] for a in axes)), mesh[0].shape)
     return X, w
 
 
@@ -114,7 +115,8 @@ def spacetime_nodes(dom: BoxDomain, rule: QuadratureRule):
     X.setflags(write=False)
     w.setflags(write=False)
     _GRIDS[(id(t), id(X))] = ((t, X), np.ix_(
-        tq, *(a.ravel() for a in grid_axes((Xs,)))))
+        tq, *(a.ravel() for a in grid_axes((Xs,)))),
+        (tq.shape[0], *_GRIDS[(id(Xs),)][2]))
     return t, X, w
 
 

@@ -18,8 +18,8 @@ from .elliptic import (POISSON_NONCONFORMING_WHICH, RD_NONCONFORMING_WHICH,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
                        rd_very_conforming_equality)
 from .fields import ConformityError
-from .manufactured import (KINDS, LEVELS, ProblemCase, flux_basis,
-                           free_fields, make_case, perturb)
+from .manufactured import (KINDS, LEVELS, ProblemCase, directions,
+                           flux_basis, free_fields, make_case, perturb)
 from .optimize import minimize_flux_majorant
 from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, trd_equality,
@@ -56,7 +56,9 @@ class Estimator(NamedTuple):
     hypotheses admit, ``family`` is the CLI command that selects it,
     ``record(case, spec, approx, rule)`` returns the record's fields,
     ``which`` lists the values its spec's ``which`` may take (none if empty)
-    and its spec's ``gamma`` must exceed ``gamma_above``."""
+    and its spec's ``gamma`` must exceed ``gamma_above``. A ``per_case``
+    estimator ignores the approximation, so the runner computes its fields
+    once per case and spec and gives them to each of its records."""
 
     kinds: Tuple[str, ...]
     levels: Tuple[str, ...]
@@ -64,6 +66,7 @@ class Estimator(NamedTuple):
     record: Callable[..., dict]
     which: Tuple[str, ...] = ()
     gamma_above: float = 0.0
+    per_case: bool = False
 
 
 def _cf(case: ProblemCase) -> float:
@@ -113,8 +116,8 @@ def _optimize_majorant(case, spec, approx, rule) -> dict:
 
 # The one declaration of every estimator. Adapters look the estimator
 # functions up as module globals at call time, so rebinding them (for
-# monkeypatching or tracing) reaches the runner. Isometry checks take no
-# approximation and accept any level.
+# monkeypatching or tracing) reaches the runner. Isometry checks and the
+# Friedrichs record take no approximation and accept any level.
 _ALL_LEVELS = tuple(LEVELS)
 _CONFORMING = ("very_conforming", "conforming_mixed")
 _EQ, _BOUNDS = "verify-equality", "verify-bounds"
@@ -165,12 +168,13 @@ ESTIMATORS: Dict[str, Estimator] = {
     "trd_isometry_check": Estimator(
         ("TRD",), _ALL_LEVELS, _EQ,
         lambda case, spec, approx, rule:
-            trd_isometry_check(case, rule).to_record()),
+            trd_isometry_check(case, rule).to_record(), per_case=True),
     "heat_isometry_check": Estimator(
         ("Heat",), _ALL_LEVELS, _EQ,
         lambda case, spec, approx, rule:
-            heat_isometry_check(case, rule).to_record()),
-    "friedrichs": Estimator(KINDS, _ALL_LEVELS, "friedrichs", _friedrichs),
+            heat_isometry_check(case, rule).to_record(), per_case=True),
+    "friedrichs": Estimator(KINDS, _ALL_LEVELS, "friedrichs", _friedrichs,
+                            per_case=True),
     "optimize_majorant": Estimator(
         ("RD", "Poisson"), _CONFORMING, "optimize-majorant",
         _optimize_majorant),
@@ -184,7 +188,18 @@ def run(config: RunConfig) -> RunReport:
     completes. A record "passes" when its equality residual is within
     config.equality_rel and any bound ordering holds within config.bound_slack.
     A case that ``make_case`` rejects raises ConfigError before any record.
+    Perturbation directions are built once per box and seed, and a
+    ``per_case`` estimator runs once per case and spec; neither outlives
+    the run.
     """
+    directions.cache_clear()
+    try:
+        return RunReport(records=_run_records(config))
+    finally:
+        directions.cache_clear()
+
+
+def _run_records(config: RunConfig) -> List[dict]:
     rule = QuadratureRule(space_order=config.space_order,
                           time_order=config.time_order)
     records: List[dict] = []
@@ -198,9 +213,10 @@ def run(config: RunConfig) -> RunReport:
             raise ConfigError(f"cases[{i}] ({cs.label}): 'solution' "
                               f"{cs.solution!r} rejected: {exc}") from exc
     for cs, case in cases:
+        per_case: Dict[int, dict] = {}  # estimator index -> its fields
         for ap in config.approximations:
             approx = perturb(case, ap.level, ap.epsilon, ap.seed)
-            for est in config.estimators:
+            for i, est in enumerate(config.estimators):
                 entry = ESTIMATORS[est.name]
                 if cs.kind not in entry.kinds or ap.level not in entry.levels:
                     continue
@@ -208,15 +224,25 @@ def run(config: RunConfig) -> RunReport:
                        "epsilon": ap.epsilon, "seed": ap.seed,
                        "estimator": est.name, "status": "ok", "error": ""}
                 t0 = time.perf_counter()
-                try:
-                    rec.update(entry.record(case, est, approx, rule))
-                except Exception as exc:  # captured, batch continues
-                    rec["status"] = "error"
-                    rec["error"] = f"{type(exc).__name__}: {exc}"
+                if not entry.per_case:
+                    rec.update(_fields(entry, case, est, approx, rule))
+                else:
+                    if i not in per_case:
+                        per_case[i] = _fields(entry, case, est, approx, rule)
+                    rec.update(per_case[i])
                 rec["wall_time_s"] = time.perf_counter() - t0
                 rec["passed"] = _record_passes(rec, config)
                 records.append(rec)
-    return RunReport(records=records)
+    return records
+
+
+def _fields(entry: Estimator, case, spec, approx, rule) -> dict:
+    """The fields the estimator gives its record; an exception becomes the
+    record's status and error, and the batch continues."""
+    try:
+        return entry.record(case, spec, approx, rule)
+    except Exception as exc:
+        return {"status": "error", "error": f"{type(exc).__name__}: {exc}"}
 
 
 def _record_passes(rec: dict, config: RunConfig) -> bool:

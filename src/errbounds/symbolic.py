@@ -28,21 +28,33 @@ CONSTANTS = {"pi": sp.pi, "E": sp.E}
 FUNCTIONS = {f.__name__: f for f in (
     sp.exp, sp.log, sp.sqrt, sp.sin, sp.cos, sp.tan, sp.asin, sp.acos,
     sp.atan, sp.sinh, sp.cosh, sp.tanh)}
-# sympy evaluates a rational power of a rational number eagerly, in time
-# that grows with the size of the result: above this many bits it is refused
-_POWER_BITS = 10_000
+# sympy evaluates arithmetic on rational numbers eagerly, in time that grows
+# with the size of the result: a number of more than this many bits, or a
+# power that would build one, is refused
+_NUMBER_BITS = 10_000
 
 
 class SolutionError(ValueError):
     """Solution text outside the grammar of :func:`parse`."""
 
 
+def _bits(expr) -> float:
+    """log2 of the larger of the numerator and the denominator of the
+    rational coefficient of ``expr`` (its ``as_coeff_Mul``); 0 if none."""
+    coeff = expr.as_coeff_Mul()[0]
+    if not isinstance(coeff, sp.Rational):
+        return 0.0
+    return math.log2(max(abs(coeff.p), coeff.q))
+
+
+def _too_large():
+    return SolutionError(f"builds a number of more than {_NUMBER_BITS} bits")
+
+
 def _power(base, exponent):
-    if (isinstance(base, sp.Rational) and isinstance(exponent, sp.Rational)
-            and abs(exponent) * math.log2(max(abs(base.p), base.q))
-            > _POWER_BITS):
-        raise SolutionError(f"raises {base} to the power {exponent}, a "
-                            f"number of more than {_POWER_BITS} bits")
+    if (isinstance(exponent, sp.Rational)
+            and abs(exponent) * _bits(base) > _NUMBER_BITS):
+        raise _too_large()
     return base ** exponent
 
 
@@ -65,6 +77,12 @@ def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
     names = {**{str(s): s for s in coords}, **CONSTANTS}
 
     def build(node):
+        value = build_node(node)
+        if _bits(value) > _NUMBER_BITS:
+            raise _too_large()
+        return value
+
+    def build_node(node):
         if isinstance(node, ast.Constant) and type(node.value) in (int, float):
             return (sp.Integer(node.value) if type(node.value) is int
                     else sp.Float(ast.get_source_segment(text, node)))

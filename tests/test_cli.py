@@ -158,6 +158,78 @@ def test_run_captures_record_errors(monkeypatch):
     assert report.exit_code == 1
 
 
+def _hex(value):
+    return value.hex() if isinstance(value, float) else value
+
+
+def test_per_case_records_equal_direct_checks():
+    import errbounds.runner as runner_mod
+    from errbounds import make_case
+    from errbounds.parabolic import heat_isometry_check, trd_isometry_check
+
+    assert {n for n, e in runner_mod.ESTIMATORS.items() if e.per_case} == {
+        "trd_isometry_check", "heat_isometry_check", "friedrichs"}
+    config = default_suite_config(n_seeds=2)
+    rule = runner_mod.QuadratureRule(config.space_order, config.time_order)
+    checks = {"trd_isometry_check": trd_isometry_check,
+              "heat_isometry_check": heat_isometry_check}
+    direct = {}
+    for cs in config.cases:
+        case = make_case(cs.kind, cs.domain(), cs.solution, cs.f_scale)
+        for name, check in checks.items():
+            if cs.kind in runner_mod.ESTIMATORS[name].kinds:
+                direct[cs.label, name] = check(case, rule).to_record()
+    shared = [r for r in run(config).records if r["estimator"] in checks]
+    assert len(shared) == 12
+    for rec in shared:
+        fields = direct[rec["case"], rec["estimator"]]
+        assert list(rec)[8:-2] == list(fields)
+        assert {k: _hex(rec[k]) for k in fields} == {
+            k: _hex(v) for k, v in fields.items()}
+        assert rec["status"] == "ok" and rec["passed"]
+
+
+def test_per_case_estimator_error_is_shared(monkeypatch):
+    # a per-case estimator that raises runs once per case, and each of its
+    # records carries that one error
+    import errbounds.runner as runner_mod
+
+    calls = []
+
+    def boom(case, spec, approx, rule):
+        calls.append(case.kind)
+        raise RuntimeError(f"synthetic failure {len(calls)}")
+
+    for name in ("trd_isometry_check", "friedrichs"):
+        entry = runner_mod.ESTIMATORS[name]
+        monkeypatch.setitem(runner_mod.ESTIMATORS, name,
+                            entry._replace(record=boom))
+    doc = json.loads(json.dumps(MINIMAL))
+    doc["cases"].append({"kind": "TRD", "lower": [0.0], "upper": [1.0],
+                         "T": 1.0, "solution": "exp(-t)*sin(pi*x)"})
+    doc["approximations"] = [{"level": "conforming_mixed", "epsilon": eps,
+                              "seed": seed} for eps in (0.1, 1.0)
+                             for seed in (0, 1)]
+    doc["estimators"] = [{"name": "friedrichs"}, {"name": "rd_equality"},
+                         {"name": "trd_isometry_check"}]
+    report = run(parse_config(json.dumps(doc)))
+    assert calls == ["RD", "TRD", "TRD"]
+    errors = {}
+    for rec in report.records:
+        if rec["estimator"] == "rd_equality":
+            assert rec["status"] == "ok"
+            continue
+        assert rec["status"] == "error" and not rec["passed"]
+        assert "wall_time_s" in rec
+        errors.setdefault((rec["kind"], rec["estimator"]), set()).add(
+            rec["error"])
+    assert errors == {
+        ("RD", "friedrichs"): {"RuntimeError: synthetic failure 1"},
+        ("TRD", "friedrichs"): {"RuntimeError: synthetic failure 2"},
+        ("TRD", "trd_isometry_check"): {"RuntimeError: synthetic failure 3"}}
+    assert len(report.records) == 4 * 4
+
+
 @pytest.mark.parametrize("fields", [
     {"rel_residual": math.nan},
     {"true_total": math.nan, "lower_bound": 0.0, "upper_bound": 1.0},

@@ -9,16 +9,19 @@ from errbounds import (
     BoxDomain,
     ConformityError,
     QuadratureRule,
+    default_suite_config,
     flux_basis,
     free_fields,
     make_case,
     norm_sq,
     perturb,
     rd_equality,
+    run,
     scalar_field,
     vector_field,
 )
-from errbounds.manufactured import _random_trig
+from errbounds import manufactured
+from errbounds.manufactured import _random_trig, directions
 from errbounds.quadrature import grid_axes, space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
@@ -187,6 +190,71 @@ def test_perturbations_normalized():
     ap = perturb(case, "conforming_mixed", 1.0, 11)
     diff = ap.u_tilde - case.exact_u
     assert norm_sq("L2", diff, DOM1, RULE) == pytest.approx(1.0, rel=1e-10)
+
+
+def test_directions_built_once_per_box_and_seed_per_run(monkeypatch):
+    # the suite's 4 cases share 2 boxes and its 30 approximations 10 seeds
+    builds = []
+    build = manufactured._build_directions
+
+    def counting(dom, seed):
+        builds.append((dom, seed))
+        return build(dom, seed)
+
+    monkeypatch.setattr(manufactured, "_build_directions", counting)
+    config = default_suite_config()
+    for _ in range(2):
+        del builds[:]
+        run(config)
+        assert len(builds) == len(set(builds)) == 20
+        assert {seed for _, seed in builds} == set(range(10))
+        assert directions.cache_info().currsize == 0
+
+
+def test_perturb_reuses_directions_bitwise():
+    # RD and Poisson on one box draw one set of directions, and a pair
+    # built from it equals one built afresh, bit for bit
+    X = space_nodes(DOM1, RULE)[0]
+    grid = [(case, scale) for case in (make_case("RD", DOM1, "sin(pi*x)"),
+                                       make_case("Poisson", DOM1, "sin(pi*x)"))
+            for scale in (0.1, 1.0)]
+    directions.cache_clear()
+    try:
+        pairs = [perturb(case, "conforming_mixed", scale, 4)
+                 for case, scale in grid]
+        assert directions.cache_info().misses == 1
+        for (case, scale), cached in zip(grid, pairs):
+            directions.cache_clear()
+            again = perturb(case, "conforming_mixed", scale, 4)
+            assert np.array_equal(cached.u_tilde.value(X), again.u_tilde.value(X))
+            assert np.array_equal(cached.p_tilde.value(X), again.p_tilde.value(X))
+    finally:
+        directions.cache_clear()
+
+
+def test_time_factor_memo_is_bounded():
+    # only the time axis of a cached node set is memoised: repeated grid
+    # evaluations and the column path of an at_time slice add nothing
+    case = make_case("Heat", TDOM, "(1+t)*sin(pi*x)")
+    args = spacetime_nodes(TDOM, RULE)[:2]
+    X = space_nodes(TDOM, RULE)[0]
+    directions.cache_clear()
+    try:
+        ap = perturb(case, "very_conforming", 0.1, 2)
+        ts = directions(TDOM, 2).conforming
+        ap.u_tilde.dt(*args)
+        ap.p_tilde.value(*args)
+        size = len(ts._tmemo)
+        assert size == 2 * len(ts.coefs)
+        sliced = ap.u_tilde.at_time(0.5)
+        first = sliced.value(X)
+        for _ in range(50):
+            assert np.array_equal(sliced.value(X), first)
+            sliced.grad(X)
+            ap.u_tilde.value(*args)
+        assert len(ts._tmemo) == size
+    finally:
+        directions.cache_clear()
 
 
 # Grid path: on a cached node set every primitive is evaluated on the 1-D

@@ -103,8 +103,14 @@ def test_parse_rejects_text_outside_the_grammar(text, expected):
         parse(text, 1, False)
 
 
-@pytest.mark.parametrize("text", ["9**9**7*sin(pi*x)", "2**-10001*sin(pi*x)",
-                                  "(2/3)**9000*sin(pi*x)"])
+# a product of allowed powers whose coefficient grows past the bound
+_LARGE_PRODUCT = "x*" + "*".join(["10**3000"] * 300)
+
+
+@pytest.mark.parametrize("text", [
+    "9**9**7*sin(pi*x)", "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)",
+    "(x*10**3000)**4*sin(pi*x)",
+    pytest.param(_LARGE_PRODUCT, id="x*10**3000*...*10**3000")])
 def test_large_literal_powers_are_refused_quickly(tmp_path, capsys, text):
     start = time.perf_counter()
     with pytest.raises(SolutionError, match="more than 10000 bits"):
@@ -117,7 +123,8 @@ def test_large_literal_powers_are_refused_quickly(tmp_path, capsys, text):
 
 
 @pytest.mark.parametrize("text", ["2**10*sin(pi*x)", "(2/3)**5*sin(pi*x)",
-                                  "2**0.5*sin(pi*x)", "2**10000*sin(pi*x)"])
+                                  "2**0.5*sin(pi*x)", "2**10000*sin(pi*x)",
+                                  "10**3000*sin(pi*x)"])
 def test_small_literal_powers_equal_sympy(text):
     assert parse(text, 1) == sp.sympify(text)
 
@@ -155,7 +162,8 @@ _DELIBERATELY_INVALID = {"sin(pi*", "sin(pi*w)", "g(x)*sin(pi*x)", "x > 0",
                          "[1]", "sin(x, x)", "sin(pi*w)*g(x)", "sin",
                          "sin(x=1)", "sin(*[x])", "2j*x", "'x'",
                          "x if x else 1", "x(1)", "9**9**7*sin(pi*x)",
-                         "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)"}
+                         "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)",
+                         "(x*10**3000)**4*sin(pi*x)"}
 _SOLUTION_CALLS = {"make_case", "scalar_field", "vector_field",
                    "gradient_field"}
 _SOLUTION_PARAMS = {"solution", "expr", "u_expr", "text"}
