@@ -19,12 +19,10 @@ from .manufactured import (KINDS, LEVELS, PARABOLIC_KINDS, ApproxPair,
 from .optimize import (combine_vector_fields, improve_bound,
                        minimize_flux_majorant, optimal_gamma)
 from .parabolic import (heat_isometry_check, heat_two_sided,
-                        heat_very_conforming_equality, omega_identity_check,
-                        trd_equality, trd_isometry_check,
-                        trd_very_conforming_equality)
+                        heat_very_conforming_equality, trd_equality,
+                        trd_isometry_check, trd_very_conforming_equality)
 from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
-                         partint_residual, space_nodes, spacetime_nodes,
-                         timecross_check, trace_norm_sq)
+                         space_nodes, spacetime_nodes, trace_norm_sq)
 from .reports import BoundReport, EqualityReport, relative_residual
 from .runner import RunReport, emit, read_report, run
 from .symbolic import gradient_field, scalar_field, vector_field
@@ -42,14 +40,12 @@ __all__ = [
     "friedrichs_constant", "friedrichs_margin", "gradient_field",
     "heat_isometry_check", "heat_two_sided", "heat_very_conforming_equality",
     "improve_bound", "l2_gram", "l2_inner", "make_case",
-    "minimize_flux_majorant", "norm_sq", "omega_identity_check",
-    "optimal_gamma", "parse_config",
-    "partint_residual", "perturb", "poisson_nonconforming",
+    "minimize_flux_majorant", "norm_sq", "optimal_gamma", "parse_config",
+    "perturb", "poisson_nonconforming",
     "poisson_two_sided", "poisson_very_conforming_equality", "rd_equality",
     "rd_nonconforming_bounds", "rd_semiconforming_bounds",
     "rd_very_conforming_equality", "read_report", "relative_residual", "run",
-    "scalar_field", "space_nodes", "spacetime_nodes", "timecross_check",
-    "trace_norm_sq", "trd_equality", "trd_isometry_check",
-    "trd_very_conforming_equality", "two_sided_prefactors", "vector_field",
-    "zero_scalar", "zero_vector",
+    "scalar_field", "space_nodes", "spacetime_nodes", "trace_norm_sq",
+    "trd_equality", "trd_isometry_check", "trd_very_conforming_equality",
+    "two_sided_prefactors", "vector_field", "zero_scalar", "zero_vector",
 ]

@@ -12,7 +12,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import NamedTuple, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -86,11 +86,17 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
 # ---------------------------------------------------------------------------
 
 def _modes(dim: int, n: int):
-    """First n spatial mode tuples, ordered deterministically."""
-    upper = max(2, int(math.ceil(n ** (1.0 / dim))) + 2)
-    all_modes = sorted(itertools.product(range(1, upper + 1), repeat=dim),
-                       key=lambda m: (sum(m), m))
-    return all_modes[:n]
+    """First n spatial mode tuples of positive integers, ordered by their
+    sum and then lexicographically, so the first n are the first n of any
+    longer list."""
+    # comb(s, dim) tuples have a sum of at most s; none has a part above
+    # s - dim + 1
+    s = dim
+    while math.comb(s, dim) < n:
+        s += 1
+    candidates = itertools.product(range(1, s - dim + 2), repeat=dim)
+    return sorted((m for m in candidates if sum(m) <= s),
+                  key=lambda m: (sum(m), m))[:n]
 
 
 class _TrigSum:
@@ -262,19 +268,31 @@ def _flux_noise(dom: BoxDomain, rng) -> VectorField:
     return field
 
 
-class Directions(NamedTuple):
+class Directions:
     """The seeded perturbation directions of one box: normalised
-    conforming and non-conforming scalar sums and the flux noise."""
+    conforming and non-conforming scalar sums and the flux noise. The
+    non-conforming sum is drawn with the others, so the draws keep their
+    order, but normalised only when first asked for."""
 
-    conforming: _TrigSum
-    nonconforming: _TrigSum
-    flux: VectorField
+    def __init__(self, conforming: _TrigSum, nonconforming: _TrigSum,
+                 flux: VectorField):
+        self.conforming = conforming
+        self._nonconforming = nonconforming
+        self._scaled = False
+        self.flux = flux
+
+    @property
+    def nonconforming(self) -> _TrigSum:
+        if not self._scaled:
+            _normalized(self._nonconforming)
+            self._scaled = True
+        return self._nonconforming
 
 
 def _build_directions(dom: BoxDomain, seed: int) -> Directions:
     rng = np.random.default_rng(seed)
     conforming = _normalized(_random_trig(dom, rng))
-    nonconforming = _normalized(_random_trig(dom, rng, nonconforming=True))
+    nonconforming = _random_trig(dom, rng, nonconforming=True)
     return Directions(conforming, nonconforming, _flux_noise(dom, rng))
 
 
@@ -297,9 +315,9 @@ def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPai
         raise ValueError(f"unknown approximation level: {level!r}")
     if scale < 0:
         raise ValueError("scale must be non-negative")
-    du_sum, du_nc_sum, dp = directions(case.dom, seed)
+    dirs = directions(case.dom, seed)
+    du_sum, dp = dirs.conforming, dirs.flux
     du_conf = du_sum.scalar_field()
-    du_nc = du_nc_sum.scalar_field()
 
     u, p = case.exact_u, case.exact_p
     if level == "very_conforming":
@@ -314,10 +332,10 @@ def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPai
                                                boundary_flag=True)
         p_t = (p + scale * dp).restricted()
     elif level == "semi_conforming_dual":
-        u_t = (u + scale * du_nc).restricted()
+        u_t = (u + scale * dirs.nonconforming.scalar_field()).restricted()
         p_t = p + scale * dp
     else:  # non_conforming
-        u_t = (u + scale * du_nc).restricted()
+        u_t = (u + scale * dirs.nonconforming.scalar_field()).restricted()
         p_t = (p + scale * dp).restricted()
     return ApproxPair(u_t, p_t, level)
 
@@ -341,13 +359,20 @@ def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):
     raise ValueError(f"unknown free-field strategy: {strategy!r}")
 
 
-def flux_basis(dom: BoxDomain, n: int):
-    """Nested div-conforming flux basis: gradients of the first n sine modes."""
+# box -> the fields of its nested flux basis built so far; runner.run clears
+# it on entry and on exit, like the directions
+FLUX_BASES: Dict[BoxDomain, List[VectorField]] = {}
+
+
+def flux_basis(dom: BoxDomain, n: int) -> List[VectorField]:
+    """Nested div-conforming flux basis: gradients of the first n sine
+    modes, the first n fields of one list per box (see ``FLUX_BASES``), so
+    bases of every size on one box share their field objects."""
     if n < 1:
         raise ValueError("basis size must be positive")
+    fields = FLUX_BASES.setdefault(dom, [])
     tpoly = [np.array([1.0])]
-    out = []
-    for mode in _modes(dom.dim, n):
+    for mode in _modes(dom.dim, n)[len(fields):]:
         ts = _TrigSum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
-        out.append(ts.gradient_field())
-    return out
+        fields.append(ts.gradient_field())
+    return fields[:n]

@@ -35,25 +35,6 @@ def heat_isometry_check(case: ProblemCase, rule: QuadratureRule) -> EqualityRepo
                                rule)})
 
 
-def omega_identity_check(w: ScalarField, omega: float, dom, rule: QuadratureRule) -> float:
-    """Relative residual of the expansion of ||(dt - lap + omega) w||^2 into
-    norms plus time traces; omega = 1 and 0 give the two isometry norms."""
-    _require(w.vanishes_on_boundary, "w must vanish on the mantle boundary")
-    T = dom.time_horizon
-    lhs = norm_sq("L2", w.dt_field() - w.laplacian_field() + omega * w, dom, rule)
-    rhs = math.fsum([
-        norm_sq("L2", w.dt_field(), dom, rule),
-        omega ** 2 * norm_sq("L2", w, dom, rule),
-        2.0 * omega * norm_sq("L2", w.gradient_field(), dom, rule),
-        norm_sq("L2", w.laplacian_field(), dom, rule),
-        trace_norm_sq(w, T, "gradient", dom, rule),
-        -trace_norm_sq(w, 0.0, "gradient", dom, rule),
-        omega * trace_norm_sq(w, T, "value", dom, rule),
-        -omega * trace_norm_sq(w, 0.0, "value", dom, rule),
-    ])
-    return relative_residual(lhs, rhs)
-
-
 def trd_equality(case: ProblemCase, approx: ApproxPair,
                  rule: QuadratureRule) -> EqualityReport:
     """Mixed space-time error equality for dt - lap + 1."""

@@ -4,8 +4,11 @@ Norms and single inner products reduce through a correctly rounded sum,
 equal to :func:`math.fsum` bit for bit (see :func:`_fsum`), so they are
 deterministic to the last bit regardless of how callers batch their work.
 :func:`l2_gram` trades it for one sequential weighted sum per entry, which
-is as deterministic but rounds differently. Fields evaluate on the cached
-node sets through the per-coordinate axes of :func:`grid_axes`.
+is as deterministic but rounds differently: one kernel,
+:func:`weighted_gram`, contracts the flat sample rows of :func:`samples`
+for both ranks, a vector row carrying the node weights repeated per
+component. Fields evaluate on the cached node sets through the
+per-coordinate axes of :func:`grid_axes`.
 """
 from __future__ import annotations
 
@@ -15,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fields import BoxDomain, ConformityError, ScalarField, VectorField
+from .fields import BoxDomain, ScalarField, VectorField
 
 
 @dataclasses.dataclass(frozen=True)
@@ -175,52 +178,77 @@ def _quad_args(dom: BoxDomain, rule: QuadratureRule):
     return (X,), w
 
 
+def samples(fields, dom: BoxDomain, rule: QuadratureRule):
+    """The values of ``fields``, all of one rank, at the nodes of ``dom``,
+    one flat row per field, and the weights of a row's entries.
+
+    A row is the field's values in node order, a vector field's ``(N, d)``
+    values raveled so that a node's components are adjacent; its weights
+    are the node weights, repeated per component for vectors. So
+    :func:`weighted_gram` contracts rows of both ranks alike.
+    """
+    if not fields:
+        raise ValueError("need a nonempty field list")
+    scalar = isinstance(fields[0], ScalarField)
+    for f in fields:
+        if isinstance(f, ScalarField) != scalar:
+            raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
+        _check_domain_match(f, dom)
+    args, w = _quad_args(dom, rule)
+    width = 1 if scalar else dom.dim
+    rows = np.empty((len(fields), w.shape[0] * width))
+    for i, f in enumerate(fields):
+        rows[i] = f.value(*args).ravel()
+    return rows, (w if scalar else np.repeat(w, width))
+
+
+def weighted_gram(L: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``G[i, j] = sum_k (L[i, k] * R[j, k]) * w[k]`` over sample rows of
+    one rank and their weights (see :func:`samples`).
+
+    One einsum without BLAS: every entry is a sequential sum over the row
+    in a fixed order, so it does not depend on how many rows either side
+    has or on the thread count, and ``(l * r) * w`` makes ``G`` exactly
+    symmetric when ``R is L``.
+    """
+    return np.einsum("ik,jk,k->ij", L, R, w)
+
+
+def sampled_inner(va: np.ndarray, vb: np.ndarray, w: np.ndarray) -> float:
+    """The L2 inner product of two fields from their values at the nodes,
+    ``(N,)`` for scalars or ``(N, d)`` for vectors, and the node weights:
+    the correctly rounded sum of :func:`l2_inner`."""
+    prod = va * vb if va.ndim == 1 else np.einsum("ij,ij->i", va, vb)
+    return _fsum(prod * w)
+
+
 def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
     """L2 inner product over the box (or the space-time cylinder)."""
-    scalar = isinstance(a, ScalarField)
-    if scalar != isinstance(b, ScalarField):
+    if isinstance(a, ScalarField) != isinstance(b, ScalarField):
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
     _check_domain_match(a, dom)
     _check_domain_match(b, dom)
     args, w = _quad_args(dom, rule)
     va = a.value(*args)
     vb = va if b is a else b.value(*args)
-    if scalar:
-        prod = va * vb
-    else:
-        prod = np.einsum("ij,ij->i", va, vb)
-    return _fsum(prod * w)
+    return sampled_inner(va, vb, w)
 
 
 def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:
     """Matrix of L2 inner products ``<left[i], right[j]>``.
 
-    Each field is evaluated once into one stacked array (shared when
-    ``right is left``), which a single einsum contracts with the weights.
-    Without BLAS, every entry is a sequential sum over the nodes in a fixed
-    order: it does not depend on the list lengths or the thread count, and
-    ``(l * r) * w`` makes the matrix of ``l2_gram(f, f)`` exactly symmetric.
-    Entries agree with :func:`l2_inner` to rounding, not to the last bit.
+    Each field is evaluated once into the rows of :func:`samples` (shared
+    when ``right is left``), which :func:`weighted_gram` contracts with the
+    weights repeated per component: one kernel for both ranks. Entries
+    agree with :func:`l2_inner` to rounding, not to the last bit.
     """
     if not left or not right:
         raise ValueError("l2_gram needs nonempty field lists")
-    scalar = isinstance(left[0], ScalarField)
-    for f in (*left, *right):
-        if isinstance(f, ScalarField) != scalar:
-            raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-        _check_domain_match(f, dom)
-    args, w = _quad_args(dom, rule)
-
-    def stacked(fields):
-        shape = (len(fields), w.shape[0]) + (() if scalar else (dom.dim,))
-        out = np.empty(shape)
-        for i, f in enumerate(fields):
-            out[i] = f.value(*args)
-        return out
-
-    L = stacked(left)
-    R = L if right is left else stacked(right)
-    return np.einsum("ik,jk,k->ij" if scalar else "ikc,jkc,k->ij", L, R, w)
+    if isinstance(left[0], ScalarField) != isinstance(right[0], ScalarField):
+        raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
+    L, w = samples(left, dom, rule)
+    R = L if right is left else samples(right, dom, rule)[0]
+    return weighted_gram(L, R, w)
 
 
 def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:
@@ -278,23 +306,3 @@ def trace_norm_sq(w, at: float, variant: str, dom: BoxDomain,
     if v == "h1":
         return norm_sq("H1", sliced, space, rule)
     raise ValueError(f"unknown trace variant: {variant!r}")
-
-
-def timecross_check(w, dom: BoxDomain, rule: QuadratureRule) -> float:
-    """Residual of 2<dt w, w> = ||w(T)||^2 - ||w(0)||^2."""
-    if not dom.is_parabolic:
-        raise ValueError("timecross identity requires a space-time domain")
-    pairing = 2.0 * l2_inner(w.dt_field(), w, dom, rule)
-    lhs_T = trace_norm_sq(w, dom.time_horizon, "value", dom, rule)
-    lhs_0 = trace_norm_sq(w, 0.0, "value", dom, rule)
-    return abs(pairing - lhs_T + lhs_0)
-
-
-def partint_residual(u: ScalarField, psi: VectorField, dom: BoxDomain,
-                     rule: QuadratureRule) -> float:
-    """Residual of the integration-by-parts identity <grad u, psi> = -<u, div psi>."""
-    if not u.vanishes_on_boundary:
-        raise ConformityError("u must vanish on the boundary")
-    lhs = l2_inner(u.gradient_field(), psi, dom, rule)
-    rhs = l2_inner(u, psi.div_field(), dom, rule)
-    return abs(lhs + rhs)

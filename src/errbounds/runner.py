@@ -18,9 +18,10 @@ from .elliptic import (POISSON_NONCONFORMING_WHICH, RD_NONCONFORMING_WHICH,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
                        rd_very_conforming_equality)
 from .fields import ConformityError
-from .manufactured import (KINDS, LEVELS, ProblemCase, directions,
-                           flux_basis, free_fields, make_case, perturb)
-from .optimize import minimize_flux_majorant
+from .manufactured import (FLUX_BASES, KINDS, LEVELS, ProblemCase,
+                           directions, flux_basis, free_fields, make_case,
+                           perturb)
+from .optimize import BASIS_GRAMS, minimize_flux_majorant
 from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, trd_equality,
                         trd_isometry_check, trd_very_conforming_equality)
@@ -188,15 +189,22 @@ def run(config: RunConfig) -> RunReport:
     completes. A record "passes" when its equality residual is within
     config.equality_rel and any bound ordering holds within config.bound_slack.
     A case that ``make_case`` rejects raises ConfigError before any record.
-    Perturbation directions are built once per box and seed, and a
-    ``per_case`` estimator runs once per case and spec; neither outlives
-    the run.
+    Perturbation directions are built once per box and seed, the flux
+    basis and its samples and Gram blocks once per box (and rule), and a
+    ``per_case`` estimator runs once per case and spec; none outlives the
+    run.
     """
-    directions.cache_clear()
+    _clear_run_memos()
     try:
         return RunReport(records=_run_records(config))
     finally:
-        directions.cache_clear()
+        _clear_run_memos()
+
+
+def _clear_run_memos():
+    directions.cache_clear()
+    FLUX_BASES.clear()
+    BASIS_GRAMS.clear()
 
 
 def _run_records(config: RunConfig) -> List[dict]:

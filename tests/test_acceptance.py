@@ -23,7 +23,6 @@ from errbounds import (
     make_case,
     minimize_flux_majorant,
     norm_sq,
-    omega_identity_check,
     optimal_gamma,
     perturb,
     poisson_nonconforming,
@@ -39,6 +38,7 @@ from errbounds import (
     trd_very_conforming_equality,
 )
 from errbounds.cli import main as cli_main
+from test_parabolic import omega_identity_check
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))

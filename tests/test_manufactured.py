@@ -21,7 +21,7 @@ from errbounds import (
     vector_field,
 )
 from errbounds import manufactured
-from errbounds.manufactured import _random_trig, directions
+from errbounds.manufactured import _modes, _random_trig, directions
 from errbounds.quadrature import grid_axes, space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
@@ -185,6 +185,18 @@ def test_flux_basis_nested_and_div_conforming():
         flux_basis(DOM1, 0)
 
 
+def test_modes_of_a_shorter_basis_begin_a_longer_one():
+    # ordered by sum, then lexicographically: 2-D from 46 modes and 3-D
+    # from 57 on once drew from too small a box of candidates
+    for dim in (1, 2, 3):
+        longest = _modes(dim, 120)
+        assert longest == sorted(set(longest), key=lambda m: (sum(m), m))
+        assert all(min(m) >= 1 for m in longest)
+        for n in range(1, 120):
+            assert _modes(dim, n) == longest[:n]
+    assert _modes(2, 4) == [(1, 1), (1, 2), (2, 1), (1, 3)]
+
+
 def test_perturbations_normalized():
     case = make_case("RD", DOM1, "sin(pi*x)")
     ap = perturb(case, "conforming_mixed", 1.0, 11)
@@ -209,6 +221,35 @@ def test_directions_built_once_per_box_and_seed_per_run(monkeypatch):
         assert len(builds) == len(set(builds)) == 20
         assert {seed for _, seed in builds} == set(range(10))
         assert directions.cache_info().currsize == 0
+
+
+def test_nonconforming_direction_normalised_on_first_use(monkeypatch):
+    calls = []
+    normalized = manufactured._normalized
+
+    def counting(ts):
+        calls.append(ts)
+        return normalized(ts)
+
+    monkeypatch.setattr(manufactured, "_normalized", counting)
+    # the suite's 20 direction sets normalise the conforming sum and the
+    # flux noise; no level of it asks for the non-conforming sum
+    run(default_suite_config())
+    assert len(calls) == 40
+    case = make_case("RD", DOM1, "sin(pi*x)")
+    del calls[:]
+    directions.cache_clear()
+    try:
+        pairs = [perturb(case, level, 1.0, 5) for level in
+                 ("conforming_mixed", "semi_conforming_dual",
+                  "non_conforming")]
+        assert len(calls) == 3
+        for ap in pairs:
+            diff = ap.u_tilde - case.exact_u
+            assert norm_sq("L2", diff, DOM1, RULE) == pytest.approx(
+                1.0, rel=1e-10)
+    finally:
+        directions.cache_clear()
 
 
 def test_perturb_reuses_directions_bitwise():

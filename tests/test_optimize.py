@@ -1,3 +1,4 @@
+import json
 import math
 from collections import Counter
 
@@ -14,13 +15,17 @@ from errbounds import (
     flux_basis,
     free_fields,
     improve_bound,
+    l2_gram,
     make_case,
     minimize_flux_majorant,
     norm_sq,
     optimal_gamma,
+    parse_config,
     perturb,
+    run,
     zero_vector,
 )
+from errbounds.quadrature import weighted_gram
 from test_quadrature import _counting
 
 RULE = QuadratureRule()
@@ -235,3 +240,162 @@ def test_combine_vector_fields_validation():
         combine_vector_fields(basis, [1.0])
     with pytest.raises(ValueError):
         combine_vector_fields([], [])
+
+
+# --------------------------------------------------------------------------
+# the basis samples and Gram blocks shared by a run's records
+# --------------------------------------------------------------------------
+
+DOM2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
+
+
+def _majorant_config():
+    """RD and Poisson on one box, each at basis sizes 4, 16 and 36."""
+    box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+    return parse_config(json.dumps({
+        "cases": [
+            {"kind": "RD", "solution": "sin(pi*x)*sin(pi*y)", "label": "rd",
+             **box},
+            {"kind": "Poisson", "solution": "sin(pi*x)*sin(2*pi*y)",
+             "label": "poisson", **box}],
+        "approximations": [
+            {"level": "conforming_mixed", "epsilon": 0.1, "seed": 3}],
+        "estimators": [{"name": "optimize_majorant", "basis_size": n}
+                       for n in (4, 16, 36)],
+    }))
+
+
+def test_run_samples_each_basis_field_and_gram_entry_once(monkeypatch):
+    from errbounds import optimize, runner
+
+    config = _majorant_config()
+    expected = [r["majorant"] for r in run(config).records]
+    counts = Counter()
+    counted = _counting_basis(DOM2, 36, counts)
+    # the nested basis of one box is one list
+    assert all(a is b for a, b in zip(flux_basis(DOM2, 4),
+                                      flux_basis(DOM2, 36)))
+    monkeypatch.setattr(runner, "flux_basis", lambda dom, n: counted[:n])
+    blocks = []  # rows contracted into the Gram blocks of the basis
+
+    def gram(L, R, w):
+        if np.shares_memory(L, R):
+            blocks.append(len(R))
+        return weighted_gram(L, R, w)
+
+    monkeypatch.setattr(optimize, "weighted_gram", gram)
+    report = run(config)
+    assert [r["majorant"] for r in report.records] == expected
+    assert counts == _once_each(36)
+    # row i of BB and of DD is contracted once, against rows 0..i
+    assert sorted(blocks) == sorted(2 * list(range(1, 37)))
+
+
+def test_run_memos_cleared_on_exit_even_when_a_record_raises(monkeypatch):
+    from errbounds import manufactured, optimize, runner
+
+    config = _majorant_config()
+    run(config)
+    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
+    real = runner.minimize_flux_majorant
+
+    def failing(*args, **kwargs):
+        real(*args, **kwargs)
+        raise RuntimeError("estimator failed")
+
+    monkeypatch.setattr(runner, "minimize_flux_majorant", failing)
+    report = run(config)
+    assert {r["status"] for r in report.records} == {"error"}
+    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
+    monkeypatch.setattr(runner, "minimize_flux_majorant", real)
+
+    def escaping(rec, config):
+        assert optimize.BASIS_GRAMS and manufactured.FLUX_BASES
+        raise RuntimeError("run interrupted")
+
+    monkeypatch.setattr(runner, "_record_passes", escaping)
+    with pytest.raises(RuntimeError, match="interrupted"):
+        run(config)
+    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
+
+
+def test_basis_gram_grows_read_only_blocks_equal_to_l2_gram():
+    from errbounds.optimize import BASIS_GRAMS, basis_gram
+
+    BASIS_GRAMS.clear()
+    basis = flux_basis(DOM2, 9)
+    divs = [b.div_field() for b in basis]
+    small = basis_gram(basis[:5], DOM2, RULE)
+    full = basis_gram(basis, DOM2, RULE)  # grown by four rows
+    head = basis_gram(basis[:3], DOM2, RULE)  # the leading block
+    assert len(BASIS_GRAMS) == 1
+    assert np.array_equal(full.BB, l2_gram(basis, basis, DOM2, RULE))
+    assert np.array_equal(full.DD, l2_gram(divs, divs, DOM2, RULE))
+    assert np.array_equal(full.BB[:5, :5], small.BB)
+    assert np.array_equal(full.DD[:3, :3], head.DD)
+    for gram in (small, full, head):
+        for block in gram[1:]:
+            assert not block.flags.writeable
+    with pytest.raises(ValueError):
+        full.BB[0, 0] = 0.0
+    BASIS_GRAMS.clear()
+
+
+def test_basis_gram_keeps_at_most_eight_boxes():
+    from errbounds.optimize import BASIS_GRAMS, basis_gram
+
+    BASIS_GRAMS.clear()
+    boxes = [BoxDomain((0.0,), (1.0 + k,)) for k in range(9)]
+    for box in boxes:
+        basis_gram(flux_basis(box, 2), box, RULE)
+    assert [key[0] for key in BASIS_GRAMS] == boxes[1:]
+    BASIS_GRAMS.clear()
+
+
+def test_improve_bound_and_majorant_match_pinned_values():
+    # float.hex of results computed before the Gram memo and the flat
+    # kernel: sharing samples and blocks moves no bit
+    dom2_rd = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y) + "
+                                    "sin(3*pi*x)*sin(pi*y)/3")
+    for case, kw, pinned in (
+            (RD_RICH, dict(budget=4, start_size=2),
+             [("0x1.605ff050d97fcp+9", "0x1.eaecaed1ff76ap+1"),
+              ("0x1.87c5bb6dfa18dp+4", "0x1.af47028c3a076p-3"),
+              ("0x1.3d614968196c9p+4", "0x1.43fd2977aa6e3p-4"),
+              ("0x1.3d2e27d267637p+4", "0x1.40cf0a7aefb0ep-4")]),
+            (dom2_rd, dict(budget=3),
+             [("0x1.b51f8b0637a7ep+8", "0x1.e41298e946813p+1"),
+              ("0x1.b50831d296cd9p+8", "0x1.e4cabd164f698p+1"),
+              ("0x1.b465278211aefp+8", "0x1.e87bed23becabp+1")])):
+        ap = perturb(case, "non_conforming", 0.3, 4)
+        phi, _ = free_fields(case, "coarse")
+        reports = improve_bound(case, ap, phi, RULE, **kw)
+        assert [(r.upper_bound.hex(), r.gamma.hex()) for r in reports] == pinned
+    poisson = make_case("Poisson", DOM2, "sin(pi*x)*sin(2*pi*y)")
+    for case, pinned in ((dom2_rd, ["0x1.11aef80218753p+8",
+                                    "0x1.71c5ed9f9957ap-2"]),
+                         (poisson, ["0x1.5e790acace89dp-2",
+                                    "0x1.5da75171e46e1p-2"])):
+        ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
+        assert [minimize_flux_majorant(case, ut, flux_basis(DOM2, n),
+                                       RULE)[1].hex()
+                for n in (4, 16)] == pinned
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    (dict(gamma0=0.0), "gamma0"), (dict(gamma0=-1.0), "gamma0"),
+    (dict(gamma0=math.nan), "gamma0"), (dict(gamma0=math.inf), "gamma0"),
+    (dict(start_size=0), "start_size")])
+def test_improve_bound_rejects_bad_input(kwargs, name):
+    ap = perturb(RD, "non_conforming", 0.2, 1)
+    phi, _ = free_fields(RD, "exact")
+    with pytest.raises(ValueError, match=name):
+        improve_bound(RD, ap, phi, RULE, **kwargs)
+
+
+@pytest.mark.parametrize("weights", [
+    (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (0.0, 0.0)])
+def test_minimize_flux_majorant_rejects_bad_weights(weights):
+    with pytest.raises(ValueError, match="weights"):
+        minimize_flux_majorant(RD, RD.exact_u, flux_basis(DOM1, 2), RULE,
+                               weights=weights)

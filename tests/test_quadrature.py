@@ -19,21 +19,39 @@ from errbounds import (
     l2_gram,
     l2_inner,
     norm_sq,
-    partint_residual,
     scalar_field,
     space_nodes,
     spacetime_nodes,
-    timecross_check,
     trace_norm_sq,
     vector_field,
 )
 from errbounds.manufactured import _random_trig
-from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum
+from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, samples
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
 DOM2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
 TDOM = BoxDomain((0.0,), (1.0,), time_horizon=1.0)
+
+
+def timecross_check(w, dom, rule):
+    """Residual of 2<dt w, w> = ||w(T)||^2 - ||w(0)||^2."""
+    if not dom.is_parabolic:
+        raise ValueError("timecross identity requires a space-time domain")
+    pairing = 2.0 * l2_inner(w.dt_field(), w, dom, rule)
+    lhs_T = trace_norm_sq(w, dom.time_horizon, "value", dom, rule)
+    lhs_0 = trace_norm_sq(w, 0.0, "value", dom, rule)
+    return abs(pairing - lhs_T + lhs_0)
+
+
+def partint_residual(u, psi, dom, rule):
+    """Residual of the integration-by-parts identity
+    <grad u, psi> = -<u, div psi>."""
+    if not u.vanishes_on_boundary:
+        raise ConformityError("u must vanish on the boundary")
+    lhs = l2_inner(u.gradient_field(), psi, dom, rule)
+    rhs = l2_inner(u, psi.div_field(), dom, rule)
+    return abs(lhs + rhs)
 
 
 def test_rule_validation():
@@ -296,6 +314,26 @@ def test_l2_gram_matches_l2_inner(dom, rule, vector):
     # distinct left and right lists give the off-diagonal block
     assert np.array_equal(l2_gram(fields[:1], fields[2:], dom, rule),
                           G[:1, 2:])
+
+
+@pytest.mark.parametrize("dom, rule", GRAM_DOMAINS)
+def test_l2_gram_flat_kernel_matches_three_operand_contraction(dom, rule):
+    # vector rows are the (N, d) values raveled, weighted per component:
+    # the one kernel gives the per-component contraction it replaced
+    fields = _gram_fields(dom, vector=True)
+    w = (spacetime_nodes(dom, rule)[2] if dom.is_parabolic
+         else space_nodes(dom, rule)[1])
+    rows, wv = samples(fields, dom, rule)
+    assert np.array_equal(wv, np.repeat(w, dom.dim))
+    V = rows.reshape(len(fields), len(w), dom.dim)
+    old = np.einsum("ikc,jkc,k->ij", V, V, w)
+    G = l2_gram(fields, fields, dom, rule)
+    assert np.array_equal(G, G.T)
+    if dom.dim < 3:
+        assert np.array_equal(G, old)
+    else:  # the last bit may move
+        scale = np.sqrt(np.outer(np.diag(old), np.diag(old)))
+        assert np.all(np.abs(G - old) <= 1e-15 * scale)
 
 
 def test_l2_gram_entries_independent_of_list_length():
