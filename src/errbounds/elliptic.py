@@ -110,30 +110,24 @@ def rd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     return EqualityReport.summed(lhs, rhs)
 
 
-def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
-                            phi_free: ScalarField, flux_free: VectorField,
-                            gamma: float, which: str,
-                            rule: QuadratureRule) -> BoundReport:
-    """Upper bounds for merely-L2 approximations of -laplace + 1, using a
-    conforming free pair and a Young parameter.  ``which`` selects the bound
-    on the primal error (i), the dual error (ii) or their sum (iii)."""
-    _check_kind(case, "RD")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+def _check_gamma(gamma: float, above: float = 0.0):
+    if not (math.isfinite(gamma) and gamma > above):
+        raise ValueError(f"gamma must be finite and > {above:g}, "
+                         f"got {gamma!r}")
+
+
+def rd_nonconforming_report(gamma: float, which: str, *, residual_sq: float,
+                            gap_sq: float, u_dist_sq: float, p_dist_sq: float,
+                            err_u: float, err_p: float) -> BoundReport:
+    """The report of :func:`rd_nonconforming_bounds` from its terms: the
+    squared norms of the residual f - phi + div psi, the gap psi - grad phi,
+    phi - u_tilde and psi - p_tilde, and the true errors ||u - u_tilde||^2
+    and ||p - p_tilde||^2."""
+    _check_gamma(gamma)
     if which not in RD_NONCONFORMING_WHICH:
         raise ValueError(f"which must be one of {RD_NONCONFORMING_WHICH}")
-    dom = case.dom
-    _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
-             "free scalar field must be conforming")
-    _require(flux_free.has_div, "free flux must carry a divergence")
-    residual_sq = norm_sq("L2", case.f - phi_free + flux_free.div_field(), dom, rule)
-    gap_sq = norm_sq("L2", flux_free - phi_free.gradient_field(), dom, rule)
-    u_dist_sq = norm_sq("L2", phi_free - approx.u_tilde, dom, rule)
-    p_dist_sq = norm_sq("L2", flux_free - approx.p_tilde, dom, rule)
     a = 1.0 + 1.0 / gamma
     b = 1.0 + gamma
-    err_u = norm_sq("L2", case.exact_u - approx.u_tilde, dom, rule)
-    err_p = norm_sq("L2", case.exact_p - approx.p_tilde, dom, rule)
     if which == "i":
         upper = a * (residual_sq + 0.5 * gap_sq) + b * u_dist_sq
         true = {"err_u_l2_sq": err_u, "total": err_u}
@@ -151,14 +145,37 @@ def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
     return report.finalize()
 
 
+def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
+                            phi_free: ScalarField, flux_free: VectorField,
+                            gamma: float, which: str,
+                            rule: QuadratureRule) -> BoundReport:
+    """Upper bounds for merely-L2 approximations of -laplace + 1, using a
+    conforming free pair and a Young parameter.  ``which`` selects the bound
+    on the primal error (i), the dual error (ii) or their sum (iii); see
+    :func:`rd_nonconforming_report`."""
+    _check_kind(case, "RD")
+    dom = case.dom
+    _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
+             "free scalar field must be conforming")
+    _require(flux_free.has_div, "free flux must carry a divergence")
+    return rd_nonconforming_report(
+        gamma, which,
+        residual_sq=norm_sq("L2", case.f - phi_free + flux_free.div_field(),
+                            dom, rule),
+        gap_sq=norm_sq("L2", flux_free - phi_free.gradient_field(), dom, rule),
+        u_dist_sq=norm_sq("L2", phi_free - approx.u_tilde, dom, rule),
+        p_dist_sq=norm_sq("L2", flux_free - approx.p_tilde, dom, rule),
+        err_u=norm_sq("L2", case.exact_u - approx.u_tilde, dom, rule),
+        err_p=norm_sq("L2", case.exact_p - approx.p_tilde, dom, rule))
+
+
 def rd_semiconforming_bounds(case: ProblemCase, approx: ApproxPair, free,
                              gamma: float, rule: QuadratureRule) -> BoundReport:
     """Two-sided bounds for -laplace + 1 when only one of (u_tilde, p_tilde)
     is conforming.  ``free`` is a div-conforming flux for the primal level or
     a conforming scalar field for the dual level."""
     _check_kind(case, "RD")
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    _check_gamma(gamma)
     dom = case.dom
     ut, pt = approx.u_tilde, approx.p_tilde
     if approx.level == "semi_conforming_primal":
@@ -206,9 +223,9 @@ def rd_semiconforming_bounds(case: ProblemCase, approx: ApproxPair, free,
 
 def two_sided_prefactors(cf: float, gamma: float):
     # derived from the Young-inequality chain of the two-sided proofs;
-    # gamma = 2 reproduces the stated (1 + 4 cf^2, 2) pair
-    if gamma <= 1:
-        raise ValueError("the upper-bound derivation needs gamma > 1")
+    # gamma = 2 reproduces the stated (1 + 4 cf^2, 2) pair; the derivation
+    # needs gamma > 1
+    _check_gamma(gamma, above=1.0)
     a = 1.0 + gamma ** 2 * cf ** 2 / (gamma - 1.0)
     b = gamma / (gamma - 1.0)
     return a, b

@@ -6,6 +6,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
+from .elliptic import _require, rd_nonconforming_report
 from .fields import BoxDomain, ScalarField, VectorField
 from .manufactured import ApproxPair, ProblemCase
 from .quadrature import (QuadratureRule, norm_sq, sampled_inner, samples,
@@ -190,12 +191,14 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     by adding one trigonometric flux mode per step and re-optimizing first
     the flux coefficients (normal equations at the current gamma) and then
     gamma itself (closed form).  Returns ``budget`` reports with
-    non-increasing upper bounds, each still a guaranteed bound. As in
-    :func:`minimize_flux_majorant`, the basis comes from
-    :func:`basis_gram` and the fields of the right-hand sides are evaluated
-    once.
+    non-increasing upper bounds, each still a guaranteed bound: the report
+    of :func:`elliptic.rd_nonconforming_bounds` (``which="iii"``) of the
+    step's flux and gamma. As in :func:`minimize_flux_majorant`, the basis
+    comes from :func:`basis_gram` and the fields of the right-hand sides
+    are evaluated once; the norms of each step's flux are taken from the
+    basis samples, and the norms that do not depend on the flux are
+    computed once.
     """
-    from .elliptic import rd_nonconforming_bounds
     from .manufactured import flux_basis as make_flux_basis
 
     if case.kind != "RD":
@@ -206,9 +209,13 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
         raise ValueError(f"start_size must be at least 1, got {start_size!r}")
     if not (math.isfinite(gamma0) and gamma0 > 0):
         raise ValueError(f"gamma0 must be finite and positive, got {gamma0!r}")
+    _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
+             "free scalar field must be conforming")
     dom = case.dom
-    pt = approx.p_tilde
-    u_dist_sq = norm_sq("L2", phi_free - approx.u_tilde, dom, rule)
+    ut, pt = approx.u_tilde, approx.p_tilde
+    u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
+    err_u = norm_sq("L2", case.exact_u - ut, dom, rule)
+    err_p = norm_sq("L2", case.exact_p - pt, dom, rule)
     size = start_size + budget - 1
     basis = list(make_flux_basis(dom.spatial(), size))
     # step k works on the leading (start_size + k) block of the basis's
@@ -232,15 +239,16 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
         rhs = -wa * RD[:n] + wa * RG[:n] + wb * RP[:n]
         coeffs = _solve_normal_equations(G, rhs)
         psi = _combined(gram.values[:n], coeffs)
-        A = math.fsum([
-            _norm_sq(np.add(data[0], _combined(gram.divs[:n], coeffs)), w),
-            _norm_sq(np.add(psi, -1.0 * border[0]), w),
-        ])
-        B = math.fsum([u_dist_sq, _norm_sq(np.add(psi, -1.0 * border[1]), w)])
-        gamma, _ = optimal_gamma(A, B)
+        residual_sq = _norm_sq(
+            np.add(data[0], _combined(gram.divs[:n], coeffs)), w)
+        gap_sq = _norm_sq(np.add(psi, -1.0 * border[0]), w)
+        p_dist_sq = _norm_sq(np.add(psi, -1.0 * border[1]), w)
+        gamma, _ = optimal_gamma(math.fsum([residual_sq, gap_sq]),
+                                 math.fsum([u_dist_sq, p_dist_sq]))
         if not math.isfinite(gamma) or gamma <= 0.0:
             gamma = 1.0
-        reports.append(rd_nonconforming_bounds(
-            case, approx, phi_free, combine_vector_fields(basis[:n], coeffs),
-            gamma=gamma, which="iii", rule=rule))
+        reports.append(rd_nonconforming_report(
+            gamma, "iii", residual_sq=residual_sq, gap_sq=gap_sq,
+            u_dist_sq=u_dist_sq, p_dist_sq=p_dist_sq, err_u=err_u,
+            err_p=err_p))
     return reports

@@ -2,16 +2,17 @@
 
 Text enters sympy only through :func:`parse`, which builds the expression
 from the text's syntax tree and never runs it as Python. Derivatives are
-taken symbolically, once per expression, and lambdified once per field, so
-the only error in any evaluated identity is quadrature error. Whether a
-scalar field vanishes on the boundary is decided exactly, face by face.
+taken symbolically and lambdified once per expression per process, so the
+only error in any evaluated identity is quadrature error, and a case built
+again builds no sympy function again. Whether a scalar field vanishes on the
+boundary is decided exactly, face by face, once per expression and box.
 """
 from __future__ import annotations
 
 import ast
 import math
 import operator
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 import sympy as sp
@@ -118,6 +119,30 @@ def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
             f"does not parse: {str(exc) or type(exc).__name__}") from None
 
 
+# sympy before 1.13 takes Float(2.0) == Integer(2), and so 2*x == 2.0*x:
+# there the memos below key an expression by its srepr as well, which
+# tells such pairs apart
+_FLOAT_EQUALS_INTEGER = bool(sp.Float(2.0) == sp.Integer(2))
+
+
+def _tag(expr):
+    return sp.srepr(expr) if _FLOAT_EQUALS_INTEGER else None
+
+
+def _memoised(fn):
+    """``fn(expr, *rest)`` memoised per process on ``expr`` (with its
+    :func:`_tag`) and ``rest``; ``cache_clear`` empties the memo."""
+    cached = lru_cache(maxsize=None)(
+        lambda expr, tag, *rest: fn(expr, *rest))
+
+    @wraps(fn)
+    def memoised(expr, *rest):
+        return cached(expr, _tag(expr), *rest)
+
+    memoised.cache_clear = cached.cache_clear
+    return memoised
+
+
 def _expression(source, dim: int, time_dependent: bool) -> sp.Expr:
     """``source`` if it is a sympy expression, else its parse as text."""
     if isinstance(source, sp.Basic):
@@ -125,7 +150,7 @@ def _expression(source, dim: int, time_dependent: bool) -> sp.Expr:
     return parse(str(source), dim, time_dependent)
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def derivatives(expr: sp.Expr, dim: int, time_dependent: bool):
     """The gradient components, the Laplacian and (else None) the time
     derivative of ``expr``, derived once per expression."""
@@ -149,12 +174,14 @@ def _proven_nonzero(expr) -> bool:
     return value.is_zero is False and value.is_finite is True
 
 
+@_memoised
 def nonvanishing_face(expr: sp.Expr, dom: BoxDomain):
     """The first face of ``dom`` on which ``expr`` is not decided to vanish
     identically, named like ``x = 0``, else None. Coordinates enter as the
     exact rationals of their decimals. A face does not vanish when its value
     at one interior point evaluates to a proven nonzero; otherwise only a
-    result that is not already 0 is simplified."""
+    result that is not already 0 is simplified. Decided once per expression
+    and box."""
     def exact(v):
         return sp.Rational(repr(v))
 
@@ -171,9 +198,15 @@ def nonvanishing_face(expr: sp.Expr, dom: BoxDomain):
     return None
 
 
-def _lambdify(expr, dim: int, time_dependent: bool):
+@_memoised
+def _numpy_function(expr, dim: int, time_dependent: bool):
+    """The numpy function of ``expr`` in (t,) x, y, z."""
     symbols = ((T_SYMBOL,) if time_dependent else ()) + X_SYMBOLS[:dim]
-    fn = sp.lambdify(symbols, expr, modules="numpy")
+    return sp.lambdify(symbols, expr, modules="numpy")
+
+
+def _lambdify(expr, dim: int, time_dependent: bool):
+    fn = _numpy_function(expr, dim, time_dependent)
 
     def wrapped(*args):  # (X,) or (t, X)
         coords, shape = coordinates(args, dim)

@@ -167,6 +167,21 @@ def test_rd_nonconforming_validation():
                                 RD.exact_p, gamma=1.0, which="i", rule=RULE)
 
 
+@pytest.mark.parametrize("gamma", [math.inf, -math.inf, math.nan, 0.0])
+def test_bounds_reject_a_gamma_that_is_not_finite_and_positive(gamma):
+    # an infinite gamma made a vacuous bound that passed, a NaN one a NaN
+    with pytest.raises(ValueError, match="gamma"):
+        rd_nonconforming_bounds(RD, perturb(RD, "non_conforming", 0.1, 0),
+                                RD.exact_u, RD.exact_p, gamma=gamma,
+                                which="iii", rule=RULE)
+    with pytest.raises(ValueError, match="gamma"):
+        rd_semiconforming_bounds(
+            RD, perturb(RD, "semi_conforming_primal", 0.1, 0), RD.exact_p,
+            gamma=gamma, rule=RULE)
+    with pytest.raises(ValueError, match="gamma"):
+        two_sided_prefactors(0.3, gamma)
+
+
 @pytest.mark.parametrize("level", ["semi_conforming_primal",
                                    "semi_conforming_dual"])
 def test_rd_semiconforming_ordering(level):

@@ -22,6 +22,7 @@ from errbounds import (
     optimal_gamma,
     parse_config,
     perturb,
+    rd_nonconforming_bounds,
     run,
     zero_vector,
 )
@@ -220,18 +221,75 @@ def test_improve_bound_evaluates_each_basis_field_once(monkeypatch):
     import errbounds.manufactured as manufactured
 
     counts = Counter()
-    snapshots = _counting_assembly(monkeypatch, counts)
     monkeypatch.setattr(manufactured, "flux_basis",
                         lambda dom, n: _counting_basis(dom, n, counts))
     ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
     phi, _ = free_fields(RD_RICH, "coarse")
     reports = improve_bound(RD_RICH, ap, phi, RULE, budget=4, start_size=2)
-    # one Gram assembly for all four steps, before the first solve
-    assert len(snapshots) == 4 and snapshots[0] == _once_each(5)
+    # one Gram assembly for all four steps; the reports take the norms of
+    # each step's flux from its samples
+    assert counts == _once_each(5)
     # a longer run repeats the steps of a shorter one to the last bit
     shorter = improve_bound(RD_RICH, ap, phi, RULE, budget=2, start_size=2)
     assert [r.to_record() for r in shorter] == [
         r.to_record() for r in reports[:2]]
+
+
+def _hexed(record):
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in record.items()}
+
+
+# a shifted, anisotropic box, its faces at exact decimals
+SHIFTED = BoxDomain((-0.3, 0.45), (0.9, 1.2))
+RD_SHIFTED = make_case("RD", SHIFTED, "sin(pi*(x + 3/10)*5/6)"
+                                      "*sin(2*pi*(y - 9/20)*4/3)")
+
+
+@pytest.mark.parametrize("case", [RD_RICH, RD_SHIFTED],
+                         ids=["rich-1d", "shifted-2d"])
+def test_improve_bound_reports_equal_rd_nonconforming_bounds(monkeypatch,
+                                                             case):
+    from errbounds import optimize
+
+    solved = []
+    real = optimize._solve_normal_equations
+
+    def solve(G, rhs):
+        solved.append(real(G, rhs))
+        return solved[-1]
+
+    monkeypatch.setattr(optimize, "_solve_normal_equations", solve)
+    ap = perturb(case, "non_conforming", 0.3, 4)
+    phi, _ = free_fields(case, "coarse")
+    reports = improve_bound(case, ap, phi, RULE, budget=4, start_size=2)
+    basis = flux_basis(case.dom.spatial(), 5)
+    assert len(solved) == len(reports) == 4
+    # each step's report, taken from samples, is the quadrature report of
+    # the step's flux and gamma to the last bit
+    for rep, coeffs in zip(reports, solved):
+        ref = rd_nonconforming_bounds(
+            case, ap, phi, combine_vector_fields(basis[:len(coeffs)], coeffs),
+            rep.gamma, "iii", RULE)
+        assert _hexed(rep.to_record()) == _hexed(ref.to_record())
+
+
+@pytest.mark.parametrize("budget", [1, 4, 8])
+def test_improve_bound_makes_three_norm_sq_calls(monkeypatch, budget):
+    from errbounds import elliptic, optimize
+
+    calls = []
+    for module in (optimize, elliptic):
+        def counted(*args, real=module.norm_sq):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(module, "norm_sq", counted)
+    ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
+    phi, _ = free_fields(RD_RICH, "coarse")
+    improve_bound(RD_RICH, ap, phi, RULE, budget=budget)
+    # ||phi - u_tilde||^2 and the two true errors, whatever the budget
+    assert calls == ["L2"] * 3
 
 
 def test_combine_vector_fields_validation():

@@ -22,7 +22,9 @@ from errbounds import (
     scalar_field,
     space_nodes,
 )
+from errbounds import symbolic
 from errbounds.cli import main
+from errbounds.quadrature import grid_axes, spacetime_nodes
 from errbounds.symbolic import (
     T_SYMBOL,
     X_SYMBOLS,
@@ -262,20 +264,87 @@ def test_parse_equals_sympy_on_every_project_solution():
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
     calls = []
-    lambdify = sp.lambdify
 
-    def counting(*args, **kwargs):
-        calls.append(args[1])
-        return lambdify(*args, **kwargs)
+    def count(owner, name):
+        real = getattr(owner, name)
 
-    monkeypatch.setattr(sp, "lambdify", counting)
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for owner, name in ((sp, "lambdify"), (sp, "simplify"),
+                        (sp.Basic, "subs"),
+                        (sp.core.evalf.EvalfMixin, "evalf")):
+        count(owner, name)
+    symbolic._numpy_function.cache_clear()
+    nonvanishing_face.cache_clear()
     parabolic = kind in ("TRD", "Heat")
     dom = BoxDomain((0.0,) * d, (1.0,) * d,
                     time_horizon=1.0 if parabolic else None)
     text = "*".join(f"sin({k + 1}*pi*{v})" for k, v in enumerate("xyz"[:d]))
-    make_case(kind, dom, ("exp(-t)*" if parabolic else "") + text)
+    text = ("exp(-t)*" if parabolic else "") + text
+    make_case(kind, dom, text)
     # value, d gradient components, Laplacian, f (and dt)
-    assert len(calls) == d + (4 if parabolic else 3)
+    assert calls.count("lambdify") == d + (4 if parabolic else 3)
+    assert "subs" in calls  # the faces, decided once
+    calls.clear()
+    # a case built again in the process lambdifies, substitutes, evaluates
+    # and simplifies nothing
+    make_case(kind, dom, text)
+    assert calls == []
+
+
+# pairs that print differently, but that sympy before 1.13 takes as equal
+_FLOAT_INTEGER_PAIRS = [("2*x", "2.0*x"), ("x**2", "x**2.0")]
+_MEMO_BOX = BoxDomain((0.1, 0.2, 0.3), (0.9, 1.4, 1.0), time_horizon=0.7)
+_MEMO_RULE = QuadratureRule(space_order=2, time_order=2)
+
+
+def _fresh(monkeypatch, expr):
+    """The evaluator of ``expr`` around a fresh ``sp.lambdify``."""
+    symbols = (T_SYMBOL, *X_SYMBOLS)
+    with monkeypatch.context() as m:
+        m.setattr(symbolic, "_numpy_function", lambda e, dim, td:
+                  sp.lambdify(symbols, e, modules="numpy"))
+        return symbolic._lambdify(expr, 3, True)
+
+
+def _bits(evaluator, args):
+    """The bytes of the values, or the type of the error (10**3000 * ...
+    overflows a float) when there are none."""
+    try:
+        return evaluator(*args).tobytes()
+    except Exception as exc:
+        return type(exc)
+
+
+@pytest.mark.parametrize("keyed_by_srepr", [False, True],
+                         ids=["as-installed", "srepr-keyed"])
+def test_memoised_evaluators_equal_a_fresh_lambdify(monkeypatch,
+                                                    keyed_by_srepr):
+    if keyed_by_srepr:  # the keys of sympy before 1.13
+        monkeypatch.setattr(symbolic, "_FLOAT_EQUALS_INTEGER", True)
+    texts = [t for t in _project_solutions() if t not in _DELIBERATELY_INVALID]
+    texts += [t for pair in _FLOAT_INTEGER_PAIRS for t in pair]
+    exprs = []
+    for text in texts:
+        expr = parse(text, 3, True)
+        exprs += [expr, symbolic.derivatives(expr, 3, True)[1]]
+    # every expression is in the memo before any is checked
+    memoised = [symbolic._lambdify(e, 3, True) for e in exprs]
+    t, X, _ = spacetime_nodes(_MEMO_BOX, _MEMO_RULE)
+    columns = (t.copy(), X.copy())
+    assert grid_axes((t, X)) is not None and grid_axes(columns) is None
+    with np.errstate(all="ignore"):
+        for expr, memo in zip(exprs, memoised):
+            fresh = _fresh(monkeypatch, expr)
+            for args in ((t, X), columns):
+                assert _bits(memo, args) == _bits(fresh, args), expr
+    for a, b in _FLOAT_INTEGER_PAIRS:
+        assert (symbolic._numpy_function(parse(a, 3, True), 3, True)
+                is not symbolic._numpy_function(parse(b, 3, True), 3, True))
 
 
 @pytest.mark.parametrize("kind, lower, upper, T, text", [
