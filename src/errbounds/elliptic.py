@@ -21,18 +21,18 @@ class FriedrichsConstant:
     value: float
     provenance: str  # "box_closed_form" or "user_supplied"
 
-    def __post_init__(self):
-        if not self.value > 0:
-            raise ValueError("Friedrichs constant must be positive")
-
 
 def friedrichs_constant(dom: BoxDomain, value: float | None = None) -> FriedrichsConstant:
-    """Exact first-Dirichlet-eigenvalue constant for a box, or a user override."""
-    if value is not None:
-        return FriedrichsConstant(float(value), "user_supplied")
-    sides = dom.spatial().sides
-    lam = math.pi ** 2 * math.fsum(1.0 / L ** 2 for L in sides)
-    return FriedrichsConstant(1.0 / math.sqrt(lam), "box_closed_form")
+    """Exact first-Dirichlet-eigenvalue constant for a box, or a user
+    override no smaller (a smaller one voids every bound built on it)."""
+    lam = math.pi ** 2 * math.fsum(1.0 / L ** 2 for L in dom.spatial().sides)
+    exact = 1.0 / math.sqrt(lam)
+    if value is None:
+        return FriedrichsConstant(exact, "box_closed_form")
+    if not float(value) >= exact:
+        raise ValueError(f"value {value!r} is below the box's Friedrichs "
+                         f"constant {exact!r}")
+    return FriedrichsConstant(float(value), "user_supplied")
 
 
 def friedrichs_margin(w: ScalarField, cf: float, dom: BoxDomain,

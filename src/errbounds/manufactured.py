@@ -38,7 +38,6 @@ class ProblemCase:
     u0: Optional[ScalarField]
     exact_u: ScalarField
     exact_p: VectorField
-    solution: str = ""
 
 
 @dataclasses.dataclass(frozen=True)
@@ -78,7 +77,7 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
     f = ScalarField(_lambdify(float(f_factor) * f_expr, dom.dim, parabolic),
                     dim=dom.dim, time_dependent=parabolic)
     return ProblemCase(kind=kind, dom=dom, f=f, u0=u0, exact_u=u,
-                       exact_p=u.gradient_field(), solution=str(expr))
+                       exact_p=u.gradient_field())
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
-from .elliptic import _require, rd_nonconforming_report
+from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import BoxDomain, ScalarField, VectorField
 from .manufactured import ApproxPair, ProblemCase
 from .quadrature import (QuadratureRule, norm_sq, sampled_inner, samples,
@@ -138,45 +138,67 @@ def _norm_sq(row: np.ndarray, w: np.ndarray) -> float:
     return sampled_inner(v, v, w)
 
 
+def _young(A: float, B: float) -> Tuple[float, float]:
+    """:func:`optimal_gamma`, its minimizer 1.0 where not finite and > 0."""
+    gamma, value = optimal_gamma(A, B)
+    return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
+
+
+def _flux_step(gram: BasisGram, d: ScalarField, targets, dom, rule):
+    """The flux step as a function of (n, wa, wb): the coefficients of the
+    psi in the span of the leading n fields of ``gram`` that minimizes
+    wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, then
+    ||d + div psi||^2 and ||psi - t||^2 per t of ``targets``, (t0, t1) or
+    (t0,) with t1 = t0. d and the targets are sampled and contracted once."""
+    rows, wv = samples(list(targets), dom, rule)
+    data, w = samples([d], dom, rule)
+    RT = weighted_gram(rows, gram.values, wv)
+    RD = weighted_gram(data, gram.divs, w)[0]
+
+    def step(n: int, wa: float, wb: float):
+        BB, DD = gram.BB[:n, :n], gram.DD[:n, :n]
+        rhs = -wa * RD[:n] + wa * RT[0, :n] + wb * RT[-1, :n]
+        coeffs = _solve_normal_equations(wa * (DD + BB) + wb * BB, rhs)
+        psi = _combined(gram.values[:n], coeffs)
+        residual = np.add(data[0], _combined(gram.divs[:n], coeffs))
+        return (coeffs, _norm_sq(residual, w),
+                *(_norm_sq(np.add(psi, -1.0 * t), w) for t in rows))
+
+    return step
+
+
 def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
                            basis: Sequence[VectorField], rule: QuadratureRule,
-                           weights: Tuple[float, float] = (1.0, 1.0),
-                           ) -> Tuple[VectorField, float, np.ndarray]:
-    """Minimize w_r * ||residual(phi)||^2 + w_g * ||phi - grad u_tilde||^2
-    over phi in span(basis) by solving the normal equations. Only phi comes
-    from the Gram system: the majorant is norms of phi, not a quadratic form.
+                           ) -> Tuple[VectorField, BoundReport, np.ndarray]:
+    """Minimize ||d + div phi||^2 + ||phi - grad u_tilde||^2 over phi in
+    span(basis), d = f - u_tilde (RD) or f (Poisson), and bound the error
+    with the minimizer: for RD by the functional, which bounds ||u -
+    u_tilde||_H1^2 by the mixed equality; for Poisson, where it is no bound,
+    by (1 + beta) ||phi - grad u_tilde||^2 + (1 + 1/beta) C_F^2 ||f + div
+    phi||^2 at the closed-form beta (the report's gamma), which bounds
+    ||grad(u - u_tilde)||^2. The report's checks are the functional's terms.
 
-    The basis's samples and Gram blocks come from :func:`basis_gram`; grad
-    u_tilde and the data are evaluated once, for the right-hand side and
-    the norms, which take phi's values from the basis samples.
-
-    Returns (optimal flux, majorant value, coefficient vector).
+    Returns (optimal flux, report, coefficient vector).
     """
     if not basis:
         raise ValueError("basis must be nonempty")
-    w_r, w_g = (float(x) for x in weights)
-    if not (math.isfinite(w_r) and math.isfinite(w_g) and w_r >= 0
-            and w_g >= 0 and w_r + w_g > 0):
-        raise ValueError("weights must be finite, nonnegative and not both "
-                         f"zero, got {tuple(weights)!r}")
-    dom = case.dom
-    if case.kind == "RD":
-        data = case.f - u_tilde
-    elif case.kind == "Poisson":
-        data = case.f
-    else:
+    if case.kind not in ("RD", "Poisson"):
         raise ValueError(f"flux majorant supports RD and Poisson, got {case.kind}")
-    gram = basis_gram(basis, dom, rule)
-    grad, wv = samples([u_tilde.gradient_field()], dom, rule)
-    data_row, w = samples([data], dom, rule)
-    # minimize w_r ||data + div phi||^2 + w_g ||phi - grad u_tilde||^2
-    coeffs = _solve_normal_equations(
-        w_r * gram.DD + w_g * gram.BB,
-        w_g * weighted_gram(grad, gram.values, wv)[0]
-        - w_r * weighted_gram(data_row, gram.divs, w)[0])
-    r = _norm_sq(np.add(data_row[0], _combined(gram.divs, coeffs)), w)
-    g = _norm_sq(np.add(_combined(gram.values, coeffs), -1.0 * grad[0]), w)
-    return combine_vector_fields(basis, coeffs), w_r * r + w_g * g, coeffs
+    dom, rd, e = case.dom, case.kind == "RD", case.exact_u - u_tilde
+    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the boundary")
+    coeffs, residual_sq, gap_sq = _flux_step(
+        basis_gram(basis, dom, rule), case.f - u_tilde if rd else case.f,
+        (u_tilde.gradient_field(),), dom, rule)(len(basis), 1.0, 0.0)
+    if rd:
+        gamma, upper = None, residual_sq + gap_sq
+        name, err = "err_h1_sq", norm_sq("H1", e, dom, rule)
+    else:
+        cf = friedrichs_constant(dom).value
+        gamma, upper = _young(cf ** 2 * residual_sq, gap_sq)
+        name, err = "err_grad_sq", norm_sq("L2", e.gradient_field(), dom, rule)
+    report = BoundReport({}, {name: err, "total": err}, upper, gamma,
+                         checks={"residual_sq": residual_sq, "gap_sq": gap_sq})
+    return combine_vector_fields(basis, coeffs), report.finalize(), coeffs
 
 
 def improve_bound(case: ProblemCase, approx: ApproxPair,
@@ -189,15 +211,12 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
             + (1 + gamma) (||phi - u_tilde||^2 + ||psi - p_tilde||^2)
 
     by adding one trigonometric flux mode per step and re-optimizing first
-    the flux coefficients (normal equations at the current gamma) and then
-    gamma itself (closed form).  Returns ``budget`` reports with
-    non-increasing upper bounds, each still a guaranteed bound: the report
-    of :func:`elliptic.rd_nonconforming_bounds` (``which="iii"``) of the
-    step's flux and gamma. As in :func:`minimize_flux_majorant`, the basis
-    comes from :func:`basis_gram` and the fields of the right-hand sides
-    are evaluated once; the norms of each step's flux are taken from the
-    basis samples, and the norms that do not depend on the flux are
-    computed once.
+    the flux coefficients (the step of :func:`minimize_flux_majorant` at
+    the current gamma) and then gamma itself (closed form).  Returns
+    ``budget`` reports with non-increasing upper bounds, each still a
+    guaranteed bound: the report of :func:`elliptic.rd_nonconforming_bounds`
+    (``which="iii"``) of the step's flux and gamma. The norms that do not
+    depend on the flux are computed once.
     """
     from .manufactured import flux_basis as make_flux_basis
 
@@ -216,37 +235,16 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
     err_u = norm_sq("L2", case.exact_u - ut, dom, rule)
     err_p = norm_sq("L2", case.exact_p - pt, dom, rule)
-    size = start_size + budget - 1
-    basis = list(make_flux_basis(dom.spatial(), size))
-    # step k works on the leading (start_size + k) block of the basis's
-    # Gram blocks, bordered by the three right-hand sides
-    gram = basis_gram(basis, dom, rule)
-    border, wv = samples([phi_free.gradient_field(), pt], dom, rule)
-    data, w = samples([case.f - phi_free], dom, rule)
-    RG, RP = weighted_gram(border, gram.values, wv)
-    RD = weighted_gram(data, gram.divs, w)[0]
-
+    basis = list(make_flux_basis(dom.spatial(), start_size + budget - 1))
+    step = _flux_step(basis_gram(basis, dom, rule), case.f - phi_free,
+                      (phi_free.gradient_field(), pt), dom, rule)
     gamma = gamma0
     reports: List[BoundReport] = []
-    for step in range(budget):
-        n = start_size + step
-        wa = 1.0 + 1.0 / gamma
-        wb = 1.0 + gamma
-        BB, DD = gram.BB[:n, :n], gram.DD[:n, :n]
-        # quadratic in psi: wa (||data + div psi||^2 + ||psi - grad phi||^2)
-        #                   + wb ||psi - p_tilde||^2
-        G = wa * (DD + BB) + wb * BB
-        rhs = -wa * RD[:n] + wa * RG[:n] + wb * RP[:n]
-        coeffs = _solve_normal_equations(G, rhs)
-        psi = _combined(gram.values[:n], coeffs)
-        residual_sq = _norm_sq(
-            np.add(data[0], _combined(gram.divs[:n], coeffs)), w)
-        gap_sq = _norm_sq(np.add(psi, -1.0 * border[0]), w)
-        p_dist_sq = _norm_sq(np.add(psi, -1.0 * border[1]), w)
-        gamma, _ = optimal_gamma(math.fsum([residual_sq, gap_sq]),
-                                 math.fsum([u_dist_sq, p_dist_sq]))
-        if not math.isfinite(gamma) or gamma <= 0.0:
-            gamma = 1.0
+    for n in range(start_size, start_size + budget):
+        _, residual_sq, gap_sq, p_dist_sq = step(
+            n, 1.0 + 1.0 / gamma, 1.0 + gamma)
+        gamma, _ = _young(math.fsum([residual_sq, gap_sq]),
+                          math.fsum([u_dist_sq, p_dist_sq]))
         reports.append(rd_nonconforming_report(
             gamma, "iii", residual_sq=residual_sq, gap_sq=gap_sq,
             u_dist_sq=u_dist_sq, p_dist_sq=p_dist_sq, err_u=err_u,

@@ -250,17 +250,23 @@ def test_criterion_6_optimizer():
         rel = abs(bound - best) / best
         worst = max(worst, rel)
         ok &= rel <= 1e-6
-    # nested enrichment: monotone majorant that never undercuts the error
-    for expr in _1D[:4]:
-        case = make_case("RD", DOM1, expr)
+    # nested enrichment: a monotone minimized functional, and an upper
+    # bound that never undercuts the error (for RD they are one number)
+    for kind, expr in [("RD", e) for e in _1D[:4]] + [("Poisson", e)
+                                                     for e in _1D[:4]]:
+        case = make_case(kind, DOM1, expr)
         ut = perturb(case, "conforming_mixed", 0.2, 1).u_tilde
-        true = norm_sq("H1", case.exact_u - ut, case.dom, RULE)
+        e = case.exact_u - ut
+        true = (norm_sq("H1", e, DOM1, RULE) if kind == "RD"
+                else norm_sq("L2", e.gradient_field(), DOM1, RULE))
         prev = math.inf
         for n in (1, 2, 3, 4):
-            _, maj, _ = minimize_flux_majorant(
+            _, rep, _ = minimize_flux_majorant(
                 case, ut, flux_basis(DOM1, n), RULE)
+            maj = rep.checks["residual_sq"] + rep.checks["gap_sq"]
             ok &= maj <= prev + 1e-12
-            ok &= maj >= true - 1e-12
+            ok &= rep.true_total == true and rep.upper_bound >= true - 1e-12
+            ok &= kind == "Poisson" or rep.upper_bound == maj
             prev = maj
     _report("6 optimizer", ok, f"(max grid-oracle gap {worst:.2e})")
 

@@ -48,6 +48,10 @@ def test_friedrichs_closed_form():
     assert user.value == 0.5 and user.provenance == "user_supplied"
     with pytest.raises(ValueError):
         friedrichs_constant(DOM1, value=-1.0)
+    # below 1/pi, the unit interval's constant: no Friedrichs constant
+    for value in (0.3, math.nan):
+        with pytest.raises(ValueError, match="value"):
+            friedrichs_constant(DOM1, value=value)
 
 
 def test_friedrichs_margin_saturates_on_eigenfunction():

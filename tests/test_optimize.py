@@ -82,8 +82,8 @@ def test_optimal_gamma_is_global_minimum(A, B, gamma):
 def test_minimize_flux_majorant_exact_flux_in_span():
     # with u_tilde = u and the exact flux in the span, the majorant is zero
     basis = flux_basis(DOM1, 3)
-    phi, majorant, coeffs = minimize_flux_majorant(RD, RD.exact_u, basis, RULE)
-    assert majorant == pytest.approx(0.0, abs=1e-18)
+    phi, report, coeffs = minimize_flux_majorant(RD, RD.exact_u, basis, RULE)
+    assert report.upper_bound == pytest.approx(0.0, abs=1e-18)
     X = np.linspace(0.1, 0.9, 7)[:, None]
     assert phi.value(X) == pytest.approx(RD.exact_p.value(X), abs=1e-8)
 
@@ -91,16 +91,16 @@ def test_minimize_flux_majorant_exact_flux_in_span():
 def test_minimize_flux_majorant_zero_basis():
     # a zero basis forces phi = 0: majorant = ||f - ut||^2 + ||grad ut||^2
     ut = RD.exact_u
-    _, majorant, _ = minimize_flux_majorant(RD, ut, [zero_vector(DOM1)], RULE)
+    _, report, _ = minimize_flux_majorant(RD, ut, [zero_vector(DOM1)], RULE)
     expected = (norm_sq("L2", RD.f - ut, DOM1, RULE)
                 + norm_sq("L2", ut.gradient_field(), DOM1, RULE))
-    assert majorant == pytest.approx(expected, rel=1e-10)
+    assert report.upper_bound == pytest.approx(expected, rel=1e-10)
 
 
 def test_minimize_flux_majorant_beats_any_single_coefficient():
     ut = 0.9 * RD.exact_u
     basis = flux_basis(DOM1, 4)
-    phi, majorant, coeffs = minimize_flux_majorant(RD, ut, basis, RULE)
+    phi, report, coeffs = minimize_flux_majorant(RD, ut, basis, RULE)
     # local grid refinement around the solved coefficients cannot do better
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -108,25 +108,22 @@ def test_minimize_flux_majorant_beats_any_single_coefficient():
         cand = combine_vector_fields(basis, trial)
         value = (norm_sq("L2", RD.f - ut + cand.div_field(), DOM1, RULE)
                  + norm_sq("L2", cand - ut.gradient_field(), DOM1, RULE))
-        assert majorant <= value + 1e-12
+        assert report.upper_bound <= value + 1e-12
 
 
 def test_minimize_flux_majorant_nested_monotone():
     ut = perturb(RD_RICH, "conforming_mixed", 0.3, 2).u_tilde
     prev = math.inf
     for n in (1, 2, 3, 4):
-        _, majorant, _ = minimize_flux_majorant(
+        _, report, _ = minimize_flux_majorant(
             RD_RICH, ut, flux_basis(DOM1, n), RULE)
-        assert majorant <= prev + 1e-12
-        prev = majorant
+        assert report.upper_bound <= prev + 1e-12
+        prev = report.upper_bound
 
 
 def test_minimize_flux_majorant_validation():
     with pytest.raises(ValueError):
         minimize_flux_majorant(RD, RD.exact_u, [], RULE)
-    with pytest.raises(ValueError):
-        minimize_flux_majorant(RD, RD.exact_u, flux_basis(DOM1, 1), RULE,
-                               weights=(-1.0, 1.0))
     heat = make_case("Heat", BoxDomain((0.0,), (1.0,), time_horizon=1.0),
                      "exp(-t)*sin(pi*x)")
     with pytest.raises(ValueError):
@@ -134,15 +131,74 @@ def test_minimize_flux_majorant_validation():
                                flux_basis(DOM1, 1), RULE)
 
 
-def test_minimize_flux_majorant_poisson_weights():
+def _minimized(report):
+    """The functional minimize_flux_majorant minimizes, from its report."""
+    return report.checks["residual_sq"] + report.checks["gap_sq"]
+
+
+DOM2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 4, 16])
+def test_poisson_majorant_is_a_bound_where_the_functional_is_not(n):
+    # u = sin(pi x) sin(pi y), u_tilde = 0.9 u: the minimized functional is
+    # ||grad e||^2 lam / (lam + 1), lam = 2 pi^2, below the error
+    po = make_case("Poisson", DOM2, "sin(pi*x)*sin(pi*y)")
+    _, report, _ = minimize_flux_majorant(po, 0.9 * po.exact_u,
+                                          flux_basis(DOM2, n), RULE)
+    lam = 2 * math.pi ** 2
+    assert report.true_total == pytest.approx(0.01 * math.pi ** 2 / 2)
+    assert _minimized(report) == pytest.approx(0.046969, abs=1e-6)
+    assert _minimized(report) == pytest.approx(
+        report.true_total * lam / (lam + 1), rel=1e-9)
+    # the bound is sharp here: it may round below the error in the last bits
+    assert report.upper_bound >= report.true_total * (1 - 1e-12)
+    assert report.ordering_ok
+
+
+@st.composite
+def _majorant_problems(draw):
+    """A kind, a shifted box with faces at exact decimals and sides in
+    [0.1, 10], its lowest sine mode as solution, and a perturbation."""
+    dim = draw(st.sampled_from([1, 2]))
+    lower = [draw(st.integers(-50, 50)) for _ in range(dim)]  # tenths
+    sides = [draw(st.integers(1, 100)) for _ in range(dim)]
+    dom = BoxDomain(tuple(a / 10 for a in lower),
+                    tuple((a + b) / 10 for a, b in zip(lower, sides)))
+    solution = "*".join(f"sin(pi*({v} - ({a})/10)*10/{b})"
+                        for v, a, b in zip("xy", lower, sides))
+    case = make_case(draw(st.sampled_from(["RD", "Poisson"])), dom, solution)
+    approx = perturb(case, "conforming_mixed",
+                     draw(st.sampled_from([0.01, 0.1, 1.0])),
+                     draw(st.integers(0, 2 ** 16)))
+    return case, approx.u_tilde, draw(st.integers(1, 9))
+
+
+@given(_majorant_problems())
+@settings(max_examples=80, deadline=None)
+def test_minimize_flux_majorant_bounds_the_error(problem):
+    case, ut, n = problem
+    _, report, _ = minimize_flux_majorant(
+        case, ut, flux_basis(case.dom, n), RULE)
+    assert report.ordering_ok, report.to_record()
+
+
+def test_young_parameter_clamp_keeps_records_json():
+    from errbounds.optimize import _young
+
+    assert _young(4.0, 1.0) == (2.0, 9.0)
+    assert _young(4.0, 0.0) == (1.0, 4.0)
+    assert _young(0.0, 5.0) == (1.0, 5.0)
+    # a zero basis and u_tilde = 0 make phi = grad u_tilde = 0, so the
+    # gap term vanishes and the optimal beta is infinite
     po = make_case("Poisson", DOM1, "sin(pi*x)")
-    cf = 1 / math.pi
-    weights = (1 + 4 * cf ** 2, 2.0)
-    ut = 0.95 * po.exact_u
-    _, majorant, _ = minimize_flux_majorant(po, ut, flux_basis(DOM1, 2),
-                                            RULE, weights=weights)
-    true = norm_sq("L2", (po.exact_u - ut).gradient_field(), DOM1, RULE)
-    assert majorant >= true - 1e-12
+    _, report, _ = minimize_flux_majorant(po, 0.0 * po.exact_u,
+                                          [zero_vector(DOM1)], RULE)
+    assert report.checks["gap_sq"] == 0.0 and report.gamma == 1.0
+    assert report.upper_bound == pytest.approx(
+        norm_sq("L2", po.f, DOM1, RULE) / math.pi ** 2, rel=1e-12)
+    assert report.ordering_ok
+    json.dumps(report.to_record(), allow_nan=False)
 
 
 def test_improve_bound_monotone_and_guaranteed():
@@ -304,8 +360,6 @@ def test_combine_vector_fields_validation():
 # the basis samples and Gram blocks shared by a run's records
 # --------------------------------------------------------------------------
 
-DOM2 = BoxDomain((0.0, 0.0), (1.0, 1.0))
-
 
 def _majorant_config():
     """RD and Poisson on one box, each at basis sizes 4, 16 and 36."""
@@ -435,8 +489,8 @@ def test_improve_bound_and_majorant_match_pinned_values():
                          (poisson, ["0x1.5e790acace89dp-2",
                                     "0x1.5da75171e46e1p-2"])):
         ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
-        assert [minimize_flux_majorant(case, ut, flux_basis(DOM2, n),
-                                       RULE)[1].hex()
+        assert [_minimized(minimize_flux_majorant(
+                    case, ut, flux_basis(DOM2, n), RULE)[1]).hex()
                 for n in (4, 16)] == pinned
 
 
@@ -449,11 +503,3 @@ def test_improve_bound_rejects_bad_input(kwargs, name):
     phi, _ = free_fields(RD, "exact")
     with pytest.raises(ValueError, match=name):
         improve_bound(RD, ap, phi, RULE, **kwargs)
-
-
-@pytest.mark.parametrize("weights", [
-    (math.nan, 1.0), (math.inf, 1.0), (1.0, -math.inf), (0.0, 0.0)])
-def test_minimize_flux_majorant_rejects_bad_weights(weights):
-    with pytest.raises(ValueError, match="weights"):
-        minimize_flux_majorant(RD, RD.exact_u, flux_basis(DOM1, 2), RULE,
-                               weights=weights)

@@ -53,10 +53,12 @@ def test_dotted_keys_use_the_schema_families(all_records):
 
 def test_bound_records_carry_efficiency_and_ordering(all_records):
     bounds = [r for r in all_records
-              if ESTIMATORS[r["estimator"]].family == "verify-bounds"]
+              if ESTIMATORS[r["estimator"]].family in ("verify-bounds",
+                                                       "optimize-majorant")]
     assert {r["estimator"] for r in bounds} == {
         "poisson_two_sided", "rd_semiconforming_bounds",
-        "rd_nonconforming_bounds", "poisson_nonconforming", "heat_two_sided"}
+        "rd_nonconforming_bounds", "poisson_nonconforming", "heat_two_sided",
+        "optimize_majorant"}
     for rec in bounds:
         assert rec["efficiency_upper"] is not None, rec["estimator"]
         assert rec["ordering_ok"] is True, rec["estimator"]
