@@ -35,6 +35,15 @@ def friedrichs_constant(dom: BoxDomain, value: float | None = None) -> Friedrich
     return FriedrichsConstant(float(value), "user_supplied")
 
 
+def _checked_cf(case, cf: float) -> float:
+    """``cf`` if it is no smaller than the Friedrichs constant of the case's
+    spatial box (see :func:`friedrichs_constant`), else ValueError."""
+    try:
+        return friedrichs_constant(case.dom.spatial(), value=cf).value
+    except ValueError as exc:
+        raise ValueError(f"cf: {exc}") from None
+
+
 def friedrichs_margin(w: ScalarField, cf: float, dom: BoxDomain,
                       rule: QuadratureRule) -> float:
     """cf * ||grad w|| - ||w||; non-negative for boundary-vanishing fields."""
@@ -234,8 +243,10 @@ def two_sided_prefactors(cf: float, gamma: float):
 def poisson_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
                       rule: QuadratureRule, gamma: float = 2.0) -> BoundReport:
     """Two-sided estimate for the Poisson problem with conforming mixed
-    approximations; both lower candidates are reported individually."""
+    approximations; both lower candidates are reported individually. A
+    ``cf`` below the box's Friedrichs constant raises ValueError."""
     _check_kind(case, "Poisson")
+    cf = _checked_cf(case, cf)
     dom = case.dom
     ut, pt = approx.u_tilde, approx.p_tilde
     _require(ut.has_grad, "u_tilde must carry a gradient")
@@ -290,9 +301,11 @@ def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
 
     ``which``: 'i' bounds ||u - ut|| (unsquared), 'ii' bounds ||p - pt||^2,
     'mixed-i' / 'mixed-ii' are the combined semi-conforming estimates with
-    optional extra free fields ``theta`` (flux) and ``psi`` (scalar).
+    optional extra free fields ``theta`` (flux) and ``psi`` (scalar). A
+    ``cf`` below the box's Friedrichs constant raises ValueError.
     """
     _check_kind(case, "Poisson")
+    cf = _checked_cf(case, cf)
     dom = case.dom
     _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
              "free scalar field must be conforming")

@@ -5,10 +5,24 @@ point array ``X`` with shape ``(n, d)``; space-time fields take ``(t, X)``
 where ``t`` has shape ``(n,)``.  Derivatives are never approximated
 numerically: a field either carries an analytic evaluator for a derivative
 or raises :class:`CapabilityError` when it is requested.
+
+A field may also carry the *form* of some of its evaluators: the
+:class:`SeparatedSum` of 1-D :class:`Factor` products it equals (a tuple of
+sums, one per component, for vectors), built at most once, when a norm
+first asks (see :meth:`_Field.separated`). Manufactured solutions and the
+data derived from them, the trigonometric perturbations and flux bases, and
+constant and zero fields carry forms; a field built from bare callables, or
+from an expression that does not split (see :mod:`errbounds.symbolic`),
+carries none. The algebra keeps forms alongside the evaluators: ``+``
+concatenates terms, scalar ``*`` scales coefficients, ``at_time`` folds the
+time factor into the coefficients, and the derivative views differentiate
+one factor per term. :func:`quadrature.l2_inner` integrates two fields that
+carry forms axis by axis and everything else on the full grid.
 """
 from __future__ import annotations
 
 import dataclasses
+import functools
 from typing import Callable, Optional
 
 import numpy as np
@@ -67,6 +81,172 @@ class BoxDomain:
         return BoxDomain(self.lower, self.upper)
 
 
+class Factor:
+    """A function of one coordinate with a known derivative. ``fn`` maps a
+    1-D array of coordinates to the values there; ``derive`` returns the
+    derivative as pairs ``(scale, factor)``, the sum of scale times factor
+    (none where it is zero). Factors are interned where they are made, so
+    equal factors are one object: terms of a sum with the same factors merge
+    (:meth:`SeparatedSum.merged`), and :meth:`on` evaluates each factor
+    once per cached node array."""
+
+    __slots__ = ("_fn", "_derive", "_derivative", "_memo")
+
+    def __init__(self, fn: Callable, derive: Callable):
+        self._fn = fn
+        self._derive = derive
+        self._derivative = None
+        self._memo = {}
+
+    def derivative(self) -> tuple:
+        """The pairs of ``derive``, derived at the first call."""
+        if self._derivative is None:
+            self._derivative = self._derive()
+        return self._derivative
+
+    def on(self, x: np.ndarray) -> np.ndarray:
+        """The values at the nodes ``x``, a read-only array of a cached
+        rule; memoised on its id (holding ``x`` keeps the id its own)."""
+        hit = self._memo.get(id(x))
+        if hit is None:
+            hit = self._memo[id(x)] = (x, np.broadcast_to(
+                np.asarray(self._fn(x), dtype=float), x.shape))
+        return hit[1]
+
+    def at(self, t0: float) -> float:
+        """The value at the coordinate ``t0``, memoised on it."""
+        key = ("at", t0)
+        if key not in self._memo:
+            self._memo[key] = float(np.asarray(self._fn(np.array([t0])),
+                                               dtype=float).ravel()[0])
+        return self._memo[key]
+
+
+# the factor 1 of an axis a term does not depend on
+ONE = Factor(np.ones_like, tuple)
+
+
+class SeparatedSum:
+    """``sum_k coefs[k] * prod_i factors[k][i](x_i)``: a scalar function as
+    a short sum of products of 1-D factors, one per axis, time first on a
+    space-time domain. An empty sum is zero."""
+
+    __slots__ = ("coefs", "factors")
+
+    def __init__(self, coefs, factors):
+        self.coefs = tuple(coefs)
+        self.factors = tuple(factors)
+
+    def __add__(self, other: "SeparatedSum") -> "SeparatedSum":
+        return SeparatedSum(self.coefs + other.coefs,
+                            self.factors + other.factors)
+
+    def scaled(self, c: float) -> "SeparatedSum":
+        return SeparatedSum([c * a for a in self.coefs], self.factors)
+
+    def derivative(self, axis: int) -> "SeparatedSum":
+        """The derivative along ``axis``: one factor per term differentiated,
+        into as many terms as its derivative has."""
+        coefs, factors = [], []
+        for c, fs in zip(self.coefs, self.factors):
+            for scale, g in fs[axis].derivative():
+                coefs.append(c * scale)
+                factors.append(fs[:axis] + (g,) + fs[axis + 1:])
+        return SeparatedSum(coefs, factors)
+
+    def at(self, t0: float) -> "SeparatedSum":
+        """The slice at time ``t0``: the first factor folded into the
+        coefficients."""
+        return SeparatedSum([c * fs[0].at(t0) for c, fs in
+                             zip(self.coefs, self.factors)],
+                            [fs[1:] for fs in self.factors])
+
+    def merged(self) -> "SeparatedSum":
+        """Terms with the same factors combined, in order of first
+        appearance, and those whose coefficients cancel to zero dropped."""
+        index, coefs, factors = {}, [], []
+        for c, fs in zip(self.coefs, self.factors):
+            key = tuple(map(id, fs))
+            if key in index:
+                coefs[index[key]] += c
+            else:
+                index[key] = len(coefs)
+                coefs.append(c)
+                factors.append(fs)
+        keep = [k for k, c in enumerate(coefs) if c != 0.0]
+        if len(keep) == len(self.coefs):
+            return self
+        return SeparatedSum([coefs[k] for k in keep], [factors[k] for k in keep])
+
+
+def _empty() -> SeparatedSum:
+    return SeparatedSum((), ())
+
+
+def _lazy(fn):
+    """``fn`` run at the first call only; later calls return its result."""
+    kept = []
+
+    def get():
+        if not kept:
+            kept.append(fn())
+        return kept[0]
+
+    return get
+
+
+def _each(op, *forms):
+    """``op`` applied to scalar forms, per component to vector forms; None
+    if any form is None (an operand did not split)."""
+    if any(f is None for f in forms):
+        return None
+    if isinstance(forms[0], tuple):
+        return tuple(op(*c) for c in zip(*forms))
+    return op(*forms)
+
+
+def _total(sums) -> SeparatedSum:
+    return functools.reduce(SeparatedSum.__add__, sums, _empty())
+
+
+def _dt(form: Callable) -> Callable:
+    return _lazy(lambda: _each(lambda s: s.derivative(0), form()))
+
+
+def _div(form: Callable, o: int) -> Callable:
+    """The divergence of the vector form ``form()``, whose first spatial
+    axis is axis ``o``: each component differentiated along its axis."""
+    def div():
+        v = form()
+        return None if v is None else _total(
+            vj.derivative(o + j) for j, vj in enumerate(v))
+
+    return _lazy(div)
+
+
+def scalar_forms(form: Callable, dim: int, time_dependent: bool) -> dict:
+    """The forms of a scalar field's evaluators from ``form``, a callable
+    returning the value's :class:`SeparatedSum` (or None): each derivative
+    differentiates one factor per term, and is built at its first call."""
+    o = int(time_dependent)
+
+    def grad():
+        s = form()
+        return None if s is None else tuple(s.derivative(o + j)
+                                            for j in range(dim))
+
+    grad = _lazy(grad)
+    return {"value": form, "grad": grad, "laplacian": _div(grad, o),
+            "dt": _dt(form)}
+
+
+def vector_forms(form: Callable, time_dependent: bool) -> dict:
+    """The forms of a vector field's evaluators from ``form``, a callable
+    returning the value's tuple of sums (or None); see :func:`scalar_forms`."""
+    return {"value": form, "div": _div(form, int(time_dependent)),
+            "dt": _dt(form)}
+
+
 # how CapabilityError messages name each derivative evaluator
 _NOUNS = {"grad": "gradient", "laplacian": "laplacian",
           "dt": "time-derivative", "div": "divergence"}
@@ -105,25 +285,32 @@ def _has(name):
 class _Field:
     """Evaluators in one map from name (``value``, ``grad``, ``laplacian``,
     ``dt``, ``div``) to callable; a missing name is a missing capability.
-    The algebra is shared by both ranks, and a combination carries the
-    evaluators that all its operands carry."""
+    Beside it, forms in a map from the same names to callables returning
+    the evaluator's separated form (or None); a name only there if its
+    evaluator is. The algebra is shared by both ranks, and a combination
+    carries the evaluators, and forms, that all its operands carry."""
 
-    __slots__ = ("_ev", "dim", "time_dependent", "_vanishes")
+    __slots__ = ("_ev", "_forms", "dim", "time_dependent", "_vanishes")
     _RANK = ""
     _KEEP = ()  # the keywords of ``restricted``
 
     def __init__(self, ev: dict, dim: int, time_dependent: bool,
-                 vanishes: bool = False):
+                 vanishes: bool = False, forms: dict | None = None):
         self._ev = {k: f for k, f in ev.items() if f is not None}
+        self._forms = {k: f for k, f in (forms or {}).items()
+                       if f is not None and k in self._ev}
         self.dim = dim
         self.time_dependent = time_dependent
         self._vanishes = vanishes
 
-    def _like(self, ev: dict, vanishes: bool = False, time_dependent=None):
-        """A field of this rank and dimension with evaluator map ``ev``."""
-        out = object.__new__(type(self))
+    def _like(self, ev: dict, vanishes: bool = False, time_dependent=None,
+              forms: dict | None = None, rank=None):
+        """A field of this rank (or ``rank``) and dimension with evaluator
+        map ``ev`` and form map ``forms``."""
+        out = object.__new__(rank or type(self))
         _Field.__init__(out, ev, self.dim, self.time_dependent
-                        if time_dependent is None else time_dependent, vanishes)
+                        if time_dependent is None else time_dependent,
+                        vanishes, forms)
         return out
 
     def _get(self, name: str) -> Callable:
@@ -132,6 +319,26 @@ class _Field:
         except KeyError:
             raise CapabilityError(f"{self._RANK} field carries no "
                                   f"{_NOUNS[name]} evaluator") from None
+
+    def _view(self, rank, **names):
+        """A field of ``rank`` whose evaluators, and forms, are this one's
+        under other names (``value="grad"``); the first is required."""
+        first = next(iter(names.values()))
+        self._get(first)
+        return self._like({k: self._ev.get(n) for k, n in names.items()},
+                          forms={k: self._forms.get(n)
+                                 for k, n in names.items()}, rank=rank)
+
+    def separated(self):
+        """The separated form of the value, a :class:`SeparatedSum` (a tuple
+        of them, one per component, for vectors), or None if there is none."""
+        form = self._forms.get("value")
+        return None if form is None else form()
+
+    def without_forms(self):
+        """This field with its evaluators only, so its norms are taken on
+        the full grid."""
+        return self._like(self._ev, self._vanishes)
 
     has_dt = _has("dt")
     dt = _evaluator("dt")
@@ -144,7 +351,10 @@ class _Field:
             raise ValueError("fields live on incompatible domains")
         ev = {k: _add(f, other._ev[k]) for k, f in self._ev.items()
               if k in other._ev}
-        return self._like(ev, self._vanishes and other._vanishes)
+        forms = {k: _lazy(lambda f=f, g=other._forms[k]: _each(
+                     SeparatedSum.__add__, f(), g()))
+                 for k, f in self._forms.items() if k in other._forms}
+        return self._like(ev, self._vanishes and other._vanishes, forms=forms)
 
     def __sub__(self, other):
         return self + (-1.0) * other
@@ -152,7 +362,10 @@ class _Field:
     def __mul__(self, c):
         c = float(c)
         return self._like({k: _scale(f, c) for k, f in self._ev.items()},
-                          self._vanishes)
+                          self._vanishes,
+                          forms={k: _lazy(lambda f=f: _each(
+                              lambda s: s.scaled(c), f()))
+                                 for k, f in self._forms.items()})
 
     __rmul__ = __mul__
 
@@ -160,14 +373,17 @@ class _Field:
         return (-1.0) * self
 
     def dt_field(self):
-        return self._like({"value": self._get("dt")})
+        return self._view(type(self), value="dt")
 
     def at_time(self, t0: float):
         """Spatial slice at a fixed time; the result is an elliptic field."""
         if not self.time_dependent:
             raise ValueError("at_time requires a space-time field")
         ev = {k: _freeze_time(f, t0) for k, f in self._ev.items() if k != "dt"}
-        return self._like(ev, self._vanishes, time_dependent=False)
+        forms = {k: _lazy(lambda f=f: _each(lambda s: s.at(t0), f()))
+                 for k, f in self._forms.items() if k != "dt"}
+        return self._like(ev, self._vanishes, time_dependent=False,
+                          forms=forms)
 
     def restricted(self, **keep):
         """Copy with ``value`` and only the selected capabilities retained."""
@@ -175,11 +391,14 @@ class _Field:
         if unknown:
             raise TypeError(f"restricted() got unexpected keywords {unknown}")
         ev = {k: f for k, f in self._ev.items() if k == "value" or keep.get(k)}
-        return self._like(ev, self._vanishes and keep.get("boundary_flag", False))
+        return self._like(ev, self._vanishes and keep.get("boundary_flag", False),
+                          forms=self._forms)
 
 
 class ScalarField(_Field):
-    """Pointwise-evaluable scalar field with optional analytic derivatives."""
+    """Pointwise-evaluable scalar field with optional analytic derivatives.
+    ``form``, if given, returns the value's :class:`SeparatedSum` (or None);
+    the forms of the derivatives follow from it (:func:`scalar_forms`)."""
 
     __slots__ = ()
     _RANK = "scalar"
@@ -188,9 +407,11 @@ class ScalarField(_Field):
     def __init__(self, value: Callable, grad: Callable | None = None,
                  laplacian: Callable | None = None, dt: Callable | None = None,
                  *, dim: int, time_dependent: bool = False,
-                 vanishes_on_boundary: bool = False):
+                 vanishes_on_boundary: bool = False,
+                 form: Callable | None = None):
         super().__init__(dict(value=value, grad=grad, laplacian=laplacian,
-                              dt=dt), dim, time_dependent, vanishes_on_boundary)
+                              dt=dt), dim, time_dependent, vanishes_on_boundary,
+                         form and scalar_forms(form, dim, time_dependent))
 
     @property
     def vanishes_on_boundary(self) -> bool:
@@ -203,15 +424,16 @@ class ScalarField(_Field):
         return self._ev["value"](*args)
 
     def gradient_field(self) -> "VectorField":
-        return VectorField(self._get("grad"), div=self._ev.get("laplacian"),
-                           dim=self.dim, time_dependent=self.time_dependent)
+        return self._view(VectorField, value="grad", div="laplacian")
 
     def laplacian_field(self) -> "ScalarField":
-        return self._like({"value": self._get("laplacian")})
+        return self._view(ScalarField, value="laplacian")
 
 
 class VectorField(_Field):
-    """Pointwise-evaluable vector field with optional divergence."""
+    """Pointwise-evaluable vector field with optional divergence. ``form``,
+    if given, returns the value's tuple of sums, one per component (or
+    None); see :func:`vector_forms`."""
 
     __slots__ = ()
     _RANK = "vector"
@@ -219,8 +441,9 @@ class VectorField(_Field):
 
     def __init__(self, value: Callable, div: Callable | None = None,
                  dt: Callable | None = None, *, dim: int,
-                 time_dependent: bool = False):
-        super().__init__(dict(value=value, div=div, dt=dt), dim, time_dependent)
+                 time_dependent: bool = False, form: Callable | None = None):
+        super().__init__(dict(value=value, div=div, dt=dt), dim, time_dependent,
+                         forms=form and vector_forms(form, time_dependent))
 
     has_div = _has("div")
     div = _evaluator("div")
@@ -229,8 +452,7 @@ class VectorField(_Field):
         return self._ev["value"](*args)
 
     def div_field(self) -> ScalarField:
-        return ScalarField(self._get("div"), dim=self.dim,
-                           time_dependent=self.time_dependent)
+        return self._view(ScalarField, value="div")
 
 
 def constant_scalar(c: float, dom: BoxDomain) -> ScalarField:
@@ -239,7 +461,9 @@ def constant_scalar(c: float, dom: BoxDomain) -> ScalarField:
                        _zeros(dom.dim), _zeros(),
                        _zeros() if dom.is_parabolic else None,
                        dim=dom.dim, time_dependent=dom.is_parabolic,
-                       vanishes_on_boundary=(c == 0.0))
+                       vanishes_on_boundary=(c == 0.0),
+                       form=lambda: SeparatedSum(
+                           [c], [(ONE,) * (dom.dim + dom.is_parabolic)]))
 
 
 def zero_scalar(dom: BoxDomain) -> ScalarField:
@@ -249,4 +473,5 @@ def zero_scalar(dom: BoxDomain) -> ScalarField:
 def zero_vector(dom: BoxDomain) -> VectorField:
     return VectorField(_zeros(dom.dim), _zeros(),
                        _zeros(dom.dim) if dom.is_parabolic else None,
-                       dim=dom.dim, time_dependent=dom.is_parabolic)
+                       dim=dom.dim, time_dependent=dom.is_parabolic,
+                       form=lambda: (_empty(),) * dom.dim)

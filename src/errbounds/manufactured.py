@@ -16,11 +16,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .fields import (BoxDomain, ConformityError, ScalarField, VectorField,
-                     _zeros)
+from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
+                     SeparatedSum, VectorField, _empty, _lazy, _zeros,
+                     scalar_forms)
 from .quadrature import QuadratureRule, coordinates, grid_axes, norm_sq
-from .symbolic import (_expression, _lambdify, derivatives, nonvanishing_face,
-                       scalar_field)
+from .symbolic import (_expression, data_field, derivatives,
+                       nonvanishing_face, scalar_field)
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
 PARABOLIC_KINDS = ("TRD", "Heat")
@@ -74,8 +75,7 @@ def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> Probl
                               f"{nonvanishing_face(expr, dom)}")
     u0 = u.at_time(0.0) if parabolic else None
     # the estimators only evaluate f, so it carries no derivatives
-    f = ScalarField(_lambdify(float(f_factor) * f_expr, dom.dim, parabolic),
-                    dim=dom.dim, time_dependent=parabolic)
+    f = data_field(float(f_factor) * f_expr, dom.dim, parabolic)
     return ProblemCase(kind=kind, dom=dom, f=f, u0=u0, exact_u=u,
                        exact_p=u.gradient_field())
 
@@ -98,9 +98,30 @@ def _modes(dim: int, n: int):
                   key=lambda m: (sum(m), m))[:n]
 
 
+@functools.lru_cache(maxsize=None)
+def _trig_factor(func: str, freq: float, lo: float) -> Factor:
+    """The factor sin or cos of freq (x - lo), one object per process."""
+    fn, other, sign = ((np.sin, "cos", 1.0) if func == "sin"
+                       else (np.cos, "sin", -1.0))
+    return Factor(lambda x: fn(freq * (x - lo)),
+                  lambda: ((sign * freq, _trig_factor(other, freq, lo)),))
+
+
+def _poly_factor(p: np.ndarray) -> Factor:
+    """The factor of the time polynomial with coefficients ``p``, lowest
+    first."""
+    def derive():
+        der = np.polynomial.polynomial.polyder(p)
+        return ((1.0, _poly_factor(der)),) if der.any() else ()
+
+    return Factor(lambda t: np.polynomial.polynomial.polyval(t, p), derive)
+
+
 class _TrigSum:
     """sum_k c_k tau_k(t) prod_i trig(m_i pi (x_i-lo_i)/L_i) with closed-form
-    derivatives.  ``funcs`` selects sin or cos per axis per term."""
+    derivatives.  ``funcs`` selects sin or cos per axis per term. Its field
+    views carry their separated forms: one term per k, with the factors
+    tau_k (on a space-time box) and the trig factors."""
 
     def __init__(self, coefs, modes, funcs, tpolys, dom: BoxDomain):
         self.coefs = np.asarray(coefs, dtype=float)
@@ -119,6 +140,13 @@ class _TrigSum:
         self.lo = np.asarray(dom.lower)
         self.freq = [np.array([m[i] * np.pi / dom.sides[i] for i in range(dom.dim)])
                      for m in self.modes]
+        # per term: its factors in the axis order of a separated form
+        tfactors = ([(_poly_factor(p),) for p in self.tpolys]
+                    if dom.is_parabolic else [()] * len(self.modes))
+        self._factors = [tf + tuple(_trig_factor(f, float(w), lo) for f, w, lo
+                                    in zip(funcs, freq, dom.lower))
+                         for tf, funcs, freq in zip(tfactors, self.funcs,
+                                                    self.freq)]
 
     @property
     def vanishes(self) -> bool:
@@ -194,21 +222,31 @@ class _TrigSum:
     dt_grad = functools.partialmethod(_grad_sum, order=1)
 
     # field views ----------------------------------------------------------
+    def _forms(self) -> dict:
+        """The forms of the evaluators, from the coefficients as they are
+        now (see :func:`fields.scalar_forms`)."""
+        value = SeparatedSum(self.coefs.tolist(), self._factors)
+        return scalar_forms(lambda: value, self.dom.dim, self.dom.is_parabolic)
+
     def scalar_field(self) -> ScalarField:
         td = self.dom.is_parabolic
         return ScalarField(self.value, self.grad, self.laplacian,
                            self.dt if td else None,
                            dim=self.dom.dim, time_dependent=td,
-                           vanishes_on_boundary=self.vanishes)
+                           vanishes_on_boundary=self.vanishes,
+                           form=self._forms()["value"])
 
     def gradient_field(self) -> VectorField:
         td = self.dom.is_parabolic
         return VectorField(self.grad, div=self.laplacian,
                            dt=self.dt_grad if td else None,
-                           dim=self.dom.dim, time_dependent=td)
+                           dim=self.dom.dim, time_dependent=td,
+                           form=self._forms()["grad"])
 
     def rotgrad_field(self) -> VectorField:
-        """Rotated gradient (-d/dy, d/dx): divergence-free, d = 2 only."""
+        """Rotated gradient (-d/dy, d/dx): divergence-free, d = 2 only. Its
+        form permutes and negates the gradient's; its divergence's form is
+        the empty sum, as its evaluator is zeros."""
         if self.dom.dim != 2:
             raise ValueError("rotated gradients require d = 2")
         td = self.dom.is_parabolic
@@ -220,9 +258,15 @@ class _TrigSum:
 
             return h
 
-        return VectorField(rotated(self.grad), _zeros(),
-                           rotated(self.dt_grad) if td else None,
-                           dim=2, time_dependent=td)
+        def rotated_form(form):
+            return _lazy(lambda: (form()[1].scaled(-1.0), form()[0]))
+
+        grad = self.gradient_field()
+        return grad._like(
+            {"value": rotated(self.grad), "div": _zeros(),
+             "dt": rotated(self.dt_grad) if td else None},
+            forms={"value": rotated_form(grad._forms["value"]), "div": _empty,
+                   "dt": rotated_form(grad._forms["dt"]) if td else None})
 
 
 def _random_trig(dom: BoxDomain, rng, n_terms: int = 3,
@@ -250,7 +294,8 @@ _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 
 def _normalized(ts: _TrigSum) -> _TrigSum:
     """``ts`` scaled in place to unit L2 norm; its time factors, which the
-    coefficients do not enter, stay derived and memoised."""
+    coefficients do not enter, stay derived and memoised. Field views
+    made before the scaling keep the old coefficients in their forms."""
     ts.coefs = ts.coefs / math.sqrt(
         norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE))
     return ts

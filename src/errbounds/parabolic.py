@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import math
 
-from .elliptic import _check_kind, _require, two_sided_prefactors
+from .elliptic import _check_kind, _checked_cf, _require, two_sided_prefactors
 from .fields import ScalarField
 from .manufactured import ApproxPair, ProblemCase
 from .quadrature import QuadratureRule, norm_sq, trace_norm_sq
@@ -122,8 +122,11 @@ def heat_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
 def heat_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
                    rule: QuadratureRule, gamma: float = 2.0) -> BoundReport:
     """Two-sided space-time estimate for the heat equation with conforming
-    mixed approximations; both lower candidates are reported individually."""
+    mixed approximations; both lower candidates are reported individually.
+    A ``cf`` below the Friedrichs constant of the spatial box raises
+    ValueError."""
     _check_kind(case, "Heat")
+    cf = _checked_cf(case, cf)
     dom = case.dom
     T = dom.time_horizon
     ut, pt = approx.u_tilde, approx.p_tilde

@@ -1,10 +1,21 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
-Norms and single inner products reduce through a correctly rounded sum,
-equal to :func:`math.fsum` bit for bit (see :func:`_fsum`), so they are
+:func:`l2_inner`, and through it :func:`norm_sq` and :func:`trace_norm_sq`,
+integrates two fields that both carry a separated form (see
+:mod:`errbounds.fields`) without visiting the grid: per axis one
+:func:`weighted_gram` of the factor values at that axis's composite Gauss
+nodes (:func:`axis_rules`), the axis Grams multiplied elementwise, and one
+correctly rounded sum of c_k c_l H_kl. That is the tensor rule's own value,
+at O(R^2 d n) cost for rank R instead of O(n^d). Any operand without a
+form (a field built from bare callables, or from an expression that does
+not split) is evaluated at every node instead; that path is the general
+fallback and the oracle of the tests.
+
+Both paths reduce through a correctly rounded sum, equal to
+:func:`math.fsum` bit for bit (see :func:`_fsum`), so they are
 deterministic to the last bit regardless of how callers batch their work.
 :func:`l2_gram` trades it for one sequential weighted sum per entry, which
-is as deterministic but rounds differently: one kernel,
+is as deterministic but rounds differently: the same kernel,
 :func:`weighted_gram`, contracts the flat sample rows of :func:`samples`
 for both ranks, a vector row carrying the node weights repeated per
 component. Fields evaluate on the cached node sets through the
@@ -223,15 +234,67 @@ def sampled_inner(va: np.ndarray, vb: np.ndarray, w: np.ndarray) -> float:
 
 
 def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
-    """L2 inner product over the box (or the space-time cylinder)."""
+    """L2 inner product over the box (or the space-time cylinder): by
+    :func:`separated_inner` when both fields carry a separated form (see
+    :meth:`fields._Field.separated`), else on the full node grid."""
     if isinstance(a, ScalarField) != isinstance(b, ScalarField):
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
     _check_domain_match(a, dom)
     _check_domain_match(b, dom)
+    fa = a.separated()
+    fb = fa if b is a else b.separated()
+    if fa is not None and fb is not None:
+        return separated_inner(fa, fb, dom, rule)
+    return _grid_inner(a, b, dom, rule)
+
+
+def _grid_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
+    """:func:`l2_inner` from the values of both fields at every node."""
     args, w = _quad_args(dom, rule)
     va = a.value(*args)
     vb = va if b is a else b.value(*args)
     return sampled_inner(va, vb, w)
+
+
+@lru_cache(maxsize=None)
+def axis_rules(dom: BoxDomain, rule: QuadratureRule):
+    """The 1-D composite rules ``(nodes, weights)`` whose tensor product is
+    the node set of ``dom``, time first: the per-axis arrays of
+    :func:`space_nodes` and :func:`spacetime_nodes`."""
+    axes = tuple(_gauss_interval(rule.space_order, lo, hi, _SPACE_PANELS)
+                 for lo, hi in zip(dom.lower, dom.upper))
+    if dom.is_parabolic:
+        axes = (_gauss_interval(rule.time_order, 0.0, dom.time_horizon,
+                                _TIME_PANELS),) + axes
+    return axes
+
+
+def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
+    """The tensor rule's value of the L2 inner product of two separated
+    forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
+    component, without visiting the grid (sum factorisation): per component
+    and axis, one :func:`weighted_gram` of the factor values at that axis's
+    nodes, the axis Grams multiplied elementwise in axis order into H, and
+    one correctly rounded sum of c_k c_l H_kl over all components. A norm
+    (``fb is fa``) that rounding leaves below zero is 0."""
+    if not isinstance(fa, tuple):
+        fa, fb = (fa,), (fb,)
+    axes = axis_rules(dom, rule)
+    parts = []
+    for a0, b0 in zip(fa, fb):
+        a = a0.merged()
+        b = a if b0 is a0 else b0.merged()
+        if not a.coefs or not b.coefs:
+            continue
+        H = None
+        for i, (x, w) in enumerate(axes):
+            L = np.array([fs[i].on(x) for fs in a.factors])
+            R = L if b is a else np.array([fs[i].on(x) for fs in b.factors])
+            G = weighted_gram(L, R, w)
+            H = G if H is None else H * G
+        parts.append((np.multiply.outer(a.coefs, b.coefs) * H).ravel())
+    total = _fsum(np.concatenate(parts)) if parts else 0.0
+    return max(total, 0.0) if fb is fa else total
 
 
 def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:

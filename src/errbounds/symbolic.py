@@ -6,6 +6,15 @@ taken symbolically and lambdified once per expression per process, so the
 only error in any evaluated identity is quadrature error, and a case built
 again builds no sympy function again. Whether a scalar field vanishes on the
 boundary is decided exactly, face by face, once per expression and box.
+
+Every field built here carries the separated form of its value (see
+:mod:`errbounds.fields`), split lazily: at the first norm that asks, never
+when the field is built, once per expression per process. The split
+expands the expression, takes its terms and separates each into 1-D
+factors, one per coordinate; each factor is lambdified once per process
+per (factor, coordinate). An expression with a term that does not separate,
+such as ``sin(pi*x*y)``, or with more than :data:`_MAX_TERMS` terms, has no
+form, and its fields are integrated on the full grid.
 """
 from __future__ import annotations
 
@@ -18,7 +27,7 @@ import numpy as np
 import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
 
-from .fields import BoxDomain, ScalarField, VectorField
+from .fields import ONE, BoxDomain, Factor, ScalarField, SeparatedSum, VectorField
 from .quadrature import coordinates
 
 X_SYMBOLS = sp.symbols("x y z")
@@ -205,6 +214,89 @@ def _numpy_function(expr, dim: int, time_dependent: bool):
     return sp.lambdify(symbols, expr, modules="numpy")
 
 
+# an expression of more terms than this, expanded, gets no separated form:
+# its norms cost the square of the term count per axis
+_MAX_TERMS = 64
+
+
+def _term_bound(expr) -> int:
+    """An upper bound on the number of terms of ``sp.expand(expr)``, taken
+    without expanding and saturating just above :data:`_MAX_TERMS`: a sum
+    adds its terms' bounds, a product multiplies them, a power of a sum to
+    a positive integer n raises its bound to n, and anything else (a
+    function, a coordinate, a number) is one term."""
+    cap = _MAX_TERMS + 1
+    if expr.is_Add:
+        n = sum(map(_term_bound, expr.args))
+    elif expr.is_Mul:
+        n = math.prod(map(_term_bound, expr.args))
+    elif expr.is_Pow and expr.exp.is_Integer and expr.exp > 1:
+        base = _term_bound(expr.base)
+        n = base ** int(expr.exp) if base == 1 or expr.exp < cap else cap
+    else:
+        n = 1
+    return min(n, cap)
+
+
+@_memoised
+def _factor(expr, sym) -> Factor:
+    """The :class:`fields.Factor` of ``expr``, a function of ``sym`` alone
+    with no numeric coefficient, lambdified once per process. Its
+    derivative is expanded into terms like those of :func:`_split`, so a
+    derived form and the split of the derived expression share factors."""
+    if not expr.has(sym):
+        return ONE
+    return Factor(sp.lambdify((sym,), expr, modules="numpy"),
+                  lambda: tuple(_scaled_factor(term, sym) for term in
+                                sp.Add.make_args(sp.expand(sp.diff(expr, sym)))
+                                if term != 0))
+
+
+def _scaled_factor(expr, sym):
+    """``(c, factor)`` with ``expr`` = c * factor, c a float."""
+    coeff, rest = expr.as_independent(sym, as_Add=False)
+    return float(coeff), _factor(rest, sym)
+
+
+@_memoised
+def _split(expr, dim: int, time_dependent: bool):
+    """The :class:`fields.SeparatedSum` of ``expr`` over (t,) x, y, z, or
+    None if a term does not separate (or there are too many)."""
+    if _term_bound(expr) > _MAX_TERMS:
+        return None
+    symbols = ((T_SYMBOL,) if time_dependent else ()) + X_SYMBOLS[:dim]
+    coefs, factors = [], []
+    try:
+        for term in sp.Add.make_args(sp.expand(expr)):
+            parts = sp.separatevars(term, symbols, dict=True)
+            if parts is None:
+                return None
+            c, fs = float(parts["coeff"]), []
+            for sym in symbols:
+                scale, factor = _scaled_factor(parts[sym], sym)
+                c *= scale
+                fs.append(factor)
+            coefs.append(c)
+            factors.append(tuple(fs))
+    except (TypeError, ValueError):  # a coefficient that is not a real number
+        return None
+    return SeparatedSum(coefs, factors)
+
+
+def _separated(exprs, dim: int, time_dependent: bool):
+    """The form of the field of ``exprs``, one expression (a scalar) or a
+    list (a vector's components): a callable splitting them at its first
+    call (see :func:`_split`)."""
+    if isinstance(exprs, sp.Basic):
+        return lambda: _split(exprs, dim, time_dependent)
+
+    def vector():
+        sums = tuple(_split(e, dim, time_dependent) for e in exprs)
+        return None if None in sums else sums
+
+    return vector
+
+
 def _lambdify(expr, dim: int, time_dependent: bool):
     fn = _numpy_function(expr, dim, time_dependent)
 
@@ -234,7 +326,15 @@ def scalar_field(expr, dom: BoxDomain) -> ScalarField:
         _lambdify(expr, d, td), _lambdify_vector(grad, d, td),
         _lambdify(lap, d, td), _lambdify(dt, d, td) if td else None,
         dim=d, time_dependent=td,
-        vanishes_on_boundary=nonvanishing_face(expr, dom) is None)
+        vanishes_on_boundary=nonvanishing_face(expr, dom) is None,
+        form=_separated(expr, d, td))
+
+
+def data_field(expr, dim: int, time_dependent: bool) -> ScalarField:
+    """A scalar field of ``expr`` with its value evaluator only."""
+    return ScalarField(_lambdify(expr, dim, time_dependent), dim=dim,
+                       time_dependent=time_dependent,
+                       form=_separated(expr, dim, time_dependent))
 
 
 def vector_field(exprs, dom: BoxDomain) -> VectorField:
@@ -247,7 +347,8 @@ def vector_field(exprs, dom: BoxDomain) -> VectorField:
     return VectorField(
         _lambdify_vector(exprs, d, td), _lambdify(div_expr, d, td),
         _lambdify_vector([sp.diff(e, T_SYMBOL) for e in exprs], d, td)
-        if td else None, dim=d, time_dependent=td)
+        if td else None, dim=d, time_dependent=td,
+        form=_separated(exprs, d, td))
 
 
 def gradient_field(expr, dom: BoxDomain) -> VectorField:

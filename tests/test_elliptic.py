@@ -285,3 +285,25 @@ def test_efficiency_indices_populated():
     rep = poisson_two_sided(POISSON, ap, cf, RULE)
     assert rep.efficiency_upper >= 1.0 - 1e-12
     assert rep.efficiency_lower <= 1.0 + 1e-12
+
+
+# the values of cf each estimator taking one must refuse: negative, not a
+# number, and just below the closed form of the box
+def _bad_cfs(dom):
+    return (-5.0, math.nan, 0.9 * friedrichs_constant(dom).value)
+
+
+@pytest.mark.parametrize("cf", _bad_cfs(DOM1))
+def test_poisson_two_sided_refuses_cf_below_the_box_constant(cf):
+    ap = perturb(POISSON, "conforming_mixed", 0.1, 0)
+    with pytest.raises(ValueError, match="cf"):
+        poisson_two_sided(POISSON, ap, cf, RULE)
+
+
+@pytest.mark.parametrize("cf", _bad_cfs(DOM1))
+def test_poisson_nonconforming_refuses_cf_below_the_box_constant(cf):
+    ap = perturb(POISSON, "non_conforming", 0.1, 0)
+    with pytest.raises(ValueError, match="cf"):
+        poisson_nonconforming(POISSON, ap.u_tilde, ap.p_tilde,
+                              POISSON.exact_u, POISSON.exact_p, cf, "ii",
+                              RULE)

@@ -168,3 +168,11 @@ def test_parabolic_kind_checks():
     cf = friedrichs_constant(TDOM.spatial()).value
     with pytest.raises(ValueError):
         heat_two_sided(TRD, perturb(TRD, "conforming_mixed", 0.1, 0), cf, RULE)
+
+
+@pytest.mark.parametrize("cf", [
+    -5.0, math.nan, 0.9 * friedrichs_constant(TDOM.spatial()).value])
+def test_heat_two_sided_refuses_cf_below_the_box_constant(cf):
+    ap = perturb(HEAT, "conforming_mixed", 0.1, 0)
+    with pytest.raises(ValueError, match="cf"):
+        heat_two_sided(HEAT, ap, cf, RULE)
