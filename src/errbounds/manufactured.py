@@ -8,6 +8,7 @@ level is exact by construction.
 """
 from __future__ import annotations
 
+import copy
 import dataclasses
 import functools
 import itertools
@@ -117,6 +118,14 @@ def _poly_factor(p: np.ndarray) -> Factor:
     return Factor(lambda t: np.polynomial.polynomial.polyval(t, p), derive)
 
 
+def _read_only(coefs) -> np.ndarray:
+    """A read-only float copy of ``coefs``: the coefficients of a sum never
+    change, so the evaluators and the forms of its views always agree."""
+    out = np.array(coefs, dtype=float)
+    out.flags.writeable = False
+    return out
+
+
 class _TrigSum:
     """sum_k c_k tau_k(t) prod_i trig(m_i pi (x_i-lo_i)/L_i) with closed-form
     derivatives.  ``funcs`` selects sin or cos per axis per term. Its field
@@ -124,7 +133,7 @@ class _TrigSum:
     tau_k (on a space-time box) and the trig factors."""
 
     def __init__(self, coefs, modes, funcs, tpolys, dom: BoxDomain):
-        self.coefs = np.asarray(coefs, dtype=float)
+        self.coefs = _read_only(coefs)
         self.modes = [tuple(m) for m in modes]
         self.funcs = [tuple(f) for f in funcs]
         self.tpolys = [np.asarray(p, dtype=float) for p in tpolys]
@@ -223,8 +232,8 @@ class _TrigSum:
 
     # field views ----------------------------------------------------------
     def _forms(self) -> dict:
-        """The forms of the evaluators, from the coefficients as they are
-        now (see :func:`fields.scalar_forms`)."""
+        """The forms of the evaluators (see :func:`fields.scalar_forms`),
+        from the coefficients, which are read-only (see :func:`_normalized`)."""
         value = SeparatedSum(self.coefs.tolist(), self._factors)
         return scalar_forms(lambda: value, self.dom.dim, self.dom.is_parabolic)
 
@@ -293,12 +302,13 @@ _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 
 
 def _normalized(ts: _TrigSum) -> _TrigSum:
-    """``ts`` scaled in place to unit L2 norm; its time factors, which the
-    coefficients do not enter, stay derived and memoised. Field views
-    made before the scaling keep the old coefficients in their forms."""
-    ts.coefs = ts.coefs / math.sqrt(
-        norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE))
-    return ts
+    """A copy of ``ts`` scaled to unit L2 norm. It shares the factors and
+    time memos of ``ts``, which the coefficients do not enter; ``ts`` and
+    the field views made from it keep their coefficients."""
+    out = copy.copy(ts)
+    out.coefs = _read_only(ts.coefs / math.sqrt(
+        norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE)))
+    return out
 
 
 def _flux_noise(dom: BoxDomain, rng) -> VectorField:
@@ -316,21 +326,18 @@ class Directions:
     """The seeded perturbation directions of one box: normalised
     conforming and non-conforming scalar sums and the flux noise. The
     non-conforming sum is drawn with the others, so the draws keep their
-    order, but normalised only when first asked for."""
+    order, but normalised only when first asked for: the default workloads
+    never ask, and its norm would cost them a few per cent of a pass."""
 
     def __init__(self, conforming: _TrigSum, nonconforming: _TrigSum,
                  flux: VectorField):
         self.conforming = conforming
-        self._nonconforming = nonconforming
-        self._scaled = False
+        self._drawn = nonconforming
         self.flux = flux
 
-    @property
+    @functools.cached_property
     def nonconforming(self) -> _TrigSum:
-        if not self._scaled:
-            _normalized(self._nonconforming)
-            self._scaled = True
-        return self._nonconforming
+        return _normalized(self._drawn)
 
 
 def _build_directions(dom: BoxDomain, seed: int) -> Directions:

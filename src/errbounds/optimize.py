@@ -34,15 +34,12 @@ def optimal_gamma(A: float, B: float) -> Tuple[float, float]:
 
 def combine_vector_fields(basis: Sequence[VectorField],
                           coeffs: Sequence[float]) -> VectorField:
-    """Linear combination of vector fields sharing dim/time-dependence. It
-    carries no separated form: its norms are taken on the grid, as the
-    minimisers take theirs from samples (see :func:`_combined`), so the two
-    agree to the last bit."""
+    """Linear combination of vector fields sharing dim/time-dependence."""
     if len(basis) != len(coeffs) or not basis:
         raise ValueError("need equally many basis fields and coefficients")
-    out = float(coeffs[0]) * basis[0].without_forms()
+    out = float(coeffs[0]) * basis[0]
     for b, c in zip(basis[1:], coeffs[1:]):
-        out = out + float(c) * b.without_forms()
+        out = out + float(c) * b
     return out
 
 

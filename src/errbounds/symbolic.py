@@ -13,8 +13,9 @@ when the field is built, once per expression per process. The split
 expands the expression, takes its terms and separates each into 1-D
 factors, one per coordinate; each factor is lambdified once per process
 per (factor, coordinate). An expression with a term that does not separate,
-such as ``sin(pi*x*y)``, or with more than :data:`_MAX_TERMS` terms, has no
-form, and its fields are integrated on the full grid.
+such as ``sin(pi*x*y)``, or with more than :data:`_MAX_TERMS` terms, in
+itself or inside a function's argument (which the expansion expands too),
+has no form, and its fields are integrated on the full grid.
 """
 from __future__ import annotations
 
@@ -220,21 +221,26 @@ _MAX_TERMS = 64
 
 
 def _term_bound(expr) -> int:
-    """An upper bound on the number of terms of ``sp.expand(expr)``, taken
-    without expanding and saturating just above :data:`_MAX_TERMS`: a sum
-    adds its terms' bounds, a product multiplies them, a power of a sum to
-    a positive integer n raises its bound to n, and anything else (a
-    function, a coordinate, a number) is one term."""
+    """An upper bound on the number of terms of ``sp.expand(expr)``, and on
+    those it expands inside, taken without expanding and saturating just
+    above :data:`_MAX_TERMS`: a sum adds its terms' bounds, a product
+    multiplies them, a power of a sum to an integer n raises its bound to
+    |n| (to n > 0 in the result, to n < 0 in a denominator of one term),
+    and anything else (a function, a coordinate, a number, another power)
+    is one term unless an argument, which ``sp.expand`` expands too, is
+    over the cap."""
     cap = _MAX_TERMS + 1
     if expr.is_Add:
         n = sum(map(_term_bound, expr.args))
     elif expr.is_Mul:
         n = math.prod(map(_term_bound, expr.args))
-    elif expr.is_Pow and expr.exp.is_Integer and expr.exp > 1:
-        base = _term_bound(expr.base)
-        n = base ** int(expr.exp) if base == 1 or expr.exp < cap else cap
+    elif expr.is_Pow and expr.exp.is_Integer and abs(expr.exp) > 1:
+        base, k = _term_bound(expr.base), abs(int(expr.exp))
+        n = base ** k if base == 1 or k < cap else cap
+        if expr.exp < 0 and n < cap:
+            n = 1
     else:
-        n = 1
+        n = cap if any(_term_bound(a) >= cap for a in expr.args) else 1
     return min(n, cap)
 
 

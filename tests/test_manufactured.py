@@ -252,6 +252,25 @@ def test_nonconforming_direction_normalised_on_first_use(monkeypatch):
         directions.cache_clear()
 
 
+@pytest.mark.parametrize("dom", [DOM2, TDOM], ids=["elliptic", "parabolic"])
+def test_normalized_copy_leaves_the_sum_and_its_views(dom):
+    # a view keeps the coefficients of its sum in its evaluators and in its
+    # form alike, so both of its norm paths agree after the sum is scaled
+    ts = _random_trig(dom, np.random.default_rng(3), nonconforming=True)
+    before = ts.coefs.copy()
+    view = ts.scalar_field()
+    unit = manufactured._normalized(ts)
+    assert np.array_equal(ts.coefs, before) and unit.coefs is not ts.coefs
+    with pytest.raises(ValueError):
+        ts.coefs[0] = 1.0
+    separated = norm_sq("L2", view, dom, RULE)
+    assert separated == pytest.approx(
+        norm_sq("L2", view.without_forms(), dom, RULE), rel=1e-13)
+    assert norm_sq("L2", unit.scalar_field(), dom, RULE) == pytest.approx(
+        1.0, rel=1e-10)
+    assert separated != pytest.approx(1.0, rel=1e-3)
+
+
 def test_perturb_reuses_directions_bitwise():
     # RD and Poisson on one box draw one set of directions, and a pair
     # built from it equals one built afresh, bit for bit

@@ -139,6 +139,24 @@ def test_unsplittable_solution_has_no_form():
     assert scalar_field("(x + y + 1)**12", dom).separated() is None
 
 
+def test_a_power_inside_a_function_is_not_expanded():
+    # sp.expand expands function arguments too: the 60th power of a sum
+    # inside sin would expand into about 40k terms before the split found
+    # that the term does not separate
+    import sympy
+
+    dom = BoxDomain((0.0,) * 3, (1.0,) * 3)
+    rule = QuadratureRule(space_order=2)
+    text = "x*(1-x)*y*(1-y)*z*(1-z)*sin((x+y+z+1)**60)"
+    w = scalar_field(text, dom)
+    with mock.patch.object(sympy, "expand", side_effect=AssertionError):
+        assert w.separated() is None
+        assert norm_sq("L2", w, dom, rule) == norm_sq(
+            "L2", w.without_forms(), dom, rule)
+    # so is a sum of more than 64 terms raised to a negative power
+    assert scalar_field("x*(1-x)/(x + y + 3)**12", dom).separated() is None
+
+
 def test_make_case_splits_nothing_until_a_norm_asks():
     from errbounds import symbolic
 
