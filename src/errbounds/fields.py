@@ -126,16 +126,26 @@ class Factor:
 ONE = Factor(np.ones_like, tuple)
 
 
+@functools.lru_cache(maxsize=None)
+def trig_factor(func: str, freq: float, lo: float) -> Factor:
+    """The factor sin or cos of freq (x - lo), one object per process."""
+    fn, other, sign = ((np.sin, "cos", 1.0) if func == "sin"
+                       else (np.cos, "sin", -1.0))
+    return Factor(lambda x: fn(freq * (x - lo)),
+                  lambda: ((sign * freq, trig_factor(other, freq, lo)),))
+
+
 class SeparatedSum:
     """``sum_k coefs[k] * prod_i factors[k][i](x_i)``: a scalar function as
     a short sum of products of 1-D factors, one per axis, time first on a
-    space-time domain. An empty sum is zero."""
+    space-time domain. An empty sum is zero. A sum never changes."""
 
-    __slots__ = ("coefs", "factors")
+    __slots__ = ("coefs", "factors", "_merged")
 
     def __init__(self, coefs, factors):
         self.coefs = tuple(coefs)
         self.factors = tuple(factors)
+        self._merged = None
 
     def __add__(self, other: "SeparatedSum") -> "SeparatedSum":
         return SeparatedSum(self.coefs + other.coefs,
@@ -163,7 +173,10 @@ class SeparatedSum:
 
     def merged(self) -> "SeparatedSum":
         """Terms with the same factors combined, in order of first
-        appearance, and those whose coefficients cancel to zero dropped."""
+        appearance, and those whose coefficients cancel to zero dropped;
+        built at the first call."""
+        if self._merged is not None:
+            return self._merged
         index, coefs, factors = {}, [], []
         for c, fs in zip(self.coefs, self.factors):
             key = tuple(map(id, fs))
@@ -174,9 +187,9 @@ class SeparatedSum:
                 coefs.append(c)
                 factors.append(fs)
         keep = [k for k, c in enumerate(coefs) if c != 0.0]
-        if len(keep) == len(self.coefs):
-            return self
-        return SeparatedSum([coefs[k] for k in keep], [factors[k] for k in keep])
+        self._merged = self if len(keep) == len(self.coefs) else SeparatedSum(
+            [coefs[k] for k in keep], [factors[k] for k in keep])
+        return self._merged
 
 
 def _empty() -> SeparatedSum:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
                      SeparatedSum, VectorField, _empty, _lazy, _zeros,
-                     scalar_forms)
+                     scalar_forms, trig_factor)
 from .quadrature import QuadratureRule, coordinates, grid_axes, norm_sq
 from .symbolic import (_expression, data_field, derivatives,
                        nonvanishing_face, scalar_field)
@@ -99,15 +99,6 @@ def _modes(dim: int, n: int):
                   key=lambda m: (sum(m), m))[:n]
 
 
-@functools.lru_cache(maxsize=None)
-def _trig_factor(func: str, freq: float, lo: float) -> Factor:
-    """The factor sin or cos of freq (x - lo), one object per process."""
-    fn, other, sign = ((np.sin, "cos", 1.0) if func == "sin"
-                       else (np.cos, "sin", -1.0))
-    return Factor(lambda x: fn(freq * (x - lo)),
-                  lambda: ((sign * freq, _trig_factor(other, freq, lo)),))
-
-
 def _poly_factor(p: np.ndarray) -> Factor:
     """The factor of the time polynomial with coefficients ``p``, lowest
     first."""
@@ -137,13 +128,7 @@ class _TrigSum:
         self.modes = [tuple(m) for m in modes]
         self.funcs = [tuple(f) for f in funcs]
         self.tpolys = [np.asarray(p, dtype=float) for p in tpolys]
-        # per term: tau_k and its derivative, their values at t = 0 (the
-        # factors of an elliptic box), and (k, order, id of a grid time
-        # axis) -> (that axis, the factor on it)
-        self._tderivs = [(p, np.polynomial.polynomial.polyder(p))
-                         for p in self.tpolys]
-        self._tconst = [[float(np.polynomial.polynomial.polyval(0.0, q))
-                         for q in pq] for pq in self._tderivs]
+        # (k, order, id of a grid time axis) -> (that axis, the factor on it)
         self._tmemo = {}
         self.dom = dom
         self.lo = np.asarray(dom.lower)
@@ -152,10 +137,22 @@ class _TrigSum:
         # per term: its factors in the axis order of a separated form
         tfactors = ([(_poly_factor(p),) for p in self.tpolys]
                     if dom.is_parabolic else [()] * len(self.modes))
-        self._factors = [tf + tuple(_trig_factor(f, float(w), lo) for f, w, lo
+        self._factors = [tf + tuple(trig_factor(f, float(w), lo) for f, w, lo
                                     in zip(funcs, freq, dom.lower))
                          for tf, funcs, freq in zip(tfactors, self.funcs,
                                                     self.freq)]
+
+    # per term: tau_k and its derivative, and their values at t = 0 (the
+    # factors of an elliptic box), derived at the first evaluation: a sum
+    # only integrated by its form never derives them
+    @functools.cached_property
+    def _tderivs(self):
+        return [(p, np.polynomial.polynomial.polyder(p)) for p in self.tpolys]
+
+    @functools.cached_property
+    def _tconst(self):
+        return [[float(np.polynomial.polynomial.polyval(0.0, q)) for q in pq]
+                for pq in self._tderivs]
 
     @property
     def vanishes(self) -> bool:

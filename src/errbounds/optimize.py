@@ -2,15 +2,15 @@
 from __future__ import annotations
 
 import math
-from typing import Dict, List, NamedTuple, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
-from .fields import BoxDomain, ScalarField, VectorField
+from .fields import ScalarField, VectorField
 from .manufactured import ApproxPair, ProblemCase
-from .quadrature import (QuadratureRule, norm_sq, sampled_inner, samples,
-                         weighted_gram)
+from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
+                         samples, weighted_gram)
 from .reports import BoundReport
 
 
@@ -52,117 +52,53 @@ def _solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return np.linalg.solve(G, rhs)
 
 
-class BasisGram(NamedTuple):
-    """The sample rows (see :func:`quadrature.samples`) of a flux basis and
-    of its divergences on one box and rule, and their Gram blocks. Every
-    array is read-only."""
-
-    fields: Tuple[VectorField, ...]
-    values: np.ndarray  # (n, N d)
-    divs: np.ndarray  # (n, N)
-    BB: np.ndarray  # <b_i, b_j>
-    DD: np.ndarray  # <div b_i, div b_j>
-
-    def leading(self, n: int) -> "BasisGram":
-        return BasisGram(self.fields[:n], self.values[:n], self.divs[:n],
-                         self.BB[:n, :n], self.DD[:n, :n])
-
-
-# (box, rule) -> the BasisGram of the longest basis asked for there; holding
-# the fields keeps their ids theirs. runner.run clears it on entry and on
-# exit; at most eight entries stay, the oldest going first, so calls
-# outside a run over many boxes do not accumulate samples.
-BASIS_GRAMS: Dict[tuple, BasisGram] = {}
-_MAX_BASIS_GRAMS = 8
-
-
-def basis_gram(basis: Sequence[VectorField], dom: BoxDomain,
-               rule: QuadratureRule) -> BasisGram:
-    """The :class:`BasisGram` of ``basis`` on ``dom``, memoised per box and
-    rule on the identities of the fields: a basis that begins the stored one
-    reads its leading block, one that extends it adds only the rows of its
-    new fields, and any other basis replaces it. Each field's value and
-    divergence is evaluated once per entry, and each Gram entry computed
-    once."""
-    key = (dom, rule)
-    old = BASIS_GRAMS.get(key)
-    m = 0
-    if old is not None and all(a is b for a, b in zip(old.fields, basis)):
-        if len(basis) <= len(old.fields):
-            return old.leading(len(basis))
-        m = len(old.fields)
-    new = basis[m:]
-    values, wv = samples(new, dom, rule)
-    divs, w = samples([b.div_field() for b in new], dom, rule)
-    if m:
-        values = np.concatenate([old.values, values])
-        divs = np.concatenate([old.divs, divs])
-    entry = BasisGram(tuple(basis), values, divs,
-                      _grown(old.BB if m else None, values, m, wv),
-                      _grown(old.DD if m else None, divs, m, w))
-    for a in entry[1:]:
-        a.setflags(write=False)
-    BASIS_GRAMS.pop(key, None)
-    if len(BASIS_GRAMS) >= _MAX_BASIS_GRAMS:
-        del BASIS_GRAMS[next(iter(BASIS_GRAMS))]
-    BASIS_GRAMS[key] = entry
-    return entry
-
-
-def _grown(G, rows: np.ndarray, m: int, w: np.ndarray) -> np.ndarray:
-    """The Gram matrix of ``rows`` from ``G``, that of the first ``m``: each
-    later row is contracted against itself and the rows before it, so every
-    entry is computed once and mirrored."""
-    n = len(rows)
-    out = np.empty((n, n))
-    if m:
-        out[:m, :m] = G
-    for i in range(m, n):
-        out[i, :i + 1] = weighted_gram(rows[i:i + 1], rows[:i + 1], w)[0]
-        out[:i, i] = out[i, :i]
-    return out
-
-
-def _combined(rows: np.ndarray, coeffs: Sequence[float]) -> np.ndarray:
-    """The row of :func:`combine_vector_fields` of the fields of ``rows``:
-    the same float operations as evaluating the combination."""
-    out = float(coeffs[0]) * rows[0]
-    for row, c in zip(rows[1:], coeffs[1:]):
-        out = np.add(out, float(c) * row)
-    return out
-
-
-def _norm_sq(row: np.ndarray, w: np.ndarray) -> float:
-    """``norm_sq("L2", ...)`` of a field from its sample row, bit for bit."""
-    v = row if row.shape == w.shape else row.reshape(w.shape[0], -1)
-    return sampled_inner(v, v, w)
-
-
 def _young(A: float, B: float) -> Tuple[float, float]:
     """:func:`optimal_gamma`, its minimizer 1.0 where not finite and > 0."""
     gamma, value = optimal_gamma(A, B)
     return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
 
 
-def _flux_step(gram: BasisGram, d: ScalarField, targets, dom, rule):
-    """The flux step as a function of (n, wa, wb): the coefficients of the
-    psi in the span of the leading n fields of ``gram`` that minimizes
-    wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, then
-    ||d + div psi||^2 and ||psi - t||^2 per t of ``targets``, (t0, t1) or
-    (t0,) with t1 = t0. d and the targets are sampled and contracted once."""
-    rows, wv = samples(list(targets), dom, rule)
-    data, w = samples([d], dom, rule)
-    RT = weighted_gram(rows, gram.values, wv)
-    RD = weighted_gram(data, gram.divs, w)[0]
+def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
+               rule):
+    """The flux step as a function of (n, wa, wb): the psi in the span of
+    the leading n fields of ``basis`` that minimizes
+    wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, its
+    coefficients, then ||d + div psi||^2 and ||psi - t||^2 per t of
+    ``targets``, (t0, t1) or (t0,) with t1 = t0. The Gram blocks come from
+    :func:`quadrature.l2_gram` and the norms are ``norm_sq("L2", ...)`` of
+    psi's terms, unless d or a target carries no separated form: then the
+    fields are sampled once and the blocks and norms taken from the rows."""
+    divs = [b.div_field() for b in basis]
+    targets = list(targets)
+    BB = l2_gram(basis, basis, dom, rule)
+    DD = l2_gram(divs, divs, dom, rule)
+    if all(f.separated() is not None for f in (d, *targets)):
+        RT = l2_gram(targets, basis, dom, rule)
+        RD = l2_gram([d], divs, dom, rule)[0]
+
+        def norms(psi, coeffs):
+            return [l2_inner(w, w, dom, rule) for w in
+                    (d + psi.div_field(), *(psi - t for t in targets))]
+    else:
+        values, wv = samples(basis, dom, rule)
+        div_rows, w = samples(divs, dom, rule)
+        rows = samples(targets, dom, rule)[0]
+        data = samples([d], dom, rule)[0]
+        RT = weighted_gram(rows, values, wv)
+        RD = weighted_gram(data, div_rows, w)[0]
+
+        def norms(psi, coeffs):
+            r = data + coeffs @ div_rows[:len(coeffs)]
+            gaps = coeffs @ values[:len(coeffs)] - rows
+            return [float(weighted_gram(r, r, w)[0, 0]),
+                    *map(float, weighted_gram(gaps, gaps, wv).diagonal())]
 
     def step(n: int, wa: float, wb: float):
-        BB, DD = gram.BB[:n, :n], gram.DD[:n, :n]
         rhs = -wa * RD[:n] + wa * RT[0, :n] + wb * RT[-1, :n]
-        coeffs = _solve_normal_equations(wa * (DD + BB) + wb * BB, rhs)
-        psi = _combined(gram.values[:n], coeffs)
-        residual = np.add(data[0], _combined(gram.divs[:n], coeffs))
-        return (coeffs, _norm_sq(residual, w),
-                *(_norm_sq(np.add(psi, -1.0 * t), w) for t in rows))
+        coeffs = _solve_normal_equations(
+            wa * (DD[:n, :n] + BB[:n, :n]) + wb * BB[:n, :n], rhs)
+        psi = combine_vector_fields(basis[:n], coeffs)
+        return (psi, coeffs, *norms(psi, coeffs))
 
     return step
 
@@ -186,8 +122,8 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         raise ValueError(f"flux majorant supports RD and Poisson, got {case.kind}")
     dom, rd, e = case.dom, case.kind == "RD", case.exact_u - u_tilde
     _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the boundary")
-    coeffs, residual_sq, gap_sq = _flux_step(
-        basis_gram(basis, dom, rule), case.f - u_tilde if rd else case.f,
+    flux, coeffs, residual_sq, gap_sq = _flux_step(
+        basis, case.f - u_tilde if rd else case.f,
         (u_tilde.gradient_field(),), dom, rule)(len(basis), 1.0, 0.0)
     if rd:
         gamma, upper = None, residual_sq + gap_sq
@@ -198,7 +134,7 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         name, err = "err_grad_sq", norm_sq("L2", e.gradient_field(), dom, rule)
     report = BoundReport({}, {name: err, "total": err}, upper, gamma,
                          checks={"residual_sq": residual_sq, "gap_sq": gap_sq})
-    return combine_vector_fields(basis, coeffs), report.finalize(), coeffs
+    return flux, report.finalize(), coeffs
 
 
 def improve_bound(case: ProblemCase, approx: ApproxPair,
@@ -236,12 +172,12 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     err_u = norm_sq("L2", case.exact_u - ut, dom, rule)
     err_p = norm_sq("L2", case.exact_p - pt, dom, rule)
     basis = list(make_flux_basis(dom.spatial(), start_size + budget - 1))
-    step = _flux_step(basis_gram(basis, dom, rule), case.f - phi_free,
+    step = _flux_step(basis, case.f - phi_free,
                       (phi_free.gradient_field(), pt), dom, rule)
     gamma = gamma0
     reports: List[BoundReport] = []
     for n in range(start_size, start_size + budget):
-        _, residual_sq, gap_sq, p_dist_sq = step(
+        *_, residual_sq, gap_sq, p_dist_sq = step(
             n, 1.0 + 1.0 / gamma, 1.0 + gamma)
         gamma, _ = _young(math.fsum([residual_sq, gap_sq]),
                           math.fsum([u_dist_sq, p_dist_sq]))

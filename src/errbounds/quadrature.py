@@ -1,31 +1,31 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
 :func:`l2_inner`, and through it :func:`norm_sq` and :func:`trace_norm_sq`,
-integrates two fields that both carry a separated form (see
+and :func:`l2_gram` integrate fields that all carry a separated form (see
 :mod:`errbounds.fields`) without visiting the grid: per axis one
 :func:`weighted_gram` of the factor values at that axis's composite Gauss
-nodes (:func:`axis_rules`), the axis Grams multiplied elementwise, and one
-correctly rounded sum of c_k c_l H_kl. That is the tensor rule's own value,
-at O(R^2 d n) cost for rank R instead of O(n^d). Any operand without a
-form (a field built from bare callables, or from an expression that does
-not split) is evaluated at every node instead; that path is the general
-fallback and the oracle of the tests.
+nodes (:func:`axis_rules`), the axis Grams multiplied elementwise, and per
+inner product one correctly rounded sum of c_k c_l H_kl. That is the tensor
+rule's own value, at O(R^2 d n) cost for rank R instead of O(n^d). Any
+operand without a form (a field built from bare callables, or from an
+expression that does not split) is evaluated at every node instead; that
+path is the general fallback and the oracle of the tests.
 
-Both paths reduce through a correctly rounded sum, equal to
-:func:`math.fsum` bit for bit (see :func:`_fsum`), so they are
-deterministic to the last bit regardless of how callers batch their work.
+Both paths of :func:`l2_inner`, and the separated one of :func:`l2_gram`,
+reduce through a correctly rounded sum, equal to :func:`math.fsum` bit for
+bit (see :func:`_fsum`), so they are deterministic to the last bit
+regardless of how callers batch their work. The grid path of
 :func:`l2_gram` trades it for one sequential weighted sum per entry, which
-is as deterministic but rounds differently: the same kernel,
-:func:`weighted_gram`, contracts the flat sample rows of :func:`samples`
-for both ranks, a vector row carrying the node weights repeated per
-component. Fields evaluate on the cached node sets through the
-per-coordinate axes of :func:`grid_axes`.
+is as deterministic but rounds differently: :func:`weighted_gram`
+contracts the flat sample rows of :func:`samples` for both ranks, a vector
+row carrying the node weights repeated per component. Fields evaluate on
+the cached node sets through the per-coordinate axes of :func:`grid_axes`.
 """
 from __future__ import annotations
 
 import dataclasses
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -181,6 +181,16 @@ def _check_domain_match(field, dom: BoxDomain):
         raise ValueError("field dimension does not match domain")
 
 
+def _check_fields(fields, dom: BoxDomain) -> bool:
+    """Whether ``fields``, all of one rank and on ``dom``, are scalars."""
+    scalar = isinstance(fields[0], ScalarField)
+    for f in fields:
+        if isinstance(f, ScalarField) != scalar:
+            raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
+        _check_domain_match(f, dom)
+    return scalar
+
+
 def _quad_args(dom: BoxDomain, rule: QuadratureRule):
     if dom.is_parabolic:
         t, X, w = spacetime_nodes(dom, rule)
@@ -196,21 +206,33 @@ def samples(fields, dom: BoxDomain, rule: QuadratureRule):
     A row is the field's values in node order, a vector field's ``(N, d)``
     values raveled so that a node's components are adjacent; its weights
     are the node weights, repeated per component for vectors. So
-    :func:`weighted_gram` contracts rows of both ranks alike.
+    :func:`weighted_gram` contracts rows of both ranks alike. A field that
+    carries a separated form is sampled from it (see :func:`_grid_values`),
+    without calling its evaluator.
     """
     if not fields:
         raise ValueError("need a nonempty field list")
-    scalar = isinstance(fields[0], ScalarField)
-    for f in fields:
-        if isinstance(f, ScalarField) != scalar:
-            raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-        _check_domain_match(f, dom)
+    scalar = _check_fields(fields, dom)
     args, w = _quad_args(dom, rule)
     width = 1 if scalar else dom.dim
     rows = np.empty((len(fields), w.shape[0] * width))
     for i, f in enumerate(fields):
-        rows[i] = f.value(*args).ravel()
+        form = f.separated()
+        rows[i] = (f.value(*args) if form is None else
+                   _grid_values(form, axis_rules(dom, rule))).ravel()
     return rows, (w if scalar else np.repeat(w, width))
+
+
+def _grid_values(form, axes) -> np.ndarray:
+    """The values of a separated form on the tensor grid of the 1-D rules
+    ``axes`` in node order, ``(N,)`` for a sum and ``(N, d)`` for a tuple
+    of them: per term the outer product of its factors' values."""
+    if isinstance(form, tuple):
+        return np.stack([_grid_values(s, axes) for s in form], axis=-1)
+    terms = (reduce(np.multiply.outer, [f.on(x) for f, (x, _) in
+                                         zip(fs, axes)], c)
+             for c, fs in zip(form.coefs, form.factors))
+    return sum(terms, np.zeros([len(x) for x, _ in axes])).ravel()
 
 
 def weighted_gram(L: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -225,22 +247,11 @@ def weighted_gram(L: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("ik,jk,k->ij", L, R, w)
 
 
-def sampled_inner(va: np.ndarray, vb: np.ndarray, w: np.ndarray) -> float:
-    """The L2 inner product of two fields from their values at the nodes,
-    ``(N,)`` for scalars or ``(N, d)`` for vectors, and the node weights:
-    the correctly rounded sum of :func:`l2_inner`."""
-    prod = va * vb if va.ndim == 1 else np.einsum("ij,ij->i", va, vb)
-    return _fsum(prod * w)
-
-
 def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
     """L2 inner product over the box (or the space-time cylinder): by
     :func:`separated_inner` when both fields carry a separated form (see
     :meth:`fields._Field.separated`), else on the full node grid."""
-    if isinstance(a, ScalarField) != isinstance(b, ScalarField):
-        raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-    _check_domain_match(a, dom)
-    _check_domain_match(b, dom)
+    _check_fields([a, b], dom)
     fa = a.separated()
     fb = fa if b is a else b.separated()
     if fa is not None and fb is not None:
@@ -249,11 +260,13 @@ def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
 
 
 def _grid_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
-    """:func:`l2_inner` from the values of both fields at every node."""
+    """:func:`l2_inner` from the values of both fields at every node,
+    ``(N,)`` for scalars or ``(N, d)`` for vectors."""
     args, w = _quad_args(dom, rule)
     va = a.value(*args)
     vb = va if b is a else b.value(*args)
-    return sampled_inner(va, vb, w)
+    prod = va * vb if va.ndim == 1 else np.einsum("ij,ij->i", va, vb)
+    return _fsum(prod * w)
 
 
 @lru_cache(maxsize=None)
@@ -269,49 +282,95 @@ def axis_rules(dom: BoxDomain, rule: QuadratureRule):
     return axes
 
 
+def _addends(a, b, axes) -> np.ndarray:
+    """c_k c_l H_kl for the terms k of the sums ``a`` and l of the sums
+    ``b`` (``b is a`` for a list with itself), H_kl the tensor rule's
+    integral of their product: per axis one :func:`weighted_gram` of the
+    factor values at that axis's nodes, the axis Grams multiplied
+    elementwise in axis order."""
+    fa = [fs for s in a for fs in s.factors]
+    fb = fa if b is a else [fs for s in b for fs in s.factors]
+    ca = [x for s in a for x in s.coefs]
+    cb = ca if b is a else [x for s in b for x in s.coefs]
+    H = 1.0
+    for i, (x, w) in enumerate(axes):
+        L = np.array([fs[i].on(x) for fs in fa]).reshape(len(fa), len(x))
+        R = L if fb is fa else np.array([fs[i].on(x) for fs in fb]).reshape(
+            len(fb), len(x))
+        H = H * weighted_gram(L, R, w)
+    return np.multiply.outer(ca, cb) * H
+
+
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     """The tensor rule's value of the L2 inner product of two separated
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
-    component, without visiting the grid (sum factorisation): per component
-    and axis, one :func:`weighted_gram` of the factor values at that axis's
-    nodes, the axis Grams multiplied elementwise in axis order into H, and
-    one correctly rounded sum of c_k c_l H_kl over all components. A norm
-    (``fb is fa``) that rounding leaves below zero is 0."""
+    component, without visiting the grid (sum factorisation): per
+    component, with terms of the same factors merged, the addends of
+    :func:`_addends`, and one correctly rounded sum of them over all
+    components. A norm (``fb is fa``) that rounding leaves below zero is
+    0."""
+    norm = fb is fa
     if not isinstance(fa, tuple):
         fa, fb = (fa,), (fb,)
     axes = axis_rules(dom, rule)
     parts = []
     for a0, b0 in zip(fa, fb):
-        a = a0.merged()
-        b = a if b0 is a0 else b0.merged()
-        if not a.coefs or not b.coefs:
-            continue
-        H = None
-        for i, (x, w) in enumerate(axes):
-            L = np.array([fs[i].on(x) for fs in a.factors])
-            R = L if b is a else np.array([fs[i].on(x) for fs in b.factors])
-            G = weighted_gram(L, R, w)
-            H = G if H is None else H * G
-        parts.append((np.multiply.outer(a.coefs, b.coefs) * H).ravel())
-    total = _fsum(np.concatenate(parts)) if parts else 0.0
-    return max(total, 0.0) if fb is fa else total
+        a = [a0.merged()]
+        parts.append(_addends(a, a if norm else [b0.merged()], axes).ravel())
+    total = _fsum(np.concatenate(parts))
+    return max(total, 0.0) if norm else total
+
+
+def _separated_gram(fl, fr, axes) -> np.ndarray:
+    """The Gram matrix of the lists of separated forms ``fl`` and ``fr``
+    (``fr is fl`` for a list with itself): per component the addends of
+    :func:`_addends` of the merged terms of all forms of either list, and
+    entry (i, j) the correctly rounded sum of those of the terms of fl[i]
+    and fr[j], as :func:`separated_inner` takes it (0 where rounding leaves
+    it below zero and the two are one form, a norm)."""
+    m, n = len(fl), len(fr)
+    scalar = not isinstance(fl[0], tuple)
+    owners, values = [], []
+    for c in range(1 if scalar else len(fl[0])):
+        a = [(f if scalar else f[c]).merged() for f in fl]
+        b = a if fr is fl else [(f if scalar else f[c]).merged() for f in fr]
+        values.append(_addends(a, b, axes).ravel())
+        owners.append(np.add.outer(
+            np.repeat(np.arange(0, m * n, n), [len(s.coefs) for s in a]),
+            np.repeat(np.arange(n), [len(s.coefs) for s in b])).ravel())
+    values, G = np.concatenate(values), np.zeros(m * n)
+    if len(values):
+        # the addends of entry e are row e of D, padded with zeros
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        at = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        D = np.zeros((m * n, at.max() + 1))
+        D[owner, at] = values[order]
+        # one addition rounds correctly; fsum is needed from three addends on
+        G = (reduce(np.add, D.T) if D.shape[1] <= 2
+             else np.array([math.fsum(row) for row in D.tolist()]))
+    same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
+    return np.where(same, np.maximum(G.reshape(m, n), 0.0), G.reshape(m, n))
 
 
 def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:
-    """Matrix of L2 inner products ``<left[i], right[j]>``.
-
-    Each field is evaluated once into the rows of :func:`samples` (shared
-    when ``right is left``), which :func:`weighted_gram` contracts with the
-    weights repeated per component: one kernel for both ranks. Entries
-    agree with :func:`l2_inner` to rounding, not to the last bit.
-    """
+    """Matrix of L2 inner products ``<left[i], right[j]>``: by
+    :func:`_separated_gram` when every field carries a separated form, each
+    entry :func:`l2_inner` of its pair bit for bit, independent of the rest
+    of either list; else from the rows of :func:`samples` (shared when
+    ``right is left``), which :func:`weighted_gram` contracts, each entry
+    :func:`l2_inner` of its pair to rounding."""
     if not left or not right:
         raise ValueError("l2_gram needs nonempty field lists")
-    if isinstance(left[0], ScalarField) != isinstance(right[0], ScalarField):
-        raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-    L, w = samples(left, dom, rule)
-    R = L if right is left else samples(right, dom, rule)[0]
-    return weighted_gram(L, R, w)
+    _check_fields(left if right is left else [*left, *right], dom)
+    fl = [f.separated() for f in left]
+    fr = fl if right is left else [f.separated() for f in right]
+    if any(f is None for f in (*fl, *fr)):
+        L, w = samples(left, dom, rule)
+        R = L if right is left else samples(right, dom, rule)[0]
+        return weighted_gram(L, R, w)
+    return _separated_gram(fl, fr, axis_rules(dom, rule))
 
 
 def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:

@@ -21,7 +21,7 @@ from .fields import ConformityError
 from .manufactured import (FLUX_BASES, KINDS, LEVELS, ProblemCase,
                            directions, flux_basis, free_fields, make_case,
                            perturb)
-from .optimize import BASIS_GRAMS, minimize_flux_majorant
+from .optimize import minimize_flux_majorant
 from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, trd_equality,
                         trd_isometry_check, trd_very_conforming_equality)
@@ -193,7 +193,7 @@ def run(config: RunConfig) -> RunReport:
     config.equality_rel and any bound ordering holds within config.bound_slack.
     A case that ``make_case`` rejects raises ConfigError before any record.
     Perturbation directions are built once per box and seed, the flux
-    basis and its samples and Gram blocks once per box (and rule), and a
+    basis fields (and so their separated forms) once per box, and a
     ``per_case`` estimator runs once per case and spec; none outlives the
     run.
     """
@@ -207,7 +207,6 @@ def run(config: RunConfig) -> RunReport:
 def _clear_run_memos():
     directions.cache_clear()
     FLUX_BASES.clear()
-    BASIS_GRAMS.clear()
 
 
 def _run_records(config: RunConfig) -> List[dict]:

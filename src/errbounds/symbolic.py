@@ -28,7 +28,8 @@ import numpy as np
 import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
 
-from .fields import ONE, BoxDomain, Factor, ScalarField, SeparatedSum, VectorField
+from .fields import (ONE, BoxDomain, Factor, ScalarField, SeparatedSum,
+                     VectorField, trig_factor)
 from .quadrature import coordinates
 
 X_SYMBOLS = sp.symbols("x y z")
@@ -249,9 +250,16 @@ def _factor(expr, sym) -> Factor:
     """The :class:`fields.Factor` of ``expr``, a function of ``sym`` alone
     with no numeric coefficient, lambdified once per process. Its
     derivative is expanded into terms like those of :func:`_split`, so a
-    derived form and the split of the derived expression share factors."""
+    derived form and the split of the derived expression share factors.
+    sin and cos of a multiple of ``sym`` are :func:`fields.trig_factor`s,
+    with the same values, so their terms combine with those of the
+    trigonometric fields of :mod:`errbounds.manufactured`."""
     if not expr.has(sym):
         return ONE
+    if expr.func in (sp.sin, sp.cos):
+        freq = sp.diff(expr.args[0], sym)
+        if freq.is_number and expr.args[0] == freq * sym:
+            return trig_factor(expr.func.__name__, float(freq), 0.0)
     return Factor(sp.lambdify((sym,), expr, modules="numpy"),
                   lambda: tuple(_scaled_factor(term, sym) for term in
                                 sp.Add.make_args(sp.expand(sp.diff(expr, sym)))

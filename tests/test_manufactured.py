@@ -1,5 +1,6 @@
 import functools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -422,3 +423,28 @@ def test_tensor_path_at_time_slice_bitwise(dom):
                 field = field.at_time(t0)
             for name, ev in _field_evaluators(field).items():
                 assert np.array_equal(ev(X), ev(X.copy())), (label, name)
+
+
+@pytest.mark.parametrize("dom", TENSOR_DOMS, ids=repr)
+def test_trig_sum_derives_time_polynomials_on_first_use(dom):
+    # building sums and their views, and the normalised directions of a
+    # box, derives no time polynomial: their norms integrate forms
+    polynomial = np.polynomial.polynomial
+    with mock.patch.object(polynomial, "polyder", side_effect=AssertionError):
+        lazy, eager = (_random_trig(dom, np.random.default_rng(5), n_terms=4,
+                                    nonconforming=True) for _ in range(2))
+        lazy.scalar_field(), lazy.gradient_field()
+        manufactured._build_directions(dom, 5)
+    # the lists the constructor derived before it derived them on first use
+    eager._tderivs = [(p, polynomial.polyder(p)) for p in eager.tpolys]
+    eager._tconst = [[float(polynomial.polyval(0.0, q)) for q in pq]
+                     for pq in eager._tderivs]
+    if dom.is_parabolic:
+        args = spacetime_nodes(dom, TENSOR_RULE)[:2]
+    else:
+        args = space_nodes(dom, TENSOR_RULE)[:1]
+    copies = tuple(a.copy() for a in args)
+    for (name, ev), expected in zip(_evaluators(lazy).items(),
+                                    _evaluators(eager).values()):
+        for on in (args, copies):
+            assert np.array_equal(ev(*on), expected(*on)), name

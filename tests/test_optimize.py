@@ -1,6 +1,8 @@
+import contextlib
 import json
 import math
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from errbounds import (
     flux_basis,
     free_fields,
     improve_bound,
-    l2_gram,
     make_case,
     minimize_flux_majorant,
     norm_sq,
@@ -26,8 +27,7 @@ from errbounds import (
     run,
     zero_vector,
 )
-from errbounds.quadrature import weighted_gram
-from test_quadrature import _counting
+from errbounds.fields import ScalarField, VectorField
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -236,59 +236,75 @@ def test_improve_bound_exact_approximation_stays_zero():
         assert r.upper_bound <= 1e-12
 
 
-def _counting_assembly(monkeypatch, counts):
-    """Snapshots of ``counts`` taken when each solve combines its basis,
-    i.e. right after the Gram assembly of every normal-equation system."""
-    from errbounds import optimize
+@contextlib.contextmanager
+def _no_field_evaluated():
+    """Inside, evaluating any field at points, the grid's nodes included,
+    raises: the separated path integrates forms, never values."""
+    def refuse(*args):
+        raise AssertionError("a field was evaluated")
 
-    snapshots = []
-
-    def combine(basis, coeffs):
-        snapshots.append(dict(counts))
-        return combine_vector_fields(basis, coeffs)
-
-    monkeypatch.setattr(optimize, "combine_vector_fields", combine)
-    return snapshots
+    with mock.patch.object(ScalarField, "value", refuse), \
+            mock.patch.object(VectorField, "value", refuse):
+        yield
 
 
-def _counting_basis(dom, n, counts):
-    return [_counting(b, counts, f"b{i}.")
-            for i, b in enumerate(flux_basis(dom, n))]
+def test_minimize_flux_majorant_evaluates_no_field_on_the_grid():
+    poisson = make_case("Poisson", DOM2, "sin(pi*x)*sin(2*pi*y)")
+    for case in (RD_RICH, poisson):
+        ut = perturb(case, "conforming_mixed", 0.3, 2).u_tilde
+        with _no_field_evaluated():
+            flux, report, _ = minimize_flux_majorant(
+                case, ut, flux_basis(case.dom, 5), RULE)
+        assert report.ordering_ok
+        # its checks are the norms of the flux it returns, bit for bit
+        d = case.f - ut if case.kind == "RD" else case.f
+        assert report.checks == {
+            "residual_sq": norm_sq("L2", d + flux.div_field(), case.dom, RULE),
+            "gap_sq": norm_sq("L2", flux - ut.gradient_field(), case.dom,
+                              RULE)}
 
 
-def _once_each(n):
-    return {f"b{i}.{p}": 1 for i in range(n) for p in ("value", "div")}
-
-
-def test_minimize_flux_majorant_evaluates_each_basis_field_once(monkeypatch):
-    ut = perturb(RD_RICH, "conforming_mixed", 0.3, 2).u_tilde
-    _, expected, expected_coeffs = minimize_flux_majorant(
-        RD_RICH, ut, flux_basis(DOM1, 5), RULE)
-    counts = Counter()
-    snapshots = _counting_assembly(monkeypatch, counts)
-    basis = _counting_basis(DOM1, 5, counts)
-    _, majorant, coeffs = minimize_flux_majorant(RD_RICH, ut, basis, RULE)
-    assert snapshots == [_once_each(5)]
-    # counting copies of the basis leave the result unchanged
-    assert majorant == expected and np.array_equal(coeffs, expected_coeffs)
-
-
-def test_improve_bound_evaluates_each_basis_field_once(monkeypatch):
-    import errbounds.manufactured as manufactured
-
-    counts = Counter()
-    monkeypatch.setattr(manufactured, "flux_basis",
-                        lambda dom, n: _counting_basis(dom, n, counts))
+def test_improve_bound_evaluates_no_field_on_the_grid():
     ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
     phi, _ = free_fields(RD_RICH, "coarse")
-    reports = improve_bound(RD_RICH, ap, phi, RULE, budget=4, start_size=2)
-    # one Gram assembly for all four steps; the reports take the norms of
-    # each step's flux from its samples
-    assert counts == _once_each(5)
+    with _no_field_evaluated():
+        reports = improve_bound(RD_RICH, ap, phi, RULE, budget=4, start_size=2)
     # a longer run repeats the steps of a shorter one to the last bit
     shorter = improve_bound(RD_RICH, ap, phi, RULE, budget=2, start_size=2)
     assert [r.to_record() for r in shorter] == [
         r.to_record() for r in reports[:2]]
+
+
+def test_flux_step_samples_fields_without_forms_once(monkeypatch):
+    # a solution that does not separate leaves f and u_tilde without forms:
+    # the flux step evaluates d and the target once each, whatever its
+    # number of steps, samples the basis from its forms, and takes the
+    # norms of every step from those samples
+    from errbounds.optimize import _flux_step
+
+    case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)*exp(x*y)")
+    ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
+    d, t = case.f - ut, ut.gradient_field()
+    assert d.separated() is None and t.separated() is None
+    basis = flux_basis(DOM2, 6)
+    evaluated = Counter()
+    for cls in (ScalarField, VectorField):
+        def counting(self, *args, real=cls.value, name=cls.__name__):
+            evaluated[name] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, "value", counting)
+    step = _flux_step(basis, d, (t,), DOM2, RULE)
+    results = [step(n, 1.0, 0.0) for n in (2, 4, 6)]
+    assert evaluated == {"ScalarField": 1, "VectorField": 1}
+    monkeypatch.undo()
+    for psi, _, residual_sq, gap_sq in results:
+        for value, w in ((residual_sq, d + psi.div_field()), (gap_sq, psi - t)):
+            assert value == pytest.approx(norm_sq("L2", w, DOM2, RULE),
+                                          rel=1e-12)
+    # and the minimiser reports a checked bound from them
+    _, report, _ = minimize_flux_majorant(case, ut, basis, RULE)
+    assert report.ordering_ok
 
 
 def _hexed(record):
@@ -321,12 +337,12 @@ def test_improve_bound_reports_equal_rd_nonconforming_bounds(monkeypatch,
     reports = improve_bound(case, ap, phi, RULE, budget=4, start_size=2)
     basis = flux_basis(case.dom.spatial(), 5)
     assert len(solved) == len(reports) == 4
-    # each step's report, taken from samples, is the quadrature report of
-    # the step's flux and gamma, on the grid, to the last bit
+    # each step's report is the quadrature report of the step's flux and
+    # gamma, to the last bit
     for rep, coeffs in zip(reports, solved):
         flux = combine_vector_fields(basis[:len(coeffs)], coeffs)
-        ref = rd_nonconforming_bounds(case, ap, phi, flux.without_forms(),
-                                      rep.gamma, "iii", RULE)
+        ref = rd_nonconforming_bounds(case, ap, phi, flux, rep.gamma, "iii",
+                                      RULE)
         assert _hexed(rep.to_record()) == _hexed(ref.to_record())
 
 
@@ -354,10 +370,14 @@ def test_combine_vector_fields_validation():
         combine_vector_fields(basis, [1.0])
     with pytest.raises(ValueError):
         combine_vector_fields([], [])
+    with pytest.raises(ValueError):
+        combine_vector_fields([basis[0], flux_basis(DOM2, 1)[0]], [1.0, 1.0])
+    with pytest.raises(TypeError):
+        combine_vector_fields([basis[0], RD.exact_u], [1.0, 1.0])
 
 
 # --------------------------------------------------------------------------
-# the basis samples and Gram blocks shared by a run's records
+# the flux basis shared by a run's records
 # --------------------------------------------------------------------------
 
 
@@ -377,38 +397,24 @@ def _majorant_config():
     }))
 
 
-def test_run_samples_each_basis_field_and_gram_entry_once(monkeypatch):
-    from errbounds import optimize, runner
-
+def test_run_evaluates_no_field_on_the_grid():
     config = _majorant_config()
     expected = [r["majorant"] for r in run(config).records]
-    counts = Counter()
-    counted = _counting_basis(DOM2, 36, counts)
     # the nested basis of one box is one list
     assert all(a is b for a, b in zip(flux_basis(DOM2, 4),
                                       flux_basis(DOM2, 36)))
-    monkeypatch.setattr(runner, "flux_basis", lambda dom, n: counted[:n])
-    blocks = []  # rows contracted into the Gram blocks of the basis
-
-    def gram(L, R, w):
-        if np.shares_memory(L, R):
-            blocks.append(len(R))
-        return weighted_gram(L, R, w)
-
-    monkeypatch.setattr(optimize, "weighted_gram", gram)
-    report = run(config)
+    with _no_field_evaluated():
+        report = run(config)
     assert [r["majorant"] for r in report.records] == expected
-    assert counts == _once_each(36)
-    # row i of BB and of DD is contracted once, against rows 0..i
-    assert sorted(blocks) == sorted(2 * list(range(1, 37)))
+    assert all(r["passed"] for r in report.records)
 
 
 def test_run_memos_cleared_on_exit_even_when_a_record_raises(monkeypatch):
-    from errbounds import manufactured, optimize, runner
+    from errbounds import manufactured, runner
 
     config = _majorant_config()
     run(config)
-    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
+    assert not manufactured.FLUX_BASES
     real = runner.minimize_flux_majorant
 
     def failing(*args, **kwargs):
@@ -418,50 +424,17 @@ def test_run_memos_cleared_on_exit_even_when_a_record_raises(monkeypatch):
     monkeypatch.setattr(runner, "minimize_flux_majorant", failing)
     report = run(config)
     assert {r["status"] for r in report.records} == {"error"}
-    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
+    assert not manufactured.FLUX_BASES
     monkeypatch.setattr(runner, "minimize_flux_majorant", real)
 
     def escaping(rec, config):
-        assert optimize.BASIS_GRAMS and manufactured.FLUX_BASES
+        assert manufactured.FLUX_BASES
         raise RuntimeError("run interrupted")
 
     monkeypatch.setattr(runner, "_record_passes", escaping)
     with pytest.raises(RuntimeError, match="interrupted"):
         run(config)
-    assert not optimize.BASIS_GRAMS and not manufactured.FLUX_BASES
-
-
-def test_basis_gram_grows_read_only_blocks_equal_to_l2_gram():
-    from errbounds.optimize import BASIS_GRAMS, basis_gram
-
-    BASIS_GRAMS.clear()
-    basis = flux_basis(DOM2, 9)
-    divs = [b.div_field() for b in basis]
-    small = basis_gram(basis[:5], DOM2, RULE)
-    full = basis_gram(basis, DOM2, RULE)  # grown by four rows
-    head = basis_gram(basis[:3], DOM2, RULE)  # the leading block
-    assert len(BASIS_GRAMS) == 1
-    assert np.array_equal(full.BB, l2_gram(basis, basis, DOM2, RULE))
-    assert np.array_equal(full.DD, l2_gram(divs, divs, DOM2, RULE))
-    assert np.array_equal(full.BB[:5, :5], small.BB)
-    assert np.array_equal(full.DD[:3, :3], head.DD)
-    for gram in (small, full, head):
-        for block in gram[1:]:
-            assert not block.flags.writeable
-    with pytest.raises(ValueError):
-        full.BB[0, 0] = 0.0
-    BASIS_GRAMS.clear()
-
-
-def test_basis_gram_keeps_at_most_eight_boxes():
-    from errbounds.optimize import BASIS_GRAMS, basis_gram
-
-    BASIS_GRAMS.clear()
-    boxes = [BoxDomain((0.0,), (1.0 + k,)) for k in range(9)]
-    for box in boxes:
-        basis_gram(flux_basis(box, 2), box, RULE)
-    assert [key[0] for key in BASIS_GRAMS] == boxes[1:]
-    BASIS_GRAMS.clear()
+    assert not manufactured.FLUX_BASES
 
 
 def _close_hex(values, pinned, rel=1e-13):
@@ -473,47 +446,61 @@ def _close_hex(values, pinned, rel=1e-13):
 
 
 def test_improve_bound_and_majorant_match_pinned_values():
-    # float.hex of results computed before the Gram memo and the flat
-    # kernel (sharing samples and blocks moved no bit), and before norms of
-    # separated fields went axis by axis: that moves the normalisation of
-    # the perturbation directions, and the norms without a flux, in their
-    # last bits, so the results stay within 1e-13 of the old pins and equal
-    # the new ones exactly
+    # float.hex of results computed before norms of separated fields went
+    # axis by axis (first column of pins), then before the flux step took
+    # its Gram blocks and its flux norms from separated forms (second):
+    # each moves them in their last bits, so the results stay within 1e-13
+    # of both old pins and equal the new ones (third) exactly. The
+    # minimized functional of a majorant is the norm of a residual that
+    # nearly cancels; it holds to the old pins because the sin and cos
+    # factors of f are the trig factors of the flux basis, so separated
+    # norms combine their terms before they square them
     dom2_rd = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y) + "
                                     "sin(3*pi*x)*sin(pi*y)/3")
-    for case, kw, grid_pinned, pinned in (
+    for case, kw, grid_pinned, sampled_pinned, pinned in (
             (RD_RICH, dict(budget=4, start_size=2),
              [("0x1.605ff050d97fcp+9", "0x1.eaecaed1ff76ap+1"),
               ("0x1.87c5bb6dfa18dp+4", "0x1.af47028c3a076p-3"),
-              ("0x1.3d614968196c9p+4", "0x1.43fd2977aa6e3p-4"),
-              ("0x1.3d2e27d267637p+4", "0x1.40cf0a7aefb0ep-4")],
+              ("0x1.3d614968196cep+4", "0x1.43fd2977aa6dap-4"),
+              ("0x1.3d2e27d26763bp+4", "0x1.40cf0a7aefb11p-4")],
              [("0x1.605ff050d97fcp+9", "0x1.eaecaed1ff769p+1"),
               ("0x1.87c5bb6dfa189p+4", "0x1.af47028c3a05bp-3"),
               ("0x1.3d614968196cep+4", "0x1.43fd2977aa6dbp-4"),
-              ("0x1.3d2e27d26763bp+4", "0x1.40cf0a7aefb11p-4")]),
+              ("0x1.3d2e27d26763bp+4", "0x1.40cf0a7aefb11p-4")],
+             [("0x1.605ff050d97fdp+9", "0x1.eaecaed1ff76ap+1"),
+              ("0x1.87c5bb6dfa1a6p+4", "0x1.af47028c3a0c1p-3"),
+              ("0x1.3d614968196cfp+4", "0x1.43fd2977aa6eap-4"),
+              ("0x1.3d2e27d26763cp+4", "0x1.40cf0a7aefb20p-4")]),
             (dom2_rd, dict(budget=3),
              [("0x1.b51f8b0637a7ep+8", "0x1.e41298e946813p+1"),
               ("0x1.b50831d296cd9p+8", "0x1.e4cabd164f698p+1"),
               ("0x1.b465278211aefp+8", "0x1.e87bed23becabp+1")],
              [("0x1.b51f8b0637a7ep+8", "0x1.e41298e946813p+1"),
               ("0x1.b50831d296cd9p+8", "0x1.e4cabd164f698p+1"),
-              ("0x1.b465278211aefp+8", "0x1.e87bed23becabp+1")])):
+              ("0x1.b465278211aefp+8", "0x1.e87bed23becabp+1")],
+             [("0x1.b51f8b0637a7fp+8", "0x1.e41298e946811p+1"),
+              ("0x1.b50831d296cdcp+8", "0x1.e4cabd164f697p+1"),
+              ("0x1.b465278211af2p+8", "0x1.e87bed23becabp+1")])):
         ap = perturb(case, "non_conforming", 0.3, 4)
         phi, _ = free_fields(case, "coarse")
         reports = improve_bound(case, ap, phi, RULE, **kw)
         values = [(r.upper_bound, r.gamma) for r in reports]
         assert _close_hex(values, grid_pinned)
+        assert _close_hex(values, sampled_pinned)
         assert [(u.hex(), g.hex()) for u, g in values] == pinned
     poisson = make_case("Poisson", DOM2, "sin(pi*x)*sin(2*pi*y)")
-    for case, grid_pinned, pinned in (
+    for case, grid_pinned, sampled_pinned, pinned in (
             (dom2_rd, ["0x1.11aef80218753p+8", "0x1.71c5ed9f9957ap-2"],
-             ["0x1.11aef80218753p+8", "0x1.71c5ed9f9957cp-2"]),
+             ["0x1.11aef80218753p+8", "0x1.71c5ed9f9957cp-2"],
+             ["0x1.11aef80218753p+8", "0x1.71c5ed9f9957dp-2"]),
             (poisson, ["0x1.5e790acace89dp-2", "0x1.5da75171e46e1p-2"],
-             ["0x1.5e790acace89fp-2", "0x1.5da75171e46e3p-2"])):
+             ["0x1.5e790acace89fp-2", "0x1.5da75171e46e3p-2"],
+             ["0x1.5e790acace8a0p-2", "0x1.5da75171e46e8p-2"])):
         ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
         values = [_minimized(minimize_flux_majorant(
             case, ut, flux_basis(DOM2, n), RULE)[1]) for n in (4, 16)]
         assert _close_hex(values, grid_pinned)
+        assert _close_hex(values, sampled_pinned)
         assert [v.hex() for v in values] == pinned
 
 

@@ -319,8 +319,9 @@ def test_l2_gram_matches_l2_inner(dom, rule, vector):
 @pytest.mark.parametrize("dom, rule", GRAM_DOMAINS)
 def test_l2_gram_flat_kernel_matches_three_operand_contraction(dom, rule):
     # vector rows are the (N, d) values raveled, weighted per component:
-    # the one kernel gives the per-component contraction it replaced
-    fields = _gram_fields(dom, vector=True)
+    # the one kernel gives the per-component contraction it replaced. It is
+    # the path of fields without a separated form
+    fields = [f.without_forms() for f in _gram_fields(dom, vector=True)]
     w = (spacetime_nodes(dom, rule)[2] if dom.is_parabolic
          else space_nodes(dom, rule)[1])
     rows, wv = samples(fields, dom, rule)

@@ -1,4 +1,5 @@
-"""Norms of separated fields, taken axis by axis, against the full grid.
+"""Norms and Gram matrices of separated fields, taken axis by axis, against
+the full grid.
 
 Fields that carry a separated form (sums of products of 1-D factors) are
 integrated by per-axis Gram matrices; the oracle is the same evaluators
@@ -14,11 +15,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errbounds import (BoxDomain, QuadratureRule, free_fields, l2_inner,
-                       make_case, norm_sq, parse_config, perturb, quadrature,
-                       run, scalar_field, trace_norm_sq, vector_field)
+from errbounds import (BoxDomain, QuadratureRule, flux_basis, free_fields,
+                       l2_gram, l2_inner, make_case, norm_sq, parse_config,
+                       perturb, quadrature, run, scalar_field, trace_norm_sq,
+                       vector_field)
+from errbounds.fields import trig_factor
 from errbounds.manufactured import _TrigSum
-from errbounds.optimize import improve_bound
+from errbounds.optimize import improve_bound, minimize_flux_majorant
 
 # 1-D factors of the sympy terms, in the coordinate {s}, and time factors
 _FACTORS = ("sin(2*{s})", "cos({s}/2)", "{s}**2 - 1", "exp(-{s}/4)",
@@ -129,6 +132,115 @@ def test_separated_norms_match_the_grid(problem):
     assert abs(separated - grid) <= 1e-14 * scale
 
 
+def _suffix_sums(terms, dom, rule):
+    """The sums of the last k of ``terms``, for k from len(terms) down to
+    1, and the scale of each: the sum of |c| ||w|| over its terms."""
+    norms = [abs(c) * math.sqrt(norm_sq("L2", w.without_forms(), dom, rule))
+             for c, w in terms]
+    return ([_combined(terms[k:]) for k in range(len(terms))],
+            [math.fsum(norms[k:]) for k in range(len(terms))])
+
+
+@given(_problems())
+@settings(max_examples=40, deadline=None)
+def test_separated_gram_matches_the_grid(problem):
+    dom, rule, scalars, vectors = problem
+    for terms in (scalars, vectors):
+        left, lscale = _suffix_sums(terms, dom, rule)
+        other = _suffix_sums([(1.0 + c * c, w) for c, w in reversed(terms)],
+                             dom, rule)
+        for right, rscale in ((left, lscale), other):
+            with mock.patch.object(quadrature, "samples", _grid_only):
+                G = l2_gram(left, right, dom, rule)
+            scale = np.outer(lscale, rscale)
+            bare = ([f.without_forms() for f in left],
+                    [f.without_forms() for f in right])
+            # the grid's Gram sums each entry sequentially, which alone errs
+            # by up to about 2e-14 of the scale in these draws; its inner
+            # product rounds correctly, as the separated sums do
+            grid = l2_gram(*bare, dom, rule)
+            assert np.all(np.abs(G - grid) <= 1e-13 * scale), (G, grid)
+            grid = np.array([[l2_inner(a, b, dom, rule) for b in bare[1]]
+                             for a in bare[0]])
+            assert np.all(np.abs(G - grid) <= 1e-14 * scale), (G, grid)
+            # an entry is l2_inner of its pair, bit for bit, so it does not
+            # depend on the rest of either list or on their order
+            assert all(G[i, j] == l2_inner(a, b, dom, rule)
+                       for i, a in enumerate(left)
+                       for j, b in enumerate(right))
+            k = len(right) // 2
+            assert np.array_equal(l2_gram(right[k:], left[:2], dom, rule),
+                                  G[:2, k:].T)
+            if right is left:
+                assert np.array_equal(G, G.T)
+                # the same fields in a second list give the same matrix
+                assert np.array_equal(l2_gram(left, list(left), dom, rule), G)
+
+
+@given(_problems())
+@settings(max_examples=30, deadline=None)
+def test_samples_of_forms_match_the_evaluators(problem):
+    # a field with a form is sampled from it, without its evaluator, to
+    # rounding of the values the evaluator gives at the same nodes
+    dom, rule, scalars, vectors = problem
+    for terms in (scalars, vectors):
+        fields = [w for _, w in terms]
+        with mock.patch.object(type(fields[0]), "value", _grid_only):
+            rows, w = quadrature.samples(fields, dom, rule)
+        grid, w_grid = quadrature.samples([f.without_forms() for f in fields],
+                                          dom, rule)
+        assert np.array_equal(w, w_grid)
+        scale = np.abs(grid).max(axis=1, keepdims=True)
+        assert np.all(np.abs(rows - grid) <= 1e-13 * scale)
+
+
+def test_sympy_trig_factors_combine_with_trig_fields():
+    # sympy's factors of grad(sin(pi x) sin(pi y)) are the trig factors of
+    # the first flux basis field, so their terms combine: a difference
+    # that nearly cancels keeps the accuracy it has on the grid
+    dom, rule = BoxDomain((0.0, 0.0), (1.0, 1.0)), QuadratureRule()
+    g = scalar_field("sin(pi*x)*sin(pi*y)", dom).gradient_field()
+    b = flux_basis(dom, 1)[0]
+    assert g.separated()[0].factors == b.separated()[0].factors
+    scale = math.sqrt(norm_sq("L2", g, dom, rule))
+    for delta in (1e-3, 1e-6, 1e-9):
+        w = g - (1.0 + delta) * b
+        grid = norm_sq("L2", w.without_forms(), dom, rule)
+        # the grid rounds each node's difference, an error of first order
+        # in the norm of w; squaring the terms apart errs by 1e-16 of
+        # scale**2, above this bound for every delta
+        assert abs(norm_sq("L2", w, dom, rule) - grid) <= (
+            1e-14 * scale * math.sqrt(grid))
+    assert norm_sq("L2", g - b, dom, rule) == 0.0
+    # a phase or a product inside the function leaves sympy's own factor
+    x = scalar_field("sin(pi*x + 1)*cos(x**2)", BoxDomain((0.0,), (1.0,)))
+    assert all(f not in (trig_factor("sin", math.pi, 0.0),
+                         trig_factor("cos", 1.0, 0.0))
+               for f in x.separated().factors[0])
+
+
+def test_scalar_norms_are_never_negative():
+    # a Poisson source against the divergence of the flux that cancels it:
+    # rounding leaves some of these sums of c_k c_l H_kl below zero, and a
+    # norm is 0 there, for scalars as for vectors
+    dom, rule = BoxDomain((0.4,), (0.5,)), QuadratureRule()
+    case = make_case("Poisson", dom, "sin(pi*(x - 4/10)*10)")
+    basis = flux_basis(dom, 1)
+    cs = [1.0 + k * 1e-10 for k in range(-10, 11)]
+    for ws in ([case.f + c * basis[0].div_field() for c in cs],
+               [case.exact_p - c * basis[0] for c in cs]):
+        norms = [norm_sq("L2", w, dom, rule) for w in ws]
+        assert min(norms) >= 0
+        # so are the entries of a Gram matrix that pair a field with itself,
+        # whether or not the two lists are one object
+        for right in (ws, list(ws)):
+            assert np.array_equal(l2_gram(ws, right, dom, rule).diagonal(),
+                                  norms)
+    # which would reach optimal_gamma in the Poisson majorant, and raise
+    _, report, _ = minimize_flux_majorant(case, case.exact_u, basis, rule)
+    assert min(report.checks.values()) >= 0 and report.ordering_ok
+
+
 def test_unsplittable_solution_has_no_form():
     dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
     w = scalar_field("sin(pi*x*y)*x*(1-x)", dom)
@@ -214,9 +326,10 @@ _MAJORANT = _config(
 @pytest.mark.parametrize("config", [_SUITE, _VOLUME, _MAJORANT],
                          ids=["suite", "volume", "majorant"])
 def test_workloads_take_no_grid_norm(config):
-    # the flux Gram path of the majorants samples on the grid through
-    # quadrature.samples; no norm or inner product does
-    with mock.patch.object(quadrature, "_grid_inner", _grid_only):
+    # no norm, inner product or Gram matrix, the majorants' included,
+    # samples a field on the grid
+    with mock.patch.object(quadrature, "_grid_inner", _grid_only), \
+            mock.patch.object(quadrature, "samples", _grid_only):
         report = run(config)
         if config is _MAJORANT:
             cs = config.cases[0]
