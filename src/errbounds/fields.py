@@ -13,8 +13,9 @@ first asks (see :meth:`_Field.separated`). Manufactured solutions and the
 data derived from them, the trigonometric perturbations and flux bases, and
 constant and zero fields carry forms; a field built from bare callables, or
 from an expression that does not split (see :mod:`errbounds.symbolic`),
-carries none. The algebra keeps forms alongside the evaluators: ``+``
-concatenates terms, scalar ``*`` scales coefficients, ``at_time`` folds the
+carries none. The algebra keeps forms alongside the evaluators: a
+:func:`combination` (``+``, ``-`` and scalar ``*`` among them) concatenates
+the terms of its operands with scaled coefficients, ``at_time`` folds the
 time factor into the coefficients, and the derivative views differentiate
 one factor per term. :func:`quadrature.l2_inner` integrates two fields that
 carry forms axis by axis and everything else on the full grid.
@@ -104,21 +105,23 @@ class Factor:
             self._derivative = self._derive()
         return self._derivative
 
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        """The values at the coordinates ``x``, not memoised."""
+        return np.broadcast_to(np.asarray(self._fn(x), dtype=float), x.shape)
+
     def on(self, x: np.ndarray) -> np.ndarray:
         """The values at the nodes ``x``, a read-only array of a cached
         rule; memoised on its id (holding ``x`` keeps the id its own)."""
         hit = self._memo.get(id(x))
         if hit is None:
-            hit = self._memo[id(x)] = (x, np.broadcast_to(
-                np.asarray(self._fn(x), dtype=float), x.shape))
+            hit = self._memo[id(x)] = (x, self(x))
         return hit[1]
 
     def at(self, t0: float) -> float:
         """The value at the coordinate ``t0``, memoised on it."""
         key = ("at", t0)
         if key not in self._memo:
-            self._memo[key] = float(np.asarray(self._fn(np.array([t0])),
-                                               dtype=float).ravel()[0])
+            self._memo[key] = float(self(np.array([t0]))[0])
         return self._memo[key]
 
 
@@ -147,12 +150,13 @@ class SeparatedSum:
         self.factors = tuple(factors)
         self._merged = None
 
-    def __add__(self, other: "SeparatedSum") -> "SeparatedSum":
-        return SeparatedSum(self.coefs + other.coefs,
-                            self.factors + other.factors)
-
-    def scaled(self, c: float) -> "SeparatedSum":
-        return SeparatedSum([c * a for a in self.coefs], self.factors)
+    @staticmethod
+    def combination(sums, coefs) -> "SeparatedSum":
+        """``sum_k coefs[k] * sums[k]``: the terms of every sum in order,
+        each coefficient times its sum's."""
+        return SeparatedSum([c * a for s, c in zip(sums, coefs)
+                             for a in s.coefs],
+                            [fs for s in sums for fs in s.factors])
 
     def derivative(self, axis: int) -> "SeparatedSum":
         """The derivative along ``axis``: one factor per term differentiated,
@@ -218,10 +222,6 @@ def _each(op, *forms):
     return op(*forms)
 
 
-def _total(sums) -> SeparatedSum:
-    return functools.reduce(SeparatedSum.__add__, sums, _empty())
-
-
 def _dt(form: Callable) -> Callable:
     return _lazy(lambda: _each(lambda s: s.derivative(0), form()))
 
@@ -231,8 +231,8 @@ def _div(form: Callable, o: int) -> Callable:
     axis is axis ``o``: each component differentiated along its axis."""
     def div():
         v = form()
-        return None if v is None else _total(
-            vj.derivative(o + j) for j, vj in enumerate(v))
+        return None if v is None else SeparatedSum.combination(
+            [vj.derivative(o + j) for j, vj in enumerate(v)], [1.0] * len(v))
 
     return _lazy(div)
 
@@ -260,17 +260,47 @@ def vector_forms(form: Callable, time_dependent: bool) -> dict:
             "dt": _dt(form)}
 
 
+def combination(fields, coefs):
+    """``sum_k coefs[k] * fields[k]`` in one step, for fields of one rank on
+    one domain: it carries the evaluators, and forms, that every field
+    carries, each the terms of all fields in order (see :func:`_combined`
+    and :meth:`SeparatedSum.combination`), and vanishes on the boundary
+    when every field does. ``+``, ``-`` and scalar ``*`` are its two-term
+    and one-term cases."""
+    first = fields[0]
+    for f in fields[1:]:
+        if not isinstance(f, type(first)):
+            name = type(first).__name__
+            raise TypeError(f"can only combine {name} with {name}")
+        if f.dim != first.dim or f.time_dependent != first.time_dependent:
+            raise ValueError("fields live on incompatible domains")
+    coefs = [float(c) for c in coefs]
+    ev = {k: _combined([f._ev[k] for f in fields], coefs)
+          for k in first._ev if all(k in f._ev for f in fields)}
+    forms = {k: _lazy(lambda forms=[f._forms[k] for f in fields]: _each(
+                 lambda *sums: SeparatedSum.combination(sums, coefs),
+                 *(form() for form in forms)))
+             for k in first._forms if all(k in f._forms for f in fields)}
+    return first._like(ev, all(f._vanishes for f in fields), forms=forms)
+
+
 # how CapabilityError messages name each derivative evaluator
 _NOUNS = {"grad": "gradient", "laplacian": "laplacian",
           "dt": "time-derivative", "div": "divergence"}
 
 
-def _add(f, g):
-    return lambda *args: np.add(f(*args), g(*args))
+def _combined(evaluators, coefs):
+    """The evaluator of ``sum_k coefs[k] * evaluators[k]``, the terms
+    added left to right; a coefficient 1.0, which would not change a
+    value, is not multiplied."""
+    def evaluate(*args):
+        out = None
+        for c, f in zip(coefs, evaluators):
+            v = f(*args) if c == 1.0 else c * f(*args)
+            out = v if out is None else out + v
+        return out
 
-
-def _scale(f, c):
-    return lambda *args: c * f(*args)
+    return evaluate
 
 
 def _freeze_time(f, t0):
@@ -316,15 +346,22 @@ class _Field:
         self.time_dependent = time_dependent
         self._vanishes = vanishes
 
+    @classmethod
+    def _from_maps(cls, ev: dict, dim: int, time_dependent: bool,
+                   vanishes: bool = False, forms: dict | None = None):
+        """A field of this rank with evaluator map ``ev`` and form map
+        ``forms``."""
+        out = object.__new__(cls)
+        _Field.__init__(out, ev, dim, time_dependent, vanishes, forms)
+        return out
+
     def _like(self, ev: dict, vanishes: bool = False, time_dependent=None,
               forms: dict | None = None, rank=None):
         """A field of this rank (or ``rank``) and dimension with evaluator
         map ``ev`` and form map ``forms``."""
-        out = object.__new__(rank or type(self))
-        _Field.__init__(out, ev, self.dim, self.time_dependent
-                        if time_dependent is None else time_dependent,
-                        vanishes, forms)
-        return out
+        return (rank or type(self))._from_maps(
+            ev, self.dim, self.time_dependent if time_dependent is None
+            else time_dependent, vanishes, forms)
 
     def _get(self, name: str) -> Callable:
         try:
@@ -357,33 +394,18 @@ class _Field:
     dt = _evaluator("dt")
 
     def __add__(self, other):
-        if not isinstance(other, type(self)):
-            name = type(self).__name__
-            raise TypeError(f"can only combine {name} with {name}")
-        if self.dim != other.dim or self.time_dependent != other.time_dependent:
-            raise ValueError("fields live on incompatible domains")
-        ev = {k: _add(f, other._ev[k]) for k, f in self._ev.items()
-              if k in other._ev}
-        forms = {k: _lazy(lambda f=f, g=other._forms[k]: _each(
-                     SeparatedSum.__add__, f(), g()))
-                 for k, f in self._forms.items() if k in other._forms}
-        return self._like(ev, self._vanishes and other._vanishes, forms=forms)
+        return combination([self, other], [1.0, 1.0])
 
     def __sub__(self, other):
-        return self + (-1.0) * other
+        return combination([self, other], [1.0, -1.0])
 
     def __mul__(self, c):
-        c = float(c)
-        return self._like({k: _scale(f, c) for k, f in self._ev.items()},
-                          self._vanishes,
-                          forms={k: _lazy(lambda f=f: _each(
-                              lambda s: s.scaled(c), f()))
-                                 for k, f in self._forms.items()})
+        return combination([self], [c])
 
     __rmul__ = __mul__
 
     def __neg__(self):
-        return (-1.0) * self
+        return combination([self], [-1.0])
 
     def dt_field(self):
         return self._view(type(self), value="dt")

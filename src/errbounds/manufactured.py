@@ -18,9 +18,9 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
-                     SeparatedSum, VectorField, _empty, _lazy, _zeros,
-                     scalar_forms, trig_factor)
-from .quadrature import QuadratureRule, coordinates, grid_axes, norm_sq
+                     SeparatedSum, VectorField, _empty, _lazy, scalar_forms,
+                     trig_factor, vector_forms)
+from .quadrature import QuadratureRule, form_values, norm_sq
 from .symbolic import (_expression, data_field, derivatives,
                        nonvanishing_face, scalar_field)
 
@@ -120,112 +120,28 @@ def _read_only(coefs) -> np.ndarray:
 class _TrigSum:
     """sum_k c_k tau_k(t) prod_i trig(m_i pi (x_i-lo_i)/L_i) with closed-form
     derivatives.  ``funcs`` selects sin or cos per axis per term. Its field
-    views carry their separated forms: one term per k, with the factors
-    tau_k (on a space-time box) and the trig factors."""
+    views carry their separated forms, one term per k with the factors
+    tau_k (on a space-time box) and the trig factors, and evaluate them
+    (see :func:`quadrature.form_values`)."""
 
     def __init__(self, coefs, modes, funcs, tpolys, dom: BoxDomain):
         self.coefs = _read_only(coefs)
         self.modes = [tuple(m) for m in modes]
         self.funcs = [tuple(f) for f in funcs]
         self.tpolys = [np.asarray(p, dtype=float) for p in tpolys]
-        # (k, order, id of a grid time axis) -> (that axis, the factor on it)
-        self._tmemo = {}
         self.dom = dom
-        self.lo = np.asarray(dom.lower)
-        self.freq = [np.array([m[i] * np.pi / dom.sides[i] for i in range(dom.dim)])
-                     for m in self.modes]
         # per term: its factors in the axis order of a separated form
         tfactors = ([(_poly_factor(p),) for p in self.tpolys]
                     if dom.is_parabolic else [()] * len(self.modes))
-        self._factors = [tf + tuple(trig_factor(f, float(w), lo) for f, w, lo
-                                    in zip(funcs, freq, dom.lower))
-                         for tf, funcs, freq in zip(tfactors, self.funcs,
-                                                    self.freq)]
-
-    # per term: tau_k and its derivative, and their values at t = 0 (the
-    # factors of an elliptic box), derived at the first evaluation: a sum
-    # only integrated by its form never derives them
-    @functools.cached_property
-    def _tderivs(self):
-        return [(p, np.polynomial.polynomial.polyder(p)) for p in self.tpolys]
-
-    @functools.cached_property
-    def _tconst(self):
-        return [[float(np.polynomial.polynomial.polyval(0.0, q)) for q in pq]
-                for pq in self._tderivs]
+        self._factors = [tf + tuple(trig_factor(f, m * np.pi / side, lo)
+                                    for f, m, side, lo in
+                                    zip(funcs, mode, dom.sides, dom.lower))
+                         for tf, funcs, mode in zip(tfactors, self.funcs,
+                                                    self.modes)]
 
     @property
     def vanishes(self) -> bool:
         return all(all(f == "sin" for f in fs) for fs in self.funcs)
-
-    def _coords(self, args):
-        """The time coordinate (None when elliptic), the spatial coordinates
-        and the shape of the values at ``args`` (see
-        :func:`quadrature.coordinates`), and whether ``args`` is a cached
-        node set."""
-        coords, shape = coordinates(args, self.dom.dim)
-        t = coords[0] if self.dom.is_parabolic else None
-        return t, coords[-self.dom.dim:], shape, coords is grid_axes(args)
-
-    def _axis_factors(self, k, axes, d_axis=None):
-        """Product over the spatial ``axes`` of the trig factors of term k;
-        ``d_axis`` takes one spatial derivative along that axis. On grid
-        axes this is sum factorisation: every grid value is the product the
-        columns give at that node, in the same order."""
-        out = 1.0
-        for i in range(self.dom.dim):
-            th = self.freq[k][i] * (axes[i] - self.lo[i])
-            fi = self.funcs[k][i]
-            if i == d_axis:
-                if fi == "sin":
-                    out = out * self.freq[k][i] * np.cos(th)
-                else:
-                    out = out * (-self.freq[k][i]) * np.sin(th)
-            else:
-                out = out * (np.sin(th) if fi == "sin" else np.cos(th))
-        return out
-
-    def _tfactor(self, k, t, order=0, on_grid=False):
-        """tau_k (``order`` 0) or its derivative (1) at the times ``t``, or
-        at t = 0 when ``t`` is None. Only the time axis of a cached node
-        set is memoised, so the memo holds at most one entry per term,
-        order and node set."""
-        if t is None:
-            return self._tconst[k][order]
-        if not on_grid:
-            return np.polynomial.polynomial.polyval(t, self._tderivs[k][order])
-        key = (k, order, id(t))
-        if key not in self._tmemo:  # holding t keeps its id from being reused
-            self._tmemo[key] = (t, np.polynomial.polynomial.polyval(
-                t, self._tderivs[k][order]))
-        return self._tmemo[key][1]
-
-    # evaluators -----------------------------------------------------------
-    def _scalar_sum(self, *args, order=0, laplacian=False):
-        """The value (or Laplacian) of the ``order``-th time derivative."""
-        t, axes, shape, grid = self._coords(args)
-        out = np.zeros(shape)
-        for k, c in enumerate(self.coefs):
-            if laplacian:
-                c = c * -float(np.sum(self.freq[k] ** 2))
-            out += c * self._tfactor(k, t, order, grid) * self._axis_factors(k, axes)
-        return out.ravel()
-
-    def _grad_sum(self, *args, order=0):
-        """The spatial gradient of the ``order``-th time derivative."""
-        t, axes, shape, grid = self._coords(args)
-        out = np.zeros((*shape, self.dom.dim))
-        for k, c in enumerate(self.coefs):
-            tf = c * self._tfactor(k, t, order, grid)
-            for j in range(self.dom.dim):
-                out[..., j] += tf * self._axis_factors(k, axes, d_axis=j)
-        return out.reshape(-1, self.dom.dim)
-
-    value = functools.partialmethod(_scalar_sum)
-    laplacian = functools.partialmethod(_scalar_sum, laplacian=True)
-    dt = functools.partialmethod(_scalar_sum, order=1)
-    grad = functools.partialmethod(_grad_sum)
-    dt_grad = functools.partialmethod(_grad_sum, order=1)
 
     # field views ----------------------------------------------------------
     def _forms(self) -> dict:
@@ -234,45 +150,41 @@ class _TrigSum:
         value = SeparatedSum(self.coefs.tolist(), self._factors)
         return scalar_forms(lambda: value, self.dom.dim, self.dom.is_parabolic)
 
+    def _view(self, rank, forms: dict, vanishes: bool = False):
+        """The field of ``rank`` with the forms ``forms``, each evaluator
+        evaluating its form; none of them ``dt`` on an elliptic box."""
+        dim, td = self.dom.dim, self.dom.is_parabolic
+        ev = {k: functools.partial(_evaluate, f, dim)
+              for k, f in forms.items() if td or k != "dt"}
+        return rank._from_maps(ev, dim, td, vanishes, forms)
+
     def scalar_field(self) -> ScalarField:
-        td = self.dom.is_parabolic
-        return ScalarField(self.value, self.grad, self.laplacian,
-                           self.dt if td else None,
-                           dim=self.dom.dim, time_dependent=td,
-                           vanishes_on_boundary=self.vanishes,
-                           form=self._forms()["value"])
+        return self._view(ScalarField, self._forms(), self.vanishes)
 
     def gradient_field(self) -> VectorField:
-        td = self.dom.is_parabolic
-        return VectorField(self.grad, div=self.laplacian,
-                           dt=self.dt_grad if td else None,
-                           dim=self.dom.dim, time_dependent=td,
-                           form=self._forms()["grad"])
+        return self._view(VectorField, vector_forms(
+            self._forms()["grad"], self.dom.is_parabolic))
 
     def rotgrad_field(self) -> VectorField:
         """Rotated gradient (-d/dy, d/dx): divergence-free, d = 2 only. Its
         form permutes and negates the gradient's; its divergence's form is
-        the empty sum, as its evaluator is zeros."""
+        the empty sum."""
         if self.dom.dim != 2:
             raise ValueError("rotated gradients require d = 2")
-        td = self.dom.is_parabolic
+        grad = vector_forms(self._forms()["grad"], self.dom.is_parabolic)
 
-        def rotated(grad):
-            def h(*args):
-                g = grad(*args)
-                return np.stack([-g[:, 1], g[:, 0]], axis=1)
+        def rotated(form):
+            return _lazy(lambda: (SeparatedSum.combination([form()[1]], [-1.0]),
+                                  form()[0]))
 
-            return h
+        return self._view(VectorField, {"value": rotated(grad["value"]),
+                                        "div": _empty,
+                                        "dt": rotated(grad["dt"])})
 
-        def rotated_form(form):
-            return _lazy(lambda: (form()[1].scaled(-1.0), form()[0]))
 
-        grad = self.gradient_field()
-        return grad._like(
-            {"value": rotated(self.grad), "div": _zeros(),
-             "dt": rotated(self.dt_grad) if td else None},
-            forms={"value": rotated_form(grad._forms["value"]), "div": _empty,
-                   "dt": rotated_form(grad._forms["dt"]) if td else None})
+def _evaluate(form, dim: int, *args) -> np.ndarray:
+    """The evaluator of a form: its values at the nodes ``args``."""
+    return form_values(form(), args, dim)
 
 
 def _random_trig(dom: BoxDomain, rng, n_terms: int = 3,
@@ -299,8 +211,8 @@ _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 
 
 def _normalized(ts: _TrigSum) -> _TrigSum:
-    """A copy of ``ts`` scaled to unit L2 norm. It shares the factors and
-    time memos of ``ts``, which the coefficients do not enter; ``ts`` and
+    """A copy of ``ts`` scaled to unit L2 norm. It shares the factors of
+    ``ts``, which the coefficients do not enter; ``ts`` and
     the field views made from it keep their coefficients."""
     out = copy.copy(ts)
     out.coefs = _read_only(ts.coefs / math.sqrt(

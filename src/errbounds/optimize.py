@@ -7,7 +7,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
-from .fields import ScalarField, VectorField
+from .fields import ScalarField, VectorField, combination
 from .manufactured import ApproxPair, ProblemCase
 from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
                          samples, weighted_gram)
@@ -34,13 +34,11 @@ def optimal_gamma(A: float, B: float) -> Tuple[float, float]:
 
 def combine_vector_fields(basis: Sequence[VectorField],
                           coeffs: Sequence[float]) -> VectorField:
-    """Linear combination of vector fields sharing dim/time-dependence."""
+    """Linear combination of vector fields sharing dim/time-dependence, in
+    one step (see :func:`fields.combination`)."""
     if len(basis) != len(coeffs) or not basis:
         raise ValueError("need equally many basis fields and coefficients")
-    out = float(coeffs[0]) * basis[0]
-    for b, c in zip(basis[1:], coeffs[1:]):
-        out = out + float(c) * b
-    return out
+    return combination(basis, coeffs)
 
 
 def _solve_normal_equations(G: np.ndarray, rhs: np.ndarray) -> np.ndarray:

@@ -18,8 +18,9 @@ regardless of how callers batch their work. The grid path of
 :func:`l2_gram` trades it for one sequential weighted sum per entry, which
 is as deterministic but rounds differently: :func:`weighted_gram`
 contracts the flat sample rows of :func:`samples` for both ranks, a vector
-row carrying the node weights repeated per component. Fields evaluate on
-the cached node sets through the per-coordinate axes of :func:`grid_axes`.
+row carrying the node weights repeated per component. Fields, and
+separated forms through :func:`form_values`, evaluate on the cached node
+sets through the per-coordinate axes of :func:`grid_axes`.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .fields import BoxDomain, ScalarField, VectorField
+from .fields import BoxDomain, Factor, ScalarField, VectorField
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,22 +97,25 @@ def coordinates(args, dim: int):
     return coords, np.broadcast_shapes(*(np.shape(c) for c in coords))
 
 
+def _register(args, w, axes):
+    """``(*args, w)``, the node arrays and the weights of a node set, made
+    read-only, with ``args`` registered (see ``_GRIDS``) under the broadcast
+    axes of its 1-D rules ``axes``."""
+    for a in (*args, w):
+        a.setflags(write=False)
+    _GRIDS[tuple(map(id, args))] = (args, np.ix_(*(x for x, _ in axes)),
+                                    tuple(len(x) for x, _ in axes))
+    return (*args, w)
+
+
 @lru_cache(maxsize=None)
 def space_nodes(dom: BoxDomain, rule: QuadratureRule):
     """Spatial tensor nodes: X with shape (N, d) and weights (N,)."""
-    dom = dom.spatial()
-    axes = [_gauss_interval(rule.space_order, lo, hi, _SPACE_PANELS)
-            for lo, hi in zip(dom.lower, dom.upper)]
-    mesh = np.meshgrid(*(a[0] for a in axes), indexing="ij")
-    X = np.stack([m.ravel() for m in mesh], axis=1)
-    wmesh = np.meshgrid(*(a[1] for a in axes), indexing="ij")
-    w = np.ones(X.shape[0])
-    for wm in wmesh:
-        w = w * wm.ravel()
-    X.setflags(write=False)
-    w.setflags(write=False)
-    _GRIDS[(id(X),)] = ((X,), np.ix_(*(a[0] for a in axes)), mesh[0].shape)
-    return X, w
+    axes = axis_rules(dom.spatial(), rule)
+    mesh = np.meshgrid(*(x for x, _ in axes), indexing="ij")
+    wmesh = np.meshgrid(*(w for _, w in axes), indexing="ij")
+    w = reduce(np.multiply, (m.ravel() for m in wmesh), np.ones(mesh[0].size))
+    return _register((np.stack([m.ravel() for m in mesh], axis=1),), w, axes)
 
 
 @lru_cache(maxsize=None)
@@ -119,19 +123,10 @@ def spacetime_nodes(dom: BoxDomain, rule: QuadratureRule):
     """Space-time tensor nodes: t (N,), X (N, d), weights (N,)."""
     if not dom.is_parabolic:
         raise ValueError("domain carries no time horizon")
-    tq, wt = _gauss_interval(rule.time_order, 0.0, dom.time_horizon, _TIME_PANELS)
-    Xs, ws = space_nodes(dom, rule)
-    n_space = Xs.shape[0]
-    t = np.repeat(tq, n_space)
-    X = np.tile(Xs, (tq.shape[0], 1))
-    w = (wt[:, None] * ws[None, :]).ravel()
-    t.setflags(write=False)
-    X.setflags(write=False)
-    w.setflags(write=False)
-    _GRIDS[(id(t), id(X))] = ((t, X), np.ix_(
-        tq, *(a.ravel() for a in grid_axes((Xs,)))),
-        (tq.shape[0], *_GRIDS[(id(Xs),)][2]))
-    return t, X, w
+    axes = axis_rules(dom, rule)
+    (tq, wt), (Xs, ws) = axes[0], space_nodes(dom, rule)
+    return _register((np.repeat(tq, len(Xs)), np.tile(Xs, (len(tq), 1))),
+                     (wt[:, None] * ws[None, :]).ravel(), axes)
 
 
 # Below this length math.fsum over a list beats the vectorised exact sum.
@@ -207,7 +202,7 @@ def samples(fields, dom: BoxDomain, rule: QuadratureRule):
     values raveled so that a node's components are adjacent; its weights
     are the node weights, repeated per component for vectors. So
     :func:`weighted_gram` contracts rows of both ranks alike. A field that
-    carries a separated form is sampled from it (see :func:`_grid_values`),
+    carries a separated form is sampled from it (see :func:`form_values`),
     without calling its evaluator.
     """
     if not fields:
@@ -219,20 +214,32 @@ def samples(fields, dom: BoxDomain, rule: QuadratureRule):
     for i, f in enumerate(fields):
         form = f.separated()
         rows[i] = (f.value(*args) if form is None else
-                   _grid_values(form, axis_rules(dom, rule))).ravel()
+                   form_values(form, args, dom.dim)).ravel()
     return rows, (w if scalar else np.repeat(w, width))
 
 
-def _grid_values(form, axes) -> np.ndarray:
-    """The values of a separated form on the tensor grid of the 1-D rules
-    ``axes`` in node order, ``(N,)`` for a sum and ``(N, d)`` for a tuple
-    of them: per term the outer product of its factors' values."""
+def form_values(form, args, dim: int) -> np.ndarray:
+    """The values of a separated form at the nodes ``args``, ``(X,)`` or
+    ``(t, X)`` of a ``dim``-D box: ``(N,)`` for a
+    :class:`fields.SeparatedSum`, ``(N, dim)`` for a tuple of them, one per
+    component. Per merged term, its coefficient times its factors' values
+    in axis order, added into zeros. On a cached node set the factors take
+    the 1-D axes of :func:`coordinates`, memoised by
+    :meth:`fields.Factor.on`, and the products broadcast to the grid (sum
+    factorisation); on any other arrays they take the columns, unmemoised.
+    Both give the same values to the last bit."""
     if isinstance(form, tuple):
-        return np.stack([_grid_values(s, axes) for s in form], axis=-1)
-    terms = (reduce(np.multiply.outer, [f.on(x) for f, (x, _) in
-                                         zip(fs, axes)], c)
-             for c, fs in zip(form.coefs, form.factors))
-    return sum(terms, np.zeros([len(x) for x, _ in axes])).ravel()
+        return np.stack([form_values(s, args, dim) for s in form], axis=-1)
+    coords, shape = coordinates(args, dim)
+    values = Factor.on if coords is grid_axes(args) else Factor.__call__
+    form = form.merged()
+    out = np.zeros(shape)
+    for c, fs in zip(form.coefs, form.factors):
+        term = c
+        for f, x in zip(fs, coords):
+            term = term * values(f, x)
+        out += term
+    return out.ravel()
 
 
 def weighted_gram(L: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -294,7 +294,7 @@ def test_perturb_reuses_directions_bitwise():
 
 
 def test_time_factor_memo_is_bounded():
-    # only the time axis of a cached node set is memoised: repeated grid
+    # only the axes of a cached node set are memoised: repeated grid
     # evaluations and the column path of an at_time slice add nothing
     case = make_case("Heat", TDOM, "(1+t)*sin(pi*x)")
     args = spacetime_nodes(TDOM, RULE)[:2]
@@ -305,15 +305,21 @@ def test_time_factor_memo_is_bounded():
         ts = directions(TDOM, 2).conforming
         ap.u_tilde.dt(*args)
         ap.p_tilde.value(*args)
-        size = len(ts._tmemo)
-        assert size == 2 * len(ts.coefs)
+        # the factors of the sum's terms and of their derivatives
+        factors = {f for fs in ts._factors for f in fs}
+        factors |= {g for f in factors for _, g in f.derivative()}
+        sizes = {f: len(f._memo) for f in factors}
+        time_axis = grid_axes(args)[0]
+        taus = {fs[0] for fs in ts._factors}
+        for tau in taus | {g for f in taus for _, g in f.derivative()}:
+            assert tau._memo[id(time_axis)][0] is time_axis
         sliced = ap.u_tilde.at_time(0.5)
         first = sliced.value(X)
         for _ in range(50):
             assert np.array_equal(sliced.value(X), first)
             sliced.grad(X)
             ap.u_tilde.value(*args)
-        assert len(ts._tmemo) == size
+        assert {f: len(f._memo) for f in factors} == sizes
     finally:
         directions.cache_clear()
 
@@ -334,9 +340,10 @@ TENSOR_RULE = QuadratureRule(space_order=3, time_order=3)
 
 
 def _evaluators(ts):
-    evs = {"value": ts.value, "grad": ts.grad, "laplacian": ts.laplacian}
+    u, p = ts.scalar_field(), ts.gradient_field()
+    evs = {"value": u.value, "grad": u.grad, "laplacian": u.laplacian}
     if ts.dom.is_parabolic:
-        evs.update(dt=ts.dt, dt_grad=ts.dt_grad)
+        evs.update(dt=u.dt, dt_grad=p.dt)
     if ts.dom.dim == 2:
         rot = ts.rotgrad_field()
         evs["rotgrad"] = rot.value
@@ -425,26 +432,77 @@ def test_tensor_path_at_time_slice_bitwise(dom):
                 assert np.array_equal(ev(X), ev(X.copy())), (label, name)
 
 
+def _form_factors(ts):
+    """Factor -> the axes it takes in the forms of the field views of
+    ``ts`` that :func:`_evaluators` evaluates."""
+    views = [ts.scalar_field(), ts.gradient_field()]
+    if ts.dom.dim == 2:
+        views.append(ts.rotgrad_field())
+    positions = {}
+    for view in views:
+        for form in view._forms.values():
+            form = form()
+            for s in (form if isinstance(form, tuple) else (form,)):
+                for fs in s.factors:
+                    for i, f in enumerate(fs):
+                        positions.setdefault(f, set()).add(i)
+    return positions
+
+
+@pytest.mark.parametrize("dom", [TENSOR_DOMS[2], TENSOR_DOMS[5]], ids=repr)
+def test_trig_evaluators_call_factors_on_axes_only(dom):
+    # on a cached node set every evaluator of a trig field (rotated
+    # gradients included) calls each factor once per axis it takes, on that
+    # axis's 1-D nodes (sum factorisation); on other arrays nothing is
+    # memoised, as a memo keyed on the id of a transient array would return
+    # stale values once that id is reused
+    if dom.is_parabolic:
+        args = spacetime_nodes(dom, TENSOR_RULE)[:2]
+    else:
+        args = space_nodes(dom, TENSOR_RULE)[:1]
+    axes = grid_axes(args)
+    ts = _random_trig(dom, np.random.default_rng(11), n_terms=4,
+                      nonconforming=True)
+    evaluators = _evaluators(ts)
+    assert ("rotgrad" in evaluators) == (dom.dim == 2)
+    positions = _form_factors(ts)
+    calls = []
+
+    def recording(f, fn):
+        def record(x):
+            calls.append((f, x))
+            return fn(x)
+
+        return record
+
+    originals = {f: f._fn for f in positions}
+    try:
+        for f in positions:
+            f._memo.clear()  # a cache: every value is computed again
+            f._fn = recording(f, f._fn)
+        on_grid = {name: ev(*args) for name, ev in evaluators.items()}
+    finally:
+        for f, fn in originals.items():
+            f._fn = fn
+    assert {f for f, _ in calls} == set(positions)
+    for f, x in calls:
+        assert any(x is axes[i] for i in positions[f]), (f, x.shape)
+    assert len({(f, id(x)) for f, x in calls}) == len(calls)
+    sizes = {f: len(f._memo) for f in positions}
+    for _ in range(100):
+        copies = tuple(a.copy() for a in args)
+        for name, ev in evaluators.items():
+            assert np.array_equal(ev(*copies), on_grid[name]), name
+    assert {f: len(f._memo) for f in positions} == sizes
+
+
 @pytest.mark.parametrize("dom", TENSOR_DOMS, ids=repr)
 def test_trig_sum_derives_time_polynomials_on_first_use(dom):
     # building sums and their views, and the normalised directions of a
     # box, derives no time polynomial: their norms integrate forms
     polynomial = np.polynomial.polynomial
     with mock.patch.object(polynomial, "polyder", side_effect=AssertionError):
-        lazy, eager = (_random_trig(dom, np.random.default_rng(5), n_terms=4,
-                                    nonconforming=True) for _ in range(2))
+        lazy = _random_trig(dom, np.random.default_rng(5), n_terms=4,
+                            nonconforming=True)
         lazy.scalar_field(), lazy.gradient_field()
         manufactured._build_directions(dom, 5)
-    # the lists the constructor derived before it derived them on first use
-    eager._tderivs = [(p, polynomial.polyder(p)) for p in eager.tpolys]
-    eager._tconst = [[float(polynomial.polyval(0.0, q)) for q in pq]
-                     for pq in eager._tderivs]
-    if dom.is_parabolic:
-        args = spacetime_nodes(dom, TENSOR_RULE)[:2]
-    else:
-        args = space_nodes(dom, TENSOR_RULE)[:1]
-    copies = tuple(a.copy() for a in args)
-    for (name, ev), expected in zip(_evaluators(lazy).items(),
-                                    _evaluators(eager).values()):
-        for on in (args, copies):
-            assert np.array_equal(ev(*on), expected(*on)), name

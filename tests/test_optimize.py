@@ -25,9 +25,12 @@ from errbounds import (
     perturb,
     rd_nonconforming_bounds,
     run,
+    vector_field,
     zero_vector,
 )
 from errbounds.fields import ScalarField, VectorField
+from errbounds.manufactured import _random_trig
+from errbounds.quadrature import space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -362,6 +365,43 @@ def test_improve_bound_makes_three_norm_sq_calls(monkeypatch, budget):
     improve_bound(RD_RICH, ap, phi, RULE, budget=budget)
     # ||phi - u_tilde||^2 and the two true errors, whatever the budget
     assert calls == ["L2"] * 3
+
+
+@pytest.mark.parametrize("T", [None, 1.0], ids=["elliptic", "parabolic"])
+def test_combination_is_the_fold_of_its_two_term_cases_bitwise(T):
+    # one step, with the evaluators and forms of the fold of + over scaled
+    # fields that it replaced, bit for bit: values on the grid and on
+    # columns, and the coefficients and factors of every form
+    dom = BoxDomain((0.0, 0.0), (1.0, 1.0), time_horizon=T)
+    rng = np.random.default_rng(1)
+    sums = [_random_trig(dom, rng, nonconforming=True) for _ in range(3)]
+    fields = ([s.gradient_field() for s in sums]
+              + [s.rotgrad_field() for s in sums]
+              + [vector_field(["exp(-t)*sin(pi*x)*sin(pi*y)", "t*x*(1-x)*y"]
+                              if T else ["sin(pi*x)*sin(pi*y)", "x*(1-x)*y"],
+                              dom)])
+    if T is None:
+        fields += flux_basis(dom, 9)
+    coeffs = rng.standard_normal(len(fields))
+    one = combine_vector_fields(fields, coeffs)
+    fold = float(coeffs[0]) * fields[0]
+    for c, f in zip(coeffs[1:], fields[1:]):
+        fold = fold + float(c) * f
+    names = list(one._ev)
+    assert names == list(fold._ev) == list(one._forms) == list(fold._forms)
+    assert len(names) == (3 if T else 2)
+    args = (spacetime_nodes(dom, RULE)[:2] if T else space_nodes(dom, RULE)[:1])
+    for on in (args, tuple(a.copy() for a in args)):
+        for name in names:
+            assert np.array_equal(getattr(one, name)(*on),
+                                  getattr(fold, name)(*on)), name
+    for name in names:
+        a, b = one._forms[name](), fold._forms[name]()
+        for sa, sb in zip(*((s if isinstance(s, tuple) else (s,))
+                            for s in (a, b))):
+            assert list(map(float.hex, sa.coefs)) == list(
+                map(float.hex, sb.coefs)), name
+            assert sa.factors == sb.factors, name
 
 
 def test_combine_vector_fields_validation():
