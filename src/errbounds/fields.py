@@ -110,12 +110,14 @@ class Factor:
         return np.broadcast_to(np.asarray(self._fn(x), dtype=float), x.shape)
 
     def on(self, x: np.ndarray) -> np.ndarray:
-        """The values at the nodes ``x``, a read-only array of a cached
-        rule; memoised on its id (holding ``x`` keeps the id its own)."""
-        hit = self._memo.get(id(x))
+        """The values at the nodes ``x``, a read-only 1-D array of a cached
+        rule or a reshaped view of one (``np.ix_``), memoised on the 1-D
+        array's id (holding it keeps the id its own)."""
+        base = x if x.base is None or x.base.size != x.size else x.base
+        hit = self._memo.get(id(base))
         if hit is None:
-            hit = self._memo[id(x)] = (x, self(x))
-        return hit[1]
+            hit = self._memo[id(base)] = (base, self(base))
+        return hit[1].reshape(x.shape)
 
     def at(self, t0: float) -> float:
         """The value at the coordinate ``t0``, memoised on it."""

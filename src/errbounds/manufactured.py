@@ -13,7 +13,7 @@ import dataclasses
 import functools
 import itertools
 import math
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
                      SeparatedSum, VectorField, _empty, _lazy, scalar_forms,
                      trig_factor, vector_forms)
 from .quadrature import QuadratureRule, form_values, norm_sq
-from .symbolic import (_expression, data_field, derivatives,
+from .symbolic import (_expression, _memoised, data_field, derivatives,
                        nonvanishing_face, scalar_field)
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
@@ -51,11 +51,20 @@ class ApproxPair:
     level: str
 
 
+# how many of the latest cases, direction sets and flux bases a process keeps
+CASE_MEMO = 64
+DIRECTIONS_MEMO = 256
+FLUX_BASIS_MEMO = 16
+
+
+@functools.partial(_memoised, maxsize=CASE_MEMO)
 def make_case(kind: str, dom: BoxDomain, u_expr, f_factor: float = 1.0) -> ProblemCase:
     """Manufacture a case: p = grad u and f = (operator) u, symbolically.
 
     ``f_factor`` rescales the source, deliberately breaking the case; it
-    exists so data defects can be injected and detected downstream.
+    exists so data defects can be injected and detected downstream. Cases
+    never change: one per (kind, box, solution, f_factor) is shared among
+    the :data:`CASE_MEMO` latest, keyed as by :func:`symbolic._memoised`.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown problem kind: {kind!r}")
@@ -231,6 +240,7 @@ def _flux_noise(dom: BoxDomain, rng) -> VectorField:
     return field
 
 
+@dataclasses.dataclass(frozen=True)
 class Directions:
     """The seeded perturbation directions of one box: normalised
     conforming and non-conforming scalar sums and the flux noise. The
@@ -238,11 +248,9 @@ class Directions:
     order, but normalised only when first asked for: the default workloads
     never ask, and its norm would cost them a few per cent of a pass."""
 
-    def __init__(self, conforming: _TrigSum, nonconforming: _TrigSum,
-                 flux: VectorField):
-        self.conforming = conforming
-        self._drawn = nonconforming
-        self.flux = flux
+    conforming: _TrigSum
+    _drawn: _TrigSum
+    flux: VectorField
 
     @functools.cached_property
     def nonconforming(self) -> _TrigSum:
@@ -256,11 +264,12 @@ def _build_directions(dom: BoxDomain, seed: int) -> Directions:
     return Directions(conforming, nonconforming, _flux_noise(dom, rng))
 
 
-@functools.lru_cache(maxsize=None)
+@functools.lru_cache(maxsize=DIRECTIONS_MEMO)
 def directions(dom: BoxDomain, seed: int) -> Directions:
-    """The directions of ``(dom, seed)``, built once until the cache is
-    cleared; :func:`runner.run` clears it on entry and on exit, so every
-    case on one box shares them within a run and none outlives it."""
+    """The directions of ``(dom, seed)``, built at their first use and
+    shared by every case on the box, in this run and later ones, while they
+    are among the :data:`DIRECTIONS_MEMO` latest. They never change: their
+    sums' coefficients are read-only and their fields have no mutators."""
     return _build_directions(dom, seed)
 
 
@@ -319,18 +328,18 @@ def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):
     raise ValueError(f"unknown free-field strategy: {strategy!r}")
 
 
-# box -> the fields of its nested flux basis built so far; runner.run clears
-# it on entry and on exit, like the directions
-FLUX_BASES: Dict[BoxDomain, List[VectorField]] = {}
+# box -> the fields of its nested flux basis built so far, which flux_basis
+# extends, for the FLUX_BASIS_MEMO latest boxes
+_flux_fields = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(lambda dom: [])
 
 
 def flux_basis(dom: BoxDomain, n: int) -> List[VectorField]:
     """Nested div-conforming flux basis: gradients of the first n sine
-    modes, the first n fields of one list per box (see ``FLUX_BASES``), so
-    bases of every size on one box share their field objects."""
+    modes, the first n fields of one list per box (see :func:`_flux_fields`),
+    so bases of every size on one box share their field objects."""
     if n < 1:
         raise ValueError("basis size must be positive")
-    fields = FLUX_BASES.setdefault(dom, [])
+    fields = _flux_fields(dom)
     tpoly = [np.array([1.0])]
     for mode in _modes(dom.dim, n)[len(fields):]:
         ts = _TrigSum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)

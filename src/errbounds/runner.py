@@ -18,9 +18,8 @@ from .elliptic import (POISSON_NONCONFORMING_WHICH, RD_NONCONFORMING_WHICH,
                        rd_nonconforming_bounds, rd_semiconforming_bounds,
                        rd_very_conforming_equality)
 from .fields import ConformityError
-from .manufactured import (FLUX_BASES, KINDS, LEVELS, ProblemCase,
-                           directions, flux_basis, free_fields, make_case,
-                           perturb)
+from .manufactured import (KINDS, LEVELS, ProblemCase, flux_basis,
+                           free_fields, make_case, perturb)
 from .optimize import minimize_flux_majorant
 from .parabolic import (heat_isometry_check, heat_two_sided,
                         heat_very_conforming_equality, trd_equality,
@@ -192,24 +191,11 @@ def run(config: RunConfig) -> RunReport:
     completes. A record "passes" when its equality residual is within
     config.equality_rel and any bound ordering holds within config.bound_slack.
     A case that ``make_case`` rejects raises ConfigError before any record.
-    Perturbation directions are built once per box and seed, the flux
-    basis fields (and so their separated forms) once per box, and a
-    ``per_case`` estimator runs once per case and spec; none outlives the
-    run.
+    Cases, directions and flux bases come from the bounded process-wide
+    memos of :mod:`errbounds.manufactured`, which no run clears. A run
+    computes all of its records, a ``per_case`` estimator's once per case
+    and spec.
     """
-    _clear_run_memos()
-    try:
-        return RunReport(records=_run_records(config))
-    finally:
-        _clear_run_memos()
-
-
-def _clear_run_memos():
-    directions.cache_clear()
-    FLUX_BASES.clear()
-
-
-def _run_records(config: RunConfig) -> List[dict]:
     rule = QuadratureRule(space_order=config.space_order,
                           time_order=config.time_order)
     records: List[dict] = []
@@ -243,7 +229,7 @@ def _run_records(config: RunConfig) -> List[dict]:
                 rec["wall_time_s"] = time.perf_counter() - t0
                 rec["passed"] = _record_passes(rec, config)
                 records.append(rec)
-    return records
+    return RunReport(records=records)
 
 
 def _fields(entry: Estimator, case, spec, approx, rule) -> dict:

@@ -136,20 +136,22 @@ def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
 _FLOAT_EQUALS_INTEGER = bool(sp.Float(2.0) == sp.Integer(2))
 
 
-def _tag(expr):
-    return sp.srepr(expr) if _FLOAT_EQUALS_INTEGER else None
+def _tag(arg):
+    return (sp.srepr(arg) if _FLOAT_EQUALS_INTEGER
+            and isinstance(arg, sp.Basic) else None)
 
 
-def _memoised(fn):
-    """``fn(expr, *rest)`` memoised per process on ``expr`` (with its
-    :func:`_tag`) and ``rest``; ``cache_clear`` empties the memo."""
-    cached = lru_cache(maxsize=None)(
-        lambda expr, tag, *rest: fn(expr, *rest))
+def _memoised(fn, maxsize=None):
+    """``fn`` memoised per process on its arguments, each with its
+    :func:`_tag`, keeping the ``maxsize`` latest (all if None);
+    ``cache_info`` and ``cache_clear`` are the memo's."""
+    cached = lru_cache(maxsize=maxsize)(lambda tags, *args, **kw: fn(*args, **kw))
 
     @wraps(fn)
-    def memoised(expr, *rest):
-        return cached(expr, _tag(expr), *rest)
+    def memoised(*args, **kw):
+        return cached(tuple(map(_tag, (*args, *kw.values()))), *args, **kw)
 
+    memoised.cache_info = cached.cache_info
     memoised.cache_clear = cached.cache_clear
     return memoised
 

@@ -1,11 +1,15 @@
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import errbounds
 from errbounds import (
     ConfigError,
     default_suite_config,
@@ -307,6 +311,45 @@ def test_emit_byte_identical(tmp_path):
     emit(run(cfg), ["json"], tmp_path / "b")
     assert ((tmp_path / "a" / "report.json").read_bytes()
             == (tmp_path / "b" / "report.json").read_bytes())
+
+
+MAJORANT = {
+    "cases": [{"kind": kind, "lower": [0.0, 0.0], "upper": [1.0, 1.0],
+               "solution": solution} for kind, solution in
+              (("RD", "sin(pi*x)*sin(pi*y) + sin(3*pi*x)*sin(pi*y)/3"),
+               ("Poisson", "sin(pi*x)*sin(2*pi*y)"))],
+    "approximations": [{"level": "conforming_mixed", "epsilon": 0.1,
+                        "seed": 5}],
+    "estimators": [{"name": "optimize_majorant", "basis_size": n}
+                   for n in (4, 16)],
+}
+
+
+@pytest.mark.parametrize("name", ["suite", "majorant"])
+def test_warm_and_cold_runs_emit_the_same_bytes(tmp_path, name):
+    # the memos of this process are warm after one run; a fresh
+    # interpreter starts with every memo empty
+    argv = ["suite", "--format", "json", "--format", "csv",
+            "--format", "plotdata"]
+    if name == "majorant":
+        (tmp_path / "run.json").write_text(json.dumps(MAJORANT))
+        argv += ["--config", str(tmp_path / "run.json")]
+    assert main(argv + ["--out", str(tmp_path / "first")]) == 0
+    assert main(argv + ["--out", str(tmp_path / "warm")]) == 0
+    src = Path(errbounds.__file__).resolve().parents[1]
+    subprocess.run(
+        [sys.executable, "-c", "import sys; from errbounds.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", *argv,
+         "--out", str(tmp_path / "cold")],
+        env={**os.environ, "PYTHONPATH": str(src)}, check=True,
+        capture_output=True)
+    warm = sorted((tmp_path / "warm").iterdir())
+    cold = sorted((tmp_path / "cold").iterdir())
+    assert [p.name for p in warm] == [p.name for p in cold]
+    assert {p.name for p in warm} >= {"report.json", "report.csv"}
+    assert any(p.name.startswith("plot_") for p in warm)
+    for a, b in zip(warm, cold):
+        assert a.read_bytes() == b.read_bytes(), a.name
 
 
 # --------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 import functools
+import gc
+import json
 import math
 from unittest import mock
 
@@ -15,6 +17,7 @@ from errbounds import (
     free_fields,
     make_case,
     norm_sq,
+    parse_config,
     perturb,
     rd_equality,
     run,
@@ -22,6 +25,7 @@ from errbounds import (
     vector_field,
 )
 from errbounds import manufactured
+from errbounds.fields import Factor
 from errbounds.manufactured import _modes, _random_trig, directions
 from errbounds.quadrature import grid_axes, space_nodes, spacetime_nodes
 
@@ -205,23 +209,109 @@ def test_perturbations_normalized():
     assert norm_sq("L2", diff, DOM1, RULE) == pytest.approx(1.0, rel=1e-10)
 
 
-def test_directions_built_once_per_box_and_seed_per_run(monkeypatch):
-    # the suite's 4 cases share 2 boxes and its 30 approximations 10 seeds
-    builds = []
+def _clear_memos():
+    make_case.cache_clear()
+    directions.cache_clear()
+    manufactured._flux_fields.cache_clear()
+
+
+def _majorant_config(solution, sizes):
+    box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
+    return parse_config(json.dumps({
+        "cases": [{"kind": "RD", "solution": solution, **box}],
+        "approximations": [
+            {"level": "conforming_mixed", "epsilon": 0.1, "seed": 3}],
+        "estimators": [{"name": "optimize_majorant", "basis_size": n}
+                       for n in sizes]}))
+
+
+def test_directions_built_once_per_box_and_seed_per_process(monkeypatch):
+    # the suite's 4 cases share 2 boxes and its 30 approximations 10 seeds;
+    # a second run finds every case, direction set and basis field built
+    builds, sums = [], []
     build = manufactured._build_directions
+    init = manufactured._TrigSum.__init__
 
     def counting(dom, seed):
         builds.append((dom, seed))
         return build(dom, seed)
 
+    def counting_init(self, *args):
+        sums.append(self)
+        init(self, *args)
+
     monkeypatch.setattr(manufactured, "_build_directions", counting)
-    config = default_suite_config()
-    for _ in range(2):
-        del builds[:]
-        run(config)
-        assert len(builds) == len(set(builds)) == 20
-        assert {seed for _, seed in builds} == set(range(10))
-        assert directions.cache_info().currsize == 0
+    monkeypatch.setattr(manufactured._TrigSum, "__init__", counting_init)
+    suite = default_suite_config()
+    majorant = _majorant_config("sin(pi*x)*sin(pi*y)", [9])
+    _clear_memos()
+    run(suite)
+    assert len(builds) == len(set(builds)) == 20
+    assert {seed for _, seed in builds} == set(range(10))
+    run(majorant)
+    assert len(builds) == 21 and len(sums) == 20 * 3 + 4 + 9
+    assert make_case.cache_info().misses == 5
+    del builds[:], sums[:]
+    for config in (suite, majorant):
+        assert run(config).exit_code == 0
+    assert builds == [] and sums == []
+    assert make_case.cache_info().misses == 5
+
+
+def test_memos_stay_within_their_bounds():
+    # more keys than each memo holds: the latest stay, the oldest go
+    _clear_memos()
+    for k in range(manufactured.CASE_MEMO + 3):
+        make_case("RD", DOM1, "sin(pi*x)", f_factor=1.0 + k / 64)
+    for seed in range(manufactured.DIRECTIONS_MEMO + 3):
+        directions(DOM1, seed)
+    for k in range(manufactured.FLUX_BASIS_MEMO + 3):
+        flux_basis(BoxDomain((0.0,), (1.0 + k,)), 2)
+    for memo, bound in ((make_case, manufactured.CASE_MEMO),
+                        (directions, manufactured.DIRECTIONS_MEMO),
+                        (manufactured._flux_fields,
+                         manufactured.FLUX_BASIS_MEMO)):
+        info = memo.cache_info()
+        assert info.maxsize == bound and info.currsize == bound
+        assert info.misses == bound + 3
+    newest = 1.0 + (manufactured.CASE_MEMO + 2) / 64
+    assert make_case("RD", DOM1, "sin(pi*x)", f_factor=newest) is \
+        make_case("RD", DOM1, "sin(pi*x)", f_factor=newest)
+    assert make_case.cache_info().misses == manufactured.CASE_MEMO + 3
+    _clear_memos()
+
+
+def test_make_case_keys_tell_close_cases_apart():
+    # 2*x == 2.0*x before sympy 1.13, so the key tags the expression as the
+    # symbolic memos do; a rescaled source is a case of its own
+    x = sp.Symbol("x")
+    X = space_nodes(DOM1, RULE)[0]
+    cases = [make_case("RD", DOM1, 2 * sp.sin(sp.pi * x)),
+             make_case("RD", DOM1, 2.0 * sp.sin(sp.pi * x)),
+             make_case("RD", DOM1, "sin(pi*x)", f_factor=1.0),
+             make_case("RD", DOM1, "sin(pi*x)", f_factor=1.01)]
+    assert len({id(c) for c in cases}) == 4
+    assert cases[0] is make_case("RD", DOM1, 2 * sp.sin(sp.pi * x))
+    assert cases[1] is make_case("RD", DOM1, 2.0 * sp.sin(sp.pi * x))
+    assert cases[3] is make_case("RD", DOM1, "sin(pi*x)", f_factor=1.01)
+    assert cases[1].f.value(X) == pytest.approx(cases[0].f.value(X),
+                                                rel=1e-15)
+    assert cases[3].f.value(X) == pytest.approx(1.01 * cases[2].f.value(X),
+                                                rel=1e-15)
+
+
+def test_factors_memoise_each_axis_once():
+    # norms and Grams take a factor's values on the 1-D nodes of an axis,
+    # evaluators on the np.ix_ views of the same nodes: one memo entry
+    # serves both, here where the case's fields do not separate
+    run(_majorant_config("sin(pi*x)*sin(pi*y)*exp(x*y)", (4, 16)))
+    factors = [o for o in gc.get_objects() if isinstance(o, Factor)]
+    assert any(f._memo for f in factors)
+    for f in factors:
+        arrays = [hit[0] for key, hit in f._memo.items()
+                  if not isinstance(key, tuple)]
+        assert all(a.ndim == 1 and a.base is None for a in arrays)
+        assert len({id(a) for a in arrays}) == len(arrays)
 
 
 def test_nonconforming_direction_normalised_on_first_use(monkeypatch):
@@ -234,11 +324,15 @@ def test_nonconforming_direction_normalised_on_first_use(monkeypatch):
 
     monkeypatch.setattr(manufactured, "_normalized", counting)
     # the suite's 20 direction sets normalise the conforming sum and the
-    # flux noise; no level of it asks for the non-conforming sum
+    # flux noise; no level of it asks for the non-conforming sum, and a
+    # second run normalises nothing
+    directions.cache_clear()
     run(default_suite_config())
     assert len(calls) == 40
-    case = make_case("RD", DOM1, "sin(pi*x)")
     del calls[:]
+    run(default_suite_config())
+    assert calls == []
+    case = make_case("RD", DOM1, "sin(pi*x)")
     directions.cache_clear()
     try:
         pairs = [perturb(case, level, 1.0, 5) for level in
@@ -312,7 +406,7 @@ def test_time_factor_memo_is_bounded():
         time_axis = grid_axes(args)[0]
         taus = {fs[0] for fs in ts._factors}
         for tau in taus | {g for f in taus for _, g in f.derivative()}:
-            assert tau._memo[id(time_axis)][0] is time_axis
+            assert tau._memo[id(time_axis.base)][0] is time_axis.base
         sliced = ap.u_tilde.at_time(0.5)
         first = sliced.value(X)
         for _ in range(50):
@@ -486,7 +580,7 @@ def test_trig_evaluators_call_factors_on_axes_only(dom):
             f._fn = fn
     assert {f for f, _ in calls} == set(positions)
     for f, x in calls:
-        assert any(x is axes[i] for i in positions[f]), (f, x.shape)
+        assert any(x is axes[i].base for i in positions[f]), (f, x.shape)
     assert len({(f, id(x)) for f, x in calls}) == len(calls)
     sizes = {f: len(f._memo) for f in positions}
     for _ in range(100):

@@ -449,32 +449,60 @@ def test_run_evaluates_no_field_on_the_grid():
     assert all(r["passed"] for r in report.records)
 
 
-def test_run_memos_cleared_on_exit_even_when_a_record_raises(monkeypatch):
+def _assert_same_fields(kept, fresh):
+    """The fields of two flux bases have the same forms (one set of
+    factors) and, bit for bit, the same values and divergences."""
+    X = space_nodes(DOM2, RULE)[0]
+    assert len(kept) == len(fresh)
+    for f, g in zip(kept, fresh):
+        assert [(s.coefs, s.factors) for s in f.separated()] == \
+            [(s.coefs, s.factors) for s in g.separated()]
+        assert np.array_equal(f.value(X), g.value(X))
+        assert np.array_equal(f.div(X), g.div(X))
+
+
+def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
+    # the basis list of a box outlives the run; a record that raises while
+    # the list is extended, or after, leaves a list equal to one built
+    # afresh, and later runs extend it to the same basis
     from errbounds import manufactured, runner
 
     config = _majorant_config()
-    run(config)
-    assert not manufactured.FLUX_BASES
+    fields = manufactured._flux_fields
+    fields.cache_clear()
+    gradient_field = manufactured._TrigSum.gradient_field
+
+    def failing_once(ts):
+        if len(fields(DOM2)) == 6:
+            monkeypatch.setattr(manufactured._TrigSum, "gradient_field",
+                                gradient_field)
+            raise RuntimeError("basis field failed")
+        return gradient_field(ts)
+
+    monkeypatch.setattr(manufactured._TrigSum, "gradient_field",
+                        failing_once)
+    report = run(config)
+    assert [r["status"] for r in report.records] == ["ok", "error"] + ["ok"] * 4
+    kept = list(fields(DOM2))
     real = runner.minimize_flux_majorant
 
-    def failing(*args, **kwargs):
+    def escaping(*args, **kwargs):
         real(*args, **kwargs)
-        raise RuntimeError("estimator failed")
+        raise KeyboardInterrupt
 
-    monkeypatch.setattr(runner, "minimize_flux_majorant", failing)
-    report = run(config)
-    assert {r["status"] for r in report.records} == {"error"}
-    assert not manufactured.FLUX_BASES
-    monkeypatch.setattr(runner, "minimize_flux_majorant", real)
-
-    def escaping(rec, config):
-        assert manufactured.FLUX_BASES
-        raise RuntimeError("run interrupted")
-
-    monkeypatch.setattr(runner, "_record_passes", escaping)
-    with pytest.raises(RuntimeError, match="interrupted"):
+    monkeypatch.setattr(runner, "minimize_flux_majorant", escaping)
+    with pytest.raises(KeyboardInterrupt):
         run(config)
-    assert not manufactured.FLUX_BASES
+    assert fields(DOM2)[:len(kept)] == kept
+    monkeypatch.setattr(runner, "minimize_flux_majorant", real)
+    warm = run(config)
+    kept = list(fields(DOM2))
+    fields.cache_clear()
+    assert [r["majorant"] for r in run(config).records] == \
+        [r["majorant"] for r in warm.records]
+    fresh = fields(DOM2)
+    assert len(kept) == 36 and kept is not fresh
+    _assert_same_fields(kept, fresh)
 
 
 def _close_hex(values, pinned, rel=1e-13):

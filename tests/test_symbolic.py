@@ -280,6 +280,7 @@ def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
         count(owner, name)
     symbolic._numpy_function.cache_clear()
     nonvanishing_face.cache_clear()
+    make_case.cache_clear()
     parabolic = kind in ("TRD", "Heat")
     dom = BoxDomain((0.0,) * d, (1.0,) * d,
                     time_horizon=1.0 if parabolic else None)
@@ -290,8 +291,9 @@ def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
     assert calls.count("lambdify") == d + (4 if parabolic else 3)
     assert "subs" in calls  # the faces, decided once
     calls.clear()
-    # a case built again in the process lambdifies, substitutes, evaluates
-    # and simplifies nothing
+    # a case built again in the process, even once the case memo has let it
+    # go, lambdifies, substitutes, evaluates and simplifies nothing
+    make_case.cache_clear()
     make_case(kind, dom, text)
     assert calls == []
 
