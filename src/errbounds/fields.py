@@ -86,10 +86,15 @@ class Factor:
     """A function of one coordinate with a known derivative. ``fn`` maps a
     1-D array of coordinates to the values there; ``derive`` returns the
     derivative as pairs ``(scale, factor)``, the sum of scale times factor
-    (none where it is zero). Factors are interned where they are made, so
-    equal factors are one object: terms of a sum with the same factors merge
-    (:meth:`SeparatedSum.merged`), and :meth:`on` evaluates each factor
-    once per cached node array."""
+    (none where it is zero). Factors are interned where they are made
+    (:func:`interned`), so equal factors are one object: terms of a sum
+    with the same factors merge (:meth:`SeparatedSum.merged`), :meth:`on`
+    evaluates each factor once per cached node array, and the table of a
+    cached 1-D rule (:func:`quadrature.axis_grams`) integrates the product
+    of each pair of factors once, holding the factors it has a row for, at
+    most :data:`quadrature.AXIS_GRAM_MEMO` of them per rule. A factor made
+    afresh each time, such as the time polynomial of a perturbation, is
+    integrated again in each new object."""
 
     __slots__ = ("_fn", "_derive", "_derivative", "_memo")
 
@@ -131,7 +136,22 @@ class Factor:
 ONE = Factor(np.ones_like, tuple)
 
 
-@functools.lru_cache(maxsize=None)
+def interned(fn):
+    """``fn`` memoised per process for good: equal arguments always give
+    the object made at the first call. It exposes no ``cache_clear``:
+    factors are interned so that equal ones are one object, which sums
+    merge their terms on and :func:`quadrature.axis_grams` keys its rows
+    on, and a clear would split them into older and newer objects."""
+    made = functools.lru_cache(maxsize=None)(fn)
+
+    @functools.wraps(fn)
+    def intern(*args, **kw):
+        return made(*args, **kw)
+
+    return intern
+
+
+@interned
 def trig_factor(func: str, freq: float, lo: float) -> Factor:
     """The factor sin or cos of freq (x - lo), one object per process."""
     fn, other, sign = ((np.sin, "cos", 1.0) if func == "sin"

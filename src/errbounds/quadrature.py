@@ -2,14 +2,20 @@
 
 :func:`l2_inner`, and through it :func:`norm_sq` and :func:`trace_norm_sq`,
 and :func:`l2_gram` integrate fields that all carry a separated form (see
-:mod:`errbounds.fields`) without visiting the grid: per axis one
-:func:`weighted_gram` of the factor values at that axis's composite Gauss
-nodes (:func:`axis_rules`), the axis Grams multiplied elementwise, and per
-inner product one correctly rounded sum of c_k c_l H_kl. That is the tensor
-rule's own value, at O(R^2 d n) cost for rank R instead of O(n^d). Any
-operand without a form (a field built from bare callables, or from an
-expression that does not split) is evaluated at every node instead; that
-path is the general fallback and the oracle of the tests.
+:mod:`errbounds.fields`) without visiting the grid: per axis the 1-D
+integrals of the term factors' products, gathered from that axis's table,
+the axis Grams multiplied elementwise, and per inner product one correctly
+rounded sum of c_k c_l H_kl. That is the tensor rule's own value, at
+O(R^2 d) cost for rank R, once the tables hold its factors, instead of
+O(n^d). A table (:func:`axis_grams`) is kept per composite Gauss rule
+(:func:`axis_rules`) and process: it holds every factor it has met on that
+rule, at most :data:`AXIS_GRAM_MEMO`, and the :func:`weighted_gram` of
+each pair of their values, computed when the later of the two first
+arrives. Each entry is its own pair's einsum, so a table that passes the
+bound starts again empty without changing a bit. Any operand without a
+form (a field built from bare callables, or from an expression that does
+not split) is evaluated at every node instead; that path is the general
+fallback and the oracle of the tests.
 
 Both paths of :func:`l2_inner`, and the separated one of :func:`l2_gram`,
 reduce through a correctly rounded sum, equal to :func:`math.fsum` bit for
@@ -289,22 +295,84 @@ def axis_rules(dom: BoxDomain, rule: QuadratureRule):
     return axes
 
 
+# A table of 1-D integrals keeps at most this many factors per axis rule; a
+# table that would pass it starts again empty (see _AxisGrams.rows).
+AXIS_GRAM_MEMO = 512
+
+
+class _AxisGrams:
+    """The 1-D integrals of the products of factor pairs on one axis rule
+    ``(x, w)``: ``G[r, s]`` is :func:`weighted_gram` of the values
+    (:meth:`fields.Factor.on`) of the factors of rows r and s. Every entry
+    is the einsum of its own pair, independent of what else the table
+    holds, and ``(l * r) * w == (r * l) * w``, so the columns of new rows
+    are those rows transposed, and starting again empty changes no bit."""
+
+    __slots__ = ("x", "w", "index", "G")
+
+    def __init__(self, x: np.ndarray, w: np.ndarray):
+        self.x, self.w = x, w
+        self.index = {}  # factor -> its row; holding it keeps its id
+        self.G = np.empty((0, 0))
+
+    def rows(self, factors) -> np.ndarray:
+        """The rows of ``factors``, added to the table if new; if that would
+        take it past :data:`AXIS_GRAM_MEMO`, it starts again from those."""
+        new = [f for f in dict.fromkeys(factors) if f not in self.index]
+        if new:
+            if len(self.index) + len(new) > AXIS_GRAM_MEMO:
+                self.index, self.G = {}, np.empty((0, 0))
+                new = list(dict.fromkeys(factors))
+            self._add(new)
+        index = self.index
+        return np.array([index[f] for f in factors], dtype=np.intp)
+
+    def _add(self, new):
+        n, m = len(self.index), len(new)
+        for f in new:
+            self.index[f] = len(self.index)
+        values = np.array([f.on(self.x) for f in self.index]).reshape(
+            n + m, len(self.x))
+        added = weighted_gram(values[n:], values, self.w)
+        G = np.empty((n + m, n + m))
+        G[:n, :n] = self.G
+        G[n:] = added
+        G[:n, n:] = added[:, :n].T
+        self.G = G
+
+
+# id of the nodes of a cached 1-D rule -> its table (which holds them)
+_AXIS_GRAMS = {}
+
+
+def axis_grams(x: np.ndarray, w: np.ndarray) -> _AxisGrams:
+    """The table of factor-pair integrals of the cached 1-D rule
+    ``(x, w)``, one per rule per process."""
+    table = _AXIS_GRAMS.get(id(x))
+    if table is None:
+        table = _AXIS_GRAMS[id(x)] = _AxisGrams(x, w)
+    return table
+
+
 def _addends(a, b, axes) -> np.ndarray:
     """c_k c_l H_kl for the terms k of the sums ``a`` and l of the sums
     ``b`` (``b is a`` for a list with itself), H_kl the tensor rule's
-    integral of their product: per axis one :func:`weighted_gram` of the
-    factor values at that axis's nodes, the axis Grams multiplied
-    elementwise in axis order."""
+    integral of their product: per axis the entries of the factor pairs
+    gathered from its table (:func:`axis_grams`), multiplied elementwise
+    in axis order."""
     fa = [fs for s in a for fs in s.factors]
     fb = fa if b is a else [fs for s in b for fs in s.factors]
     ca = [x for s in a for x in s.coefs]
     cb = ca if b is a else [x for s in b for x in s.coefs]
     H = 1.0
     for i, (x, w) in enumerate(axes):
-        L = np.array([fs[i].on(x) for fs in fa]).reshape(len(fa), len(x))
-        R = L if fb is fa else np.array([fs[i].on(x) for fs in fb]).reshape(
-            len(fb), len(x))
-        H = H * weighted_gram(L, R, w)
+        table = axis_grams(x, w)
+        # both sides in one call: adding the second alone could restart
+        # the table and move the rows of the first
+        rows = table.rows([fs[i] for fs in fa] if fb is fa else
+                          [fs[i] for fs in (*fa, *fb)])
+        ia, ib = (rows, rows) if fb is fa else (rows[:len(fa)], rows[len(fa):])
+        H = H * table.G[ia[:, None], ib]
     return np.multiply.outer(ca, cb) * H
 
 

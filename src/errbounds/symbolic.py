@@ -22,14 +22,14 @@ from __future__ import annotations
 import ast
 import math
 import operator
-from functools import lru_cache, wraps
+from functools import lru_cache, partial, wraps
 
 import numpy as np
 import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
 
 from .fields import (ONE, BoxDomain, Factor, ScalarField, SeparatedSum,
-                     VectorField, trig_factor)
+                     VectorField, interned, trig_factor)
 from .quadrature import coordinates
 
 X_SYMBOLS = sp.symbols("x y z")
@@ -141,18 +141,22 @@ def _tag(arg):
             and isinstance(arg, sp.Basic) else None)
 
 
-def _memoised(fn, maxsize=None):
+def _memoised(fn, maxsize=None, intern=False):
     """``fn`` memoised per process on its arguments, each with its
     :func:`_tag`, keeping the ``maxsize`` latest (all if None);
-    ``cache_info`` and ``cache_clear`` are the memo's."""
-    cached = lru_cache(maxsize=maxsize)(lambda tags, *args, **kw: fn(*args, **kw))
+    ``cache_info`` and ``cache_clear`` are the memo's. With ``intern``, it
+    is :func:`fields.interned` instead, which keeps all and exposes
+    neither."""
+    memo = interned if intern else lru_cache(maxsize=maxsize)
+    cached = memo(lambda tags, *args, **kw: fn(*args, **kw))
 
     @wraps(fn)
     def memoised(*args, **kw):
         return cached(tuple(map(_tag, (*args, *kw.values()))), *args, **kw)
 
-    memoised.cache_info = cached.cache_info
-    memoised.cache_clear = cached.cache_clear
+    if not intern:
+        memoised.cache_info = cached.cache_info
+        memoised.cache_clear = cached.cache_clear
     return memoised
 
 
@@ -247,15 +251,16 @@ def _term_bound(expr) -> int:
     return min(n, cap)
 
 
-@_memoised
+@partial(_memoised, intern=True)
 def _factor(expr, sym) -> Factor:
     """The :class:`fields.Factor` of ``expr``, a function of ``sym`` alone
-    with no numeric coefficient, lambdified once per process. Its
-    derivative is expanded into terms like those of :func:`_split`, so a
-    derived form and the split of the derived expression share factors.
-    sin and cos of a multiple of ``sym`` are :func:`fields.trig_factor`s,
-    with the same values, so their terms combine with those of the
-    trigonometric fields of :mod:`errbounds.manufactured`."""
+    with no numeric coefficient, lambdified once per process and interned:
+    one object per expression and symbol, never cleared. Its derivative
+    is expanded into terms like those of :func:`_split`, so a derived form
+    and the split of the derived expression share factors. sin and cos of
+    a multiple of ``sym`` are :func:`fields.trig_factor`s, with the same
+    values, so their terms combine with those of the trigonometric fields
+    of :mod:`errbounds.manufactured`."""
     if not expr.has(sym):
         return ONE
     if expr.func in (sp.sin, sp.cos):

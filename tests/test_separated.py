@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errbounds import (BoxDomain, QuadratureRule, flux_basis, free_fields,
+from errbounds import (BoxDomain, QuadratureRule, fields, flux_basis, free_fields,
                        l2_gram, l2_inner, make_case, norm_sq, parse_config,
                        perturb, quadrature, run, scalar_field, trace_norm_sq,
                        vector_field)
@@ -359,3 +359,185 @@ def test_unsplittable_solution_takes_the_grid_and_passes():
     with mock.patch.object(quadrature, "_grid_inner", counted):
         report = run(config)
     assert calls and all(r["passed"] for r in report.records)
+
+
+# --------------------------------------------------------------------------
+# the per-axis tables of factor-pair integrals
+# --------------------------------------------------------------------------
+
+def _reference_addends(a, b, axes):
+    """The addends of ``quadrature._addends`` with no table: per axis one
+    ``weighted_gram`` of the stacked factor values of all terms."""
+    fa = [fs for s in a for fs in s.factors]
+    fb = fa if b is a else [fs for s in b for fs in s.factors]
+    ca = [x for s in a for x in s.coefs]
+    cb = ca if b is a else [x for s in b for x in s.coefs]
+    H = 1.0
+    for i, (x, w) in enumerate(axes):
+        L = np.array([fs[i].on(x) for fs in fa]).reshape(len(fa), len(x))
+        R = L if fb is fa else np.array([fs[i].on(x) for fs in fb]).reshape(
+            len(fb), len(x))
+        H = H * quadrature.weighted_gram(L, R, w)
+    return np.multiply.outer(ca, cb) * H
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+@st.composite
+def _tables(draw):
+    """A box of 1-3 axes (time first where it has one), a coarse rule, a
+    table bound, a pool of distinct trigonometric and polynomial factors,
+    batches of them per axis in random order, with repeats, and separated
+    sums over the pool. The batches leave out the pool's last factor, and
+    after them come the whole pool per axis, so the first of those passes
+    the bound from a nonempty table. Axes on equal intervals share one."""
+    from errbounds.manufactured import _poly_factor
+
+    axes = draw(st.integers(1, 3))
+    T = draw(st.sampled_from([None, 0.5]))
+    dim = axes - (T is not None) or 1
+    lower = [draw(st.sampled_from([0.0, -0.5, 0.3])) for _ in range(dim)]
+    dom = BoxDomain(lower, [a + draw(st.sampled_from([1.0, 2.0]))
+                            for a in lower], time_horizon=T)
+    rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
+                          time_order=draw(st.integers(1, 3)))
+    pool = []
+    for _ in range(draw(st.integers(3, 10))):
+        if draw(st.booleans()):
+            f = trig_factor(draw(st.sampled_from(["sin", "cos"])),
+                            draw(st.sampled_from([1.0, 2.5, math.pi])),
+                            draw(st.sampled_from([0.0, 0.3])))
+        else:
+            f = _poly_factor(np.array([draw(st.floats(-2.0, 2.0))
+                                       for _ in range(draw(st.integers(1, 3)))]))
+        if f not in pool:
+            pool.append(f)
+    bound = draw(st.integers(1, len(pool) - 1))
+    some = st.lists(st.sampled_from(pool[:-1]), min_size=1, max_size=8)
+    axes = range(len(quadrature.axis_rules(dom, rule)))
+    batches = draw(st.permutations([(i, b) for i in axes for b in draw(
+        st.lists(some, min_size=1, max_size=3))]))
+    batches += [(i, draw(st.permutations(pool))) for i in axes]
+    term = st.tuples(st.floats(-2.0, 2.0).filter(bool),
+                     st.tuples(*[st.sampled_from(pool)] * (dim + (T is not None))))
+    sums = [fields.SeparatedSum(*zip(*draw(st.lists(term, min_size=1,
+                                                    max_size=5))))
+            for _ in range(draw(st.integers(2, 4)))]
+    return dom, rule, bound, pool, batches, sums
+
+
+@given(_tables())
+@settings(max_examples=40, deadline=None)
+def test_axis_tables_hold_each_pairs_own_integral(problem):
+    dom, rule, bound, pool, batches, sums = problem
+    axes = quadrature.axis_rules(dom, rule)
+
+    def own(f, g, x, w):
+        return quadrature.weighted_gram(f.on(x)[None], g.on(x)[None], w)[0, 0]
+
+    with mock.patch.object(quadrature, "_AXIS_GRAMS", {}), \
+            mock.patch.object(quadrature, "AXIS_GRAM_MEMO", bound):
+        restarts = set()
+        for i, batch in batches:
+            x, w = axes[i]
+            table = quadrature.axis_grams(x, w)
+            before = table.index
+            rows = table.rows(batch)
+            if table.index is not before and before:
+                restarts.add(id(table))
+            assert len(table.index) <= max(bound, len(set(batch)),
+                                           len(before))
+            assert [list(table.index)[r] for r in rows] == batch
+            # every entry, those of earlier batches included, before and
+            # after a restart, is the einsum of its own pair
+            held = list(table.index)
+            assert _hex(table.G) == _hex([[own(f, g, x, w) for g in held]
+                                          for f in held])
+        # the last batch of each table passes the bound from a nonempty one
+        assert restarts == {id(quadrature.axis_grams(x, w)) for x, w in axes}
+
+        # norms, inner products and Grams through the tables equal those of
+        # stacked values contracted per call, bit for bit
+        scalars = [fields.ScalarField(_grid_only, dim=dom.dim,
+                                      time_dependent=dom.is_parabolic,
+                                      form=lambda s=s: s) for s in sums]
+        vectors = [fields.VectorField(_grid_only, dim=dom.dim,
+                                      time_dependent=dom.is_parabolic,
+                                      form=lambda k=k: tuple(
+                                          sums[(k + j) % len(sums)]
+                                          for j in range(dom.dim)))
+                   for k in range(len(sums))]
+
+        def measured():
+            out = []
+            for fs in (scalars, vectors):
+                out += [l2_inner(a, b, dom, rule) for a in fs for b in fs]
+                out += list(l2_gram(fs, fs, dom, rule).ravel())
+                out += list(l2_gram(fs[1:], fs, dom, rule).ravel())
+            return _hex(out)
+
+        got = measured()
+    with mock.patch.object(quadrature, "_addends", _reference_addends):
+        assert got == measured()
+
+
+def test_warm_norms_evaluate_and_integrate_no_factor(monkeypatch):
+    # once a table holds the factors of some forms, norms and Grams of
+    # those forms, and of new sums of the same factors, only gather its
+    # entries: no factor value is taken and no pair integrated again
+    dom, rule = BoxDomain((0.0, -1.0), (1.0, 2.0)), QuadratureRule()
+    basis = flux_basis(dom, 9)
+    u = scalar_field("sin(pi*x)*sin(pi*(y + 1)/3)", dom)
+    mixed = basis[2] - 0.5 * basis[7]
+
+    def measure():
+        return ([norm_sq(k, w, dom, rule) for k, w in
+                 (("H1", u), ("Hdiv", basis[4]), ("L2", mixed))]
+                + list(l2_gram(basis, basis, dom, rule).ravel())
+                + [l2_inner(u.gradient_field(), mixed, dom, rule)])
+
+    warm = measure()
+    counts = {"on": 0, "weighted_gram": 0}
+    on, weighted_gram = fields.Factor.on, quadrature.weighted_gram
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(fields.Factor, "on", counted("on", on))
+    monkeypatch.setattr(quadrature, "weighted_gram",
+                        counted("weighted_gram", weighted_gram))
+    assert measure() == warm
+    again = 0.25 * basis[7] + 3.0 * basis[2]
+    norm_sq("Hdiv", again, dom, rule)
+    assert counts == {"on": 0, "weighted_gram": 0}
+    # a new factor is integrated against the table once, on its own axis
+    novel = scalar_field("sin(pi*x)*cos(7*y)", dom)
+    norm_sq("L2", novel, dom, rule)
+    assert counts["weighted_gram"] == 1 and counts["on"] > 0
+    counts.update(on=0, weighted_gram=0)
+    norm_sq("L2", novel, dom, rule)
+    assert counts == {"on": 0, "weighted_gram": 0}
+
+
+def test_equal_factors_stay_one_object():
+    # factors are interned for good: the memos that make them expose no
+    # clear, which would split equal factors into two objects
+    from errbounds import symbolic
+
+    assert not hasattr(fields.trig_factor, "cache_clear")
+    assert not hasattr(symbolic._factor, "cache_clear")
+    assert trig_factor("cos", 2.5, 0.25) is trig_factor("cos", 2.5, 0.25)
+    x = symbolic.X_SYMBOLS[0]
+    assert symbolic._factor(x ** 2 + 1, x) is symbolic._factor(x ** 2 + 1, x)
+    dom = BoxDomain((0.0, 0.0), (1.0, 1.0))
+    first, second = (scalar_field("(x**2 + 1)*sin(2*pi*y)", dom).separated()
+                     for _ in range(2))
+    assert first.factors == second.factors
+    assert all(f is g for fs, gs in zip(first.factors, second.factors)
+               for f, g in zip(fs, gs))
+    assert first.factors[0][1] is trig_factor("sin", 2 * math.pi, 0.0)
