@@ -84,14 +84,28 @@ def _filter_estimators(config: RunConfig, command: str) -> RunConfig:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    outdir = args.out if args.out is not None else default_output_dir()
     try:
         config = _filter_estimators(_load_config(args), args.command)
-        report = run(config)
-    except (ConfigError, OSError) as exc:
+        # made before the run, so a directory that cannot be made costs
+        # no record; removed again if the run rejects a case
+        made = [p for p in (outdir, *outdir.parents) if not p.exists()]
+        outdir.mkdir(parents=True, exist_ok=True)
+        try:
+            report = run(config)
+        except ConfigError:
+            for p in made:
+                p.rmdir()
+            raise
+        written = emit(report, config.formats, outdir)
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    outdir = args.out if args.out is not None else default_output_dir()
-    written = emit(report, config.formats, outdir)
+    except OSError as exc:
+        # a failed write may name no file
+        print(f"error: {exc}" if exc.filename else f"error: {outdir}: {exc}",
+              file=sys.stderr)
+        return 2
     n_fail = sum(1 for r in report.records if not r.get("passed", True))
     print(f"{len(report.records)} records, {n_fail} failing; "
           f"wrote {', '.join(str(p) for p in written)}")

@@ -10,15 +10,20 @@ A field may also carry the *form* of some of its evaluators: the
 :class:`SeparatedSum` of 1-D :class:`Factor` products it equals (a tuple of
 sums, one per component, for vectors), built at most once, when a norm
 first asks (see :meth:`_Field.separated`). Manufactured solutions and the
-data derived from them, the trigonometric perturbations and flux bases, and
-constant and zero fields carry forms; a field built from bare callables, or
-from an expression that does not split (see :mod:`errbounds.symbolic`),
-carries none. The algebra keeps forms alongside the evaluators: a
-:func:`combination` (``+``, ``-`` and scalar ``*`` among them) concatenates
-the terms of its operands with scaled coefficients, ``at_time`` folds the
-time factor into the coefficients, and the derivative views differentiate
-one factor per term. :func:`quadrature.l2_inner` integrates two fields that
-carry forms axis by axis and everything else on the full grid.
+data derived from them carry forms beside evaluators of their own (see
+:mod:`errbounds.symbolic`); a field built from bare callables, or from an
+expression that does not split, carries none. A field that is its forms,
+such as a constant, a zero, or a trigonometric perturbation or flux basis
+field, is made by :func:`form_field`: each of its evaluators evaluates its
+form through :func:`form_values`, on the axes of the node sets that
+:mod:`errbounds.quadrature` registers here (:func:`grid_axes`) or on the
+columns of any other nodes (:func:`coordinates`). The algebra keeps forms
+alongside the evaluators: a :func:`combination` (``+``, ``-`` and scalar
+``*`` among them) concatenates the terms of its operands with scaled
+coefficients, ``at_time`` folds the time factor into the coefficients, and
+the derivative views differentiate one factor per term.
+:func:`quadrature.l2_inner` integrates two fields that carry forms axis by
+axis and everything else on the full grid.
 """
 from __future__ import annotations
 
@@ -218,6 +223,61 @@ class SeparatedSum:
         return self._merged
 
 
+# ids of the arrays of a cached node set, ``(X,)`` or ``(t, X)`` -> (those
+# arrays, their per-coordinate axes, the grid shape), registered by
+# :mod:`errbounds.quadrature` as it makes them. The axes, time first, are the
+# 1-D nodes shaped to broadcast against each other; the grid they broadcast
+# to, raveled in C order, is the node order of the arrays. Holding the arrays
+# keeps their ids from being reused.
+_GRIDS = {}
+
+
+def grid_axes(args):
+    """The broadcast axes of the node set whose cached arrays are ``args``,
+    ``(X,)`` of :func:`quadrature.space_nodes` or ``(t, X)`` of
+    :func:`quadrature.spacetime_nodes`; None for any other arrays, copies
+    included."""
+    entry = _GRIDS.get(tuple(map(id, args)))
+    return entry[1] if entry else None
+
+
+def coordinates(args, dim: int):
+    """The coordinates of the nodes ``args``, ``(X,)`` or ``(t, X)``, time
+    first, and the shape they broadcast to: the axes of :func:`grid_axes`
+    and the grid shape on a cached node set, else t, the first ``dim``
+    columns of X and (N,). Values of that shape, raveled, are in the node
+    order of ``args``."""
+    entry = _GRIDS.get(tuple(map(id, args)))
+    if entry:
+        return entry[1:]
+    coords = (*args[:-1], *args[-1][:, :dim].T)
+    return coords, np.broadcast_shapes(*(np.shape(c) for c in coords))
+
+
+def form_values(form, args, dim: int) -> np.ndarray:
+    """The values of a separated form at the nodes ``args``, ``(X,)`` or
+    ``(t, X)`` of a ``dim``-D box: ``(N,)`` for a
+    :class:`SeparatedSum`, ``(N, dim)`` for a tuple of them, one per
+    component. Per merged term, its coefficient times its factors' values
+    in axis order, added into zeros. On a cached node set the factors take
+    the 1-D axes of :func:`coordinates`, memoised by
+    :meth:`Factor.on`, and the products broadcast to the grid (sum
+    factorisation); on any other arrays they take the columns, unmemoised.
+    Both give the same values to the last bit."""
+    if isinstance(form, tuple):
+        return np.stack([form_values(s, args, dim) for s in form], axis=-1)
+    coords, shape = coordinates(args, dim)
+    values = Factor.on if coords is grid_axes(args) else Factor.__call__
+    form = form.merged()
+    out = np.zeros(shape)
+    for c, fs in zip(form.coefs, form.factors):
+        term = c
+        for f, x in zip(fs, coords):
+            term = term * values(f, x)
+        out += term
+    return out.ravel()
+
+
 def _empty() -> SeparatedSum:
     return SeparatedSum((), ())
 
@@ -327,11 +387,6 @@ def _combined(evaluators, coefs):
 
 def _freeze_time(f, t0):
     return lambda X: f(np.full(X.shape[0], t0), X)
-
-
-def _zeros(*tail):
-    """Evaluator of zeros shaped (n, *tail) for n points."""
-    return lambda *args: np.zeros((args[-1].shape[0],) + tail)
 
 
 def _evaluator(name):
@@ -512,15 +567,22 @@ class VectorField(_Field):
         return self._view(ScalarField, value="div")
 
 
+def form_field(rank, forms: dict, dom: BoxDomain, vanishes: bool = False):
+    """A field of ``rank`` on ``dom`` whose evaluators are the values of its
+    forms ``forms`` (see :func:`scalar_forms`), each evaluating its form
+    through :func:`form_values`; none of them ``dt`` on an elliptic box."""
+    dim, td = dom.dim, dom.is_parabolic
+    ev = {k: lambda *args, f=f: form_values(f(), args, dim)
+          for k, f in forms.items() if td or k != "dt"}
+    return rank._from_maps(ev, dim, td, vanishes, forms)
+
+
 def constant_scalar(c: float, dom: BoxDomain) -> ScalarField:
     c = float(c)
-    return ScalarField(lambda *args: np.full(args[-1].shape[0], c),
-                       _zeros(dom.dim), _zeros(),
-                       _zeros() if dom.is_parabolic else None,
-                       dim=dom.dim, time_dependent=dom.is_parabolic,
-                       vanishes_on_boundary=(c == 0.0),
-                       form=lambda: SeparatedSum(
-                           [c], [(ONE,) * (dom.dim + dom.is_parabolic)]))
+    value = SeparatedSum([c], [(ONE,) * (dom.dim + dom.is_parabolic)])
+    return form_field(ScalarField, scalar_forms(lambda: value, dom.dim,
+                                                dom.is_parabolic),
+                      dom, vanishes=(c == 0.0))
 
 
 def zero_scalar(dom: BoxDomain) -> ScalarField:
@@ -528,7 +590,5 @@ def zero_scalar(dom: BoxDomain) -> ScalarField:
 
 
 def zero_vector(dom: BoxDomain) -> VectorField:
-    return VectorField(_zeros(dom.dim), _zeros(),
-                       _zeros(dom.dim) if dom.is_parabolic else None,
-                       dim=dom.dim, time_dependent=dom.is_parabolic,
-                       form=lambda: (_empty(),) * dom.dim)
+    return form_field(VectorField, vector_forms(
+        lambda: (_empty(),) * dom.dim, dom.is_parabolic), dom)

@@ -2,13 +2,14 @@
 
 Exact solutions are solution text (see :func:`symbolic.parse`) or sympy
 expressions; the data f is produced by applying the model operator
-symbolically, and u0 is u at t = 0.  Perturbations are
+symbolically, and u0 is u at t = 0.  Perturbations and flux bases are
 finite trigonometric sums with closed-form derivatives, so every conformity
-level is exact by construction.
+level is exact by construction. They are plain separated sums
+(:class:`fields.SeparatedSum`), and their fields, made by
+:func:`fields.form_field`, evaluate their forms.
 """
 from __future__ import annotations
 
-import copy
 import dataclasses
 import functools
 import itertools
@@ -18,9 +19,9 @@ from typing import List, Optional
 import numpy as np
 
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
-                     SeparatedSum, VectorField, _empty, _lazy, scalar_forms,
-                     trig_factor, vector_forms)
-from .quadrature import QuadratureRule, form_values, norm_sq
+                     SeparatedSum, VectorField, _empty, _lazy, form_field,
+                     scalar_forms, trig_factor, vector_forms)
+from .quadrature import QuadratureRule, norm_sq
 from .symbolic import (_expression, _memoised, data_field, derivatives,
                        nonvanishing_face, scalar_field)
 
@@ -118,86 +119,59 @@ def _poly_factor(p: np.ndarray) -> Factor:
     return Factor(lambda t: np.polynomial.polynomial.polyval(t, p), derive)
 
 
-def _read_only(coefs) -> np.ndarray:
-    """A read-only float copy of ``coefs``: the coefficients of a sum never
-    change, so the evaluators and the forms of its views always agree."""
-    out = np.array(coefs, dtype=float)
-    out.flags.writeable = False
-    return out
+def _trig_sum(coefs, modes, funcs, tpolys, dom: BoxDomain) -> SeparatedSum:
+    """sum_k c_k tau_k(t) prod_i trig(m_i pi (x_i-lo_i)/L_i) as a separated
+    sum: one term per k with the factors tau_k (on a space-time box) and
+    the trig factors. ``funcs`` selects sin or cos per axis per term."""
+    tfactors = ([(_poly_factor(np.asarray(p, dtype=float)),) for p in tpolys]
+                if dom.is_parabolic else [()] * len(modes))
+    return SeparatedSum(
+        [float(c) for c in coefs],
+        [tf + tuple(trig_factor(f, m * np.pi / side, lo)
+                    for f, m, side, lo in zip(fs, mode, dom.sides, dom.lower))
+         for tf, fs, mode in zip(tfactors, funcs, modes)])
 
 
-class _TrigSum:
-    """sum_k c_k tau_k(t) prod_i trig(m_i pi (x_i-lo_i)/L_i) with closed-form
-    derivatives.  ``funcs`` selects sin or cos per axis per term. Its field
-    views carry their separated forms, one term per k with the factors
-    tau_k (on a space-time box) and the trig factors, and evaluate them
-    (see :func:`quadrature.form_values`)."""
-
-    def __init__(self, coefs, modes, funcs, tpolys, dom: BoxDomain):
-        self.coefs = _read_only(coefs)
-        self.modes = [tuple(m) for m in modes]
-        self.funcs = [tuple(f) for f in funcs]
-        self.tpolys = [np.asarray(p, dtype=float) for p in tpolys]
-        self.dom = dom
-        # per term: its factors in the axis order of a separated form
-        tfactors = ([(_poly_factor(p),) for p in self.tpolys]
-                    if dom.is_parabolic else [()] * len(self.modes))
-        self._factors = [tf + tuple(trig_factor(f, m * np.pi / side, lo)
-                                    for f, m, side, lo in
-                                    zip(funcs, mode, dom.sides, dom.lower))
-                         for tf, funcs, mode in zip(tfactors, self.funcs,
-                                                    self.modes)]
-
-    @property
-    def vanishes(self) -> bool:
-        return all(all(f == "sin" for f in fs) for fs in self.funcs)
-
-    # field views ----------------------------------------------------------
-    def _forms(self) -> dict:
-        """The forms of the evaluators (see :func:`fields.scalar_forms`),
-        from the coefficients, which are read-only (see :func:`_normalized`)."""
-        value = SeparatedSum(self.coefs.tolist(), self._factors)
-        return scalar_forms(lambda: value, self.dom.dim, self.dom.is_parabolic)
-
-    def _view(self, rank, forms: dict, vanishes: bool = False):
-        """The field of ``rank`` with the forms ``forms``, each evaluator
-        evaluating its form; none of them ``dt`` on an elliptic box."""
-        dim, td = self.dom.dim, self.dom.is_parabolic
-        ev = {k: functools.partial(_evaluate, f, dim)
-              for k, f in forms.items() if td or k != "dt"}
-        return rank._from_maps(ev, dim, td, vanishes, forms)
-
-    def scalar_field(self) -> ScalarField:
-        return self._view(ScalarField, self._forms(), self.vanishes)
-
-    def gradient_field(self) -> VectorField:
-        return self._view(VectorField, vector_forms(
-            self._forms()["grad"], self.dom.is_parabolic))
-
-    def rotgrad_field(self) -> VectorField:
-        """Rotated gradient (-d/dy, d/dx): divergence-free, d = 2 only. Its
-        form permutes and negates the gradient's; its divergence's form is
-        the empty sum."""
-        if self.dom.dim != 2:
-            raise ValueError("rotated gradients require d = 2")
-        grad = vector_forms(self._forms()["grad"], self.dom.is_parabolic)
-
-        def rotated(form):
-            return _lazy(lambda: (SeparatedSum.combination([form()[1]], [-1.0]),
-                                  form()[0]))
-
-        return self._view(VectorField, {"value": rotated(grad["value"]),
-                                        "div": _empty,
-                                        "dt": rotated(grad["dt"])})
+def _scalar(s: SeparatedSum, dom: BoxDomain,
+            vanishes: bool = False) -> ScalarField:
+    """The scalar field of the sum ``s``, with gradient, Laplacian and (on a
+    space-time box) time derivative."""
+    return form_field(ScalarField, scalar_forms(lambda: s, dom.dim,
+                                                dom.is_parabolic),
+                      dom, vanishes)
 
 
-def _evaluate(form, dim: int, *args) -> np.ndarray:
-    """The evaluator of a form: its values at the nodes ``args``."""
-    return form_values(form(), args, dim)
+def _gradient_forms(s: SeparatedSum, dom: BoxDomain) -> dict:
+    """The forms of the evaluators of the gradient of the sum ``s``."""
+    td = dom.is_parabolic
+    return vector_forms(scalar_forms(lambda: s, dom.dim, td)["grad"], td)
+
+
+def _gradient(s: SeparatedSum, dom: BoxDomain) -> VectorField:
+    """The gradient of the sum ``s``, with divergence (its Laplacian) and
+    (on a space-time box) time derivative."""
+    return form_field(VectorField, _gradient_forms(s, dom), dom)
+
+
+def _rotgrad(s: SeparatedSum, dom: BoxDomain) -> VectorField:
+    """Rotated gradient (-d/dy, d/dx) of the sum ``s``: divergence-free,
+    d = 2 only. Its form permutes and negates the gradient's; its
+    divergence's form is the empty sum."""
+    if dom.dim != 2:
+        raise ValueError("rotated gradients require d = 2")
+    grad = _gradient_forms(s, dom)
+
+    def rotated(form):
+        return _lazy(lambda: (SeparatedSum.combination([form()[1]], [-1.0]),
+                              form()[0]))
+
+    return form_field(VectorField, {"value": rotated(grad["value"]),
+                                    "div": _empty, "dt": rotated(grad["dt"])},
+                      dom)
 
 
 def _random_trig(dom: BoxDomain, rng, n_terms: int = 3,
-                 nonconforming: bool = False) -> _TrigSum:
+                 nonconforming: bool = False) -> SeparatedSum:
     pool = _modes(dom.dim, n_terms + 4)
     idx = rng.choice(len(pool), size=n_terms, replace=False)
     modes = [pool[i] for i in sorted(idx)]
@@ -213,63 +187,72 @@ def _random_trig(dom: BoxDomain, rng, n_terms: int = 3,
         funcs = funcs + [("cos",) + ("sin",) * (dom.dim - 1)]
         coefs = np.append(coefs, 1.0)
         tpolys = tpolys + [tpolys[0]]
-    return _TrigSum(coefs, modes, funcs, tpolys, dom)
+    return _trig_sum(coefs, modes, funcs, tpolys, dom)
 
 
 _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 
 
-def _normalized(ts: _TrigSum) -> _TrigSum:
-    """A copy of ``ts`` scaled to unit L2 norm. It shares the factors of
-    ``ts``, which the coefficients do not enter; ``ts`` and
-    the field views made from it keep their coefficients."""
-    out = copy.copy(ts)
-    out.coefs = _read_only(ts.coefs / math.sqrt(
-        norm_sq("L2", ts.scalar_field(), ts.dom, _NORMALIZE_RULE)))
-    return out
+def _normalized(s: SeparatedSum, dom: BoxDomain) -> SeparatedSum:
+    """The sum ``s`` scaled to unit L2 norm: each coefficient divided by the
+    norm, the factors shared."""
+    norm = math.sqrt(norm_sq("L2", _scalar(s, dom), dom, _NORMALIZE_RULE))
+    return SeparatedSum([c / norm for c in s.coefs], s.factors)
 
 
 def _flux_noise(dom: BoxDomain, rng) -> VectorField:
     """Divergence-known vector noise: a gradient, plus a rotated gradient
     (divergence-free) when d = 2."""
-    g = _normalized(_random_trig(dom, rng, nonconforming=True))
-    field = g.gradient_field()
+    field = _gradient(_normalized(
+        _random_trig(dom, rng, nonconforming=True), dom), dom)
     if dom.dim == 2:
-        r = _normalized(_random_trig(dom, rng))
-        field = field + r.rotgrad_field()
+        field = field + _rotgrad(_normalized(_random_trig(dom, rng), dom), dom)
     return field
 
 
 @dataclasses.dataclass(frozen=True)
 class Directions:
-    """The seeded perturbation directions of one box: normalised
-    conforming and non-conforming scalar sums and the flux noise. The
-    non-conforming sum is drawn with the others, so the draws keep their
-    order, but normalised only when first asked for: the default workloads
-    never ask, and its norm would cost them a few per cent of a pass."""
+    """The seeded perturbation directions of one box: the normalised
+    conforming scalar field and its gradient, the non-conforming scalar
+    field and the flux noise. The non-conforming sum is drawn with the
+    others, so the draws keep their order, but normalised only when first
+    asked for: the default workloads never ask, and its norm would cost
+    them a few per cent of a pass."""
 
-    conforming: _TrigSum
-    _drawn: _TrigSum
+    conforming: ScalarField
+    gradient: VectorField
+    _drawn: SeparatedSum
     flux: VectorField
+    dom: BoxDomain
 
     @functools.cached_property
-    def nonconforming(self) -> _TrigSum:
-        return _normalized(self._drawn)
+    def nonconforming(self) -> ScalarField:
+        return _scalar(_normalized(self._drawn, self.dom), self.dom)
+
+    def at(self, level: str):
+        """The scalar and flux directions that :func:`perturb` adds at
+        ``level``."""
+        du = (self.nonconforming if level in ("semi_conforming_dual",
+                                              "non_conforming")
+              else self.conforming)
+        return du, self.gradient if level == "very_conforming" else self.flux
 
 
 def _build_directions(dom: BoxDomain, seed: int) -> Directions:
     rng = np.random.default_rng(seed)
-    conforming = _normalized(_random_trig(dom, rng))
+    conforming = _normalized(_random_trig(dom, rng), dom)
     nonconforming = _random_trig(dom, rng, nonconforming=True)
-    return Directions(conforming, nonconforming, _flux_noise(dom, rng))
+    return Directions(_scalar(conforming, dom, True),
+                      _gradient(conforming, dom), nonconforming,
+                      _flux_noise(dom, rng), dom)
 
 
 @functools.lru_cache(maxsize=DIRECTIONS_MEMO)
 def directions(dom: BoxDomain, seed: int) -> Directions:
     """The directions of ``(dom, seed)``, built at their first use and
     shared by every case on the box, in this run and later ones, while they
-    are among the :data:`DIRECTIONS_MEMO` latest. They never change: their
-    sums' coefficients are read-only and their fields have no mutators."""
+    are among the :data:`DIRECTIONS_MEMO` latest. They never change: sums
+    and fields have no mutators."""
     return _build_directions(dom, seed)
 
 
@@ -284,28 +267,15 @@ def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPai
         raise ValueError(f"unknown approximation level: {level!r}")
     if scale < 0:
         raise ValueError("scale must be non-negative")
-    dirs = directions(case.dom, seed)
-    du_sum, dp = dirs.conforming, dirs.flux
-    du_conf = du_sum.scalar_field()
-
-    u, p = case.exact_u, case.exact_p
-    if level == "very_conforming":
-        u_t = u + scale * du_conf
-        p_t = p + scale * du_sum.gradient_field()
-    elif level == "conforming_mixed":
-        u_t = (u + scale * du_conf).restricted(grad=True, dt=True,
-                                               boundary_flag=True)
-        p_t = p + scale * dp
-    elif level == "semi_conforming_primal":
-        u_t = (u + scale * du_conf).restricted(grad=True, dt=True,
-                                               boundary_flag=True)
-        p_t = (p + scale * dp).restricted()
-    elif level == "semi_conforming_dual":
-        u_t = (u + scale * dirs.nonconforming.scalar_field()).restricted()
-        p_t = p + scale * dp
-    else:  # non_conforming
-        u_t = (u + scale * dirs.nonconforming.scalar_field()).restricted()
-        p_t = (p + scale * dp).restricted()
+    du, dp = directions(case.dom, seed).at(level)
+    u_t = case.exact_u + scale * du
+    p_t = case.exact_p + scale * dp
+    if level in ("conforming_mixed", "semi_conforming_primal"):
+        u_t = u_t.restricted(grad=True, dt=True, boundary_flag=True)
+    elif level != "very_conforming":
+        u_t = u_t.restricted()
+    if level in ("semi_conforming_primal", "non_conforming"):
+        p_t = p_t.restricted()
     return ApproxPair(u_t, p_t, level)
 
 
@@ -323,8 +293,8 @@ def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):
         dom = case.dom
         mode = _modes(dom.dim, index + 1)[index]
         tpoly = [np.array([1.0, 1.0])] if dom.is_parabolic else [np.array([1.0])]
-        ts = _TrigSum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
-        return ts.scalar_field(), ts.gradient_field()
+        s = _trig_sum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
+        return _scalar(s, dom, True), _gradient(s, dom)
     raise ValueError(f"unknown free-field strategy: {strategy!r}")
 
 
@@ -342,6 +312,6 @@ def flux_basis(dom: BoxDomain, n: int) -> List[VectorField]:
     fields = _flux_fields(dom)
     tpoly = [np.array([1.0])]
     for mode in _modes(dom.dim, n)[len(fields):]:
-        ts = _TrigSum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
-        fields.append(ts.gradient_field())
+        fields.append(_gradient(_trig_sum([1.0], [mode], [("sin",) * dom.dim],
+                                          tpoly, dom), dom))
     return fields[:n]

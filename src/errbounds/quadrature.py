@@ -24,9 +24,12 @@ regardless of how callers batch their work. The grid path of
 :func:`l2_gram` trades it for one sequential weighted sum per entry, which
 is as deterministic but rounds differently: :func:`weighted_gram`
 contracts the flat sample rows of :func:`samples` for both ranks, a vector
-row carrying the node weights repeated per component. Fields, and
-separated forms through :func:`form_values`, evaluate on the cached node
-sets through the per-coordinate axes of :func:`grid_axes`.
+row carrying the node weights repeated per component.
+
+The node sets are cached per box and rule, read-only, and registered with
+:mod:`errbounds.fields` under the per-axis rules they are the tensor
+product of, so fields and forms evaluate on their 1-D axes
+(:func:`fields.grid_axes`).
 """
 from __future__ import annotations
 
@@ -36,7 +39,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .fields import BoxDomain, Factor, ScalarField, VectorField
+from .fields import (_GRIDS, BoxDomain, ScalarField, VectorField,
+                     form_values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -74,39 +78,10 @@ def _gauss_interval(order: int, lo: float, hi: float, panels: int = 1):
     return x, w
 
 
-# ids of the arrays of a cached node set, ``(X,)`` or ``(t, X)`` -> (those
-# arrays, their per-coordinate axes, the grid shape). The axes, time first,
-# are the 1-D nodes shaped to broadcast against each other; the grid they
-# broadcast to, raveled in C order, is the node order of the arrays. Holding
-# the arrays keeps their ids from being reused.
-_GRIDS = {}
-
-
-def grid_axes(args):
-    """The broadcast axes of the node set whose cached arrays are ``args``,
-    ``(X,)`` of :func:`space_nodes` or ``(t, X)`` of
-    :func:`spacetime_nodes`; None for any other arrays, copies included."""
-    entry = _GRIDS.get(tuple(map(id, args)))
-    return entry[1] if entry else None
-
-
-def coordinates(args, dim: int):
-    """The coordinates of the nodes ``args``, ``(X,)`` or ``(t, X)``, time
-    first, and the shape they broadcast to: the axes of :func:`grid_axes`
-    and the grid shape on a cached node set, else t, the first ``dim``
-    columns of X and (N,). Values of that shape, raveled, are in the node
-    order of ``args``."""
-    entry = _GRIDS.get(tuple(map(id, args)))
-    if entry:
-        return entry[1:]
-    coords = (*args[:-1], *args[-1][:, :dim].T)
-    return coords, np.broadcast_shapes(*(np.shape(c) for c in coords))
-
-
 def _register(args, w, axes):
     """``(*args, w)``, the node arrays and the weights of a node set, made
-    read-only, with ``args`` registered (see ``_GRIDS``) under the broadcast
-    axes of its 1-D rules ``axes``."""
+    read-only, with ``args`` registered (see ``fields._GRIDS``) under the
+    broadcast axes of its 1-D rules ``axes``."""
     for a in (*args, w):
         a.setflags(write=False)
     _GRIDS[tuple(map(id, args))] = (args, np.ix_(*(x for x, _ in axes)),
@@ -222,30 +197,6 @@ def samples(fields, dom: BoxDomain, rule: QuadratureRule):
         rows[i] = (f.value(*args) if form is None else
                    form_values(form, args, dom.dim)).ravel()
     return rows, (w if scalar else np.repeat(w, width))
-
-
-def form_values(form, args, dim: int) -> np.ndarray:
-    """The values of a separated form at the nodes ``args``, ``(X,)`` or
-    ``(t, X)`` of a ``dim``-D box: ``(N,)`` for a
-    :class:`fields.SeparatedSum`, ``(N, dim)`` for a tuple of them, one per
-    component. Per merged term, its coefficient times its factors' values
-    in axis order, added into zeros. On a cached node set the factors take
-    the 1-D axes of :func:`coordinates`, memoised by
-    :meth:`fields.Factor.on`, and the products broadcast to the grid (sum
-    factorisation); on any other arrays they take the columns, unmemoised.
-    Both give the same values to the last bit."""
-    if isinstance(form, tuple):
-        return np.stack([form_values(s, args, dim) for s in form], axis=-1)
-    coords, shape = coordinates(args, dim)
-    values = Factor.on if coords is grid_axes(args) else Factor.__call__
-    form = form.merged()
-    out = np.zeros(shape)
-    for c, fs in zip(form.coefs, form.factors):
-        term = c
-        for f, x in zip(fs, coords):
-            term = term * values(f, x)
-        out += term
-    return out.ravel()
 
 
 def weighted_gram(L: np.ndarray, R: np.ndarray, w: np.ndarray) -> np.ndarray:

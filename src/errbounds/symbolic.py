@@ -29,8 +29,7 @@ import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
 
 from .fields import (ONE, BoxDomain, Factor, ScalarField, SeparatedSum,
-                     VectorField, interned, trig_factor)
-from .quadrature import coordinates
+                     VectorField, coordinates, interned, trig_factor)
 
 X_SYMBOLS = sp.symbols("x y z")
 T_SYMBOL = sp.Symbol("t")

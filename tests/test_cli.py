@@ -431,6 +431,59 @@ def test_cli_env_output_dir(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "report.json").exists()
 
 
+def test_cli_output_dir_that_cannot_be_made_fails_before_the_run(
+        tmp_path, capsys, monkeypatch):
+    import errbounds.cli
+
+    def no_run(config):
+        raise AssertionError("ran records with nowhere to write them")
+
+    monkeypatch.setattr(errbounds.cli, "run", no_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = main(["suite", "--out", str(blocker / "sub")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(blocker / "sub") in err
+    assert "Traceback" not in err
+
+
+def test_cli_case_rejected_in_the_run_leaves_no_output_dir(tmp_path, capsys):
+    # the directories are made before the run and removed when it rejects
+    # a case, down to the first that was there
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_malformed("cases",
+                                              {"solution": "cos(pi*x)"})))
+    code = main(["verify-equality", "--config", str(cfg_path),
+                 "--out", str(tmp_path / "a" / "b" / "c")])
+    assert code == 2
+    assert "must vanish on the boundary" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["run.json"]
+
+
+@pytest.mark.parametrize("failure", ["path", "unnamed"])
+def test_cli_output_that_cannot_be_written_is_an_error(tmp_path, capsys,
+                                                      monkeypatch, failure):
+    import errbounds.cli
+
+    out = tmp_path / "out"
+    if failure == "path":
+        # report.json is a directory, so writing it raises IsADirectoryError
+        (out / "report.json").mkdir(parents=True)
+        named = out / "report.json"
+    else:
+        def full(report, formats, outdir):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(errbounds.cli, "emit", full)
+        named = out
+    code = main(["friedrichs", "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(named) in err
+    assert "Traceback" not in err
+
+
 # --------------------------------------------------------------------------
 # estimator options are validated when the config is read
 # --------------------------------------------------------------------------

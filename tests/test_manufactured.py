@@ -12,6 +12,7 @@ from errbounds import (
     BoxDomain,
     ConformityError,
     QuadratureRule,
+    constant_scalar,
     default_suite_config,
     flux_basis,
     free_fields,
@@ -23,11 +24,14 @@ from errbounds import (
     run,
     scalar_field,
     vector_field,
+    zero_scalar,
+    zero_vector,
 )
 from errbounds import manufactured
-from errbounds.fields import Factor
-from errbounds.manufactured import _modes, _random_trig, directions
-from errbounds.quadrature import grid_axes, space_nodes, spacetime_nodes
+from errbounds.fields import Factor, form_values, grid_axes
+from errbounds.manufactured import (_gradient, _modes, _random_trig, _rotgrad,
+                                    _scalar, directions)
+from errbounds.quadrature import space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -230,18 +234,18 @@ def test_directions_built_once_per_box_and_seed_per_process(monkeypatch):
     # a second run finds every case, direction set and basis field built
     builds, sums = [], []
     build = manufactured._build_directions
-    init = manufactured._TrigSum.__init__
+    trig_sum = manufactured._trig_sum
 
     def counting(dom, seed):
         builds.append((dom, seed))
         return build(dom, seed)
 
-    def counting_init(self, *args):
-        sums.append(self)
-        init(self, *args)
+    def counting_sums(*args):
+        sums.append(trig_sum(*args))
+        return sums[-1]
 
     monkeypatch.setattr(manufactured, "_build_directions", counting)
-    monkeypatch.setattr(manufactured._TrigSum, "__init__", counting_init)
+    monkeypatch.setattr(manufactured, "_trig_sum", counting_sums)
     suite = default_suite_config()
     majorant = _majorant_config("sin(pi*x)*sin(pi*y)", [9])
     _clear_memos()
@@ -318,9 +322,9 @@ def test_nonconforming_direction_normalised_on_first_use(monkeypatch):
     calls = []
     normalized = manufactured._normalized
 
-    def counting(ts):
-        calls.append(ts)
-        return normalized(ts)
+    def counting(s, dom):
+        calls.append(s)
+        return normalized(s, dom)
 
     monkeypatch.setattr(manufactured, "_normalized", counting)
     # the suite's 20 direction sets normalise the conforming sum and the
@@ -352,16 +356,17 @@ def test_normalized_copy_leaves_the_sum_and_its_views(dom):
     # a view keeps the coefficients of its sum in its evaluators and in its
     # form alike, so both of its norm paths agree after the sum is scaled
     ts = _random_trig(dom, np.random.default_rng(3), nonconforming=True)
-    before = ts.coefs.copy()
-    view = ts.scalar_field()
-    unit = manufactured._normalized(ts)
-    assert np.array_equal(ts.coefs, before) and unit.coefs is not ts.coefs
-    with pytest.raises(ValueError):
+    before = list(ts.coefs)
+    view = _scalar(ts, dom)
+    unit = manufactured._normalized(ts, dom)
+    assert list(ts.coefs) == before and unit.coefs is not ts.coefs
+    assert unit.factors is ts.factors
+    with pytest.raises(TypeError):
         ts.coefs[0] = 1.0
     separated = norm_sq("L2", view, dom, RULE)
     assert separated == pytest.approx(
         norm_sq("L2", view.without_forms(), dom, RULE), rel=1e-13)
-    assert norm_sq("L2", unit.scalar_field(), dom, RULE) == pytest.approx(
+    assert norm_sq("L2", _scalar(unit, dom), dom, RULE) == pytest.approx(
         1.0, rel=1e-10)
     assert separated != pytest.approx(1.0, rel=1e-3)
 
@@ -396,15 +401,15 @@ def test_time_factor_memo_is_bounded():
     directions.cache_clear()
     try:
         ap = perturb(case, "very_conforming", 0.1, 2)
-        ts = directions(TDOM, 2).conforming
+        ts = directions(TDOM, 2).conforming.separated()
         ap.u_tilde.dt(*args)
         ap.p_tilde.value(*args)
         # the factors of the sum's terms and of their derivatives
-        factors = {f for fs in ts._factors for f in fs}
+        factors = {f for fs in ts.factors for f in fs}
         factors |= {g for f in factors for _, g in f.derivative()}
         sizes = {f: len(f._memo) for f in factors}
         time_axis = grid_axes(args)[0]
-        taus = {fs[0] for fs in ts._factors}
+        taus = {fs[0] for fs in ts.factors}
         for tau in taus | {g for f in taus for _, g in f.derivative()}:
             assert tau._memo[id(time_axis.base)][0] is time_axis.base
         sliced = ap.u_tilde.at_time(0.5)
@@ -433,13 +438,13 @@ TENSOR_DOMS = [
 TENSOR_RULE = QuadratureRule(space_order=3, time_order=3)
 
 
-def _evaluators(ts):
-    u, p = ts.scalar_field(), ts.gradient_field()
+def _evaluators(ts, dom):
+    u, p = _scalar(ts, dom), _gradient(ts, dom)
     evs = {"value": u.value, "grad": u.grad, "laplacian": u.laplacian}
-    if ts.dom.is_parabolic:
+    if dom.is_parabolic:
         evs.update(dt=u.dt, dt_grad=p.dt)
-    if ts.dom.dim == 2:
-        rot = ts.rotgrad_field()
+    if dom.dim == 2:
+        rot = _rotgrad(ts, dom)
         evs["rotgrad"] = rot.value
         if rot.has_dt:
             evs["rotgrad_dt"] = rot.dt
@@ -496,7 +501,7 @@ def test_tensor_path_matches_pointwise_bitwise(dom, seed):
     rng = np.random.default_rng(seed)
     for nonconforming in (False, True):
         ts = _random_trig(dom, rng, n_terms=4, nonconforming=nonconforming)
-        for name, ev in _evaluators(ts).items():
+        for name, ev in _evaluators(ts, dom).items():
             assert np.array_equal(ev(*args), ev(*copies)), name
     for label, field in _lambdified_fields(dom).items():
         if label.endswith(".u0"):
@@ -514,10 +519,10 @@ def test_tensor_path_at_time_slice_bitwise(dom):
     ts = _random_trig(dom, np.random.default_rng(3), nonconforming=True)
     lambdified = _lambdified_fields(dom)
     for t0 in (0.0, 0.3, dom.time_horizon):
-        sliced = ts.scalar_field().at_time(t0)
+        sliced = _scalar(ts, dom).at_time(t0)
         for ev in (sliced.value, sliced.grad, sliced.laplacian):
             assert np.array_equal(ev(X), ev(X.copy()))
-        flux = ts.gradient_field().at_time(t0)
+        flux = _gradient(ts, dom).at_time(t0)
         assert np.array_equal(flux.value(X), flux.value(X.copy()))
         for label, field in lambdified.items():
             if not label.endswith(".u0"):
@@ -526,12 +531,12 @@ def test_tensor_path_at_time_slice_bitwise(dom):
                 assert np.array_equal(ev(X), ev(X.copy())), (label, name)
 
 
-def _form_factors(ts):
-    """Factor -> the axes it takes in the forms of the field views of
+def _form_factors(ts, dom):
+    """Factor -> the axes it takes in the forms of the fields of the sum
     ``ts`` that :func:`_evaluators` evaluates."""
-    views = [ts.scalar_field(), ts.gradient_field()]
-    if ts.dom.dim == 2:
-        views.append(ts.rotgrad_field())
+    views = [_scalar(ts, dom), _gradient(ts, dom)]
+    if dom.dim == 2:
+        views.append(_rotgrad(ts, dom))
     positions = {}
     for view in views:
         for form in view._forms.values():
@@ -557,9 +562,9 @@ def test_trig_evaluators_call_factors_on_axes_only(dom):
     axes = grid_axes(args)
     ts = _random_trig(dom, np.random.default_rng(11), n_terms=4,
                       nonconforming=True)
-    evaluators = _evaluators(ts)
+    evaluators = _evaluators(ts, dom)
     assert ("rotgrad" in evaluators) == (dom.dim == 2)
-    positions = _form_factors(ts)
+    positions = _form_factors(ts, dom)
     calls = []
 
     def recording(f, fn):
@@ -598,5 +603,103 @@ def test_trig_sum_derives_time_polynomials_on_first_use(dom):
     with mock.patch.object(polynomial, "polyder", side_effect=AssertionError):
         lazy = _random_trig(dom, np.random.default_rng(5), n_terms=4,
                             nonconforming=True)
-        lazy.scalar_field(), lazy.gradient_field()
+        _scalar(lazy, dom), _gradient(lazy, dom)
         manufactured._build_directions(dom, 5)
+
+
+# Fields made of forms: the capabilities and the boundary flag of each,
+# space-time boxes adding "dt" where marked, and every evaluator of a field
+# that is its forms (fields.form_field) the values of its form
+# (fields.form_values), bit for bit. The flux noise of a 2-D box is a
+# gradient plus a rotated gradient, and evaluates as that sum.
+FORM_DOMS = [DOM2, BoxDomain((0.0, 0.0), (1.0, 1.0), time_horizon=1.0)]
+SCALAR, VECTOR = ("value", "grad", "laplacian"), ("value", "div")
+# name -> (capabilities on an elliptic box, dt on a space-time one,
+# vanishes, evaluators are the forms' values)
+FORM_FIELDS = {
+    "constant": (SCALAR, True, False, True),
+    "zero scalar": (SCALAR, True, True, True),
+    "zero vector": (VECTOR, True, None, True),
+    "conforming direction": (SCALAR, True, True, True),
+    "conforming gradient": (VECTOR, True, None, True),
+    "non-conforming direction": (SCALAR, True, False, True),
+    "flux noise": (VECTOR, True, None, False),
+    "flux basis": (VECTOR, True, None, True),
+    "free basis scalar": (SCALAR, True, True, True),
+    "free basis flux": (VECTOR, True, None, True),
+    "rotated gradient": (VECTOR, True, None, True),
+}
+# the directions perturb adds at each level, by FORM_FIELDS name
+LEVEL_DIRECTIONS = {
+    "very_conforming": ("conforming direction", "conforming gradient"),
+    "conforming_mixed": ("conforming direction", "flux noise"),
+    "semi_conforming_primal": ("conforming direction", "flux noise"),
+    "semi_conforming_dual": ("non-conforming direction", "flux noise"),
+    "non_conforming": ("non-conforming direction", "flux noise"),
+}
+# level -> capabilities of (u_tilde, p_tilde) on an elliptic box, whether
+# u_tilde has dt on a space-time one, and whether it vanishes
+PERTURBED = {
+    "very_conforming": (SCALAR, VECTOR, True, True),
+    "conforming_mixed": (("value", "grad"), VECTOR, True, True),
+    "semi_conforming_primal": (("value", "grad"), ("value",), True, True),
+    "semi_conforming_dual": (("value",), VECTOR, False, False),
+    "non_conforming": (("value",), ("value",), False, False),
+}
+
+
+def _capabilities(field):
+    return {name for name in ("value", "grad", "laplacian", "dt", "div")
+            if name == "value" or getattr(field, f"has_{name}", False)}
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and \
+        a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dom", FORM_DOMS, ids=["elliptic", "parabolic"])
+def test_form_fields_keep_their_capabilities_and_evaluate_their_forms(dom):
+    td = dom.is_parabolic
+    case = make_case("TRD" if td else "RD", dom,
+                     ("exp(-t)*" if td else "") + "sin(pi*x)*sin(pi*y)")
+    dirs = directions(dom, 6)
+    scalar, flux = free_fields(case, "basis", index=1)
+    fields = {
+        "constant": constant_scalar(2.5, dom),
+        "zero scalar": zero_scalar(dom),
+        "zero vector": zero_vector(dom),
+        "conforming direction": dirs.at("very_conforming")[0],
+        "conforming gradient": dirs.at("very_conforming")[1],
+        "non-conforming direction": dirs.at("non_conforming")[0],
+        "flux noise": dirs.flux,
+        "flux basis": flux_basis(dom, 4)[3],
+        "free basis scalar": scalar,
+        "free basis flux": flux,
+        "rotated gradient": _rotgrad(
+            _random_trig(dom, np.random.default_rng(2), nonconforming=True),
+            dom),
+    }
+    assert set(fields) == set(FORM_FIELDS)
+    for level, names in LEVEL_DIRECTIONS.items():
+        for got, name in zip(dirs.at(level), names):
+            assert got is fields[name], level
+    args = spacetime_nodes(dom, RULE)[:2] if td else space_nodes(dom, RULE)[:1]
+    copies = tuple(a.copy() for a in args)
+    assert grid_axes(args) is not None and grid_axes(copies) is None
+    for name, field in fields.items():
+        caps, with_dt, vanishes, is_forms = FORM_FIELDS[name]
+        expected = set(caps) | ({"dt"} if td and with_dt else set())
+        assert _capabilities(field) == expected == set(field._forms), name
+        assert getattr(field, "vanishes_on_boundary", None) is vanishes, name
+        for cap in expected if is_forms else ():
+            form = field._forms[cap]()
+            for on in (args, copies):
+                assert _same_bits(getattr(field, cap)(*on),
+                                  form_values(form, on, dom.dim)), (name, cap)
+    for level, (u_caps, p_caps, u_dt, vanishes) in PERTURBED.items():
+        ap = perturb(case, level, 0.1, 6)
+        assert _capabilities(ap.u_tilde) == set(u_caps) | (
+            {"dt"} if td and u_dt else set()), level
+        assert _capabilities(ap.p_tilde) == set(p_caps), level
+        assert ap.u_tilde.vanishes_on_boundary is vanishes, level

@@ -29,7 +29,7 @@ from errbounds import (
     zero_vector,
 )
 from errbounds.fields import ScalarField, VectorField
-from errbounds.manufactured import _random_trig
+from errbounds.manufactured import _gradient, _random_trig, _rotgrad
 from errbounds.quadrature import space_nodes, spacetime_nodes
 
 RULE = QuadratureRule()
@@ -375,8 +375,8 @@ def test_combination_is_the_fold_of_its_two_term_cases_bitwise(T):
     dom = BoxDomain((0.0, 0.0), (1.0, 1.0), time_horizon=T)
     rng = np.random.default_rng(1)
     sums = [_random_trig(dom, rng, nonconforming=True) for _ in range(3)]
-    fields = ([s.gradient_field() for s in sums]
-              + [s.rotgrad_field() for s in sums]
+    fields = ([_gradient(s, dom) for s in sums]
+              + [_rotgrad(s, dom) for s in sums]
               + [vector_field(["exp(-t)*sin(pi*x)*sin(pi*y)", "t*x*(1-x)*y"]
                               if T else ["sin(pi*x)*sin(pi*y)", "x*(1-x)*y"],
                               dom)])
@@ -470,17 +470,15 @@ def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
     config = _majorant_config()
     fields = manufactured._flux_fields
     fields.cache_clear()
-    gradient_field = manufactured._TrigSum.gradient_field
+    gradient = manufactured._gradient
 
-    def failing_once(ts):
+    def failing_once(s, dom):
         if len(fields(DOM2)) == 6:
-            monkeypatch.setattr(manufactured._TrigSum, "gradient_field",
-                                gradient_field)
+            monkeypatch.setattr(manufactured, "_gradient", gradient)
             raise RuntimeError("basis field failed")
-        return gradient_field(ts)
+        return gradient(s, dom)
 
-    monkeypatch.setattr(manufactured._TrigSum, "gradient_field",
-                        failing_once)
+    monkeypatch.setattr(manufactured, "_gradient", failing_once)
     report = run(config)
     assert [r["status"] for r in report.records] == ["ok", "error"] + ["ok"] * 4
     kept = list(fields(DOM2))

@@ -25,7 +25,7 @@ from errbounds import (
     trace_norm_sq,
     vector_field,
 )
-from errbounds.manufactured import _random_trig
+from errbounds.manufactured import _gradient, _random_trig, _scalar
 from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, samples
 
 RULE = QuadratureRule()
@@ -162,11 +162,11 @@ def test_timecross_identity():
 def test_timecross_identity_on_trig_gradient_field():
     dom = BoxDomain((0.0, 0.5), (1.0, 2.0), time_horizon=0.7)
     ts = _random_trig(dom, np.random.default_rng(5))
-    for w in (ts.gradient_field(), ts.scalar_field()):
+    for w in (_gradient(ts, dom), _scalar(ts, dom)):
         assert w.has_dt
         assert timecross_check(w, dom, RULE) < 1e-12
     with pytest.raises(CapabilityError):
-        timecross_check(ts.gradient_field().restricted(div=True), dom, RULE)
+        timecross_check(_gradient(ts, dom).restricted(div=True), dom, RULE)
 
 
 def test_timecross_needs_dt():

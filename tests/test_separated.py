@@ -20,7 +20,7 @@ from errbounds import (BoxDomain, QuadratureRule, fields, flux_basis, free_field
                        perturb, quadrature, run, scalar_field, trace_norm_sq,
                        vector_field)
 from errbounds.fields import trig_factor
-from errbounds.manufactured import _TrigSum
+from errbounds.manufactured import _rotgrad, _scalar, _trig_sum
 from errbounds.optimize import improve_bound, minimize_flux_majorant
 
 # 1-D factors of the sympy terms, in the coordinate {s}, and time factors
@@ -67,10 +67,10 @@ def _problems(draw):
         funcs = tuple(draw(st.sampled_from(["sin", "cos"])) for _ in range(dim))
         tpoly = np.array([draw(st.floats(-1.0, 1.0)) for _ in range(3)]
                          if T is not None else [1.0])
-        ts = _TrigSum([1.0], [mode], [funcs], [tpoly], dom)
-        scalars.append((coef, ts.scalar_field()))
+        ts = _trig_sum([1.0], [mode], [funcs], [tpoly], dom)
+        scalars.append((coef, _scalar(ts, dom)))
         if dim == 2:
-            more_vectors.append((coef, ts.rotgrad_field()))
+            more_vectors.append((coef, _rotgrad(ts, dom)))
     vectors = [(c, w.gradient_field()) for c, w in scalars] + more_vectors
     rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
                           time_order=draw(st.integers(1, 3)))

@@ -24,7 +24,8 @@ from errbounds import (
 )
 from errbounds import symbolic
 from errbounds.cli import main
-from errbounds.quadrature import grid_axes, spacetime_nodes
+from errbounds.fields import grid_axes
+from errbounds.quadrature import spacetime_nodes
 from errbounds.symbolic import (
     T_SYMBOL,
     X_SYMBOLS,
