@@ -1,16 +1,30 @@
-"""Young-parameter and flux-reconstruction optimization for the majorants."""
+"""Young-parameter and flux-reconstruction optimization for the majorants.
+
+Both majorants take one flux step (:func:`_flux_step`), which assembles
+everything once: the Grams of the nested flux basis are kept per box and
+rule for the process (:func:`_basis_grams`, at most
+:data:`manufactured.FLUX_BASIS_MEMO` of them), so a flux basis of any
+size on a box, the leading fields of one list
+(:func:`manufactured.flux_basis`), takes a block of the largest assembled
+there; and the norms of every
+step are contracted from one table of term-pair integrals per norm
+(:class:`_TermTable`), equal to ``norm_sq`` of the step's flux bit for bit.
+A step then costs one n x n solve and a few contractions.
+"""
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
-from .manufactured import ApproxPair, ProblemCase
-from .quadrature import (QuadratureRule, l2_gram, l2_inner, norm_sq,
-                         samples, weighted_gram)
+from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase
+from .quadrature import (QuadratureRule, _fsum, axis_rules, l2_gram, norm_sq,
+                         samples, term_grams, weighted_gram)
 from .reports import BoundReport
 
 
@@ -56,27 +70,113 @@ def _young(A: float, B: float) -> Tuple[float, float]:
     return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
 
 
+# (box, rule) -> [basis, divs, BB, DD]: the longest basis assembled there,
+# its divergences and Grams, kept for the FLUX_BASIS_MEMO latest pairs
+_basis_grams_memo = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(
+    lambda dom, rule: [])
+
+
+def _basis_grams(basis, dom, rule):
+    """The divergences of ``basis``, BB = ``l2_gram(basis, basis)`` and DD,
+    the same of the divergences, kept per box and rule
+    (:func:`_basis_grams_memo`): the leading n of the kept divergences and
+    the leading ``[:n, :n]`` blocks of the kept Grams, read-only, when
+    ``basis`` is, field by field (``is``), the start of the kept basis,
+    else assembled and kept. Each entry of an :func:`l2_gram` is its own
+    pair's value, independent of the rest of either list, so a block equals
+    the Gram of the prefix bit for bit."""
+    kept, n = _basis_grams_memo(dom, rule), len(basis)
+    if not (kept and len(kept[0]) >= n
+            and all(map(operator.is_, basis, kept[0]))):
+        divs = [b.div_field() for b in basis]
+        grams = l2_gram(basis, basis, dom, rule), l2_gram(divs, divs, dom, rule)
+        for G in grams:
+            G.setflags(write=False)
+        kept[:] = [list(basis), divs, *grams]
+    return kept[1][:n], kept[2][:n, :n], kept[3][:n, :n]
+
+
+class _TermTable:
+    """The squared L2 norms of the combinations ``sum_j s_j operands[j]`` of
+    the separated forms ``operands`` (each a :class:`fields.SeparatedSum`,
+    or a tuple of them, one per component), for any scales ``s``, as
+    :func:`quadrature.separated_inner` takes the norm of the combination's
+    form. Built once per component: the union of the operands' term factor
+    tuples, each raw term's slot in it, and the term-pair integrals H of
+    the union (:func:`quadrature.term_grams`)."""
+
+    def __init__(self, operands, axes):
+        scalar = not isinstance(operands[0], tuple)
+        self.parts = []
+        for c in range(1 if scalar else len(operands[0])):
+            sums = [op if scalar else op[c] for op in operands]
+            # factors compare by identity, as the keys of merged() do
+            union = {}
+            slots = [union.setdefault(fs, len(union))
+                     for s in sums for fs in s.factors]
+            terms = list(union)
+            self.parts.append((
+                np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
+                np.array([a for s in sums for a in s.coefs], dtype=float),
+                np.array(slots, dtype=np.intp),
+                term_grams(terms, terms, axes)))
+
+    def norm_sq(self, scales: np.ndarray) -> float:
+        """``||sum_j scales[j] operands[j]||^2``: per component the merged
+        coefficients, the raw terms' ``coef * scale`` added into their
+        slots in raw-term order as :meth:`fields.SeparatedSum.merged` adds
+        them, those that are zero dropped, and one correctly rounded sum of
+        all components' ``m_k m_l H_kl``; 0 where rounding leaves it below
+        zero. A scale of 0 adds only zeros, so it drops its operand."""
+        addends = []
+        for owner, coefs, slots, H in self.parts:
+            m = np.bincount(slots, weights=coefs * scales[owner],
+                            minlength=len(H))
+            keep = np.flatnonzero(m)
+            m = m[keep]
+            addends.append((np.multiply.outer(m, m)
+                            * H[keep[:, None], keep]).ravel())
+        return max(_fsum(np.concatenate(addends)), 0.0)
+
+
 def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
                rule):
     """The flux step as a function of (n, wa, wb): the psi in the span of
     the leading n fields of ``basis`` that minimizes
     wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, its
     coefficients, then ||d + div psi||^2 and ||psi - t||^2 per t of
-    ``targets``, (t0, t1) or (t0,) with t1 = t0. The Gram blocks come from
-    :func:`quadrature.l2_gram` and the norms are ``norm_sq("L2", ...)`` of
-    psi's terms, unless d or a target carries no separated form: then the
-    fields are sampled once and the blocks and norms taken from the rows."""
-    divs = [b.div_field() for b in basis]
+    ``targets``, (t0, t1) or (t0,) with t1 = t0.
+
+    Everything is assembled once, so a step costs one n x n solve and a
+    few contractions. The basis Grams and divergences come from
+    :func:`_basis_grams`, kept per box and rule. When d, the targets and
+    the basis carry separated forms, the other blocks come from
+    :func:`quadrature.l2_gram` and the norms of every step from one
+    :class:`_TermTable` of the residual over (d, div b_1, ..., div b_N)
+    and one of each gap over (b_1, ..., b_N, t): ``norm_sq("L2", ...)`` of
+    d + psi.div_field() and of psi - t, bit for bit. Otherwise d, the
+    targets and the basis are sampled once and the blocks and norms taken
+    from the rows."""
     targets = list(targets)
-    BB = l2_gram(basis, basis, dom, rule)
-    DD = l2_gram(divs, divs, dom, rule)
-    if all(f.separated() is not None for f in (d, *targets)):
+    divs, BB, DD = _basis_grams(basis, dom, rule)
+    fd = d.separated()
+    ft, fb, fdiv = ([f.separated() for f in fs]
+                    for fs in (targets, basis, divs))
+    if all(f is not None for f in (fd, *ft, *fb, *fdiv)):
         RT = l2_gram(targets, basis, dom, rule)
         RD = l2_gram([d], divs, dom, rule)[0]
+        N, axes = len(basis), axis_rules(dom, rule)
+        residual = _TermTable([fd, *fdiv], axes)
+        gaps = [_TermTable([*fb, t], axes) for t in ft]
 
         def norms(psi, coeffs):
-            return [l2_inner(w, w, dom, rule) for w in
-                    (d + psi.div_field(), *(psi - t for t in targets))]
+            # the operands' scales: 1 for d, -1 for t, the coefficients for
+            # the leading n basis fields and 0 for the rest
+            rest = np.zeros(N - len(coeffs))
+            on_residual = np.concatenate(([1.0], coeffs, rest))
+            on_gap = np.concatenate((coeffs, rest, [-1.0]))
+            return [residual.norm_sq(on_residual),
+                    *(gap.norm_sq(on_gap) for gap in gaps)]
     else:
         values, wv = samples(basis, dom, rule)
         div_rows, w = samples(divs, dom, rule)

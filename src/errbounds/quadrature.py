@@ -305,16 +305,11 @@ def axis_grams(x: np.ndarray, w: np.ndarray) -> _AxisGrams:
     return table
 
 
-def _addends(a, b, axes) -> np.ndarray:
-    """c_k c_l H_kl for the terms k of the sums ``a`` and l of the sums
-    ``b`` (``b is a`` for a list with itself), H_kl the tensor rule's
-    integral of their product: per axis the entries of the factor pairs
-    gathered from its table (:func:`axis_grams`), multiplied elementwise
-    in axis order."""
-    fa = [fs for s in a for fs in s.factors]
-    fb = fa if b is a else [fs for s in b for fs in s.factors]
-    ca = [x for s in a for x in s.coefs]
-    cb = ca if b is a else [x for s in b for x in s.coefs]
+def term_grams(fa, fb, axes) -> np.ndarray:
+    """H_kl, the tensor rule's integral of the product of the terms whose
+    factor tuples are ``fa[k]`` and ``fb[l]`` (``fb is fa`` for a list with
+    itself): per axis the entries of the factor pairs gathered from its
+    table (:func:`axis_grams`), multiplied elementwise in axis order."""
     H = 1.0
     for i, (x, w) in enumerate(axes):
         table = axis_grams(x, w)
@@ -324,7 +319,17 @@ def _addends(a, b, axes) -> np.ndarray:
                           [fs[i] for fs in (*fa, *fb)])
         ia, ib = (rows, rows) if fb is fa else (rows[:len(fa)], rows[len(fa):])
         H = H * table.G[ia[:, None], ib]
-    return np.multiply.outer(ca, cb) * H
+    return H
+
+
+def _addends(a, b, axes) -> np.ndarray:
+    """c_k c_l H_kl for the terms k of the sums ``a`` and l of the sums
+    ``b`` (``b is a`` for a list with itself), H of :func:`term_grams`."""
+    fa = [fs for s in a for fs in s.factors]
+    fb = fa if b is a else [fs for s in b for fs in s.factors]
+    ca = [x for s in a for x in s.coefs]
+    cb = ca if b is a else [x for s in b for x in s.coefs]
+    return np.multiply.outer(ca, cb) * term_grams(fa, fb, axes)
 
 
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:

@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from errbounds import (
@@ -17,6 +17,7 @@ from errbounds import (
     flux_basis,
     free_fields,
     improve_bound,
+    l2_gram,
     make_case,
     minimize_flux_majorant,
     norm_sq,
@@ -501,6 +502,173 @@ def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
     fresh = fields(DOM2)
     assert len(kept) == 36 and kept is not fresh
     _assert_same_fields(kept, fresh)
+
+
+# --------------------------------------------------------------------------
+# the basis Grams kept per box and rule, and the flux step's term tables
+# --------------------------------------------------------------------------
+
+
+def _hex(G):
+    return [float.hex(v) for v in np.ravel(G)]
+
+
+def _basis_gram_calls(monkeypatch):
+    """The sizes of the l2_gram calls of the flux step that pair a list
+    with itself, the basis Gram assemblies, from now on."""
+    from errbounds import optimize
+
+    calls, real = [], optimize.l2_gram
+
+    def counted(left, right, dom, rule):
+        if right is left:
+            calls.append(len(left))
+        return real(left, right, dom, rule)
+
+    monkeypatch.setattr(optimize, "l2_gram", counted)
+    return calls
+
+
+def test_warm_flux_majorant_assembles_no_basis_gram(monkeypatch):
+    from errbounds import optimize
+
+    optimize._basis_grams_memo.cache_clear()
+    case = make_case("Poisson", DOM2, "sin(pi*x)*sin(2*pi*y)")
+    ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
+    cold = minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)[1]
+    calls = _basis_gram_calls(monkeypatch)
+    warm = [minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)[1]
+            for n in (16, 4, 9)]
+    assert calls == []
+    assert warm[0].to_record() == cold.to_record()
+    # a longer basis is assembled once, both of its Grams
+    minimize_flux_majorant(case, ut, flux_basis(DOM2, 20), RULE)
+    assert calls == [20, 20]
+    # and the basis of improve_bound on the box is its leading fields
+    rd = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
+    improve_bound(rd, perturb(rd, "non_conforming", 0.3, 4),
+                  free_fields(rd, "coarse")[0], RULE, budget=8)
+    assert calls == [20, 20]
+
+
+@pytest.mark.parametrize("sizes", [(1, 6, 13), (13, 6, 1)],
+                         ids=["ascending", "descending"])
+def test_basis_gram_blocks_equal_fresh_grams_bitwise(sizes):
+    from errbounds import optimize
+
+    optimize._basis_grams_memo.cache_clear()
+    for n in sizes:
+        basis = flux_basis(SHIFTED, n)
+        divs, BB, DD = optimize._basis_grams(basis, SHIFTED, RULE)
+        fresh = [b.div_field() for b in basis]
+        assert [f.separated() for f in divs] == [f.separated() for f in fresh]
+        assert _hex(BB) == _hex(l2_gram(basis, basis, SHIFTED, RULE))
+        assert _hex(DD) == _hex(l2_gram(fresh, fresh, SHIFTED, RULE))
+
+
+def test_basis_grams_recompute_for_new_fields_rules_and_boxes(monkeypatch):
+    from errbounds import manufactured, optimize
+
+    optimize._basis_grams_memo.cache_clear()
+    calls = _basis_gram_calls(monkeypatch)
+    wide = BoxDomain((0.0, 0.0), (2.0, 1.0))
+    coarse = QuadratureRule(space_order=3)
+    kept = flux_basis(DOM2, 5)
+    for _ in range(2):
+        optimize._basis_grams(kept, DOM2, RULE)
+    assert calls == [5, 5]
+    manufactured._flux_fields.cache_clear()
+    fresh = flux_basis(DOM2, 5)
+    for basis, dom, rule in (
+            (fresh, DOM2, RULE),  # new field objects
+            (fresh, DOM2, coarse),  # another rule
+            ([2.0 * b for b in fresh], DOM2, coarse),  # other fields
+            (flux_basis(wide, 5), wide, coarse)):  # another box
+        del calls[:]
+        _, BB, _ = optimize._basis_grams(basis, dom, rule)
+        assert calls == [5, 5]
+        monkeypatch.undo()
+        assert _hex(BB) == _hex(l2_gram(basis, basis, dom, rule))
+        calls = _basis_gram_calls(monkeypatch)
+
+
+def test_basis_grams_memo_stays_within_its_bound():
+    from errbounds import manufactured, optimize
+
+    bound = manufactured.FLUX_BASIS_MEMO
+    for k in range(bound + 3):
+        dom = BoxDomain((0.0,), (1.0 + k / 8,))
+        optimize._basis_grams(flux_basis(dom, 1), dom, RULE)
+    info = optimize._basis_grams_memo.cache_info()
+    assert info.maxsize == bound and info.currsize == bound
+
+
+def test_basis_gram_blocks_are_read_only():
+    from errbounds import optimize
+
+    _, BB, DD = optimize._basis_grams(flux_basis(DOM2, 4), DOM2, RULE)
+    for G in (BB, DD):
+        with pytest.raises(ValueError, match="read-only"):
+            G[0, 0] = 1.0
+
+
+@st.composite
+def _flux_steps(draw):
+    """A shifted, anisotropic box of dimension 1 to 3, the d and targets
+    that one caller of the flux step (minimize_flux_majorant on RD or
+    Poisson, or improve_bound) hands it there, a basis size N of at least
+    7, a step size n <= N and weights (wa, wb). From N = 7 on the basis
+    holds every mode that a conforming perturbation draws, so the terms of
+    its gradient, the target of RD and Poisson, merge with those of the
+    basis, and the terms of RD's d with those of the divergences."""
+    dim = draw(st.integers(1, 3))
+    lower = [draw(st.integers(-50, 50)) for _ in range(dim)]  # tenths
+    sides = [draw(st.integers(1, 100)) for _ in range(dim)]
+    dom = BoxDomain(tuple(a / 10 for a in lower),
+                    tuple((a + b) / 10 for a, b in zip(lower, sides)))
+    solution = "*".join(f"sin(pi*({v} - ({a})/10)*10/{b})"
+                        for v, a, b in zip("xyz", lower, sides))
+    caller = draw(st.sampled_from(["RD", "Poisson", "improve_bound"]))
+    case = make_case("Poisson" if caller == "Poisson" else "RD", dom,
+                     solution)
+    eps, seed = (draw(st.sampled_from([0.01, 0.1, 1.0])),
+                 draw(st.integers(0, 2 ** 16)))
+    if caller == "improve_bound":
+        phi = free_fields(case, "coarse")[0]
+        d = case.f - phi
+        targets = (phi.gradient_field(),
+                   perturb(case, "non_conforming", eps, seed).p_tilde)
+    else:
+        ut = perturb(case, "conforming_mixed", eps, seed).u_tilde
+        d = case.f - ut if caller == "RD" else case.f
+        targets = (ut.gradient_field(),)
+    N = draw(st.integers(7, 12))
+    weights = st.floats(0.0, 10.0, allow_subnormal=False)
+    return (caller, dom, d, targets, flux_basis(dom, N),
+            draw(st.integers(1, N)), draw(weights.filter(lambda w: w > 0)),
+            draw(weights))
+
+
+@given(_flux_steps())
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_flux_step_norms_are_norm_sq_of_its_flux_bitwise(problem):
+    from errbounds.optimize import _flux_step
+
+    caller, dom, d, targets, basis, n, wa, wb = problem
+    if caller != "improve_bound":
+        assert set(targets[0].separated()[0].factors) & {
+            fs for b in basis for fs in b.separated()[0].factors}
+    if caller == "RD":
+        assert set(d.separated().factors) & {
+            fs for b in basis for fs in b.div_field().separated().factors}
+    step = _flux_step(basis, d, targets, dom, RULE)
+    for size in (n, len(basis)):
+        psi, _, residual_sq, *gaps = step(size, wa, wb)
+        assert residual_sq.hex() == norm_sq(
+            "L2", d + psi.div_field(), dom, RULE).hex()
+        assert [g.hex() for g in gaps] == [
+            norm_sq("L2", psi - t, dom, RULE).hex() for t in targets]
 
 
 def _close_hex(values, pinned, rel=1e-13):
