@@ -1,19 +1,21 @@
 """Young-parameter and flux-reconstruction optimization for the majorants.
 
 Both majorants take one flux step (:func:`_flux_step`), which assembles
-everything once: the Grams of the nested flux basis are kept per box and
-rule for the process (:func:`_basis_grams`, at most
-:data:`manufactured.FLUX_BASIS_MEMO` of them), so a flux basis of any
-size on a box, the leading fields of one list
-(:func:`manufactured.flux_basis`), takes a block of the largest assembled
-there; and the norms of every
-step are contracted from one table of term-pair integrals per norm
-(:class:`_TermTable`), equal to ``norm_sq`` of the step's flux bit for bit.
+everything once. Per box and rule the process keeps, for at most
+:data:`manufactured.FLUX_BASIS_MEMO` pairs, the largest flux basis
+assembled there: its Grams (:func:`_basis_grams`) and the basis side of
+the step's term tables (:class:`_BasisTerms`), so a flux basis of any size
+on a box, the leading fields of one list (:func:`manufactured.flux_basis`),
+takes blocks of them. A record joins only its own d and targets to the
+kept tables: it integrates the terms they lack, and gathers the blocks
+that pair them with the basis, equal to ``l2_gram`` bit for bit, and the
+norms of every step, equal to ``norm_sq`` of the step's flux bit for bit.
 A step then costs one n x n solve and a few contractions.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from typing import List, Sequence, Tuple
@@ -23,8 +25,9 @@ import numpy as np
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase
-from .quadrature import (QuadratureRule, _fsum, axis_rules, l2_gram, norm_sq,
-                         samples, term_grams, weighted_gram)
+from .quadrature import (QuadratureRule, _check_fields, _entry_sums, _fsum,
+                         axis_rules, l2_gram, norm_sq, samples, term_grams,
+                         weighted_gram)
 from .reports import BoundReport
 
 
@@ -34,10 +37,13 @@ def optimal_gamma(A: float, B: float) -> Tuple[float, float]:
 
     Conventions at the boundary of the admissible data: B = 0 pushes the
     minimizer to infinity with limit value A; A = 0 pushes it to zero with
-    limit value B.
+    limit value B. NaN is rejected; infinite A or B take the limits of the
+    closed form.
     """
-    if A < 0 or B < 0:
-        raise ValueError("optimal_gamma needs nonnegative A and B")
+    for name, value in (("A", A), ("B", B)):
+        if not value >= 0:
+            raise ValueError(f"optimal_gamma needs nonnegative A and B, "
+                             f"got {name} = {value!r}")
     if B == 0.0:
         return math.inf, A
     if A == 0.0:
@@ -70,8 +76,9 @@ def _young(A: float, B: float) -> Tuple[float, float]:
     return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
 
 
-# (box, rule) -> [basis, divs, BB, DD]: the longest basis assembled there,
-# its divergences and Grams, kept for the FLUX_BASIS_MEMO latest pairs
+# (box, rule) -> [basis, divs, BB, DD, terms]: the longest basis assembled
+# there, its divergences and Grams, and its term tables (_basis_terms), kept
+# for the FLUX_BASIS_MEMO latest pairs
 _basis_grams_memo = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(
     lambda dom, rule: [])
 
@@ -92,111 +99,205 @@ def _basis_grams(basis, dom, rule):
         grams = l2_gram(basis, basis, dom, rule), l2_gram(divs, divs, dom, rule)
         for G in grams:
             G.setflags(write=False)
-        kept[:] = [list(basis), divs, *grams]
+        kept[:] = [list(basis), divs, *grams, None]
     return kept[1][:n], kept[2][:n, :n], kept[3][:n, :n]
 
 
-class _TermTable:
-    """The squared L2 norms of the combinations ``sum_j s_j operands[j]`` of
-    the separated forms ``operands`` (each a :class:`fields.SeparatedSum`,
-    or a tuple of them, one per component), for any scales ``s``, as
-    :func:`quadrature.separated_inner` takes the norm of the combination's
-    form. Built once per component: the union of the operands' term factor
-    tuples, each raw term's slot in it, and the term-pair integrals H of
-    the union (:func:`quadrature.term_grams`)."""
+def _basis_terms(dom, rule):
+    """The term tables (:class:`_BasisTerms`) of the divergences and of the
+    fields of the basis kept on the box and rule (:func:`_basis_grams`), of
+    its leading fields that carry forms with their divergences; built at
+    the first call after the basis was kept, empty where the first carries
+    none."""
+    kept = _basis_grams_memo(dom, rule)
+    if kept[4] is None:
+        forms = list(itertools.takewhile(
+            lambda pair: None not in pair,
+            ((b.separated(), v.separated()) for b, v in zip(*kept[:2]))))
+        axes = axis_rules(dom, rule)
+        kept[4] = forms and [_BasisTerms([v for _, v in forms], axes),
+                             _BasisTerms([b for b, _ in forms], axes)]
+    return kept[4]
 
-    def __init__(self, operands, axes):
-        scalar = not isinstance(operands[0], tuple)
-        self.parts = []
-        for c in range(1 if scalar else len(operands[0])):
-            sums = [op if scalar else op[c] for op in operands]
+
+class _BasisTerms:
+    """The basis side of the step's term tables, for the separated forms
+    ``forms`` of the kept basis's divergences (each a
+    :class:`fields.SeparatedSum`) or fields (each a tuple of them, one per
+    component). Per component: the union of their term factor tuples, each
+    raw term's owner (its form), slot in it and coefficient, each form's
+    merged (slot, coefficient) pairs (:func:`_merged`) and the term-pair
+    integrals H of the union (:func:`quadrature.term_grams`). A record
+    adds its own forms (:meth:`join`)."""
+
+    def __init__(self, forms, axes):
+        scalar = not isinstance(forms[0], tuple)
+        self.size, self.axes, self.parts = len(forms), axes, []
+        for c in range(1 if scalar else len(forms[0])):
+            sums = [f if scalar else f[c] for f in forms]
             # factors compare by identity, as the keys of merged() do
             union = {}
-            slots = [union.setdefault(fs, len(union))
-                     for s in sums for fs in s.factors]
+            raw = [_raw(s, lambda fs: union.setdefault(fs, len(union)))
+                   for s in sums]
+            merged = [_merged(*r, len(union)) for r in raw]
             terms = list(union)
             self.parts.append((
+                union, terms,
                 np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
-                np.array([a for s in sums for a in s.coefs], dtype=float),
-                np.array(slots, dtype=np.intp),
+                *map(np.concatenate, zip(*raw)),
+                *map(np.concatenate, zip(*merged)),
+                np.cumsum([0, *(len(k) for k, _ in merged)]),
                 term_grams(terms, terms, axes)))
 
-    def norm_sq(self, scales: np.ndarray) -> float:
-        """``||sum_j scales[j] operands[j]||^2``: per component the merged
-        coefficients, the raw terms' ``coef * scale`` added into their
-        slots in raw-term order as :meth:`fields.SeparatedSum.merged` adds
-        them, those that are zero dropped, and one correctly rounded sum of
-        all components' ``m_k m_l H_kl``; 0 where rounding leaves it below
-        zero. A scale of 0 adds only zeros, so it drops its operand."""
-        addends = []
-        for owner, coefs, slots, H in self.parts:
-            m = np.bincount(slots, weights=coefs * scales[owner],
-                            minlength=len(H))
-            keep = np.flatnonzero(m)
-            m = m[keep]
-            addends.append((np.multiply.outer(m, m)
-                            * H[keep[:, None], keep]).ravel())
-        return max(_fsum(np.concatenate(addends)), 0.0)
+    def join(self, forms, n: int, first: bool):
+        """A record's forms (d, or the targets) joined to the kept ones:
+        the block ``G[j, i] = <forms[j], kept form i>`` for i < n, equal to
+        ``l2_gram`` of the fields bit for bit (the addends of
+        :func:`quadrature._separated_gram`, H gathered, and correctly
+        rounded sums of them do not depend on their order), and per form
+        the parts of its :func:`_norm_sq`: its raw terms before the kept
+        ones if ``first``, else after, its owner the last scale. Only the
+        terms that the union lacks are integrated, against the union and
+        each other; the block of the union with them is their transpose, as
+        the axis tables are exactly symmetric."""
+        scalar = not isinstance(forms[0], tuple)
+        blocks, tables = [], [[] for _ in forms]
+        for c, (union, terms, owner, slots, coefs, mslots, mcoefs, ends,
+                H) in enumerate(self.parts):
+            sums = [f if scalar else f[c] for f in forms]
+            size, new = len(union), {}
+            for s in sums:
+                for fs in s.factors:
+                    if fs not in union:
+                        new.setdefault(fs, size + len(new))
+            if new:
+                added = term_grams(list(new), [*terms, *new], self.axes)
+                H, kept = np.empty((len(added[0]),) * 2), H
+                H[:size, :size] = kept
+                H[size:] = added
+                H[:size, size:] = added[:, :size].T
+            slot = {**union, **new}.__getitem__
+            raw = [_raw(s, slot) for s in sums]
+            merged = [_merged(*r, len(H)) for r in raw]
+            rows, m = map(np.concatenate, zip(*merged))
+            blocks.append((np.multiply.outer(m, mcoefs[:ends[n]])
+                           * H[rows[:, None], mslots[:ends[n]]],
+                           [len(k) for k, _ in merged], np.diff(ends[:n + 1])))
+            for (own_slots, own_coefs), parts in zip(raw, tables):
+                own = np.full(len(own_slots), self.size), own_slots, own_coefs
+                pair = ((own, (owner, slots, coefs)) if first else
+                        ((owner, slots, coefs), own))
+                parts.append((*map(np.concatenate, zip(*pair)), H))
+        return _entry_sums(blocks, len(forms), n), tables
+
+
+def _raw(s, slot):
+    """The raw terms of the sum ``s``: the slots ``slot`` gives their
+    factor tuples, and their coefficients."""
+    return (np.array([slot(fs) for fs in s.factors], dtype=np.intp),
+            np.array(s.coefs, dtype=float))
+
+
+def _merged(slots, coefs, size: int):
+    """The merged terms of raw terms in ``slots`` of ``size`` with
+    ``coefs``: each slot's coefficients added in raw-term order, as
+    :meth:`fields.SeparatedSum.merged` adds them, and those that are zero
+    dropped; (their slots, their coefficients)."""
+    m = np.bincount(slots, weights=coefs, minlength=size)
+    keep = np.flatnonzero(m)
+    return keep, m[keep]
+
+
+def _norm_sq(parts, scales: np.ndarray) -> float:
+    """``||sum_j scales[j] operands[j]||^2`` of the separated forms whose
+    raw terms ``parts`` holds, per component (owner, slot, coefficient) and
+    the term-pair integrals H of the slots, as
+    :func:`quadrature.separated_inner` takes the norm of the combination's
+    form: per component the merged terms (:func:`_merged`) of the raw
+    terms' ``coef * scale``, and one correctly rounded sum of all
+    components' ``m_k m_l H_kl``; 0 where rounding leaves it below zero. A
+    scale of 0 adds only zeros, so it drops its operand."""
+    addends = []
+    for owner, slots, coefs, H in parts:
+        keep, m = _merged(slots, coefs * scales[owner], len(H))
+        addends.append((np.multiply.outer(m, m)
+                        * H[keep[:, None], keep]).ravel())
+    return max(_fsum(np.concatenate(addends)), 0.0)
+
+
+def _flux_terms(basis, divs, d, targets, dom, rule):
+    """RD = ``l2_gram([d], divs)[0]``, RT = ``l2_gram(targets, basis)`` and
+    the step's norms as a function of its coefficients c: ||d + sum_i c_i
+    div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``. d and the
+    targets are checked against the box and the basis as ``l2_gram``
+    checks them. When all carry separated forms, everything comes from the
+    term tables of the kept basis (:func:`_basis_terms`) joined to d and
+    the targets (:meth:`_BasisTerms.join`); otherwise d, the targets and
+    the basis are sampled once and the blocks and norms taken from the
+    rows."""
+    # in l2_gram's order; the basis and its divergences were checked as
+    # they were kept
+    _check_fields([*targets, basis[0]], dom)
+    _check_fields([d, divs[0]], dom)
+    N, fd, ft = len(basis), d.separated(), [t.separated() for t in targets]
+    terms = (_basis_terms(dom, rule)
+             if fd is not None and all(f is not None for f in ft) else [])
+    if terms and terms[0].size >= N:
+        on_divs, on_fields = terms
+        RD, (residual,) = on_divs.join([fd], N, first=True)
+        RT, gaps = on_fields.join(ft, N, first=False)
+        # the scales of the kept forms: the coefficients for the leading n,
+        # 0 for the rest; then 1 for d and -1 for a target
+        rest = on_fields.size
+
+        def norms(coeffs):
+            scales = np.concatenate((coeffs, np.zeros(rest - len(coeffs)),
+                                     [1.0]))
+            residual_sq = _norm_sq(residual, scales)
+            scales[-1] = -1.0
+            return [residual_sq, *(_norm_sq(gap, scales) for gap in gaps)]
+
+        return RD[0], RT, norms
+    values, wv = samples(basis, dom, rule)
+    div_rows, w = samples(divs, dom, rule)
+    rows = samples(targets, dom, rule)[0]
+    data = samples([d], dom, rule)[0]
+
+    def norms(coeffs):
+        r = data + coeffs @ div_rows[:len(coeffs)]
+        gaps = coeffs @ values[:len(coeffs)] - rows
+        return [float(weighted_gram(r, r, w)[0, 0]),
+                *map(float, weighted_gram(gaps, gaps, wv).diagonal())]
+
+    return (weighted_gram(data, div_rows, w)[0],
+            weighted_gram(rows, values, wv), norms)
 
 
 def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
                rule):
-    """The flux step as a function of (n, wa, wb): the psi in the span of
-    the leading n fields of ``basis`` that minimizes
-    wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, its
-    coefficients, then ||d + div psi||^2 and ||psi - t||^2 per t of
-    ``targets``, (t0, t1) or (t0,) with t1 = t0.
+    """The flux step as a function of (n, wa, wb): the coefficients of the
+    psi in the span of the leading n fields of ``basis`` that minimizes
+    wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, then
+    ||d + div psi||^2 and ||psi - t||^2 per t of ``targets``, (t0, t1) or
+    (t0,) with t1 = t0.
 
     Everything is assembled once, so a step costs one n x n solve and a
     few contractions. The basis Grams and divergences come from
-    :func:`_basis_grams`, kept per box and rule. When d, the targets and
-    the basis carry separated forms, the other blocks come from
-    :func:`quadrature.l2_gram` and the norms of every step from one
-    :class:`_TermTable` of the residual over (d, div b_1, ..., div b_N)
-    and one of each gap over (b_1, ..., b_N, t): ``norm_sq("L2", ...)`` of
-    d + psi.div_field() and of psi - t, bit for bit. Otherwise d, the
-    targets and the basis are sampled once and the blocks and norms taken
-    from the rows."""
+    :func:`_basis_grams`, kept per box and rule; the other blocks and the
+    norms from :func:`_flux_terms`. With separated forms, the term tables
+    of the basis are kept beside its Grams, so a record integrates only
+    the terms of its own d and targets that the tables lack; its blocks
+    equal :func:`quadrature.l2_gram`, and its norms ``norm_sq("L2", ...)``
+    of d + psi.div_field() and of psi - t, bit for bit."""
     targets = list(targets)
     divs, BB, DD = _basis_grams(basis, dom, rule)
-    fd = d.separated()
-    ft, fb, fdiv = ([f.separated() for f in fs]
-                    for fs in (targets, basis, divs))
-    if all(f is not None for f in (fd, *ft, *fb, *fdiv)):
-        RT = l2_gram(targets, basis, dom, rule)
-        RD = l2_gram([d], divs, dom, rule)[0]
-        N, axes = len(basis), axis_rules(dom, rule)
-        residual = _TermTable([fd, *fdiv], axes)
-        gaps = [_TermTable([*fb, t], axes) for t in ft]
-
-        def norms(psi, coeffs):
-            # the operands' scales: 1 for d, -1 for t, the coefficients for
-            # the leading n basis fields and 0 for the rest
-            rest = np.zeros(N - len(coeffs))
-            on_residual = np.concatenate(([1.0], coeffs, rest))
-            on_gap = np.concatenate((coeffs, rest, [-1.0]))
-            return [residual.norm_sq(on_residual),
-                    *(gap.norm_sq(on_gap) for gap in gaps)]
-    else:
-        values, wv = samples(basis, dom, rule)
-        div_rows, w = samples(divs, dom, rule)
-        rows = samples(targets, dom, rule)[0]
-        data = samples([d], dom, rule)[0]
-        RT = weighted_gram(rows, values, wv)
-        RD = weighted_gram(data, div_rows, w)[0]
-
-        def norms(psi, coeffs):
-            r = data + coeffs @ div_rows[:len(coeffs)]
-            gaps = coeffs @ values[:len(coeffs)] - rows
-            return [float(weighted_gram(r, r, w)[0, 0]),
-                    *map(float, weighted_gram(gaps, gaps, wv).diagonal())]
+    RD, RT, norms = _flux_terms(basis, divs, d, targets, dom, rule)
 
     def step(n: int, wa: float, wb: float):
         rhs = -wa * RD[:n] + wa * RT[0, :n] + wb * RT[-1, :n]
         coeffs = _solve_normal_equations(
             wa * (DD[:n, :n] + BB[:n, :n]) + wb * BB[:n, :n], rhs)
-        psi = combine_vector_fields(basis[:n], coeffs)
-        return (psi, coeffs, *norms(psi, coeffs))
+        return (coeffs, *norms(coeffs))
 
     return step
 
@@ -220,7 +321,7 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         raise ValueError(f"flux majorant supports RD and Poisson, got {case.kind}")
     dom, rd, e = case.dom, case.kind == "RD", case.exact_u - u_tilde
     _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the boundary")
-    flux, coeffs, residual_sq, gap_sq = _flux_step(
+    coeffs, residual_sq, gap_sq = _flux_step(
         basis, case.f - u_tilde if rd else case.f,
         (u_tilde.gradient_field(),), dom, rule)(len(basis), 1.0, 0.0)
     if rd:
@@ -232,7 +333,7 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         name, err = "err_grad_sq", norm_sq("L2", e.gradient_field(), dom, rule)
     report = BoundReport({}, {name: err, "total": err}, upper, gamma,
                          checks={"residual_sq": residual_sq, "gap_sq": gap_sq})
-    return flux, report.finalize(), coeffs
+    return combine_vector_fields(basis, coeffs), report.finalize(), coeffs
 
 
 def improve_bound(case: ProblemCase, approx: ApproxPair,
@@ -275,7 +376,7 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     gamma = gamma0
     reports: List[BoundReport] = []
     for n in range(start_size, start_size + budget):
-        *_, residual_sq, gap_sq, p_dist_sq = step(
+        _, residual_sq, gap_sq, p_dist_sq = step(
             n, 1.0 + 1.0 / gamma, 1.0 + gamma)
         gamma, _ = _young(math.fsum([residual_sq, gap_sq]),
                           math.fsum([u_dist_sq, p_dist_sq]))

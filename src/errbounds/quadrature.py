@@ -357,18 +357,32 @@ def _separated_gram(fl, fr, axes) -> np.ndarray:
     (``fr is fl`` for a list with itself): per component the addends of
     :func:`_addends` of the merged terms of all forms of either list, and
     entry (i, j) the correctly rounded sum of those of the terms of fl[i]
-    and fr[j], as :func:`separated_inner` takes it (0 where rounding leaves
-    it below zero and the two are one form, a norm)."""
-    m, n = len(fl), len(fr)
+    and fr[j] (:func:`_entry_sums`), as :func:`separated_inner` takes it
+    (0 where rounding leaves it below zero and the two are one form, a
+    norm)."""
     scalar = not isinstance(fl[0], tuple)
-    owners, values = [], []
+    blocks = []
     for c in range(1 if scalar else len(fl[0])):
         a = [(f if scalar else f[c]).merged() for f in fl]
         b = a if fr is fl else [(f if scalar else f[c]).merged() for f in fr]
-        values.append(_addends(a, b, axes).ravel())
-        owners.append(np.add.outer(
-            np.repeat(np.arange(0, m * n, n), [len(s.coefs) for s in a]),
-            np.repeat(np.arange(n), [len(s.coefs) for s in b])).ravel())
+        blocks.append((_addends(a, b, axes), [len(s.coefs) for s in a],
+                       [len(s.coefs) for s in b]))
+    G = _entry_sums(blocks, len(fl), len(fr))
+    same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
+    return np.where(same, np.maximum(G, 0.0), G)
+
+
+def _entry_sums(blocks, m: int, n: int) -> np.ndarray:
+    """The m x n matrix whose entry (i, j) is the correctly rounded sum of
+    the addends that belong to left form i and right form j. ``blocks``
+    holds per component the addends of all left terms (rows, form by form)
+    with all right terms (columns, form by form) and the number of terms of
+    each left and each right form."""
+    owners, values = [], []
+    for addends, left, right in blocks:
+        values.append(addends.ravel())
+        owners.append(np.add.outer(np.repeat(np.arange(0, m * n, n), left),
+                                   np.repeat(np.arange(n), right)).ravel())
     values, G = np.concatenate(values), np.zeros(m * n)
     if len(values):
         # the addends of entry e are row e of D, padded with zeros
@@ -381,8 +395,7 @@ def _separated_gram(fl, fr, axes) -> np.ndarray:
         # one addition rounds correctly; fsum is needed from three addends on
         G = (reduce(np.add, D.T) if D.shape[1] <= 2
              else np.array([math.fsum(row) for row in D.tolist()]))
-    same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
-    return np.where(same, np.maximum(G.reshape(m, n), 0.0), G.reshape(m, n))
+    return G.reshape(m, n)
 
 
 def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:

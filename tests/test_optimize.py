@@ -60,6 +60,18 @@ def test_optimal_gamma_degenerate():
         optimal_gamma(1.0, -1.0)
 
 
+def test_optimal_gamma_rejects_nan_and_keeps_infinite_limits():
+    for args, name in (((math.nan, 1.0), "A"), ((1.0, math.nan), "B"),
+                       ((math.nan, 0.0), "A"), ((0.0, math.nan), "B")):
+        with pytest.raises(ValueError, match=f"{name} = nan"):
+            optimal_gamma(*args)
+    inf = math.inf
+    assert optimal_gamma(inf, 1.0) == (inf, inf)
+    assert optimal_gamma(1.0, inf) == (0.0, inf)
+    assert optimal_gamma(inf, 0.0) == (inf, inf)
+    assert optimal_gamma(0.0, inf) == (0.0, inf)
+
+
 def test_optimal_gamma_matches_grid_search():
     rng = np.random.default_rng(123)
     for _ in range(50):
@@ -302,7 +314,8 @@ def test_flux_step_samples_fields_without_forms_once(monkeypatch):
     results = [step(n, 1.0, 0.0) for n in (2, 4, 6)]
     assert evaluated == {"ScalarField": 1, "VectorField": 1}
     monkeypatch.undo()
-    for psi, _, residual_sq, gap_sq in results:
+    for n, (coeffs, residual_sq, gap_sq) in zip((2, 4, 6), results):
+        psi = combine_vector_fields(basis[:n], coeffs)
         for value, w in ((residual_sq, d + psi.div_field()), (gap_sq, psi - t)):
             assert value == pytest.approx(norm_sq("L2", w, DOM2, RULE),
                                           rel=1e-12)
@@ -361,11 +374,16 @@ def test_improve_bound_makes_three_norm_sq_calls(monkeypatch, budget):
             return real(*args)
 
         monkeypatch.setattr(module, "norm_sq", counted)
+    built = []
+    monkeypatch.setattr(optimize, "combine_vector_fields",
+                        lambda *args: built.append(args))
     ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
     phi, _ = free_fields(RD_RICH, "coarse")
     improve_bound(RD_RICH, ap, phi, RULE, budget=budget)
     # ||phi - u_tilde||^2 and the two true errors, whatever the budget
     assert calls == ["L2"] * 3
+    # and no flux is built: the reports take the steps' norms
+    assert built == []
 
 
 @pytest.mark.parametrize("T", [None, 1.0], ids=["elliptic", "parabolic"])
@@ -422,8 +440,8 @@ def test_combine_vector_fields_validation():
 # --------------------------------------------------------------------------
 
 
-def _majorant_config():
-    """RD and Poisson on one box, each at basis sizes 4, 16 and 36."""
+def _majorant_config(sizes=(4, 16, 36)):
+    """RD and Poisson on one box, each at basis sizes ``sizes``."""
     box = {"lower": [0.0, 0.0], "upper": [1.0, 1.0]}
     return parse_config(json.dumps({
         "cases": [
@@ -434,7 +452,7 @@ def _majorant_config():
         "approximations": [
             {"level": "conforming_mixed", "epsilon": 0.1, "seed": 3}],
         "estimators": [{"name": "optimize_majorant", "basis_size": n}
-                       for n in (4, 16, 36)],
+                       for n in sizes],
     }))
 
 
@@ -448,6 +466,21 @@ def test_run_evaluates_no_field_on_the_grid():
         report = run(config)
     assert [r["majorant"] for r in report.records] == expected
     assert all(r["passed"] for r in report.records)
+
+
+def test_majorant_records_do_not_depend_on_the_order_of_basis_sizes():
+    # the first size on a box assembles its basis and term tables, later
+    # sizes take blocks of them or assemble a longer basis
+    from errbounds import optimize
+
+    runs = []
+    for sizes in ((4, 16, 36), (36, 4, 16), (16,)):
+        optimize._basis_grams_memo.cache_clear()
+        runs.append({(r["case"], r["basis_size"]): _hexed(
+            {k: v for k, v in r.items() if k != "wall_time_s"})
+            for r in run(_majorant_config(sizes)).records})
+    assert len(runs[0]) == 6 and runs[1] == runs[0]
+    assert runs[2] == {k: v for k, v in runs[0].items() if k[1] == 16}
 
 
 def _assert_same_fields(kept, fresh):
@@ -664,11 +697,106 @@ def test_flux_step_norms_are_norm_sq_of_its_flux_bitwise(problem):
             fs for b in basis for fs in b.div_field().separated().factors}
     step = _flux_step(basis, d, targets, dom, RULE)
     for size in (n, len(basis)):
-        psi, _, residual_sq, *gaps = step(size, wa, wb)
+        coeffs, residual_sq, *gaps = step(size, wa, wb)
+        psi = combine_vector_fields(basis[:size], coeffs)
         assert residual_sq.hex() == norm_sq(
             "L2", d + psi.div_field(), dom, RULE).hex()
         assert [g.hex() for g in gaps] == [
             norm_sq("L2", psi - t, dom, RULE).hex() for t in targets]
+
+
+@given(_flux_steps())
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
+    # the basis of N fields is kept first, so the step of the leading n
+    # gathers its blocks from the term tables of the longer basis
+    from errbounds import optimize
+
+    _, dom, d, targets, basis, n, _, _ = problem
+    for size in (len(basis), n):
+        divs = optimize._basis_grams(basis[:size], dom, RULE)[0]
+        RD, RT, _ = optimize._flux_terms(basis[:size], divs, d, targets,
+                                         dom, RULE)
+        fresh = [b.div_field() for b in basis[:size]]
+        assert _hex(RD) == _hex(l2_gram([d], fresh, dom, RULE)[0])
+        assert _hex(RT) == _hex(l2_gram(list(targets), basis[:size], dom,
+                                        RULE))
+
+
+def test_warm_flux_step_integrates_only_the_terms_of_its_record(monkeypatch):
+    from errbounds import optimize, quadrature
+
+    optimize._basis_grams_memo.cache_clear()
+    # the mode (7, 5) is not among the first 16 of the basis: d and the
+    # target bring terms that the basis's tables lack
+    case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y) + "
+                                 "sin(7*pi*x)*sin(5*pi*y)/10")
+    ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
+    minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)
+    on_divs, on_fields = optimize._basis_terms(DOM2, RULE)
+    sides = [(on_divs.parts[0][1], (case.f - ut).separated())] + [
+        (part[1], s) for part, s in zip(on_fields.parts,
+                                        ut.gradient_field().separated())]
+    expected = [list(dict.fromkeys(fs for fs in s.factors
+                                   if fs not in terms)) for terms, s in sides]
+    assert all(expected)
+    grams, integrated = Counter(), []
+
+    def counted(name, real):
+        def call(*args):
+            grams[name] += 1
+            return real(*args)
+        return call
+
+    def spied(fa, fb, axes, real=optimize.term_grams):
+        integrated.append((fa, fb))
+        return real(fa, fb, axes)
+
+    monkeypatch.setattr(optimize, "l2_gram", counted("l2_gram",
+                                                     optimize.l2_gram))
+    monkeypatch.setattr(quadrature, "_separated_gram", counted(
+        "_separated_gram", quadrature._separated_gram))
+    monkeypatch.setattr(optimize, "term_grams", spied)
+    for n in (16, 9):
+        del integrated[:]
+        minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)
+        assert grams == {}
+        # one call per component, its new terms against the union and them
+        assert [fa for fa, _ in integrated] == expected
+        assert [fb for _, fb in integrated] == [
+            [*terms, *new] for (terms, _), new in zip(sides, expected)]
+
+
+# a field of each kind that does not fit the 2-D elliptic box of a step
+_HEAT = make_case("Heat", BoxDomain((0.0, 0.0), (1.0, 1.0), 1.0),
+                  "exp(-t)*sin(pi*x)*sin(pi*y)")
+
+
+_RD2 = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
+
+
+@pytest.mark.parametrize("role, field, error, match", [
+    ("target", _RD2.f, TypeError, "rank mismatch"),
+    ("target", RD.exact_p, ValueError, "dimension"),
+    ("target", _HEAT.exact_p, ValueError, "time_horizon"),
+    ("d", _RD2.exact_p, TypeError, "rank mismatch"),
+    ("d", RD.f, ValueError, "dimension"),
+    ("d", _HEAT.f, ValueError, "time_horizon")],
+    ids=["target-rank", "target-dim", "target-time", "d-rank", "d-dim",
+         "d-time"])
+def test_flux_step_checks_d_and_targets_against_the_box(role, field, error,
+                                                        match):
+    from errbounds.optimize import _flux_step
+
+    ut = perturb(_RD2, "conforming_mixed", 0.1, 3).u_tilde
+    d, targets = _RD2.f - ut, [ut.gradient_field()]
+    if role == "d":
+        d = field
+    else:
+        targets.append(field)
+    with pytest.raises(error, match=match):
+        _flux_step(flux_basis(DOM2, 4), d, targets, DOM2, RULE)
 
 
 def _close_hex(values, pinned, rel=1e-13):
