@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# Reports that must not depend on what a process met before them. Run from
+# the root of a checkout; scratch files go to $RUNNER_TEMP (a new temporary
+# directory when unset).
+#
+# The process-wide memos (the tables of factor-pair integrals per axis rule,
+# the norm plans per raw form and axis rules, the basis Grams per box and
+# rule) fill in the order a process first meets their keys: fresh processes
+# that hash strings differently, and processes that ran something else
+# first, must still write the same bytes.
+set -euo pipefail
+export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
+tmp=${RUNNER_TEMP:-$(mktemp -d)}
+
+echo "Default suite repeats across processes"
+for seed in 0 4242; do
+  PYTHONHASHSEED=$seed python -m errbounds.cli suite --out "$tmp/suite-$seed"
+done
+cmp "$tmp/suite-0/report.json" "$tmp/suite-4242/report.json"
+
+echo "Default suite after other runs in the same process"
+# the suite's 1-D boxes share an axis rule with the 3-D box, so its norms
+# meet tables that the 3-D records filled first; the suite at another
+# quadrature order first meets every raw form of the suite on other rules
+cat > "$tmp/rd3.json" <<'JSON'
+{"cases": [
+   {"kind": "RD", "solution": "sin(pi*x)*sin(pi*y/2)*sin(2*pi*z)",
+    "label": "rd-box3", "lower": [0.0, 0.0, 0.0], "upper": [1.0, 2.0, 0.5]}],
+ "approximations": [
+   {"level": "conforming_mixed", "epsilon": 0.1, "seed": 3}],
+ "estimators": [{"name": "rd_equality"}]}
+JSON
+python - "$tmp" <<'PY'
+import contextlib, io, sys
+from errbounds.cli import main
+tmp = sys.argv[1]
+assert main(["verify-equality", "--config", f"{tmp}/rd3.json",
+             "--out", f"{tmp}/rd3"]) == 0
+# records fail at this coarse order; only the forms it meets matter
+with contextlib.redirect_stderr(io.StringIO()):
+    main(["suite", "--quad-order", "4", "--out", f"{tmp}/suite-order-4"])
+assert main(["suite", "--out", f"{tmp}/suite-after"]) == 0
+PY
+cmp "$tmp/suite-0/report.json" "$tmp/suite-after/report.json"
+
+echo "Majorant runs repeat across processes"
+# the basis Grams are kept per box and rule: later records on the box take
+# blocks of the largest basis assembled first, and must write what fresh
+# processes that hash strings differently write
+cat > "$tmp/majorant.json" <<'JSON'
+{"cases": [
+   {"kind": "RD", "solution": "sin(pi*x)*sin(pi*y)", "label": "rd",
+    "lower": [0.0, 0.0], "upper": [1.0, 1.0]},
+   {"kind": "Poisson", "solution": "sin(pi*x)*sin(2*pi*y)",
+    "label": "poisson", "lower": [0.0, 0.0], "upper": [1.0, 1.0]}],
+ "approximations": [
+   {"level": "conforming_mixed", "epsilon": 0.1, "seed": 3}],
+ "estimators": [
+   {"name": "optimize_majorant", "basis_size": 36},
+   {"name": "optimize_majorant", "basis_size": 4},
+   {"name": "optimize_majorant", "basis_size": 16}]}
+JSON
+for seed in 0 4242; do
+  PYTHONHASHSEED=$seed python -m errbounds.cli optimize-majorant \
+    --config "$tmp/majorant.json" --out "$tmp/majorant-$seed"
+done
+cmp "$tmp/majorant-0/report.json" "$tmp/majorant-4242/report.json"
+# the same config in ascending size order: the first record on a box keeps
+# the smallest basis, the later ones assemble longer ones, and every record
+# must equal the descending run's
+python - "$tmp/majorant.json" "$tmp/ascending.json" <<'PY'
+import json, sys
+doc = json.load(open(sys.argv[1]))
+doc["estimators"].sort(key=lambda e: e["basis_size"])
+json.dump(doc, open(sys.argv[2], "w"))
+PY
+python -m errbounds.cli optimize-majorant \
+  --config "$tmp/ascending.json" --out "$tmp/majorant-ascending"
+python - "$tmp/majorant-0/report.json" \
+  "$tmp/majorant-ascending/report.json" <<'PY'
+import json, sys
+descending, ascending = (
+    {(r["case"], r["basis_size"]): r
+     for r in json.load(open(path))["records"]}
+    for path in sys.argv[1:])
+assert len(descending) == 6, sorted(descending)
+assert ascending == descending, "records depend on the size order"
+PY

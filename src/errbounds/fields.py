@@ -81,10 +81,17 @@ class BoxDomain:
         return self.time_horizon is not None
 
     def spatial(self) -> "BoxDomain":
-        """The spatial box without the time interval."""
+        """The spatial box without the time interval: the box itself on an
+        elliptic box, else one box per parabolic box, built at the first
+        call and held beside the fields, so equality, hash and repr do not
+        see it."""
         if not self.is_parabolic:
             return self
-        return BoxDomain(self.lower, self.upper)
+        box = self.__dict__.get("_spatial")
+        if box is None:
+            box = BoxDomain(self.lower, self.upper)
+            object.__setattr__(self, "_spatial", box)
+        return box
 
 
 class Factor:

@@ -26,8 +26,8 @@ from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase
 from .quadrature import (QuadratureRule, _check_fields, _entry_sums, _fsum,
-                         axis_rules, l2_gram, norm_sq, samples, term_grams,
-                         weighted_gram)
+                         _merged, _norm_addends, axis_rules, l2_gram, norm_sq,
+                         samples, term_grams, weighted_gram)
 from .reports import BoundReport
 
 
@@ -126,9 +126,9 @@ class _BasisTerms:
     :class:`fields.SeparatedSum`) or fields (each a tuple of them, one per
     component). Per component: the union of their term factor tuples, each
     raw term's owner (its form), slot in it and coefficient, each form's
-    merged (slot, coefficient) pairs (:func:`_merged`) and the term-pair
-    integrals H of the union (:func:`quadrature.term_grams`). A record
-    adds its own forms (:meth:`join`)."""
+    merged (slot, coefficient) pairs (:func:`quadrature._merged`) and the
+    term-pair integrals H of the union (:func:`quadrature.term_grams`). A
+    record adds its own forms (:meth:`join`)."""
 
     def __init__(self, forms, axes):
         scalar = not isinstance(forms[0], tuple)
@@ -198,31 +198,19 @@ def _raw(s, slot):
             np.array(s.coefs, dtype=float))
 
 
-def _merged(slots, coefs, size: int):
-    """The merged terms of raw terms in ``slots`` of ``size`` with
-    ``coefs``: each slot's coefficients added in raw-term order, as
-    :meth:`fields.SeparatedSum.merged` adds them, and those that are zero
-    dropped; (their slots, their coefficients)."""
-    m = np.bincount(slots, weights=coefs, minlength=size)
-    keep = np.flatnonzero(m)
-    return keep, m[keep]
-
-
 def _norm_sq(parts, scales: np.ndarray) -> float:
     """``||sum_j scales[j] operands[j]||^2`` of the separated forms whose
     raw terms ``parts`` holds, per component (owner, slot, coefficient) and
     the term-pair integrals H of the slots, as
     :func:`quadrature.separated_inner` takes the norm of the combination's
-    form: per component the merged terms (:func:`_merged`) of the raw
-    terms' ``coef * scale``, and one correctly rounded sum of all
-    components' ``m_k m_l H_kl``; 0 where rounding leaves it below zero. A
-    scale of 0 adds only zeros, so it drops its operand."""
-    addends = []
-    for owner, slots, coefs, H in parts:
-        keep, m = _merged(slots, coefs * scales[owner], len(H))
-        addends.append((np.multiply.outer(m, m)
-                        * H[keep[:, None], keep]).ravel())
-    return max(_fsum(np.concatenate(addends)), 0.0)
+    form: per component the addends of the merged terms of the raw terms'
+    ``coef * scale`` (:func:`quadrature._norm_addends`), and one correctly
+    rounded sum of all components' ``m_k m_l H_kl``; 0 where rounding
+    leaves it below zero. A scale of 0 adds only zeros, so it drops its
+    operand."""
+    return max(_fsum(np.concatenate([
+        _norm_addends(slots, coefs * scales[owner], H)
+        for owner, slots, coefs, H in parts])), 0.0)
 
 
 def _flux_terms(basis, divs, d, targets, dom, rule):

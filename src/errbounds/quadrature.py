@@ -12,10 +12,17 @@ O(n^d). A table (:func:`axis_grams`) is kept per composite Gauss rule
 rule, at most :data:`AXIS_GRAM_MEMO`, and the :func:`weighted_gram` of
 each pair of their values, computed when the later of the two first
 arrives. Each entry is its own pair's einsum, so a table that passes the
-bound starts again empty without changing a bit. Any operand without a
-form (a field built from bare callables, or from an expression that does
-not split) is evaluated at every node instead; that path is the general
-fallback and the oracle of the tests.
+bound starts again empty without changing a bit. A norm also keeps, per
+process, a plan for each raw form it meets (:func:`_norm_plan`), keyed by
+the form's factor tuples and the axis rules: the slot of each raw term
+among the distinct tuples and H of those tuples. A later form with the
+same factors and any coefficients merges them by one ``np.bincount`` and
+gathers its addends from H, without merging its terms as objects or
+visiting a table. The plans are bounded like the tables, at most
+:data:`NORM_PLAN_MEMO`, and restart empty past it without changing a
+bit. Any operand without a form (a field built from bare callables, or
+from an expression that does not split) is evaluated at every node
+instead; that path is the general fallback and the oracle of the tests.
 
 Both paths of :func:`l2_inner`, and the separated one of :func:`l2_gram`,
 reduce through a correctly rounded sum, equal to :func:`math.fsum` bit for
@@ -332,6 +339,58 @@ def _addends(a, b, axes) -> np.ndarray:
     return np.multiply.outer(ca, cb) * term_grams(fa, fb, axes)
 
 
+def _merged(slots, coefs, size: int):
+    """The merged terms of raw terms in ``slots`` of ``size`` with
+    ``coefs``: each slot's coefficients added in raw-term order, as
+    :meth:`fields.SeparatedSum.merged` adds them, and those that are zero
+    dropped; (their slots, their coefficients)."""
+    m = np.bincount(slots, weights=coefs, minlength=size)
+    keep = np.flatnonzero(m)
+    return keep, m[keep]
+
+
+def _norm_addends(slots, coefs, H) -> np.ndarray:
+    """m_k m_l H_kl, raveled, of the merged terms (:func:`_merged`) of raw
+    terms in ``slots`` with ``coefs``, H the term-pair integrals of the
+    slots: the addends of :func:`_addends` of the merged sum with itself,
+    in the same order."""
+    keep, m = _merged(slots, coefs, len(H))
+    if len(keep) < len(H):
+        H = H[keep[:, None], keep]
+    return (np.multiply.outer(m, m) * H).ravel()
+
+
+# A process keeps at most this many norm plans; a memo that would pass it
+# starts again empty (see _norm_plan).
+NORM_PLAN_MEMO = 1024
+
+# (id of the axis rules, factors of a raw sum) -> (slots, H)
+_NORM_PLANS = {}
+
+
+def _norm_plan(s, axes):
+    """The plan of the norm of the raw sum ``s`` on the axis rules ``axes``
+    (of :func:`axis_rules`): the slot of each raw term, its factor tuple's
+    place in order of first appearance, and H = :func:`term_grams` of
+    those tuples. Kept per process for the sum's factors and the rules:
+    factors compare by identity, as :meth:`fields.SeparatedSum.merged`
+    keys them, and the key holds them, and :func:`axis_rules` keeps the
+    rules for good, so their ids stay their own. Each entry of H is its
+    own pair's value, so a memo that starts again empty changes no
+    bit."""
+    key = id(axes), s.factors
+    plan = _NORM_PLANS.get(key)
+    if plan is None:
+        union = {}
+        slots = np.array([union.setdefault(fs, len(union))
+                          for fs in s.factors], dtype=np.intp)
+        terms = list(union)
+        if len(_NORM_PLANS) >= NORM_PLAN_MEMO:
+            _NORM_PLANS.clear()
+        plan = _NORM_PLANS[key] = slots, term_grams(terms, terms, axes)
+    return plan
+
+
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     """The tensor rule's value of the L2 inner product of two separated
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
@@ -339,15 +398,28 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     component, with terms of the same factors merged, the addends of
     :func:`_addends`, and one correctly rounded sum of them over all
     components. A norm (``fb is fa``) that rounding leaves below zero is
-    0."""
+    0.
+
+    A norm gathers its addends from the plan of each component's raw sum
+    (:func:`_norm_plan`), kept per process for its factors and the axis
+    rules, at most :data:`NORM_PLAN_MEMO` of them before the memo starts
+    again empty: the raw coefficients merged by one ``np.bincount`` in
+    raw-term order, as ``merged()`` adds them, the zeros dropped, and
+    the outer product of the rest times the plan's H, the same addends in
+    the same order. A plan holds structure only, never coefficients, so
+    a sum of known factors takes no :meth:`fields.SeparatedSum.merged`
+    and no :func:`term_grams`."""
     norm = fb is fa
     if not isinstance(fa, tuple):
         fa, fb = (fa,), (fb,)
     axes = axis_rules(dom, rule)
     parts = []
     for a0, b0 in zip(fa, fb):
-        a = [a0.merged()]
-        parts.append(_addends(a, a if norm else [b0.merged()], axes).ravel())
+        if norm:
+            slots, H = _norm_plan(a0, axes)
+            parts.append(_norm_addends(slots, a0.coefs, H))
+        else:
+            parts.append(_addends([a0.merged()], [b0.merged()], axes).ravel())
     total = _fsum(np.concatenate(parts))
     return max(total, 0.0) if norm else total
 

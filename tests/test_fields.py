@@ -39,6 +39,20 @@ def test_box_domain_properties():
     assert TDOM.spatial().lower == TDOM.lower
 
 
+def test_spatial_box_is_built_once_per_box():
+    dom = BoxDomain((0.0, -1.0), (1.0, 2.0), time_horizon=0.5)
+    before = repr(dom), hash(dom)
+    space = dom.spatial()
+    assert space is dom.spatial()
+    fresh = BoxDomain((0.0, -1.0), (1.0, 2.0))
+    assert space == fresh and hash(space) == hash(fresh)
+    assert repr(space) == repr(fresh)
+    # the box it holds is no field: equality, hash and repr do not see it
+    assert (repr(dom), hash(dom)) == before
+    assert dom == BoxDomain((0.0, -1.0), (1.0, 2.0), time_horizon=0.5)
+    assert DOM2.spatial() is DOM2 and fresh.spatial() is fresh
+
+
 def test_scalar_field_evaluation_and_flags():
     u = scalar_field("sin(pi*x)", DOM1)
     X = np.array([[0.25], [0.5]])

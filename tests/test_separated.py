@@ -459,7 +459,9 @@ def test_axis_tables_hold_each_pairs_own_integral(problem):
         assert restarts == {id(quadrature.axis_grams(x, w)) for x, w in axes}
 
         # norms, inner products and Grams through the tables equal those of
-        # stacked values contracted per call, bit for bit
+        # stacked values contracted per call, bit for bit (norms take their
+        # plans; test_planned_norms_equal_the_merged_reference_bitwise
+        # holds those to the same reference)
         scalars = [fields.ScalarField(_grid_only, dim=dom.dim,
                                       time_dependent=dom.is_parabolic,
                                       form=lambda s=s: s) for s in sums]
@@ -541,3 +543,185 @@ def test_equal_factors_stay_one_object():
     assert all(f is g for fs, gs in zip(first.factors, second.factors)
                for f, g in zip(fs, gs))
     assert first.factors[0][1] is trig_factor("sin", 2 * math.pi, 0.0)
+
+
+# --------------------------------------------------------------------------
+# norm plans: the structure of each raw form's norm, kept per process
+# --------------------------------------------------------------------------
+
+def _reference_norm(form, axes):
+    """The norm of ``quadrature.separated_inner`` from each component's
+    ``merged()`` terms and their addends with no table or plan
+    (:func:`_reference_addends`)."""
+    parts = []
+    for s in form if isinstance(form, tuple) else (form,):
+        a = [s.merged()]
+        parts.append(_reference_addends(a, a, axes).ravel())
+    return max(quadrature._fsum(np.concatenate(parts)), 0.0)
+
+
+def _norms(forms, dom, rule):
+    return _hex([quadrature.separated_inner(f, f, dom, rule) for f in forms])
+
+
+def _rescaled(s, k):
+    return fields.SeparatedSum([k * c for c in s.coefs], s.factors)
+
+
+@st.composite
+def _plan_problems(draw):
+    """A box of 1-3 axes (time first where it has one), a coarse rule, and
+    scalar and vector forms over a small pool of factors, so that factor
+    tuples repeat within a sum: sums u and d, u + eps d - u (a term of u
+    that no other term shares cancels exactly), m - m and the empty sum, m
+    being u with its terms merged. Beside them the same forms of k u, of d
+    with other coefficients and of k m: the same raw factor tuples."""
+    from errbounds.manufactured import _poly_factor
+
+    axes = draw(st.integers(1, 3))
+    T = draw(st.sampled_from([None, 0.5]))
+    dim = axes - (T is not None) or 1
+    lower = [draw(st.sampled_from([0.0, -0.5, 0.3])) for _ in range(dim)]
+    dom = BoxDomain(lower, [a + draw(st.sampled_from([1.0, 2.0]))
+                            for a in lower], time_horizon=T)
+    rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
+                          time_order=draw(st.integers(1, 3)))
+    pool = [trig_factor(draw(st.sampled_from(["sin", "cos"])),
+                        draw(st.sampled_from([1.0, 2.5, math.pi])), 0.0)
+            for _ in range(draw(st.integers(1, 3)))]
+    pool.append(_poly_factor(np.array([draw(st.floats(-2.0, 2.0))
+                                       for _ in range(2)])))
+    width = dim + (T is not None)
+    tuples = st.tuples(*[st.sampled_from(pool)] * width)
+    coef = st.floats(-2.0, 2.0).filter(bool)
+    u, d = (fields.SeparatedSum(*zip(*draw(st.lists(
+        st.tuples(coef, tuples), min_size=1, max_size=size))))
+        for size in (6, 3))
+    eps = draw(st.sampled_from([1e-8, 0.1, 1.0]))
+    k = draw(coef)
+    other = fields.SeparatedSum([draw(coef) for _ in d.coefs], d.factors)
+
+    def forms(u, d, m):
+        cancel = fields.SeparatedSum.combination([u, d, u], [1.0, eps, -1.0])
+        gone = fields.SeparatedSum.combination([m, m], [1.0, -1.0])
+        scalars = [u, d, cancel, gone, fields.SeparatedSum((), ())]
+        return scalars + [tuple(scalars[(j + i) % len(scalars)]
+                                for j in range(dim))
+                          for i in range(len(scalars))]
+
+    return dom, rule, forms(u, d, u.merged()), forms(
+        _rescaled(u, k), other, _rescaled(u.merged(), k))
+
+
+@given(_plan_problems())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_planned_norms_equal_the_merged_reference_bitwise(problem):
+    dom, rule, forms, others = problem
+    axes = quadrature.axis_rules(dom, rule)
+    with mock.patch.object(quadrature, "_NORM_PLANS", {}):
+        cold = _norms(forms, dom, rule)
+        plans = len(quadrature._NORM_PLANS)
+        warm = _norms(forms, dom, rule)
+        other = _norms(others, dom, rule)
+        # the other coefficients met the plans of the same raw factors
+        assert len(quadrature._NORM_PLANS) == plans
+    assert cold == warm == _hex([_reference_norm(f, axes) for f in forms])
+    assert other == _hex([_reference_norm(f, axes) for f in others])
+    # so are the addends themselves, zeros of cancelled terms dropped
+    for s in forms[:5] + others[:5]:
+        slots, H = quadrature._norm_plan(s, axes)
+        m = [s.merged()]
+        assert _hex(quadrature._norm_addends(slots, s.coefs, H)) == _hex(
+            _reference_addends(m, m, axes))
+    # a sum that cancels fully and the empty sum are exactly +0
+    assert {cold[3], cold[4], other[3], other[4]} == {(0.0).hex()}
+
+
+def test_warm_norms_take_no_merge_and_no_term_grams(monkeypatch):
+    # once the plans of some raw forms are kept, norms of new fields with
+    # those forms' factors and other coefficients gather from them alone
+    dom = BoxDomain((0.0, -1.0), (1.0, 2.0), time_horizon=0.5)
+    rule = QuadratureRule(space_order=4, time_order=3)
+    u = scalar_field("(1 + t)*sin(pi*x)*sin(pi*(y + 1)/3)", dom)
+    v = scalar_field("exp(-t)*x*(1 - x)*sin(pi*(y + 1)/3)", dom)
+    e = scalar_field("t*sin(2*pi*x)*sin(pi*(y + 1)/3)", dom)
+
+    def measure(c):
+        w = u - v + c * e
+        return [norm_sq(kind, w, dom, rule) for kind in ("Wstar", "triple")]
+
+    measure(0.5)
+    counts = {"term_grams": 0, "merged": 0, "rows": 0}
+
+    def counted(name, fn):
+        def call(*args):
+            counts[name] += 1
+            return fn(*args)
+        return call
+
+    monkeypatch.setattr(quadrature, "term_grams",
+                        counted("term_grams", quadrature.term_grams))
+    monkeypatch.setattr(fields.SeparatedSum, "merged",
+                        counted("merged", fields.SeparatedSum.merged))
+    monkeypatch.setattr(quadrature._AxisGrams, "rows",
+                        counted("rows", quadrature._AxisGrams.rows))
+    warm = measure(-0.25)
+    assert counts == {"term_grams": 0, "merged": 0, "rows": 0}
+    # a cold memo builds the plans again, to the same bits
+    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    assert _hex(measure(-0.25)) == _hex(warm)
+    assert counts["term_grams"] > 0 and counts["merged"] == 0
+
+
+def _plan_sums():
+    """Sums over shared factor pairs, repeated within each sum."""
+    f = [trig_factor("sin", float(m), 0.0) for m in (1, 2, 3)]
+    g = trig_factor("cos", 0.5, 0.0)
+    return [fields.SeparatedSum([1.0, -0.5 * k, 0.25, 0.75],
+                                [(f[k], g), (g, f[k]), (f[k], g), (f[k], f[k])])
+            for k in range(3)] + [
+        fields.SeparatedSum([2.0, 1.0], [(f[0], f[1]), (f[1], f[0])])]
+
+
+def test_norm_plans_restart_past_their_bound_bit_for_bit(monkeypatch):
+    dom, rule = BoxDomain((0.0, 0.0), (1.0, 2.0)), QuadratureRule(space_order=3)
+    sums = _plan_sums()
+    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    unbounded = _norms(sums, dom, rule)
+    assert len(quadrature._NORM_PLANS) == len(sums)
+    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    monkeypatch.setattr(quadrature, "NORM_PLAN_MEMO", 2)
+    built = []
+    plan = quadrature._norm_plan
+
+    def spied(s, axes):
+        before = quadrature._NORM_PLANS.get((id(axes), s.factors))
+        out = plan(s, axes)
+        built.append(before is None)
+        return out
+
+    monkeypatch.setattr(quadrature, "_norm_plan", spied)
+    for order in (sums, sums[::-1], sums[::2] * 2):
+        for s in order:
+            k = sums.index(s)
+            assert _norms([s], dom, rule) == [unbounded[k]]
+            assert len(quadrature._NORM_PLANS) <= 2
+    # the memo restarted: more plans were built than there are forms
+    assert sum(built) > len(sums)
+
+
+def test_the_same_factors_on_another_box_or_rule_get_their_own_plan(
+        monkeypatch):
+    s = _plan_sums()[0]
+    places = [(BoxDomain((0.0, 0.0), (1.0, 1.0)), QuadratureRule()),
+              (BoxDomain((0.0, 0.0), (1.0, 2.0)), QuadratureRule()),
+              (BoxDomain((0.0, 0.0), (1.0, 1.0)), QuadratureRule(space_order=3))]
+    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    norms = [_norms([s], dom, rule)[0] for dom, rule in places]
+    assert len(quadrature._NORM_PLANS) == len(places)
+    assert norms == [_hex([_reference_norm(s, quadrature.axis_rules(*p))])[0]
+                     for p in places]
+    # in the other order, each place still takes its own plan
+    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    assert [_norms([s], dom, rule)[0] for dom, rule in places[::-1]] == (
+        norms[::-1])
