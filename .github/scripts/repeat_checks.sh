@@ -43,6 +43,36 @@ assert main(["suite", "--out", f"{tmp}/suite-after"]) == 0
 PY
 cmp "$tmp/suite-0/report.json" "$tmp/suite-after/report.json"
 
+echo "Reports are the canonical JSON encoding"
+# report.json is written by the C encoder with sentinel separators expanded
+# afterwards; it must be what json.dumps(doc, indent=2) writes, also for
+# records whose error strings hold quotes, a NUL, a newline and non-ASCII
+canonical() {
+  python -c 'import json, sys
+doc = json.load(open(sys.argv[1]))
+open(sys.argv[2], "w").write(json.dumps(doc, indent=2) + "\n")' "$1" "$2"
+}
+canonical "$tmp/suite-0/report.json" "$tmp/suite-canonical.json"
+cmp "$tmp/suite-0/report.json" "$tmp/suite-canonical.json"
+python - "$tmp" <<'PY'
+import sys
+from errbounds import emit, parse_config, run
+from errbounds.runner import ESTIMATORS
+
+def fail(case, spec, approx, rule):
+    raise RuntimeError('a "quoted" \x00 NUL\nand a newline in L\u00f6sung')
+
+ESTIMATORS["rd_equality"] = ESTIMATORS["rd_equality"]._replace(record=fail)
+report = run(parse_config("""{"cases": [{"kind": "RD", "lower": [0.0],
+  "upper": [1.0], "solution": "sin(pi*x)"}], "approximations": [
+  {"level": "conforming_mixed", "epsilon": 0.1, "seed": 0}],
+  "estimators": [{"name": "rd_equality"}]}"""))
+assert [r["status"] for r in report.records] == ["error"]
+emit(report, ["json"], f"{sys.argv[1]}/errors")
+PY
+canonical "$tmp/errors/report.json" "$tmp/errors-canonical.json"
+cmp "$tmp/errors/report.json" "$tmp/errors-canonical.json"
+
 echo "Majorant runs repeat across processes"
 # the basis Grams are kept per box and rule: later records on the box take
 # blocks of the largest basis assembled first, and must write what fresh

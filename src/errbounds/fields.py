@@ -1,29 +1,23 @@
 """Box domains and analytic scalar/vector fields.
 
-Fields wrap vectorized numpy callables.  Elliptic fields are functions of a
-point array ``X`` with shape ``(n, d)``; space-time fields take ``(t, X)``
-where ``t`` has shape ``(n,)``.  Derivatives are never approximated
-numerically: a field either carries an analytic evaluator for a derivative
-or raises :class:`CapabilityError` when it is requested.
+Elliptic fields are functions of a point array ``X`` with shape ``(n, d)``;
+space-time fields take ``(t, X)`` where ``t`` has shape ``(n,)``.
+Derivatives are never approximated numerically: a field either carries an
+analytic evaluator for a derivative or raises :class:`CapabilityError`.
 
-A field may also carry the *form* of some of its evaluators: the
-:class:`SeparatedSum` of 1-D :class:`Factor` products it equals (a tuple of
-sums, one per component, for vectors), built at most once, when a norm
-first asks (see :meth:`_Field.separated`). Manufactured solutions and the
-data derived from them carry forms beside evaluators of their own (see
-:mod:`errbounds.symbolic`); a field built from bare callables, or from an
-expression that does not split, carries none. A field that is its forms,
-such as a constant, a zero, or a trigonometric perturbation or flux basis
-field, is made by :func:`form_field`: each of its evaluators evaluates its
-form through :func:`form_values`, on the axes of the node sets that
-:mod:`errbounds.quadrature` registers here (:func:`grid_axes`) or on the
-columns of any other nodes (:func:`coordinates`). The algebra keeps forms
-alongside the evaluators: a :func:`combination` (``+``, ``-`` and scalar
-``*`` among them) concatenates the terms of its operands with scaled
-coefficients, ``at_time`` folds the time factor into the coefficients, and
-the derivative views differentiate one factor per term.
-:func:`quadrature.l2_inner` integrates two fields that carry forms axis by
-axis and everything else on the full grid.
+A field is one immutable node (see :class:`_Field`): a leaf, a
+:func:`combination` (``+``, ``-`` and scalar ``*`` among them), or a view
+of one field (a derivative view, a time slice, a restriction). A node knows
+its capabilities and its boundary flag when it is made; its evaluator of a
+name, and that evaluator's *form*, are built at the first request and kept.
+A form is the :class:`SeparatedSum` of 1-D :class:`Factor` products the
+evaluator equals (a tuple of sums, one per component, for vectors), or
+None. Fields of :mod:`errbounds.symbolic` are leaves with lambdified
+evaluators and the split of their expression; a field that is its forms (a
+constant, a zero, a trigonometric perturbation or flux basis field) is made
+by :func:`form_field`, its evaluators evaluating its forms through
+:func:`form_values` on the axes of the node sets :mod:`errbounds.quadrature`
+registers here (:func:`grid_axes`) or on the columns of any other nodes.
 """
 from __future__ import annotations
 
@@ -289,88 +283,16 @@ def _empty() -> SeparatedSum:
     return SeparatedSum((), ())
 
 
-def _lazy(fn):
-    """``fn`` run at the first call only; later calls return its result."""
-    kept = []
-
-    def get():
-        if not kept:
-            kept.append(fn())
-        return kept[0]
-
-    return get
-
-
-def _each(op, *forms):
-    """``op`` applied to scalar forms, per component to vector forms; None
-    if any form is None (an operand did not split)."""
-    if any(f is None for f in forms):
-        return None
-    if isinstance(forms[0], tuple):
-        return tuple(op(*c) for c in zip(*forms))
-    return op(*forms)
-
-
-def _dt(form: Callable) -> Callable:
-    return _lazy(lambda: _each(lambda s: s.derivative(0), form()))
-
-
-def _div(form: Callable, o: int) -> Callable:
-    """The divergence of the vector form ``form()``, whose first spatial
-    axis is axis ``o``: each component differentiated along its axis."""
-    def div():
-        v = form()
-        return None if v is None else SeparatedSum.combination(
-            [vj.derivative(o + j) for j, vj in enumerate(v)], [1.0] * len(v))
-
-    return _lazy(div)
-
-
-def scalar_forms(form: Callable, dim: int, time_dependent: bool) -> dict:
-    """The forms of a scalar field's evaluators from ``form``, a callable
-    returning the value's :class:`SeparatedSum` (or None): each derivative
-    differentiates one factor per term, and is built at its first call."""
+def gradient_form(s: SeparatedSum, dim: int, time_dependent: bool) -> tuple:
+    """The form of the gradient of the scalar form ``s``: one derivative
+    per spatial axis, those after the time axis on a space-time box."""
     o = int(time_dependent)
-
-    def grad():
-        s = form()
-        return None if s is None else tuple(s.derivative(o + j)
-                                            for j in range(dim))
-
-    grad = _lazy(grad)
-    return {"value": form, "grad": grad, "laplacian": _div(grad, o),
-            "dt": _dt(form)}
+    return tuple(s.derivative(o + j) for j in range(dim))
 
 
-def vector_forms(form: Callable, time_dependent: bool) -> dict:
-    """The forms of a vector field's evaluators from ``form``, a callable
-    returning the value's tuple of sums (or None); see :func:`scalar_forms`."""
-    return {"value": form, "div": _div(form, int(time_dependent)),
-            "dt": _dt(form)}
-
-
-def combination(fields, coefs):
-    """``sum_k coefs[k] * fields[k]`` in one step, for fields of one rank on
-    one domain: it carries the evaluators, and forms, that every field
-    carries, each the terms of all fields in order (see :func:`_combined`
-    and :meth:`SeparatedSum.combination`), and vanishes on the boundary
-    when every field does. ``+``, ``-`` and scalar ``*`` are its two-term
-    and one-term cases."""
-    first = fields[0]
-    for f in fields[1:]:
-        if not isinstance(f, type(first)):
-            name = type(first).__name__
-            raise TypeError(f"can only combine {name} with {name}")
-        if f.dim != first.dim or f.time_dependent != first.time_dependent:
-            raise ValueError("fields live on incompatible domains")
-    coefs = [float(c) for c in coefs]
-    ev = {k: _combined([f._ev[k] for f in fields], coefs)
-          for k in first._ev if all(k in f._ev for f in fields)}
-    forms = {k: _lazy(lambda forms=[f._forms[k] for f in fields]: _each(
-                 lambda *sums: SeparatedSum.combination(sums, coefs),
-                 *(form() for form in forms)))
-             for k in first._forms if all(k in f._forms for f in fields)}
-    return first._like(ev, all(f._vanishes for f in fields), forms=forms)
+def _per_component(op, form):
+    """``op`` of a scalar form, or of each component of a vector form."""
+    return tuple(map(op, form)) if isinstance(form, tuple) else op(form)
 
 
 # how CapabilityError messages name each derivative evaluator
@@ -392,87 +314,144 @@ def _combined(evaluators, coefs):
     return evaluate
 
 
-def _freeze_time(f, t0):
-    return lambda X: f(np.full(X.shape[0], t0), X)
-
-
 def _evaluator(name):
     """Method calling the ``name`` evaluator, or raising CapabilityError."""
     def evaluate(self, *args) -> np.ndarray:
-        return self._get(name)(*args)
+        return self.evaluator(name)(*args)
 
     evaluate.__name__ = evaluate.__qualname__ = name
     return evaluate
 
 
 def _has(name):
-    return property(lambda self: name in self._ev)
+    return property(lambda self: name in self.capabilities)
 
 
 class _Field:
-    """Evaluators in one map from name (``value``, ``grad``, ``laplacian``,
-    ``dt``, ``div``) to callable; a missing name is a missing capability.
-    Beside it, forms in a map from the same names to callables returning
-    the evaluator's separated form (or None); a name only there if its
-    evaluator is. The algebra is shared by both ranks, and a combination
-    carries the evaluators, and forms, that all its operands carry."""
+    """One immutable node of the field algebra. Its ``_kind`` and ``_args``:
 
-    __slots__ = ("_ev", "_forms", "dim", "time_dependent", "_vanishes")
+    - ``leaf``, ``(evaluators, forms)``: a map from name to evaluator (None
+      if the field is its forms, see :func:`form_field`) and one from name
+      to a callable returning its form; other forms derive from ``value``'s;
+    - ``sum``, ``(fields, coefs)``: see :func:`combination`;
+    - ``view``, ``(base, names, t0)``: the base's evaluators and forms under
+      the names ``names`` maps to, sliced at time ``t0`` unless it is None.
+
+    Its capabilities (the names of its evaluators: ``value``, ``grad``,
+    ``laplacian``, ``dt``, ``div``) and boundary flag are set when it is
+    made; its evaluators and forms are built when asked, and kept."""
+
+    __slots__ = ("dim", "time_dependent", "capabilities", "_vanishes",
+                 "_kind", "_args", "_made")
     _RANK = ""
+    _NAMES = ()  # the capabilities a field of this rank can have
     _KEEP = ()  # the keywords of ``restricted``
 
-    def __init__(self, ev: dict, dim: int, time_dependent: bool,
-                 vanishes: bool = False, forms: dict | None = None):
-        self._ev = {k: f for k, f in ev.items() if f is not None}
-        self._forms = {k: f for k, f in (forms or {}).items()
-                       if f is not None and k in self._ev}
-        self.dim = dim
-        self.time_dependent = time_dependent
-        self._vanishes = vanishes
+    def __init__(self, evaluators: dict, form, dim: int,
+                 time_dependent: bool, vanishes: bool):
+        """A leaf with the evaluators that are not None and, if ``form`` is
+        given, the callable returning the value's form."""
+        evaluators = {k: f for k, f in evaluators.items() if f is not None}
+        self._set("leaf", (evaluators, {"value": form} if form else {}),
+                  frozenset(evaluators), dim, time_dependent, vanishes)
+
+    def _set(self, kind, args, caps, dim, time_dependent, vanishes):
+        self.dim, self.time_dependent = dim, time_dependent
+        self.capabilities, self._vanishes = caps, vanishes
+        self._kind, self._args, self._made = kind, args, None
 
     @classmethod
-    def _from_maps(cls, ev: dict, dim: int, time_dependent: bool,
-                   vanishes: bool = False, forms: dict | None = None):
-        """A field of this rank with evaluator map ``ev`` and form map
-        ``forms``."""
+    def _node(cls, kind, args, caps, dim, time_dependent, vanishes=False):
         out = object.__new__(cls)
-        _Field.__init__(out, ev, dim, time_dependent, vanishes, forms)
+        out._set(kind, args, caps, dim, time_dependent, vanishes)
         return out
 
-    def _like(self, ev: dict, vanishes: bool = False, time_dependent=None,
-              forms: dict | None = None, rank=None):
-        """A field of this rank (or ``rank``) and dimension with evaluator
-        map ``ev`` and form map ``forms``."""
-        return (rank or type(self))._from_maps(
-            ev, self.dim, self.time_dependent if time_dependent is None
-            else time_dependent, vanishes, forms)
-
-    def _get(self, name: str) -> Callable:
-        try:
-            return self._ev[name]
-        except KeyError:
+    def _check(self, name: str):
+        if name not in self.capabilities:
             raise CapabilityError(f"{self._RANK} field carries no "
-                                  f"{_NOUNS[name]} evaluator") from None
+                                  f"{_NOUNS[name]} evaluator")
 
-    def _view(self, rank, **names):
-        """A field of ``rank`` whose evaluators, and forms, are this one's
-        under other names (``value="grad"``); the first is required."""
-        first = next(iter(names.values()))
-        self._get(first)
-        return self._like({k: self._ev.get(n) for k, n in names.items()},
-                          forms={k: self._forms.get(n)
-                                 for k, n in names.items()}, rank=rank)
+    def _get(self, what: str, name: str):
+        """The ``what`` (``evaluator`` or ``form``) of ``name``, built by
+        ``_build_<what>`` at the first request and kept."""
+        made = self._made
+        if made is None:
+            made = self._made = {}
+        elif (what, name) in made:
+            return made[what, name]
+        self._check(name)
+        made[what, name] = out = getattr(self, "_build_" + what)(name)
+        return out
+
+    def evaluator(self, name: str) -> Callable:
+        """The ``name`` evaluator, or CapabilityError if there is none."""
+        return self._get("evaluator", name)
+
+    def form(self, name: str):
+        """The form of the ``name`` evaluator, a :class:`SeparatedSum` (a
+        tuple of them, one per component, for vectors) or None."""
+        return self._get("form", name)
 
     def separated(self):
-        """The separated form of the value, a :class:`SeparatedSum` (a tuple
-        of them, one per component, for vectors), or None if there is none."""
-        form = self._forms.get("value")
-        return None if form is None else form()
+        """The separated form of the value (see :meth:`form`)."""
+        return self._get("form", "value")
 
-    def without_forms(self):
-        """This field with its evaluators only, so its norms are taken on
-        the full grid."""
-        return self._like(self._ev, self._vanishes)
+    def _build_evaluator(self, name: str) -> Callable:
+        kind, args = self._kind, self._args
+        if kind == "sum":
+            fields, coefs = args
+            return _combined([f.evaluator(name) for f in fields], coefs)
+        if kind == "view":
+            base, names, t0 = args
+            f = base.evaluator(names[name])
+            return f if t0 is None else lambda X: f(np.full(len(X), t0), X)
+        if args[0] is not None:
+            return args[0][name]
+        form, dim = self.form(name), self.dim
+        return lambda *args: form_values(form, args, dim)
+
+    def _build_form(self, name: str):
+        kind, args = self._kind, self._args
+        if kind == "sum":
+            fields, coefs = args
+            forms = [f.form(name) for f in fields]
+            if any(f is None for f in forms):
+                return None
+            if isinstance(forms[0], tuple):
+                return tuple(SeparatedSum.combination(sums, coefs)
+                             for sums in zip(*forms))
+            return SeparatedSum.combination(forms, coefs)
+        if kind == "view":
+            base, names, t0 = args
+            form = base.form(names[name])
+            return (form if form is None or t0 is None
+                    else _per_component(lambda s: s.at(t0), form))
+        forms = args[1]
+        if name in forms or name == "value":
+            form = forms.get(name)
+            return form and form()
+        value, td = self.form("value"), self.time_dependent
+        if value is None:
+            return None
+        if name == "dt":
+            return _per_component(lambda s: s.derivative(0), value)
+        v = value if name == "div" else gradient_form(value, self.dim, td)
+        if name == "grad":
+            return v
+        # div (laplacian): each component of v differentiated on its axis
+        return SeparatedSum.combination(
+            [vj.derivative(int(td) + j) for j, vj in enumerate(v)],
+            [1.0] * len(v))
+
+    def _view(self, rank, names: dict, vanishes: bool = False, t0=None):
+        """A field of ``rank`` whose evaluators, and forms, are this one's
+        under the names ``names`` maps to (``value="grad"``), sliced at
+        ``t0`` unless it is None; ``value``'s is required."""
+        self._check(names["value"])
+        caps = frozenset(k for k, n in names.items()
+                         if n in self.capabilities)
+        return rank._node("view", (self, names, t0), caps, self.dim,
+                          self.time_dependent and t0 is None, vanishes)
 
     has_dt = _has("dt")
     dt = _evaluator("dt")
@@ -492,35 +471,54 @@ class _Field:
         return combination([self], [-1.0])
 
     def dt_field(self):
-        return self._view(type(self), value="dt")
+        return self._view(type(self), {"value": "dt"})
 
     def at_time(self, t0: float):
         """Spatial slice at a fixed time; the result is an elliptic field."""
         if not self.time_dependent:
             raise ValueError("at_time requires a space-time field")
-        ev = {k: _freeze_time(f, t0) for k, f in self._ev.items() if k != "dt"}
-        forms = {k: _lazy(lambda f=f: _each(lambda s: s.at(t0), f()))
-                 for k, f in self._forms.items() if k != "dt"}
-        return self._like(ev, self._vanishes, time_dependent=False,
-                          forms=forms)
+        return self._view(type(self), {k: k for k in self.capabilities
+                                       if k != "dt"}, self._vanishes, t0)
 
     def restricted(self, **keep):
         """Copy with ``value`` and only the selected capabilities retained."""
         unknown = sorted(set(keep) - set(self._KEEP))
         if unknown:
             raise TypeError(f"restricted() got unexpected keywords {unknown}")
-        ev = {k: f for k, f in self._ev.items() if k == "value" or keep.get(k)}
-        return self._like(ev, self._vanishes and keep.get("boundary_flag", False),
-                          forms=self._forms)
+        return self._view(type(self), {k: k for k in self.capabilities
+                                       if k == "value" or keep.get(k)},
+                          self._vanishes and keep.get("boundary_flag", False))
+
+
+def combination(fields, coefs):
+    """``sum_k coefs[k] * fields[k]``, for fields of one rank on one domain:
+    a node holding the fields and coefficients, carrying the evaluators that
+    every field carries (see :func:`_combined`), their forms the terms of
+    all fields' in order (:meth:`SeparatedSum.combination`), and vanishing
+    on the boundary when every field does. ``+``, ``-`` and scalar ``*``
+    are its two-term and one-term cases."""
+    first = fields[0]
+    caps, vanishes = first.capabilities, first._vanishes
+    for f in fields[1:]:
+        if not isinstance(f, type(first)):
+            name = type(first).__name__
+            raise TypeError(f"can only combine {name} with {name}")
+        if f.dim != first.dim or f.time_dependent != first.time_dependent:
+            raise ValueError("fields live on incompatible domains")
+        caps = caps & f.capabilities
+        vanishes = vanishes and f._vanishes
+    return first._node("sum", (tuple(fields), tuple(map(float, coefs))), caps,
+                       first.dim, first.time_dependent, vanishes)
 
 
 class ScalarField(_Field):
     """Pointwise-evaluable scalar field with optional analytic derivatives.
     ``form``, if given, returns the value's :class:`SeparatedSum` (or None);
-    the forms of the derivatives follow from it (:func:`scalar_forms`)."""
+    the forms of the derivatives follow from it."""
 
     __slots__ = ()
     _RANK = "scalar"
+    _NAMES = ("value", "grad", "laplacian", "dt")
     _KEEP = ("grad", "laplacian", "dt", "boundary_flag")
 
     def __init__(self, value: Callable, grad: Callable | None = None,
@@ -529,8 +527,8 @@ class ScalarField(_Field):
                  vanishes_on_boundary: bool = False,
                  form: Callable | None = None):
         super().__init__(dict(value=value, grad=grad, laplacian=laplacian,
-                              dt=dt), dim, time_dependent, vanishes_on_boundary,
-                         form and scalar_forms(form, dim, time_dependent))
+                              dt=dt), form, dim, time_dependent,
+                         vanishes_on_boundary)
 
     @property
     def vanishes_on_boundary(self) -> bool:
@@ -540,56 +538,57 @@ class ScalarField(_Field):
     grad, laplacian = _evaluator("grad"), _evaluator("laplacian")
 
     def value(self, *args) -> np.ndarray:
-        return self._ev["value"](*args)
+        return self.evaluator("value")(*args)
 
     def gradient_field(self) -> "VectorField":
-        return self._view(VectorField, value="grad", div="laplacian")
+        return self._view(VectorField, {"value": "grad", "div": "laplacian"})
 
     def laplacian_field(self) -> "ScalarField":
-        return self._view(ScalarField, value="laplacian")
+        return self._view(ScalarField, {"value": "laplacian"})
 
 
 class VectorField(_Field):
     """Pointwise-evaluable vector field with optional divergence. ``form``,
     if given, returns the value's tuple of sums, one per component (or
-    None); see :func:`vector_forms`."""
+    None)."""
 
     __slots__ = ()
     _RANK = "vector"
+    _NAMES = ("value", "div", "dt")
     _KEEP = ("div", "dt")
 
     def __init__(self, value: Callable, div: Callable | None = None,
                  dt: Callable | None = None, *, dim: int,
                  time_dependent: bool = False, form: Callable | None = None):
-        super().__init__(dict(value=value, div=div, dt=dt), dim, time_dependent,
-                         forms=form and vector_forms(form, time_dependent))
+        super().__init__(dict(value=value, div=div, dt=dt), form, dim,
+                         time_dependent, False)
 
     has_div = _has("div")
     div = _evaluator("div")
 
     def value(self, *args) -> np.ndarray:
-        return self._ev["value"](*args)
+        return self.evaluator("value")(*args)
 
     def div_field(self) -> ScalarField:
-        return self._view(ScalarField, value="div")
+        return self._view(ScalarField, {"value": "div"})
 
 
 def form_field(rank, forms: dict, dom: BoxDomain, vanishes: bool = False):
-    """A field of ``rank`` on ``dom`` whose evaluators are the values of its
-    forms ``forms`` (see :func:`scalar_forms`), each evaluating its form
-    through :func:`form_values`; none of them ``dt`` on an elliptic box."""
-    dim, td = dom.dim, dom.is_parabolic
-    ev = {k: lambda *args, f=f: form_values(f(), args, dim)
-          for k, f in forms.items() if td or k != "dt"}
-    return rank._from_maps(ev, dim, td, vanishes, forms)
+    """A field of ``rank`` on ``dom`` that is its forms: ``forms`` maps
+    ``value``, and any name whose form does not derive from the value's,
+    to a callable returning that form; each evaluator evaluates its form
+    through :func:`form_values`. It carries every evaluator of its rank,
+    ``dt`` only on a space-time box."""
+    td = dom.is_parabolic
+    caps = frozenset(k for k in rank._NAMES if td or k != "dt")
+    return rank._node("leaf", (None, forms), caps, dom.dim, td, vanishes)
 
 
 def constant_scalar(c: float, dom: BoxDomain) -> ScalarField:
     c = float(c)
     value = SeparatedSum([c], [(ONE,) * (dom.dim + dom.is_parabolic)])
-    return form_field(ScalarField, scalar_forms(lambda: value, dom.dim,
-                                                dom.is_parabolic),
-                      dom, vanishes=(c == 0.0))
+    return form_field(ScalarField, {"value": lambda: value}, dom,
+                      vanishes=(c == 0.0))
 
 
 def zero_scalar(dom: BoxDomain) -> ScalarField:
@@ -597,5 +596,5 @@ def zero_scalar(dom: BoxDomain) -> ScalarField:
 
 
 def zero_vector(dom: BoxDomain) -> VectorField:
-    return form_field(VectorField, vector_forms(
-        lambda: (_empty(),) * dom.dim, dom.is_parabolic), dom)
+    return form_field(VectorField, {"value": lambda: (_empty(),) * dom.dim},
+                      dom)

@@ -19,8 +19,8 @@ from typing import List, Optional
 import numpy as np
 
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
-                     SeparatedSum, VectorField, _empty, _lazy, form_field,
-                     scalar_forms, trig_factor, vector_forms)
+                     SeparatedSum, VectorField, _empty, form_field,
+                     gradient_form, trig_factor)
 from .quadrature import QuadratureRule, norm_sq
 from .symbolic import (_expression, _memoised, data_field, derivatives,
                        nonvanishing_face, scalar_field)
@@ -136,21 +136,14 @@ def _scalar(s: SeparatedSum, dom: BoxDomain,
             vanishes: bool = False) -> ScalarField:
     """The scalar field of the sum ``s``, with gradient, Laplacian and (on a
     space-time box) time derivative."""
-    return form_field(ScalarField, scalar_forms(lambda: s, dom.dim,
-                                                dom.is_parabolic),
-                      dom, vanishes)
-
-
-def _gradient_forms(s: SeparatedSum, dom: BoxDomain) -> dict:
-    """The forms of the evaluators of the gradient of the sum ``s``."""
-    td = dom.is_parabolic
-    return vector_forms(scalar_forms(lambda: s, dom.dim, td)["grad"], td)
+    return form_field(ScalarField, {"value": lambda: s}, dom, vanishes)
 
 
 def _gradient(s: SeparatedSum, dom: BoxDomain) -> VectorField:
     """The gradient of the sum ``s``, with divergence (its Laplacian) and
     (on a space-time box) time derivative."""
-    return form_field(VectorField, _gradient_forms(s, dom), dom)
+    return form_field(VectorField, {"value": lambda: gradient_form(
+        s, dom.dim, dom.is_parabolic)}, dom)
 
 
 def _rotgrad(s: SeparatedSum, dom: BoxDomain) -> VectorField:
@@ -159,15 +152,12 @@ def _rotgrad(s: SeparatedSum, dom: BoxDomain) -> VectorField:
     divergence's form is the empty sum."""
     if dom.dim != 2:
         raise ValueError("rotated gradients require d = 2")
-    grad = _gradient_forms(s, dom)
 
-    def rotated(form):
-        return _lazy(lambda: (SeparatedSum.combination([form()[1]], [-1.0]),
-                              form()[0]))
+    def rotated():
+        gx, gy = gradient_form(s, 2, dom.is_parabolic)
+        return SeparatedSum.combination([gy], [-1.0]), gx
 
-    return form_field(VectorField, {"value": rotated(grad["value"]),
-                                    "div": _empty, "dt": rotated(grad["dt"])},
-                      dom)
+    return form_field(VectorField, {"value": rotated, "div": _empty}, dom)
 
 
 def _random_trig(dom: BoxDomain, rng, n_terms: int = 3,

@@ -4,6 +4,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import itertools
 import json
 import math
 import os
@@ -263,6 +264,50 @@ def _clean(rec: dict) -> dict:
     return {k: v for k, v in rec.items() if k not in _VOLATILE_KEYS}
 
 
+# what the C encoder writes between items, and after keys as the indented
+# form does: it escapes every control character inside a string, so a raw
+# NUL is only ever part of an item separator
+_SEPARATORS = ("\x00,", ": ")
+# the types whose values the C encoder writes as one token
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+def _scalars(values) -> bool:
+    return set(map(type, values)) <= _SCALARS
+
+
+def _indented(obj, depth: int = 0) -> str:
+    """``json.dumps(obj, indent=2)``, byte for byte, at nesting ``depth``,
+    with the C encoder. A container of scalars, and a list of nonempty
+    dicts of scalars (the records of a report), is encoded in one call with
+    :data:`_SEPARATORS`, whose item separators are then expanded to the
+    indented ones; any other container (with string keys) is laid out item
+    by item."""
+    if not isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj)
+    if not obj:
+        return "{}" if isinstance(obj, dict) else "[]"
+    end = "\n" + "  " * depth
+    pad = end + "  "
+    if _scalars(obj.values() if isinstance(obj, dict) else obj):
+        text = json.dumps(obj, separators=_SEPARATORS)[1:-1]
+        body = text.replace("\x00,", "," + pad)
+    elif (isinstance(obj, list) and all(type(v) is dict and v for v in obj)
+          and _scalars(itertools.chain.from_iterable(map(dict.values, obj)))):
+        # only between two of the dicts does a separator follow a "}"
+        inner = pad + "  "
+        text = json.dumps(obj, separators=_SEPARATORS)[2:-2].replace(
+            "}\x00,{", pad + "}," + pad + "{" + inner)
+        body = "{" + inner + text.replace("\x00,", "," + inner) + pad + "}"
+    elif isinstance(obj, dict):
+        body = ("," + pad).join(f"{json.dumps(k)}: {_indented(v, depth + 1)}"
+                                for k, v in obj.items())
+    else:
+        body = ("," + pad).join(_indented(v, depth + 1) for v in obj)
+    brackets = "{}" if isinstance(obj, dict) else "[]"
+    return brackets[0] + pad + body + end + brackets[1]
+
+
 def _csv_columns(records: List[dict]) -> List[str]:
     extra = sorted({k for r in records for k in r} - set(_META_COLUMNS)
                    - set(_VOLATILE_KEYS))
@@ -284,7 +329,7 @@ def emit(report: RunReport, formats, outdir) -> List[Path]:
             path = outdir / "report.json"
             doc = {"schema_version": report.schema_version,
                    "records": [_clean(r) for r in report.records]}
-            path.write_text(json.dumps(doc, indent=2) + "\n")
+            path.write_text(_indented(doc) + "\n")
             written.append(path)
         elif fmt == "csv":
             path = outdir / "report.csv"

@@ -27,6 +27,7 @@ from functools import lru_cache, partial, wraps
 import numpy as np
 import sympy as sp
 from sympy.core.evalf import PrecisionExhausted
+from sympy.printing.numpy import NumPyPrinter
 
 from .fields import (ONE, BoxDomain, Factor, ScalarField, SeparatedSum,
                      VectorField, coordinates, interned, trig_factor)
@@ -214,11 +215,28 @@ def nonvanishing_face(expr: sp.Expr, dom: BoxDomain):
     return None
 
 
+# the names that generated numpy code may use: the numpy functions of
+# FUNCTIONS (numpy spells the inverse trigonometric ones arcsin, arccos and
+# arctan), pi and e, and nothing else, so lambdify imports no module
+NAMESPACE = {name: getattr(np, name) for name in (
+    {"asin": "arcsin", "acos": "arccos", "atan": "arctan"}.get(f, f)
+    for f in FUNCTIONS)} | {"pi": np.pi, "e": np.e}
+
+
+def _numpy_lambdify(symbols, expr):
+    """``sp.lambdify(symbols, expr, modules="numpy")``, the same source and
+    the same values, against :data:`NAMESPACE` with the printer lambdify
+    picks for ``"numpy"``."""
+    return sp.lambdify(symbols, expr, modules=NAMESPACE, printer=NumPyPrinter(
+        {"fully_qualified_modules": False, "inline": True,
+         "allow_unknown_functions": True, "user_functions": {}}))
+
+
 @_memoised
 def _numpy_function(expr, dim: int, time_dependent: bool):
     """The numpy function of ``expr`` in (t,) x, y, z."""
     symbols = ((T_SYMBOL,) if time_dependent else ()) + X_SYMBOLS[:dim]
-    return sp.lambdify(symbols, expr, modules="numpy")
+    return _numpy_lambdify(symbols, expr)
 
 
 # an expression of more terms than this, expanded, gets no separated form:
@@ -266,7 +284,7 @@ def _factor(expr, sym) -> Factor:
         freq = sp.diff(expr.args[0], sym)
         if freq.is_number and expr.args[0] == freq * sym:
             return trig_factor(expr.func.__name__, float(freq), 0.0)
-    return Factor(sp.lambdify((sym,), expr, modules="numpy"),
+    return Factor(_numpy_lambdify((sym,), expr),
                   lambda: tuple(_scaled_factor(term, sym) for term in
                                 sp.Add.make_args(sp.expand(sp.diff(expr, sym)))
                                 if term != 0))

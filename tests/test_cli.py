@@ -19,7 +19,7 @@ from errbounds import (
     run,
 )
 from errbounds.cli import main
-from errbounds.runner import RunReport
+from errbounds.runner import SCHEMA_VERSION, RunReport
 
 MINIMAL = {
     "cases": [{"kind": "RD", "lower": [0.0], "upper": [1.0],
@@ -311,6 +311,34 @@ def test_emit_byte_identical(tmp_path):
     emit(run(cfg), ["json"], tmp_path / "b")
     assert ((tmp_path / "a" / "report.json").read_bytes()
             == (tmp_path / "b" / "report.json").read_bytes())
+
+
+def _canonical(records):
+    """The report.json of ``records`` as ``json.dumps(indent=2)`` writes it."""
+    doc = {"schema_version": SCHEMA_VERSION,
+           "records": [{k: v for k, v in r.items() if k != "wall_time_s"}
+                       for r in records]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def test_emit_json_is_the_canonical_encoding_of_the_default_suite(tmp_path):
+    report = run(default_suite_config())
+    (path,) = emit(report, ["json"], tmp_path)
+    assert path.read_bytes() == _canonical(report.records).encode()
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [{"case": "Lösung ünïcødé ☃ 解", "epsilon": 0.1}],
+    [{"a": math.nan, "b": math.inf, "c": -math.inf, "d": None}],
+    [{"status": "error", "error": 'a "quoted" \x00 NUL\nand a newline'},
+     {"status": "ok", "error": None, "flag": True, "n": 3}],
+    [{"a": "}", "b": "{"}, {"c": "}\x00,{", "d": ": "}],
+    [{"case": "a", "values": [1.0, {"x": []}]}, {}, {"case": "b"}],
+], ids=["empty", "non-ascii", "nan-inf", "error-string", "braces", "nested"])
+def test_emit_json_is_the_canonical_encoding(records, tmp_path):
+    (path,) = emit(RunReport(records=records), ["json"], tmp_path)
+    assert path.read_bytes() == _canonical(records).encode()
 
 
 MAJORANT = {

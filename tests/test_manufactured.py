@@ -32,6 +32,7 @@ from errbounds.fields import Factor, form_values, grid_axes
 from errbounds.manufactured import (_gradient, _modes, _random_trig, _rotgrad,
                                     _scalar, directions)
 from errbounds.quadrature import space_nodes, spacetime_nodes
+from test_fields import _capabilities, without_forms
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -365,7 +366,7 @@ def test_normalized_copy_leaves_the_sum_and_its_views(dom):
         ts.coefs[0] = 1.0
     separated = norm_sq("L2", view, dom, RULE)
     assert separated == pytest.approx(
-        norm_sq("L2", view.without_forms(), dom, RULE), rel=1e-13)
+        norm_sq("L2", without_forms(view), dom, RULE), rel=1e-13)
     assert norm_sq("L2", _scalar(unit, dom), dom, RULE) == pytest.approx(
         1.0, rel=1e-10)
     assert separated != pytest.approx(1.0, rel=1e-3)
@@ -539,8 +540,7 @@ def _form_factors(ts, dom):
         views.append(_rotgrad(ts, dom))
     positions = {}
     for view in views:
-        for form in view._forms.values():
-            form = form()
+        for form in map(view.form, view.capabilities):
             for s in (form if isinstance(form, tuple) else (form,)):
                 for fs in s.factors:
                     for i, f in enumerate(fs):
@@ -648,11 +648,6 @@ PERTURBED = {
 }
 
 
-def _capabilities(field):
-    return {name for name in ("value", "grad", "laplacian", "dt", "div")
-            if name == "value" or getattr(field, f"has_{name}", False)}
-
-
 def _same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and \
         a.tobytes() == b.tobytes()
@@ -690,10 +685,12 @@ def test_form_fields_keep_their_capabilities_and_evaluate_their_forms(dom):
     for name, field in fields.items():
         caps, with_dt, vanishes, is_forms = FORM_FIELDS[name]
         expected = set(caps) | ({"dt"} if td and with_dt else set())
-        assert _capabilities(field) == expected == set(field._forms), name
+        assert _capabilities(field) == expected == {
+            cap for cap in field.capabilities
+            if field.form(cap) is not None}, name
         assert getattr(field, "vanishes_on_boundary", None) is vanishes, name
         for cap in expected if is_forms else ():
-            form = field._forms[cap]()
+            form = field.form(cap)
             for on in (args, copies):
                 assert _same_bits(getattr(field, cap)(*on),
                                   form_values(form, on, dom.dim)), (name, cap)

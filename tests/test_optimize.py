@@ -406,8 +406,10 @@ def test_combination_is_the_fold_of_its_two_term_cases_bitwise(T):
     fold = float(coeffs[0]) * fields[0]
     for c, f in zip(coeffs[1:], fields[1:]):
         fold = fold + float(c) * f
-    names = list(one._ev)
-    assert names == list(fold._ev) == list(one._forms) == list(fold._forms)
+    names = sorted(one.capabilities)
+    assert names == sorted(fold.capabilities) == sorted(
+        n for n in one.capabilities if one.form(n) is not None) == sorted(
+        n for n in fold.capabilities if fold.form(n) is not None)
     assert len(names) == (3 if T else 2)
     args = (spacetime_nodes(dom, RULE)[:2] if T else space_nodes(dom, RULE)[:1])
     for on in (args, tuple(a.copy() for a in args)):
@@ -415,7 +417,7 @@ def test_combination_is_the_fold_of_its_two_term_cases_bitwise(T):
             assert np.array_equal(getattr(one, name)(*on),
                                   getattr(fold, name)(*on)), name
     for name in names:
-        a, b = one._forms[name](), fold._forms[name]()
+        a, b = one.form(name), fold.form(name)
         for sa, sb in zip(*((s if isinstance(s, tuple) else (s,))
                             for s in (a, b))):
             assert list(map(float.hex, sa.coefs)) == list(

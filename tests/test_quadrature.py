@@ -27,6 +27,7 @@ from errbounds import (
 )
 from errbounds.manufactured import _gradient, _random_trig, _scalar
 from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, samples
+from test_fields import without_forms
 
 RULE = QuadratureRule()
 DOM1 = BoxDomain((0.0,), (1.0,))
@@ -221,8 +222,7 @@ def _counting(field, counts, prefix=""):
             return fn(*args)
         return h
 
-    return field._like({name: wrap(name, fn) for name, fn in field._ev.items()},
-                       field._vanishes)
+    return without_forms(field, wrap)
 
 
 @pytest.mark.parametrize("kind, expected", [
@@ -321,7 +321,7 @@ def test_l2_gram_flat_kernel_matches_three_operand_contraction(dom, rule):
     # vector rows are the (N, d) values raveled, weighted per component:
     # the one kernel gives the per-component contraction it replaced. It is
     # the path of fields without a separated form
-    fields = [f.without_forms() for f in _gram_fields(dom, vector=True)]
+    fields = [without_forms(f) for f in _gram_fields(dom, vector=True)]
     w = (spacetime_nodes(dom, rule)[2] if dom.is_parabolic
          else space_nodes(dom, rule)[1])
     rows, wv = samples(fields, dom, rule)

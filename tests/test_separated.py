@@ -22,6 +22,7 @@ from errbounds import (BoxDomain, QuadratureRule, fields, flux_basis, free_field
 from errbounds.fields import trig_factor
 from errbounds.manufactured import _rotgrad, _scalar, _trig_sum
 from errbounds.optimize import improve_bound, minimize_flux_majorant
+from test_fields import without_forms
 
 # 1-D factors of the sympy terms, in the coordinate {s}, and time factors
 _FACTORS = ("sin(2*{s})", "cos({s}/2)", "{s}**2 - 1", "exp(-{s}/4)",
@@ -114,8 +115,8 @@ def test_separated_norms_match_the_grid(problem):
         assert field.separated() is not None
         with mock.patch.object(quadrature, "_grid_inner", _grid_only):
             separated = measure(field)
-        grid = measure(field.without_forms())
-        scale = math.fsum(abs(c) * math.sqrt(measure(w.without_forms()))
+        grid = measure(without_forms(field))
+        scale = math.fsum(abs(c) * math.sqrt(measure(without_forms(w)))
                           for c, w in terms)
         assert abs(separated - grid) <= 1e-14 * scale ** 2, (name, separated,
                                                              grid, scale)
@@ -124,8 +125,8 @@ def test_separated_norms_match_the_grid(problem):
     v = _combined([(1.0 + c * c, f) for c, f in reversed(scalars)])
     with mock.patch.object(quadrature, "_grid_inner", _grid_only):
         separated = l2_inner(w, v, dom, rule)
-    grid = l2_inner(w.without_forms(), v.without_forms(), dom, rule)
-    norms = [math.sqrt(norm_sq("L2", f.without_forms(), dom, rule))
+    grid = l2_inner(without_forms(w), without_forms(v), dom, rule)
+    norms = [math.sqrt(norm_sq("L2", without_forms(f), dom, rule))
              for _, f in scalars]
     scale = (math.fsum(abs(c) * n for (c, _), n in zip(scalars, norms))
              * math.fsum((1.0 + c * c) * n for (c, _), n in zip(scalars, norms)))
@@ -135,7 +136,7 @@ def test_separated_norms_match_the_grid(problem):
 def _suffix_sums(terms, dom, rule):
     """The sums of the last k of ``terms``, for k from len(terms) down to
     1, and the scale of each: the sum of |c| ||w|| over its terms."""
-    norms = [abs(c) * math.sqrt(norm_sq("L2", w.without_forms(), dom, rule))
+    norms = [abs(c) * math.sqrt(norm_sq("L2", without_forms(w), dom, rule))
              for c, w in terms]
     return ([_combined(terms[k:]) for k in range(len(terms))],
             [math.fsum(norms[k:]) for k in range(len(terms))])
@@ -153,8 +154,8 @@ def test_separated_gram_matches_the_grid(problem):
             with mock.patch.object(quadrature, "samples", _grid_only):
                 G = l2_gram(left, right, dom, rule)
             scale = np.outer(lscale, rscale)
-            bare = ([f.without_forms() for f in left],
-                    [f.without_forms() for f in right])
+            bare = ([without_forms(f) for f in left],
+                    [without_forms(f) for f in right])
             # the grid's Gram sums each entry sequentially, which alone errs
             # by up to about 2e-14 of the scale in these draws; its inner
             # product rounds correctly, as the separated sums do
@@ -187,7 +188,7 @@ def test_samples_of_forms_match_the_evaluators(problem):
         fields = [w for _, w in terms]
         with mock.patch.object(type(fields[0]), "value", _grid_only):
             rows, w = quadrature.samples(fields, dom, rule)
-        grid, w_grid = quadrature.samples([f.without_forms() for f in fields],
+        grid, w_grid = quadrature.samples([without_forms(f) for f in fields],
                                           dom, rule)
         assert np.array_equal(w, w_grid)
         scale = np.abs(grid).max(axis=1, keepdims=True)
@@ -205,7 +206,7 @@ def test_sympy_trig_factors_combine_with_trig_fields():
     scale = math.sqrt(norm_sq("L2", g, dom, rule))
     for delta in (1e-3, 1e-6, 1e-9):
         w = g - (1.0 + delta) * b
-        grid = norm_sq("L2", w.without_forms(), dom, rule)
+        grid = norm_sq("L2", without_forms(w), dom, rule)
         # the grid rounds each node's difference, an error of first order
         # in the norm of w; squaring the terms apart errs by 1e-16 of
         # scale**2, above this bound for every delta
@@ -264,7 +265,7 @@ def test_a_power_inside_a_function_is_not_expanded():
     with mock.patch.object(sympy, "expand", side_effect=AssertionError):
         assert w.separated() is None
         assert norm_sq("L2", w, dom, rule) == norm_sq(
-            "L2", w.without_forms(), dom, rule)
+            "L2", without_forms(w), dom, rule)
     # so is a sum of more than 64 terms raised to a negative power
     assert scalar_field("x*(1-x)/(x + y + 3)**12", dom).separated() is None
 

@@ -1,6 +1,7 @@
 """The symbolic front end: solution text is parsed without being run, every
 derivative is derived once, and boundary vanishing is decided exactly."""
 import ast
+import inspect
 import json
 import re
 import sys
@@ -297,6 +298,24 @@ def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
     make_case.cache_clear()
     make_case(kind, dom, text)
     assert calls == []
+
+
+@pytest.mark.parametrize("name", [*symbolic.FUNCTIONS, *symbolic.CONSTANTS])
+def test_lambdify_namespace_is_the_whitelist(name):
+    # every function and constant a solution may name evaluates, bit for
+    # bit, as lambdify against all of numpy does, from the same source; only
+    # whitelisted names (and lambdify's own builtins, range and the
+    # arguments) reach the generated function
+    x = sp.Symbol("x")
+    expr = (symbolic.FUNCTIONS[name](x / 3 + sp.Rational(1, 7))
+            if name in symbolic.FUNCTIONS else symbolic.CONSTANTS[name] * x)
+    fast = symbolic._numpy_lambdify((x,), expr)
+    numpy = sp.lambdify((x,), expr, modules="numpy")
+    assert inspect.getsource(fast) == inspect.getsource(numpy)
+    points = np.linspace(0.0, 0.9, 101)
+    assert fast(points).tobytes() == numpy(points).tobytes()
+    names = {n for n in fast.__globals__ if not n.startswith("__")}
+    assert names - {"builtins", "range", "x"} <= set(symbolic.NAMESPACE)
 
 
 # pairs that print differently, but that sympy before 1.13 takes as equal
