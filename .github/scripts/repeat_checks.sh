@@ -3,11 +3,11 @@
 # the root of a checkout; scratch files go to $RUNNER_TEMP (a new temporary
 # directory when unset).
 #
-# The process-wide memos (the tables of factor-pair integrals per axis rule,
-# the norm plans per raw form and axis rules, the basis Grams per box and
-# rule) fill in the order a process first meets their keys: fresh processes
-# that hash strings differently, and processes that ran something else
-# first, must still write the same bytes.
+# The process-wide memos (the plans of term-pair integrals per raw factor
+# tuples and axis rules, the basis Grams per box and rule) fill in the order
+# a process first meets their keys: fresh processes that hash strings
+# differently, processes that ran something else first, and a process whose
+# plan memo restarts many times, must still write the same bytes.
 set -euo pipefail
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -116,3 +116,20 @@ descending, ascending = (
 assert len(descending) == 6, sorted(descending)
 assert ascending == descending, "records depend on the size order"
 PY
+
+echo "Reports repeat when the plan memo restarts"
+# a bound of 8 plans restarts the memo many times within each run; every
+# plan is built again from its own pairs, so the bytes must not move
+python - "$tmp" <<'PY'
+import contextlib, io, sys
+from errbounds import quadrature
+from errbounds.cli import main
+tmp = sys.argv[1]
+quadrature.PLAN_MEMO = 8
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["suite", "--out", f"{tmp}/suite-restarts"]) == 0
+    assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
+                 "--out", f"{tmp}/majorant-restarts"]) == 0
+PY
+cmp "$tmp/suite-0/report.json" "$tmp/suite-restarts/report.json"
+cmp "$tmp/majorant-0/report.json" "$tmp/majorant-restarts/report.json"

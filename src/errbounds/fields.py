@@ -95,12 +95,11 @@ class Factor:
     (none where it is zero). Factors are interned where they are made
     (:func:`interned`), so equal factors are one object: terms of a sum
     with the same factors merge (:meth:`SeparatedSum.merged`), :meth:`on`
-    evaluates each factor once per cached node array, and the table of a
-    cached 1-D rule (:func:`quadrature.axis_grams`) integrates the product
-    of each pair of factors once, holding the factors it has a row for, at
-    most :data:`quadrature.AXIS_GRAM_MEMO` of them per rule. A factor made
-    afresh each time, such as the time polynomial of a perturbation, is
-    integrated again in each new object."""
+    evaluates each factor once per cached node array, and the plans of
+    :mod:`errbounds.quadrature`, keyed by factor tuples, are met again by
+    equal sums (:func:`quadrature._plan`). A factor made afresh each time,
+    such as the time polynomial of a perturbation, gives each sum that
+    holds it a plan of its own."""
 
     __slots__ = ("_fn", "_derive", "_derivative", "_memo")
 
@@ -146,8 +145,8 @@ def interned(fn):
     """``fn`` memoised per process for good: equal arguments always give
     the object made at the first call. It exposes no ``cache_clear``:
     factors are interned so that equal ones are one object, which sums
-    merge their terms on and :func:`quadrature.axis_grams` keys its rows
-    on, and a clear would split them into older and newer objects."""
+    merge their terms on and :func:`quadrature._plan` keys its plans on,
+    and a clear would split them into older and newer objects."""
     made = functools.lru_cache(maxsize=None)(fn)
 
     @functools.wraps(fn)

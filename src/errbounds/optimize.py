@@ -3,14 +3,14 @@
 Both majorants take one flux step (:func:`_flux_step`), which assembles
 everything once. Per box and rule the process keeps, for at most
 :data:`manufactured.FLUX_BASIS_MEMO` pairs, the largest flux basis
-assembled there: its Grams (:func:`_basis_grams`) and the basis side of
-the step's term tables (:class:`_BasisTerms`), so a flux basis of any size
-on a box, the leading fields of one list (:func:`manufactured.flux_basis`),
-takes blocks of them. A record joins only its own d and targets to the
-kept tables: it integrates the terms they lack, and gathers the blocks
-that pair them with the basis, equal to ``l2_gram`` bit for bit, and the
-norms of every step, equal to ``norm_sq`` of the step's flux bit for bit.
-A step then costs one n x n solve and a few contractions.
+assembled there: its Grams and the raw terms of its forms
+(:func:`_basis_grams`), so a flux basis of any size on a box, the leading
+fields of one list (:func:`manufactured.flux_basis`), takes blocks of them.
+A record joins its own d and targets to the kept raw terms, and the plans
+of the joined terms (:func:`quadrature._plan`), kept per process, give the
+blocks that pair them with the basis, equal to ``l2_gram`` bit for bit,
+and the norms of every step, equal to ``norm_sq`` of the step's flux bit
+for bit. A step then costs one n x n solve and a few contractions.
 """
 from __future__ import annotations
 
@@ -25,9 +25,8 @@ import numpy as np
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase
-from .quadrature import (QuadratureRule, _check_fields, _entry_sums, _fsum,
-                         _merged, _norm_addends, axis_rules, l2_gram, norm_sq,
-                         samples, term_grams, weighted_gram)
+from .quadrature import (QuadratureRule, _check_fields, _raw_terms, _Sums,
+                         axis_rules, l2_gram, norm_sq, samples, weighted_gram)
 from .reports import BoundReport
 
 
@@ -76,9 +75,9 @@ def _young(A: float, B: float) -> Tuple[float, float]:
     return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
 
 
-# (box, rule) -> [basis, divs, BB, DD, terms]: the longest basis assembled
-# there, its divergences and Grams, and its term tables (_basis_terms), kept
-# for the FLUX_BASIS_MEMO latest pairs
+# (box, rule) -> [basis, divs, BB, DD, raw]: the longest basis assembled
+# there, its divergences and Grams, and the raw terms of its forms, kept for
+# the FLUX_BASIS_MEMO latest pairs
 _basis_grams_memo = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(
     lambda dom, rule: [])
 
@@ -91,7 +90,11 @@ def _basis_grams(basis, dom, rule):
     ``basis`` is, field by field (``is``), the start of the kept basis,
     else assembled and kept. Each entry of an :func:`l2_gram` is its own
     pair's value, independent of the rest of either list, so a block equals
-    the Gram of the prefix bit for bit."""
+    the Gram of the prefix bit for bit. Beside them the memo keeps the raw
+    terms (:func:`quadrature._raw_terms`) of the divergences and, per
+    component, of the fields of the leading fields that carry forms with
+    their divergences, and how many those are; empty where the first
+    carries none."""
     kept, n = _basis_grams_memo(dom, rule), len(basis)
     if not (kept and len(kept[0]) >= n
             and all(map(operator.is_, basis, kept[0]))):
@@ -99,118 +102,20 @@ def _basis_grams(basis, dom, rule):
         grams = l2_gram(basis, basis, dom, rule), l2_gram(divs, divs, dom, rule)
         for G in grams:
             G.setflags(write=False)
-        kept[:] = [list(basis), divs, *grams, None]
+        forms = list(itertools.takewhile(
+            lambda pair: None not in pair,
+            ((b.separated(), v.separated()) for b, v in zip(basis, divs))))
+        raw = forms and (len(forms), _raw_terms([v for _, v in forms]),
+                         [_raw_terms(c) for c in zip(*(b for b, _ in forms))])
+        kept[:] = [list(basis), divs, *grams, raw]
     return kept[1][:n], kept[2][:n, :n], kept[3][:n, :n]
 
 
-def _basis_terms(dom, rule):
-    """The term tables (:class:`_BasisTerms`) of the divergences and of the
-    fields of the basis kept on the box and rule (:func:`_basis_grams`), of
-    its leading fields that carry forms with their divergences; built at
-    the first call after the basis was kept, empty where the first carries
-    none."""
-    kept = _basis_grams_memo(dom, rule)
-    if kept[4] is None:
-        forms = list(itertools.takewhile(
-            lambda pair: None not in pair,
-            ((b.separated(), v.separated()) for b, v in zip(*kept[:2]))))
-        axes = axis_rules(dom, rule)
-        kept[4] = forms and [_BasisTerms([v for _, v in forms], axes),
-                             _BasisTerms([b for b, _ in forms], axes)]
-    return kept[4]
-
-
-class _BasisTerms:
-    """The basis side of the step's term tables, for the separated forms
-    ``forms`` of the kept basis's divergences (each a
-    :class:`fields.SeparatedSum`) or fields (each a tuple of them, one per
-    component). Per component: the union of their term factor tuples, each
-    raw term's owner (its form), slot in it and coefficient, each form's
-    merged (slot, coefficient) pairs (:func:`quadrature._merged`) and the
-    term-pair integrals H of the union (:func:`quadrature.term_grams`). A
-    record adds its own forms (:meth:`join`)."""
-
-    def __init__(self, forms, axes):
-        scalar = not isinstance(forms[0], tuple)
-        self.size, self.axes, self.parts = len(forms), axes, []
-        for c in range(1 if scalar else len(forms[0])):
-            sums = [f if scalar else f[c] for f in forms]
-            # factors compare by identity, as the keys of merged() do
-            union = {}
-            raw = [_raw(s, lambda fs: union.setdefault(fs, len(union)))
-                   for s in sums]
-            merged = [_merged(*r, len(union)) for r in raw]
-            terms = list(union)
-            self.parts.append((
-                union, terms,
-                np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
-                *map(np.concatenate, zip(*raw)),
-                *map(np.concatenate, zip(*merged)),
-                np.cumsum([0, *(len(k) for k, _ in merged)]),
-                term_grams(terms, terms, axes)))
-
-    def join(self, forms, n: int, first: bool):
-        """A record's forms (d, or the targets) joined to the kept ones:
-        the block ``G[j, i] = <forms[j], kept form i>`` for i < n, equal to
-        ``l2_gram`` of the fields bit for bit (the addends of
-        :func:`quadrature._separated_gram`, H gathered, and correctly
-        rounded sums of them do not depend on their order), and per form
-        the parts of its :func:`_norm_sq`: its raw terms before the kept
-        ones if ``first``, else after, its owner the last scale. Only the
-        terms that the union lacks are integrated, against the union and
-        each other; the block of the union with them is their transpose, as
-        the axis tables are exactly symmetric."""
-        scalar = not isinstance(forms[0], tuple)
-        blocks, tables = [], [[] for _ in forms]
-        for c, (union, terms, owner, slots, coefs, mslots, mcoefs, ends,
-                H) in enumerate(self.parts):
-            sums = [f if scalar else f[c] for f in forms]
-            size, new = len(union), {}
-            for s in sums:
-                for fs in s.factors:
-                    if fs not in union:
-                        new.setdefault(fs, size + len(new))
-            if new:
-                added = term_grams(list(new), [*terms, *new], self.axes)
-                H, kept = np.empty((len(added[0]),) * 2), H
-                H[:size, :size] = kept
-                H[size:] = added
-                H[:size, size:] = added[:, :size].T
-            slot = {**union, **new}.__getitem__
-            raw = [_raw(s, slot) for s in sums]
-            merged = [_merged(*r, len(H)) for r in raw]
-            rows, m = map(np.concatenate, zip(*merged))
-            blocks.append((np.multiply.outer(m, mcoefs[:ends[n]])
-                           * H[rows[:, None], mslots[:ends[n]]],
-                           [len(k) for k, _ in merged], np.diff(ends[:n + 1])))
-            for (own_slots, own_coefs), parts in zip(raw, tables):
-                own = np.full(len(own_slots), self.size), own_slots, own_coefs
-                pair = ((own, (owner, slots, coefs)) if first else
-                        ((owner, slots, coefs), own))
-                parts.append((*map(np.concatenate, zip(*pair)), H))
-        return _entry_sums(blocks, len(forms), n), tables
-
-
-def _raw(s, slot):
-    """The raw terms of the sum ``s``: the slots ``slot`` gives their
-    factor tuples, and their coefficients."""
-    return (np.array([slot(fs) for fs in s.factors], dtype=np.intp),
-            np.array(s.coefs, dtype=float))
-
-
-def _norm_sq(parts, scales: np.ndarray) -> float:
-    """``||sum_j scales[j] operands[j]||^2`` of the separated forms whose
-    raw terms ``parts`` holds, per component (owner, slot, coefficient) and
-    the term-pair integrals H of the slots, as
-    :func:`quadrature.separated_inner` takes the norm of the combination's
-    form: per component the addends of the merged terms of the raw terms'
-    ``coef * scale`` (:func:`quadrature._norm_addends`), and one correctly
-    rounded sum of all components' ``m_k m_l H_kl``; 0 where rounding
-    leaves it below zero. A scale of 0 adds only zeros, so it drops its
-    operand."""
-    return max(_fsum(np.concatenate([
-        _norm_addends(slots, coefs * scales[owner], H)
-        for owner, slots, coefs, H in parts])), 0.0)
+def _joined(first, then, count: int):
+    """The raw terms (:func:`quadrature._raw_terms`) ``first`` of ``count``
+    forms followed by the raw terms ``then``, their owners after those."""
+    return (first[0] + then[0], np.concatenate((first[1], then[1] + count)),
+            np.concatenate((first[2], then[2])))
 
 
 def _flux_terms(basis, divs, d, targets, dom, rule):
@@ -218,34 +123,40 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
     the step's norms as a function of its coefficients c: ||d + sum_i c_i
     div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``. d and the
     targets are checked against the box and the basis as ``l2_gram``
-    checks them. When all carry separated forms, everything comes from the
-    term tables of the kept basis (:func:`_basis_terms`) joined to d and
-    the targets (:meth:`_BasisTerms.join`); otherwise d, the targets and
-    the basis are sampled once and the blocks and norms taken from the
-    rows."""
+    checks them. When all carry separated forms, everything comes from two
+    :class:`quadrature._Sums`: d joined before the kept divergences, for
+    d + div psi, and the targets after the kept fields, for psi - t
+    (the raw terms kept by :func:`_basis_grams`, :func:`_joined`). Their
+    blocks equal ``l2_gram`` and their norms ``norm_sq`` of the step's
+    flux, bit for bit, and a warm record's plans are kept. Otherwise d, the
+    targets and the basis are sampled once and the blocks and norms taken
+    from the rows."""
     # in l2_gram's order; the basis and its divergences were checked as
     # they were kept
     _check_fields([*targets, basis[0]], dom)
     _check_fields([d, divs[0]], dom)
-    N, fd, ft = len(basis), d.separated(), [t.separated() for t in targets]
-    terms = (_basis_terms(dom, rule)
-             if fd is not None and all(f is not None for f in ft) else [])
-    if terms and terms[0].size >= N:
-        on_divs, on_fields = terms
-        RD, (residual,) = on_divs.join([fd], N, first=True)
-        RT, gaps = on_fields.join(ft, N, first=False)
+    N, T, fd = len(basis), len(targets), d.separated()
+    ft = [t.separated() for t in targets]
+    raw = _basis_grams_memo(dom, rule)[4]
+    if raw and raw[0] >= N and fd is not None and None not in ft:
+        size, on_divs, on_fields = raw
+        axes = axis_rules(dom, rule)
+        residual = _Sums([_joined(_raw_terms([fd]), on_divs, 1)], axes)
+        gaps = _Sums([_joined(part, _raw_terms(sums), size)
+                      for part, sums in zip(on_fields, zip(*ft))], axes)
         # the scales of the kept forms: the coefficients for the leading n,
-        # 0 for the rest; then 1 for d and -1 for a target
-        rest = on_fields.size
+        # 0 for the rest; before them 1 for d, after them -1 for one target
+        # and 0 for the others
+        ends = np.diag(np.full(T, -1.0))
 
         def norms(coeffs):
-            scales = np.concatenate((coeffs, np.zeros(rest - len(coeffs)),
-                                     [1.0]))
-            residual_sq = _norm_sq(residual, scales)
-            scales[-1] = -1.0
-            return [residual_sq, *(_norm_sq(gap, scales) for gap in gaps)]
+            rest = np.zeros(size - len(coeffs))
+            return [residual.norm(np.concatenate(([1.0], coeffs, rest))),
+                    *(gaps.norm(np.concatenate((coeffs, rest, end)))
+                      for end in ends)]
 
-        return RD[0], RT, norms
+        return (residual.block(range(1), range(1, N + 1))[0],
+                gaps.block(range(size, size + T), range(N)), norms)
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)
     rows = samples(targets, dom, rule)[0]
@@ -272,11 +183,12 @@ def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
     Everything is assembled once, so a step costs one n x n solve and a
     few contractions. The basis Grams and divergences come from
     :func:`_basis_grams`, kept per box and rule; the other blocks and the
-    norms from :func:`_flux_terms`. With separated forms, the term tables
-    of the basis are kept beside its Grams, so a record integrates only
-    the terms of its own d and targets that the tables lack; its blocks
-    equal :func:`quadrature.l2_gram`, and its norms ``norm_sq("L2", ...)``
-    of d + psi.div_field() and of psi - t, bit for bit."""
+    norms from :func:`_flux_terms`. With separated forms, the raw terms of
+    the basis are kept beside its Grams and the plans of a record's terms
+    joined to them are kept per process, so a warm record integrates
+    nothing; its blocks equal :func:`quadrature.l2_gram`, and its norms
+    ``norm_sq("L2", ...)`` of d + psi.div_field() and of psi - t, bit for
+    bit."""
     targets = list(targets)
     divs, BB, DD = _basis_grams(basis, dom, rule)
     RD, RT, norms = _flux_terms(basis, divs, d, targets, dom, rule)

@@ -2,24 +2,20 @@
 
 :func:`l2_inner`, and through it :func:`norm_sq` and :func:`trace_norm_sq`,
 and :func:`l2_gram` integrate fields that all carry a separated form (see
-:mod:`errbounds.fields`) without visiting the grid: per axis the 1-D
-integrals of the term factors' products, gathered from that axis's table,
-the axis Grams multiplied elementwise, and per inner product one correctly
-rounded sum of c_k c_l H_kl. That is the tensor rule's own value, at
-O(R^2 d) cost for rank R, once the tables hold its factors, instead of
-O(n^d). A table (:func:`axis_grams`) is kept per composite Gauss rule
-(:func:`axis_rules`) and process: it holds every factor it has met on that
-rule, at most :data:`AXIS_GRAM_MEMO`, and the :func:`weighted_gram` of
-each pair of their values, computed when the later of the two first
-arrives. Each entry is its own pair's einsum, so a table that passes the
-bound starts again empty without changing a bit. A norm also keeps, per
-process, a plan for each raw form it meets (:func:`_norm_plan`), keyed by
-the form's factor tuples and the axis rules: the slot of each raw term
-among the distinct tuples and H of those tuples. A later form with the
-same factors and any coefficients merges them by one ``np.bincount`` and
+:mod:`errbounds.fields`) without visiting the grid: H_kl, the integral of
+the product of terms k and l, is per axis the 1-D integral of their
+factors' product, the axes multiplied elementwise (:func:`term_grams`),
+and an inner product is one correctly rounded sum of c_k c_l H_kl. That is
+the tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per
+axis, instead of O(n^d). H lives in one process-wide memo of plans
+(:func:`_plan`), keyed by the raw factor tuples of some sums and the axis
+rules (:func:`axis_rules`): the slot of each raw term among the distinct
+tuples and H of those tuples. A later sum, or list of sums, with the same
+factors and any coefficients merges them by one ``np.bincount`` and
 gathers its addends from H, without merging its terms as objects or
-visiting a table. The plans are bounded like the tables, at most
-:data:`NORM_PLAN_MEMO`, and restart empty past it without changing a
+integrating anything (:class:`_Sums`). Each entry of H is its own pair's
+einsum, whatever else the plan holds, so the memo, at most
+:data:`PLAN_MEMO` plans, restarts empty past its bound without changing a
 bit. Any operand without a form (a field built from bare callables, or
 from an expression that does not split) is evaluated at every node
 instead; that path is the general fallback and the oracle of the tests.
@@ -253,193 +249,155 @@ def axis_rules(dom: BoxDomain, rule: QuadratureRule):
     return axes
 
 
-# A table of 1-D integrals keeps at most this many factors per axis rule; a
-# table that would pass it starts again empty (see _AxisGrams.rows).
-AXIS_GRAM_MEMO = 512
-
-
-class _AxisGrams:
-    """The 1-D integrals of the products of factor pairs on one axis rule
-    ``(x, w)``: ``G[r, s]`` is :func:`weighted_gram` of the values
-    (:meth:`fields.Factor.on`) of the factors of rows r and s. Every entry
-    is the einsum of its own pair, independent of what else the table
-    holds, and ``(l * r) * w == (r * l) * w``, so the columns of new rows
-    are those rows transposed, and starting again empty changes no bit."""
-
-    __slots__ = ("x", "w", "index", "G")
-
-    def __init__(self, x: np.ndarray, w: np.ndarray):
-        self.x, self.w = x, w
-        self.index = {}  # factor -> its row; holding it keeps its id
-        self.G = np.empty((0, 0))
-
-    def rows(self, factors) -> np.ndarray:
-        """The rows of ``factors``, added to the table if new; if that would
-        take it past :data:`AXIS_GRAM_MEMO`, it starts again from those."""
-        new = [f for f in dict.fromkeys(factors) if f not in self.index]
-        if new:
-            if len(self.index) + len(new) > AXIS_GRAM_MEMO:
-                self.index, self.G = {}, np.empty((0, 0))
-                new = list(dict.fromkeys(factors))
-            self._add(new)
-        index = self.index
-        return np.array([index[f] for f in factors], dtype=np.intp)
-
-    def _add(self, new):
-        n, m = len(self.index), len(new)
-        for f in new:
-            self.index[f] = len(self.index)
-        values = np.array([f.on(self.x) for f in self.index]).reshape(
-            n + m, len(self.x))
-        added = weighted_gram(values[n:], values, self.w)
-        G = np.empty((n + m, n + m))
-        G[:n, :n] = self.G
-        G[n:] = added
-        G[:n, n:] = added[:, :n].T
-        self.G = G
-
-
-# id of the nodes of a cached 1-D rule -> its table (which holds them)
-_AXIS_GRAMS = {}
-
-
-def axis_grams(x: np.ndarray, w: np.ndarray) -> _AxisGrams:
-    """The table of factor-pair integrals of the cached 1-D rule
-    ``(x, w)``, one per rule per process."""
-    table = _AXIS_GRAMS.get(id(x))
-    if table is None:
-        table = _AXIS_GRAMS[id(x)] = _AxisGrams(x, w)
-    return table
-
-
-def term_grams(fa, fb, axes) -> np.ndarray:
+def term_grams(terms, axes) -> np.ndarray:
     """H_kl, the tensor rule's integral of the product of the terms whose
-    factor tuples are ``fa[k]`` and ``fb[l]`` (``fb is fa`` for a list with
-    itself): per axis the entries of the factor pairs gathered from its
-    table (:func:`axis_grams`), multiplied elementwise in axis order."""
+    factor tuples are ``terms[k]`` and ``terms[l]``: per axis one
+    :func:`weighted_gram` of the terms' stacked factor values
+    (:meth:`fields.Factor.on`), multiplied elementwise in axis order. Every
+    entry is the product of its own pair's einsums, whatever else
+    ``terms`` holds."""
     H = 1.0
     for i, (x, w) in enumerate(axes):
-        table = axis_grams(x, w)
-        # both sides in one call: adding the second alone could restart
-        # the table and move the rows of the first
-        rows = table.rows([fs[i] for fs in fa] if fb is fa else
-                          [fs[i] for fs in (*fa, *fb)])
-        ia, ib = (rows, rows) if fb is fa else (rows[:len(fa)], rows[len(fa):])
-        H = H * table.G[ia[:, None], ib]
+        values = np.array([fs[i].on(x) for fs in terms]).reshape(
+            len(terms), len(x))
+        H = H * weighted_gram(values, values, w)
     return H
 
 
-def _addends(a, b, axes) -> np.ndarray:
-    """c_k c_l H_kl for the terms k of the sums ``a`` and l of the sums
-    ``b`` (``b is a`` for a list with itself), H of :func:`term_grams`."""
-    fa = [fs for s in a for fs in s.factors]
-    fb = fa if b is a else [fs for s in b for fs in s.factors]
-    ca = [x for s in a for x in s.coefs]
-    cb = ca if b is a else [x for s in b for x in s.coefs]
-    return np.multiply.outer(ca, cb) * term_grams(fa, fb, axes)
+# A process keeps at most this many plans; a memo that would pass it starts
+# again empty (see _plan).
+PLAN_MEMO = 1024
+
+# (id of the axis rules, raw factor tuples) -> (slots, H)
+_PLANS = {}
 
 
-def _merged(slots, coefs, size: int):
-    """The merged terms of raw terms in ``slots`` of ``size`` with
-    ``coefs``: each slot's coefficients added in raw-term order, as
-    :meth:`fields.SeparatedSum.merged` adds them, and those that are zero
-    dropped; (their slots, their coefficients)."""
-    m = np.bincount(slots, weights=coefs, minlength=size)
-    keep = np.flatnonzero(m)
-    return keep, m[keep]
-
-
-def _norm_addends(slots, coefs, H) -> np.ndarray:
-    """m_k m_l H_kl, raveled, of the merged terms (:func:`_merged`) of raw
-    terms in ``slots`` with ``coefs``, H the term-pair integrals of the
-    slots: the addends of :func:`_addends` of the merged sum with itself,
-    in the same order."""
-    keep, m = _merged(slots, coefs, len(H))
-    if len(keep) < len(H):
-        H = H[keep[:, None], keep]
-    return (np.multiply.outer(m, m) * H).ravel()
-
-
-# A process keeps at most this many norm plans; a memo that would pass it
-# starts again empty (see _norm_plan).
-NORM_PLAN_MEMO = 1024
-
-# (id of the axis rules, factors of a raw sum) -> (slots, H)
-_NORM_PLANS = {}
-
-
-def _norm_plan(s, axes):
-    """The plan of the norm of the raw sum ``s`` on the axis rules ``axes``
-    (of :func:`axis_rules`): the slot of each raw term, its factor tuple's
-    place in order of first appearance, and H = :func:`term_grams` of
-    those tuples. Kept per process for the sum's factors and the rules:
+def _plan(factors, axes):
+    """The plan of raw terms with the factor tuples ``factors`` on the axis
+    rules ``axes`` (of :func:`axis_rules`): the slot of each raw term, its
+    tuple's place in order of first appearance, and H = :func:`term_grams`
+    of those tuples. Kept per process for the factors and the rules:
     factors compare by identity, as :meth:`fields.SeparatedSum.merged`
     keys them, and the key holds them, and :func:`axis_rules` keeps the
     rules for good, so their ids stay their own. Each entry of H is its
-    own pair's value, so a memo that starts again empty changes no
-    bit."""
-    key = id(axes), s.factors
-    plan = _NORM_PLANS.get(key)
+    own pair's value, so a memo that starts again empty changes no bit."""
+    key = id(axes), factors
+    plan = _PLANS.get(key)
     if plan is None:
         union = {}
-        slots = np.array([union.setdefault(fs, len(union))
-                          for fs in s.factors], dtype=np.intp)
-        terms = list(union)
-        if len(_NORM_PLANS) >= NORM_PLAN_MEMO:
-            _NORM_PLANS.clear()
-        plan = _NORM_PLANS[key] = slots, term_grams(terms, terms, axes)
+        slots = np.array([union.setdefault(fs, len(union)) for fs in factors],
+                         dtype=np.intp)
+        if len(_PLANS) >= PLAN_MEMO:
+            _PLANS.clear()
+        plan = _PLANS[key] = slots, term_grams(list(union), axes)
     return plan
+
+
+def _norm_addends(slots, coefs, H) -> np.ndarray:
+    """m_k m_l H_kl, raveled, of the merged terms of raw terms in ``slots``
+    with ``coefs``, H the term-pair integrals of the slots: each slot's
+    coefficients added in raw-term order, as
+    :meth:`fields.SeparatedSum.merged` adds them, those that are zero
+    dropped, and the addends in slot order."""
+    m = np.bincount(slots, weights=coefs, minlength=len(H))
+    keep = np.flatnonzero(m)
+    if len(keep) < len(H):
+        H, m = H[keep[:, None], keep], m[keep]
+    return (np.multiply.outer(m, m) * H).ravel()
+
+
+def _raw_terms(sums):
+    """The raw terms of the :class:`fields.SeparatedSum` list ``sums``, in
+    order: their factor tuples, owners (the index of their sum) and
+    coefficients."""
+    return (tuple(fs for s in sums for fs in s.factors),
+            np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
+            np.array([c for s in sums for c in s.coefs], dtype=float))
+
+
+class _Sums:
+    """Separated forms of one rank on the axis rules ``axes``, given per
+    component by their raw terms (:func:`_raw_terms`), owners ascending,
+    and integrated through the plan of each component (:func:`_plan`)."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts, axes):
+        self.parts = [(owners, coefs, *_plan(factors, axes))
+                      for factors, owners, coefs in parts]
+
+    @classmethod
+    def of(cls, forms, axes) -> "_Sums":
+        """The forms ``forms``, each a :class:`fields.SeparatedSum` or a
+        tuple of them, one per component."""
+        comps = zip(*forms) if isinstance(forms[0], tuple) else [forms]
+        return cls([_raw_terms(sums) for sums in comps], axes)
+
+    def norm(self, scales: np.ndarray) -> float:
+        """``||sum_j scales[j] forms[j]||^2`` as :func:`separated_inner`
+        takes the norm of the combination's form: per component the
+        addends of the raw terms' ``coef * scale``
+        (:func:`_norm_addends`), one correctly rounded sum of them all, 0
+        where rounding leaves it below zero. A scale of 0 adds only zeros,
+        so it drops its form."""
+        return max(_fsum(np.concatenate([
+            _norm_addends(slots, coefs * scales[owners], H)
+            for owners, coefs, slots, H in self.parts])), 0.0)
+
+    def block(self, rows: range, cols: range) -> np.ndarray:
+        """``G[i, j] = <forms[rows[i]], forms[cols[j]]>``: the terms of all
+        forms merged by one ``np.bincount`` over (form, slot) bins, in
+        raw-term order within a bin as ``merged()`` adds them and zeros
+        dropped, and each entry the correctly rounded sum of its
+        ``m_k m_l H_kl`` (:func:`_entry_sums`)."""
+        blocks = []
+        for owners, coefs, slots, H in self.parts:
+            size = len(H)
+            m = np.bincount(owners * size + slots, weights=coefs)
+            keep = np.flatnonzero(m)
+            own, slot, m = keep // size, keep % size, m[keep]
+            # owners ascend, so each range of forms is a range of terms
+            (a, b), (c, e) = (np.searchsorted(own, (r.start, r.stop))
+                              for r in (rows, cols))
+            blocks.append((np.multiply.outer(m[a:b], m[c:e])
+                           * H[slot[a:b, None], slot[c:e]],
+                           own[a:b] - rows.start, own[c:e] - cols.start))
+        return _entry_sums(blocks, len(rows), len(cols))
 
 
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     """The tensor rule's value of the L2 inner product of two separated
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
-    component, without visiting the grid (sum factorisation): per
-    component, with terms of the same factors merged, the addends of
-    :func:`_addends`, and one correctly rounded sum of them over all
-    components. A norm (``fb is fa``) that rounding leaves below zero is
-    0.
-
-    A norm gathers its addends from the plan of each component's raw sum
-    (:func:`_norm_plan`), kept per process for its factors and the axis
-    rules, at most :data:`NORM_PLAN_MEMO` of them before the memo starts
-    again empty: the raw coefficients merged by one ``np.bincount`` in
-    raw-term order, as ``merged()`` adds them, the zeros dropped, and
-    the outer product of the rest times the plan's H, the same addends in
-    the same order. A plan holds structure only, never coefficients, so
-    a sum of known factors takes no :meth:`fields.SeparatedSum.merged`
-    and no :func:`term_grams`."""
-    norm = fb is fa
-    if not isinstance(fa, tuple):
-        fa, fb = (fa,), (fb,)
+    component, without visiting the grid (sum factorisation): the addends
+    c_k c_l H_kl of the merged terms of each component, and one correctly
+    rounded sum of them over all components. An inner product of two
+    forms is the 1 x 1 block of their :class:`_Sums`. A norm
+    (``fb is fa``) takes the addends of each component's raw sum from its
+    plan (:func:`_plan`), which holds structure only, never coefficients,
+    so a sum of known factors takes no :meth:`fields.SeparatedSum.merged`
+    and no :func:`term_grams`; one that rounding leaves below zero is 0."""
     axes = axis_rules(dom, rule)
+    if fb is not fa:
+        G = _Sums.of([fa, fb], axes).block(range(1), range(1, 2))
+        return float(G[0, 0])
     parts = []
-    for a0, b0 in zip(fa, fb):
-        if norm:
-            slots, H = _norm_plan(a0, axes)
-            parts.append(_norm_addends(slots, a0.coefs, H))
-        else:
-            parts.append(_addends([a0.merged()], [b0.merged()], axes).ravel())
-    total = _fsum(np.concatenate(parts))
-    return max(total, 0.0) if norm else total
+    for s in fa if isinstance(fa, tuple) else (fa,):
+        slots, H = _plan(s.factors, axes)
+        parts.append(_norm_addends(slots, s.coefs, H))
+    return max(_fsum(np.concatenate(parts)), 0.0)
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
     """The Gram matrix of the lists of separated forms ``fl`` and ``fr``
-    (``fr is fl`` for a list with itself): per component the addends of
-    :func:`_addends` of the merged terms of all forms of either list, and
-    entry (i, j) the correctly rounded sum of those of the terms of fl[i]
-    and fr[j] (:func:`_entry_sums`), as :func:`separated_inner` takes it
-    (0 where rounding leaves it below zero and the two are one form, a
-    norm)."""
-    scalar = not isinstance(fl[0], tuple)
-    blocks = []
-    for c in range(1 if scalar else len(fl[0])):
-        a = [(f if scalar else f[c]).merged() for f in fl]
-        b = a if fr is fl else [(f if scalar else f[c]).merged() for f in fr]
-        blocks.append((_addends(a, b, axes), [len(s.coefs) for s in a],
-                       [len(s.coefs) for s in b]))
-    G = _entry_sums(blocks, len(fl), len(fr))
+    (``fr is fl`` for a list with itself): a block of the
+    :class:`_Sums` of both lists, each entry as :func:`separated_inner`
+    takes it (0 where rounding leaves it below zero and the two are one
+    form, a norm)."""
+    m = len(fl)
+    if fr is fl:
+        G = _Sums.of(fl, axes).block(range(m), range(m))
+    else:
+        G = _Sums.of([*fl, *fr], axes).block(range(m), range(m, m + len(fr)))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
     return np.where(same, np.maximum(G, 0.0), G)
 
@@ -447,14 +405,12 @@ def _separated_gram(fl, fr, axes) -> np.ndarray:
 def _entry_sums(blocks, m: int, n: int) -> np.ndarray:
     """The m x n matrix whose entry (i, j) is the correctly rounded sum of
     the addends that belong to left form i and right form j. ``blocks``
-    holds per component the addends of all left terms (rows, form by form)
-    with all right terms (columns, form by form) and the number of terms of
-    each left and each right form."""
+    holds per component the addends of some left terms (rows) with some
+    right terms (columns) and the form of each of those terms."""
     owners, values = [], []
     for addends, left, right in blocks:
         values.append(addends.ravel())
-        owners.append(np.add.outer(np.repeat(np.arange(0, m * n, n), left),
-                                   np.repeat(np.arange(n), right)).ravel())
+        owners.append(np.add.outer(left * n, right).ravel())
     values, G = np.concatenate(values), np.zeros(m * n)
     if len(values):
         # the addends of entry e are row e of D, padded with zeros
@@ -464,8 +420,9 @@ def _entry_sums(blocks, m: int, n: int) -> np.ndarray:
         at = np.arange(len(owner)) - np.searchsorted(owner, owner)
         D = np.zeros((m * n, at.max() + 1))
         D[owner, at] = values[order]
-        # one addition rounds correctly; fsum is needed from three addends on
-        G = (reduce(np.add, D.T) if D.shape[1] <= 2
+        # one addition rounds correctly, and from +0 it signs a zero as
+        # fsum does; fsum is needed from three addends on
+        G = (reduce(np.add, D.T, 0.0) if D.shape[1] <= 2
              else np.array([math.fsum(row) for row in D.tolist()]))
     return G.reshape(m, n)
 

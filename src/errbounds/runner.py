@@ -337,8 +337,9 @@ def emit(report: RunReport, formats, outdir) -> List[Path]:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(cols)
-            for rec in report.records:
-                writer.writerow([_csv_cell(rec.get(c)) for c in cols])
+            # csv writes None as an empty cell and a float as its repr
+            writer.writerows([rec.get(c) for c in cols]
+                             for rec in report.records)
             path.write_text(buf.getvalue())
             written.append(path)
         elif fmt == "plotdata":
@@ -346,14 +347,6 @@ def emit(report: RunReport, formats, outdir) -> List[Path]:
         else:
             raise ValueError(f"unknown output format {fmt!r}")
     return written
-
-
-def _csv_cell(v):
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def _emit_plotdata(report: RunReport, outdir: Path) -> List[Path]:

@@ -83,7 +83,9 @@ def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
     text's Python syntax tree, so nothing in it is run. It may hold int and
     float literals, those coordinates, ``pi`` and ``E``, calls of
     :data:`FUNCTIONS` without keywords, ``+ - * / **``, ``^`` (read as
-    ``**``) and unary signs; anything else raises :class:`SolutionError`."""
+    ``**``) and unary signs; anything else raises :class:`SolutionError`,
+    and so does a part without coordinates that is not a real, finite
+    number (``log(0)``, ``sqrt(-1)``, ``acos(2)``)."""
     text = text.strip().replace("^", "**")
     coords = X_SYMBOLS[:dim] + ((T_SYMBOL,) if time_dependent else ())
     names = {**{str(s): s for s in coords}, **CONSTANTS}
@@ -92,6 +94,11 @@ def parse(text: str, dim: int, time_dependent: bool = False) -> sp.Expr:
         value = build_node(node)
         if _bits(value) > _NUMBER_BITS:
             raise _too_large()
+        if not (value.free_symbols
+                or value.is_extended_real and value.is_finite):
+            raise SolutionError(f"is not real and finite: "
+                                f"{ast.get_source_segment(text, node)!r} "
+                                f"is {value}")
         return value
 
     def build_node(node):

@@ -286,6 +286,21 @@ def test_emit_csv_matches_json(tmp_path):
                 assert row[key] == str(value)
 
 
+def test_emit_csv_writes_each_cell_type_exactly(tmp_path):
+    records = [{"case": 'a, "b"', "kind": "RD", "level": None,
+                "epsilon": 0.1, "seed": 3, "estimator": "e", "status": "ok",
+                "error": None, "nan": math.nan, "pos": math.inf,
+                "neg": -math.inf, "passed": True, "third": 1 / 3,
+                "wall_time_s": 1.0},
+               {"case": "c", "passed": False}]
+    emit(RunReport(records=records), ["csv"], tmp_path)
+    assert (tmp_path / "report.csv").read_bytes() == (
+        b'case,kind,level,epsilon,seed,estimator,status,error,'
+        b'nan,neg,passed,pos,third\n'
+        b'"a, ""b""",RD,,0.1,3,e,ok,,nan,-inf,True,inf,0.3333333333333333\n'
+        b'c,,,,,,,,,,False,,\n')
+
+
 def test_emit_empty_report(tmp_path):
     report = RunReport(records=[])
     paths = emit(report, ["json", "csv", "plotdata"], tmp_path)

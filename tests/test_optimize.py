@@ -471,8 +471,8 @@ def test_run_evaluates_no_field_on_the_grid():
 
 
 def test_majorant_records_do_not_depend_on_the_order_of_basis_sizes():
-    # the first size on a box assembles its basis and term tables, later
-    # sizes take blocks of them or assemble a longer basis
+    # the first size on a box assembles its basis and keeps its raw terms,
+    # later sizes take blocks of them or assemble a longer basis
     from errbounds import optimize
 
     runs = []
@@ -540,7 +540,7 @@ def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
 
 
 # --------------------------------------------------------------------------
-# the basis Grams kept per box and rule, and the flux step's term tables
+# the basis Grams kept per box and rule, and the flux step's plans
 # --------------------------------------------------------------------------
 
 
@@ -712,7 +712,7 @@ def test_flux_step_norms_are_norm_sq_of_its_flux_bitwise(problem):
           suppress_health_check=[HealthCheck.too_slow])
 def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
     # the basis of N fields is kept first, so the step of the leading n
-    # gathers its blocks from the term tables of the longer basis
+    # gathers its blocks from the plans of the longer basis's terms
     from errbounds import optimize
 
     _, dom, d, targets, basis, n, _, _ = problem
@@ -726,48 +726,34 @@ def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
                                         RULE))
 
 
-def test_warm_flux_step_integrates_only_the_terms_of_its_record(monkeypatch):
+def test_warm_flux_step_integrates_nothing(monkeypatch):
     from errbounds import optimize, quadrature
 
     optimize._basis_grams_memo.cache_clear()
     # the mode (7, 5) is not among the first 16 of the basis: d and the
-    # target bring terms that the basis's tables lack
+    # target bring terms that the basis lacks
     case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y) + "
                                  "sin(7*pi*x)*sin(5*pi*y)/10")
     ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
-    minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)
-    on_divs, on_fields = optimize._basis_terms(DOM2, RULE)
-    sides = [(on_divs.parts[0][1], (case.f - ut).separated())] + [
-        (part[1], s) for part, s in zip(on_fields.parts,
-                                        ut.gradient_field().separated())]
-    expected = [list(dict.fromkeys(fs for fs in s.factors
-                                   if fs not in terms)) for terms, s in sides]
-    assert all(expected)
-    grams, integrated = Counter(), []
+    cold = minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)[1]
+    calls = Counter()
 
-    def counted(name, real):
+    def counted(module, name):
+        real = getattr(module, name)
+
         def call(*args):
-            grams[name] += 1
+            calls[name] += 1
             return real(*args)
-        return call
+        monkeypatch.setattr(module, name, call)
 
-    def spied(fa, fb, axes, real=optimize.term_grams):
-        integrated.append((fa, fb))
-        return real(fa, fb, axes)
-
-    monkeypatch.setattr(optimize, "l2_gram", counted("l2_gram",
-                                                     optimize.l2_gram))
-    monkeypatch.setattr(quadrature, "_separated_gram", counted(
-        "_separated_gram", quadrature._separated_gram))
-    monkeypatch.setattr(optimize, "term_grams", spied)
+    counted(optimize, "l2_gram")
+    counted(quadrature, "_separated_gram")
+    counted(quadrature, "term_grams")
     for n in (16, 9):
-        del integrated[:]
-        minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)
-        assert grams == {}
-        # one call per component, its new terms against the union and them
-        assert [fa for fa, _ in integrated] == expected
-        assert [fb for _, fb in integrated] == [
-            [*terms, *new] for (terms, _), new in zip(sides, expected)]
+        report = minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)[1]
+        assert calls == {}
+        if n == 16:
+            assert report.checks == cold.checks
 
 
 # a field of each kind that does not fit the 2-D elliptic box of a step

@@ -363,12 +363,13 @@ def test_unsplittable_solution_takes_the_grid_and_passes():
 
 
 # --------------------------------------------------------------------------
-# the per-axis tables of factor-pair integrals
+# plans: the term-pair integrals of raw factor tuples, kept per process
 # --------------------------------------------------------------------------
 
 def _reference_addends(a, b, axes):
-    """The addends of ``quadrature._addends`` with no table: per axis one
-    ``weighted_gram`` of the stacked factor values of all terms."""
+    """c_k c_l H_kl of the terms k of the sums ``a`` and l of the sums
+    ``b`` with no plan: per axis one ``weighted_gram`` of the stacked
+    factor values of all terms."""
     fa = [fs for s in a for fs in s.factors]
     fb = fa if b is a else [fs for s in b for fs in s.factors]
     ca = [x for s in a for x in s.coefs]
@@ -382,6 +383,16 @@ def _reference_addends(a, b, axes):
     return np.multiply.outer(ca, cb) * H
 
 
+def _reference_inner(fa, fb, axes):
+    """``quadrature.separated_inner`` from each component's ``merged()``
+    terms and their addends with no plan (:func:`_reference_addends`)."""
+    pairs = zip(fa, fb) if isinstance(fa, tuple) else [(fa, fb)]
+    total = quadrature._fsum(np.concatenate([
+        _reference_addends([a.merged()], [b.merged()], axes).ravel()
+        for a, b in pairs]))
+    return max(total, 0.0) if fb is fa else total
+
+
 def _hex(values):
     return [float(v).hex() for v in np.ravel(values)]
 
@@ -389,11 +400,10 @@ def _hex(values):
 @st.composite
 def _tables(draw):
     """A box of 1-3 axes (time first where it has one), a coarse rule, a
-    table bound, a pool of distinct trigonometric and polynomial factors,
-    batches of them per axis in random order, with repeats, and separated
-    sums over the pool. The batches leave out the pool's last factor, and
-    after them come the whole pool per axis, so the first of those passes
-    the bound from a nonempty table. Axes on equal intervals share one."""
+    pool of distinct trigonometric and polynomial factors, lists of factor
+    tuples over the pool, with repeats within and among them, a plan bound
+    below the number of distinct lists, and separated sums over the
+    pool."""
     from errbounds.manufactured import _poly_factor
 
     axes = draw(st.integers(1, 3))
@@ -415,81 +425,73 @@ def _tables(draw):
                                        for _ in range(draw(st.integers(1, 3)))]))
         if f not in pool:
             pool.append(f)
-    bound = draw(st.integers(1, len(pool) - 1))
-    some = st.lists(st.sampled_from(pool[:-1]), min_size=1, max_size=8)
-    axes = range(len(quadrature.axis_rules(dom, rule)))
-    batches = draw(st.permutations([(i, b) for i in axes for b in draw(
-        st.lists(some, min_size=1, max_size=3))]))
-    batches += [(i, draw(st.permutations(pool))) for i in axes]
-    term = st.tuples(st.floats(-2.0, 2.0).filter(bool),
-                     st.tuples(*[st.sampled_from(pool)] * (dim + (T is not None))))
+    factors = st.tuples(*[st.sampled_from(pool)] * (dim + (T is not None)))
+    lists = st.lists(factors, min_size=1, max_size=8).map(tuple)
+    batches = draw(st.lists(lists, min_size=2, max_size=6).filter(
+        lambda b: len(set(b)) > 1))
+    bound = draw(st.integers(1, len(set(batches)) - 1))
+    term = st.tuples(st.floats(-2.0, 2.0).filter(bool), factors)
     sums = [fields.SeparatedSum(*zip(*draw(st.lists(term, min_size=1,
                                                     max_size=5))))
             for _ in range(draw(st.integers(2, 4)))]
-    return dom, rule, bound, pool, batches, sums
+    return dom, rule, bound, batches, sums
 
 
 @given(_tables())
 @settings(max_examples=40, deadline=None)
-def test_axis_tables_hold_each_pairs_own_integral(problem):
-    dom, rule, bound, pool, batches, sums = problem
+def test_plans_hold_each_pairs_own_integral(problem):
+    dom, rule, bound, batches, sums = problem
     axes = quadrature.axis_rules(dom, rule)
 
-    def own(f, g, x, w):
-        return quadrature.weighted_gram(f.on(x)[None], g.on(x)[None], w)[0, 0]
+    def own(fs, gs):
+        H = 1.0
+        for f, g, (x, w) in zip(fs, gs, axes):
+            H = H * quadrature.weighted_gram(f.on(x)[None], g.on(x)[None],
+                                             w)[0, 0]
+        return H
 
-    with mock.patch.object(quadrature, "_AXIS_GRAMS", {}), \
-            mock.patch.object(quadrature, "AXIS_GRAM_MEMO", bound):
-        restarts = set()
-        for i, batch in batches:
-            x, w = axes[i]
-            table = quadrature.axis_grams(x, w)
-            before = table.index
-            rows = table.rows(batch)
-            if table.index is not before and before:
-                restarts.add(id(table))
-            assert len(table.index) <= max(bound, len(set(batch)),
-                                           len(before))
-            assert [list(table.index)[r] for r in rows] == batch
-            # every entry, those of earlier batches included, before and
-            # after a restart, is the einsum of its own pair
-            held = list(table.index)
-            assert _hex(table.G) == _hex([[own(f, g, x, w) for g in held]
-                                          for f in held])
-        # the last batch of each table passes the bound from a nonempty one
-        assert restarts == {id(quadrature.axis_grams(x, w)) for x, w in axes}
+    with mock.patch.object(quadrature, "_PLANS", {}), \
+            mock.patch.object(quadrature, "PLAN_MEMO", bound):
+        for batch in batches:
+            slots, H = quadrature._plan(batch, axes)
+            assert len(quadrature._PLANS) <= bound
+            terms = list(dict.fromkeys(batch))
+            assert [terms[k] for k in slots] == list(batch)
+            # every entry, before and after a restart, is the product of
+            # its own pair's einsums, whatever else the plan holds
+            assert _hex(H) == _hex([[own(f, g) for g in terms]
+                                    for f in terms])
+        # more distinct lists than the bound: the memo restarted
+        assert len(quadrature._PLANS) < len(set(batches))
 
-        # norms, inner products and Grams through the tables equal those of
-        # stacked values contracted per call, bit for bit (norms take their
-        # plans; test_planned_norms_equal_the_merged_reference_bitwise
-        # holds those to the same reference)
-        scalars = [fields.ScalarField(_grid_only, dim=dom.dim,
-                                      time_dependent=dom.is_parabolic,
-                                      form=lambda s=s: s) for s in sums]
-        vectors = [fields.VectorField(_grid_only, dim=dom.dim,
-                                      time_dependent=dom.is_parabolic,
-                                      form=lambda k=k: tuple(
-                                          sums[(k + j) % len(sums)]
-                                          for j in range(dom.dim)))
-                   for k in range(len(sums))]
-
-        def measured():
-            out = []
-            for fs in (scalars, vectors):
-                out += [l2_inner(a, b, dom, rule) for a in fs for b in fs]
-                out += list(l2_gram(fs, fs, dom, rule).ravel())
-                out += list(l2_gram(fs[1:], fs, dom, rule).ravel())
-            return _hex(out)
-
-        got = measured()
-    with mock.patch.object(quadrature, "_addends", _reference_addends):
-        assert got == measured()
+        # norms, inner products and Grams through the restarting plans
+        # equal those of stacked values contracted per call, bit for bit
+        forms = [*sums, *(tuple(sums[(k + j) % len(sums)]
+                                for j in range(dom.dim))
+                          for k in range(len(sums)))]
+        fs = [(fields.VectorField if isinstance(f, tuple) else
+               fields.ScalarField)(_grid_only, dim=dom.dim,
+                                   time_dependent=dom.is_parabolic,
+                                   form=lambda f=f: f) for f in forms]
+        for group in (range(len(sums)), range(len(sums), len(forms))):
+            pairs = [(i, j) for i in group for j in group]
+            assert _hex([l2_inner(fs[i], fs[j], dom, rule)
+                         for i, j in pairs]) == _hex(
+                [_reference_inner(forms[i], forms[j], axes)
+                 for i, j in pairs])
+            left, right = [fs[i] for i in group], [fs[j] for j in group]
+            assert _hex(l2_gram(left, left, dom, rule)) == _hex(
+                [_reference_inner(forms[i], forms[j], axes)
+                 for i, j in pairs])
+            assert _hex(l2_gram(left[1:], right, dom, rule)) == _hex(
+                [_reference_inner(forms[i], forms[j], axes)
+                 for i, j in pairs if i != group[0]])
 
 
 def test_warm_norms_evaluate_and_integrate_no_factor(monkeypatch):
-    # once a table holds the factors of some forms, norms and Grams of
-    # those forms, and of new sums of the same factors, only gather its
-    # entries: no factor value is taken and no pair integrated again
+    # once the plans of some forms are kept, norms and Grams of those forms
+    # only gather their entries: no factor value is taken and no pair
+    # integrated again
     dom, rule = BoxDomain((0.0, -1.0), (1.0, 2.0)), QuadratureRule()
     basis = flux_basis(dom, 9)
     u = scalar_field("sin(pi*x)*sin(pi*(y + 1)/3)", dom)
@@ -515,13 +517,11 @@ def test_warm_norms_evaluate_and_integrate_no_factor(monkeypatch):
     monkeypatch.setattr(quadrature, "weighted_gram",
                         counted("weighted_gram", weighted_gram))
     assert measure() == warm
-    again = 0.25 * basis[7] + 3.0 * basis[2]
-    norm_sq("Hdiv", again, dom, rule)
     assert counts == {"on": 0, "weighted_gram": 0}
-    # a new factor is integrated against the table once, on its own axis
+    # a new form is integrated once, one contraction per axis
     novel = scalar_field("sin(pi*x)*cos(7*y)", dom)
     norm_sq("L2", novel, dom, rule)
-    assert counts["weighted_gram"] == 1 and counts["on"] > 0
+    assert counts["weighted_gram"] == 2 and counts["on"] > 0
     counts.update(on=0, weighted_gram=0)
     norm_sq("L2", novel, dom, rule)
     assert counts == {"on": 0, "weighted_gram": 0}
@@ -549,17 +549,6 @@ def test_equal_factors_stay_one_object():
 # --------------------------------------------------------------------------
 # norm plans: the structure of each raw form's norm, kept per process
 # --------------------------------------------------------------------------
-
-def _reference_norm(form, axes):
-    """The norm of ``quadrature.separated_inner`` from each component's
-    ``merged()`` terms and their addends with no table or plan
-    (:func:`_reference_addends`)."""
-    parts = []
-    for s in form if isinstance(form, tuple) else (form,):
-        a = [s.merged()]
-        parts.append(_reference_addends(a, a, axes).ravel())
-    return max(quadrature._fsum(np.concatenate(parts)), 0.0)
-
 
 def _norms(forms, dom, rule):
     return _hex([quadrature.separated_inner(f, f, dom, rule) for f in forms])
@@ -619,18 +608,18 @@ def _plan_problems(draw):
 def test_planned_norms_equal_the_merged_reference_bitwise(problem):
     dom, rule, forms, others = problem
     axes = quadrature.axis_rules(dom, rule)
-    with mock.patch.object(quadrature, "_NORM_PLANS", {}):
+    with mock.patch.object(quadrature, "_PLANS", {}):
         cold = _norms(forms, dom, rule)
-        plans = len(quadrature._NORM_PLANS)
+        plans = len(quadrature._PLANS)
         warm = _norms(forms, dom, rule)
         other = _norms(others, dom, rule)
         # the other coefficients met the plans of the same raw factors
-        assert len(quadrature._NORM_PLANS) == plans
-    assert cold == warm == _hex([_reference_norm(f, axes) for f in forms])
-    assert other == _hex([_reference_norm(f, axes) for f in others])
+        assert len(quadrature._PLANS) == plans
+    assert cold == warm == _hex([_reference_inner(f, f, axes) for f in forms])
+    assert other == _hex([_reference_inner(f, f, axes) for f in others])
     # so are the addends themselves, zeros of cancelled terms dropped
     for s in forms[:5] + others[:5]:
-        slots, H = quadrature._norm_plan(s, axes)
+        slots, H = quadrature._plan(s.factors, axes)
         m = [s.merged()]
         assert _hex(quadrature._norm_addends(slots, s.coefs, H)) == _hex(
             _reference_addends(m, m, axes))
@@ -652,7 +641,7 @@ def test_warm_norms_take_no_merge_and_no_term_grams(monkeypatch):
         return [norm_sq(kind, w, dom, rule) for kind in ("Wstar", "triple")]
 
     measure(0.5)
-    counts = {"term_grams": 0, "merged": 0, "rows": 0}
+    counts = {"term_grams": 0, "merged": 0}
 
     def counted(name, fn):
         def call(*args):
@@ -664,12 +653,10 @@ def test_warm_norms_take_no_merge_and_no_term_grams(monkeypatch):
                         counted("term_grams", quadrature.term_grams))
     monkeypatch.setattr(fields.SeparatedSum, "merged",
                         counted("merged", fields.SeparatedSum.merged))
-    monkeypatch.setattr(quadrature._AxisGrams, "rows",
-                        counted("rows", quadrature._AxisGrams.rows))
     warm = measure(-0.25)
-    assert counts == {"term_grams": 0, "merged": 0, "rows": 0}
+    assert counts == {"term_grams": 0, "merged": 0}
     # a cold memo builds the plans again, to the same bits
-    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PLANS", {})
     assert _hex(measure(-0.25)) == _hex(warm)
     assert counts["term_grams"] > 0 and counts["merged"] == 0
 
@@ -687,26 +674,26 @@ def _plan_sums():
 def test_norm_plans_restart_past_their_bound_bit_for_bit(monkeypatch):
     dom, rule = BoxDomain((0.0, 0.0), (1.0, 2.0)), QuadratureRule(space_order=3)
     sums = _plan_sums()
-    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PLANS", {})
     unbounded = _norms(sums, dom, rule)
-    assert len(quadrature._NORM_PLANS) == len(sums)
-    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
-    monkeypatch.setattr(quadrature, "NORM_PLAN_MEMO", 2)
+    assert len(quadrature._PLANS) == len(sums)
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    monkeypatch.setattr(quadrature, "PLAN_MEMO", 2)
     built = []
-    plan = quadrature._norm_plan
+    plan = quadrature._plan
 
-    def spied(s, axes):
-        before = quadrature._NORM_PLANS.get((id(axes), s.factors))
-        out = plan(s, axes)
+    def spied(factors, axes):
+        before = quadrature._PLANS.get((id(axes), factors))
+        out = plan(factors, axes)
         built.append(before is None)
         return out
 
-    monkeypatch.setattr(quadrature, "_norm_plan", spied)
+    monkeypatch.setattr(quadrature, "_plan", spied)
     for order in (sums, sums[::-1], sums[::2] * 2):
         for s in order:
             k = sums.index(s)
             assert _norms([s], dom, rule) == [unbounded[k]]
-            assert len(quadrature._NORM_PLANS) <= 2
+            assert len(quadrature._PLANS) <= 2
     # the memo restarted: more plans were built than there are forms
     assert sum(built) > len(sums)
 
@@ -717,12 +704,13 @@ def test_the_same_factors_on_another_box_or_rule_get_their_own_plan(
     places = [(BoxDomain((0.0, 0.0), (1.0, 1.0)), QuadratureRule()),
               (BoxDomain((0.0, 0.0), (1.0, 2.0)), QuadratureRule()),
               (BoxDomain((0.0, 0.0), (1.0, 1.0)), QuadratureRule(space_order=3))]
-    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PLANS", {})
     norms = [_norms([s], dom, rule)[0] for dom, rule in places]
-    assert len(quadrature._NORM_PLANS) == len(places)
-    assert norms == [_hex([_reference_norm(s, quadrature.axis_rules(*p))])[0]
-                     for p in places]
+    assert len(quadrature._PLANS) == len(places)
+    assert norms == [
+        _hex([_reference_inner(s, s, quadrature.axis_rules(*p))])[0]
+        for p in places]
     # in the other order, each place still takes its own plan
-    monkeypatch.setattr(quadrature, "_NORM_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PLANS", {})
     assert [_norms([s], dom, rule)[0] for dom, rule in places[::-1]] == (
         norms[::-1])

@@ -107,6 +107,35 @@ def test_parse_rejects_text_outside_the_grammar(text, expected):
         parse(text, 1, False)
 
 
+@pytest.mark.parametrize("text, part", [
+    ("sin(pi*x)*log(0)", "'log(0)' is zoo"),
+    ("sin(pi*x)*(1/(x-x))", "'1/(x-x)' is zoo"),
+    ("sin(pi*x)*sqrt(-1)", "'sqrt(-1)' is I"),
+    ("sin(pi*x)*log(-1)", "'log(-1)' is I*pi"),
+    ("sin(pi*x)*acos(2)", "'acos(2)' is acos(2)"),
+    ("sin(pi*x)*asin(3)", "'asin(3)' is asin(3)"),
+])
+def test_parse_rejects_constants_that_are_not_real_and_finite(text, part):
+    with pytest.raises(SolutionError, match=re.escape(
+            f"is not real and finite: {part}")):
+        parse(text, 1)
+
+
+def test_parse_keeps_real_irrational_constants():
+    assert parse("sqrt(2)*sin(pi*x)*log(2)*atan(1)", 1) == sp.sympify(
+        "sqrt(2)*sin(pi*x)*log(2)*atan(1)")
+
+
+def test_complex_constant_exits_2(tmp_path, capsys):
+    code, err = _run_cli(tmp_path, capsys, {
+        "kind": "RD", "lower": [0.0], "upper": [1.0],
+        "solution": "sin(pi*x)*sqrt(-1)"})
+    assert code == 2
+    assert err.startswith("error: cases[0]: 'solution'")
+    assert "is not real and finite: 'sqrt(-1)' is I" in err
+    assert not (tmp_path / "out").exists()
+
+
 # a product of allowed powers whose coefficient grows past the bound
 _LARGE_PRODUCT = "x*" + "*".join(["10**3000"] * 300)
 
@@ -167,7 +196,10 @@ _DELIBERATELY_INVALID = {"sin(pi*", "sin(pi*w)", "g(x)*sin(pi*x)", "x > 0",
                          "sin(x=1)", "sin(*[x])", "2j*x", "'x'",
                          "x if x else 1", "x(1)", "9**9**7*sin(pi*x)",
                          "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)",
-                         "(x*10**3000)**4*sin(pi*x)"}
+                         "(x*10**3000)**4*sin(pi*x)", "sin(pi*x)*log(0)",
+                         "sin(pi*x)*(1/(x-x))", "sin(pi*x)*sqrt(-1)",
+                         "sin(pi*x)*log(-1)", "sin(pi*x)*acos(2)",
+                         "sin(pi*x)*asin(3)"}
 _SOLUTION_CALLS = {"make_case", "scalar_field", "vector_field",
                    "gradient_field"}
 _SOLUTION_PARAMS = {"solution", "expr", "u_expr", "text"}
