@@ -4,7 +4,8 @@
 # directory when unset).
 #
 # The process-wide memos (the plans of term-pair integrals per raw factor
-# tuples and axis rules, the basis Grams per box and rule) fill in the order
+# tuples and axis rules, the flux bases per box and size and their Grams
+# per basis, box and rule) fill in the order
 # a process first meets their keys: fresh processes that hash strings
 # differently, processes that ran something else first, and a process whose
 # plan memo restarts many times, must still write the same bytes.
@@ -74,8 +75,8 @@ canonical "$tmp/errors/report.json" "$tmp/errors-canonical.json"
 cmp "$tmp/errors/report.json" "$tmp/errors-canonical.json"
 
 echo "Majorant runs repeat across processes"
-# the basis Grams are kept per box and rule: later records on the box take
-# blocks of the largest basis assembled first, and must write what fresh
+# each basis size on the box has its own fields and Grams, whose terms meet
+# the plans that the sizes before it left, and must write what fresh
 # processes that hash strings differently write
 cat > "$tmp/majorant.json" <<'JSON'
 {"cases": [
@@ -95,9 +96,9 @@ for seed in 0 4242; do
     --config "$tmp/majorant.json" --out "$tmp/majorant-$seed"
 done
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-4242/report.json"
-# the same config in ascending size order: the first record on a box keeps
-# the smallest basis, the later ones assemble longer ones, and every record
-# must equal the descending run's
+# the same config in ascending size order: the plans each size meets were
+# left by smaller sizes, not larger ones, and every record must equal the
+# descending run's
 python - "$tmp/majorant.json" "$tmp/ascending.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
@@ -133,3 +134,22 @@ with contextlib.redirect_stdout(io.StringIO()):
 PY
 cmp "$tmp/suite-0/report.json" "$tmp/suite-restarts/report.json"
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-restarts/report.json"
+
+echo "Reports repeat when the flux-basis memos are cleared"
+# new field objects for the same basis meet the same plans through their
+# interned factors, so a process that drops its bases and Grams and runs
+# again must write what a fresh process writes
+python - "$tmp" <<'PY'
+import contextlib, io, sys
+from errbounds import manufactured, optimize
+from errbounds.cli import main
+tmp = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    for run in ("first", "cleared"):
+        assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
+                     "--out", f"{tmp}/majorant-{run}"]) == 0
+        manufactured._flux_fields.cache_clear()
+        optimize._basis_grams.cache_clear()
+PY
+cmp "$tmp/majorant-0/report.json" "$tmp/majorant-first/report.json"
+cmp "$tmp/majorant-0/report.json" "$tmp/majorant-cleared/report.json"

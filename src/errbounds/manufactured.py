@@ -288,20 +288,21 @@ def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):
     raise ValueError(f"unknown free-field strategy: {strategy!r}")
 
 
-# box -> the fields of its nested flux basis built so far, which flux_basis
-# extends, for the FLUX_BASIS_MEMO latest boxes
-_flux_fields = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(lambda dom: [])
+@functools.lru_cache(maxsize=FLUX_BASIS_MEMO)
+def _flux_fields(dom: BoxDomain, n: int):
+    """The n fields of the flux basis of ``dom``, built once for the
+    :data:`FLUX_BASIS_MEMO` latest (box, size) pairs. Bases of different
+    sizes are different fields, but their forms share the interned trig
+    factors, and with them the plans of their integrals."""
+    tpoly = [np.array([1.0])]
+    return tuple(_gradient(_trig_sum([1.0], [mode], [("sin",) * dom.dim],
+                                     tpoly, dom), dom)
+                 for mode in _modes(dom.dim, n))
 
 
 def flux_basis(dom: BoxDomain, n: int) -> List[VectorField]:
     """Nested div-conforming flux basis: gradients of the first n sine
-    modes, the first n fields of one list per box (see :func:`_flux_fields`),
-    so bases of every size on one box share their field objects."""
+    modes (see :func:`_flux_fields`)."""
     if n < 1:
         raise ValueError("basis size must be positive")
-    fields = _flux_fields(dom)
-    tpoly = [np.array([1.0])]
-    for mode in _modes(dom.dim, n)[len(fields):]:
-        fields.append(_gradient(_trig_sum([1.0], [mode], [("sin",) * dom.dim],
-                                          tpoly, dom), dom))
-    return fields[:n]
+    return list(_flux_fields(dom, n))

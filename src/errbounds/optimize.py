@@ -1,32 +1,30 @@
 """Young-parameter and flux-reconstruction optimization for the majorants.
 
 Both majorants take one flux step (:func:`_flux_step`), which assembles
-everything once. Per box and rule the process keeps, for at most
-:data:`manufactured.FLUX_BASIS_MEMO` pairs, the largest flux basis
-assembled there: its Grams and the raw terms of its forms
-(:func:`_basis_grams`), so a flux basis of any size on a box, the leading
-fields of one list (:func:`manufactured.flux_basis`), takes blocks of them.
-A record joins its own d and targets to the kept raw terms, and the plans
-of the joined terms (:func:`quadrature._plan`), kept per process, give the
-blocks that pair them with the basis, equal to ``l2_gram`` bit for bit,
-and the norms of every step, equal to ``norm_sq`` of the step's flux bit
-for bit. A step then costs one n x n solve and a few contractions.
+everything once. The divergences and Grams of a flux basis are kept per
+basis, box and rule (:func:`_basis_grams`), and the fields of a basis per
+box and size (:func:`manufactured.flux_basis`), each for the
+:data:`manufactured.FLUX_BASIS_MEMO` latest keys. The blocks that pair a
+record's d and targets with the basis, and the norms of every step, come
+from the forms themselves through plans kept per process
+(:func:`quadrature._plan`), so a record at a size its process met before
+integrates nothing. The blocks equal ``l2_gram`` and the norms ``norm_sq``
+of the step's flux, bit for bit. A step then costs one n x n solve and a
+few contractions.
 """
 from __future__ import annotations
 
 import functools
-import itertools
 import math
-import operator
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
-from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase
-from .quadrature import (QuadratureRule, _check_fields, _raw_terms, _Sums,
-                         axis_rules, l2_gram, norm_sq, samples, weighted_gram)
+from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase, flux_basis
+from .quadrature import (QuadratureRule, _check_fields, _Sums, axis_rules,
+                         l2_gram, norm_sq, samples, weighted_gram)
 from .reports import BoundReport
 
 
@@ -75,47 +73,16 @@ def _young(A: float, B: float) -> Tuple[float, float]:
     return (gamma if math.isfinite(gamma) and gamma > 0.0 else 1.0), value
 
 
-# (box, rule) -> [basis, divs, BB, DD, raw]: the longest basis assembled
-# there, its divergences and Grams, and the raw terms of its forms, kept for
-# the FLUX_BASIS_MEMO latest pairs
-_basis_grams_memo = functools.lru_cache(maxsize=FLUX_BASIS_MEMO)(
-    lambda dom, rule: [])
-
-
-def _basis_grams(basis, dom, rule):
-    """The divergences of ``basis``, BB = ``l2_gram(basis, basis)`` and DD,
-    the same of the divergences, kept per box and rule
-    (:func:`_basis_grams_memo`): the leading n of the kept divergences and
-    the leading ``[:n, :n]`` blocks of the kept Grams, read-only, when
-    ``basis`` is, field by field (``is``), the start of the kept basis,
-    else assembled and kept. Each entry of an :func:`l2_gram` is its own
-    pair's value, independent of the rest of either list, so a block equals
-    the Gram of the prefix bit for bit. Beside them the memo keeps the raw
-    terms (:func:`quadrature._raw_terms`) of the divergences and, per
-    component, of the fields of the leading fields that carry forms with
-    their divergences, and how many those are; empty where the first
-    carries none."""
-    kept, n = _basis_grams_memo(dom, rule), len(basis)
-    if not (kept and len(kept[0]) >= n
-            and all(map(operator.is_, basis, kept[0]))):
-        divs = [b.div_field() for b in basis]
-        grams = l2_gram(basis, basis, dom, rule), l2_gram(divs, divs, dom, rule)
-        for G in grams:
-            G.setflags(write=False)
-        forms = list(itertools.takewhile(
-            lambda pair: None not in pair,
-            ((b.separated(), v.separated()) for b, v in zip(basis, divs))))
-        raw = forms and (len(forms), _raw_terms([v for _, v in forms]),
-                         [_raw_terms(c) for c in zip(*(b for b, _ in forms))])
-        kept[:] = [list(basis), divs, *grams, raw]
-    return kept[1][:n], kept[2][:n, :n], kept[3][:n, :n]
-
-
-def _joined(first, then, count: int):
-    """The raw terms (:func:`quadrature._raw_terms`) ``first`` of ``count``
-    forms followed by the raw terms ``then``, their owners after those."""
-    return (first[0] + then[0], np.concatenate((first[1], then[1] + count)),
-            np.concatenate((first[2], then[2])))
+@functools.lru_cache(maxsize=FLUX_BASIS_MEMO)
+def _basis_grams(basis: Tuple[VectorField, ...], dom, rule):
+    """The divergences of ``basis``, a tuple, and BB = ``l2_gram(basis,
+    basis)`` and DD, the same of the divergences, read-only; kept for the
+    :data:`manufactured.FLUX_BASIS_MEMO` latest (basis, box, rule)."""
+    divs = tuple(b.div_field() for b in basis)
+    grams = l2_gram(basis, basis, dom, rule), l2_gram(divs, divs, dom, rule)
+    for G in grams:
+        G.setflags(write=False)
+    return (divs, *grams)
 
 
 def _flux_terms(basis, divs, d, targets, dom, rule):
@@ -124,39 +91,34 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
     div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``. d and the
     targets are checked against the box and the basis as ``l2_gram``
     checks them. When all carry separated forms, everything comes from two
-    :class:`quadrature._Sums`: d joined before the kept divergences, for
-    d + div psi, and the targets after the kept fields, for psi - t
-    (the raw terms kept by :func:`_basis_grams`, :func:`_joined`). Their
-    blocks equal ``l2_gram`` and their norms ``norm_sq`` of the step's
-    flux, bit for bit, and a warm record's plans are kept. Otherwise d, the
-    targets and the basis are sampled once and the blocks and norms taken
-    from the rows."""
+    :class:`quadrature._Sums`: d and the divergences, for d + div psi, and
+    the fields and the targets, for psi - t. Their blocks equal
+    ``l2_gram`` and their norms ``norm_sq`` of the step's flux, bit for
+    bit. Otherwise d, the targets and the basis are sampled once and the
+    blocks and norms taken from the rows."""
     # in l2_gram's order; the basis and its divergences were checked as
-    # they were kept
+    # their Grams were assembled
     _check_fields([*targets, basis[0]], dom)
     _check_fields([d, divs[0]], dom)
-    N, T, fd = len(basis), len(targets), d.separated()
-    ft = [t.separated() for t in targets]
-    raw = _basis_grams_memo(dom, rule)[4]
-    if raw and raw[0] >= N and fd is not None and None not in ft:
-        size, on_divs, on_fields = raw
+    N, T = len(basis), len(targets)
+    on_divs = [f.separated() for f in (d, *divs)]
+    on_fields = [f.separated() for f in (*basis, *targets)]
+    if None not in on_divs and None not in on_fields:
         axes = axis_rules(dom, rule)
-        residual = _Sums([_joined(_raw_terms([fd]), on_divs, 1)], axes)
-        gaps = _Sums([_joined(part, _raw_terms(sums), size)
-                      for part, sums in zip(on_fields, zip(*ft))], axes)
-        # the scales of the kept forms: the coefficients for the leading n,
+        residual, gaps = _Sums(on_divs, axes), _Sums(on_fields, axes)
+        # the scales of the forms: the coefficients for the leading n,
         # 0 for the rest; before them 1 for d, after them -1 for one target
         # and 0 for the others
         ends = np.diag(np.full(T, -1.0))
 
         def norms(coeffs):
-            rest = np.zeros(size - len(coeffs))
+            rest = np.zeros(N - len(coeffs))
             return [residual.norm(np.concatenate(([1.0], coeffs, rest))),
                     *(gaps.norm(np.concatenate((coeffs, rest, end)))
                       for end in ends)]
 
         return (residual.block(range(1), range(1, N + 1))[0],
-                gaps.block(range(size, size + T), range(N)), norms)
+                gaps.block(range(N, N + T), range(N)), norms)
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)
     rows = samples(targets, dom, rule)[0]
@@ -182,15 +144,14 @@ def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
 
     Everything is assembled once, so a step costs one n x n solve and a
     few contractions. The basis Grams and divergences come from
-    :func:`_basis_grams`, kept per box and rule; the other blocks and the
-    norms from :func:`_flux_terms`. With separated forms, the raw terms of
-    the basis are kept beside its Grams and the plans of a record's terms
-    joined to them are kept per process, so a warm record integrates
+    :func:`_basis_grams`, kept per basis, box and rule; the other blocks
+    and the norms from :func:`_flux_terms`. With separated forms, the plans
+    of their terms are kept per process, so a warm record integrates
     nothing; its blocks equal :func:`quadrature.l2_gram`, and its norms
     ``norm_sq("L2", ...)`` of d + psi.div_field() and of psi - t, bit for
     bit."""
     targets = list(targets)
-    divs, BB, DD = _basis_grams(basis, dom, rule)
+    divs, BB, DD = _basis_grams(tuple(basis), dom, rule)
     RD, RT, norms = _flux_terms(basis, divs, d, targets, dom, rule)
 
     def step(n: int, wa: float, wb: float):
@@ -253,8 +214,6 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     (``which="iii"``) of the step's flux and gamma. The norms that do not
     depend on the flux are computed once.
     """
-    from .manufactured import flux_basis as make_flux_basis
-
     if case.kind != "RD":
         raise ValueError("improve_bound targets the reaction-diffusion majorant")
     if budget < 1:
@@ -270,7 +229,7 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
     u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
     err_u = norm_sq("L2", case.exact_u - ut, dom, rule)
     err_p = norm_sq("L2", case.exact_p - pt, dom, rule)
-    basis = list(make_flux_basis(dom.spatial(), start_size + budget - 1))
+    basis = flux_basis(dom.spatial(), start_size + budget - 1)
     step = _flux_step(basis, case.f - phi_free,
                       (phi_free.gradient_field(), pt), dom, rule)
     gamma = gamma0

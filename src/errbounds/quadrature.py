@@ -94,12 +94,16 @@ def _register(args, w, axes):
 
 @lru_cache(maxsize=None)
 def space_nodes(dom: BoxDomain, rule: QuadratureRule):
-    """Spatial tensor nodes: X with shape (N, d) and weights (N,)."""
+    """Spatial tensor nodes: X with shape (N, d) and weights (N,), the
+    last axis varying fastest, filled axis by axis from the 1-D rules."""
     axes = axis_rules(dom.spatial(), rule)
-    mesh = np.meshgrid(*(x for x, _ in axes), indexing="ij")
-    wmesh = np.meshgrid(*(w for _, w in axes), indexing="ij")
-    w = reduce(np.multiply, (m.ravel() for m in wmesh), np.ones(mesh[0].size))
-    return _register((np.stack([m.ravel() for m in mesh], axis=1),), w, axes)
+    d, shape = len(axes), tuple(len(x) for x, _ in axes)
+    X = np.empty((math.prod(shape), d))
+    grid = X.reshape(*shape, d)
+    for i, (x, _) in enumerate(axes):
+        grid[..., i] = x.reshape((-1,) + (1,) * (d - 1 - i))
+    w = reduce(np.multiply.outer, (w for _, w in axes)).ravel()
+    return _register((X,), w, axes)
 
 
 @lru_cache(maxsize=None)
@@ -306,32 +310,22 @@ def _norm_addends(slots, coefs, H) -> np.ndarray:
     return (np.multiply.outer(m, m) * H).ravel()
 
 
-def _raw_terms(sums):
-    """The raw terms of the :class:`fields.SeparatedSum` list ``sums``, in
-    order: their factor tuples, owners (the index of their sum) and
-    coefficients."""
-    return (tuple(fs for s in sums for fs in s.factors),
-            np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
-            np.array([c for s in sums for c in s.coefs], dtype=float))
-
-
 class _Sums:
-    """Separated forms of one rank on the axis rules ``axes``, given per
-    component by their raw terms (:func:`_raw_terms`), owners ascending,
-    and integrated through the plan of each component (:func:`_plan`)."""
+    """Separated forms of one rank on the axis rules ``axes``, each a
+    :class:`fields.SeparatedSum` or a tuple of them, one per component,
+    integrated through the plan (:func:`_plan`) of each component's raw
+    terms: their factor tuples, owners (the index of their form) and
+    coefficients, in order."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts, axes):
-        self.parts = [(owners, coefs, *_plan(factors, axes))
-                      for factors, owners, coefs in parts]
-
-    @classmethod
-    def of(cls, forms, axes) -> "_Sums":
-        """The forms ``forms``, each a :class:`fields.SeparatedSum` or a
-        tuple of them, one per component."""
+    def __init__(self, forms, axes):
         comps = zip(*forms) if isinstance(forms[0], tuple) else [forms]
-        return cls([_raw_terms(sums) for sums in comps], axes)
+        self.parts = [
+            (np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
+             np.array([c for s in sums for c in s.coefs], dtype=float),
+             *_plan(tuple(fs for s in sums for fs in s.factors), axes))
+            for sums in comps]
 
     def norm(self, scales: np.ndarray) -> float:
         """``||sum_j scales[j] forms[j]||^2`` as :func:`separated_inner`
@@ -378,7 +372,7 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     and no :func:`term_grams`; one that rounding leaves below zero is 0."""
     axes = axis_rules(dom, rule)
     if fb is not fa:
-        G = _Sums.of([fa, fb], axes).block(range(1), range(1, 2))
+        G = _Sums([fa, fb], axes).block(range(1), range(1, 2))
         return float(G[0, 0])
     parts = []
     for s in fa if isinstance(fa, tuple) else (fa,):
@@ -395,9 +389,9 @@ def _separated_gram(fl, fr, axes) -> np.ndarray:
     form, a norm)."""
     m = len(fl)
     if fr is fl:
-        G = _Sums.of(fl, axes).block(range(m), range(m))
+        G = _Sums(fl, axes).block(range(m), range(m))
     else:
-        G = _Sums.of([*fl, *fr], axes).block(range(m), range(m, m + len(fr)))
+        G = _Sums([*fl, *fr], axes).block(range(m), range(m, m + len(fr)))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
     return np.where(same, np.maximum(G, 0.0), G)
 

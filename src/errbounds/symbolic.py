@@ -343,10 +343,11 @@ def _separated(exprs, dim: int, time_dependent: bool):
 
 
 def _lambdify(expr, dim: int, time_dependent: bool):
-    fn = _numpy_function(expr, dim, time_dependent)
-
+    """The evaluator of ``expr``, lambdified at its first evaluation (see
+    :func:`_numpy_function`), so building a field lambdifies nothing."""
     def wrapped(*args):  # (X,) or (t, X)
         coords, shape = coordinates(args, dim)
+        fn = _numpy_function(expr, dim, time_dependent)
         out = np.asarray(fn(*coords), dtype=float)
         if out.shape != shape:  # a constant, or an axis missing
             out = np.broadcast_to(out, shape).copy()

@@ -461,23 +461,31 @@ def _majorant_config(sizes=(4, 16, 36)):
 def test_run_evaluates_no_field_on_the_grid():
     config = _majorant_config()
     expected = [r["majorant"] for r in run(config).records]
-    # the nested basis of one box is one list
-    assert all(a is b for a, b in zip(flux_basis(DOM2, 4),
-                                      flux_basis(DOM2, 36)))
+    # bases of different sizes on one box are other fields with one set of
+    # factors, so they meet the same plans
+    for a, b in zip(flux_basis(DOM2, 4), flux_basis(DOM2, 36)):
+        assert a is not b
+        assert [s.factors for s in a.separated()] == \
+            [s.factors for s in b.separated()]
     with _no_field_evaluated():
         report = run(config)
     assert [r["majorant"] for r in report.records] == expected
     assert all(r["passed"] for r in report.records)
 
 
-def test_majorant_records_do_not_depend_on_the_order_of_basis_sizes():
-    # the first size on a box assembles its basis and keeps its raw terms,
-    # later sizes take blocks of them or assemble a longer basis
-    from errbounds import optimize
+def _clear_flux_memos():
+    from errbounds import manufactured, optimize
 
+    manufactured._flux_fields.cache_clear()
+    optimize._basis_grams.cache_clear()
+
+
+def test_majorant_records_do_not_depend_on_the_order_of_basis_sizes():
+    # each size builds its own basis and Grams, whose terms meet the plans
+    # that the sizes before it left
     runs = []
     for sizes in ((4, 16, 36), (36, 4, 16), (16,)):
-        optimize._basis_grams_memo.cache_clear()
+        _clear_flux_memos()
         runs.append({(r["case"], r["basis_size"]): _hexed(
             {k: v for k, v in r.items() if k != "wall_time_s"})
             for r in run(_majorant_config(sizes)).records})
@@ -498,26 +506,28 @@ def _assert_same_fields(kept, fresh):
 
 
 def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
-    # the basis list of a box outlives the run; a record that raises while
-    # the list is extended, or after, leaves a list equal to one built
-    # afresh, and later runs extend it to the same basis
+    # a record that raises while its basis is built keeps no part of it: a
+    # later record of that size builds it whole, a later run equals one in
+    # a process that met no basis, and so does a run after a record raised
+    # once its basis was kept
     from errbounds import manufactured, runner
 
     config = _majorant_config()
-    fields = manufactured._flux_fields
-    fields.cache_clear()
-    gradient = manufactured._gradient
+    _clear_flux_memos()
+    gradient, built = manufactured._gradient, []
 
     def failing_once(s, dom):
-        if len(fields(DOM2)) == 6:
-            monkeypatch.setattr(manufactured, "_gradient", gradient)
+        built.append(s)
+        if len(built) == 4 + 7:  # the 7th field of the second record's 16
             raise RuntimeError("basis field failed")
         return gradient(s, dom)
 
     monkeypatch.setattr(manufactured, "_gradient", failing_once)
     report = run(config)
     assert [r["status"] for r in report.records] == ["ok", "error"] + ["ok"] * 4
-    kept = list(fields(DOM2))
+    # the Poisson record of size 16 built the basis again, whole
+    assert len(built) == 4 + 7 + 36 + 16
+    monkeypatch.setattr(manufactured, "_gradient", gradient)
     real = runner.minimize_flux_majorant
 
     def escaping(*args, **kwargs):
@@ -527,20 +537,22 @@ def test_flux_bases_stay_whole_when_a_record_raises(monkeypatch):
     monkeypatch.setattr(runner, "minimize_flux_majorant", escaping)
     with pytest.raises(KeyboardInterrupt):
         run(config)
-    assert fields(DOM2)[:len(kept)] == kept
     monkeypatch.setattr(runner, "minimize_flux_majorant", real)
     warm = run(config)
-    kept = list(fields(DOM2))
-    fields.cache_clear()
-    assert [r["majorant"] for r in run(config).records] == \
-        [r["majorant"] for r in warm.records]
-    fresh = fields(DOM2)
-    assert len(kept) == 36 and kept is not fresh
-    _assert_same_fields(kept, fresh)
+    kept = {n: manufactured._flux_fields(DOM2, n) for n in (4, 16, 36)}
+    _clear_flux_memos()
+    fresh = [r["majorant"] for r in run(config).records]
+    assert [r["majorant"] for r in warm.records] == fresh
+    assert [r["majorant"] for i, r in enumerate(report.records) if i != 1] \
+        == fresh[:1] + fresh[2:]
+    for n, fields in kept.items():
+        fresh = manufactured._flux_fields(DOM2, n)
+        assert len(fields) == n and fields is not fresh
+        _assert_same_fields(fields, fresh)
 
 
 # --------------------------------------------------------------------------
-# the basis Grams kept per box and rule, and the flux step's plans
+# the basis Grams kept per basis, box and rule, and the flux step's plans
 # --------------------------------------------------------------------------
 
 
@@ -565,60 +577,67 @@ def _basis_gram_calls(monkeypatch):
 
 
 def test_warm_flux_majorant_assembles_no_basis_gram(monkeypatch):
-    from errbounds import optimize
-
-    optimize._basis_grams_memo.cache_clear()
+    _clear_flux_memos()
     case = make_case("Poisson", DOM2, "sin(pi*x)*sin(2*pi*y)")
     ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
-    cold = minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)[1]
+    sizes = (16, 4, 9)
+    cold = [minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)[1]
+            for n in sizes]
     calls = _basis_gram_calls(monkeypatch)
     warm = [minimize_flux_majorant(case, ut, flux_basis(DOM2, n), RULE)[1]
-            for n in (16, 4, 9)]
+            for n in sizes]
     assert calls == []
-    assert warm[0].to_record() == cold.to_record()
-    # a longer basis is assembled once, both of its Grams
-    minimize_flux_majorant(case, ut, flux_basis(DOM2, 20), RULE)
+    assert [r.to_record() for r in warm] == [r.to_record() for r in cold]
+    # a size met for the first time is assembled once, both of its Grams
+    for _ in range(2):
+        minimize_flux_majorant(case, ut, flux_basis(DOM2, 20), RULE)
     assert calls == [20, 20]
-    # and the basis of improve_bound on the box is its leading fields
+    # and so is the basis of improve_bound on the box, of its budget's size
     rd = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
-    improve_bound(rd, perturb(rd, "non_conforming", 0.3, 4),
-                  free_fields(rd, "coarse")[0], RULE, budget=8)
-    assert calls == [20, 20]
+    for _ in range(2):
+        improve_bound(rd, perturb(rd, "non_conforming", 0.3, 4),
+                      free_fields(rd, "coarse")[0], RULE, budget=8)
+    assert calls == [20, 20, 8, 8]
 
 
 @pytest.mark.parametrize("sizes", [(1, 6, 13), (13, 6, 1)],
                          ids=["ascending", "descending"])
 def test_basis_gram_blocks_equal_fresh_grams_bitwise(sizes):
+    # the Grams of each size, and their leading blocks, which the steps of
+    # improve_bound take, equal fresh Grams of the leading fields
     from errbounds import optimize
 
-    optimize._basis_grams_memo.cache_clear()
+    _clear_flux_memos()
     for n in sizes:
         basis = flux_basis(SHIFTED, n)
-        divs, BB, DD = optimize._basis_grams(basis, SHIFTED, RULE)
+        divs, BB, DD = optimize._basis_grams(tuple(basis), SHIFTED, RULE)
         fresh = [b.div_field() for b in basis]
         assert [f.separated() for f in divs] == [f.separated() for f in fresh]
-        assert _hex(BB) == _hex(l2_gram(basis, basis, SHIFTED, RULE))
-        assert _hex(DD) == _hex(l2_gram(fresh, fresh, SHIFTED, RULE))
+        for m in {1, (n + 1) // 2, n}:
+            lead, lead_divs = basis[:m], fresh[:m]
+            assert _hex(BB[:m, :m]) == _hex(l2_gram(lead, lead, SHIFTED, RULE))
+            assert _hex(DD[:m, :m]) == _hex(l2_gram(lead_divs, lead_divs,
+                                                    SHIFTED, RULE))
 
 
 def test_basis_grams_recompute_for_new_fields_rules_and_boxes(monkeypatch):
     from errbounds import manufactured, optimize
 
-    optimize._basis_grams_memo.cache_clear()
+    optimize._basis_grams.cache_clear()
     calls = _basis_gram_calls(monkeypatch)
     wide = BoxDomain((0.0, 0.0), (2.0, 1.0))
     coarse = QuadratureRule(space_order=3)
-    kept = flux_basis(DOM2, 5)
+    kept = tuple(flux_basis(DOM2, 5))
     for _ in range(2):
         optimize._basis_grams(kept, DOM2, RULE)
     assert calls == [5, 5]
     manufactured._flux_fields.cache_clear()
-    fresh = flux_basis(DOM2, 5)
+    fresh = tuple(flux_basis(DOM2, 5))
     for basis, dom, rule in (
             (fresh, DOM2, RULE),  # new field objects
             (fresh, DOM2, coarse),  # another rule
-            ([2.0 * b for b in fresh], DOM2, coarse),  # other fields
-            (flux_basis(wide, 5), wide, coarse)):  # another box
+            (tuple(2.0 * b for b in fresh), DOM2, coarse),  # other fields
+            (tuple(flux_basis(wide, 5)), wide, coarse)):  # another box
         del calls[:]
         _, BB, _ = optimize._basis_grams(basis, dom, rule)
         assert calls == [5, 5]
@@ -631,17 +650,19 @@ def test_basis_grams_memo_stays_within_its_bound():
     from errbounds import manufactured, optimize
 
     bound = manufactured.FLUX_BASIS_MEMO
+    optimize._basis_grams.cache_clear()
     for k in range(bound + 3):
         dom = BoxDomain((0.0,), (1.0 + k / 8,))
-        optimize._basis_grams(flux_basis(dom, 1), dom, RULE)
-    info = optimize._basis_grams_memo.cache_info()
+        optimize._basis_grams(tuple(flux_basis(dom, 1)), dom, RULE)
+    info = optimize._basis_grams.cache_info()
     assert info.maxsize == bound and info.currsize == bound
+    assert info.misses == bound + 3
 
 
 def test_basis_gram_blocks_are_read_only():
     from errbounds import optimize
 
-    _, BB, DD = optimize._basis_grams(flux_basis(DOM2, 4), DOM2, RULE)
+    _, BB, DD = optimize._basis_grams(tuple(flux_basis(DOM2, 4)), DOM2, RULE)
     for G in (BB, DD):
         with pytest.raises(ValueError, match="read-only"):
             G[0, 0] = 1.0
@@ -711,13 +732,13 @@ def test_flux_step_norms_are_norm_sq_of_its_flux_bitwise(problem):
 @settings(max_examples=50, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.too_slow])
 def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
-    # the basis of N fields is kept first, so the step of the leading n
-    # gathers its blocks from the plans of the longer basis's terms
+    # the blocks of the leading n fields and of all N, in either order,
+    # whatever plans the other size left
     from errbounds import optimize
 
     _, dom, d, targets, basis, n, _, _ = problem
-    for size in (len(basis), n):
-        divs = optimize._basis_grams(basis[:size], dom, RULE)[0]
+    for size in (len(basis), n, len(basis)):
+        divs = optimize._basis_grams(tuple(basis[:size]), dom, RULE)[0]
         RD, RT, _ = optimize._flux_terms(basis[:size], divs, d, targets,
                                          dom, RULE)
         fresh = [b.div_field() for b in basis[:size]]
@@ -729,13 +750,14 @@ def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
 def test_warm_flux_step_integrates_nothing(monkeypatch):
     from errbounds import optimize, quadrature
 
-    optimize._basis_grams_memo.cache_clear()
+    _clear_flux_memos()
     # the mode (7, 5) is not among the first 16 of the basis: d and the
     # target bring terms that the basis lacks
     case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y) + "
                                  "sin(7*pi*x)*sin(5*pi*y)/10")
     ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
     cold = minimize_flux_majorant(case, ut, flux_basis(DOM2, 16), RULE)[1]
+    minimize_flux_majorant(case, ut, flux_basis(DOM2, 9), RULE)
     calls = Counter()
 
     def counted(module, name):

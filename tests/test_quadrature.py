@@ -26,7 +26,7 @@ from errbounds import (
     vector_field,
 )
 from errbounds.manufactured import _gradient, _random_trig, _scalar
-from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, samples
+from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, axis_rules, samples
 from test_fields import without_forms
 
 RULE = QuadratureRule()
@@ -75,6 +75,28 @@ def test_weights_sum_to_volume():
     dom = BoxDomain((0.0, -1.0), (2.0, 3.0))
     _, w = space_nodes(dom, RULE)
     assert math.fsum(w.tolist()) == pytest.approx(8.0, rel=1e-14)
+
+
+@pytest.mark.parametrize("dom", [
+    DOM1, BoxDomain((0.0, -1.0), (2.0, 3.0)),
+    BoxDomain((-0.3, 0.2, 0.1), (1.7, 0.9, 2.6))], ids=["1-D", "2-D", "3-D"])
+@pytest.mark.parametrize("rule", [RULE, QuadratureRule(3, 2)],
+                         ids=["order-12", "order-3"])
+def test_space_nodes_are_the_tensor_product_of_the_axis_rules(dom, rule):
+    # the node of the multi-index (j_1, ..., j_d), the last axis varying
+    # fastest, is (x_1[j_1], ..., x_d[j_d]) and its weight the product
+    # w_1[j_1] * ... * w_d[j_d] in axis order, bit for bit
+    axes = axis_rules(dom, rule)
+    idx = np.indices([len(x) for x, _ in axes]).reshape(len(axes), -1)
+    X, w = space_nodes(dom, rule)
+    assert X.tobytes() == np.stack([x[j] for (x, _), j in zip(axes, idx)],
+                                   axis=1).tobytes()
+    weights = [wx[j] for (_, wx), j in zip(axes, idx)]
+    product = weights[0]
+    for wx in weights[1:]:
+        product = product * wx
+    assert w.tobytes() == product.tobytes()
+    assert not X.flags.writeable and not w.flags.writeable
 
 
 def test_l2_inner_sine_orthogonality():

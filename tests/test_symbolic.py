@@ -86,14 +86,20 @@ def test_attack_strings_raise_in_make_case_and_scalar_field(tmp_path, which):
     assert not sentinel.exists()
 
 
-@pytest.mark.parametrize("text, expected", [
+_NOT_REAL, _TOO_LARGE = "is not real and finite: ", "more than 10000 bits"
+
+# The solution texts that parse rejects on purpose, in every dimension and
+# with or without time, each with a part of its message. The tests that
+# expect a rejection (here and in test_cli) take them from this list, and
+# _project_solutions leaves them out.
+REJECTED = [
     ("sin(pi*", "does not parse"),
     ("sin(x, x)", "does not parse"),
-    ("-" * 100_000 + "x", "does not parse"),
+    ("sin(pi*w)", "unknown names ['w']"),
     ("sin(pi*w)*g(x)", "uses unknown names ['g', 'w']"),
+    ("g(x)*sin(pi*x)", "unknown names ['g']"),
     ("sin", "is not an expression"),
     ("x(1)", "is not an expression"),
-    ("t*x", "uses unknown names ['t']"),
     ("x > 0", "is not an expression"),
     ("[1]", "is not an expression"),
     ("sin(x=1)", "is not an expression"),
@@ -101,6 +107,24 @@ def test_attack_strings_raise_in_make_case_and_scalar_field(tmp_path, which):
     ("2j*x", "is not an expression"),
     ("'x'", "is not an expression"),
     ("x if x else 1", "is not an expression"),
+    ("sin(pi*x)*log(0)", _NOT_REAL + "'log(0)' is zoo"),
+    ("sin(pi*x)*(1/(x-x))", _NOT_REAL + "'1/(x-x)' is zoo"),
+    ("sin(pi*x)*sqrt(-1)", _NOT_REAL + "'sqrt(-1)' is I"),
+    ("sin(pi*x)*log(-1)", _NOT_REAL + "'log(-1)' is I*pi"),
+    ("sin(pi*x)*acos(2)", _NOT_REAL + "'acos(2)' is acos(2)"),
+    ("sin(pi*x)*asin(3)", _NOT_REAL + "'asin(3)' is asin(3)"),
+    ("9**9**7*sin(pi*x)", _TOO_LARGE),
+    ("2**-10001*sin(pi*x)", _TOO_LARGE),
+    ("(2/3)**9000*sin(pi*x)", _TOO_LARGE),
+    ("(x*10**3000)**4*sin(pi*x)", _TOO_LARGE),
+]
+
+
+@pytest.mark.parametrize("text, expected", [
+    *((text, part) for text, part in REJECTED
+      if not part.startswith((_NOT_REAL, _TOO_LARGE))),
+    ("-" * 100_000 + "x", "does not parse"),
+    ("t*x", "uses unknown names ['t']"),
 ])
 def test_parse_rejects_text_outside_the_grammar(text, expected):
     with pytest.raises(SolutionError, match=re.escape(expected)):
@@ -108,13 +132,8 @@ def test_parse_rejects_text_outside_the_grammar(text, expected):
 
 
 @pytest.mark.parametrize("text, part", [
-    ("sin(pi*x)*log(0)", "'log(0)' is zoo"),
-    ("sin(pi*x)*(1/(x-x))", "'1/(x-x)' is zoo"),
-    ("sin(pi*x)*sqrt(-1)", "'sqrt(-1)' is I"),
-    ("sin(pi*x)*log(-1)", "'log(-1)' is I*pi"),
-    ("sin(pi*x)*acos(2)", "'acos(2)' is acos(2)"),
-    ("sin(pi*x)*asin(3)", "'asin(3)' is asin(3)"),
-])
+    (text, part.removeprefix(_NOT_REAL)) for text, part in REJECTED
+    if part.startswith(_NOT_REAL)])
 def test_parse_rejects_constants_that_are_not_real_and_finite(text, part):
     with pytest.raises(SolutionError, match=re.escape(
             f"is not real and finite: {part}")):
@@ -141,12 +160,11 @@ _LARGE_PRODUCT = "x*" + "*".join(["10**3000"] * 300)
 
 
 @pytest.mark.parametrize("text", [
-    "9**9**7*sin(pi*x)", "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)",
-    "(x*10**3000)**4*sin(pi*x)",
+    *(text for text, part in REJECTED if part == _TOO_LARGE),
     pytest.param(_LARGE_PRODUCT, id="x*10**3000*...*10**3000")])
 def test_large_literal_powers_are_refused_quickly(tmp_path, capsys, text):
     start = time.perf_counter()
-    with pytest.raises(SolutionError, match="more than 10000 bits"):
+    with pytest.raises(SolutionError, match=_TOO_LARGE):
         parse(text, 1)
     code, err = _run_cli(tmp_path, capsys, {
         "kind": "RD", "lower": [0.0], "upper": [1.0], "solution": text})
@@ -190,16 +208,6 @@ def test_no_source_module_evaluates_text():
 # parse agrees with sympy's own reader on every solution the project uses
 # --------------------------------------------------------------------------
 
-# the solution strings of the tests that are rejected on purpose
-_DELIBERATELY_INVALID = {"sin(pi*", "sin(pi*w)", "g(x)*sin(pi*x)", "x > 0",
-                         "[1]", "sin(x, x)", "sin(pi*w)*g(x)", "sin",
-                         "sin(x=1)", "sin(*[x])", "2j*x", "'x'",
-                         "x if x else 1", "x(1)", "9**9**7*sin(pi*x)",
-                         "2**-10001*sin(pi*x)", "(2/3)**9000*sin(pi*x)",
-                         "(x*10**3000)**4*sin(pi*x)", "sin(pi*x)*log(0)",
-                         "sin(pi*x)*(1/(x-x))", "sin(pi*x)*sqrt(-1)",
-                         "sin(pi*x)*log(-1)", "sin(pi*x)*acos(2)",
-                         "sin(pi*x)*asin(3)"}
 _SOLUTION_CALLS = {"make_case", "scalar_field", "vector_field",
                    "gradient_field"}
 _SOLUTION_PARAMS = {"solution", "expr", "u_expr", "text"}
@@ -228,6 +236,8 @@ def _python_solutions(source):
                     if p not in _SOLUTION_PARAMS:
                         continue
                     for row in getattr(node.args[1], "elts", []):
+                        if len(params) > 1 and not isinstance(row, ast.Tuple):
+                            continue  # rows drawn from a list (REJECTED)
                         item = row.elts[i] if len(params) > 1 else row
                         if isinstance(item, ast.Constant):
                             found.append(item.value)
@@ -271,23 +281,16 @@ def _project_solutions():
     found += lists["_1D"] + lists["_2D"]
     found += [tf + "(" + e + ")" for tf, e in
               zip(lists["_TIME"], lists["_1D"] * 2)]
-    return sorted(set(found))
+    return sorted(set(found) - {text for text, _ in REJECTED})
 
 
 def test_parse_equals_sympy_on_every_project_solution():
     solutions = _project_solutions()
     assert len(solutions) > 40
-    checked = 0
     for text in solutions:
-        try:
-            expr = parse(text, 3, True)
-        except SolutionError:
-            assert text in _DELIBERATELY_INVALID, text
-            continue
-        # the reference reader, run only on text parse has accepted
-        assert expr == sp.sympify(text), text
-        checked += 1
-    assert checked > 40
+        # a rejected text fails here; the reference reader runs only on
+        # text that parse has accepted
+        assert parse(text, 3, True) == sp.sympify(text), text
 
 
 # --------------------------------------------------------------------------
@@ -320,15 +323,35 @@ def test_make_case_lambdifies_each_expression_once(monkeypatch, kind, d):
                     time_horizon=1.0 if parabolic else None)
     text = "*".join(f"sin({k + 1}*pi*{v})" for k, v in enumerate("xyz"[:d]))
     text = ("exp(-t)*" if parabolic else "") + text
-    make_case(kind, dom, text)
-    # value, d gradient components, Laplacian, f (and dt)
-    assert calls.count("lambdify") == d + (4 if parabolic else 3)
-    assert "subs" in calls  # the faces, decided once
+    case = make_case(kind, dom, text)
+    # the faces are decided once; building the fields lambdifies nothing
+    assert "subs" in calls and "lambdify" not in calls
     calls.clear()
+    X = np.full((3, d), 0.3)
+    args = (np.full(3, 0.2), X) if parabolic else (X,)
+
+    def evaluate(case):
+        u = case.exact_u
+        for f in (u.value, u.grad, u.laplacian, case.f.value,
+                  case.exact_p.value):
+            f(*args)
+        if parabolic:
+            u.evaluator("dt")(*args)
+            case.u0.value(X)
+
+    evaluate(case)
+    # value, d gradient components, Laplacian, f (and dt), each at its
+    # first evaluation; lambdify evaluates the floats of f as it prints them
+    assert [c for c in calls if c != "evalf"] == \
+        ["lambdify"] * (d + (4 if parabolic else 3))
+    calls.clear()
+    evaluate(case)
+    assert calls == []
     # a case built again in the process, even once the case memo has let it
-    # go, lambdifies, substitutes, evaluates and simplifies nothing
+    # go, lambdifies, substitutes, evaluates and simplifies nothing, neither
+    # when built nor when evaluated
     make_case.cache_clear()
-    make_case(kind, dom, text)
+    evaluate(make_case(kind, dom, text))
     assert calls == []
 
 
@@ -357,12 +380,17 @@ _MEMO_RULE = QuadratureRule(space_order=2, time_order=2)
 
 
 def _fresh(monkeypatch, expr):
-    """The evaluator of ``expr`` around a fresh ``sp.lambdify``."""
-    symbols = (T_SYMBOL, *X_SYMBOLS)
-    with monkeypatch.context() as m:
-        m.setattr(symbolic, "_numpy_function", lambda e, dim, td:
-                  sp.lambdify(symbols, e, modules="numpy"))
-        return symbolic._lambdify(expr, 3, True)
+    """The evaluator of ``expr`` around a fresh ``sp.lambdify``, which it
+    looks up as it evaluates."""
+    fn = sp.lambdify((T_SYMBOL, *X_SYMBOLS), expr, modules="numpy")
+    evaluator = symbolic._lambdify(expr, 3, True)
+
+    def fresh(*args):
+        with monkeypatch.context() as m:
+            m.setattr(symbolic, "_numpy_function", lambda e, dim, td: fn)
+            return evaluator(*args)
+
+    return fresh
 
 
 def _bits(evaluator, args):
@@ -380,18 +408,20 @@ def test_memoised_evaluators_equal_a_fresh_lambdify(monkeypatch,
                                                     keyed_by_srepr):
     if keyed_by_srepr:  # the keys of sympy before 1.13
         monkeypatch.setattr(symbolic, "_FLOAT_EQUALS_INTEGER", True)
-    texts = [t for t in _project_solutions() if t not in _DELIBERATELY_INVALID]
+    texts = _project_solutions()
     texts += [t for pair in _FLOAT_INTEGER_PAIRS for t in pair]
     exprs = []
     for text in texts:
         expr = parse(text, 3, True)
         exprs += [expr, symbolic.derivatives(expr, 3, True)[1]]
-    # every expression is in the memo before any is checked
     memoised = [symbolic._lambdify(e, 3, True) for e in exprs]
     t, X, _ = spacetime_nodes(_MEMO_BOX, _MEMO_RULE)
     columns = (t.copy(), X.copy())
     assert grid_axes((t, X)) is not None and grid_axes(columns) is None
     with np.errstate(all="ignore"):
+        # every expression is in the memo before any is checked
+        for memo in memoised:
+            _bits(memo, columns)
         for expr, memo in zip(exprs, memoised):
             fresh = _fresh(monkeypatch, expr)
             for args in ((t, X), columns):
