@@ -135,6 +135,29 @@ PY
 cmp "$tmp/suite-0/report.json" "$tmp/suite-restarts/report.json"
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-restarts/report.json"
 
+echo "Reports do not depend on which path reduced a norm"
+# below _NUMPY_MIN_SLOTS slots a norm is reduced in Python floats, else by
+# numpy; a bound of 0 sends every norm through numpy and one above every
+# plan sends every norm through floats, and the bytes must not move
+for bound in 0 1000000; do
+  python - "$tmp" "$bound" <<'PY'
+import contextlib, io, sys
+from errbounds import quadrature
+from errbounds.cli import main
+tmp, bound = sys.argv[1], int(sys.argv[2])
+quadrature._NUMPY_MIN_SLOTS = bound
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["suite", "--out", f"{tmp}/suite-slots-{bound}"]) == 0
+    assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
+                 "--out", f"{tmp}/majorant-slots-{bound}"]) == 0
+# every plan the runs met took the one path
+assert {lists is not None for _, _, lists in quadrature._PLANS.values()} \
+    == {bound > 0}
+PY
+  cmp "$tmp/suite-0/report.json" "$tmp/suite-slots-$bound/report.json"
+  cmp "$tmp/majorant-0/report.json" "$tmp/majorant-slots-$bound/report.json"
+done
+
 echo "Reports repeat when the flux-basis memos are cleared"
 # new field objects for the same basis meet the same plans through their
 # interned factors, so a process that drops its bases and Grams and runs

@@ -180,10 +180,12 @@ class SeparatedSum:
     @staticmethod
     def combination(sums, coefs) -> "SeparatedSum":
         """``sum_k coefs[k] * sums[k]``: the terms of every sum in order,
-        each coefficient times its sum's."""
-        return SeparatedSum([c * a for s, c in zip(sums, coefs)
-                             for a in s.coefs],
-                            [fs for s in sums for fs in s.factors])
+        each coefficient times its sum's unless it is 1.0 (no bit moves)."""
+        out, factors = [], []
+        for s, c in zip(sums, coefs):
+            out.extend(s.coefs if c == 1.0 else [c * a for a in s.coefs])
+            factors.extend(s.factors)
+        return SeparatedSum(out, factors)
 
     def derivative(self, axis: int) -> "SeparatedSum":
         """The derivative along ``axis``: one factor per term differentiated,
@@ -337,11 +339,11 @@ class _Field:
       the names ``names`` maps to, sliced at time ``t0`` unless it is None.
 
     Its capabilities (the names of its evaluators: ``value``, ``grad``,
-    ``laplacian``, ``dt``, ``div``) and boundary flag are set when it is
-    made; its evaluators and forms are built when asked, and kept."""
+    ``laplacian``, ``dt``, ``div``) and boundary flag are set when made;
+    its evaluators and forms are built when first asked, kept per name."""
 
     __slots__ = ("dim", "time_dependent", "capabilities", "_vanishes",
-                 "_kind", "_args", "_made")
+                 "_kind", "_args", "_evaluators", "_forms")
     _RANK = ""
     _NAMES = ()  # the capabilities a field of this rank can have
     _KEEP = ()  # the keywords of ``restricted``
@@ -357,7 +359,8 @@ class _Field:
     def _set(self, kind, args, caps, dim, time_dependent, vanishes):
         self.dim, self.time_dependent = dim, time_dependent
         self.capabilities, self._vanishes = caps, vanishes
-        self._kind, self._args, self._made = kind, args, None
+        self._kind, self._args, self._evaluators, self._forms = (
+            kind, args, {}, {})
 
     @classmethod
     def _node(cls, kind, args, caps, dim, time_dependent, vanishes=False):
@@ -370,30 +373,26 @@ class _Field:
             raise CapabilityError(f"{self._RANK} field carries no "
                                   f"{_NOUNS[name]} evaluator")
 
-    def _get(self, what: str, name: str):
-        """The ``what`` (``evaluator`` or ``form``) of ``name``, built by
-        ``_build_<what>`` at the first request and kept."""
-        made = self._made
-        if made is None:
-            made = self._made = {}
-        elif (what, name) in made:
-            return made[what, name]
-        self._check(name)
-        made[what, name] = out = getattr(self, "_build_" + what)(name)
-        return out
-
     def evaluator(self, name: str) -> Callable:
         """The ``name`` evaluator, or CapabilityError if there is none."""
-        return self._get("evaluator", name)
+        made = self._evaluators
+        if name not in made:
+            self._check(name)
+            made[name] = self._build_evaluator(name)
+        return made[name]
 
     def form(self, name: str):
         """The form of the ``name`` evaluator, a :class:`SeparatedSum` (a
         tuple of them, one per component, for vectors) or None."""
-        return self._get("form", name)
+        made = self._forms
+        if name not in made:
+            self._check(name)
+            made[name] = self._build_form(name)
+        return made[name]
 
     def separated(self):
         """The separated form of the value (see :meth:`form`)."""
-        return self._get("form", "value")
+        return self.form("value")
 
     def _build_evaluator(self, name: str) -> Callable:
         kind, args = self._kind, self._args
@@ -414,7 +413,7 @@ class _Field:
         if kind == "sum":
             fields, coefs = args
             forms = [f.form(name) for f in fields]
-            if any(f is None for f in forms):
+            if None in forms:
                 return None
             if isinstance(forms[0], tuple):
                 return tuple(SeparatedSum.combination(sums, coefs)

@@ -13,7 +13,8 @@ rules (:func:`axis_rules`): the slot of each raw term among the distinct
 tuples and H of those tuples. A later sum, or list of sums, with the same
 factors and any coefficients merges them by one ``np.bincount`` and
 gathers its addends from H, without merging its terms as objects or
-integrating anything (:class:`_Sums`). Each entry of H is its own pair's
+integrating anything (:class:`_Sums`), a norm of a small plan the same in
+Python floats (:func:`_float_addends`). Each entry of H is its own pair's
 einsum, whatever else the plan holds, so the memo, at most
 :data:`PLAN_MEMO` plans, restarts empty past its bound without changing a
 bit. Any operand without a form (a field built from bare callables, or
@@ -222,7 +223,7 @@ def l2_inner(a, b, dom: BoxDomain, rule: QuadratureRule) -> float:
     """L2 inner product over the box (or the space-time cylinder): by
     :func:`separated_inner` when both fields carry a separated form (see
     :meth:`fields._Field.separated`), else on the full node grid."""
-    _check_fields([a, b], dom)
+    _check_fields([a] if b is a else [a, b], dom)
     fa = a.separated()
     fb = fa if b is a else b.separated()
     if fa is not None and fb is not None:
@@ -272,28 +273,37 @@ def term_grams(terms, axes) -> np.ndarray:
 # again empty (see _plan).
 PLAN_MEMO = 1024
 
-# (id of the axis rules, raw factor tuples) -> (slots, H)
+# Below this many slots a norm reduces its plan in Python floats, cheaper
+# than numpy there: 0.58 against 0.65 ms for the 11-slot norms of a suite
+# pass. Numpy wins from 10 where no term cancels, floats to 18 where half do.
+_NUMPY_MIN_SLOTS = 12
+# (id of the axis rules, raw factor tuples) -> (slots, H, lists)
 _PLANS = {}
 
 
 def _plan(factors, axes):
     """The plan of raw terms with the factor tuples ``factors`` on the axis
     rules ``axes`` (of :func:`axis_rules`): the slot of each raw term, its
-    tuple's place in order of first appearance, and H = :func:`term_grams`
-    of those tuples. Kept per process for the factors and the rules:
-    factors compare by identity, as :meth:`fields.SeparatedSum.merged`
-    keys them, and the key holds them, and :func:`axis_rules` keeps the
-    rules for good, so their ids stay their own. Each entry of H is its
-    own pair's value, so a memo that starts again empty changes no bit."""
+    tuple's place in order of first appearance, H = :func:`term_grams` of
+    those tuples, and below :data:`_NUMPY_MIN_SLOTS` slots both as lists
+    for :func:`_float_addends` (else None). Kept per process for the
+    factors and the rules: factors compare by identity, as
+    :meth:`fields.SeparatedSum.merged` keys them, and the key holds them,
+    and :func:`axis_rules` keeps the rules for good, so their ids stay
+    their own. Each entry of H is its own pair's value, so a memo that
+    starts again empty changes no bit."""
     key = id(axes), factors
     plan = _PLANS.get(key)
     if plan is None:
         union = {}
         slots = np.array([union.setdefault(fs, len(union)) for fs in factors],
                          dtype=np.intp)
+        H = term_grams(list(union), axes)
+        lists = ((slots.tolist(), H.tolist())
+                 if len(union) < _NUMPY_MIN_SLOTS else None)
         if len(_PLANS) >= PLAN_MEMO:
             _PLANS.clear()
-        plan = _PLANS[key] = slots, term_grams(list(union), axes)
+        plan = _PLANS[key] = slots, H, lists
     return plan
 
 
@@ -310,6 +320,18 @@ def _norm_addends(slots, coefs, H) -> np.ndarray:
     return (np.multiply.outer(m, m) * H).ravel()
 
 
+def _float_addends(slots, rows, coefs, out: list):
+    """Extends ``out`` by the addends of :func:`_norm_addends`, bit for
+    bit, from ``slots`` and ``H`` as lists: the same additions from 0.0 in
+    raw-term order as ``np.bincount``, the same zeros dropped, and the
+    same products ``(m_k * m_l) * H_kl``, in the same order."""
+    m = [0.0] * len(rows)
+    for k, c in zip(slots, coefs):
+        m[k] += c
+    kept = [(k, c) for k, c in enumerate(m) if c]
+    out += [c * e * rows[k][l] for k, c in kept for l, e in kept]
+
+
 class _Sums:
     """Separated forms of one rank on the axis rules ``axes``, each a
     :class:`fields.SeparatedSum` or a tuple of them, one per component,
@@ -324,7 +346,7 @@ class _Sums:
         self.parts = [
             (np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
              np.array([c for s in sums for c in s.coefs], dtype=float),
-             *_plan(tuple(fs for s in sums for fs in s.factors), axes))
+             *_plan(tuple(fs for s in sums for fs in s.factors), axes)[:2])
             for sums in comps]
 
     def norm(self, scales: np.ndarray) -> float:
@@ -369,16 +391,22 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     (``fb is fa``) takes the addends of each component's raw sum from its
     plan (:func:`_plan`), which holds structure only, never coefficients,
     so a sum of known factors takes no :meth:`fields.SeparatedSum.merged`
-    and no :func:`term_grams`; one that rounding leaves below zero is 0."""
+    and no :func:`term_grams`; one that rounding leaves below zero is 0.
+    A small plan gives its addends as floats (:func:`_float_addends`), a
+    larger one as an array, the same bits, summed exactly in any order."""
     axes = axis_rules(dom, rule)
     if fb is not fa:
         G = _Sums([fa, fb], axes).block(range(1), range(1, 2))
         return float(G[0, 0])
-    parts = []
+    parts, small = [], []
     for s in fa if isinstance(fa, tuple) else (fa,):
-        slots, H = _plan(s.factors, axes)
-        parts.append(_norm_addends(slots, s.coefs, H))
-    return max(_fsum(np.concatenate(parts)), 0.0)
+        slots, H, lists = _plan(s.factors, axes)
+        if lists:
+            _float_addends(*lists, s.coefs, small)
+        else:
+            parts.append(_norm_addends(slots, s.coefs, H))
+    return max(_fsum(np.concatenate([*parts, small])) if parts
+               else math.fsum(small), 0.0)
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:

@@ -329,7 +329,7 @@ def emit(report: RunReport, formats, outdir) -> List[Path]:
             path = outdir / "report.json"
             doc = {"schema_version": report.schema_version,
                    "records": [_clean(r) for r in report.records]}
-            path.write_text(_indented(doc) + "\n")
+            path.write_text(_indented(doc) + "\n", encoding="utf-8")
             written.append(path)
         elif fmt == "csv":
             path = outdir / "report.csv"
@@ -340,7 +340,7 @@ def emit(report: RunReport, formats, outdir) -> List[Path]:
             # csv writes None as an empty cell and a float as its repr
             writer.writerows([rec.get(c) for c in cols]
                              for rec in report.records)
-            path.write_text(buf.getvalue())
+            path.write_text(buf.getvalue(), encoding="utf-8")
             written.append(path)
         elif fmt == "plotdata":
             written.extend(_emit_plotdata(report, outdir))
@@ -366,14 +366,14 @@ def _emit_plotdata(report: RunReport, outdir: Path) -> List[Path]:
                 eff = math.nan
             lines.append(" ".join(repr(float(v)) for v in
                                   (rec["epsilon"], true, lower, upper, eff)))
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(path)
     return written
 
 
 def read_report(path) -> RunReport:
     """Inverse of the json emitter; a report of another schema raises."""
-    doc = json.loads(Path(path).read_text())
+    doc = json.loads(Path(path).read_text(encoding="utf-8"))
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path} has schema_version {version!r}; this "

@@ -467,6 +467,50 @@ def test_cli_quad_order_flag(tmp_path):
     assert code == 0
 
 
+def test_cli_builds_its_parser_once(tmp_path, capsys):
+    import errbounds.cli
+    errbounds.cli._build_parser.cache_clear()
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(config_text())
+    for out in ("first", "second"):
+        assert main(["verify-equality", "--config", str(cfg_path),
+                     "--out", str(tmp_path / out)]) == 0
+    info = errbounds.cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+    assert ((tmp_path / "first" / "report.json").read_bytes()
+            == (tmp_path / "second" / "report.json").read_bytes())
+    # the kept parser still rejects a bad flag with exit status 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify-equality", "--no-such-flag"])
+    assert exc.value.code == 2
+    assert "--no-such-flag" in capsys.readouterr().err
+
+
+def test_cli_reads_and_writes_utf8_under_the_c_locale(tmp_path):
+    # where the locale's encoding is ASCII, a UTF-8 config is still read
+    # and the reports are still written as UTF-8
+    label = "rd-ε"
+    doc = json.loads(config_text())
+    doc["cases"][0]["label"] = label
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(doc, ensure_ascii=False), encoding="utf-8")
+    out = tmp_path / "out"
+    src = Path(errbounds.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(src), "LC_ALL": "C",
+           "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+    env.pop("PYTHONIOENCODING", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys; from errbounds.cli import main; "
+         "sys.exit(main(sys.argv[1:]))", "verify-equality",
+         "--config", str(cfg_path), "--out", str(out),
+         "--format", "json", "--format", "csv"],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert label in (out / "report.csv").read_text(encoding="utf-8")
+    assert [r["case"] for r in read_report(out / "report.json").records] == [
+        label]
+
+
 def test_cli_env_output_dir(tmp_path, monkeypatch):
     monkeypatch.setenv("ERRBOUNDS_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)

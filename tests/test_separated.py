@@ -453,7 +453,7 @@ def test_plans_hold_each_pairs_own_integral(problem):
     with mock.patch.object(quadrature, "_PLANS", {}), \
             mock.patch.object(quadrature, "PLAN_MEMO", bound):
         for batch in batches:
-            slots, H = quadrature._plan(batch, axes)
+            slots, H, _ = quadrature._plan(batch, axes)
             assert len(quadrature._PLANS) <= bound
             terms = list(dict.fromkeys(batch))
             assert [terms[k] for k in slots] == list(batch)
@@ -619,7 +619,7 @@ def test_planned_norms_equal_the_merged_reference_bitwise(problem):
     assert other == _hex([_reference_inner(f, f, axes) for f in others])
     # so are the addends themselves, zeros of cancelled terms dropped
     for s in forms[:5] + others[:5]:
-        slots, H = quadrature._plan(s.factors, axes)
+        slots, H, _ = quadrature._plan(s.factors, axes)
         m = [s.merged()]
         assert _hex(quadrature._norm_addends(slots, s.coefs, H)) == _hex(
             _reference_addends(m, m, axes))
@@ -714,3 +714,94 @@ def test_the_same_factors_on_another_box_or_rule_get_their_own_plan(
     monkeypatch.setattr(quadrature, "_PLANS", {})
     assert [_norms([s], dom, rule)[0] for dom, rule in places[::-1]] == (
         norms[::-1])
+
+
+@st.composite
+def _reductions(draw):
+    """A box, a coarse rule and separated forms whose plans hold from none
+    to twice ``_NUMPY_MIN_SLOTS`` distinct factor tuples: scalar sums, and
+    vector forms with one component below that bound and one at it or
+    above, in either order. A tuple's raw terms are shuffled among the
+    others, some take a coefficient 0.0, -0.0 or one whose square
+    underflows, and some get a last term that cancels its slot exactly."""
+    T = draw(st.sampled_from([None, 1.0]))
+    dim = draw(st.integers(1, 2))
+    dom = BoxDomain([0.0] * dim, [1.0 + k for k in range(dim)],
+                    time_horizon=T)
+    rule = QuadratureRule(space_order=2, time_order=2)
+    pool = [trig_factor(f, float(k), 0.0)
+            for f in ("sin", "cos") for k in range(1, 13)]
+    tuples = st.tuples(*[st.sampled_from(pool)] * (dim + (T is not None)))
+    coef = st.one_of(st.floats(-2.0, 2.0),
+                     st.sampled_from([0.0, -0.0, 1e-170, -1e-170]))
+    bound = quadrature._NUMPY_MIN_SLOTS
+
+    def raw_sum(lo, hi):
+        n = draw(st.integers(lo, hi))
+        distinct = draw(st.lists(tuples, unique=True, min_size=n, max_size=n))
+        terms = [(draw(coef), fs) for fs in distinct
+                 for _ in range(draw(st.integers(1, 2)))]
+        terms = draw(st.permutations(terms))
+        for fs in distinct:
+            if draw(st.booleans()):
+                # the slot's coefficients add from 0.0 in raw-term order
+                terms.append((-sum((c for c, gs in terms if gs is fs), 0.0),
+                              fs))
+        return fields.SeparatedSum([c for c, _ in terms],
+                                   [fs for _, fs in terms])
+
+    scalars = [raw_sum(0, 2 * bound) for _ in range(3)]
+    vector = [raw_sum(0, bound - 1), raw_sum(bound, 2 * bound)]
+    return dom, rule, scalars + [tuple(draw(st.permutations(vector)))]
+
+
+@given(_reductions())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_float_and_numpy_reductions_give_the_same_bits(problem):
+    dom, rule, forms = problem
+    axes = quadrature.axis_rules(dom, rule)
+    with mock.patch.object(quadrature, "_PLANS", {}):
+        for form in forms:
+            sums = form if isinstance(form, tuple) else (form,)
+            plans = [quadrature._plan(s.factors, axes) for s in sums]
+            # a plan keeps its lists exactly when it is below the bound
+            assert [lists is None for _, _, lists in plans] == [
+                len(H) >= quadrature._NUMPY_MIN_SLOTS for _, H, _ in plans]
+            arrays = [quadrature._norm_addends(slots, s.coefs, H)
+                      for s, (slots, H, _) in zip(sums, plans)]
+            # the float path gives the same addends in the same order
+            for s, (slots, H, _), addends in zip(sums, plans, arrays):
+                floats = []
+                quadrature._float_addends(slots.tolist(), H.tolist(),
+                                          s.coefs, floats)
+                assert _hex(floats) == _hex(addends)
+            numpy = max(quadrature._fsum(np.concatenate(arrays)), 0.0)
+            assert quadrature.separated_inner(
+                form, form, dom, rule).hex() == numpy.hex()
+
+
+def test_a_node_builds_each_form_once(monkeypatch):
+    dom = BoxDomain((0.0, 0.0), (1.0, 2.0), time_horizon=0.5)
+    u = scalar_field("(1 + t)*sin(pi*x)*sin(pi*y/2)", dom)
+    w = u - 0.5 * u
+    built = []
+    build = fields._Field._build_form
+    monkeypatch.setattr(fields._Field, "_build_form", lambda self, name: (
+        built.append((id(self), name)) or build(self, name)))
+    names = ("value", "grad", "laplacian", "dt")
+    first = [w.form(n) for n in names]
+    assert len(built) == len(set(built)) > len(names)
+    count = len(built)
+    # a second request of any name on any node reads its memo
+    assert all(a is b for a, b in zip([w.form(n) for n in names], first))
+    assert w.separated() is first[0]
+    assert len(built) == count
+    # a view builds its own form once, from its base's memo
+    g = w.gradient_field()
+    assert g.separated() is g.separated() is first[1]
+    assert len(built) == count + 1
+    # a capability the node lacks is refused at every request
+    r = w.restricted()
+    for _ in range(2):
+        with pytest.raises(fields.CapabilityError):
+            r.form("grad")
