@@ -19,6 +19,21 @@ for seed in 0 4242; do
 done
 cmp "$tmp/suite-0/report.json" "$tmp/suite-4242/report.json"
 
+echo "Grid-path reports repeat across processes"
+# the default suite's cases on the unit square, with solutions that do not
+# split into 1-D factors (_unsplit_suite_config of tests/test_tracer.py,
+# imported, so the two cannot drift apart): every norm is taken on the grid
+for seed in 0 4242; do
+  PYTHONHASHSEED=$seed python -c '
+import sys
+sys.path.insert(0, "tests")
+from test_tracer import _unsplit_suite_config
+from errbounds import runner
+runner.emit(runner.run(_unsplit_suite_config()), ["json"], sys.argv[1])
+' "$tmp/unsplit-$seed"
+done
+cmp "$tmp/unsplit-0/report.json" "$tmp/unsplit-4242/report.json"
+
 echo "Default suite after other runs in the same process"
 # the suite's 1-D boxes share an axis rule with the 3-D box, so its norms
 # meet tables that the 3-D records filled first; the suite at another

@@ -216,8 +216,12 @@ def parse_config(text: str) -> RunConfig:
                            "tolerances: 'equality_rel'")
     bound_slack = _number(tol.get("bound_slack", 1e-9),
                           "tolerances: 'bound_slack'")
-    if equality_rel <= 0 or bound_slack < 0:
-        raise ConfigError("tolerances must be positive")
+    if not equality_rel > 0:
+        raise ConfigError(f"tolerances: 'equality_rel' must be positive, "
+                          f"got {equality_rel!r}")
+    if not bound_slack >= 0:
+        raise ConfigError(f"tolerances: 'bound_slack' must be nonnegative, "
+                          f"got {bound_slack!r}")
     out = doc.get("output", {})
     _only_keys(out, {"formats"}, "output")
     formats = out.get("formats", ["json"])

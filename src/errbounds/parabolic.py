@@ -1,14 +1,17 @@
 """Space-time identities, error equalities and two-sided bounds for the
-time-dependent reaction-diffusion and heat problems on (0, T) x box.
+time-dependent reaction-diffusion and heat problems on (0, T) x box. Norms
+are of signed atom terms, as in :mod:`errbounds.elliptic`, sliced at a time.
 """
 from __future__ import annotations
 
 import math
+from functools import partial
 
-from .elliptic import _check_kind, _checked_cf, _require, two_sided_prefactors
+from .elliptic import (_check_kind, _checked_cf, _gap, _minus,
+                       _require, _require_vanishing, two_sided_prefactors)
 from .fields import ScalarField
 from .manufactured import ApproxPair, ProblemCase
-from .quadrature import QuadratureRule, norm_sq, trace_norm_sq
+from .quadrature import QuadratureRule, norm_sq, terms_norm_sq
 from .reports import BoundReport, EqualityReport, relative_residual
 
 
@@ -31,42 +34,43 @@ def heat_isometry_check(case: ProblemCase, rule: QuadratureRule) -> EqualityRepo
     return EqualityReport.summed(
         {"triple_norm_sq": norm_sq("triple", case.exact_u, dom, rule)},
         {"f_sq": norm_sq("L2", case.f, dom, rule),
-         "grad_u0_sq": norm_sq("L2", case.u0.gradient_field(), dom.spatial(),
-                               rule)})
+         "grad_u0_sq": terms_norm_sq(dom.spatial(), rule,
+                                     [(1.0, case.u0, "grad")])})
+
+
+def _mixed(case: ProblemCase, approx: ApproxPair, rule: QuadratureRule):
+    """Checks of the mixed estimators, their cylinder norms and the norms
+    they share: errors of grad u, p, dt u + div p, u(T); gap, initial error."""
+    dom, u, p = case.dom, case.exact_u, case.exact_p
+    sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
+    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
+    ut, pt = approx.u_tilde, approx.p_tilde
+    _require(ut.has_grad and ut.has_dt, "u_tilde must carry grad and dt")
+    _require(pt.has_div, "p_tilde must carry a divergence")
+    _require_vanishing(u, ut, "mantle boundary")
+    true = {"err_grad_sq": sq(_minus(u, ut), "grad"),
+            "flux_l2_sq": sq(_minus(pt, p)),
+            "mid_sq": sq(([(1.0, u, "dt"), (-1.0, ut, "dt")],
+                          [(1.0, pt, "div"), (-1.0, p, "div")])),
+            "terminal_sq": sq0(_minus(u, ut), at=T)}
+    return sq, true, sq(_gap(pt, ut)), sq0(_minus(case.u0, ut), at=0.0)
 
 
 def trd_equality(case: ProblemCase, approx: ApproxPair,
                  rule: QuadratureRule) -> EqualityReport:
     """Mixed space-time error equality for dt - lap + 1."""
     _check_kind(case, "TRD")
-    dom = case.dom
-    T = dom.time_horizon
-    ut, pt = approx.u_tilde, approx.p_tilde
-    _require(ut.has_grad and ut.has_dt, "u_tilde must carry grad and dt")
-    _require(pt.has_div, "p_tilde must carry a divergence")
-    e = case.exact_u - ut
-    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the mantle boundary")
-    ep = pt - case.exact_p
-    mid = e.dt_field() + ep.div_field()
-    mid_sq = norm_sq("L2", mid, dom, rule)
-    lhs = {
-        "err_l2_sq": norm_sq("L2", e, dom, rule),
-        "err_grad_sq": norm_sq("L2", e.gradient_field(), dom, rule),
-        "flux_l2_sq": norm_sq("L2", ep, dom, rule),
-        "mid_sq": mid_sq,
-        "terminal_sq": trace_norm_sq(e, T, "value", dom, rule),
-    }
-    residual = case.f - ut.dt_field() - ut + pt.div_field()
-    rhs = {
-        "residual_sq": norm_sq("L2", residual, dom, rule),
-        "gap_sq": norm_sq("L2", pt - ut.gradient_field(), dom, rule),
-        "initial_sq": norm_sq("L2", case.u0 - ut.at_time(0.0), dom.spatial(), rule),
-    }
+    sq, true, gap_sq, initial_sq = _mixed(case, approx, rule)
+    f, u, ut, pt = case.f, case.exact_u, approx.u_tilde, approx.p_tilde
+    rhs = {"residual_sq": sq([(1.0, f, "value"), (-1.0, ut, "dt"),
+                              (-1.0, ut, "value"), (1.0, pt, "div")]),
+           "gap_sq": gap_sq, "initial_sq": initial_sq}
     # data-side surrogate of the middle term (needs the exact u)
-    mid_data_sq = norm_sq(
-        "L2", case.f - ut.dt_field() + pt.div_field() - case.exact_u, dom, rule)
+    mid_data_sq = sq([(1.0, f, "value"), (-1.0, ut, "dt"), (1.0, pt, "div"),
+                      (-1.0, u, "value")])
     return EqualityReport.summed(
-        lhs, rhs, {"mid_identity_rel": relative_residual(mid_sq, mid_data_sq)})
+        {"err_l2_sq": sq(_minus(u, ut)), **true}, rhs,
+        {"mid_identity_rel": relative_residual(true["mid_sq"], mid_data_sq)})
 
 
 def trd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
@@ -74,23 +78,19 @@ def trd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     """Primal space-time error equality for dt - lap + 1 with a very
     conforming approximation (dt, laplacian, mantle-boundary vanishing)."""
     _check_kind(case, "TRD")
-    dom = case.dom
-    T = dom.time_horizon
-    _require(u_tilde.has_dt and u_tilde.has_laplacian,
+    dom, u, ut = case.dom, case.exact_u, u_tilde
+    sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
+    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
+    _require(ut.has_dt and ut.has_laplacian,
              "u_tilde must carry dt and laplacian")
-    e = case.exact_u - u_tilde
-    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the mantle boundary")
-    lhs = {
-        "err_h11_sq": norm_sq("H11", e, dom, rule),
-        "err_grad_hdiv_sq": norm_sq("Hdiv", e.gradient_field(), dom, rule),
-        "terminal_h1_sq": trace_norm_sq(e, T, "H1", dom, rule),
-    }
-    residual = (case.f - u_tilde.dt_field() - u_tilde + u_tilde.laplacian_field())
-    rhs = {
-        "residual_sq": norm_sq("L2", residual, dom, rule),
-        "initial_h1_sq": norm_sq("H1", case.u0 - u_tilde.at_time(0.0),
-                                 dom.spatial(), rule),
-    }
+    _require_vanishing(u, ut, "mantle boundary")
+    e = _minus(u, ut)
+    lhs = {"err_h11_sq": sq(e, kind="H11"),
+           "err_grad_hdiv_sq": sq(e, "grad", "Hdiv"),
+           "terminal_h1_sq": sq0(e, kind="H1", at=T)}
+    rhs = {"residual_sq": sq([(1.0, case.f, "value"), (-1.0, ut, "dt"),
+                              (-1.0, ut, "value"), (1.0, ut, "laplacian")]),
+           "initial_h1_sq": sq0(_minus(case.u0, ut), kind="H1", at=0.0)}
     return EqualityReport.summed(lhs, rhs)
 
 
@@ -99,23 +99,18 @@ def heat_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     """Primal space-time error equality for the heat operator; the
     Friedrichs constant is absent."""
     _check_kind(case, "Heat")
-    dom = case.dom
-    T = dom.time_horizon
-    _require(u_tilde.has_dt and u_tilde.has_laplacian,
+    dom, u, ut = case.dom, case.exact_u, u_tilde
+    sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
+    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
+    _require(ut.has_dt and ut.has_laplacian,
              "u_tilde must carry dt and laplacian")
-    e = case.exact_u - u_tilde
-    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the mantle boundary")
-    lhs = {
-        "err_dt_sq": norm_sq("L2", e.dt_field(), dom, rule),
-        "err_lap_sq": norm_sq("L2", e.laplacian_field(), dom, rule),
-        "terminal_grad_sq": trace_norm_sq(e, T, "gradient", dom, rule),
-    }
-    residual = case.f + u_tilde.laplacian_field() - u_tilde.dt_field()
-    e0 = case.u0 - u_tilde.at_time(0.0)
-    rhs = {
-        "residual_sq": norm_sq("L2", residual, dom, rule),
-        "initial_grad_sq": norm_sq("L2", e0.gradient_field(), dom.spatial(), rule),
-    }
+    _require_vanishing(u, ut, "mantle boundary")
+    e = _minus(u, ut)
+    lhs = {"err_dt_sq": sq(e, "dt"), "err_lap_sq": sq(e, "laplacian"),
+           "terminal_grad_sq": sq0(e, "grad", at=T)}
+    rhs = {"residual_sq": sq([(1.0, case.f, "value"), (1.0, ut, "laplacian"),
+                              (-1.0, ut, "dt")]),
+           "initial_grad_sq": sq0(_minus(case.u0, ut), "grad", at=0.0)}
     return EqualityReport.summed(lhs, rhs)
 
 
@@ -127,24 +122,9 @@ def heat_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
     ValueError."""
     _check_kind(case, "Heat")
     cf = _checked_cf(case, cf)
-    dom = case.dom
-    T = dom.time_horizon
-    ut, pt = approx.u_tilde, approx.p_tilde
-    _require(ut.has_grad and ut.has_dt, "u_tilde must carry grad and dt")
-    _require(pt.has_div, "p_tilde must carry a divergence")
-    e = case.exact_u - ut
-    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the mantle boundary")
-    residual_sq = norm_sq("L2", case.f + pt.div_field() - ut.dt_field(), dom, rule)
-    gap_sq = norm_sq("L2", pt - ut.gradient_field(), dom, rule)
-    initial_sq = norm_sq("L2", case.u0 - ut.at_time(0.0), dom.spatial(), rule)
-    ep = pt - case.exact_p
-    mid_sq = norm_sq("L2", e.dt_field() + ep.div_field(), dom, rule)
-    true = {
-        "err_grad_sq": norm_sq("L2", e.gradient_field(), dom, rule),
-        "flux_l2_sq": norm_sq("L2", ep, dom, rule),
-        "mid_sq": mid_sq,
-        "terminal_sq": trace_norm_sq(e, T, "value", dom, rule),
-    }
+    sq, true, gap_sq, initial_sq = _mixed(case, approx, rule)
+    residual_sq = sq([(1.0, case.f, "value"), (1.0, approx.p_tilde, "div"),
+                      (-1.0, approx.u_tilde, "dt")])
     true["total"] = math.fsum(true.values())
     a, b = two_sided_prefactors(cf, gamma)
     report = BoundReport(
@@ -156,6 +136,6 @@ def heat_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
         upper_bound=a * residual_sq + b * gap_sq + b * initial_sq,
         gamma=gamma,
         checks={"residual_sq": residual_sq, "gap_sq": gap_sq,
-                "initial_sq": initial_sq,
-                "fdivpt_identity_rel": relative_residual(residual_sq, mid_sq)})
+                "initial_sq": initial_sq, "fdivpt_identity_rel":
+                relative_residual(residual_sq, true["mid_sq"])})
     return report.finalize()

@@ -1,34 +1,34 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
-:func:`l2_inner`, and through it :func:`norm_sq` and :func:`trace_norm_sq`,
-and :func:`l2_gram` integrate fields that all carry a separated form (see
-:mod:`errbounds.fields`) without visiting the grid: H_kl, the integral of
-the product of terms k and l, is per axis the 1-D integral of their
-factors' product, the axes multiplied elementwise (:func:`term_grams`),
-and an inner product is one correctly rounded sum of c_k c_l H_kl. That is
-the tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per
-axis, instead of O(n^d). H lives in one process-wide memo of plans
-(:func:`_plan`), keyed by the raw factor tuples of some sums and the axis
-rules (:func:`axis_rules`): the slot of each raw term among the distinct
-tuples and H of those tuples. A later sum, or list of sums, with the same
-factors and any coefficients merges them by one ``np.bincount`` and
-gathers its addends from H, without merging its terms as objects or
-integrating anything (:class:`_Sums`), a norm of a small plan the same in
-Python floats (:func:`_float_addends`). Each entry of H is its own pair's
-einsum, whatever else the plan holds, so the memo, at most
-:data:`PLAN_MEMO` plans, restarts empty past its bound without changing a
-bit. Any operand without a form (a field built from bare callables, or
-from an expression that does not split) is evaluated at every node
-instead; that path is the general fallback and the oracle of the tests.
+:func:`l2_inner`, :func:`terms_norm_sq` (and through it :func:`norm_sq`,
+:func:`trace_norm_sq`) and :func:`l2_gram` integrate fields that all carry a
+separated form (see :mod:`errbounds.fields`) without visiting the grid: H_kl,
+the integral of the product of terms k and l, is per axis the 1-D integral of
+their factors' product, the axes multiplied elementwise (:func:`term_grams`),
+and an inner product is one correctly rounded sum of c_k c_l H_kl. That is the
+tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per axis,
+instead of O(n^d). H lives in one process-wide memo of plans (:func:`_plan`),
+keyed by the raw factor tuples of some sums and the axis rules
+(:func:`axis_rules`): the slot of each raw term among the distinct tuples and
+H of those tuples. A later sum, or list of sums, with the same factors and any
+coefficients merges them by one ``np.bincount`` and gathers its addends from
+H, without merging its terms as objects or integrating anything
+(:class:`_Sums`), a norm of a small plan the same in Python floats
+(:func:`_float_addends`). Each entry of H is its own pair's einsum, whatever
+else the plan holds, so the memo, at most :data:`PLAN_MEMO` plans, restarts
+empty past its bound without changing a bit. Any operand without a form (a
+field built from bare callables, or from an expression that does not split) is
+evaluated at every node instead; that path is the general fallback and the
+oracle of the tests.
 
-Both paths of :func:`l2_inner`, and the separated one of :func:`l2_gram`,
-reduce through a correctly rounded sum, equal to :func:`math.fsum` bit for
-bit (see :func:`_fsum`), so they are deterministic to the last bit
-regardless of how callers batch their work. The grid path of
-:func:`l2_gram` trades it for one sequential weighted sum per entry, which
-is as deterministic but rounds differently: :func:`weighted_gram`
-contracts the flat sample rows of :func:`samples` for both ranks, a vector
-row carrying the node weights repeated per component.
+Both paths of :func:`l2_inner` and :func:`terms_norm_sq`, and the separated
+one of :func:`l2_gram`, reduce through a correctly rounded sum, equal to
+:func:`math.fsum` bit for bit (see :func:`_fsum`), so they are deterministic
+to the last bit regardless of how callers batch their work. The grid path of
+:func:`l2_gram` trades it for one sequential weighted sum per entry, which is
+as deterministic but rounds differently: :func:`weighted_gram` contracts the
+flat sample rows of :func:`samples` for both ranks, a vector row carrying the
+node weights repeated per component.
 
 The node sets are cached per box and rule, read-only, and registered with
 :mod:`errbounds.fields` under the per-axis rules they are the tensor
@@ -43,7 +43,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .fields import (_GRIDS, BoxDomain, ScalarField, VectorField,
+from .fields import (_GRIDS, BoxDomain, CapabilityError, ScalarField,
+                     SeparatedSum, VectorField, _per_component, combination,
                      form_values)
 
 
@@ -156,12 +157,12 @@ def _fsum(arr: np.ndarray) -> float:
     return math.fsum(arr.tolist())
 
 
-def _check_domain_match(field, dom: BoxDomain):
-    if field.time_dependent != dom.is_parabolic:
+def _check_domain_match(time_dependent: bool, dim: int, dom: BoxDomain):
+    if time_dependent != dom.is_parabolic:
         if dom.is_parabolic:
             raise ValueError("space-time domain requires time-dependent fields")
         raise ValueError("space-time integrand but domain has no time_horizon")
-    if field.dim != dom.dim:
+    if dim != dom.dim:
         raise ValueError("field dimension does not match domain")
 
 
@@ -171,7 +172,7 @@ def _check_fields(fields, dom: BoxDomain) -> bool:
     for f in fields:
         if isinstance(f, ScalarField) != scalar:
             raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-        _check_domain_match(f, dom)
+        _check_domain_match(f.time_dependent, f.dim, dom)
     return scalar
 
 
@@ -468,6 +469,25 @@ def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:
     return _separated_gram(fl, fr, axis_rules(dom, rule))
 
 
+class _Views(dict):  # (a view, a view of that) -> the evaluator it is
+    def __missing__(self, key):
+        raise CapabilityError(f"a {key[0]} view carries no {key[1]} view")
+
+
+# norm kinds of L2 pieces: (scale, kind, view) each, math.fsum'd in order
+_PARTS = {"h1": ((1.0, "l2", "value"), (1.0, "l2", "grad")),
+          "hdiv": ((1.0, "l2", "value"), (1.0, "l2", "div")),
+          "v": ((1.0, "l2", "value"), (2.0, "l2", "grad"),
+                (1.0, "l2", "laplacian")),
+          "h11": ((1.0, "h1", "value"), (1.0, "l2", "dt"))}
+_PARTS["h01"] = _PARTS["h1"]
+_FIELDS = {"value": None, "grad": "gradient_field", "div": "div_field",
+           "dt": "dt_field", "laplacian": "laplacian_field"}
+_VIEWS = _Views({**{(n, "value"): n for n in _FIELDS},
+                 **{("value", n): n for n in _FIELDS},
+                 ("grad", "div"): "laplacian"})
+
+
 def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:
     """Squared norm of the requested kind; composites sum their constituents.
 
@@ -476,23 +496,6 @@ def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:
     reaction-diffusion norm) and ``triple`` (the heat-equation norm).
     """
     k = kind.lower()
-    if k == "l2":
-        return l2_inner(w, w, dom, rule)
-    if k in ("h1", "h01"):
-        return math.fsum([norm_sq("L2", w, dom, rule),
-                          norm_sq("L2", w.gradient_field(), dom, rule)])
-    if k == "hdiv":
-        if not isinstance(w, VectorField):
-            raise TypeError("Hdiv norm requires a vector field")
-        return math.fsum([norm_sq("L2", w, dom, rule),
-                          norm_sq("L2", w.div_field(), dom, rule)])
-    if k == "v":
-        return math.fsum([norm_sq("L2", w, dom, rule),
-                          2.0 * norm_sq("L2", w.gradient_field(), dom, rule),
-                          norm_sq("L2", w.laplacian_field(), dom, rule)])
-    if k == "h11":
-        return math.fsum([norm_sq("H1", w, dom, rule),
-                          norm_sq("L2", w.dt_field(), dom, rule)])
     if k == "wstar":
         return math.fsum([norm_sq("H11", w, dom, rule),
                           norm_sq("Hdiv", w.gradient_field(), dom, rule),
@@ -501,7 +504,66 @@ def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:
         return math.fsum([norm_sq("L2", w.dt_field(), dom, rule),
                           norm_sq("L2", w.laplacian_field(), dom, rule),
                           trace_norm_sq(w, dom.time_horizon, "gradient", dom, rule)])
-    raise ValueError(f"unknown norm kind: {kind!r}")
+    return terms_norm_sq(dom, rule, [(1.0, w, "value")], kind=kind)
+
+
+def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
+                  view: str = "value", kind: str = "L2",
+                  at: float | None = None) -> float:
+    """:func:`norm_sq` of ``kind`` of the ``view`` of the sum of the terms
+    ``(sign, atom, name)``, 1.0 or -1.0 times the evaluator ``name`` of the
+    field ``atom``, space-time atoms sliced at ``at`` unless it is None; a
+    tuple of lists of terms sums those groups. The terms are checked as
+    :func:`_check_fields` checks fields. An L2 piece combines the atoms'
+    memoised forms into the form of the field expression, bit for bit: sum
+    nodes concatenate their operands' terms, and 1.0 or -1.0 multiplies
+    exactly. Without all forms, it is the grid norm of that expression."""
+    k = kind.lower()
+    if k != "l2" and k not in _PARTS:
+        raise ValueError(f"unknown norm kind: {kind!r}")
+    flat = [t for g in terms for t in g] if type(terms) is tuple else terms
+    td, dim, whole = dom.is_parabolic, len(dom.lower), at is None
+    vector, forms, signs = set(), [], []
+    for sign, atom, name in flat:
+        if (atom.time_dependent and whole) != td or atom.dim != dim:
+            _check_domain_match(atom.time_dependent and whole, atom.dim, dom)
+        name = name if view == "value" else _VIEWS[name, view]
+        if name == "dt" and not whole:
+            raise CapabilityError("a time slice carries no time-derivative")
+        vector.add(name == "grad"
+                   or name != "div" and isinstance(atom, VectorField))
+        form = atom.form(name)
+        forms.append(form if whole or form is None or not atom.time_dependent
+                     else _per_component(lambda s: s.at(at), form))
+        signs.append(sign)
+    if len(vector) > 1:
+        raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
+    if k == "hdiv" and True not in vector:
+        raise TypeError("Hdiv norm requires a vector field")
+    if k != "l2":  # each piece checks its terms again
+        return math.fsum([s * terms_norm_sq(dom, rule, terms, _VIEWS[view, v],
+                                            part, at)
+                          for s, part, v in _PARTS[k]])
+    if None in forms:
+        w = _expression(terms, view, at)
+        return _grid_inner(w, w, dom, rule)
+    form = (tuple([SeparatedSum.combination(s, signs) for s in zip(*forms)])
+            if type(forms[0]) is tuple
+            else SeparatedSum.combination(forms, signs))
+    return separated_inner(form, form, dom, rule)
+
+
+def _expression(terms, view: str, at):
+    fields = [_expression(t, view, at) if type(t) is list
+              else _field(*t, view, at) for t in terms]
+    signs = [1.0 if type(t) is list else t[0] for t in terms]
+    return fields[0] if signs == [1.0] else combination(fields, signs)
+
+
+def _field(sign, atom, name, view, at):
+    w = atom if at is None or not atom.time_dependent else atom.at_time(at)
+    name = _VIEWS[name, view]
+    return w if name == "value" else getattr(w, _FIELDS[name])()
 
 
 def trace_norm_sq(w, at: float, variant: str, dom: BoxDomain,
@@ -511,15 +573,14 @@ def trace_norm_sq(w, at: float, variant: str, dom: BoxDomain,
         raise ValueError("trace norms require a space-time domain")
     if not 0.0 <= at <= dom.time_horizon:
         raise ValueError("slice time outside [0, T]")
-    sliced = w.at_time(at)
-    space = dom.spatial()
+    if not w.time_dependent:
+        raise ValueError("at_time requires a space-time field")
     v = variant.lower()
-    if v == "value":
-        return norm_sq("L2", sliced, space, rule)
-    if isinstance(w, VectorField):
+    if v != "value" and isinstance(w, VectorField):
         raise ValueError("only the value variant applies to vector fields")
-    if v == "gradient":
-        return norm_sq("L2", sliced.gradient_field(), space, rule)
-    if v == "h1":
-        return norm_sq("H1", sliced, space, rule)
-    raise ValueError(f"unknown trace variant: {variant!r}")
+    parts = {"value": ("value", "L2"), "gradient": ("grad", "L2"),
+             "h1": ("value", "H1")}
+    if v not in parts:
+        raise ValueError(f"unknown trace variant: {variant!r}")
+    return terms_norm_sq(dom.spatial(), rule, [(1.0, w, "value")], *parts[v],
+                         at)

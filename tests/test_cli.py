@@ -674,6 +674,10 @@ def _malformed(section, updates):
      "'equality_rel' must be a finite"),
     ("tolerances", {"bound_slack": math.inf}, "tolerances",
      "'bound_slack' must be a finite"),
+    ("tolerances", {"equality_rel": 0.0}, "tolerances",
+     "'equality_rel' must be positive, got 0.0"),
+    ("tolerances", {"bound_slack": -1e-9}, "tolerances",
+     "'bound_slack' must be nonnegative, got -1e-09"),
 ])
 def test_cli_rejects_malformed_config(tmp_path, capsys, section, updates,
                                       where, expected):

@@ -368,12 +368,13 @@ def test_improve_bound_makes_three_norm_sq_calls(monkeypatch, budget):
     from errbounds import elliptic, optimize
 
     calls = []
-    for module in (optimize, elliptic):
-        def counted(*args, real=module.norm_sq):
-            calls.append(args[0])
+    # the estimators of elliptic take their norms of signed terms
+    for module, name in ((optimize, "norm_sq"), (elliptic, "terms_norm_sq")):
+        def counted(*args, real=getattr(module, name), name=name):
+            calls.append(args[0] if name == "norm_sq" else name)
             return real(*args)
 
-        monkeypatch.setattr(module, "norm_sq", counted)
+        monkeypatch.setattr(module, name, counted)
     built = []
     monkeypatch.setattr(optimize, "combine_vector_fields",
                         lambda *args: built.append(args))

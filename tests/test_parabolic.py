@@ -176,3 +176,27 @@ def test_heat_two_sided_refuses_cf_below_the_box_constant(cf):
     ap = perturb(HEAT, "conforming_mixed", 0.1, 0)
     with pytest.raises(ValueError, match="cf"):
         heat_two_sided(HEAT, ap, cf, RULE)
+
+
+@pytest.mark.parametrize("kind, estimator", [
+    ("TRD", lambda case, ap, rule: trd_equality(case, ap, rule).lhs_components["mid_sq"]),
+    ("Heat", lambda case, ap, rule: heat_two_sided(
+        case, ap, friedrichs_constant(case.dom.spatial()).value,
+        rule).true_error["mid_sq"])])
+def test_middle_term_on_the_grid_adds_its_two_sums(kind, estimator):
+    # a solution that does not split takes the grid, where the middle term
+    # dt(u - ut) + div(pt - p) is the sum of its two parenthesised sums, as
+    # the expression of fields was, and not the left fold of four terms
+    dom = BoxDomain((0.0, 0.0), (1.0, 1.0), time_horizon=1.0)
+    case = make_case(kind, dom, "exp(-t)*sin(pi*x*y)*x*(1-x)*y*(1-y)")
+    rule = QuadratureRule(space_order=4, time_order=4)
+    u, p = case.exact_u, case.exact_p
+    # an approximation whose grid values the two groupings round apart
+    ap = perturb(case, "very_conforming", 0.01, 1)
+    ut, pt = ap.u_tilde, ap.p_tilde
+    assert u.separated() is None
+    nested = (u - ut).dt_field() + (pt - p).div_field()
+    folded = u.dt_field() - ut.dt_field() + pt.div_field() - p.div_field()
+    mid = estimator(case, ap, rule)
+    assert mid.hex() == norm_sq("L2", nested, dom, rule).hex()
+    assert mid.hex() != norm_sq("L2", folded, dom, rule).hex()

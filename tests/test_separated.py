@@ -15,8 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from errbounds import (BoxDomain, QuadratureRule, fields, flux_basis, free_fields,
-                       l2_gram, l2_inner, make_case, norm_sq, parse_config,
+from errbounds import (BoxDomain, QuadratureRule, default_suite_config,
+                       fields, flux_basis, free_fields, l2_gram, l2_inner,
+                       make_case, manufactured, norm_sq, parse_config,
                        perturb, quadrature, run, scalar_field, trace_norm_sq,
                        vector_field)
 from errbounds.fields import trig_factor
@@ -805,3 +806,251 @@ def test_a_node_builds_each_form_once(monkeypatch):
     for _ in range(2):
         with pytest.raises(fields.CapabilityError):
             r.form("grad")
+
+
+# --------------------------------------------------------------------------
+# norms of signed atom terms equal those of the field expressions they state
+# --------------------------------------------------------------------------
+
+# the field each view of a field is
+_VIEWED = {"value": lambda w: w, "grad": lambda w: w.gradient_field(),
+           "div": lambda w: w.div_field(), "dt": lambda w: w.dt_field(),
+           "laplacian": lambda w: w.laplacian_field()}
+# the rank of each view of a field of each rank
+_VIEW_RANKS = {"scalar": {"value": "scalar", "grad": "vector",
+                          "laplacian": "scalar", "dt": "scalar"},
+               "vector": {"value": "vector", "div": "scalar",
+                          "dt": "vector"}}
+
+
+def _atoms(dom, seed):
+    """(rank, field) of fields of both ranks on ``dom``: perturbation
+    directions, a perturbed and restricted field, a scaled field, symbolic
+    fields that split, flux-basis fields on an elliptic box, and fields
+    without forms (one that does not split, and copies without forms)."""
+    d = manufactured.directions(dom, seed)
+    names = "xyz"[:dom.dim]
+    text = "*".join(f"sin({1 + i}*{s} + 1)" for i, s in enumerate(names))
+    text += "*(1 + t**2)" if dom.is_parabolic else ""
+    u = scalar_field(text, dom)
+    q = vector_field([text.replace(names[0], "(2*" + names[0] + ")")] * dom.dim,
+                     dom)
+    scalars = [d.conforming, u, 0.9 * u,
+               (u + 0.3 * d.conforming).restricted(grad=True, dt=True),
+               without_forms(d.conforming)]
+    if dom.dim == 2:
+        scalars.append(scalar_field("sin(pi*x*y)*x*(1-x)*y*(1-y)"
+                                    + ("*exp(-t)" if dom.is_parabolic else ""),
+                                    dom))
+    vectors = [d.gradient, d.flux, q, u.gradient_field() - 0.5 * d.gradient,
+               without_forms(q)]
+    if not dom.is_parabolic:
+        vectors += flux_basis(dom, 3)
+    return [("scalar", w) for w in scalars] + [("vector", v) for v in vectors]
+
+
+@st.composite
+def _term_norms(draw):
+    """A shifted, anisotropic box (d = 1..3, elliptic or space-time), a
+    coarse rule, and a norm of signed atom terms: each term's view one its
+    atom carries, the norm at no time or at 0 or T (its space-time atoms
+    sliced there, beside fields of the spatial box, and no dt of a slice),
+    and the terms, or parenthesised groups of them."""
+    dim = draw(st.integers(1, 3))
+    lower = [draw(st.integers(-30, 30)) / 10 for _ in range(dim)]
+    sides = [draw(st.integers(2, 40)) / 10 for _ in range(dim)]
+    T = draw(st.sampled_from([None, 0.5, 2.0]))
+    dom = BoxDomain(lower, [a + b for a, b in zip(lower, sides)],
+                    time_horizon=T)
+    at = draw(st.sampled_from([None, 0.0, T])) if T is not None else None
+    on = dom if at is None else dom.spatial()
+    seed = draw(st.integers(0, 3))
+    pool = _atoms(dom, seed) + (_atoms(on, seed) if at is not None else [])
+    rank = draw(st.sampled_from(["scalar", "vector"]))
+    choices = [(w, name) for r, w in pool
+               for name, out in _VIEW_RANKS[r].items()
+               if out == rank and (name == "value" or name in w.capabilities)
+               and not (at is not None and name == "dt")]
+
+    def drawn(n):
+        return [(draw(st.sampled_from([1.0, -1.0])),
+                 *draw(st.sampled_from(choices))) for _ in range(n)]
+
+    if draw(st.booleans()):
+        terms = drawn(draw(st.integers(1, 4)))
+    else:
+        # a tuple of lists of terms: the sum of parenthesised groups
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        terms = tuple(drawn(n) for n in sizes)
+    rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
+                          time_order=draw(st.integers(1, 3)))
+    return on, rule, terms, at
+
+
+def _expression(terms, at):
+    """The expression of field nodes the terms state, as estimators wrote
+    them: a left fold of ``+`` and ``-``, each group parenthesised, each
+    space-time atom sliced at ``at`` unless it is None."""
+    out = None
+    for t in terms:
+        if isinstance(t, list):
+            sign, w = 1.0, _expression(t, at)
+        else:
+            sign, atom, name = t
+            sliced = at is not None and atom.time_dependent
+            w = _VIEWED[name](atom.at_time(at) if sliced else atom)
+        out = ((w if sign > 0 else -w) if out is None
+               else out + w if sign > 0 else out - w)
+    return out
+
+
+@given(_term_norms())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_terms_norm_equals_the_node_expression_bitwise(problem):
+    dom, rule, terms, at = problem
+    expression = _expression(terms, at)
+    flat = [u for t in terms for u in (t if isinstance(t, list) else [t])]
+    kinds = ["L2", "H1" if isinstance(expression, fields.ScalarField)
+             else "Hdiv"]
+    views = ["value"]
+    if all(name == "value" for _, _, name in flat):
+        views += [v for v in _VIEWED if v != "value"
+                  and v in expression.capabilities]
+    for view in views:
+        node = _VIEWED[view](expression)
+        for kind in kinds if view == "value" else ["L2"]:
+            if kind != "L2" and {"grad", "div"}.isdisjoint(node.capabilities):
+                continue
+            assert (quadrature.terms_norm_sq(dom, rule, terms, view, kind,
+                                             at).hex()
+                    == norm_sq(kind, node, dom, rule).hex()), (view, kind)
+
+
+@pytest.mark.parametrize("case", ["dt at a time", "no such view",
+                                  "rank mismatch", "Hdiv of a scalar",
+                                  "domain mismatch"])
+def test_terms_norm_refuses_alike_with_and_without_forms(case):
+    # a norm of atoms with forms and the same norm of copies without forms
+    # (taken on the grid) are refused with the same error
+    dom = BoxDomain((0.0, -1.0), (1.0, 0.5), time_horizon=1.0)
+    rule = QuadratureRule(space_order=2, time_order=2)
+    u = scalar_field("sin(x + 1)*sin(2*y + 1)*(1 + t**2)", dom)
+
+    def refusal(u, q):
+        box, terms, view, kind, at, error = {
+            "dt at a time": (dom.spatial(), [(1.0, u, "dt")], "value", "L2",
+                             0.5, fields.CapabilityError),
+            "no such view": (dom, [(1.0, u, "grad")], "grad", "L2", None,
+                             fields.CapabilityError),
+            "rank mismatch": (dom, [(1.0, u, "value"), (-1.0, q, "value")],
+                              "value", "L2", None, TypeError),
+            "Hdiv of a scalar": (dom, [(1.0, u, "value")], "value", "Hdiv",
+                                 None, TypeError),
+            "domain mismatch": (BoxDomain((0.0, -1.0), (1.0, 0.5)),
+                                [(1.0, u, "value")], "value", "L2", None,
+                                ValueError)}[case]
+        with pytest.raises(error) as info:
+            quadrature.terms_norm_sq(box, rule, terms, view, kind, at)
+        return str(info.value)
+
+    q = u.gradient_field()
+    assert refusal(u, q) == refusal(without_forms(u), without_forms(q))
+
+
+def _suite_cases():
+    return {cs.kind: make_case(cs.kind, cs.domain(), cs.solution)
+            for cs in default_suite_config(n_seeds=1).cases}
+
+
+def _estimator_calls(case, approx, rule, free):
+    """The estimator calls of elliptic and parabolic that take norms of a
+    record of ``case`` at the level of ``approx``, by name, with the free
+    pair ``free``."""
+    from errbounds import elliptic, parabolic
+    cf = elliptic.friedrichs_constant(case.dom.spatial()).value
+    phi, flux = free
+    ut, pt = approx.u_tilde, approx.p_tilde
+    calls = {
+        ("RD", "conforming_mixed"): {
+            "rd_equality": lambda: elliptic.rd_equality(case, approx, rule)},
+        ("RD", "very_conforming"): {
+            "rd_very_conforming_equality":
+                lambda: elliptic.rd_very_conforming_equality(case, ut, rule),
+            "friedrichs_margin":
+                lambda: elliptic.friedrichs_margin(ut, cf, case.dom, rule),
+            "cftwo_check": lambda: elliptic.cftwo_check(ut, cf, case.dom, rule)},
+        ("RD", "semi_conforming_primal"): {
+            "rd_semiconforming_bounds": lambda: elliptic.rd_semiconforming_bounds(
+                case, approx, flux, 2.0, rule)},
+        ("RD", "semi_conforming_dual"): {
+            "rd_semiconforming_bounds": lambda: elliptic.rd_semiconforming_bounds(
+                case, approx, phi, 2.0, rule)},
+        ("RD", "non_conforming"): {
+            "rd_nonconforming_bounds": lambda: elliptic.rd_nonconforming_bounds(
+                case, approx, phi, flux, 2.0, "iii", rule)},
+        ("Poisson", "conforming_mixed"): {
+            "poisson_two_sided":
+                lambda: elliptic.poisson_two_sided(case, approx, cf, rule)},
+        ("Poisson", "very_conforming"): {
+            "poisson_very_conforming_equality":
+                lambda: elliptic.poisson_very_conforming_equality(case, ut, rule)},
+        ("Poisson", "semi_conforming_primal"): {
+            "poisson_nonconforming": lambda: elliptic.poisson_nonconforming(
+                case, ut, pt, phi, flux, cf, "mixed-i", rule)},
+        ("Poisson", "semi_conforming_dual"): {
+            "poisson_nonconforming": lambda: elliptic.poisson_nonconforming(
+                case, ut, pt, phi, flux, cf, "mixed-ii", rule)},
+        ("Poisson", "non_conforming"): {
+            f"poisson_nonconforming {which}":
+                (lambda w=which: elliptic.poisson_nonconforming(
+                    case, ut, pt, phi, flux, cf, w, rule))
+            for which in ("i", "ii")},
+        ("TRD", "conforming_mixed"): {
+            "trd_equality": lambda: parabolic.trd_equality(case, approx, rule)},
+        ("TRD", "very_conforming"): {
+            "trd_very_conforming_equality":
+                lambda: parabolic.trd_very_conforming_equality(case, ut, rule)},
+        ("Heat", "conforming_mixed"): {
+            "heat_two_sided":
+                lambda: parabolic.heat_two_sided(case, approx, cf, rule)},
+        ("Heat", "very_conforming"): {
+            "heat_very_conforming_equality":
+                lambda: parabolic.heat_very_conforming_equality(case, ut, rule)},
+    }
+    return calls.get((case.kind, approx.level), {})
+
+
+@pytest.mark.parametrize("strategy", ["exact", "coarse", "basis"])
+def test_a_warm_record_builds_no_field_node(monkeypatch, strategy):
+    # after a first record warms the case, a record of a fresh
+    # approximation takes every norm without a combination or view node
+    rule = QuadratureRule()
+    built = []
+    combine, view = fields.combination, fields._Field._view
+
+    def counted_combination(*args):
+        built.append("combination")
+        return combine(*args)
+
+    def counted_view(self, *args, **kw):
+        built.append("view")
+        return view(self, *args, **kw)
+
+    seen = set()
+    for case in _suite_cases().values():
+        free = free_fields(case, strategy)
+        for level in manufactured.LEVELS:
+            warm = _estimator_calls(case, perturb(case, level, 0.1, 0), rule,
+                                    free)
+            for call in warm.values():
+                call()
+            fresh = perturb(case, level, 0.1, 1)
+            for name, call in _estimator_calls(case, fresh, rule, free).items():
+                with monkeypatch.context() as m:
+                    m.setattr(fields, "combination", counted_combination)
+                    m.setattr(quadrature, "combination", counted_combination)
+                    m.setattr(fields._Field, "_view", counted_view)
+                    call()
+                assert built == [], (name, case.kind, level)
+                seen.add(name.split()[0])
+    assert len(seen) == 13
