@@ -59,6 +59,57 @@ assert main(["suite", "--out", f"{tmp}/suite-after"]) == 0
 PY
 cmp "$tmp/suite-0/report.json" "$tmp/suite-after/report.json"
 
+echo "Reports repeat at every conformity level"
+# RD and Poisson at all five levels, with every estimator that admits them
+# and the coarse and basis free fields: the second run in one process meets
+# the free fields the first one kept, and the forms built for them, and
+# must write what the first run and a fresh process write
+cat > "$tmp/levels.json" <<'JSON'
+{"cases": [
+   {"kind": "RD", "solution": "sin(pi*x)*sin(pi*y/2)", "label": "rd",
+    "lower": [0.0, 0.0], "upper": [1.0, 2.0]},
+   {"kind": "Poisson", "solution": "sin(pi*x) + sin(2*pi*x)/4",
+    "label": "poisson", "lower": [0.0], "upper": [1.0]}],
+ "approximations": [
+   {"level": "very_conforming", "epsilon": 0.3, "seed": 2},
+   {"level": "conforming_mixed", "epsilon": 0.3, "seed": 2},
+   {"level": "semi_conforming_primal", "epsilon": 0.3, "seed": 2},
+   {"level": "semi_conforming_dual", "epsilon": 0.3, "seed": 2},
+   {"level": "non_conforming", "epsilon": 0.3, "seed": 2},
+   {"level": "non_conforming", "epsilon": 1.0, "seed": 5}],
+ "estimators": [
+   {"name": "rd_very_conforming_equality"},
+   {"name": "poisson_very_conforming_equality"},
+   {"name": "rd_equality"},
+   {"name": "poisson_two_sided"},
+   {"name": "rd_semiconforming_bounds", "free_strategy": "coarse"},
+   {"name": "rd_semiconforming_bounds", "free_strategy": "basis"},
+   {"name": "rd_nonconforming_bounds", "which": "i", "free_strategy": "coarse"},
+   {"name": "rd_nonconforming_bounds", "which": "ii", "free_strategy": "basis"},
+   {"name": "rd_nonconforming_bounds", "which": "iii", "free_strategy": "coarse"},
+   {"name": "rd_nonconforming_bounds", "which": "iii", "free_strategy": "basis"},
+   {"name": "poisson_nonconforming", "which": "i", "free_strategy": "coarse"},
+   {"name": "poisson_nonconforming", "which": "ii", "free_strategy": "basis"},
+   {"name": "poisson_nonconforming", "which": "mixed-i", "free_strategy": "coarse"},
+   {"name": "poisson_nonconforming", "which": "mixed-ii", "free_strategy": "basis"}]}
+JSON
+for seed in 0 4242; do
+  PYTHONHASHSEED=$seed python - "$tmp" "$seed" <<'PY'
+import sys
+from errbounds import emit, parse_config, run
+tmp, seed = sys.argv[1:]
+config = parse_config(open(f"{tmp}/levels.json").read())
+names = ("levels-first", "levels-warm") if seed == "0" else ("levels-fresh",)
+for name in names:
+    report = run(config)
+    assert {r["level"] for r in report.records} == {
+        a.level for a in config.approximations}
+    emit(report, ["json"], f"{tmp}/{name}")
+PY
+done
+cmp "$tmp/levels-first/report.json" "$tmp/levels-warm/report.json"
+cmp "$tmp/levels-first/report.json" "$tmp/levels-fresh/report.json"
+
 echo "Reports are the canonical JSON encoding"
 # report.json is written by the C encoder with sentinel separators expanded
 # afterwards; it must be what json.dumps(doc, indent=2) writes, also for

@@ -488,13 +488,16 @@ class _Field:
                           self._vanishes and keep.get("boundary_flag", False))
 
 
-def combination(fields, coefs):
+def combination(fields, coefs, keep=None):
     """``sum_k coefs[k] * fields[k]``, for fields of one rank on one domain:
     a node holding the fields and coefficients, carrying the evaluators that
     every field carries (see :func:`_combined`), their forms the terms of
     all fields' in order (:meth:`SeparatedSum.combination`), and vanishing
     on the boundary when every field does. ``+``, ``-`` and scalar ``*``
-    are its two-term and one-term cases."""
+    are its two-term and one-term cases. ``keep``, if given, is the set of
+    capabilities the node may carry, ``value`` among them, with
+    ``boundary_flag`` if it keeps the flag: the combination restricted as
+    by :meth:`_Field.restricted`, without a view node in between."""
     first = fields[0]
     caps, vanishes = first.capabilities, first._vanishes
     for f in fields[1:]:
@@ -505,6 +508,8 @@ def combination(fields, coefs):
             raise ValueError("fields live on incompatible domains")
         caps = caps & f.capabilities
         vanishes = vanishes and f._vanishes
+    if keep is not None:
+        caps, vanishes = caps & keep, vanishes and "boundary_flag" in keep
     return first._node("sum", (tuple(fields), tuple(map(float, coefs))), caps,
                        first.dim, first.time_dependent, vanishes)
 

@@ -19,16 +19,27 @@ from typing import List, Optional
 import numpy as np
 
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
-                     SeparatedSum, VectorField, _empty, form_field,
-                     gradient_form, trig_factor)
+                     SeparatedSum, VectorField, _empty, combination,
+                     form_field, gradient_form, trig_factor)
 from .quadrature import QuadratureRule, norm_sq
 from .symbolic import (_expression, _memoised, data_field, derivatives,
                        nonvanishing_face, scalar_field)
 
 KINDS = ("RD", "Poisson", "TRD", "Heat")
 PARABOLIC_KINDS = ("TRD", "Heat")
-LEVELS = ("very_conforming", "conforming_mixed", "semi_conforming_primal",
-          "semi_conforming_dual", "non_conforming")
+# the contract of each conformity level: the capabilities u_tilde and
+# p_tilde keep, with "boundary_flag" where u_tilde keeps its flag (see
+# fields.combination); None keeps all they have
+_PRIMAL = frozenset({"value", "grad", "dt", "boundary_flag"})
+_VALUE = frozenset({"value"})
+_KEEPS = {
+    "very_conforming": (None, None),
+    "conforming_mixed": (_PRIMAL, None),
+    "semi_conforming_primal": (_PRIMAL, _VALUE),
+    "semi_conforming_dual": (_VALUE, None),
+    "non_conforming": (_VALUE, _VALUE),
+}
+LEVELS = tuple(_KEEPS)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -52,7 +63,8 @@ class ApproxPair:
     level: str
 
 
-# how many of the latest cases, direction sets and flux bases a process keeps
+# how many of the latest cases (and free-field pairs), direction sets and
+# flux bases a process keeps
 CASE_MEMO = 64
 DIRECTIONS_MEMO = 256
 FLUX_BASIS_MEMO = 16
@@ -249,24 +261,21 @@ def directions(dom: BoxDomain, seed: int) -> Directions:
 def perturb(case: ProblemCase, level: str, scale: float, seed: int) -> ApproxPair:
     """Exact pair plus ``scale`` times a seeded analytic perturbation.
 
-    The perturbation is linear in ``scale``; capabilities of the returned
-    fields are restricted to exactly the level's contract. The directions
-    depend on the box and the seed only (see :func:`directions`).
+    The perturbation is linear in ``scale``. Each of u_tilde and p_tilde is
+    one node, the exact field plus ``scale`` times its direction
+    (:func:`fields.combination`), carrying exactly the level's capabilities
+    (:data:`_KEEPS`). The directions depend on the box and the seed only
+    (see :func:`directions`).
     """
     if level not in LEVELS:
         raise ValueError(f"unknown approximation level: {level!r}")
-    if scale < 0:
-        raise ValueError("scale must be non-negative")
+    if not 0.0 <= scale < math.inf:
+        raise ValueError(f"scale must be finite and nonnegative, got {scale}")
     du, dp = directions(case.dom, seed).at(level)
-    u_t = case.exact_u + scale * du
-    p_t = case.exact_p + scale * dp
-    if level in ("conforming_mixed", "semi_conforming_primal"):
-        u_t = u_t.restricted(grad=True, dt=True, boundary_flag=True)
-    elif level != "very_conforming":
-        u_t = u_t.restricted()
-    if level in ("semi_conforming_primal", "non_conforming"):
-        p_t = p_t.restricted()
-    return ApproxPair(u_t, p_t, level)
+    keep_u, keep_p = _KEEPS[level]
+    return ApproxPair(combination([case.exact_u, du], [1.0, scale], keep_u),
+                      combination([case.exact_p, dp], [1.0, scale], keep_p),
+                      level)
 
 
 FREE_STRATEGIES = ("exact", "coarse", "basis")
@@ -274,18 +283,29 @@ FREE_STRATEGIES = ("exact", "coarse", "basis")
 
 def free_fields(case: ProblemCase, strategy: str = "exact", index: int = 0):
     """A conforming (scalar, flux) pair for the free fields of the
-    non-conforming and semi-conforming bounds."""
+    non-conforming and semi-conforming bounds: the exact pair, 0.9 times
+    it (``coarse``), or the ``index``-th sine mode of the box, times
+    ``1 + t`` on a space-time box, and its gradient (``basis``). Equal
+    arguments give the same fields, kept for the :data:`CASE_MEMO` latest
+    arguments, so each of their forms is built once."""
+    if strategy not in FREE_STRATEGIES:
+        raise ValueError(f"unknown free-field strategy: {strategy!r}")
+    if index < 0:
+        raise ValueError(f"free-field index must be nonnegative, got {index}")
     if strategy == "exact":
         return case.exact_u, case.exact_p
+    return _free_fields(case, strategy, index)
+
+
+@functools.lru_cache(maxsize=CASE_MEMO)
+def _free_fields(case: ProblemCase, strategy: str, index: int):
     if strategy == "coarse":
         return 0.9 * case.exact_u, 0.9 * case.exact_p
-    if strategy == "basis":
-        dom = case.dom
-        mode = _modes(dom.dim, index + 1)[index]
-        tpoly = [np.array([1.0, 1.0])] if dom.is_parabolic else [np.array([1.0])]
-        s = _trig_sum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
-        return _scalar(s, dom, True), _gradient(s, dom)
-    raise ValueError(f"unknown free-field strategy: {strategy!r}")
+    dom = case.dom
+    mode = _modes(dom.dim, index + 1)[index]
+    tpoly = [np.array([1.0, 1.0])] if dom.is_parabolic else [np.array([1.0])]
+    s = _trig_sum([1.0], [mode], [("sin",) * dom.dim], tpoly, dom)
+    return _scalar(s, dom, True), _gradient(s, dom)
 
 
 @functools.lru_cache(maxsize=FLUX_BASIS_MEMO)

@@ -1,15 +1,22 @@
 import functools
 import gc
+import itertools
 import json
 import math
+import operator
 from unittest import mock
 
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errbounds import (
+    KINDS,
+    PARABOLIC_KINDS,
     BoxDomain,
+    CapabilityError,
     ConformityError,
     QuadratureRule,
     constant_scalar,
@@ -21,6 +28,7 @@ from errbounds import (
     parse_config,
     perturb,
     rd_equality,
+    rd_nonconforming_bounds,
     run,
     scalar_field,
     vector_field,
@@ -28,7 +36,8 @@ from errbounds import (
     zero_vector,
 )
 from errbounds import manufactured
-from errbounds.fields import Factor, form_values, grid_axes
+from errbounds.fields import (Factor, SeparatedSum, _Field, form_values,
+                             grid_axes)
 from errbounds.manufactured import (_gradient, _modes, _random_trig, _rotgrad,
                                     _scalar, directions)
 from errbounds.quadrature import space_nodes, spacetime_nodes
@@ -166,6 +175,12 @@ def test_perturb_validation():
         perturb(case, "sorta_conforming", 0.1, 0)
     with pytest.raises(ValueError):
         perturb(case, "conforming_mixed", -0.1, 0)
+    # nan and inf pass a sign check; they would give coefficients such as
+    # (1.0, nan, nan) or (1.0, inf, -inf)
+    for scale in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got "
+                                             f"{scale}"):
+            perturb(case, "conforming_mixed", scale, 0)
 
 
 def test_free_fields_strategies():
@@ -180,6 +195,52 @@ def test_free_fields_strategies():
     assert flux_b.has_div
     with pytest.raises(ValueError):
         free_fields(case, "magic")
+    with pytest.raises(ValueError, match="index must be nonnegative, got -1"):
+        free_fields(case, "basis", index=-1)
+
+
+@pytest.mark.parametrize("kind, dom, solution", [
+    ("RD", DOM2, "sin(pi*x)*sin(pi*y)"),
+    ("TRD", TDOM, "exp(-t)*sin(pi*x)")], ids=["elliptic", "parabolic"])
+def test_free_fields_built_once_per_case(kind, dom, solution):
+    # equal arguments give the same fields, so their forms are built once
+    case = make_case(kind, dom, solution)
+    for strategy, index in (("exact", 0), ("coarse", 0), ("basis", 2)):
+        pair = free_fields(case, strategy, index)
+        for again in (free_fields(case, strategy, index=index),
+                      free_fields(case, strategy=strategy, index=index)):
+            assert again[0] is pair[0] and again[1] is pair[1], strategy
+    assert free_fields(case, "basis", 1)[0] is not free_fields(
+        case, "basis", 2)[0]
+    assert free_fields(case, "coarse")[0] is not free_fields(
+        make_case(kind, dom, solution, f_factor=2.0), "coarse")[0]
+
+
+def _hexed(report):
+    return {k: v.hex() if isinstance(v, float) else v
+            for k, v in report.to_record().items()}
+
+
+def test_kept_free_fields_give_the_records_of_fresh_ones_bitwise():
+    # the free fields of the bounds built afresh for each record, as they
+    # were before they were kept, give the same records bit for bit
+    case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
+    mode = _modes(2, 3)[2]
+    basis = manufactured._trig_sum([1.0], [mode], [("sin", "sin")],
+                                   [np.array([1.0])], DOM2)
+    afresh = {"coarse": lambda: (0.9 * case.exact_u, 0.9 * case.exact_p),
+              "basis": lambda: (_scalar(basis, DOM2, True),
+                                _gradient(basis, DOM2))}
+    for level in LEVELS:
+        ap = perturb(case, level, 0.3, 2)
+        for strategy, fresh in afresh.items():
+            kept = free_fields(case, strategy, 2 if strategy == "basis" else 0)
+            for which in ("i", "ii", "iii"):
+                assert _hexed(rd_nonconforming_bounds(
+                    case, ap, *kept, gamma=2.0, which=which, rule=RULE)) == \
+                    _hexed(rd_nonconforming_bounds(
+                        case, ap, *fresh(), gamma=2.0, which=which,
+                        rule=RULE)), (level, strategy, which)
 
 
 def test_flux_basis_nested_and_div_conforming():
@@ -216,6 +277,7 @@ def test_perturbations_normalized():
 
 def _clear_memos():
     make_case.cache_clear()
+    manufactured._free_fields.cache_clear()
     directions.cache_clear()
     manufactured._flux_fields.cache_clear()
 
@@ -267,12 +329,14 @@ def test_memos_stay_within_their_bounds():
     # more keys than each memo holds: the latest stay, the oldest go
     _clear_memos()
     for k in range(manufactured.CASE_MEMO + 3):
-        make_case("RD", DOM1, "sin(pi*x)", f_factor=1.0 + k / 64)
+        free_fields(make_case("RD", DOM1, "sin(pi*x)", f_factor=1.0 + k / 64),
+                    "coarse")
     for seed in range(manufactured.DIRECTIONS_MEMO + 3):
         directions(DOM1, seed)
     for k in range(manufactured.FLUX_BASIS_MEMO + 3):
         flux_basis(BoxDomain((0.0,), (1.0 + k,)), 2)
     for memo, bound in ((make_case, manufactured.CASE_MEMO),
+                        (manufactured._free_fields, manufactured.CASE_MEMO),
                         (directions, manufactured.DIRECTIONS_MEMO),
                         (manufactured._flux_fields,
                          manufactured.FLUX_BASIS_MEMO)):
@@ -700,3 +764,145 @@ def test_form_fields_keep_their_capabilities_and_evaluate_their_forms(dom):
             {"dt"} if td and u_dt else set()), level
         assert _capabilities(ap.p_tilde) == set(p_caps), level
         assert ap.u_tilde.vanishes_on_boundary is vanishes, level
+
+
+def _nested(case, level, scale, seed):
+    """The approximation pair as the nested expression: the exact field plus
+    ``scale`` times the direction, restricted to the level's contract."""
+    du, dp = directions(case.dom, seed).at(level)
+    u_t = case.exact_u + scale * du
+    p_t = case.exact_p + scale * dp
+    if level in ("conforming_mixed", "semi_conforming_primal"):
+        u_t = u_t.restricted(grad=True, dt=True, boundary_flag=True)
+    elif level != "very_conforming":
+        u_t = u_t.restricted()
+    if level in ("semi_conforming_primal", "non_conforming"):
+        p_t = p_t.restricted()
+    return u_t, p_t
+
+
+@st.composite
+def _perturbations(draw):
+    """A case on a shifted, anisotropic box (d = 1..3, elliptic or
+    space-time) whose solution splits into 1-D factors or, where it has
+    two coordinates to couple, does not; the scales 0, 1 and one drawn;
+    and a seed."""
+    kind = draw(st.sampled_from(KINDS))
+    td = kind in PARABOLIC_KINDS
+    dim = draw(st.integers(1, 3 if not td else 2))
+    lower = [draw(st.integers(-20, 20)) for _ in range(dim)]
+    sides = [draw(st.integers(3, 30)) for _ in range(dim)]
+    dom = BoxDomain([a / 10 for a in lower],
+                    [(a + b) / 10 for a, b in zip(lower, sides)],
+                    time_horizon=draw(st.sampled_from([0.5, 2.0])) if td
+                    else None)
+    names = "xyz"[:dim]
+    factors = [f"sin(pi*({v} - ({a}/10))*10/{b})"
+               for v, a, b in zip(names, lower, sides)]
+    if td:
+        factors.append(draw(st.sampled_from(["exp(-t)", "(1 + t)"])))
+    if draw(st.booleans()):
+        factors.append(f"(2 + sin({'*'.join(names + ('t' if td else ''))}))")
+    case = make_case(kind, dom, "*".join(factors))
+    scales = (0.0, 1.0, draw(st.floats(0.01, 3.0)))
+    return case, scales, draw(st.integers(0, 5))
+
+
+def _same_form(a, b):
+    """Forms equal term by term: coefficients in hex, factors by identity."""
+    if a is None or b is None:
+        return a is b
+    if isinstance(a, tuple):
+        return len(a) == len(b) and all(map(_same_form, a, b))
+    return ([c.hex() for c in a.coefs] == [c.hex() for c in b.coefs]
+            and len(a.factors) == len(b.factors)
+            and all(len(fa) == len(fb) and all(map(operator.is_, fa, fb))
+                    for fa, fb in zip(a.factors, b.factors)))
+
+
+def _refusal(field, name):
+    with pytest.raises(CapabilityError) as got:
+        field.evaluator(name)
+    with pytest.raises(CapabilityError) as form:
+        field.form(name)
+    assert str(form.value) == str(got.value)
+    return str(got.value)
+
+
+def _assert_same_node(got, ref, args, where):
+    """``got`` has the capabilities, boundary flag, refusals and forms of
+    ``ref``, and its evaluators give the same bits on each node set of
+    ``args``."""
+    assert type(got) is type(ref), where
+    assert (got.dim, got.time_dependent) == (ref.dim, ref.time_dependent)
+    assert got.capabilities == ref.capabilities, where
+    assert got._vanishes is ref._vanishes, where
+    for name in set(got._NAMES) - got.capabilities:
+        assert _refusal(got, name) == _refusal(ref, name), (where, name)
+    for name in got.capabilities:
+        assert _same_form(got.form(name), ref.form(name)), (where, name)
+        for on in args:
+            assert _same_bits(got.evaluator(name)(*on),
+                              ref.evaluator(name)(*on)), (where, name)
+
+
+@given(_perturbations())
+@settings(max_examples=20, deadline=None)
+def test_perturb_equals_the_nested_expression(problem):
+    # at every level each of u_tilde and p_tilde is one combination node;
+    # it carries the capabilities, boundary flag, refusals, forms and values
+    # of the nested expression it replaces, bit for bit, on a cached node
+    # set, on copies of it and, sliced at a time, on spatial nodes
+    case, scales, seed = problem
+    dom = case.dom
+    nodes = (spacetime_nodes(dom, TENSOR_RULE)[:2] if dom.is_parabolic
+             else space_nodes(dom, TENSOR_RULE)[:1])
+    args = (nodes, tuple(a.copy() for a in nodes))
+    X = space_nodes(dom, TENSOR_RULE)[0]
+    for level, scale in itertools.product(LEVELS, scales):
+        ap = perturb(case, level, scale, seed)
+        for got, ref in zip((ap.u_tilde, ap.p_tilde),
+                            _nested(case, level, scale, seed)):
+            _assert_same_node(got, ref, args, (level, scale))
+            if dom.is_parabolic:
+                t0 = dom.time_horizon / 3
+                _assert_same_node(got.at_time(t0), ref.at_time(t0),
+                                  ((X,), (X.copy(),)), (level, scale, t0))
+
+
+@pytest.mark.parametrize("kind, dom, solution", [
+    ("RD", DOM2, "sin(pi*x)*sin(pi*y)"),
+    ("Heat", TDOM, "(1+t)*sin(pi*x)")], ids=["elliptic", "parabolic"])
+def test_fresh_approximation_forms_take_one_combination_each(
+        monkeypatch, kind, dom, solution):
+    # once the exact fields' and the directions' forms are built, each form
+    # of a fresh approximation is one combination of the two per component,
+    # and perturb makes no view node
+    case = make_case(kind, dom, solution)
+    combine, view = SeparatedSum.combination, _Field._view
+    calls = []
+
+    def counting(*args):
+        calls.append("combination")
+        return combine(*args)
+
+    def viewing(*args, **kw):
+        calls.append("view")
+        return view(*args, **kw)
+
+    for level in LEVELS:
+        warm = perturb(case, level, 0.3, 4)
+        for field in (warm.u_tilde, warm.p_tilde):
+            for name in field.capabilities:
+                field.form(name)
+        with monkeypatch.context() as patch:
+            patch.setattr(SeparatedSum, "combination", staticmethod(counting))
+            patch.setattr(_Field, "_view", viewing)
+            ap = perturb(case, level, 0.3, 4)
+            assert calls == [], level
+            for field in (ap.u_tilde, ap.p_tilde):
+                for name in sorted(field.capabilities):
+                    form = field.form(name)
+                    parts = len(form) if isinstance(form, tuple) else 1
+                    assert calls == ["combination"] * parts, (level, name)
+                    del calls[:]
