@@ -4,11 +4,12 @@
 # directory when unset).
 #
 # The process-wide memos (the plans of term-pair integrals per raw factor
-# tuples and axis rules, the flux bases per box and size and their Grams
-# per basis, box and rule) fill in the order
-# a process first meets their keys: fresh processes that hash strings
-# differently, processes that ran something else first, and a process whose
-# plan memo restarts many times, must still write the same bytes.
+# tuples and axis rules, the norm programs per leaf forms and axis rules,
+# the flux bases per box and size and their Grams per basis, box and rule)
+# fill in the order a process first meets their keys: fresh processes that
+# hash strings differently, processes that ran something else first, and a
+# process whose plan and program memos restart many times, must still write
+# the same bytes.
 set -euo pipefail
 export PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH}
 tmp=${RUNNER_TEMP:-$(mktemp -d)}
@@ -185,18 +186,32 @@ assert ascending == descending, "records depend on the size order"
 PY
 
 echo "Reports repeat when the plan memo restarts"
-# a bound of 8 plans restarts the memo many times within each run; every
-# plan is built again from its own pairs, so the bytes must not move
+# a bound of 8 restarts the plan memo and the norm-program memo, which
+# shares it, many times within each run; every plan is built again from its
+# own pairs and every program from its plans, so the bytes must not move
 python - "$tmp" <<'PY'
 import contextlib, io, sys
 from errbounds import quadrature
 from errbounds.cli import main
 tmp = sys.argv[1]
+restarts = {"_PLANS": 0, "_PROGRAMS": 0}
+
+class Memo(dict):
+    def __init__(self, name):
+        self.name = name
+
+    def clear(self):
+        restarts[self.name] += 1
+        super().clear()
+
 quadrature.PLAN_MEMO = 8
+for name in restarts:
+    setattr(quadrature, name, Memo(name))
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["suite", "--out", f"{tmp}/suite-restarts"]) == 0
     assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
                  "--out", f"{tmp}/majorant-restarts"]) == 0
+assert min(restarts.values()) > 10, restarts
 PY
 cmp "$tmp/suite-0/report.json" "$tmp/suite-restarts/report.json"
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-restarts/report.json"
@@ -216,9 +231,12 @@ with contextlib.redirect_stdout(io.StringIO()):
     assert main(["suite", "--out", f"{tmp}/suite-slots-{bound}"]) == 0
     assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
                  "--out", f"{tmp}/majorant-slots-{bound}"]) == 0
-# every plan the runs met took the one path
+# every plan the runs met took the one path, and so did every component of
+# every norm program, whose H is the plan's lists or its array
 assert {lists is not None for _, _, lists in quadrature._PLANS.values()} \
     == {bound > 0}
+assert {type(H) is list for program in quadrature._PROGRAMS.values()
+        for _, H in program} == {bound > 0}
 PY
   cmp "$tmp/suite-0/report.json" "$tmp/suite-slots-$bound/report.json"
   cmp "$tmp/majorant-0/report.json" "$tmp/majorant-slots-$bound/report.json"
@@ -242,3 +260,25 @@ with contextlib.redirect_stdout(io.StringIO()):
 PY
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-first/report.json"
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-cleared/report.json"
+
+echo "Reports repeat when the norm programs are cleared"
+# a norm program holds slots and H, never coefficients, so a process that
+# drops its programs and runs again builds them from its plans and must
+# write what a fresh process writes
+python - "$tmp" <<'PY'
+import contextlib, io, sys
+from errbounds import quadrature
+from errbounds.cli import main
+tmp = sys.argv[1]
+with contextlib.redirect_stdout(io.StringIO()):
+    for run in ("first", "cleared"):
+        assert main(["suite", "--out", f"{tmp}/suite-programs-{run}"]) == 0
+        assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
+                     "--out", f"{tmp}/majorant-programs-{run}"]) == 0
+        assert quadrature._PROGRAMS
+        quadrature._PROGRAMS.clear()
+PY
+for run in first cleared; do
+  cmp "$tmp/suite-0/report.json" "$tmp/suite-programs-$run/report.json"
+  cmp "$tmp/majorant-0/report.json" "$tmp/majorant-programs-$run/report.json"
+done

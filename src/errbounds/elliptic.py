@@ -2,8 +2,8 @@
 the reaction-diffusion operator (-laplace + 1) and the Poisson operator.
 
 A norm is of signed atom terms, f - ut + div pt ``[(1.0, f, "value"), (-1.0,
-ut, "value"), (1.0, pt, "div")]``; signs of 1.0 and -1.0 multiply exactly,
-so :func:`quadrature.terms_norm_sq` takes it bit for bit building no field.
+ut, "value"), (1.0, pt, "div")]``: :func:`quadrature.terms_norm_sq` takes it
+bit for bit from the atoms' leaf terms (ut's are u's and du's forms).
 """
 from __future__ import annotations
 

@@ -6,12 +6,12 @@ Derivatives are never approximated numerically: a field either carries an
 analytic evaluator for a derivative or raises :class:`CapabilityError`.
 
 A field is one immutable node (see :class:`_Field`): a leaf, a
-:func:`combination` (``+``, ``-`` and scalar ``*`` among them), or a view
-of one field (a derivative view, a time slice, a restriction). A node knows
-its capabilities and its boundary flag when it is made; its evaluator of a
-name, and that evaluator's *form*, are built at the first request and kept.
-A form is the :class:`SeparatedSum` of 1-D :class:`Factor` products the
-evaluator equals (a tuple of sums, one per component, for vectors), or
+:func:`combination` (``+``, ``-``, scalar ``*`` and restriction among them),
+or a view (a derivative view, a time slice). A node knows its capabilities
+and boundary flag when made; its evaluator of a name, that evaluator's
+*form* and :meth:`_Field.leaf_terms` are built at the first request and
+kept. A form is the :class:`SeparatedSum` of 1-D :class:`Factor` products
+the evaluator equals (a tuple of sums, one per component, for vectors), or
 None. Fields of :mod:`errbounds.symbolic` are leaves with lambdified
 evaluators and the split of their expression; a field that is its forms (a
 constant, a zero, a trigonometric perturbation or flux basis field) is made
@@ -340,10 +340,10 @@ class _Field:
 
     Its capabilities (the names of its evaluators: ``value``, ``grad``,
     ``laplacian``, ``dt``, ``div``) and boundary flag are set when made;
-    its evaluators and forms are built when first asked, kept per name."""
+    its evaluators, forms and leaf terms are built when asked, kept by name."""
 
     __slots__ = ("dim", "time_dependent", "capabilities", "_vanishes",
-                 "_kind", "_args", "_evaluators", "_forms")
+                 "_kind", "_args", "_evaluators", "_forms", "_leaves")
     _RANK = ""
     _NAMES = ()  # the capabilities a field of this rank can have
     _KEEP = ()  # the keywords of ``restricted``
@@ -359,8 +359,8 @@ class _Field:
     def _set(self, kind, args, caps, dim, time_dependent, vanishes):
         self.dim, self.time_dependent = dim, time_dependent
         self.capabilities, self._vanishes = caps, vanishes
-        self._kind, self._args, self._evaluators, self._forms = (
-            kind, args, {}, {})
+        self._kind, self._args, self._evaluators, self._forms, self._leaves = (
+            kind, args, {}, {}, {})
 
     @classmethod
     def _node(cls, kind, args, caps, dim, time_dependent, vanishes=False):
@@ -393,6 +393,35 @@ class _Field:
     def separated(self):
         """The separated form of the value (see :meth:`form`)."""
         return self.form("value")
+
+    def leaf_terms(self, name: str):
+        """The ``name`` form as (multipliers, memoised forms, negated
+        multipliers), or None: the forms' terms, coefficients times their
+        multiplier, are the form's own bit for bit. A view has its base's;
+        a sum its operands' times c m where c or m is 1.0 or -1.0 (exact),
+        else an operand's own form times c; any other node its own form."""
+        made = self._leaves
+        if name not in made:
+            self._check(name)
+            made[name] = self._build_leaves(name)
+        return made[name]
+
+    def _build_leaves(self, name: str):
+        kind, args = self._kind, self._args
+        if kind == "view" and args[2] is None:
+            return args[0].leaf_terms(args[1][name])
+        if kind != "sum":
+            form = self.form(name)
+            return None if form is None else ((1.0,), (form,), (-1.0,))
+        mults, forms = [], []
+        for f, c in zip(*args):
+            terms = f.leaf_terms(name)
+            if terms is None:
+                return None
+            exact = c in (1.0, -1.0) or all(m in (1.0, -1.0) for m in terms[0])
+            mults += [c * m for m in terms[0]] if exact else [c]
+            forms += terms[1] if exact else [f.form(name)]
+        return tuple(mults), tuple(forms), tuple(-m for m in mults)
 
     def _build_evaluator(self, name: str) -> Callable:
         kind, args = self._kind, self._args
@@ -479,13 +508,12 @@ class _Field:
                                        if k != "dt"}, self._vanishes, t0)
 
     def restricted(self, **keep):
-        """Copy with ``value`` and only the selected capabilities retained."""
+        """Copy with ``value`` and the selected capabilities (a combination)."""
         unknown = sorted(set(keep) - set(self._KEEP))
         if unknown:
             raise TypeError(f"restricted() got unexpected keywords {unknown}")
-        return self._view(type(self), {k: k for k in self.capabilities
-                                       if k == "value" or keep.get(k)},
-                          self._vanishes and keep.get("boundary_flag", False))
+        return combination([self], [1.0], {"value", *(k for k in keep
+                                                       if keep[k])})
 
 
 def combination(fields, coefs, keep=None):
@@ -496,8 +524,8 @@ def combination(fields, coefs, keep=None):
     on the boundary when every field does. ``+``, ``-`` and scalar ``*``
     are its two-term and one-term cases. ``keep``, if given, is the set of
     capabilities the node may carry, ``value`` among them, with
-    ``boundary_flag`` if it keeps the flag: the combination restricted as
-    by :meth:`_Field.restricted`, without a view node in between."""
+    ``boundary_flag`` if it keeps the flag: :meth:`_Field.restricted` is
+    the one-term case with coefficient 1.0."""
     first = fields[0]
     caps, vanishes = first.capabilities, first._vanishes
     for f in fields[1:]:

@@ -1,6 +1,7 @@
 """Space-time identities, error equalities and two-sided bounds for the
 time-dependent reaction-diffusion and heat problems on (0, T) x box. Norms
-are of signed atom terms, as in :mod:`errbounds.elliptic`, sliced at a time.
+are of signed atom terms, as in :mod:`errbounds.elliptic`, taken from their
+leaf terms also at a slice time (a term's time factor there multiplied last).
 """
 from __future__ import annotations
 

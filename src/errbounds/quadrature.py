@@ -13,13 +13,13 @@ keyed by the raw factor tuples of some sums and the axis rules
 H of those tuples. A later sum, or list of sums, with the same factors and any
 coefficients merges them by one ``np.bincount`` and gathers its addends from
 H, without merging its terms as objects or integrating anything
-(:class:`_Sums`), a norm of a small plan the same in Python floats
-(:func:`_float_addends`). Each entry of H is its own pair's einsum, whatever
-else the plan holds, so the memo, at most :data:`PLAN_MEMO` plans, restarts
-empty past its bound without changing a bit. Any operand without a form (a
-field built from bare callables, or from an expression that does not split) is
-evaluated at every node instead; that path is the general fallback and the
-oracle of the tests.
+(:class:`_Sums`), a norm of field terms from the program of its leaf forms
+(:func:`_program`). Each entry of H is its own pair's einsum, whatever else
+the plan holds, so the memos, at most :data:`PLAN_MEMO` plans and programs,
+restart empty past their bound without changing a bit. Any operand without a
+form (a field built from bare callables, or from an expression that does not
+split) is evaluated at every node instead; that path is the general fallback
+and the oracle of the tests.
 
 Both paths of :func:`l2_inner` and :func:`terms_norm_sq`, and the separated
 one of :func:`l2_gram`, reduce through a correctly rounded sum, equal to
@@ -44,8 +44,7 @@ from functools import lru_cache, reduce
 import numpy as np
 
 from .fields import (_GRIDS, BoxDomain, CapabilityError, ScalarField,
-                     SeparatedSum, VectorField, _per_component, combination,
-                     form_values)
+                     VectorField, combination, form_values)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -280,6 +279,8 @@ PLAN_MEMO = 1024
 _NUMPY_MIN_SLOTS = 12
 # (id of the axis rules, raw factor tuples) -> (slots, H, lists)
 _PLANS = {}
+# (id of the axis rules, slice time, leaf forms) -> norm program
+_PROGRAMS = {}
 
 
 def _plan(factors, axes):
@@ -287,12 +288,11 @@ def _plan(factors, axes):
     rules ``axes`` (of :func:`axis_rules`): the slot of each raw term, its
     tuple's place in order of first appearance, H = :func:`term_grams` of
     those tuples, and below :data:`_NUMPY_MIN_SLOTS` slots both as lists
-    for :func:`_float_addends` (else None). Kept per process for the
-    factors and the rules: factors compare by identity, as
-    :meth:`fields.SeparatedSum.merged` keys them, and the key holds them,
-    and :func:`axis_rules` keeps the rules for good, so their ids stay
-    their own. Each entry of H is its own pair's value, so a memo that
-    starts again empty changes no bit."""
+    (else None). Kept per process for the factors and the rules: factors
+    compare by identity, as :meth:`fields.SeparatedSum.merged` keys them,
+    and the key holds them, and :func:`axis_rules` keeps the rules for
+    good, so their ids stay their own. Each entry of H is its own pair's
+    value, so a memo that starts again empty changes no bit."""
     key = id(axes), factors
     plan = _PLANS.get(key)
     if plan is None:
@@ -321,16 +321,64 @@ def _norm_addends(slots, coefs, H) -> np.ndarray:
     return (np.multiply.outer(m, m) * H).ravel()
 
 
-def _float_addends(slots, rows, coefs, out: list):
-    """Extends ``out`` by the addends of :func:`_norm_addends`, bit for
-    bit, from ``slots`` and ``H`` as lists: the same additions from 0.0 in
-    raw-term order as ``np.bincount``, the same zeros dropped, and the
-    same products ``(m_k * m_l) * H_kl``, in the same order."""
-    m = [0.0] * len(rows)
-    for k, c in zip(slots, coefs):
-        m[k] += c
+def _program(forms, axes, at=None, kept: bool = True) -> list:
+    """Per component of ``forms``, each raw term's slot in :func:`_plan`,
+    form, coefficient and, at a slice time ``at``, its time factor's value
+    there (or 1.0), and H: lists below :data:`_NUMPY_MIN_SLOTS` slots, else
+    arrays. Kept, if ``kept``, per forms (by identity), rules and ``at``."""
+    key = id(axes), at, forms
+    program = _PROGRAMS.get(key) if kept else None
+    if program is None:
+        program, d = [], len(axes)
+        for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
+            factors = [fs for s in sums for fs in s.factors]
+            taus = None if at is None else [fs[0].at(at) if len(fs) > d
+                                            else 1.0 for fs in factors]
+            slots, H, lists = _plan(tuple(fs[-d:] for fs in factors), axes)
+            owners = [i for i, s in enumerate(sums) for _ in s.coefs]
+            coefs = [a for s in sums for a in s.coefs]
+            program.append(((lists[0], owners, coefs, taus), lists[1])
+                           if lists else
+                           ((slots, np.array(owners, dtype=np.intp),
+                             np.array(coefs, dtype=float),
+                             None if taus is None else np.array(taus)), H))
+        if kept:
+            if len(_PROGRAMS) >= PLAN_MEMO:
+                _PROGRAMS.clear()
+            _PROGRAMS[key] = program
+    return program
+
+
+def _addends(mults, terms, H):
+    """m_k m_l H_kl of a program's component, its forms times ``mults``:
+    each term's coefficient times its multiplier (then times its time
+    factor's value, as a sliced form rounds) added into its slot from 0.0
+    in order, zeros dropped, as :func:`_norm_addends` does (for arrays)."""
+    slots, owners, coefs, taus = terms
+    if type(H) is not list:
+        w = coefs * np.array(mults)[owners]
+        return _norm_addends(slots, w if taus is None else w * taus, H)
+    m = [0.0] * len(H)
+    if taus is None:
+        for k, i, a in zip(slots, owners, coefs):
+            m[k] += mults[i] * a
+    else:
+        for k, i, a, t in zip(slots, owners, coefs, taus):
+            m[k] += mults[i] * a * t
     kept = [(k, c) for k, c in enumerate(m) if c]
-    out += [c * e * rows[k][l] for k, c in kept for l, e in kept]
+    return [c * e * H[k][l] for k, c in kept for l, e in kept]
+
+
+def _norm(mults, program) -> float:
+    """The squared norm of the forms of ``program`` times ``mults``."""
+    small, arrays = [], []
+    for terms, H in program:
+        if type(H) is list:
+            small += _addends(mults, terms, H)
+        else:
+            arrays.append(_addends(mults, terms, H))
+    return max(_fsum(np.concatenate([*arrays, small])) if arrays
+               else math.fsum(small), 0.0)
 
 
 class _Sums:
@@ -385,29 +433,15 @@ class _Sums:
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     """The tensor rule's value of the L2 inner product of two separated
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
-    component, without visiting the grid (sum factorisation): the addends
-    c_k c_l H_kl of the merged terms of each component, and one correctly
-    rounded sum of them over all components. An inner product of two
-    forms is the 1 x 1 block of their :class:`_Sums`. A norm
-    (``fb is fa``) takes the addends of each component's raw sum from its
-    plan (:func:`_plan`), which holds structure only, never coefficients,
-    so a sum of known factors takes no :meth:`fields.SeparatedSum.merged`
-    and no :func:`term_grams`; one that rounding leaves below zero is 0.
-    A small plan gives its addends as floats (:func:`_float_addends`), a
-    larger one as an array, the same bits, summed exactly in any order."""
+    component, without visiting the grid (sum factorisation): one correctly
+    rounded sum of the addends c_k c_l H_kl of the merged terms of every
+    component, the 1 x 1 block of their :class:`_Sums`, or for a norm
+    (``fb is fa``) the one-form :func:`_norm`."""
     axes = axis_rules(dom, rule)
     if fb is not fa:
         G = _Sums([fa, fb], axes).block(range(1), range(1, 2))
         return float(G[0, 0])
-    parts, small = [], []
-    for s in fa if isinstance(fa, tuple) else (fa,):
-        slots, H, lists = _plan(s.factors, axes)
-        if lists:
-            _float_addends(*lists, s.coefs, small)
-        else:
-            parts.append(_norm_addends(slots, s.coefs, H))
-    return max(_fsum(np.concatenate([*parts, small])) if parts
-               else math.fsum(small), 0.0)
+    return _norm([1.0], _program((fa,), axes, kept=False))
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
@@ -514,17 +548,23 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
     ``(sign, atom, name)``, 1.0 or -1.0 times the evaluator ``name`` of the
     field ``atom``, space-time atoms sliced at ``at`` unless it is None; a
     tuple of lists of terms sums those groups. The terms are checked as
-    :func:`_check_fields` checks fields. An L2 piece combines the atoms'
-    memoised forms into the form of the field expression, bit for bit: sum
-    nodes concatenate their operands' terms, and 1.0 or -1.0 multiplies
-    exactly. Without all forms, it is the grid norm of that expression."""
+    :func:`_check_fields` checks fields; other signs, and an ``at`` that is
+    not finite and >= 0, are refused. An L2 piece reduces the atoms' leaf
+    terms (:meth:`fields._Field.leaf_terms`) by the :func:`_program` of
+    their forms, bit for bit the norm of the expression's form, building
+    none; without all forms, its grid norm."""
+    if at is not None and not 0.0 <= at < math.inf:
+        raise ValueError(f"slice time at={at!r} must be finite and >= 0")
     k = kind.lower()
     if k != "l2" and k not in _PARTS:
         raise ValueError(f"unknown norm kind: {kind!r}")
     flat = [t for g in terms for t in g] if type(terms) is tuple else terms
     td, dim, whole = dom.is_parabolic, len(dom.lower), at is None
-    vector, forms, signs = set(), [], []
+    vector, mults, forms, grid = set(), [], [], False
     for sign, atom, name in flat:
+        if sign not in (1.0, -1.0):
+            raise ValueError(f"term ({sign!r}, {name!r}): sign must be 1.0 "
+                             "or -1.0")
         if (atom.time_dependent and whole) != td or atom.dim != dim:
             _check_domain_match(atom.time_dependent and whole, atom.dim, dom)
         name = name if view == "value" else _VIEWS[name, view]
@@ -532,10 +572,11 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
             raise CapabilityError("a time slice carries no time-derivative")
         vector.add(name == "grad"
                    or name != "div" and isinstance(atom, VectorField))
-        form = atom.form(name)
-        forms.append(form if whole or form is None or not atom.time_dependent
-                     else _per_component(lambda s: s.at(at), form))
-        signs.append(sign)
+        own = atom.leaf_terms(name)
+        grid = grid or own is None
+        if own:
+            mults += own[0] if sign == 1.0 else own[2]
+            forms += own[1]
     if len(vector) > 1:
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
     if k == "hdiv" and True not in vector:
@@ -544,13 +585,10 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
         return math.fsum([s * terms_norm_sq(dom, rule, terms, _VIEWS[view, v],
                                             part, at)
                           for s, part, v in _PARTS[k]])
-    if None in forms:
+    if grid:
         w = _expression(terms, view, at)
         return _grid_inner(w, w, dom, rule)
-    form = (tuple([SeparatedSum.combination(s, signs) for s in zip(*forms)])
-            if type(forms[0]) is tuple
-            else SeparatedSum.combination(forms, signs))
-    return separated_inner(form, form, dom, rule)
+    return _norm(mults, _program(tuple(forms), axis_rules(dom, rule), at))
 
 
 def _expression(terms, view: str, at):

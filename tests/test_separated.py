@@ -656,8 +656,10 @@ def test_warm_norms_take_no_merge_and_no_term_grams(monkeypatch):
                         counted("merged", fields.SeparatedSum.merged))
     warm = measure(-0.25)
     assert counts == {"term_grams": 0, "merged": 0}
-    # a cold memo builds the plans again, to the same bits
+    # cold memos build the plans (and the programs over them) again, to
+    # the same bits
     monkeypatch.setattr(quadrature, "_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
     assert _hex(measure(-0.25)) == _hex(warm)
     assert counts["term_grams"] > 0 and counts["merged"] == 0
 
@@ -772,9 +774,9 @@ def test_float_and_numpy_reductions_give_the_same_bits(problem):
                       for s, (slots, H, _) in zip(sums, plans)]
             # the float path gives the same addends in the same order
             for s, (slots, H, _), addends in zip(sums, plans, arrays):
-                floats = []
-                quadrature._float_addends(slots.tolist(), H.tolist(),
-                                          s.coefs, floats)
+                floats = quadrature._addends(
+                    [1.0], (slots.tolist(), [0] * len(slots), s.coefs, None),
+                    H.tolist())
                 assert _hex(floats) == _hex(addends)
             numpy = max(quadrature._fsum(np.concatenate(arrays)), 0.0)
             assert quadrature.separated_inner(
@@ -823,11 +825,13 @@ _VIEW_RANKS = {"scalar": {"value": "scalar", "grad": "vector",
                           "dt": "vector"}}
 
 
-def _atoms(dom, seed):
+def _atoms(dom, seed, eps):
     """(rank, field) of fields of both ranks on ``dom``: perturbation
     directions, a perturbed and restricted field, a scaled field, symbolic
-    fields that split, flux-basis fields on an elliptic box, and fields
-    without forms (one that does not split, and copies without forms)."""
+    fields that split, the approximations :func:`perturb` makes of the
+    symbolic pair at every level with the scale ``eps``, scaled sums,
+    flux-basis fields on an elliptic box, and fields without forms (one
+    that does not split, and copies without forms)."""
     d = manufactured.directions(dom, seed)
     names = "xyz"[:dom.dim]
     text = "*".join(f"sin({1 + i}*{s} + 1)" for i, s in enumerate(names))
@@ -844,6 +848,15 @@ def _atoms(dom, seed):
                                     dom))
     vectors = [d.gradient, d.flux, q, u.gradient_field() - 0.5 * d.gradient,
                without_forms(q)]
+    case = manufactured.ProblemCase("TRD" if dom.is_parabolic else "RD", dom,
+                                    u, None, u, u.gradient_field())
+    for level in manufactured.LEVELS:
+        approx = perturb(case, level, eps, seed)
+        scalars.append(approx.u_tilde)
+        vectors.append(approx.p_tilde)
+    # scales of scaled sums: a node whose leaf terms are its operand's form
+    scalars.append(3.0 * (0.9 * u + 0.7 * d.conforming))
+    vectors.append(0.5 * approx.p_tilde)
     if not dom.is_parabolic:
         vectors += flux_basis(dom, 3)
     return [("scalar", w) for w in scalars] + [("vector", v) for v in vectors]
@@ -855,7 +868,9 @@ def _term_norms(draw):
     coarse rule, and a norm of signed atom terms: each term's view one its
     atom carries, the norm at no time or at 0 or T (its space-time atoms
     sliced there, beside fields of the spatial box, and no dt of a slice),
-    and the terms, or parenthesised groups of them."""
+    and the terms, or parenthesised groups of them; the approximations
+    among the atoms perturbed by a drawn scale, and a plan and program
+    bound of 8, or the default one."""
     dim = draw(st.integers(1, 3))
     lower = [draw(st.integers(-30, 30)) / 10 for _ in range(dim)]
     sides = [draw(st.integers(2, 40)) / 10 for _ in range(dim)]
@@ -865,7 +880,9 @@ def _term_norms(draw):
     at = draw(st.sampled_from([None, 0.0, T])) if T is not None else None
     on = dom if at is None else dom.spatial()
     seed = draw(st.integers(0, 3))
-    pool = _atoms(dom, seed) + (_atoms(on, seed) if at is not None else [])
+    eps = draw(st.sampled_from([0.0, 1e-300, 1e-8, 0.3, 1.0]))
+    pool = _atoms(dom, seed, eps) + (_atoms(on, seed, eps) if at is not None
+                                     else [])
     rank = draw(st.sampled_from(["scalar", "vector"]))
     choices = [(w, name) for r, w in pool
                for name, out in _VIEW_RANKS[r].items()
@@ -884,7 +901,8 @@ def _term_norms(draw):
         terms = tuple(drawn(n) for n in sizes)
     rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
                           time_order=draw(st.integers(1, 3)))
-    return on, rule, terms, at
+    memo = draw(st.sampled_from([quadrature.PLAN_MEMO, 8]))
+    return on, rule, terms, at, memo
 
 
 def _expression(terms, at):
@@ -907,7 +925,14 @@ def _expression(terms, at):
 @given(_term_norms())
 @settings(max_examples=80, deadline=None, derandomize=True)
 def test_terms_norm_equals_the_node_expression_bitwise(problem):
-    dom, rule, terms, at = problem
+    dom, rule, terms, at, memo = problem
+    with mock.patch.object(quadrature, "PLAN_MEMO", memo):
+        _check_terms_norm(dom, rule, terms, at)
+
+
+def _check_terms_norm(dom, rule, terms, at):
+    """The norms of ``terms`` equal those of the node expression they
+    state, and, in L2, the norm of that expression's own form, in hex."""
     expression = _expression(terms, at)
     flat = [u for t in terms for u in (t if isinstance(t, list) else [t])]
     kinds = ["L2", "H1" if isinstance(expression, fields.ScalarField)
@@ -921,14 +946,20 @@ def test_terms_norm_equals_the_node_expression_bitwise(problem):
         for kind in kinds if view == "value" else ["L2"]:
             if kind != "L2" and {"grad", "div"}.isdisjoint(node.capabilities):
                 continue
-            assert (quadrature.terms_norm_sq(dom, rule, terms, view, kind,
-                                             at).hex()
-                    == norm_sq(kind, node, dom, rule).hex()), (view, kind)
+            got = quadrature.terms_norm_sq(dom, rule, terms, view, kind,
+                                           at).hex()
+            assert got == norm_sq(kind, node, dom, rule).hex(), (view, kind)
+            form = node.separated()
+            if kind == "L2" and form is not None:
+                # the norm of the concatenated form the nodes build
+                assert got == quadrature.separated_inner(
+                    form, form, dom, rule).hex(), view
 
 
 @pytest.mark.parametrize("case", ["dt at a time", "no such view",
                                   "rank mismatch", "Hdiv of a scalar",
-                                  "domain mismatch"])
+                                  "domain mismatch", "sign 2.0", "sign 0.5",
+                                  "at nan", "at inf", "at below 0"])
 def test_terms_norm_refuses_alike_with_and_without_forms(case):
     # a norm of atoms with forms and the same norm of copies without forms
     # (taken on the grid) are refused with the same error
@@ -948,13 +979,28 @@ def test_terms_norm_refuses_alike_with_and_without_forms(case):
                                  None, TypeError),
             "domain mismatch": (BoxDomain((0.0, -1.0), (1.0, 0.5)),
                                 [(1.0, u, "value")], "value", "L2", None,
-                                ValueError)}[case]
+                                ValueError),
+            "sign 2.0": (dom, [(1.0, u, "value"), (2.0, u, "grad")], "value",
+                         "L2", None, ValueError),
+            "sign 0.5": (dom, [(0.5, u, "value")], "value", "H1", None,
+                         ValueError),
+            "at nan": (dom.spatial(), [(1.0, u, "value")], "value", "L2",
+                       math.nan, ValueError),
+            "at inf": (dom.spatial(), [(1.0, u, "value")], "grad", "L2",
+                       math.inf, ValueError),
+            "at below 0": (dom.spatial(), [(1.0, u, "value")], "value", "H1",
+                           -0.5, ValueError)}[case]
         with pytest.raises(error) as info:
             quadrature.terms_norm_sq(box, rule, terms, view, kind, at)
         return str(info.value)
 
     q = u.gradient_field()
-    assert refusal(u, q) == refusal(without_forms(u), without_forms(q))
+    message = refusal(u, q)
+    assert message == refusal(without_forms(u), without_forms(q))
+    if case.startswith("sign"):
+        assert message.startswith(f"term ({case[5:]}, ")
+    elif case.startswith("at"):
+        assert message.startswith("slice time at=")
 
 
 def _suite_cases():
@@ -1054,3 +1100,79 @@ def test_a_warm_record_builds_no_field_node(monkeypatch, strategy):
                 assert built == [], (name, case.kind, level)
                 seen.add(name.split()[0])
     assert len(seen) == 13
+
+
+@pytest.mark.parametrize("path", ["floats", "numpy"])
+def test_sliced_norms_round_as_the_sliced_forms(monkeypatch, path):
+    # at a slice time a space-time leaf term's coefficient is taken times
+    # its multiplier and then times its time factor there, as the sliced
+    # form of the expression rounds it: (eps a) t, not eps (a t)
+    if path == "numpy":
+        monkeypatch.setattr(quadrature, "_NUMPY_MIN_SLOTS", 0)
+    monkeypatch.setattr(quadrature, "_PLANS", {})
+    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+    rule = QuadratureRule(space_order=3, time_order=2)
+    for kind, dom, solution in [
+            ("TRD", BoxDomain((0.0,), (1.0,), 1.0), "exp(-t)*sin(pi*x)"),
+            ("Heat", BoxDomain((0.0, -0.5), (1.0, 1.5), 0.5),
+             "(1 + t)*sin(pi*x)*sin(pi*(y + 0.5)/2)")]:
+        case = make_case(kind, dom, solution)
+        u, p, box = case.exact_u, case.exact_p, dom.spatial()
+        for level in manufactured.LEVELS:
+            for eps in (1e-8, 0.3, 0.7, 1.3):
+                approx = perturb(case, level, eps, 2)
+                ut, pt = approx.u_tilde, approx.p_tilde
+                for at in (0.0, dom.time_horizon / 3, dom.time_horizon):
+                    pairs = [(u, ut, "value"), (p, pt, "value")]
+                    if ut.has_grad:
+                        pairs.append((u, ut, "grad"))
+                    for a, b, name in pairs:
+                        got = quadrature.terms_norm_sq(
+                            box, rule, [(1.0, a, name), (-1.0, b, name)],
+                            at=at)
+                        node = _VIEWED[name](a.at_time(at) - b.at_time(at))
+                        form = node.separated()
+                        assert got.hex() == quadrature.separated_inner(
+                            form, form, box, rule).hex(), (kind, level, eps)
+
+
+def test_a_warm_suite_takes_its_norms_from_leaf_terms(monkeypatch):
+    # once its cases and directions exist, a default-suite run takes every
+    # norm, at a slice time too, from the leaf terms of its atoms: no norm
+    # combines forms, and no form is built, not even of a fresh
+    # approximation
+    config = default_suite_config()
+    run(config)
+    calls = []
+    combination, build = fields.SeparatedSum.combination, fields._Field._build_form
+    monkeypatch.setattr(fields.SeparatedSum, "combination", staticmethod(
+        lambda *args: calls.append("combination") or combination(*args)))
+    monkeypatch.setattr(fields._Field, "_build_form", lambda self, name: (
+        calls.append(("form", name)) or build(self, name)))
+    report = run(config)
+    assert all(r["status"] == "ok" for r in report.records)
+    assert calls == []
+
+
+@pytest.mark.parametrize("config", [_SUITE, _VOLUME, _MAJORANT],
+                         ids=["suite", "volume", "majorant"])
+def test_a_warm_workload_pass_adds_no_norm_program(monkeypatch, config):
+    # the programs are keyed by the memoised forms of the atoms, never by
+    # those of a fresh approximation, so a second pass meets every one
+    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+
+    def workload():
+        run(config)
+        if config is _MAJORANT:
+            cs = config.cases[0]
+            case = make_case(cs.kind, cs.domain(), cs.solution)
+            improve_bound(case, perturb(case, "non_conforming", 0.3, 9),
+                          free_fields(case, "coarse")[0], QuadratureRule(),
+                          budget=8)
+
+    workload()
+    programs = dict(quadrature._PROGRAMS)
+    assert programs
+    workload()
+    assert quadrature._PROGRAMS.keys() == programs.keys()
+    assert all(quadrature._PROGRAMS[k] is v for k, v in programs.items())
