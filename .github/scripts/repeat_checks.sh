@@ -218,8 +218,9 @@ cmp "$tmp/majorant-0/report.json" "$tmp/majorant-restarts/report.json"
 
 echo "Reports do not depend on which path reduced a norm"
 # below _NUMPY_MIN_SLOTS slots a norm is reduced in Python floats, else by
-# numpy; a bound of 0 sends every norm through numpy and one above every
-# plan sends every norm through floats, and the bytes must not move
+# numpy, the estimators' norms and the flux steps' alike; a bound of 0
+# sends every norm through numpy and one above every plan sends every norm
+# through floats, and the bytes must not move
 for bound in 0 1000000; do
   python - "$tmp" "$bound" <<'PY'
 import contextlib, io, sys
@@ -282,3 +283,20 @@ for run in first cleared; do
   cmp "$tmp/suite-0/report.json" "$tmp/suite-programs-$run/report.json"
   cmp "$tmp/majorant-0/report.json" "$tmp/majorant-programs-$run/report.json"
 done
+
+echo "Runs clean with warnings as errors"
+# no path of the default suite, the majorant config or the grid-path
+# suite may warn (an overflow, an invalid value, a deprecation)
+python -W error -m errbounds.cli suite --out "$tmp/suite-werror" > /dev/null
+python -W error -m errbounds.cli optimize-majorant \
+  --config "$tmp/majorant.json" --out "$tmp/majorant-werror" > /dev/null
+python -W error -c '
+import sys
+sys.path.insert(0, "tests")
+from test_tracer import _unsplit_suite_config
+from errbounds import runner
+runner.emit(runner.run(_unsplit_suite_config()), ["json"], sys.argv[1])
+' "$tmp/unsplit-werror"
+cmp "$tmp/suite-0/report.json" "$tmp/suite-werror/report.json"
+cmp "$tmp/majorant-0/report.json" "$tmp/majorant-werror/report.json"
+cmp "$tmp/unsplit-0/report.json" "$tmp/unsplit-werror/report.json"

@@ -397,9 +397,10 @@ class _Field:
     def leaf_terms(self, name: str):
         """The ``name`` form as (multipliers, memoised forms, negated
         multipliers), or None: the forms' terms, coefficients times their
-        multiplier, are the form's own bit for bit. A view has its base's;
-        a sum its operands' times c m where c or m is 1.0 or -1.0 (exact),
-        else an operand's own form times c; any other node its own form."""
+        multiplier, are the form's own bit for bit, a sum's form being
+        built from them. A view has its base's; a sum its operands' times
+        c m where c or m is 1.0 or -1.0 (exact), else an operand's own form
+        times c; any other node its own form."""
         made = self._leaves
         if name not in made:
             self._check(name)
@@ -440,14 +441,14 @@ class _Field:
     def _build_form(self, name: str):
         kind, args = self._kind, self._args
         if kind == "sum":
-            fields, coefs = args
-            forms = [f.form(name) for f in fields]
-            if None in forms:
+            terms = self.leaf_terms(name)
+            if terms is None:
                 return None
+            mults, forms, _ = terms
             if isinstance(forms[0], tuple):
-                return tuple(SeparatedSum.combination(sums, coefs)
+                return tuple(SeparatedSum.combination(sums, mults)
                              for sums in zip(*forms))
-            return SeparatedSum.combination(forms, coefs)
+            return SeparatedSum.combination(forms, mults)
         if kind == "view":
             base, names, t0 = args
             form = base.form(names[name])
@@ -519,13 +520,18 @@ class _Field:
 def combination(fields, coefs, keep=None):
     """``sum_k coefs[k] * fields[k]``, for fields of one rank on one domain:
     a node holding the fields and coefficients, carrying the evaluators that
-    every field carries (see :func:`_combined`), their forms the terms of
-    all fields' in order (:meth:`SeparatedSum.combination`), and vanishing
-    on the boundary when every field does. ``+``, ``-`` and scalar ``*``
-    are its two-term and one-term cases. ``keep``, if given, is the set of
+    every field carries (see :func:`_combined`), forms the
+    :meth:`SeparatedSum.combination` of its leaf terms
+    (:meth:`_Field.leaf_terms`), and vanishing on the boundary when every
+    field does. ``+``, ``-`` and scalar ``*`` are its two-term and one-term
+    cases. ``keep``, if given, is the set of
     capabilities the node may carry, ``value`` among them, with
     ``boundary_flag`` if it keeps the flag: :meth:`_Field.restricted` is
-    the one-term case with coefficient 1.0."""
+    the one-term case with coefficient 1.0. Fields and coefficients that
+    differ in number, or are none, are refused."""
+    if len(fields) != len(coefs) or not fields:
+        raise ValueError(f"need equally many fields and coefficients, at "
+                         f"least one: got {len(fields)} and {len(coefs)}")
     first = fields[0]
     caps, vanishes = first.capabilities, first._vanishes
     for f in fields[1:]:

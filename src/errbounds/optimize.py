@@ -6,11 +6,11 @@ basis, box and rule (:func:`_basis_grams`), and the fields of a basis per
 box and size (:func:`manufactured.flux_basis`), each for the
 :data:`manufactured.FLUX_BASIS_MEMO` latest keys. The blocks that pair a
 record's d and targets with the basis, and the norms of every step, come
-from the forms themselves through plans kept per process
-(:func:`quadrature._plan`), so a record at a size its process met before
-integrates nothing. The blocks equal ``l2_gram`` and the norms ``norm_sq``
-of the step's flux, bit for bit. A step then costs one n x n solve and a
-few contractions.
+from the norm programs of the forms themselves (:func:`quadrature._program`,
+not kept) over plans kept per process (:func:`quadrature._plan`), so a
+record at a size its process met before integrates nothing. The blocks
+equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux, bit for
+bit. A step then costs one n x n solve and a few contractions.
 """
 from __future__ import annotations
 
@@ -23,8 +23,9 @@ import numpy as np
 from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase, flux_basis
-from .quadrature import (QuadratureRule, _check_fields, _Sums, axis_rules,
-                         l2_gram, norm_sq, samples, weighted_gram)
+from .quadrature import (QuadratureRule, _block, _check_fields, _norm,
+                         _program, axis_rules, l2_gram, norm_sq, samples,
+                         weighted_gram)
 from .reports import BoundReport
 
 
@@ -53,8 +54,6 @@ def combine_vector_fields(basis: Sequence[VectorField],
                           coeffs: Sequence[float]) -> VectorField:
     """Linear combination of vector fields sharing dim/time-dependence, in
     one step (see :func:`fields.combination`)."""
-    if len(basis) != len(coeffs) or not basis:
-        raise ValueError("need equally many basis fields and coefficients")
     return combination(basis, coeffs)
 
 
@@ -91,11 +90,12 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
     div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``. d and the
     targets are checked against the box and the basis as ``l2_gram``
     checks them. When all carry separated forms, everything comes from two
-    :class:`quadrature._Sums`: d and the divergences, for d + div psi, and
-    the fields and the targets, for psi - t. Their blocks equal
-    ``l2_gram`` and their norms ``norm_sq`` of the step's flux, bit for
-    bit. Otherwise d, the targets and the basis are sampled once and the
-    blocks and norms taken from the rows."""
+    unkept norm programs (:func:`quadrature._program`): of d and the
+    divergences, for d + div psi, and of the fields and the targets, for
+    psi - t. Their blocks (:func:`quadrature._block`) equal ``l2_gram`` and
+    their norms (:func:`quadrature._norm`) ``norm_sq`` of the step's flux,
+    bit for bit. Otherwise d, the targets and the basis are sampled once
+    and the blocks and norms taken from the rows."""
     # in l2_gram's order; the basis and its divergences were checked as
     # their Grams were assembled
     _check_fields([*targets, basis[0]], dom)
@@ -105,20 +105,20 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
     on_fields = [f.separated() for f in (*basis, *targets)]
     if None not in on_divs and None not in on_fields:
         axes = axis_rules(dom, rule)
-        residual, gaps = _Sums(on_divs, axes), _Sums(on_fields, axes)
-        # the scales of the forms: the coefficients for the leading n,
+        residual = _program(tuple(on_divs), axes, kept=False)
+        gaps = _program(tuple(on_fields), axes, kept=False)
+        # the multipliers of the forms: the coefficients for the leading n,
         # 0 for the rest; before them 1 for d, after them -1 for one target
         # and 0 for the others
-        ends = np.diag(np.full(T, -1.0))
+        ends = [[-1.0 if j == i else 0.0 for j in range(T)] for i in range(T)]
 
         def norms(coeffs):
-            rest = np.zeros(N - len(coeffs))
-            return [residual.norm(np.concatenate(([1.0], coeffs, rest))),
-                    *(gaps.norm(np.concatenate((coeffs, rest, end)))
-                      for end in ends)]
+            mults = coeffs.tolist() + [0.0] * (N - len(coeffs))
+            return [_norm([1.0, *mults], residual),
+                    *(_norm(mults + end, gaps) for end in ends)]
 
-        return (residual.block(range(1), range(1, N + 1))[0],
-                gaps.block(range(N, N + T), range(N)), norms)
+        return (_block(residual, range(1), range(1, N + 1))[0],
+                _block(gaps, range(N, N + T), range(N)), norms)
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)
     rows = samples(targets, dom, rule)[0]

@@ -1,7 +1,8 @@
 """Space-time identities, error equalities and two-sided bounds for the
 time-dependent reaction-diffusion and heat problems on (0, T) x box. Norms
 are of signed atom terms, as in :mod:`errbounds.elliptic`, taken from their
-leaf terms also at a slice time (a term's time factor there multiplied last).
+leaf terms also at a slice time of the cylinder (a term's time factor there
+multiplied last).
 """
 from __future__ import annotations
 
@@ -44,7 +45,6 @@ def _mixed(case: ProblemCase, approx: ApproxPair, rule: QuadratureRule):
     they share: errors of grad u, p, dt u + div p, u(T); gap, initial error."""
     dom, u, p = case.dom, case.exact_u, case.exact_p
     sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
-    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
     ut, pt = approx.u_tilde, approx.p_tilde
     _require(ut.has_grad and ut.has_dt, "u_tilde must carry grad and dt")
     _require(pt.has_div, "p_tilde must carry a divergence")
@@ -53,8 +53,8 @@ def _mixed(case: ProblemCase, approx: ApproxPair, rule: QuadratureRule):
             "flux_l2_sq": sq(_minus(pt, p)),
             "mid_sq": sq(([(1.0, u, "dt"), (-1.0, ut, "dt")],
                           [(1.0, pt, "div"), (-1.0, p, "div")])),
-            "terminal_sq": sq0(_minus(u, ut), at=T)}
-    return sq, true, sq(_gap(pt, ut)), sq0(_minus(case.u0, ut), at=0.0)
+            "terminal_sq": sq(_minus(u, ut), at=T)}
+    return sq, true, sq(_gap(pt, ut)), sq(_minus(case.u0, ut), at=0.0)
 
 
 def trd_equality(case: ProblemCase, approx: ApproxPair,
@@ -81,17 +81,16 @@ def trd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     _check_kind(case, "TRD")
     dom, u, ut = case.dom, case.exact_u, u_tilde
     sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
-    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
     _require(ut.has_dt and ut.has_laplacian,
              "u_tilde must carry dt and laplacian")
     _require_vanishing(u, ut, "mantle boundary")
     e = _minus(u, ut)
     lhs = {"err_h11_sq": sq(e, kind="H11"),
            "err_grad_hdiv_sq": sq(e, "grad", "Hdiv"),
-           "terminal_h1_sq": sq0(e, kind="H1", at=T)}
+           "terminal_h1_sq": sq(e, kind="H1", at=T)}
     rhs = {"residual_sq": sq([(1.0, case.f, "value"), (-1.0, ut, "dt"),
                               (-1.0, ut, "value"), (1.0, ut, "laplacian")]),
-           "initial_h1_sq": sq0(_minus(case.u0, ut), kind="H1", at=0.0)}
+           "initial_h1_sq": sq(_minus(case.u0, ut), kind="H1", at=0.0)}
     return EqualityReport.summed(lhs, rhs)
 
 
@@ -102,16 +101,15 @@ def heat_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     _check_kind(case, "Heat")
     dom, u, ut = case.dom, case.exact_u, u_tilde
     sq, T = partial(terms_norm_sq, dom, rule), dom.time_horizon
-    sq0 = partial(terms_norm_sq, dom.spatial(), rule)
     _require(ut.has_dt and ut.has_laplacian,
              "u_tilde must carry dt and laplacian")
     _require_vanishing(u, ut, "mantle boundary")
     e = _minus(u, ut)
     lhs = {"err_dt_sq": sq(e, "dt"), "err_lap_sq": sq(e, "laplacian"),
-           "terminal_grad_sq": sq0(e, "grad", at=T)}
+           "terminal_grad_sq": sq(e, "grad", at=T)}
     rhs = {"residual_sq": sq([(1.0, case.f, "value"), (1.0, ut, "laplacian"),
                               (-1.0, ut, "dt")]),
-           "initial_grad_sq": sq0(_minus(case.u0, ut), "grad", at=0.0)}
+           "initial_grad_sq": sq(_minus(case.u0, ut), "grad", at=0.0)}
     return EqualityReport.summed(lhs, rhs)
 
 

@@ -10,13 +10,16 @@ tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per axis,
 instead of O(n^d). H lives in one process-wide memo of plans (:func:`_plan`),
 keyed by the raw factor tuples of some sums and the axis rules
 (:func:`axis_rules`): the slot of each raw term among the distinct tuples and
-H of those tuples. A later sum, or list of sums, with the same factors and any
-coefficients merges them by one ``np.bincount`` and gathers its addends from
-H, without merging its terms as objects or integrating anything
-(:class:`_Sums`), a norm of field terms from the program of its leaf forms
-(:func:`_program`). Each entry of H is its own pair's einsum, whatever else
-the plan holds, so the memos, at most :data:`PLAN_MEMO` plans and programs,
-restart empty past their bound without changing a bit. Any operand without a
+H of those tuples. The program of some forms (:func:`_program`) adds each raw
+term's owner (the index of its form) and coefficient; a norm of the forms
+times any multipliers (:func:`_norm`), and a block of their Gram matrix
+(:func:`_block`), merge the terms into slots and gather their addends from H,
+without merging terms as objects or integrating anything. A norm of field
+terms takes the program of its atoms' leaf forms, kept per process; inner
+products, Grams and flux steps take unkept programs of their forms. Each
+entry of H is its own pair's einsum, whatever else the plan holds, so the
+memos, at most :data:`PLAN_MEMO` plans and programs, restart empty past their
+bound without changing a bit. Any operand without a
 form (a field built from bare callables, or from an expression that does not
 split) is evaluated at every node instead; that path is the general fallback
 and the oracle of the tests.
@@ -323,7 +326,7 @@ def _norm_addends(slots, coefs, H) -> np.ndarray:
 
 def _program(forms, axes, at=None, kept: bool = True) -> list:
     """Per component of ``forms``, each raw term's slot in :func:`_plan`,
-    form, coefficient and, at a slice time ``at``, its time factor's value
+    owner (the index of its form), coefficient and, at a slice time ``at``, its time factor's value
     there (or 1.0), and H: lists below :data:`_NUMPY_MIN_SLOTS` slots, else
     arrays. Kept, if ``kept``, per forms (by identity), rules and ``at``."""
     key = id(axes), at, forms
@@ -381,53 +384,42 @@ def _norm(mults, program) -> float:
                else math.fsum(small), 0.0)
 
 
-class _Sums:
-    """Separated forms of one rank on the axis rules ``axes``, each a
-    :class:`fields.SeparatedSum` or a tuple of them, one per component,
-    integrated through the plan (:func:`_plan`) of each component's raw
-    terms: their factor tuples, owners (the index of their form) and
-    coefficients, in order."""
-
-    __slots__ = ("parts",)
-
-    def __init__(self, forms, axes):
-        comps = zip(*forms) if isinstance(forms[0], tuple) else [forms]
-        self.parts = [
-            (np.repeat(np.arange(len(sums)), [len(s.coefs) for s in sums]),
-             np.array([c for s in sums for c in s.coefs], dtype=float),
-             *_plan(tuple(fs for s in sums for fs in s.factors), axes)[:2])
-            for sums in comps]
-
-    def norm(self, scales: np.ndarray) -> float:
-        """``||sum_j scales[j] forms[j]||^2`` as :func:`separated_inner`
-        takes the norm of the combination's form: per component the
-        addends of the raw terms' ``coef * scale``
-        (:func:`_norm_addends`), one correctly rounded sum of them all, 0
-        where rounding leaves it below zero. A scale of 0 adds only zeros,
-        so it drops its form."""
-        return max(_fsum(np.concatenate([
-            _norm_addends(slots, coefs * scales[owners], H)
-            for owners, coefs, slots, H in self.parts])), 0.0)
-
-    def block(self, rows: range, cols: range) -> np.ndarray:
-        """``G[i, j] = <forms[rows[i]], forms[cols[j]]>``: the terms of all
-        forms merged by one ``np.bincount`` over (form, slot) bins, in
-        raw-term order within a bin as ``merged()`` adds them and zeros
-        dropped, and each entry the correctly rounded sum of its
-        ``m_k m_l H_kl`` (:func:`_entry_sums`)."""
-        blocks = []
-        for owners, coefs, slots, H in self.parts:
-            size = len(H)
-            m = np.bincount(owners * size + slots, weights=coefs)
-            keep = np.flatnonzero(m)
-            own, slot, m = keep // size, keep % size, m[keep]
-            # owners ascend, so each range of forms is a range of terms
-            (a, b), (c, e) = (np.searchsorted(own, (r.start, r.stop))
-                              for r in (rows, cols))
-            blocks.append((np.multiply.outer(m[a:b], m[c:e])
-                           * H[slot[a:b, None], slot[c:e]],
-                           own[a:b] - rows.start, own[c:e] - cols.start))
-        return _entry_sums(blocks, len(rows), len(cols))
+def _block(program, rows: range, cols: range) -> np.ndarray:
+    """``G[i, j] = <forms[rows[i]], forms[cols[j]]>`` of the forms of
+    ``program``: per component their terms merged by one ``np.bincount``
+    over (form, slot) bins, in raw-term order within a bin as ``merged()``
+    adds them and zeros dropped, and each entry the correctly rounded sum
+    of its addends ``m_k m_l H_kl``."""
+    n, owners, values = len(cols), [], []
+    for (slots, own, coefs, _), H in program:
+        # a component below _NUMPY_MIN_SLOTS holds lists, H [] if empty
+        size = len(H)
+        H = np.asarray(H).reshape(size, size)
+        m = np.bincount(np.asarray(own, dtype=np.intp) * size
+                        + np.asarray(slots, dtype=np.intp), weights=coefs)
+        keep = np.flatnonzero(m)
+        own, slot, m = keep // size, keep % size, m[keep]
+        # owners ascend, so each range of forms is a range of terms
+        (a, b), (c, e) = (np.searchsorted(own, (r.start, r.stop))
+                          for r in (rows, cols))
+        values.append((np.multiply.outer(m[a:b], m[c:e])
+                       * H[slot[a:b, None], slot[c:e]]).ravel())
+        owners.append(np.add.outer((own[a:b] - rows.start) * n,
+                                   own[c:e] - cols.start).ravel())
+    values, G = np.concatenate(values), np.zeros(len(rows) * n)
+    if len(values):
+        # the addends of entry e are row e of D, padded with zeros
+        owner = np.concatenate(owners)
+        order = np.argsort(owner, kind="stable")
+        owner = owner[order]
+        at = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        D = np.zeros((len(G), at.max() + 1))
+        D[owner, at] = values[order]
+        # one addition rounds correctly, and from +0 it signs a zero as
+        # fsum does; fsum is needed from three addends on
+        G = (reduce(np.add, D.T, 0.0) if D.shape[1] <= 2
+             else np.array([math.fsum(row) for row in D.tolist()]))
+    return G.reshape(len(rows), n)
 
 
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
@@ -435,53 +427,26 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
     component, without visiting the grid (sum factorisation): one correctly
     rounded sum of the addends c_k c_l H_kl of the merged terms of every
-    component, the 1 x 1 block of their :class:`_Sums`, or for a norm
-    (``fb is fa``) the one-form :func:`_norm`."""
-    axes = axis_rules(dom, rule)
-    if fb is not fa:
-        G = _Sums([fa, fb], axes).block(range(1), range(1, 2))
-        return float(G[0, 0])
-    return _norm([1.0], _program((fa,), axes, kept=False))
+    component, the 1 x 1 :func:`_block` of their unkept :func:`_program`,
+    or for a norm (``fb is fa``) the one-form :func:`_norm`."""
+    program = _program((fa,) if fb is fa else (fa, fb),
+                       axis_rules(dom, rule), kept=False)
+    if fb is fa:
+        return _norm([1.0], program)
+    return float(_block(program, range(1), range(1, 2))[0, 0])
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
     """The Gram matrix of the lists of separated forms ``fl`` and ``fr``
-    (``fr is fl`` for a list with itself): a block of the
-    :class:`_Sums` of both lists, each entry as :func:`separated_inner`
+    (``fr is fl`` for a list with itself): a :func:`_block` of the unkept
+    :func:`_program` of both lists, each entry as :func:`separated_inner`
     takes it (0 where rounding leaves it below zero and the two are one
     form, a norm)."""
-    m = len(fl)
-    if fr is fl:
-        G = _Sums(fl, axes).block(range(m), range(m))
-    else:
-        G = _Sums([*fl, *fr], axes).block(range(m), range(m, m + len(fr)))
+    forms = fl if fr is fl else [*fl, *fr]
+    G = _block(_program(tuple(forms), axes, kept=False), range(len(fl)),
+               range(len(forms) - len(fr), len(forms)))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
     return np.where(same, np.maximum(G, 0.0), G)
-
-
-def _entry_sums(blocks, m: int, n: int) -> np.ndarray:
-    """The m x n matrix whose entry (i, j) is the correctly rounded sum of
-    the addends that belong to left form i and right form j. ``blocks``
-    holds per component the addends of some left terms (rows) with some
-    right terms (columns) and the form of each of those terms."""
-    owners, values = [], []
-    for addends, left, right in blocks:
-        values.append(addends.ravel())
-        owners.append(np.add.outer(left * n, right).ravel())
-    values, G = np.concatenate(values), np.zeros(m * n)
-    if len(values):
-        # the addends of entry e are row e of D, padded with zeros
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        owner = owner[order]
-        at = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        D = np.zeros((m * n, at.max() + 1))
-        D[owner, at] = values[order]
-        # one addition rounds correctly, and from +0 it signs a zero as
-        # fsum does; fsum is needed from three addends on
-        G = (reduce(np.add, D.T, 0.0) if D.shape[1] <= 2
-             else np.array([math.fsum(row) for row in D.tolist()]))
-    return G.reshape(m, n)
 
 
 def l2_gram(left, right, dom: BoxDomain, rule: QuadratureRule) -> np.ndarray:
@@ -508,12 +473,17 @@ class _Views(dict):  # (a view, a view of that) -> the evaluator it is
         raise CapabilityError(f"a {key[0]} view carries no {key[1]} view")
 
 
-# norm kinds of L2 pieces: (scale, kind, view) each, math.fsum'd in order
+# norm kinds of L2 pieces: (scale, kind, view) each, math.fsum'd in order;
+# a piece that ends in "T" is taken at the time horizon
 _PARTS = {"h1": ((1.0, "l2", "value"), (1.0, "l2", "grad")),
           "hdiv": ((1.0, "l2", "value"), (1.0, "l2", "div")),
           "v": ((1.0, "l2", "value"), (2.0, "l2", "grad"),
                 (1.0, "l2", "laplacian")),
-          "h11": ((1.0, "h1", "value"), (1.0, "l2", "dt"))}
+          "h11": ((1.0, "h1", "value"), (1.0, "l2", "dt")),
+          "wstar": ((1.0, "h11", "value"), (1.0, "hdiv", "grad"),
+                    (1.0, "h1", "value", "T")),
+          "triple": ((1.0, "l2", "dt"), (1.0, "l2", "laplacian"),
+                     (1.0, "l2", "grad", "T"))}
 _PARTS["h01"] = _PARTS["h1"]
 _FIELDS = {"value": None, "grad": "gradient_field", "div": "div_field",
            "dt": "dt_field", "laplacian": "laplacian_field"}
@@ -527,17 +497,9 @@ def norm_sq(kind: str, w, dom: BoxDomain, rule: QuadratureRule) -> float:
 
     Kinds: ``L2``, ``H1`` (also aliased ``H01`` on space-time domains),
     ``Hdiv``, ``V``, ``H11``, ``Wstar`` (the combined space-time
-    reaction-diffusion norm) and ``triple`` (the heat-equation norm).
+    reaction-diffusion norm) and ``triple`` (the heat-equation norm): the
+    one-term :func:`terms_norm_sq`.
     """
-    k = kind.lower()
-    if k == "wstar":
-        return math.fsum([norm_sq("H11", w, dom, rule),
-                          norm_sq("Hdiv", w.gradient_field(), dom, rule),
-                          trace_norm_sq(w, dom.time_horizon, "H1", dom, rule)])
-    if k == "triple":
-        return math.fsum([norm_sq("L2", w.dt_field(), dom, rule),
-                          norm_sq("L2", w.laplacian_field(), dom, rule),
-                          trace_norm_sq(w, dom.time_horizon, "gradient", dom, rule)])
     return terms_norm_sq(dom, rule, [(1.0, w, "value")], kind=kind)
 
 
@@ -546,27 +508,31 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
                   at: float | None = None) -> float:
     """:func:`norm_sq` of ``kind`` of the ``view`` of the sum of the terms
     ``(sign, atom, name)``, 1.0 or -1.0 times the evaluator ``name`` of the
-    field ``atom``, space-time atoms sliced at ``at`` unless it is None; a
-    tuple of lists of terms sums those groups. The terms are checked as
-    :func:`_check_fields` checks fields; other signs, and an ``at`` that is
-    not finite and >= 0, are refused. An L2 piece reduces the atoms' leaf
-    terms (:meth:`fields._Field.leaf_terms`) by the :func:`_program` of
-    their forms, bit for bit the norm of the expression's form, building
-    none; without all forms, its grid norm."""
-    if at is not None and not 0.0 <= at < math.inf:
-        raise ValueError(f"slice time at={at!r} must be finite and >= 0")
+    field ``atom``; a tuple of lists of terms sums those groups. At a slice
+    time ``at`` in [0, T] of the space-time box ``dom`` the norm is taken
+    on its spatial box, space-time atoms sliced there. The terms are
+    checked as :func:`_check_fields` checks fields; other signs, and any
+    other ``at``, are refused. An L2 piece reduces the atoms' leaf terms
+    (:meth:`fields._Field.leaf_terms`) by the :func:`_program` of their
+    forms, bit for bit the norm of the expression's form, building none;
+    without all forms, its grid norm."""
+    whole = at is None
+    if not (whole or dom.is_parabolic and 0.0 <= at <= dom.time_horizon):
+        raise ValueError(f"slice time at={at!r} must lie in [0, T] of a "
+                         "space-time box")
     k = kind.lower()
     if k != "l2" and k not in _PARTS:
         raise ValueError(f"unknown norm kind: {kind!r}")
+    box = dom if whole else dom.spatial()
     flat = [t for g in terms for t in g] if type(terms) is tuple else terms
-    td, dim, whole = dom.is_parabolic, len(dom.lower), at is None
+    td, dim = box.is_parabolic, len(box.lower)
     vector, mults, forms, grid = set(), [], [], False
     for sign, atom, name in flat:
         if sign not in (1.0, -1.0):
             raise ValueError(f"term ({sign!r}, {name!r}): sign must be 1.0 "
                              "or -1.0")
         if (atom.time_dependent and whole) != td or atom.dim != dim:
-            _check_domain_match(atom.time_dependent and whole, atom.dim, dom)
+            _check_domain_match(atom.time_dependent and whole, atom.dim, box)
         name = name if view == "value" else _VIEWS[name, view]
         if name == "dt" and not whole:
             raise CapabilityError("a time slice carries no time-derivative")
@@ -583,12 +549,13 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
         raise TypeError("Hdiv norm requires a vector field")
     if k != "l2":  # each piece checks its terms again
         return math.fsum([s * terms_norm_sq(dom, rule, terms, _VIEWS[view, v],
-                                            part, at)
-                          for s, part, v in _PARTS[k]])
+                                            part, dom.time_horizon if end
+                                            else at)
+                          for s, part, v, *end in _PARTS[k]])
     if grid:
         w = _expression(terms, view, at)
-        return _grid_inner(w, w, dom, rule)
-    return _norm(mults, _program(tuple(forms), axis_rules(dom, rule), at))
+        return _grid_inner(w, w, box, rule)
+    return _norm(mults, _program(tuple(forms), axis_rules(box, rule), at))
 
 
 def _expression(terms, view: str, at):
@@ -606,7 +573,8 @@ def _field(sign, atom, name, view, at):
 
 def trace_norm_sq(w, at: float, variant: str, dom: BoxDomain,
                   rule: QuadratureRule) -> float:
-    """Spatial norm of a time slice of a space-time field."""
+    """Spatial norm of a time slice of a space-time field: the
+    :func:`terms_norm_sq` of its variant at ``at``."""
     if not dom.is_parabolic:
         raise ValueError("trace norms require a space-time domain")
     if not 0.0 <= at <= dom.time_horizon:
@@ -620,5 +588,4 @@ def trace_norm_sq(w, at: float, variant: str, dom: BoxDomain,
              "h1": ("value", "H1")}
     if v not in parts:
         raise ValueError(f"unknown trace variant: {variant!r}")
-    return terms_norm_sq(dom.spatial(), rule, [(1.0, w, "value")], *parts[v],
-                         at)
+    return terms_norm_sq(dom, rule, [(1.0, w, "value")], *parts[v], at)

@@ -227,6 +227,16 @@ def test_fields_combine_only_with_their_rank():
         p.restricted(boundary_flag=True)
 
 
+@pytest.mark.parametrize("fields_, coefs, counts", [
+    (2, [1.0], "got 2 and 1"), (1, [1.0, 2.0], "got 1 and 2"),
+    (0, [], "got 0 and 0"), (0, [1.0], "got 0 and 1")])
+def test_combination_refuses_unequal_or_empty_lists(fields_, coefs, counts):
+    # a field without its coefficient would be dropped from the sum
+    u, v = scalar_field("sin(pi*x)", DOM1), scalar_field("x*(1 - x)", DOM1)
+    with pytest.raises(ValueError, match=counts):
+        fields.combination([u, v][:fields_], coefs)
+
+
 def test_at_time_drops_dt_and_keeps_the_rest():
     u = scalar_field("(1+t)*sin(pi*x)", TDOM)
     s = u.at_time(0.5)

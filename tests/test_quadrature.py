@@ -25,7 +25,8 @@ from errbounds import (
     trace_norm_sq,
     vector_field,
 )
-from errbounds.manufactured import _gradient, _random_trig, _scalar
+from errbounds.manufactured import (_gradient, _random_trig, _scalar,
+                                    make_case, perturb)
 from errbounds.quadrature import _FSUM_MIN_LENGTH, _fsum, axis_rules, samples
 from test_fields import without_forms
 
@@ -158,6 +159,31 @@ def test_spacetime_norms():
     expected_triple = 0.5 + pi2 ** 2 * c / 2 + pi2 * 4 / 2
     assert norm_sq("triple", u, TDOM, RULE) == pytest.approx(
         expected_triple, rel=1e-13)
+
+
+@pytest.mark.parametrize("kind, dom, solution", [
+    ("TRD", BoxDomain((0.0,), (1.0,), 1.0), "exp(-t)*sin(pi*x)"),
+    ("Heat", BoxDomain((0.0, -0.5), (1.0, 1.5), 0.5),
+     "(1 + t)*sin(pi*x)*sin(pi*(y + 0.5)/2)")])
+def test_composite_norms_sum_their_constituents_bitwise(kind, dom, solution):
+    # Wstar and triple are declared pieces whose last is taken at T: each
+    # is, in hex, the fsum of its constituent norms written out, with and
+    # without forms (on TRD at seed 3, eps 0.3, Wstar's pieces summed
+    # flat, not with H11 summed first, move a bit)
+    rule = QuadratureRule(space_order=4, time_order=3)
+    case, T = make_case(kind, dom, solution), dom.time_horizon
+    approximations = [perturb(case, "very_conforming", eps, seed).u_tilde
+                      for seed in range(4) for eps in (0.3, 1.0)]
+    for u in (case.exact_u, *approximations):
+        for w in (u, without_forms(u)):
+            wstar = math.fsum([norm_sq("H11", w, dom, rule),
+                               norm_sq("Hdiv", w.gradient_field(), dom, rule),
+                               trace_norm_sq(w, T, "H1", dom, rule)])
+            triple = math.fsum([norm_sq("L2", w.dt_field(), dom, rule),
+                                norm_sq("L2", w.laplacian_field(), dom, rule),
+                                trace_norm_sq(w, T, "gradient", dom, rule)])
+            assert norm_sq("Wstar", w, dom, rule).hex() == wstar.hex()
+            assert norm_sq("triple", w, dom, rule).hex() == triple.hex()
 
 
 def test_trace_norms():

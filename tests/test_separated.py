@@ -870,7 +870,8 @@ def _term_norms(draw):
     sliced there, beside fields of the spatial box, and no dt of a slice),
     and the terms, or parenthesised groups of them; the approximations
     among the atoms perturbed by a drawn scale, and a plan and program
-    bound of 8, or the default one."""
+    bound of 8, or the default one. A norm at a slice time is stated on
+    the space-time box it slices."""
     dim = draw(st.integers(1, 3))
     lower = [draw(st.integers(-30, 30)) / 10 for _ in range(dim)]
     sides = [draw(st.integers(2, 40)) / 10 for _ in range(dim)]
@@ -902,7 +903,7 @@ def _term_norms(draw):
     rule = QuadratureRule(space_order=draw(st.integers(1, 3)),
                           time_order=draw(st.integers(1, 3)))
     memo = draw(st.sampled_from([quadrature.PLAN_MEMO, 8]))
-    return on, rule, terms, at, memo
+    return dom, rule, terms, at, memo
 
 
 def _expression(terms, at):
@@ -931,8 +932,10 @@ def test_terms_norm_equals_the_node_expression_bitwise(problem):
 
 
 def _check_terms_norm(dom, rule, terms, at):
-    """The norms of ``terms`` equal those of the node expression they
-    state, and, in L2, the norm of that expression's own form, in hex."""
+    """The norms of ``terms`` on ``dom``, at ``at`` unless it is None,
+    equal those of the node expression they state on the box it lives on,
+    and, in L2, the norm of that expression's own form, in hex."""
+    on = dom if at is None else dom.spatial()
     expression = _expression(terms, at)
     flat = [u for t in terms for u in (t if isinstance(t, list) else [t])]
     kinds = ["L2", "H1" if isinstance(expression, fields.ScalarField)
@@ -948,18 +951,19 @@ def _check_terms_norm(dom, rule, terms, at):
                 continue
             got = quadrature.terms_norm_sq(dom, rule, terms, view, kind,
                                            at).hex()
-            assert got == norm_sq(kind, node, dom, rule).hex(), (view, kind)
+            assert got == norm_sq(kind, node, on, rule).hex(), (view, kind)
             form = node.separated()
             if kind == "L2" and form is not None:
                 # the norm of the concatenated form the nodes build
                 assert got == quadrature.separated_inner(
-                    form, form, dom, rule).hex(), view
+                    form, form, on, rule).hex(), view
 
 
 @pytest.mark.parametrize("case", ["dt at a time", "no such view",
                                   "rank mismatch", "Hdiv of a scalar",
                                   "domain mismatch", "sign 2.0", "sign 0.5",
-                                  "at nan", "at inf", "at below 0"])
+                                  "at nan", "at inf", "at below 0",
+                                  "at past T", "at on an elliptic box"])
 def test_terms_norm_refuses_alike_with_and_without_forms(case):
     # a norm of atoms with forms and the same norm of copies without forms
     # (taken on the grid) are refused with the same error
@@ -969,8 +973,8 @@ def test_terms_norm_refuses_alike_with_and_without_forms(case):
 
     def refusal(u, q):
         box, terms, view, kind, at, error = {
-            "dt at a time": (dom.spatial(), [(1.0, u, "dt")], "value", "L2",
-                             0.5, fields.CapabilityError),
+            "dt at a time": (dom, [(1.0, u, "dt")], "value", "L2", 0.5,
+                             fields.CapabilityError),
             "no such view": (dom, [(1.0, u, "grad")], "grad", "L2", None,
                              fields.CapabilityError),
             "rank mismatch": (dom, [(1.0, u, "value"), (-1.0, q, "value")],
@@ -984,12 +988,16 @@ def test_terms_norm_refuses_alike_with_and_without_forms(case):
                          "L2", None, ValueError),
             "sign 0.5": (dom, [(0.5, u, "value")], "value", "H1", None,
                          ValueError),
-            "at nan": (dom.spatial(), [(1.0, u, "value")], "value", "L2",
-                       math.nan, ValueError),
-            "at inf": (dom.spatial(), [(1.0, u, "value")], "grad", "L2",
-                       math.inf, ValueError),
-            "at below 0": (dom.spatial(), [(1.0, u, "value")], "value", "H1",
-                           -0.5, ValueError)}[case]
+            "at nan": (dom, [(1.0, u, "value")], "value", "L2", math.nan,
+                       ValueError),
+            "at inf": (dom, [(1.0, u, "value")], "grad", "L2", math.inf,
+                       ValueError),
+            "at below 0": (dom, [(1.0, u, "value")], "value", "H1", -0.5,
+                           ValueError),
+            "at past T": (dom, [(1.0, u, "value")], "value", "L2", 5.0,
+                          ValueError),
+            "at on an elliptic box": (dom.spatial(), [(1.0, u, "value")],
+                                      "value", "L2", 0.5, ValueError)}[case]
         with pytest.raises(error) as info:
             quadrature.terms_norm_sq(box, rule, terms, view, kind, at)
         return str(info.value)
@@ -1128,7 +1136,7 @@ def test_sliced_norms_round_as_the_sliced_forms(monkeypatch, path):
                         pairs.append((u, ut, "grad"))
                     for a, b, name in pairs:
                         got = quadrature.terms_norm_sq(
-                            box, rule, [(1.0, a, name), (-1.0, b, name)],
+                            dom, rule, [(1.0, a, name), (-1.0, b, name)],
                             at=at)
                         node = _VIEWED[name](a.at_time(at) - b.at_time(at))
                         form = node.separated()
