@@ -4,13 +4,13 @@ Both majorants take one flux step (:func:`_flux_step`), which assembles
 everything once. The divergences and Grams of a flux basis are kept per
 basis, box and rule (:func:`_basis_grams`), and the fields of a basis per
 box and size (:func:`manufactured.flux_basis`), each for the
-:data:`manufactured.FLUX_BASIS_MEMO` latest keys. The blocks that pair a
-record's d and targets with the basis, and the norms of every step, come
-from the norm programs of the forms themselves (:func:`quadrature._program`,
-not kept) over plans kept per process (:func:`quadrature._plan`), so a
-record at a size its process met before integrates nothing. The blocks
-equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux, bit for
-bit. A step then costs one n x n solve and a few contractions.
+:data:`manufactured.FLUX_BASIS_MEMO` latest keys. d, the targets and the
+error norms are signed atom terms, as in the estimators; the blocks that
+pair d and the targets with the basis, and the norms of every step, come
+from one program of their leaf forms (:func:`quadrature._program`), kept
+per process, so a warm record integrates nothing and builds no program.
+The blocks equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux,
+bit for bit. A step then costs one n x n solve and a few contractions.
 """
 from __future__ import annotations
 
@@ -20,11 +20,13 @@ from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .elliptic import _require, friedrichs_constant, rd_nonconforming_report
+from .elliptic import (_minus, _require, _require_vanishing,
+                       friedrichs_constant, rd_nonconforming_report)
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase, flux_basis
-from .quadrature import (QuadratureRule, _block, _check_fields, _norm,
-                         _program, axis_rules, l2_gram, norm_sq, samples,
+from .quadrature import (QuadratureRule, _block, _expression, _leaves,
+                         _norms, _program, axis_rules, l2_gram,
+                         record_norms_sq, samples, terms_norm_sq,
                          weighted_gram)
 from .reports import BoundReport
 
@@ -87,42 +89,44 @@ def _basis_grams(basis: Tuple[VectorField, ...], dom, rule):
 def _flux_terms(basis, divs, d, targets, dom, rule):
     """RD = ``l2_gram([d], divs)[0]``, RT = ``l2_gram(targets, basis)`` and
     the step's norms as a function of its coefficients c: ||d + sum_i c_i
-    div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``. d and the
-    targets are checked against the box and the basis as ``l2_gram``
-    checks them. When all carry separated forms, everything comes from two
-    unkept norm programs (:func:`quadrature._program`): of d and the
-    divergences, for d + div psi, and of the fields and the targets, for
-    psi - t. Their blocks (:func:`quadrature._block`) equal ``l2_gram`` and
-    their norms (:func:`quadrature._norm`) ``norm_sq`` of the step's flux,
-    bit for bit. Otherwise d, the targets and the basis are sampled once
-    and the blocks and norms taken from the rows."""
+    div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``, d and
+    each target signed atom terms, checked as ``l2_gram`` checks fields.
+    With forms, all come from one kept :func:`quadrature._program` of the
+    leaf forms of d and the divergences (d + div psi), and of the fields
+    and the targets (psi - t, once per target), bit for bit ``l2_gram`` and
+    ``norm_sq``. Else d, the targets and the basis are sampled once."""
     # in l2_gram's order; the basis and its divergences were checked as
     # their Grams were assembled
-    _check_fields([*targets, basis[0]], dom)
-    _check_fields([d, divs[0]], dom)
+    own = [_leaves(t, "value", dom, rank=True)[:2] for t in targets]
+    dm, df, _ = _leaves(d, "value", dom, rank=False)
     N, T = len(basis), len(targets)
-    on_divs = [f.separated() for f in (d, *divs)]
-    on_fields = [f.separated() for f in (*basis, *targets)]
-    if None not in on_divs and None not in on_fields:
-        axes = axis_rules(dom, rule)
-        residual = _program(tuple(on_divs), axes, kept=False)
-        gaps = _program(tuple(on_fields), axes, kept=False)
-        # the multipliers of the forms: the coefficients for the leading n,
-        # 0 for the rest; before them 1 for d, after them -1 for one target
-        # and 0 for the others
-        ends = [[-1.0 if j == i else 0.0 for j in range(T)] for i in range(T)]
+    fields = tuple(b.separated() for b in basis)
+    divided = tuple(f.separated() for f in divs)
+    if None not in (df, *fields, *divided, *(f for _, f in own)):
+        axes, tm = axis_rules(dom, rule), [m for ms, _ in own for m in ms]
+        gaps = (axes, None, sum((f for _, f in own), fields),
+                (1,) * N + tuple(len(f) for _, f in own))
+        program = _program([(axes, None, df + divided, (len(df),) + (1,) * N),
+                            *[gaps] * T])
+        # the multipliers: d's, the coefficients of the leading n fields (0
+        # for the rest), a target's negated for its own norm, else 0
+        ends = [[-m if j == i else 0.0 for j, (ms, _) in enumerate(own)
+                 for m in ms] for i in range(T)]
 
         def norms(coeffs):
             mults = coeffs.tolist() + [0.0] * (N - len(coeffs))
-            return [_norm([1.0, *mults], residual),
-                    *(_norm(mults + end, gaps) for end in ends)]
+            return _norms(dm + mults + [m for end in ends
+                                        for m in mults + end], program)
 
-        return (_block(residual, range(1), range(1, N + 1))[0],
-                _block(gaps, range(N, N + T), range(N)), norms)
+        return (_block(program, 0, np.array(dm + [1.0] * N), range(1),
+                       range(1, N + 1))[0],
+                _block(program, 1, np.array([1.0] * N + tm),
+                       range(N, N + T), range(N)), norms)
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)
-    rows = samples(targets, dom, rule)[0]
-    data = samples([d], dom, rule)[0]
+    rows = samples([_expression(t, "value", None) for t in targets],
+                   dom, rule)[0]
+    data = samples([_expression(d, "value", None)], dom, rule)[0]
 
     def norms(coeffs):
         r = data + coeffs @ div_rows[:len(coeffs)]
@@ -134,22 +138,21 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
             weighted_gram(rows, values, wv), norms)
 
 
-def _flux_step(basis: Sequence[VectorField], d: ScalarField, targets, dom,
-               rule):
+def _flux_step(basis: Sequence[VectorField], d: list, targets, dom, rule):
     """The flux step as a function of (n, wa, wb): the coefficients of the
     psi in the span of the leading n fields of ``basis`` that minimizes
     wa (||d + div psi||^2 + ||psi - t0||^2) + wb ||psi - t1||^2, then
     ||d + div psi||^2 and ||psi - t||^2 per t of ``targets``, (t0, t1) or
-    (t0,) with t1 = t0.
+    (t0,) with t1 = t0; d and each target signed atom terms.
 
     Everything is assembled once, so a step costs one n x n solve and a
     few contractions. The basis Grams and divergences come from
     :func:`_basis_grams`, kept per basis, box and rule; the other blocks
-    and the norms from :func:`_flux_terms`. With separated forms, the plans
-    of their terms are kept per process, so a warm record integrates
-    nothing; its blocks equal :func:`quadrature.l2_gram`, and its norms
-    ``norm_sq("L2", ...)`` of d + psi.div_field() and of psi - t, bit for
-    bit."""
+    and the norms from :func:`_flux_terms`. With separated forms, their
+    program is kept per process, so a warm record integrates nothing and
+    builds no program; its blocks equal :func:`quadrature.l2_gram`, and its
+    norms ``norm_sq("L2", ...)`` of d + psi.div_field() and of psi - t,
+    bit for bit."""
     targets = list(targets)
     divs, BB, DD = _basis_grams(tuple(basis), dom, rule)
     RD, RT, norms = _flux_terms(basis, divs, d, targets, dom, rule)
@@ -180,18 +183,20 @@ def minimize_flux_majorant(case: ProblemCase, u_tilde: ScalarField,
         raise ValueError("basis must be nonempty")
     if case.kind not in ("RD", "Poisson"):
         raise ValueError(f"flux majorant supports RD and Poisson, got {case.kind}")
-    dom, rd, e = case.dom, case.kind == "RD", case.exact_u - u_tilde
-    _require(e.vanishes_on_boundary, "u - u_tilde must vanish on the boundary")
+    dom, rd, u, ut = case.dom, case.kind == "RD", case.exact_u, u_tilde
+    _require_vanishing(u, ut)
     coeffs, residual_sq, gap_sq = _flux_step(
-        basis, case.f - u_tilde if rd else case.f,
-        (u_tilde.gradient_field(),), dom, rule)(len(basis), 1.0, 0.0)
+        basis, _minus(case.f, ut) if rd else [(1.0, case.f, "value")],
+        ([(1.0, ut, "grad")],), dom, rule)(len(basis), 1.0, 0.0)
     if rd:
         gamma, upper = None, residual_sq + gap_sq
-        name, err = "err_h1_sq", norm_sq("H1", e, dom, rule)
+        name, err = "err_h1_sq", terms_norm_sq(dom, rule, _minus(u, ut),
+                                               kind="H1")
     else:
         cf = friedrichs_constant(dom).value
         gamma, upper = _young(cf ** 2 * residual_sq, gap_sq)
-        name, err = "err_grad_sq", norm_sq("L2", e.gradient_field(), dom, rule)
+        name, err = "err_grad_sq", terms_norm_sq(dom, rule, _minus(u, ut),
+                                                 "grad")
     report = BoundReport({}, {name: err, "total": err}, upper, gamma,
                          checks={"residual_sq": residual_sq, "gap_sq": gap_sq})
     return combine_vector_fields(basis, coeffs), report.finalize(), coeffs
@@ -226,21 +231,22 @@ def improve_bound(case: ProblemCase, approx: ApproxPair,
              "free scalar field must be conforming")
     dom = case.dom
     ut, pt = approx.u_tilde, approx.p_tilde
-    u_dist_sq = norm_sq("L2", phi_free - ut, dom, rule)
-    err_u = norm_sq("L2", case.exact_u - ut, dom, rule)
-    err_p = norm_sq("L2", case.exact_p - pt, dom, rule)
+    norms = record_norms_sq(dom, rule, {
+        "u_dist_sq": (_minus(phi_free, ut),),
+        "err_u": (_minus(case.exact_u, ut),),
+        "err_p": (_minus(case.exact_p, pt),)})
     basis = flux_basis(dom.spatial(), start_size + budget - 1)
-    step = _flux_step(basis, case.f - phi_free,
-                      (phi_free.gradient_field(), pt), dom, rule)
+    step = _flux_step(basis, _minus(case.f, phi_free),
+                      ([(1.0, phi_free, "grad")], [(1.0, pt, "value")]),
+                      dom, rule)
     gamma = gamma0
     reports: List[BoundReport] = []
     for n in range(start_size, start_size + budget):
         _, residual_sq, gap_sq, p_dist_sq = step(
             n, 1.0 + 1.0 / gamma, 1.0 + gamma)
         gamma, _ = _young(math.fsum([residual_sq, gap_sq]),
-                          math.fsum([u_dist_sq, p_dist_sq]))
+                          math.fsum([norms["u_dist_sq"], p_dist_sq]))
         reports.append(rd_nonconforming_report(
             gamma, "iii", residual_sq=residual_sq, gap_sq=gap_sq,
-            u_dist_sq=u_dist_sq, p_dist_sq=p_dist_sq, err_u=err_u,
-            err_p=err_p))
+            p_dist_sq=p_dist_sq, **norms))
     return reports

@@ -1,30 +1,29 @@
 """Tensor Gauss-Legendre quadrature and the norm/inner-product primitives.
 
-:func:`l2_inner`, :func:`terms_norm_sq` (and through it :func:`norm_sq`,
-:func:`trace_norm_sq`) and :func:`l2_gram` integrate fields that all carry a
-separated form (see :mod:`errbounds.fields`) without visiting the grid: H_kl,
-the integral of the product of terms k and l, is per axis the 1-D integral of
-their factors' product, the axes multiplied elementwise (:func:`term_grams`),
-and an inner product is one correctly rounded sum of c_k c_l H_kl. That is the
+:func:`l2_inner`, :func:`record_norms_sq` (and through it
+:func:`terms_norm_sq`, :func:`norm_sq`, :func:`trace_norm_sq`) and
+:func:`l2_gram` integrate fields that all carry a separated form (see
+:mod:`errbounds.fields`) without visiting the grid: H_kl, the integral of
+the product of terms k and l, is per axis the 1-D integral of their
+factors' product, the axes multiplied elementwise (:func:`term_grams`), and
+an inner product is one correctly rounded sum of c_k c_l H_kl. That is the
 tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per axis,
 instead of O(n^d). H lives in one process-wide memo of plans (:func:`_plan`),
 keyed by the raw factor tuples of some sums and the axis rules
-(:func:`axis_rules`): the slot of each raw term among the distinct tuples and
-H of those tuples. The program of some forms (:func:`_program`) adds each raw
-term's owner (the index of its form) and coefficient; a norm of the forms
-times any multipliers (:func:`_norm`), and a block of their Gram matrix
-(:func:`_block`), merge the terms into slots and gather their addends from H,
-without merging terms as objects or integrating anything. A norm of field
-terms takes the program of its atoms' leaf forms, kept per process; inner
-products, Grams and flux steps take unkept programs of their forms. Each
-entry of H is its own pair's einsum, whatever else the plan holds, so the
-memos, at most :data:`PLAN_MEMO` plans and programs, restart empty past their
-bound without changing a bit. Any operand without a
-form (a field built from bare callables, or from an expression that does not
-split) is evaluated at every node instead; that path is the general fallback
-and the oracle of the tests.
+(:func:`axis_rules`). A program of pieces of forms (:func:`_program`) holds
+each raw term's slot, form and coefficient: the norms of all pieces times
+any multipliers (:func:`_norms`), and a Gram block of a piece's groups of
+forms (:func:`_block`), merge the terms into slots and gather the addends
+from H, integrating nothing. A record's norms, and a flux step's blocks and
+norms, take the program of their atoms' leaf forms, kept per process;
+inner products and Grams take unkept programs. Each entry of H is its own
+pair's einsum, so the memos, at most :data:`PLAN_MEMO` plans and programs,
+restart empty past their bound without changing a bit. Any operand without
+a form (a field built from bare callables, or from an expression that does
+not split) is evaluated at every node instead; that path is the general
+fallback and the oracle of the tests.
 
-Both paths of :func:`l2_inner` and :func:`terms_norm_sq`, and the separated
+Both paths of :func:`l2_inner` and :func:`record_norms_sq`, and the separated
 one of :func:`l2_gram`, reduce through a correctly rounded sum, equal to
 :func:`math.fsum` bit for bit (see :func:`_fsum`), so they are deterministic
 to the last bit regardless of how callers batch their work. The grid path of
@@ -43,6 +42,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache, reduce
+from itertools import accumulate
 
 import numpy as np
 
@@ -276,22 +276,17 @@ def term_grams(terms, axes) -> np.ndarray:
 # again empty (see _plan).
 PLAN_MEMO = 1024
 
-# Below this many slots a norm reduces its plan in Python floats, cheaper
-# than numpy there: 0.58 against 0.65 ms for the 11-slot norms of a suite
-# pass. Numpy wins from 10 where no term cancels, floats to 18 where half do.
-_NUMPY_MIN_SLOTS = 12
-# (id of the axis rules, raw factor tuples) -> (slots, H, lists)
+# (id of the axis rules, raw factor tuples) -> (slots, H)
 _PLANS = {}
-# (id of the axis rules, slice time, leaf forms) -> norm program
+# per piece (id of the axis rules, slice time, forms, group sizes) -> program
 _PROGRAMS = {}
 
 
 def _plan(factors, axes):
     """The plan of raw terms with the factor tuples ``factors`` on the axis
     rules ``axes`` (of :func:`axis_rules`): the slot of each raw term, its
-    tuple's place in order of first appearance, H = :func:`term_grams` of
-    those tuples, and below :data:`_NUMPY_MIN_SLOTS` slots both as lists
-    (else None). Kept per process for the factors and the rules: factors
+    tuple's place in order of first appearance, and H = :func:`term_grams`
+    of those tuples. Kept per process for the factors and the rules: factors
     compare by identity, as :meth:`fields.SeparatedSum.merged` keys them,
     and the key holds them, and :func:`axis_rules` keeps the rules for
     good, so their ids stay their own. Each entry of H is its own pair's
@@ -303,48 +298,50 @@ def _plan(factors, axes):
         slots = np.array([union.setdefault(fs, len(union)) for fs in factors],
                          dtype=np.intp)
         H = term_grams(list(union), axes)
-        lists = ((slots.tolist(), H.tolist())
-                 if len(union) < _NUMPY_MIN_SLOTS else None)
         if len(_PLANS) >= PLAN_MEMO:
             _PLANS.clear()
-        plan = _PLANS[key] = slots, H, lists
+        plan = _PLANS[key] = slots, H
     return plan
 
 
-def _norm_addends(slots, coefs, H) -> np.ndarray:
-    """m_k m_l H_kl, raveled, of the merged terms of raw terms in ``slots``
-    with ``coefs``, H the term-pair integrals of the slots: each slot's
-    coefficients added in raw-term order, as
-    :meth:`fields.SeparatedSum.merged` adds them, those that are zero
-    dropped, and the addends in slot order."""
-    m = np.bincount(slots, weights=coefs, minlength=len(H))
-    keep = np.flatnonzero(m)
-    if len(keep) < len(H):
-        H, m = H[keep[:, None], keep], m[keep]
-    return (np.multiply.outer(m, m) * H).ravel()
-
-
-def _program(forms, axes, at=None, kept: bool = True) -> list:
-    """Per component of ``forms``, each raw term's slot in :func:`_plan`,
-    owner (the index of its form), coefficient and, at a slice time ``at``, its time factor's value
-    there (or 1.0), and H: lists below :data:`_NUMPY_MIN_SLOTS` slots, else
-    arrays. Kept, if ``kept``, per forms (by identity), rules and ``at``."""
-    key = id(axes), at, forms
+def _program(pieces, kept: bool = True):
+    """The program of ``pieces``, ``(axes, at, forms, sizes)`` each: forms
+    on the axis rules ``axes``, sliced at ``at`` unless it is None, in
+    groups of ``sizes`` forms (one form each if None). Per piece and
+    component (for :func:`_block`) each raw term's slot in :func:`_plan`,
+    group, form and coefficient, H and each group's first term; over all
+    pieces (for :func:`_addends`) each raw term's bin, form, coefficient and
+    time factor's value at ``at``, and the slot pairs (k, l) with H_kl.
+    Kept, if ``kept``, per rules, slice times, forms (by identity) and
+    sizes, at most :data:`PLAN_MEMO` programs: a restart changes no bit."""
+    key = tuple((id(axes), at, forms, sizes)
+                for axes, at, forms, sizes in pieces)
     program = _PROGRAMS.get(key) if kept else None
     if program is None:
-        program, d = [], len(axes)
-        for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
-            factors = [fs for s in sums for fs in s.factors]
-            taus = None if at is None else [fs[0].at(at) if len(fs) > d
-                                            else 1.0 for fs in factors]
-            slots, H, lists = _plan(tuple(fs[-d:] for fs in factors), axes)
-            owners = [i for i, s in enumerate(sums) for _ in s.coefs]
-            coefs = [a for s in sums for a in s.coefs]
-            program.append(((lists[0], owners, coefs, taus), lists[1])
-                           if lists else
-                           ((slots, np.array(owners, dtype=np.intp),
-                             np.array(coefs, dtype=float),
-                             None if taus is None else np.array(taus)), H))
+        parts, columns, size, first = [], [], 0, 0
+        for axes, at, forms, sizes in pieces:
+            d, comps = len(axes), []
+            groups = np.repeat(np.arange(len(sizes or forms)), sizes or 1)
+            for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
+                factors = [fs for s in sums for fs in s.factors]
+                slots, H = _plan(tuple(fs[-d:] for fs in factors), axes)
+                form = np.array([i for i, s in enumerate(sums)
+                                 for _ in s.coefs], dtype=np.intp)
+                coefs = np.array([a for s in sums for a in s.coefs])
+                owners, n, k = groups[form], len(H), np.arange(len(H))
+                comps.append((slots, owners, form, coefs, H, np.searchsorted(
+                    owners, range(groups[-1] + 2)).tolist()))
+                columns.append((slots + size, form + first, coefs, [
+                    fs[0].at(at) if at is not None and len(fs) > d else 1.0
+                    for fs in factors], np.repeat(k, n) + size,
+                    np.tile(k, n) + size, H.ravel(), np.full(n * n, len(parts))))
+                size += n
+            parts.append(comps)
+            first += len(forms)
+        bins, form, coefs, taus, *pairs = map(np.concatenate, zip(*columns))
+        sliced = any(at is not None for _, at, _, _ in pieces)
+        program = parts, (bins, form, coefs, taus if sliced else None, size,
+                          pairs, {})
         if kept:
             if len(_PROGRAMS) >= PLAN_MEMO:
                 _PROGRAMS.clear()
@@ -352,74 +349,65 @@ def _program(forms, axes, at=None, kept: bool = True) -> list:
     return program
 
 
-def _addends(mults, terms, H):
-    """m_k m_l H_kl of a program's component, its forms times ``mults``:
-    each term's coefficient times its multiplier (then times its time
-    factor's value, as a sliced form rounds) added into its slot from 0.0
-    in order, zeros dropped, as :func:`_norm_addends` does (for arrays)."""
-    slots, owners, coefs, taus = terms
-    if type(H) is not list:
-        w = coefs * np.array(mults)[owners]
-        return _norm_addends(slots, w if taus is None else w * taus, H)
-    m = [0.0] * len(H)
-    if taus is None:
-        for k, i, a in zip(slots, owners, coefs):
-            m[k] += mults[i] * a
-    else:
-        for k, i, a, t in zip(slots, owners, coefs, taus):
-            m[k] += mults[i] * a * t
-    kept = [(k, c) for k, c in enumerate(m) if c]
-    return [c * e * H[k][l] for k, c in kept for l, e in kept]
+def _addends(mults, program) -> list:
+    """Per piece of ``program``, the addends m_k m_l H_kl of its forms
+    times their multipliers, ``mults`` those of every piece in order: each
+    raw term's coefficient times its multiplier (then times its time
+    factor's value, as a sliced form rounds) added into its piece's slot
+    from 0.0 in raw-term order, as :meth:`fields.SeparatedSum.merged` adds
+    them, by one ``np.bincount``; the pairs of zero slots dropped, those
+    left kept per pattern of zero slots, and all addends gathered at once."""
+    bins, form, coefs, taus, size, (I, J, H, piece), gathers = program[1]
+    w = coefs * np.array(mults)[form]
+    m = np.bincount(bins, weights=w if taus is None else w * taus,
+                    minlength=size)
+    live = m != 0.0
+    pattern = live.tobytes()
+    if pattern not in gathers:
+        keep = live[I] & live[J]
+        cuts = [0, *accumulate(np.bincount(piece[keep],
+                                           minlength=len(program[0])).tolist())]
+        if len(gathers) >= PLAN_MEMO:
+            gathers.clear()
+        gathers[pattern] = I[keep], J[keep], H[keep], list(zip(cuts, cuts[1:]))
+    I, J, H, cuts = gathers[pattern]
+    addends = m[I] * m[J] * H
+    return [addends[a:b] for a, b in cuts]
 
 
-def _norm(mults, program) -> float:
-    """The squared norm of the forms of ``program`` times ``mults``."""
-    small, arrays = [], []
-    for terms, H in program:
-        if type(H) is list:
-            small += _addends(mults, terms, H)
-        else:
-            arrays.append(_addends(mults, terms, H))
-    return max(_fsum(np.concatenate([*arrays, small])) if arrays
-               else math.fsum(small), 0.0)
+def _norms(mults, program) -> list:
+    """The squared norm of each piece of ``program`` (see :func:`_addends`),
+    0 where rounding leaves it below."""
+    return [max(_fsum(a), 0.0) for a in _addends(mults, program)]
 
 
-def _block(program, rows: range, cols: range) -> np.ndarray:
-    """``G[i, j] = <forms[rows[i]], forms[cols[j]]>`` of the forms of
-    ``program``: per component their terms merged by one ``np.bincount``
-    over (form, slot) bins, in raw-term order within a bin as ``merged()``
-    adds them and zeros dropped, and each entry the correctly rounded sum
-    of its addends ``m_k m_l H_kl``."""
-    n, owners, values = len(cols), [], []
-    for (slots, own, coefs, _), H in program:
-        # a component below _NUMPY_MIN_SLOTS holds lists, H [] if empty
-        size = len(H)
-        H = np.asarray(H).reshape(size, size)
-        m = np.bincount(np.asarray(own, dtype=np.intp) * size
-                        + np.asarray(slots, dtype=np.intp), weights=coefs)
-        keep = np.flatnonzero(m)
-        own, slot, m = keep // size, keep % size, m[keep]
-        # owners ascend, so each range of forms is a range of terms
-        (a, b), (c, e) = (np.searchsorted(own, (r.start, r.stop))
-                          for r in (rows, cols))
-        values.append((np.multiply.outer(m[a:b], m[c:e])
-                       * H[slot[a:b, None], slot[c:e]]).ravel())
-        owners.append(np.add.outer((own[a:b] - rows.start) * n,
-                                   own[c:e] - cols.start).ravel())
-    values, G = np.concatenate(values), np.zeros(len(rows) * n)
-    if len(values):
-        # the addends of entry e are row e of D, padded with zeros
-        owner = np.concatenate(owners)
-        order = np.argsort(owner, kind="stable")
-        owner = owner[order]
-        at = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        D = np.zeros((len(G), at.max() + 1))
-        D[owner, at] = values[order]
-        # one addition rounds correctly, and from +0 it signs a zero as
-        # fsum does; fsum is needed from three addends on
-        G = (reduce(np.add, D.T, 0.0) if D.shape[1] <= 2
-             else np.array([math.fsum(row) for row in D.tolist()]))
-    return G.reshape(len(rows), n)
+def _block(program, piece: int, mults, rows: range, cols: range):
+    """``G[i, j] = <rows[i], cols[j]>`` of the groups of ``piece`` of
+    ``program``, a group the sum of its forms times their ``mults`` (an
+    array over the piece's forms): per component each range's terms merged
+    by one ``np.bincount`` over (group, slot) bins, in raw-term order within
+    a bin and zeros dropped, and each entry the correctly rounded sum of its
+    addends m_k m_l H_kl and a padded +0.0, so no entry is -0.0."""
+    n = len(cols)
+    cells = [[0.0] for _ in range(len(rows) * n)]
+    for slots, owners, form, coefs, H, at in program[0][piece]:
+        merged = []
+        for r in (rows, cols):
+            a, b = at[r.start], at[r.stop]
+            m = np.bincount((owners[a:b] - r.start) * len(H) + slots[a:b],
+                            coefs[a:b] * mults[form[a:b]], len(r) * len(H))
+            keep = np.flatnonzero(m)
+            merged.append((*np.divmod(keep, len(H)), m[keep]))
+        (group, slot, m), (col, cslot, c) = merged
+        # a group's rows are adjacent, and so are, in their transpose, the
+        # columns of an entry: group and col ascend
+        addends = np.multiply.outer(m, c) * H[slot[:, None], cslot]
+        ends = np.searchsorted(group, range(len(rows) + 1)).tolist()
+        for g, (a, b) in enumerate(zip(ends, ends[1:])):
+            for h, values in zip(col.tolist(), addends[a:b].T.tolist()):
+                cells[g * n + h] += values
+    return np.fromiter(map(math.fsum, cells), float, len(cells)).reshape(
+        len(rows), n)
 
 
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
@@ -428,12 +416,12 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     component, without visiting the grid (sum factorisation): one correctly
     rounded sum of the addends c_k c_l H_kl of the merged terms of every
     component, the 1 x 1 :func:`_block` of their unkept :func:`_program`,
-    or for a norm (``fb is fa``) the one-form :func:`_norm`."""
-    program = _program((fa,) if fb is fa else (fa, fb),
-                       axis_rules(dom, rule), kept=False)
+    or for a norm (``fb is fa``) its one-form :func:`_norms`."""
+    forms = (fa,) if fb is fa else (fa, fb)
+    program = _program([(axis_rules(dom, rule), None, forms, None)], False)
     if fb is fa:
-        return _norm([1.0], program)
-    return float(_block(program, range(1), range(1, 2))[0, 0])
+        return _norms([1.0], program)[0]
+    return float(_block(program, 0, np.ones(2), range(1), range(1, 2))[0, 0])
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
@@ -442,8 +430,9 @@ def _separated_gram(fl, fr, axes) -> np.ndarray:
     :func:`_program` of both lists, each entry as :func:`separated_inner`
     takes it (0 where rounding leaves it below zero and the two are one
     form, a norm)."""
-    forms = fl if fr is fl else [*fl, *fr]
-    G = _block(_program(tuple(forms), axes, kept=False), range(len(fl)),
+    forms = tuple(fl if fr is fl else [*fl, *fr])
+    G = _block(_program([(axes, None, forms, None)], False), 0,
+               np.ones(len(forms)), range(len(fl)),
                range(len(forms) - len(fr), len(forms)))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
     return np.where(same, np.maximum(G, 0.0), G)
@@ -510,12 +499,50 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
     ``(sign, atom, name)``, 1.0 or -1.0 times the evaluator ``name`` of the
     field ``atom``; a tuple of lists of terms sums those groups. At a slice
     time ``at`` in [0, T] of the space-time box ``dom`` the norm is taken
-    on its spatial box, space-time atoms sliced there. The terms are
-    checked as :func:`_check_fields` checks fields; other signs, and any
-    other ``at``, are refused. An L2 piece reduces the atoms' leaf terms
-    (:meth:`fields._Field.leaf_terms`) by the :func:`_program` of their
-    forms, bit for bit the norm of the expression's form, building none;
-    without all forms, its grid norm."""
+    on its spatial box, space-time atoms sliced there. The one-entry
+    :func:`record_norms_sq`."""
+    return record_norms_sq(dom, rule, {None: (terms, view, kind, at)})[None]
+
+
+def record_norms_sq(dom: BoxDomain, rule: QuadratureRule, table) -> dict:
+    """The squared norms of a record, by name: ``table`` maps each name to
+    the ``(terms, view, kind, at)`` of a :func:`terms_norm_sq`, checked in
+    order as that call checks them (the first refusal raised); the view,
+    kind and slice time may be left off, and a list stands for ``(terms,)``.
+    The L2 pieces whose atoms all carry leaf terms are reduced by one kept
+    :func:`_program` of their axis rules, slice times and leaf forms, in
+    one :func:`_norms`; any other piece takes its grid norm."""
+    found = []
+    trees = {name: _resolve(dom, found, *(spec if type(spec) is tuple
+                                          else (spec,)))
+             for name, spec in table.items()}
+    axes, mults, pieces = {}, [], []
+    for _, _, at, m, forms in found:
+        if forms is not None:
+            mults += m
+            whole = at is None
+            if whole not in axes:
+                axes[whole] = axis_rules(dom if whole else dom.spatial(), rule)
+            pieces.append((axes[whole], at, forms, None))
+    sums = iter(_norms(mults, _program(pieces)) if pieces else ())
+    values = [next(sums) if forms is not None else _grid_inner(
+        *2 * [_expression(terms, view, at)],
+        dom if at is None else dom.spatial(), rule)
+        for terms, view, at, _, forms in found]
+    return {name: values[tree] if type(tree) is int else _value(tree, values)
+            for name, tree in trees.items()}
+
+
+def _value(tree, values) -> float:
+    return math.fsum([s * (values[t] if type(t) is int else _value(t, values))
+                      for s, t in tree])
+
+
+def _resolve(dom, found, terms, view="value", kind="L2", at=None):
+    """The tree of a norm: for L2 the index of its piece ``(terms, view,
+    at, multipliers, leaf forms)`` appended to ``found``; for a composite
+    kind (scale, tree) per piece of :data:`_PARTS`, the terms checked again
+    for each. Another ``at`` or kind is refused."""
     whole = at is None
     if not (whole or dom.is_parabolic and 0.0 <= at <= dom.time_horizon):
         raise ValueError(f"slice time at={at!r} must lie in [0, T] of a "
@@ -523,10 +550,28 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
     k = kind.lower()
     if k != "l2" and k not in _PARTS:
         raise ValueError(f"unknown norm kind: {kind!r}")
-    box = dom if whole else dom.spatial()
+    mults, forms, vector = _leaves(terms, view, dom if whole else
+                                   dom.spatial(), whole)
+    if k == "l2":
+        found.append((terms, view, at, mults, forms))
+        return len(found) - 1
+    if k == "hdiv" and not vector:
+        raise TypeError("Hdiv norm requires a vector field")
+    return [(s, _resolve(dom, found, terms, _VIEWS[view, v], part,
+                         dom.time_horizon if end else at))
+            for s, part, v, *end in _PARTS[k]]
+
+
+def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
+            rank: bool | None = None):
+    """The multipliers and leaf forms (:meth:`fields._Field.leaf_terms`;
+    None if an atom lacks them) of the ``view`` of the terms on ``box``,
+    space-time atoms sliced unless ``whole``, and whether they are vectors.
+    Terms are checked as :func:`_check_fields` checks fields; other signs,
+    and ranks other than ``rank`` (True for vectors) if given, refused."""
     flat = [t for g in terms for t in g] if type(terms) is tuple else terms
     td, dim = box.is_parabolic, len(box.lower)
-    vector, mults, forms, grid = set(), [], [], False
+    vector, mults, forms = set(), [], []
     for sign, atom, name in flat:
         if sign not in (1.0, -1.0):
             raise ValueError(f"term ({sign!r}, {name!r}): sign must be 1.0 "
@@ -539,23 +584,14 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
         vector.add(name == "grad"
                    or name != "div" and isinstance(atom, VectorField))
         own = atom.leaf_terms(name)
-        grid = grid or own is None
-        if own:
+        if own is None:
+            forms = None
+        elif forms is not None:
             mults += own[0] if sign == 1.0 else own[2]
             forms += own[1]
-    if len(vector) > 1:
+    if len(vector) > 1 or rank is not None and vector != {rank}:
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-    if k == "hdiv" and True not in vector:
-        raise TypeError("Hdiv norm requires a vector field")
-    if k != "l2":  # each piece checks its terms again
-        return math.fsum([s * terms_norm_sq(dom, rule, terms, _VIEWS[view, v],
-                                            part, dom.time_horizon if end
-                                            else at)
-                          for s, part, v, *end in _PARTS[k]])
-    if grid:
-        w = _expression(terms, view, at)
-        return _grid_inner(w, w, box, rule)
-    return _norm(mults, _program(tuple(forms), axis_rules(box, rule), at))
+    return mults, None if forms is None else tuple(forms), True in vector
 
 
 def _expression(terms, view: str, at):

@@ -310,7 +310,8 @@ def test_flux_step_samples_fields_without_forms_once(monkeypatch):
             return real(self, *args)
 
         monkeypatch.setattr(cls, "value", counting)
-    step = _flux_step(basis, d, (t,), DOM2, RULE)
+    step = _flux_step(basis, [(1.0, case.f, "value"), (-1.0, ut, "value")],
+                      ([(1.0, ut, "grad")],), DOM2, RULE)
     results = [step(n, 1.0, 0.0) for n in (2, 4, 6)]
     assert evaluated == {"ScalarField": 1, "VectorField": 1}
     monkeypatch.undo()
@@ -364,25 +365,29 @@ def test_improve_bound_reports_equal_rd_nonconforming_bounds(monkeypatch,
 
 
 @pytest.mark.parametrize("budget", [1, 4, 8])
-def test_improve_bound_makes_three_norm_sq_calls(monkeypatch, budget):
+def test_improve_bound_takes_three_norms_in_one_record_call(monkeypatch,
+                                                            budget):
     from errbounds import elliptic, optimize
 
     calls = []
-    # the estimators of elliptic take their norms of signed terms
-    for module, name in ((optimize, "norm_sq"), (elliptic, "terms_norm_sq")):
-        def counted(*args, real=getattr(module, name), name=name):
-            calls.append(args[0] if name == "norm_sq" else name)
-            return real(*args)
+    # the estimators of elliptic, and improve_bound, take the norms of a
+    # record in one call
+    for module in (optimize, elliptic):
+        def counted(dom, rule, table, real=module.record_norms_sq,
+                    name=module.__name__):
+            calls.append((name, {k: v[1:] for k, v in table.items()}))
+            return real(dom, rule, table)
 
-        monkeypatch.setattr(module, name, counted)
+        monkeypatch.setattr(module, "record_norms_sq", counted)
     built = []
     monkeypatch.setattr(optimize, "combine_vector_fields",
                         lambda *args: built.append(args))
     ap = perturb(RD_RICH, "non_conforming", 0.3, 4)
     phi, _ = free_fields(RD_RICH, "coarse")
     improve_bound(RD_RICH, ap, phi, RULE, budget=budget)
-    # ||phi - u_tilde||^2 and the two true errors, whatever the budget
-    assert calls == ["L2"] * 3
+    # ||phi - u_tilde||^2 and the two true errors in L2, whatever the budget
+    assert calls == [("errbounds.optimize",
+                      {"u_dist_sq": (), "err_u": (), "err_p": ()})]
     # and no flux is built: the reports take the steps' norms
     assert built == []
 
@@ -674,7 +679,8 @@ def _flux_steps(draw):
     """A shifted, anisotropic box of dimension 1 to 3, the d and targets
     that one caller of the flux step (minimize_flux_majorant on RD or
     Poisson, or improve_bound) hands it there, a basis size N of at least
-    7, a step size n <= N and weights (wa, wb). From N = 7 on the basis
+    7, a step size n <= N, weights (wa, wb) and d and the targets as the
+    signed atom terms the caller hands the step. From N = 7 on the basis
     holds every mode that a conforming perturbation draws, so the terms of
     its gradient, the target of RD and Poisson, merge with those of the
     basis, and the terms of RD's d with those of the divergences."""
@@ -692,18 +698,21 @@ def _flux_steps(draw):
                  draw(st.integers(0, 2 ** 16)))
     if caller == "improve_bound":
         phi = free_fields(case, "coarse")[0]
-        d = case.f - phi
-        targets = (phi.gradient_field(),
-                   perturb(case, "non_conforming", eps, seed).p_tilde)
+        pt = perturb(case, "non_conforming", eps, seed).p_tilde
+        d, terms = case.f - phi, [(1.0, case.f, "value"), (-1.0, phi, "value")]
+        targets = (phi.gradient_field(), pt)
+        ends = ([(1.0, phi, "grad")], [(1.0, pt, "value")])
     else:
         ut = perturb(case, "conforming_mixed", eps, seed).u_tilde
         d = case.f - ut if caller == "RD" else case.f
-        targets = (ut.gradient_field(),)
+        terms = [(1.0, case.f, "value")] + (
+            [(-1.0, ut, "value")] if caller == "RD" else [])
+        targets, ends = (ut.gradient_field(),), ([(1.0, ut, "grad")],)
     N = draw(st.integers(7, 12))
     weights = st.floats(0.0, 10.0, allow_subnormal=False)
     return (caller, dom, d, targets, flux_basis(dom, N),
             draw(st.integers(1, N)), draw(weights.filter(lambda w: w > 0)),
-            draw(weights))
+            draw(weights), terms, ends)
 
 
 @given(_flux_steps())
@@ -712,14 +721,14 @@ def _flux_steps(draw):
 def test_flux_step_norms_are_norm_sq_of_its_flux_bitwise(problem):
     from errbounds.optimize import _flux_step
 
-    caller, dom, d, targets, basis, n, wa, wb = problem
+    caller, dom, d, targets, basis, n, wa, wb, terms, ends = problem
     if caller != "improve_bound":
         assert set(targets[0].separated()[0].factors) & {
             fs for b in basis for fs in b.separated()[0].factors}
     if caller == "RD":
         assert set(d.separated().factors) & {
             fs for b in basis for fs in b.div_field().separated().factors}
-    step = _flux_step(basis, d, targets, dom, RULE)
+    step = _flux_step(basis, terms, ends, dom, RULE)
     for size in (n, len(basis)):
         coeffs, residual_sq, *gaps = step(size, wa, wb)
         psi = combine_vector_fields(basis[:size], coeffs)
@@ -737,10 +746,10 @@ def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
     # whatever plans the other size left
     from errbounds import optimize
 
-    _, dom, d, targets, basis, n, _, _ = problem
+    _, dom, d, targets, basis, n, _, _, terms, ends = problem
     for size in (len(basis), n, len(basis)):
         divs = optimize._basis_grams(tuple(basis[:size]), dom, RULE)[0]
-        RD, RT, _ = optimize._flux_terms(basis[:size], divs, d, targets,
+        RD, RT, _ = optimize._flux_terms(basis[:size], divs, terms, ends,
                                          dom, RULE)
         fresh = [b.div_field() for b in basis[:size]]
         assert _hex(RD) == _hex(l2_gram([d], fresh, dom, RULE)[0])
@@ -779,6 +788,58 @@ def test_warm_flux_step_integrates_nothing(monkeypatch):
             assert report.checks == cold.checks
 
 
+class _NoListArrays:
+    """numpy, but making an array of a Python list fails."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def asarray(a, *args, **kwargs):
+        assert not isinstance(a, list), "a list was made an array"
+        return np.asarray(a, *args, **kwargs)
+
+    @staticmethod
+    def array(a, *args, **kwargs):
+        assert not isinstance(a, list), "a list was made an array"
+        return np.array(a, *args, **kwargs)
+
+
+def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
+    # the flux steps of a warm pass of majorant records and improve_bound
+    # take their blocks and norms from the programs a first pass kept, and
+    # a block reads the program's arrays as they are
+    from errbounds import optimize, quadrature
+
+    config = _majorant_config()
+    rd = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
+
+    def workload():
+        run(config)
+        improve_bound(rd, perturb(rd, "non_conforming", 0.3, 9),
+                      free_fields(rd, "coarse")[0], RULE, budget=8)
+
+    workload()
+    programs = dict(quadrature._PROGRAMS)
+    # a program, kept or not, is built from the plans of its pieces
+    built, blocks = [], []
+    plan = quadrature._plan
+    monkeypatch.setattr(quadrature, "_plan",
+                        lambda *a: built.append(a) or plan(*a))
+    block = quadrature._block
+
+    def spied(*args):
+        blocks.append(args)
+        with mock.patch.object(quadrature, "np", _NoListArrays()):
+            return block(*args)
+
+    monkeypatch.setattr(quadrature, "_block", spied)
+    monkeypatch.setattr(optimize, "_block", spied)
+    workload()
+    assert built == [] and len(blocks) == 2 * (6 + 1)
+    assert quadrature._PROGRAMS == programs
+
+
 # a field of each kind that does not fit the 2-D elliptic box of a step
 _HEAT = make_case("Heat", BoxDomain((0.0, 0.0), (1.0, 1.0), 1.0),
                   "exp(-t)*sin(pi*x)*sin(pi*y)")
@@ -801,11 +862,12 @@ def test_flux_step_checks_d_and_targets_against_the_box(role, field, error,
     from errbounds.optimize import _flux_step
 
     ut = perturb(_RD2, "conforming_mixed", 0.1, 3).u_tilde
-    d, targets = _RD2.f - ut, [ut.gradient_field()]
+    d = [(1.0, _RD2.f, "value"), (-1.0, ut, "value")]
+    targets = [[(1.0, ut, "grad")]]
     if role == "d":
-        d = field
+        d = [(1.0, field, "value")]
     else:
-        targets.append(field)
+        targets.append([(1.0, field, "value")])
     with pytest.raises(error, match=match):
         _flux_step(flux_basis(DOM2, 4), d, targets, DOM2, RULE)
 

@@ -454,7 +454,7 @@ def test_plans_hold_each_pairs_own_integral(problem):
     with mock.patch.object(quadrature, "_PLANS", {}), \
             mock.patch.object(quadrature, "PLAN_MEMO", bound):
         for batch in batches:
-            slots, H, _ = quadrature._plan(batch, axes)
+            slots, H = quadrature._plan(batch, axes)
             assert len(quadrature._PLANS) <= bound
             terms = list(dict.fromkeys(batch))
             assert [terms[k] for k in slots] == list(batch)
@@ -620,9 +620,9 @@ def test_planned_norms_equal_the_merged_reference_bitwise(problem):
     assert other == _hex([_reference_inner(f, f, axes) for f in others])
     # so are the addends themselves, zeros of cancelled terms dropped
     for s in forms[:5] + others[:5]:
-        slots, H, _ = quadrature._plan(s.factors, axes)
+        program = quadrature._program([(axes, None, (s,), None)], False)
         m = [s.merged()]
-        assert _hex(quadrature._norm_addends(slots, s.coefs, H)) == _hex(
+        assert _hex(quadrature._addends([1.0], program)[0]) == _hex(
             _reference_addends(m, m, axes))
     # a sum that cancels fully and the empty sum are exactly +0
     assert {cold[3], cold[4], other[3], other[4]} == {(0.0).hex()}
@@ -722,11 +722,11 @@ def test_the_same_factors_on_another_box_or_rule_get_their_own_plan(
 @st.composite
 def _reductions(draw):
     """A box, a coarse rule and separated forms whose plans hold from none
-    to twice ``_NUMPY_MIN_SLOTS`` distinct factor tuples: scalar sums, and
-    vector forms with one component below that bound and one at it or
-    above, in either order. A tuple's raw terms are shuffled among the
-    others, some take a coefficient 0.0, -0.0 or one whose square
-    underflows, and some get a last term that cancels its slot exactly."""
+    to 24 distinct factor tuples: scalar sums, and vector forms with one
+    component of fewer than 12 and one of 12 or more, in either order. A
+    tuple's raw terms are shuffled among the others, some take a
+    coefficient 0.0, -0.0 or one whose square underflows, and some get a
+    last term that cancels its slot exactly."""
     T = draw(st.sampled_from([None, 1.0]))
     dim = draw(st.integers(1, 2))
     dom = BoxDomain([0.0] * dim, [1.0 + k for k in range(dim)],
@@ -737,7 +737,7 @@ def _reductions(draw):
     tuples = st.tuples(*[st.sampled_from(pool)] * (dim + (T is not None)))
     coef = st.one_of(st.floats(-2.0, 2.0),
                      st.sampled_from([0.0, -0.0, 1e-170, -1e-170]))
-    bound = quadrature._NUMPY_MIN_SLOTS
+    bound = 12
 
     def raw_sum(lo, hi):
         n = draw(st.integers(lo, hi))
@@ -760,27 +760,27 @@ def _reductions(draw):
 
 @given(_reductions())
 @settings(max_examples=60, deadline=None, derandomize=True)
-def test_float_and_numpy_reductions_give_the_same_bits(problem):
+def test_a_kept_program_gathers_each_pattern_of_zero_slots_afresh(problem):
+    # one kept program of a pair of forms, its second form scaled so that
+    # slots vanish or come back, reduces each scale as a program built for
+    # that scale alone, to the addends: the pairs it gathers are kept per
+    # pattern of zero slots
     dom, rule, forms = problem
     axes = quadrature.axis_rules(dom, rule)
-    with mock.patch.object(quadrature, "_PLANS", {}):
-        for form in forms:
-            sums = form if isinstance(form, tuple) else (form,)
-            plans = [quadrature._plan(s.factors, axes) for s in sums]
-            # a plan keeps its lists exactly when it is below the bound
-            assert [lists is None for _, _, lists in plans] == [
-                len(H) >= quadrature._NUMPY_MIN_SLOTS for _, H, _ in plans]
-            arrays = [quadrature._norm_addends(slots, s.coefs, H)
-                      for s, (slots, H, _) in zip(sums, plans)]
-            # the float path gives the same addends in the same order
-            for s, (slots, H, _), addends in zip(sums, plans, arrays):
-                floats = quadrature._addends(
-                    [1.0], (slots.tolist(), [0] * len(slots), s.coefs, None),
-                    H.tolist())
-                assert _hex(floats) == _hex(addends)
-            numpy = max(quadrature._fsum(np.concatenate(arrays)), 0.0)
-            assert quadrature.separated_inner(
-                form, form, dom, rule).hex() == numpy.hex()
+    with mock.patch.object(quadrature, "_PLANS", {}), \
+            mock.patch.object(quadrature, "_PROGRAMS", {}):
+        for a, b in zip(forms, forms[1:] + forms[:1]):
+            if isinstance(a, tuple) != isinstance(b, tuple):
+                continue
+            pieces = [(axes, None, (a, b), None)]
+            for x in (1.0, 0.0, -1.0, 0.5, 0.0, 1.0):
+                kept = quadrature._program(pieces)
+                fresh = quadrature._program(pieces, False)
+                assert _hex(quadrature._addends([1.0, x], kept)[0]) == _hex(
+                    quadrature._addends([1.0, x], fresh)[0])
+                assert _hex(quadrature._norms([1.0, x], kept)) == _hex(
+                    quadrature._norms([1.0, x], fresh))
+            assert len(quadrature._program(pieces)[1][-1]) <= 4
 
 
 def test_a_node_builds_each_form_once(monkeypatch):
@@ -959,56 +959,164 @@ def _check_terms_norm(dom, rule, terms, at):
                     form, form, on, rule).hex(), view
 
 
-@pytest.mark.parametrize("case", ["dt at a time", "no such view",
-                                  "rank mismatch", "Hdiv of a scalar",
-                                  "domain mismatch", "sign 2.0", "sign 0.5",
-                                  "at nan", "at inf", "at below 0",
-                                  "at past T", "at on an elliptic box"])
+_REFUSALS = ["dt at a time", "no such view", "rank mismatch",
+              "Hdiv of a scalar", "domain mismatch", "sign 2.0", "sign 0.5",
+              "at nan", "at inf", "at below 0", "at past T",
+              "at on an elliptic box"]
+_REFUSAL_BOX = BoxDomain((0.0, -1.0), (1.0, 0.5), time_horizon=1.0)
+_REFUSAL_RULE = QuadratureRule(space_order=2, time_order=2)
+
+
+def _refusal(case, u, q):
+    """The box, the norm ``(terms, view, kind, at)`` and the error of the
+    refusal ``case`` of the space-time scalar ``u`` and vector ``q`` of
+    :data:`_REFUSAL_BOX`."""
+    dom = _REFUSAL_BOX
+    box, terms, view, kind, at, error = {
+        "dt at a time": (dom, [(1.0, u, "dt")], "value", "L2", 0.5,
+                         fields.CapabilityError),
+        "no such view": (dom, [(1.0, u, "grad")], "grad", "L2", None,
+                         fields.CapabilityError),
+        "rank mismatch": (dom, [(1.0, u, "value"), (-1.0, q, "value")],
+                          "value", "L2", None, TypeError),
+        "Hdiv of a scalar": (dom, [(1.0, u, "value")], "value", "Hdiv",
+                             None, TypeError),
+        "domain mismatch": (BoxDomain((0.0, -1.0), (1.0, 0.5)),
+                            [(1.0, u, "value")], "value", "L2", None,
+                            ValueError),
+        "sign 2.0": (dom, [(1.0, u, "value"), (2.0, u, "grad")], "value",
+                     "L2", None, ValueError),
+        "sign 0.5": (dom, [(0.5, u, "value")], "value", "H1", None,
+                     ValueError),
+        "at nan": (dom, [(1.0, u, "value")], "value", "L2", math.nan,
+                   ValueError),
+        "at inf": (dom, [(1.0, u, "value")], "grad", "L2", math.inf,
+                   ValueError),
+        "at below 0": (dom, [(1.0, u, "value")], "value", "H1", -0.5,
+                       ValueError),
+        "at past T": (dom, [(1.0, u, "value")], "value", "L2", 5.0,
+                      ValueError),
+        "at on an elliptic box": (dom.spatial(), [(1.0, u, "value")],
+                                  "value", "L2", 0.5, ValueError)}[case]
+    return box, (terms, view, kind, at), error
+
+
+def _refusal_atoms():
+    u = scalar_field("sin(x + 1)*sin(2*y + 1)*(1 + t**2)", _REFUSAL_BOX)
+    return u, u.gradient_field()
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
 def test_terms_norm_refuses_alike_with_and_without_forms(case):
     # a norm of atoms with forms and the same norm of copies without forms
     # (taken on the grid) are refused with the same error
-    dom = BoxDomain((0.0, -1.0), (1.0, 0.5), time_horizon=1.0)
-    rule = QuadratureRule(space_order=2, time_order=2)
-    u = scalar_field("sin(x + 1)*sin(2*y + 1)*(1 + t**2)", dom)
+    rule = _REFUSAL_RULE
 
     def refusal(u, q):
-        box, terms, view, kind, at, error = {
-            "dt at a time": (dom, [(1.0, u, "dt")], "value", "L2", 0.5,
-                             fields.CapabilityError),
-            "no such view": (dom, [(1.0, u, "grad")], "grad", "L2", None,
-                             fields.CapabilityError),
-            "rank mismatch": (dom, [(1.0, u, "value"), (-1.0, q, "value")],
-                              "value", "L2", None, TypeError),
-            "Hdiv of a scalar": (dom, [(1.0, u, "value")], "value", "Hdiv",
-                                 None, TypeError),
-            "domain mismatch": (BoxDomain((0.0, -1.0), (1.0, 0.5)),
-                                [(1.0, u, "value")], "value", "L2", None,
-                                ValueError),
-            "sign 2.0": (dom, [(1.0, u, "value"), (2.0, u, "grad")], "value",
-                         "L2", None, ValueError),
-            "sign 0.5": (dom, [(0.5, u, "value")], "value", "H1", None,
-                         ValueError),
-            "at nan": (dom, [(1.0, u, "value")], "value", "L2", math.nan,
-                       ValueError),
-            "at inf": (dom, [(1.0, u, "value")], "grad", "L2", math.inf,
-                       ValueError),
-            "at below 0": (dom, [(1.0, u, "value")], "value", "H1", -0.5,
-                           ValueError),
-            "at past T": (dom, [(1.0, u, "value")], "value", "L2", 5.0,
-                          ValueError),
-            "at on an elliptic box": (dom.spatial(), [(1.0, u, "value")],
-                                      "value", "L2", 0.5, ValueError)}[case]
+        box, norm, error = _refusal(case, u, q)
         with pytest.raises(error) as info:
-            quadrature.terms_norm_sq(box, rule, terms, view, kind, at)
+            quadrature.terms_norm_sq(box, rule, *norm)
         return str(info.value)
 
-    q = u.gradient_field()
+    u, q = _refusal_atoms()
     message = refusal(u, q)
     assert message == refusal(without_forms(u), without_forms(q))
     if case.startswith("sign"):
         assert message.startswith(f"term ({case[5:]}, ")
     elif case.startswith("at"):
         assert message.startswith("slice time at=")
+
+
+@pytest.mark.parametrize("case", _REFUSALS)
+def test_a_record_refuses_its_first_refused_norm(case):
+    # inside a table, between a norm that is taken and one that is refused
+    # otherwise, a refused norm raises what its one-entry call raises, with
+    # and without forms
+    u, q = _refusal_atoms()
+    for atoms in ((u, q), (without_forms(u), without_forms(q))):
+        box, norm, error = _refusal(case, *atoms)
+        with pytest.raises(error) as alone:
+            quadrature.terms_norm_sq(box, _REFUSAL_RULE, *norm)
+        fine = atoms[0] if box.is_parabolic else scalar_field(
+            "sin(x + 1)*sin(2*y + 1)", box)
+        table = {"taken": ([(1.0, fine, "value")], "value", "H1"),
+                 "refused": norm,
+                 "refused too": ([(1.0, fine, "value")], "value", "nope")}
+        with pytest.raises(error) as inside:
+            quadrature.record_norms_sq(box, _REFUSAL_RULE, table)
+        assert str(inside.value) == str(alone.value)
+
+
+def _table(pool, dom, T):
+    """Norms, by name, of the atoms of ``pool`` and of the differences of
+    neighbours of one rank: L2 and every composite kind that their
+    capabilities admit, and on a space-time ``dom`` also L2 and H1 at the
+    slice times 0, T/2 and T."""
+    table = {}
+    pairs = [([(1.0, w, "value")], rank, w.capabilities)
+             for rank, w in pool]
+    pairs += [(_minus_terms(a, b), ra, a.capabilities & b.capabilities)
+              for (ra, a), (rb, b) in zip(pool, pool[1:])
+              if ra == rb and a.time_dependent == b.time_dependent]
+    for i, (terms, rank, caps) in enumerate(pairs):
+        time = terms[0][1].time_dependent
+        if time == dom.is_parabolic:
+            kinds = ["L2", "Hdiv" if rank == "vector" and "div" in caps
+                     else None]
+            if rank == "scalar" and "grad" in caps:
+                kinds += ["H1", "V" if "laplacian" in caps else None]
+                if time and "dt" in caps:
+                    kinds += ["H11"] + (["Wstar", "triple"]
+                                        if "laplacian" in caps else [])
+            table.update({f"{i} {k}": (terms, "value", k)
+                          for k in kinds if k})
+        if T is not None:
+            for at in (0.0, T / 2, T):
+                table[f"{i} L2 at {at}"] = (terms, "value", "L2", at)
+                if rank == "scalar" and "grad" in caps:
+                    table[f"{i} H1 at {at}"] = (terms, "value", "H1", at)
+    return table
+
+
+def _minus_terms(a, b):
+    return [(1.0, a, "value"), (-1.0, b, "value")]
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-300, 1e-8, 0.3, 1.0])
+@pytest.mark.parametrize("T", [None, 1.0], ids=["elliptic", "space-time"])
+def test_a_record_takes_each_norm_as_its_one_entry_call_bitwise(
+        monkeypatch, eps, T):
+    # one call over a table of norms of the atoms at every level, at slice
+    # times and in every composite kind, equals the one-entry call of each
+    # in hex: their pieces share one program, each in its own slots
+    dom = BoxDomain((0.0, -0.5)[:1 if T else 2], (1.0, 1.5)[:1 if T else 2],
+                    time_horizon=T)
+    rule = QuadratureRule(space_order=2, time_order=2)
+    pool = _atoms(dom, 1, eps) + (_atoms(dom.spatial(), 1, eps) if T else [])
+    table = _table(pool, dom, T)
+    assert len(table) > 80
+    got = quadrature.record_norms_sq(dom, rule, table)
+    assert list(got) == list(table)
+    assert {k: v.hex() for k, v in got.items()} == {
+        k: quadrature.terms_norm_sq(dom, rule, *spec).hex()
+        for k, spec in table.items()}
+    # a formless atom in every norm sends the whole table to the grid
+    formless = {type(w): w for _, w in pool if w.separated() is None
+                and w.time_dependent == dom.is_parabolic}
+    grid = {k: ([*terms, (-1.0, formless[type(terms[0][1])], "value")],
+                view, kind)
+            for k, (terms, view, kind, *at) in table.items()
+            if terms[0][1].time_dependent == dom.is_parabolic and not at}
+    looked = []
+    program = quadrature._program
+    monkeypatch.setattr(quadrature, "_program",
+                        lambda *a: looked.append(a) or program(*a))
+    got = quadrature.record_norms_sq(dom, rule, grid)
+    assert looked == [] and len(grid) > 20
+    monkeypatch.undo()
+    assert {k: v.hex() for k, v in got.items()} == {
+        k: quadrature.terms_norm_sq(dom, rule, *spec).hex()
+        for k, spec in grid.items()}
 
 
 def _suite_cases():
@@ -1110,13 +1218,49 @@ def test_a_warm_record_builds_no_field_node(monkeypatch, strategy):
     assert len(seen) == 13
 
 
+def test_a_warm_estimator_call_looks_up_one_program_and_builds_none(
+        monkeypatch):
+    # once a record of an approximation's directions has run, a record of
+    # another scale of them takes all of its norms from one lookup of the
+    # program the first one kept
+    from errbounds import parabolic
+
+    rule, seen = QuadratureRule(), set()
+    for case in _suite_cases().values():
+        free = free_fields(case, "coarse")
+        for level in manufactured.LEVELS:
+            calls = [_estimator_calls(case, perturb(case, level, eps, 0), rule,
+                                      free) for eps in (0.1, 0.3)]
+            if case.kind in ("TRD", "Heat") and level == "conforming_mixed":
+                check = getattr(parabolic, f"{case.kind.lower()}_isometry_check")
+                for c in calls:
+                    c["isometry"] = lambda check=check: check(case, rule)
+            for call in calls[0].values():
+                call()
+            for name, call in calls[1].items():
+                # a program is built from the plans of its pieces
+                counts = {"_program": 0, "_plan": 0}
+                with monkeypatch.context() as m:
+                    for fn in counts:
+                        m.setattr(quadrature, fn, lambda *a, fn=fn,
+                                  real=getattr(quadrature, fn): (
+                                      counts.__setitem__(fn, counts[fn] + 1)
+                                      or real(*a)))
+                    call()
+                assert counts == {"_program": 1, "_plan": 0}, (
+                    name, case.kind, level)
+                seen.add(name.split()[0])
+    assert len(seen) == 14
+
+
 @pytest.mark.parametrize("path", ["floats", "numpy"])
 def test_sliced_norms_round_as_the_sliced_forms(monkeypatch, path):
     # at a slice time a space-time leaf term's coefficient is taken times
     # its multiplier and then times its time factor there, as the sliced
-    # form of the expression rounds it: (eps a) t, not eps (a t)
-    if path == "numpy":
-        monkeypatch.setattr(quadrature, "_NUMPY_MIN_SLOTS", 0)
+    # form of the expression rounds it: (eps a) t, not eps (a t); the
+    # term coefficients and the slice time may be Python floats or numpy
+    # scalars, and round alike
+    scalar = float if path == "floats" else np.float64
     monkeypatch.setattr(quadrature, "_PLANS", {})
     monkeypatch.setattr(quadrature, "_PROGRAMS", {})
     rule = QuadratureRule(space_order=3, time_order=2)
@@ -1136,8 +1280,9 @@ def test_sliced_norms_round_as_the_sliced_forms(monkeypatch, path):
                         pairs.append((u, ut, "grad"))
                     for a, b, name in pairs:
                         got = quadrature.terms_norm_sq(
-                            dom, rule, [(1.0, a, name), (-1.0, b, name)],
-                            at=at)
+                            dom, rule,
+                            [(scalar(1.0), a, name), (scalar(-1.0), b, name)],
+                            at=scalar(at))
                         node = _VIEWED[name](a.at_time(at) - b.at_time(at))
                         form = node.separated()
                         assert got.hex() == quadrature.separated_inner(
