@@ -13,7 +13,7 @@ import math
 
 from .fields import BoxDomain, ConformityError, ScalarField, VectorField
 from .manufactured import ApproxPair, ProblemCase
-from .quadrature import QuadratureRule, record_norms_sq
+from .quadrature import QuadratureRule, norm_table, record_norms_sq
 from .reports import BoundReport, EqualityReport, relative_residual
 
 # the bounds each non-conforming estimator can be asked for (``which``)
@@ -49,12 +49,18 @@ def _checked_cf(case, cf: float) -> float:
         raise ValueError(f"cf: {exc}") from None
 
 
+# a table per estimator (and per bound it can be asked for): the norms of
+# its record by name, of atoms named by role (see _atoms)
+_FRIEDRICHS, _CFTWO = (norm_table({v: [(1.0, "w", v)] for v in views})
+                       for views in (("grad", "value"), ("laplacian", "grad")))
+
+
 def friedrichs_margin(w: ScalarField, cf: float, dom: BoxDomain,
                       rule: QuadratureRule) -> float:
     """cf * ||grad w|| - ||w||; non-negative for boundary-vanishing fields."""
     if not w.vanishes_on_boundary:
         raise ConformityError("Friedrichs inequality needs a boundary-vanishing field")
-    n = record_norms_sq(dom, rule, {v: [(1.0, w, v)] for v in ("grad", "value")})
+    n = record_norms_sq(dom, rule, _FRIEDRICHS, {"w": w})
     return cf * math.sqrt(n["grad"]) - math.sqrt(n["value"])
 
 
@@ -63,8 +69,7 @@ def cftwo_check(w: ScalarField, cf: float, dom: BoxDomain,
     """cf * ||laplacian w|| - ||grad w|| for boundary-vanishing w; >= 0."""
     if not w.vanishes_on_boundary:
         raise ConformityError("field must vanish on the boundary")
-    n = record_norms_sq(dom, rule, {v: [(1.0, w, v)]
-                                    for v in ("laplacian", "grad")})
+    n = record_norms_sq(dom, rule, _CFTWO, {"w": w})
     return cf * math.sqrt(n["laplacian"]) - math.sqrt(n["grad"])
 
 
@@ -92,6 +97,12 @@ def _residual(f, q, w=None) -> list:
     return [(1.0, f, "value"), *minus_w, (1.0, q, "div")]
 
 
+def _atoms(case: ProblemCase, **atoms) -> dict:
+    """The atoms of a record of ``case`` by role: the exact pair u, p, the
+    data f, and ``atoms`` (the approximation ut, pt, the free fields)."""
+    return {"u": case.exact_u, "p": case.exact_p, "f": case.f, **atoms}
+
+
 def _halves(norms: dict, k: int):
     """The first ``k`` norms of a record, and the others, in order."""
     items = list(norms.items())
@@ -101,6 +112,13 @@ def _halves(norms: dict, k: int):
 def _check_kind(case: ProblemCase, kind: str):
     if case.kind != kind:
         raise ValueError(f"estimator expects a {kind} case, got {case.kind}")
+
+
+_E, _EP = _minus("u", "ut"), _minus("p", "pt")
+_RD_EQUALITY = norm_table({
+    "err_l2_sq": _E, "err_grad_sq": (_E, "grad"), "flux_l2_sq": _EP,
+    "flux_div_sq": (_EP, "div"), "residual_sq": _residual("f", "pt", "ut"),
+    "gap_sq": _gap("pt", "ut")})
 
 
 def rd_equality(case: ProblemCase, approx: ApproxPair,
@@ -113,11 +131,14 @@ def rd_equality(case: ProblemCase, approx: ApproxPair,
     _require(ut.has_grad, "u_tilde must carry a gradient")
     _require(pt.has_div, "p_tilde must carry a divergence")
     _require_vanishing(u, ut)
-    e, ep = _minus(u, ut), _minus(case.exact_p, pt)
-    return EqualityReport.summed(*_halves(record_norms_sq(case.dom, rule, {
-        "err_l2_sq": e, "err_grad_sq": (e, "grad"), "flux_l2_sq": ep,
-        "flux_div_sq": (ep, "div"), "residual_sq": _residual(case.f, pt, ut),
-        "gap_sq": _gap(pt, ut)}), 4))
+    return EqualityReport.summed(*_halves(record_norms_sq(
+        case.dom, rule, _RD_EQUALITY, _atoms(case, ut=ut, pt=pt)), 4))
+
+
+_RD_VERY_CONFORMING = norm_table({
+    "err_l2_sq": _E, "err_grad_sq": (_E, "grad"), "err_lap_sq": (_E, "laplacian"),
+    "residual_sq": [(1.0, "f", "value"), (-1.0, "ut", "value"),
+                    (1.0, "ut", "laplacian")]})
 
 
 def rd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
@@ -127,11 +148,8 @@ def rd_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
     _check_kind(case, "RD")
     _require(u_tilde.has_laplacian, "u_tilde must carry a laplacian")
     _require_vanishing(case.exact_u, u_tilde)
-    e = _minus(case.exact_u, u_tilde)
-    lhs, rhs = _halves(record_norms_sq(case.dom, rule, {
-        "err_l2_sq": e, "err_grad_sq": (e, "grad"), "err_lap_sq": (e, "laplacian"),
-        "residual_sq": [(1.0, case.f, "value"), (-1.0, u_tilde, "value"),
-                        (1.0, u_tilde, "laplacian")]}), 3)
+    lhs, rhs = _halves(record_norms_sq(case.dom, rule, _RD_VERY_CONFORMING,
+                                       _atoms(case, ut=u_tilde)), 3)
     lhs["err_grad_sq"] *= 2.0
     return EqualityReport.summed(lhs, rhs)
 
@@ -171,6 +189,12 @@ def rd_nonconforming_report(gamma: float, which: str, *, residual_sq: float,
     return report.finalize()
 
 
+_RD_NONCONFORMING = norm_table({
+    "residual_sq": _residual("f", "flux", "phi"), "gap_sq": _gap("flux", "phi"),
+    "u_dist_sq": _minus("phi", "ut"), "p_dist_sq": _minus("flux", "pt"),
+    "err_u": _E, "err_p": _EP})
+
+
 def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
                             phi_free: ScalarField, flux_free: VectorField,
                             gamma: float, which: str,
@@ -185,11 +209,19 @@ def rd_nonconforming_bounds(case: ProblemCase, approx: ApproxPair,
              "free scalar field must be conforming")
     _require(flux_free.has_div, "free flux must carry a divergence")
     return rd_nonconforming_report(gamma, which, **record_norms_sq(
-        case.dom, rule, {
-            "residual_sq": _residual(case.f, flux_free, phi_free),
-            "gap_sq": _gap(flux_free, phi_free),
-            "u_dist_sq": _minus(phi_free, ut), "p_dist_sq": _minus(flux_free, pt),
-            "err_u": _minus(case.exact_u, ut), "err_p": _minus(case.exact_p, pt)}))
+        case.dom, rule, _RD_NONCONFORMING,
+        _atoms(case, ut=ut, pt=pt, phi=phi_free, flux=flux_free)))
+
+
+_RD_SEMI_PRIMAL = norm_table({
+    "gap": _gap("pt", "ut"), "err_h1_sq": (_E, "value", "H1"),
+    "err_p_l2_sq": _EP, "residual": _residual("f", "free", "ut"),
+    "free_gap": _gap("free", "ut"), "free_dist": _minus("free", "pt")})
+_RD_SEMI_DUAL = norm_table({
+    "data_residual": _residual("f", "pt", "ut"), "err_u_l2_sq": _E,
+    "err_p_hdiv_sq": (_EP, "value", "Hdiv"),
+    "residual": _residual("f", "pt", "free"), "free_gap": _gap("pt", "free"),
+    "free_dist": _minus("free", "ut")})
 
 
 def rd_semiconforming_bounds(case: ProblemCase, approx: ApproxPair, free,
@@ -199,17 +231,14 @@ def rd_semiconforming_bounds(case: ProblemCase, approx: ApproxPair, free,
     a conforming scalar field for the dual level."""
     _check_kind(case, "RD")
     _check_gamma(gamma)
-    f, u, p, ut, pt = (case.f, case.exact_u, case.exact_p, approx.u_tilde,
-                       approx.p_tilde)
+    ut, pt = approx.u_tilde, approx.p_tilde
+    atoms = _atoms(case, ut=ut, pt=pt, free=free)
     if approx.level == "semi_conforming_primal":
         _require(ut.vanishes_on_boundary and ut.has_grad,
                  "primal level requires a conforming u_tilde")
         _require(isinstance(free, VectorField) and free.has_div,
                  "primal level requires a div-conforming free flux")
-        n = record_norms_sq(case.dom, rule, {
-            "gap": _gap(pt, ut), "err_h1_sq": (_minus(u, ut), "value", "H1"),
-            "err_p_l2_sq": _minus(p, pt), "residual": _residual(f, free, ut),
-            "free_gap": _gap(free, ut), "free_dist": _minus(free, pt)})
+        n = record_norms_sq(case.dom, rule, _RD_SEMI_PRIMAL, atoms)
         lower = {"half_gap_sq": 0.5 * n["gap"]}
         true_components = {k: n[k] for k in ("err_h1_sq", "err_p_l2_sq")}
         upper = ((1.0 + 0.5 / gamma) * n["residual"]
@@ -219,11 +248,7 @@ def rd_semiconforming_bounds(case: ProblemCase, approx: ApproxPair, free,
         _require(pt.has_div, "dual level requires a div-conforming p_tilde")
         _require(isinstance(free, ScalarField) and free.vanishes_on_boundary
                  and free.has_grad, "dual level requires a conforming free field")
-        n = record_norms_sq(case.dom, rule, {
-            "data_residual": _residual(f, pt, ut), "err_u_l2_sq": _minus(u, ut),
-            "err_p_hdiv_sq": (_minus(p, pt), "value", "Hdiv"),
-            "residual": _residual(f, pt, free), "free_gap": _gap(pt, free),
-            "free_dist": _minus(free, ut)})
+        n = record_norms_sq(case.dom, rule, _RD_SEMI_DUAL, atoms)
         lower = {"half_residual_sq": 0.5 * n["data_residual"]}
         true_components = {k: n[k] for k in ("err_u_l2_sq", "err_p_hdiv_sq")}
         upper = ((1.0 + 1.0 / gamma) * n["residual"]
@@ -248,6 +273,12 @@ def two_sided_prefactors(cf: float, gamma: float):
     return a, b
 
 
+_POISSON_TWO_SIDED = norm_table({
+    "residual": _residual("f", "pt"), "gap": _gap("pt", "ut"),
+    "err_p_div_sq": (_EP, "div"), "err_grad_sq": (_E, "grad"),
+    "err_p_l2_sq": _EP})
+
+
 def poisson_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
                       rule: QuadratureRule, gamma: float = 2.0) -> BoundReport:
     """Two-sided estimate for the Poisson problem with conforming mixed
@@ -259,11 +290,7 @@ def poisson_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
     _require(ut.has_grad, "u_tilde must carry a gradient")
     _require(pt.has_div, "p_tilde must carry a divergence")
     _require_vanishing(u, ut)
-    ep = _minus(case.exact_p, pt)
-    n = record_norms_sq(case.dom, rule, {
-        "residual": _residual(case.f, pt), "gap": _gap(pt, ut),
-        "err_p_div_sq": (ep, "div"), "err_grad_sq": (_minus(u, ut), "grad"),
-        "err_p_l2_sq": ep})
+    n = record_norms_sq(case.dom, rule, _POISSON_TWO_SIDED, _atoms(case, ut=ut, pt=pt))
     residual_sq, gap_sq, div_err_sq = n["residual"], n["gap"], n["err_p_div_sq"]
     true_components = {k: n[k] for k in ("err_grad_sq", "err_p_l2_sq",
                                          "err_p_div_sq")}
@@ -281,20 +308,43 @@ def poisson_two_sided(case: ProblemCase, approx: ApproxPair, cf: float,
     return report.finalize()
 
 
+_POISSON_VERY_CONFORMING = norm_table({
+    "lhs": (_E, "laplacian"),
+    "rhs": [(1.0, "f", "value"), (1.0, "ut", "laplacian")]})
+
+
 def poisson_very_conforming_equality(case: ProblemCase, u_tilde: ScalarField,
                                      rule: QuadratureRule) -> EqualityReport:
     """||laplacian(u - ut)|| = ||f + laplacian ut||; Friedrichs-constant free."""
     _check_kind(case, "Poisson")
     _require(u_tilde.has_laplacian, "u_tilde must carry a laplacian")
     _require_vanishing(case.exact_u, u_tilde)
-    lhs_sq, rhs_sq = record_norms_sq(case.dom, rule, {
-        "lhs": (_minus(case.exact_u, u_tilde), "laplacian"),
-        "rhs": [(1.0, case.f, "value"), (1.0, u_tilde, "laplacian")]}).values()
+    lhs_sq, rhs_sq = record_norms_sq(case.dom, rule, _POISSON_VERY_CONFORMING,
+                                     _atoms(case, ut=u_tilde)).values()
     lhs_total = math.sqrt(lhs_sq)
     rhs_total = math.sqrt(rhs_sq)
     return EqualityReport({"err_lap_sq": lhs_sq}, {"residual_sq": rhs_sq},
                           lhs_total, rhs_total,
                           relative_residual(lhs_total, rhs_total))
+
+
+# ||f + div flux_free|| is every bound's, the norms of flux_free - pt and
+# pt - grad phi_free all but i's
+_RES_PHI = {"res_phi": _residual("f", "flux")}
+_TAIL = {"flux_dist": _minus("flux", "pt"), "free_gap": _gap("pt", "phi")}
+_POISSON_NONCONFORMING = {which: norm_table(table) for which, table in {
+    "i": {**_RES_PHI, "gap": _gap("flux", "phi"), "dist": _minus("phi", "ut"),
+          "err": _E},
+    "ii": {**_RES_PHI, **_TAIL, "err_p_l2_sq": _EP},
+    "mixed-i": {**_RES_PHI, "gap": _gap("pt", "ut"),
+                "theta_res": _residual("f", "theta"),
+                "theta_gap": _gap("theta", "ut"), **_TAIL,
+                "err_grad_sq": (_E, "grad"), "err_p_l2_sq": _EP},
+    "mixed-ii": {**_RES_PHI, "data_residual": _residual("f", "pt"),
+                 "theta_res": _residual("f", "theta"),
+                 "theta_gap": _gap("theta", "psi"),
+                 "psi_dist": _minus("psi", "ut"), **_TAIL, "err_u_l2_sq": _E,
+                 "err_p_hdiv_sq": (_EP, "value", "Hdiv")}}.items()}
 
 
 def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
@@ -310,33 +360,28 @@ def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
     """
     _check_kind(case, "Poisson")
     cf = _checked_cf(case, cf)
-    f, u, p = case.f, case.exact_u, case.exact_p
     _require(phi_free.vanishes_on_boundary and phi_free.has_grad,
              "free scalar field must be conforming")
     _require(flux_free.has_div, "free flux must carry a divergence")
     theta = flux_free if theta is None else theta
     psi = phi_free if psi is None else psi
-    # ||f + div flux_free|| is every bound's, the norms of flux_free - pt
-    # and pt - grad phi_free all but i's
-    free = {"res_phi": _residual(f, flux_free)}
-    tail = {"flux_dist": _minus(flux_free, p_tilde),
-            "free_gap": _gap(p_tilde, phi_free)}
+    atoms = _atoms(case, ut=u_tilde, pt=p_tilde, phi=phi_free, flux=flux_free,
+                   theta=theta, psi=psi)
 
-    def norms(table):
-        n = record_norms_sq(case.dom, rule, table)
+    def norms():
+        n = record_norms_sq(case.dom, rule, _POISSON_NONCONFORMING[which],
+                            atoms)
         return n, {k: math.sqrt(v) for k, v in n.items()}
 
     if which == "i":
-        n, r = norms({**free, "gap": _gap(flux_free, phi_free),
-                      "dist": _minus(phi_free, u_tilde),
-                      "err": _minus(u, u_tilde)})
+        n, r = norms()
         bound = cf ** 2 * r["res_phi"] + cf * r["gap"] + r["dist"]
         err = r["err"]
         report = BoundReport(
             lower_bounds={}, true_error={"err_u_l2": err, "total": err},
             upper_bound=bound, checks={"bound_sq": bound ** 2, "true_sq": err ** 2})
     elif which == "ii":
-        n, r = norms({**free, **tail, "err_p_l2_sq": _minus(p, p_tilde)})
+        n, r = norms()
         bound = ((cf * r["res_phi"] + r["flux_dist"]) ** 2 + n["free_gap"])
         err_sq = n["err_p_l2_sq"]
         report = BoundReport(
@@ -346,11 +391,7 @@ def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
         _require(u_tilde.vanishes_on_boundary and u_tilde.has_grad,
                  "mixed-i requires a conforming u_tilde")
         _require(theta.has_div, "theta must carry a divergence")
-        n, r = norms({**free, "gap": _gap(p_tilde, u_tilde),
-                      "theta_res": _residual(f, theta),
-                      "theta_gap": _gap(theta, u_tilde), **tail,
-                      "err_grad_sq": (_minus(u, u_tilde), "grad"),
-                      "err_p_l2_sq": _minus(p, p_tilde)})
+        n, r = norms()
         bound = ((cf * r["theta_res"] + r["theta_gap"]) ** 2
                  + (cf * r["res_phi"] + r["flux_dist"]) ** 2 + n["free_gap"])
         true = {k: n[k] for k in ("err_grad_sq", "err_p_l2_sq")}
@@ -362,12 +403,7 @@ def poisson_nonconforming(case: ProblemCase, u_tilde: ScalarField,
         _require(psi.vanishes_on_boundary and psi.has_grad,
                  "psi must be a conforming scalar field")
         _require(theta.has_div, "theta must carry a divergence")
-        n, r = norms({**free, "data_residual": _residual(f, p_tilde),
-                      "theta_res": _residual(f, theta),
-                      "theta_gap": _gap(theta, psi),
-                      "psi_dist": _minus(psi, u_tilde), **tail,
-                      "err_u_l2_sq": _minus(u, u_tilde),
-                      "err_p_hdiv_sq": (_minus(p, p_tilde), "value", "Hdiv")})
+        n, r = norms()
         bound = ((cf ** 2 * r["theta_res"] + cf * r["theta_gap"]
                   + r["psi_dist"]) ** 2
                  + (cf * r["res_phi"] + r["flux_dist"]) ** 2

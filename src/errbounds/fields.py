@@ -61,6 +61,12 @@ class BoxDomain:
             if not t > 0.0:
                 raise ValueError("time_horizon must be strictly positive")
             object.__setattr__(self, "time_horizon", t)
+        # the hash of the fields' tuple, kept beside them as _spatial is
+        object.__setattr__(self, "_hash",
+                           hash((lower, upper, self.time_horizon)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def dim(self) -> int:
@@ -400,7 +406,8 @@ class _Field:
         multiplier, are the form's own bit for bit, a sum's form being
         built from them. A view has its base's; a sum its operands' times
         c m where c or m is 1.0 or -1.0 (exact), else an operand's own form
-        times c; any other node its own form."""
+        times c (m = 1.0), and per multiplier its operand's index and m;
+        any other node its own form."""
         made = self._leaves
         if name not in made:
             self._check(name)
@@ -414,15 +421,29 @@ class _Field:
         if kind != "sum":
             form = self.form(name)
             return None if form is None else ((1.0,), (form,), (-1.0,))
-        mults, forms = [], []
-        for f, c in zip(*args):
+        mults, forms, bases = [], [], []
+        for j, (f, c) in enumerate(zip(*args)):
             terms = f.leaf_terms(name)
             if terms is None:
                 return None
             exact = c in (1.0, -1.0) or all(m in (1.0, -1.0) for m in terms[0])
-            mults += [c * m for m in terms[0]] if exact else [c]
+            own = terms[0] if exact else (1.0,)
+            mults += [c * m for m in own]
+            bases += [(j, m) for m in own]
             forms += terms[1] if exact else [f.form(name)]
-        return tuple(mults), tuple(forms), tuple(-m for m in mults)
+        return (tuple(mults), tuple(forms), tuple(-m for m in mults),
+                tuple(bases))
+
+    def record_key(self):
+        """What a record's plan keys this node on, and its coefficients:
+        for a sum its rank, capabilities, operands and which coefficients
+        are 1.0 or -1.0, which fix its leaf forms (see
+        :func:`quadrature.record_norms_sq`); any other node itself."""
+        if self._kind != "sum":
+            return self, ()
+        fields, coefs = self._args
+        return (type(self), self.capabilities, fields,
+                tuple([c in (1.0, -1.0) for c in coefs])), coefs
 
     def _build_evaluator(self, name: str) -> Callable:
         kind, args = self._kind, self._args
@@ -444,7 +465,7 @@ class _Field:
             terms = self.leaf_terms(name)
             if terms is None:
                 return None
-            mults, forms, _ = terms
+            mults, forms = terms[:2]
             if isinstance(forms[0], tuple):
                 return tuple(SeparatedSum.combination(sums, mults)
                              for sums in zip(*forms))

@@ -98,7 +98,7 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
     # in l2_gram's order; the basis and its divergences were checked as
     # their Grams were assembled
     own = [_leaves(t, "value", dom, rank=True)[:2] for t in targets]
-    dm, df, _ = _leaves(d, "value", dom, rank=False)
+    dm, df, *_ = _leaves(d, "value", dom, rank=False)
     N, T = len(basis), len(targets)
     fields = tuple(b.separated() for b in basis)
     divided = tuple(f.separated() for f in divs)

@@ -60,6 +60,12 @@ class QuadratureRule:
     def __post_init__(self):
         if self.space_order < 1 or self.time_order < 1:
             raise ValueError("quadrature orders must be at least 1")
+        # the hash of the fields' tuple, kept beside them
+        object.__setattr__(self, "_hash",
+                           hash((self.space_order, self.time_order)))
+
+    def __hash__(self):
+        return self._hash
 
 
 # Each axis is integrated with a composite rule: the interval is split into
@@ -358,7 +364,7 @@ def _addends(mults, program) -> list:
     them, by one ``np.bincount``; the pairs of zero slots dropped, those
     left kept per pattern of zero slots, and all addends gathered at once."""
     bins, form, coefs, taus, size, (I, J, H, piece), gathers = program[1]
-    w = coefs * np.array(mults)[form]
+    w = coefs * np.asarray(mults)[form]
     m = np.bincount(bins, weights=w if taus is None else w * taus,
                     minlength=size)
     live = m != 0.0
@@ -504,33 +510,87 @@ def terms_norm_sq(dom: BoxDomain, rule: QuadratureRule, terms,
     return record_norms_sq(dom, rule, {None: (terms, view, kind, at)})[None]
 
 
-def record_norms_sq(dom: BoxDomain, rule: QuadratureRule, table) -> dict:
-    """The squared norms of a record, by name: ``table`` maps each name to
-    the ``(terms, view, kind, at)`` of a :func:`terms_norm_sq`, checked in
-    order as that call checks them (the first refusal raised); the view,
-    kind and slice time may be left off, and a list stands for ``(terms,)``.
-    The L2 pieces whose atoms all carry leaf terms are reduced by one kept
-    :func:`_program` of their axis rules, slice times and leaf forms, in
-    one :func:`_norms`; any other piece takes its grid norm."""
+def norm_table(table, role=lambda atom: atom) -> tuple:
+    """The declared form of ``table``, which maps each name to the ``(terms,
+    view, kind, at)`` of a :func:`terms_norm_sq` (the view, kind and slice
+    time may be left off, and a list stands for ``(terms,)``): one
+    ``(name, terms, view, kind, at)`` per norm, lists made tuples and each
+    atom replaced by its ``role``."""
+    def declared(terms):
+        return tuple(declared(t) if type(t) is list else (t[0], role(t[1]), t[2])
+                     for t in terms)
+
+    specs = ((n, s if type(s) is tuple else (s,)) for n, s in table.items())
+    return tuple((n, declared(s[0]), *s[1:], *("value", "L2", None)[len(s) - 1:])
+                 for n, s in specs)
+
+
+# (declared table, box, rule, roles, the atoms' record keys) -> plan
+_RECORDS = {}
+
+
+def record_norms_sq(dom: BoxDomain, rule: QuadratureRule, table,
+                    atoms: dict | None = None) -> dict:
+    """The squared norms of a record, by name: ``table``, a
+    :func:`norm_table`, names its atoms by role, and ``atoms`` binds each
+    role to a field; a slice time may be ``"T"``, the horizon of ``dom``.
+    Without ``atoms``, ``table`` is as :func:`norm_table` takes it, of
+    fields, numbered in order of first appearance. The plan of the record
+    (:func:`_compile`) is kept per table, box, rule and the atoms' record
+    keys (:meth:`fields._Field.record_key`: a sum by its operands and
+    which coefficients are 1.0 or -1.0, any other node by itself), at most
+    :data:`PLAN_MEMO` plans: a warm record takes each raw term's multiplier
+    as its sum atom's coefficient (1.0 for any other atom) times its signed
+    base multiplier, c m as its leaf terms round it, in one product, and
+    every formed L2 piece in one :func:`_norms`; any other piece takes its
+    grid norm."""
+    if atoms is None:
+        seen = {}
+        table = norm_table(table, lambda a: seen.setdefault(a, len(seen)))
+        atoms = dict(map(reversed, seen.items()))
+    keys, coefs = zip(*[a.record_key() for a in atoms.values()])
+    key = table, dom, rule, tuple(atoms), keys
+    plan = _RECORDS.get(key)
+    if plan is None:
+        plan = _compile(dom, rule, table, atoms, coefs)
+        if len(_RECORDS) >= PLAN_MEMO:
+            _RECORDS.clear()
+        _RECORDS[key] = plan
+    program, index, base, grid, trees = plan
+    sums = iter(_norms(np.array(sum(coefs, (1.0,)))[index] * base, program)
+                if program else ())
+    values = [next(sums) if p is None else _grid_inner(
+        *2 * [_expression(*p, atoms)], dom if p[2] is None else dom.spatial(),
+        rule) for p in grid]
+    return {n: values[t] if type(t) is int else _value(t, values)
+            for (n, *_), t in zip(table, trees)}
+
+
+def _compile(dom, rule, table, atoms, coefs):
+    """The plan of ``table`` bound to ``atoms``, whose sums have ``coefs``:
+    every norm checked by :func:`_resolve`, in order (the first refusal
+    raised, no plan kept), its tree, and the kept :func:`_program` of the
+    formed L2 pieces, with per raw term the index of its coefficient in
+    ``(1.0, *coefs)`` and its signed base multiplier; per piece None, or
+    for a formless one its ``(terms, view, at)``."""
     found = []
-    trees = {name: _resolve(dom, found, *(spec if type(spec) is tuple
-                                          else (spec,)))
-             for name, spec in table.items()}
-    axes, mults, pieces = {}, [], []
-    for _, _, at, m, forms in found:
+    trees = [_resolve(dom, found, atoms, terms, view, kind,
+                      dom.time_horizon if at == "T" else at)
+             for _, terms, view, kind, at in table]
+    offsets = dict(zip(atoms, accumulate([1, *map(len, coefs)])))
+    axes, pieces, index, base = {}, [], [], []
+    for terms, view, at, recipe, forms in found:
         if forms is not None:
-            mults += m
+            index += [0 if j is None else offsets[r] + j for r, j, _ in recipe]
+            base += [m for *_, m in recipe]
             whole = at is None
             if whole not in axes:
                 axes[whole] = axis_rules(dom if whole else dom.spatial(), rule)
             pieces.append((axes[whole], at, forms, None))
-    sums = iter(_norms(mults, _program(pieces)) if pieces else ())
-    values = [next(sums) if forms is not None else _grid_inner(
-        *2 * [_expression(terms, view, at)],
-        dom if at is None else dom.spatial(), rule)
-        for terms, view, at, _, forms in found]
-    return {name: values[tree] if type(tree) is int else _value(tree, values)
-            for name, tree in trees.items()}
+    return (_program(pieces) if pieces else None,
+            np.array(index, dtype=np.intp), np.array(base),
+            [None if forms else (terms, view, at)
+             for terms, view, at, _, forms in found], trees)
 
 
 def _value(tree, values) -> float:
@@ -538,11 +598,12 @@ def _value(tree, values) -> float:
                       for s, t in tree])
 
 
-def _resolve(dom, found, terms, view="value", kind="L2", at=None):
-    """The tree of a norm: for L2 the index of its piece ``(terms, view,
-    at, multipliers, leaf forms)`` appended to ``found``; for a composite
-    kind (scale, tree) per piece of :data:`_PARTS`, the terms checked again
-    for each. Another ``at`` or kind is refused."""
+def _resolve(dom, found, atoms, terms, view="value", kind="L2", at=None):
+    """The tree of a norm of terms naming ``atoms`` by role: for L2 the
+    index of its piece ``(terms, view, at, recipe, leaf forms)`` appended
+    to ``found`` (see :func:`_leaves`); for a composite kind (scale, tree)
+    per piece of :data:`_PARTS`, the terms checked again for each. Another
+    ``at`` or kind is refused."""
     whole = at is None
     if not (whole or dom.is_parabolic and 0.0 <= at <= dom.time_horizon):
         raise ValueError(f"slice time at={at!r} must lie in [0, T] of a "
@@ -550,29 +611,33 @@ def _resolve(dom, found, terms, view="value", kind="L2", at=None):
     k = kind.lower()
     if k != "l2" and k not in _PARTS:
         raise ValueError(f"unknown norm kind: {kind!r}")
-    mults, forms, vector = _leaves(terms, view, dom if whole else
-                                   dom.spatial(), whole)
+    _, forms, vector, recipe = _leaves(terms, view, dom if whole else
+                                       dom.spatial(), whole, atoms=atoms)
     if k == "l2":
-        found.append((terms, view, at, mults, forms))
+        found.append((terms, view, at, recipe, forms))
         return len(found) - 1
     if k == "hdiv" and not vector:
         raise TypeError("Hdiv norm requires a vector field")
-    return [(s, _resolve(dom, found, terms, _VIEWS[view, v], part,
+    return [(s, _resolve(dom, found, atoms, terms, _VIEWS[view, v], part,
                          dom.time_horizon if end else at))
             for s, part, v, *end in _PARTS[k]]
 
 
 def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
-            rank: bool | None = None):
+            rank: bool | None = None, atoms=None):
     """The multipliers and leaf forms (:meth:`fields._Field.leaf_terms`;
     None if an atom lacks them) of the ``view`` of the terms on ``box``,
-    space-time atoms sliced unless ``whole``, and whether they are vectors.
-    Terms are checked as :func:`_check_fields` checks fields; other signs,
-    and ranks other than ``rank`` (True for vectors) if given, refused."""
-    flat = [t for g in terms for t in g] if type(terms) is tuple else terms
+    space-time atoms sliced unless ``whole``, whether they are vectors, and
+    per multiplier (role, j, sign m): m times its sum atom's coefficient j,
+    j None for any other atom. An atom is a field, or its role in
+    ``atoms``. Terms are checked as :func:`_check_fields` checks fields;
+    other signs, and ranks other than ``rank`` (True for vectors) if given,
+    refused."""
+    flat = [t for g in terms for t in g] if type(terms[0][0]) is tuple else terms
     td, dim = box.is_parabolic, len(box.lower)
-    vector, mults, forms = set(), [], []
-    for sign, atom, name in flat:
+    vector, mults, forms, recipe = set(), [], [], []
+    for sign, role, name in flat:
+        atom = role if atoms is None else atoms[role]
         if sign not in (1.0, -1.0):
             raise ValueError(f"term ({sign!r}, {name!r}): sign must be 1.0 "
                              "or -1.0")
@@ -589,19 +654,23 @@ def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
         elif forms is not None:
             mults += own[0] if sign == 1.0 else own[2]
             forms += own[1]
+            recipe += [(role, j, sign * m) for j, m in (
+                own[3] if atom.record_key()[1] else [(None, m) for m in own[0]])]
     if len(vector) > 1 or rank is not None and vector != {rank}:
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-    return mults, None if forms is None else tuple(forms), True in vector
+    return (mults, None if forms is None else tuple(forms), True in vector,
+            recipe)
 
 
-def _expression(terms, view: str, at):
-    fields = [_expression(t, view, at) if type(t) is list
-              else _field(*t, view, at) for t in terms]
-    signs = [1.0 if type(t) is list else t[0] for t in terms]
+def _expression(terms, view: str, at, atoms=None):
+    fields = [_expression(t, view, at, atoms) if type(t[0]) is tuple else
+              _field(t[1] if atoms is None else atoms[t[1]], t[2], view, at)
+              for t in terms]
+    signs = [1.0 if type(t[0]) is tuple else t[0] for t in terms]
     return fields[0] if signs == [1.0] else combination(fields, signs)
 
 
-def _field(sign, atom, name, view, at):
+def _field(atom, name, view, at):
     w = atom if at is None or not atom.time_dependent else atom.at_time(at)
     name = _VIEWS[name, view]
     return w if name == "value" else getattr(w, _FIELDS[name])()

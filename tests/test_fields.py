@@ -556,3 +556,25 @@ def test_a_warm_suite_pass_builds_no_evaluator(monkeypatch, tmp_path):
     assert len(report.records) == 180
     assert all(r["status"] == "ok" for r in report.records)
     assert built == []
+
+
+def test_a_box_and_a_rule_hash_as_the_tuple_of_their_fields():
+    # the hash is kept beside the fields: equal boxes hash equal, as the
+    # tuple of their fields, and equality, repr and replace are the fields'
+    import dataclasses
+
+    from errbounds.quadrature import QuadratureRule
+    box = BoxDomain((0, -1), (1, 0.5), time_horizon=2)
+    same = BoxDomain([0.0, -1.0], [1.0, 0.5], 2.0)
+    assert box == same and hash(box) == hash(same)
+    assert hash(box) == hash(((0.0, -1.0), (1.0, 0.5), 2.0))
+    assert hash(box.spatial()) == hash(((0.0, -1.0), (1.0, 0.5), None))
+    assert repr(box) == ("BoxDomain(lower=(0.0, -1.0), upper=(1.0, 0.5), "
+                         "time_horizon=2.0)")
+    assert [f.name for f in dataclasses.fields(box)] == [
+        "lower", "upper", "time_horizon"]
+    other = dataclasses.replace(box, time_horizon=1.0)
+    assert hash(other) == hash(((0.0, -1.0), (1.0, 0.5), 1.0)) and other != box
+    rule = QuadratureRule(3, 2)
+    assert hash(rule) == hash((3, 2)) == hash(QuadratureRule(3, 2))
+    assert hash(dataclasses.replace(rule, time_order=5)) == hash((3, 5))

@@ -6,6 +6,7 @@ integrated by per-axis Gram matrices; the oracle is the same evaluators
 without a form, integrated on every node of the same tensor rule. The two
 are the same quadrature, so they agree to rounding.
 """
+import dataclasses
 import json
 import math
 from unittest import mock
@@ -1221,34 +1222,40 @@ def test_a_warm_record_builds_no_field_node(monkeypatch, strategy):
 def test_a_warm_estimator_call_looks_up_one_program_and_builds_none(
         monkeypatch):
     # once a record of an approximation's directions has run, a record of
-    # another scale of them takes all of its norms from one lookup of the
-    # program the first one kept
+    # another scale of them binds its atoms to the plan the first one kept:
+    # no norm is checked again, no program or plan looked up, and no leaf
+    # terms of the fresh approximation built
     from errbounds import parabolic
 
     rule, seen = QuadratureRule(), set()
     for case in _suite_cases().values():
         free = free_fields(case, "coarse")
         for level in manufactured.LEVELS:
-            calls = [_estimator_calls(case, perturb(case, level, eps, 0), rule,
-                                      free) for eps in (0.1, 0.3)]
+            approxs = [perturb(case, level, eps, 0) for eps in (0.1, 0.3)]
+            calls = [_estimator_calls(case, a, rule, free) for a in approxs]
             if case.kind in ("TRD", "Heat") and level == "conforming_mixed":
                 check = getattr(parabolic, f"{case.kind.lower()}_isometry_check")
                 for c in calls:
                     c["isometry"] = lambda check=check: check(case, rule)
             for call in calls[0].values():
                 call()
+            fresh = {id(approxs[1].u_tilde), id(approxs[1].p_tilde)}
             for name, call in calls[1].items():
-                # a program is built from the plans of its pieces
-                counts = {"_program": 0, "_plan": 0}
+                counts = {"_resolve": 0, "_program": 0, "_plan": 0}
+                leaves = []
                 with monkeypatch.context() as m:
                     for fn in counts:
                         m.setattr(quadrature, fn, lambda *a, fn=fn,
                                   real=getattr(quadrature, fn): (
                                       counts.__setitem__(fn, counts[fn] + 1)
                                       or real(*a)))
+                    real = fields._Field.leaf_terms
+                    m.setattr(fields._Field, "leaf_terms", lambda self, n: (
+                        leaves.append(id(self)) or real(self, n)))
                     call()
-                assert counts == {"_program": 1, "_plan": 0}, (
+                assert counts == dict.fromkeys(counts, 0), (
                     name, case.kind, level)
+                assert fresh.isdisjoint(leaves), (name, case.kind, level)
                 seen.add(name.split()[0])
     assert len(seen) == 14
 
@@ -1313,6 +1320,7 @@ def test_a_warm_workload_pass_adds_no_norm_program(monkeypatch, config):
     # the programs are keyed by the memoised forms of the atoms, never by
     # those of a fresh approximation, so a second pass meets every one
     monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
 
     def workload():
         run(config)
@@ -1326,6 +1334,124 @@ def test_a_warm_workload_pass_adds_no_norm_program(monkeypatch, config):
     workload()
     programs = dict(quadrature._PROGRAMS)
     assert programs
+    records = dict(quadrature._RECORDS)
     workload()
     assert quadrature._PROGRAMS.keys() == programs.keys()
     assert all(quadrature._PROGRAMS[k] is v for k, v in programs.items())
+    assert all(quadrature._RECORDS[k] is v for k, v in records.items())
+
+
+def _literal(terms, atoms):
+    """Declared terms with each role replaced by its atom in ``atoms``."""
+    if type(terms[0][0]) is tuple:
+        return tuple(_literal(g, atoms) for g in terms)
+    return [(s, atoms[r], n) for s, r, n in terms]
+
+
+def _recorded(monkeypatch):
+    """The calls of record_norms_sq that elliptic and parabolic make."""
+    from errbounds import elliptic, parabolic
+    calls = []
+
+    def record(dom, rule, table, atoms):
+        got = quadrature.record_norms_sq(dom, rule, table, atoms)
+        calls.append((dom, rule, table, dict(atoms), got))
+        return got
+
+    for module in (elliptic, parabolic):
+        monkeypatch.setattr(module, "record_norms_sq", record)
+    return calls
+
+
+@pytest.mark.parametrize("strategy", ["exact", "basis"])
+def test_every_estimator_norm_is_its_literal_one_entry_call(monkeypatch,
+                                                             strategy):
+    # each norm of each estimator, bound from its declared table, equals in
+    # hex the one-entry call of its terms with the fields written in, at
+    # every level, scale and a second box of another horizon, a plan met
+    # again at the second scale after a first
+    from errbounds import parabolic
+    rule, calls, seen = QuadratureRule(3, 2), _recorded(monkeypatch), set()
+    for case in _suite_cases().values():
+        cases = [case]
+        if case.dom.is_parabolic:
+            cases.append(dataclasses.replace(case, dom=dataclasses.replace(
+                case.dom, time_horizon=case.dom.time_horizon / 2)))
+        for c in cases:
+            free = free_fields(c, strategy)
+            for level in manufactured.LEVELS:
+                for eps in (0.0, 1e-300, 1e-8, 0.3, 1.0, 0.3):
+                    todo = _estimator_calls(c, perturb(c, level, eps, 0), rule,
+                                            free)
+                    if c.dom.is_parabolic and level == "conforming_mixed":
+                        check = getattr(parabolic,
+                                        f"{c.kind.lower()}_isometry_check")
+                        todo[check.__name__] = lambda: check(c, rule)
+                    for name, call in todo.items():
+                        call()
+                        seen.add(name.split()[0])
+    for dom, rule, table, atoms, got in calls:
+        for name, terms, view, kind, at in table:
+            at = dom.time_horizon if at == "T" else at
+            assert got[name].hex() == quadrature.terms_norm_sq(
+                dom, rule, _literal(terms, atoms), view, kind, at).hex(), name
+    assert len(seen) == 15
+
+
+def test_a_sum_atom_binds_at_any_coefficient_bitwise():
+    # a sum atom of a sum whose multipliers are not all +-1 takes its
+    # operand's leaf terms at a coefficient +-1 and its operand's own form
+    # otherwise; each binding, in either order, and two sum atoms of their
+    # own coefficients give the bits of the form of the node they state
+    dom, rule = BoxDomain((0.0, -0.5), (1.0, 1.5)), QuadratureRule(3, 2)
+    case = make_case("RD", dom, "sin(pi*x)*sin(pi*(y + 0.5)/2)")
+    u, (du, _) = case.exact_u, manufactured.directions(dom, 3).at(
+        "very_conforming")
+    inner = fields.combination([u, du], [0.9, 0.7])
+    table = quadrature.norm_table({
+        "a": [(1.0, "u", "value"), (-1.0, "a", "value")],
+        "ab": [(1.0, "a", "value"), (-1.0, "b", "value")]})
+    for coefs in ((-1.0, 0.5, 1.0, 0.3), (0.5, -1.0, 0.3, 1.0)):
+        for k, c in enumerate(coefs):
+            a = c * inner
+            b = fields.combination([u, du], [1.0, 0.1 + k])
+            got = quadrature.record_norms_sq(dom, rule, table,
+                                             {"u": u, "a": a, "b": b})
+            for name, node in (("a", u - a), ("ab", a - b)):
+                form = node.separated()
+                assert got[name].hex() == quadrature.separated_inner(
+                    form, form, dom, rule).hex(), (name, c)
+
+
+@pytest.mark.parametrize("bind", ["restricted", "rank", "domain"])
+def test_a_refused_bind_raises_the_literal_error_and_keeps_no_plan(
+        monkeypatch, bind):
+    # a declared table bound to atoms of another class raises what the
+    # literal call of the same terms raises, before and after a plan for
+    # other atoms exists, and keeps no plan
+    from errbounds import elliptic
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
+    rule, table = QuadratureRule(3, 2), elliptic._RD_EQUALITY
+    cases = _suite_cases()
+    case = cases["RD"]
+    approx = perturb(case, "conforming_mixed", 0.3, 0)
+    atoms = elliptic._atoms(case, ut=approx.u_tilde, pt=approx.p_tilde)
+    wrong = dict(atoms)
+    if bind == "restricted":
+        wrong["ut"] = approx.u_tilde.restricted()
+    elif bind == "rank":
+        wrong["pt"] = approx.u_tilde
+    else:
+        wrong["ut"] = perturb(cases["TRD"], "conforming_mixed", 0.3,
+                              0).u_tilde
+    literal = {n: (_literal(t, wrong), v, k, a) for n, t, v, k, a in table}
+    with pytest.raises(Exception) as alone:
+        quadrature.record_norms_sq(case.dom, rule, literal)
+    for warm in (False, True):
+        if warm:
+            quadrature.record_norms_sq(case.dom, rule, table, atoms)
+        plans = dict(quadrature._RECORDS)
+        with pytest.raises(type(alone.value)) as bound:
+            quadrature.record_norms_sq(case.dom, rule, table, wrong)
+        assert str(bound.value) == str(alone.value)
+        assert quadrature._RECORDS == plans
