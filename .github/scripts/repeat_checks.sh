@@ -201,23 +201,26 @@ import contextlib, io, sys
 from errbounds import quadrature
 from errbounds.cli import main
 tmp = sys.argv[1]
-# restarts of the plan memo, and programs of each kind that a restart dropped
-restarts = {"plans": 0, "record programs": 0, "flux-step programs": 0}
+# restarts of the plan and record-plan memos, and programs of each kind that
+# a restart dropped
+restarts = {"plans": 0, "record plans": 0, "record programs": 0,
+            "flux-step programs": 0}
 
 class Memo(dict):
-    def __init__(self, programs):
-        self.programs = programs
+    def __init__(self, kind):
+        self.kind = kind
 
     def clear(self):
-        if not self.programs:
-            restarts["plans"] += 1
-        for key in self if self.programs else ():
+        if self.kind != "programs":
+            restarts[self.kind] += 1
+        for key in self if self.kind == "programs" else ():
             grouped = any(sizes is not None for *_, sizes in key)
             restarts[("record programs", "flux-step programs")[grouped]] += 1
         super().clear()
 
 quadrature.PLAN_MEMO = 8
-quadrature._PLANS, quadrature._PROGRAMS = Memo(False), Memo(True)
+quadrature._PLANS, quadrature._PROGRAMS, quadrature._RECORDS = (
+    Memo("plans"), Memo("programs"), Memo("record plans"))
 with contextlib.redirect_stdout(io.StringIO()):
     # the programs of a majorant run fit the bound; the suite run after it
     # drops them, and the next majorant run builds them again
@@ -251,8 +254,10 @@ cmp "$tmp/majorant-0/report.json" "$tmp/majorant-cleared/report.json"
 
 echo "Reports repeat when the norm programs are cleared"
 # a program, a record's or a flux step's, holds slots and H, never
-# multipliers, so a process that drops its programs and runs again builds
-# them from its plans and must write what a fresh process writes
+# multipliers, and a record plan its program and multiplier recipe, never
+# coefficients, so a process that drops its programs and record plans and
+# runs again builds them from its plans and must write what a fresh process
+# writes
 python - "$tmp" <<'PY'
 import contextlib, io, sys
 from errbounds import quadrature
@@ -266,7 +271,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         # the memo holds the programs of records and of flux steps
         assert {any(sizes is not None for *_, sizes in key)
                 for key in quadrature._PROGRAMS} == {False, True}
+        assert quadrature._RECORDS
         quadrature._PROGRAMS.clear()
+        quadrature._RECORDS.clear()
 PY
 for run in first cleared; do
   cmp "$tmp/suite-0/report.json" "$tmp/suite-programs-$run/report.json"

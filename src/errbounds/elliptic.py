@@ -4,7 +4,9 @@ the reaction-diffusion operator (-laplace + 1) and the Poisson operator.
 A norm is of signed atom terms, f - ut + div pt ``[(1.0, f, "value"), (-1.0,
 ut, "value"), (1.0, pt, "div")]``, taken bit for bit from the atoms' leaf
 terms (ut's are u's and du's forms). An estimator states its record's norms
-as one table and takes them in one :func:`quadrature.record_norms_sq`.
+once, as a module-level :func:`quadrature.norm_table` of atoms named by role
+(``"u"``, ``"ut"``, ``"pt"``, ``"f"``, ``"p"`` and the free fields), and
+binds them (:func:`_atoms`) in one :func:`quadrature.record_norms_sq`.
 """
 from __future__ import annotations
 

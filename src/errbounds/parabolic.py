@@ -1,8 +1,10 @@
 """Space-time identities, error equalities and two-sided bounds for the
 time-dependent reaction-diffusion and heat problems on (0, T) x box. As in
-:mod:`errbounds.elliptic`, each estimator takes the norms of signed atom
-terms of its record in one call, from their leaf terms also at a slice time
-of the cylinder (a term's time factor there multiplied last).
+:mod:`errbounds.elliptic`, each estimator declares the norms of its record
+once, as a table of atoms named by role (``"u0"`` too; a slice time may be
+``"T"``, the horizon of the case's box), and binds them in one call, their
+leaf terms taken also at a slice time of the cylinder (a term's time factor
+there multiplied last).
 """
 from __future__ import annotations
 

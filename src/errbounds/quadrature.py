@@ -14,10 +14,15 @@ keyed by the raw factor tuples of some sums and the axis rules
 each raw term's slot, form and coefficient: the norms of all pieces times
 any multipliers (:func:`_norms`), and a Gram block of a piece's groups of
 forms (:func:`_block`), merge the terms into slots and gather the addends
-from H, integrating nothing. A record's norms, and a flux step's blocks and
-norms, take the program of their atoms' leaf forms, kept per process;
-inner products and Grams take unkept programs. Each entry of H is its own
-pair's einsum, so the memos, at most :data:`PLAN_MEMO` plans and programs,
+from H, integrating nothing. A record's norms are a declared table
+(:func:`norm_table`) of atoms named by role; bound to its atoms, it is
+checked once and compiled into a plan kept per table, box, rule and the
+atoms' record keys, so a warm record only looks up its plan and takes every
+norm in one :func:`_norms` (:func:`record_norms_sq`). A flux step's blocks
+and norms take the kept program of their atoms' leaf forms; inner products
+and Grams take unkept programs. Each entry of H is its own
+pair's einsum, so the memos, at most :data:`PLAN_MEMO` plans, programs and
+record plans each,
 restart empty past their bound without changing a bit. Any operand without
 a form (a field built from bare callables, or from an expression that does
 not split) is evaluated at every node instead; that path is the general

@@ -1393,8 +1393,10 @@ def test_every_estimator_norm_is_its_literal_one_entry_call(monkeypatch,
     for dom, rule, table, atoms, got in calls:
         for name, terms, view, kind, at in table:
             at = dom.time_horizon if at == "T" else at
-            assert got[name].hex() == quadrature.terms_norm_sq(
-                dom, rule, _literal(terms, atoms), view, kind, at).hex(), name
+            # the literal call compiles a plan of its own
+            with mock.patch.object(quadrature, "_RECORDS", {}):
+                assert got[name].hex() == quadrature.terms_norm_sq(
+                    dom, rule, _literal(terms, atoms), view, kind, at).hex(), name
     assert len(seen) == 15
 
 
@@ -1409,15 +1411,15 @@ def test_a_sum_atom_binds_at_any_coefficient_bitwise():
         "very_conforming")
     inner = fields.combination([u, du], [0.9, 0.7])
     table = quadrature.norm_table({
-        "a": [(1.0, "u", "value"), (-1.0, "a", "value")],
+        "a": [(1.0, "a", "value")],
         "ab": [(1.0, "a", "value"), (-1.0, "b", "value")]})
-    for coefs in ((-1.0, 0.5, 1.0, 0.3), (0.5, -1.0, 0.3, 1.0)):
+    for coefs in ((-1.0, 0.5, 1.0, 0.3), (0.5, -1.0, 0.3, 1.0, 0.7)):
         for k, c in enumerate(coefs):
             a = c * inner
             b = fields.combination([u, du], [1.0, 0.1 + k])
             got = quadrature.record_norms_sq(dom, rule, table,
                                              {"u": u, "a": a, "b": b})
-            for name, node in (("a", u - a), ("ab", a - b)):
+            for name, node in (("a", a), ("ab", a - b)):
                 form = node.separated()
                 assert got[name].hex() == quadrature.separated_inner(
                     form, form, dom, rule).hex(), (name, c)
@@ -1438,7 +1440,8 @@ def test_a_refused_bind_raises_the_literal_error_and_keeps_no_plan(
     atoms = elliptic._atoms(case, ut=approx.u_tilde, pt=approx.p_tilde)
     wrong = dict(atoms)
     if bind == "restricted":
-        wrong["ut"] = approx.u_tilde.restricted()
+        # the same sum, without the gradient
+        wrong["ut"] = fields.combination(*approx.u_tilde._args, {"value"})
     elif bind == "rank":
         wrong["pt"] = approx.u_tilde
     else:
