@@ -594,7 +594,7 @@ def _compile(dom, rule, table, atoms, coefs):
             pieces.append((axes[whole], at, forms, None))
     return (_program(pieces) if pieces else None,
             np.array(index, dtype=np.intp), np.array(base),
-            [None if forms else (terms, view, at)
+            [None if forms is not None else (terms, view, at)
              for terms, view, at, _, forms in found], trees)
 
 
@@ -659,8 +659,10 @@ def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
         elif forms is not None:
             mults += own[0] if sign == 1.0 else own[2]
             forms += own[1]
+            # a sum's coefficients vary per record, any other atom's do not
+            sum_atom = bool(atom.record_key()[1])
             recipe += [(role, j, sign * m) for j, m in (
-                own[3] if atom.record_key()[1] else [(None, m) for m in own[0]])]
+                own[3] if sum_atom else [(None, m) for m in own[0]])]
     if len(vector) > 1 or rank is not None and vector != {rank}:
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
     return (mults, None if forms is None else tuple(forms), True in vector,
