@@ -4,9 +4,9 @@
 # temporary directory, removed on exit, when it is unset.
 #
 # The process-wide memos (the plans of term-pair integrals per raw factor
-# tuples and axis rules, the programs of records and flux steps per leaf
-# forms, slice times and axis rules, the flux bases per box and size and
-# their Grams per basis, box and rule)
+# tuples and axis rules, the plans of records and flux steps per table,
+# box, rule and their atoms' record keys, the flux bases per box and size
+# and their Grams per basis, box and rule)
 # fill in the order a process first meets their keys: fresh processes that
 # hash strings differently, processes that ran something else first, and a
 # process whose plan and program memos restart many times, must still write
@@ -192,37 +192,33 @@ assert ascending == descending, "records depend on the size order"
 PY
 
 echo "Reports repeat when the plan memo restarts"
-# a bound of 8 restarts the plan memo and the program memo, which shares it,
-# many times, dropping plans and the programs of records and of flux steps
-# (whose pieces are grouped); every plan is built again from its own pairs
-# and every program from its plans, so the bytes must not move
+# a bound of 8 restarts the plan memo and the record-plan memo, which shares
+# it, many times, dropping plans and the plans of records and of flux steps
+# (whose keys hold their basis); every plan is built again from its own
+# pairs and every record plan from its plans, so the bytes must not move
 python - "$tmp" <<'PY'
 import contextlib, io, sys
 from errbounds import quadrature
 from errbounds.cli import main
 tmp = sys.argv[1]
-# restarts of the plan and record-plan memos, and programs of each kind that
+# restarts of the plan and record-plan memos, and the flux-step plans that
 # a restart dropped
-restarts = {"plans": 0, "record plans": 0, "record programs": 0,
-            "flux-step programs": 0}
+restarts = {"plans": 0, "record plans": 0, "flux-step plans": 0}
 
 class Memo(dict):
     def __init__(self, kind):
         self.kind = kind
 
     def clear(self):
-        if self.kind != "programs":
-            restarts[self.kind] += 1
-        for key in self if self.kind == "programs" else ():
-            grouped = any(sizes is not None for *_, sizes in key)
-            restarts[("record programs", "flux-step programs")[grouped]] += 1
+        restarts[self.kind] += 1
+        if self.kind == "record plans":
+            restarts["flux-step plans"] += sum(bool(held) for held, *_ in self)
         super().clear()
 
 quadrature.PLAN_MEMO = 8
-quadrature._PLANS, quadrature._PROGRAMS, quadrature._RECORDS = (
-    Memo("plans"), Memo("programs"), Memo("record plans"))
+quadrature._PLANS, quadrature._RECORDS = Memo("plans"), Memo("record plans")
 with contextlib.redirect_stdout(io.StringIO()):
-    # the programs of a majorant run fit the bound; the suite run after it
+    # the plans of a majorant run fit the bound; the suite run after it
     # drops them, and the next majorant run builds them again
     while min(restarts.values()) <= 10:
         assert main(["suite", "--out", f"{tmp}/suite-restarts"]) == 0
@@ -253,11 +249,10 @@ cmp "$tmp/majorant-0/report.json" "$tmp/majorant-first/report.json"
 cmp "$tmp/majorant-0/report.json" "$tmp/majorant-cleared/report.json"
 
 echo "Reports repeat when the norm programs are cleared"
-# a program, a record's or a flux step's, holds slots and H, never
-# multipliers, and a record plan its program and multiplier recipe, never
-# coefficients, so a process that drops its programs and record plans and
-# runs again builds them from its plans and must write what a fresh process
-# writes
+# a record plan, a record's or a flux step's, holds its program (slots and
+# H, never multipliers) and its multiplier recipe, never coefficients, so a
+# process that drops its record plans and runs again builds them from its
+# plans and must write what a fresh process writes
 python - "$tmp" <<'PY'
 import contextlib, io, sys
 from errbounds import quadrature
@@ -268,11 +263,9 @@ with contextlib.redirect_stdout(io.StringIO()):
         assert main(["suite", "--out", f"{tmp}/suite-programs-{run}"]) == 0
         assert main(["optimize-majorant", "--config", f"{tmp}/majorant.json",
                      "--out", f"{tmp}/majorant-programs-{run}"]) == 0
-        # the memo holds the programs of records and of flux steps
-        assert {any(sizes is not None for *_, sizes in key)
-                for key in quadrature._PROGRAMS} == {False, True}
-        assert quadrature._RECORDS
-        quadrature._PROGRAMS.clear()
+        # the memo holds the plans of records and of flux steps
+        assert {bool(held) for held, *_ in quadrature._RECORDS} == {
+            False, True}
         quadrature._RECORDS.clear()
 PY
 for run in first cleared; do

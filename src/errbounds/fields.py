@@ -8,7 +8,7 @@ analytic evaluator for a derivative or raises :class:`CapabilityError`.
 A field is one immutable node (see :class:`_Field`): a leaf, a
 :func:`combination` (``+``, ``-``, scalar ``*`` and restriction among them),
 or a view (a derivative view, a time slice). A node knows its capabilities
-and boundary flag when made; its evaluator of a name, that evaluator's
+and its two flags when made; its evaluator of a name, that evaluator's
 *form* and :meth:`_Field.leaf_terms` are built at the first request and
 kept. A form is the :class:`SeparatedSum` of 1-D :class:`Factor` products
 the evaluator equals (a tuple of sums, one per component, for vectors), or
@@ -345,10 +345,11 @@ class _Field:
       the names ``names`` maps to, sliced at time ``t0`` unless it is None.
 
     Its capabilities (the names of its evaluators: ``value``, ``grad``,
-    ``laplacian``, ``dt``, ``div``) and boundary flag are set when made;
-    its evaluators, forms and leaf terms are built when asked, kept by name."""
+    ``laplacian``, ``dt``, ``div``), boundary flag and ``flat`` (every
+    multiplier of its leaf terms is 1.0 or -1.0) are set when made; its
+    evaluators, forms and leaf terms are built when asked, kept by name."""
 
-    __slots__ = ("dim", "time_dependent", "capabilities", "_vanishes",
+    __slots__ = ("dim", "time_dependent", "capabilities", "_vanishes", "flat",
                  "_kind", "_args", "_evaluators", "_forms", "_leaves")
     _RANK = ""
     _NAMES = ()  # the capabilities a field of this rank can have
@@ -365,6 +366,9 @@ class _Field:
     def _set(self, kind, args, caps, dim, time_dependent, vanishes):
         self.dim, self.time_dependent = dim, time_dependent
         self.capabilities, self._vanishes = caps, vanishes
+        self.flat = (all(c in (1.0, -1.0) and f.flat for f, c in zip(*args))
+                     if kind == "sum" else kind == "leaf" or args[2] is not None
+                     or args[0].flat)
         self._kind, self._args, self._evaluators, self._forms, self._leaves = (
             kind, args, {}, {}, {})
 
@@ -401,13 +405,13 @@ class _Field:
         return self.form("value")
 
     def leaf_terms(self, name: str):
-        """The ``name`` form as (multipliers, memoised forms, negated
-        multipliers), or None: the forms' terms, coefficients times their
-        multiplier, are the form's own bit for bit, a sum's form being
-        built from them. A view has its base's; a sum its operands' times
-        c m where c or m is 1.0 or -1.0 (exact), else an operand's own form
-        times c (m = 1.0), and per multiplier its operand's index and m;
-        any other node its own form."""
+        """The ``name`` form as (multipliers, memoised forms), or None: the
+        forms' terms, coefficients times their multiplier, are the form's
+        own bit for bit, a sum's form being built from them. A derivative
+        view has its base's; a sum each operand's times c m where c is 1.0
+        or -1.0 or the operand is ``flat`` (exact), else its own form times
+        c (m = 1.0), and per multiplier its operand's index and m; any other
+        node its own form times 1.0."""
         made = self._leaves
         if name not in made:
             self._check(name)
@@ -420,30 +424,29 @@ class _Field:
             return args[0].leaf_terms(args[1][name])
         if kind != "sum":
             form = self.form(name)
-            return None if form is None else ((1.0,), (form,), (-1.0,))
+            return None if form is None else ((1.0,), (form,))
         mults, forms, bases = [], [], []
         for j, (f, c) in enumerate(zip(*args)):
             terms = f.leaf_terms(name)
             if terms is None:
                 return None
-            exact = c in (1.0, -1.0) or all(m in (1.0, -1.0) for m in terms[0])
-            own = terms[0] if exact else (1.0,)
+            flat = c in (1.0, -1.0) or f.flat
+            own = terms[0] if flat else (1.0,)
             mults += [c * m for m in own]
             bases += [(j, m) for m in own]
-            forms += terms[1] if exact else [f.form(name)]
-        return (tuple(mults), tuple(forms), tuple(-m for m in mults),
-                tuple(bases))
+            forms += terms[1] if flat else [f.form(name)]
+        return tuple(mults), tuple(forms), tuple(bases)
 
     def record_key(self):
-        """What a record's plan keys this node on, and its coefficients:
-        for a sum its rank, capabilities, operands and which coefficients
-        are 1.0 or -1.0, which fix its leaf forms (see
-        :func:`quadrature.record_norms_sq`); any other node itself."""
+        """What a plan of :mod:`errbounds.quadrature` keys this node on, and
+        its coefficients: for a sum its rank, capabilities, operands and
+        which operands' leaf terms it takes flat, which fix its leaf forms
+        (see :meth:`leaf_terms`); any other node itself."""
         if self._kind != "sum":
             return self, ()
         fields, coefs = self._args
-        return (type(self), self.capabilities, fields,
-                tuple([c in (1.0, -1.0) for c in coefs])), coefs
+        return (type(self), self.capabilities, fields, tuple(
+            [c in (1.0, -1.0) or f.flat for f, c in zip(fields, coefs)])), coefs
 
     def _build_evaluator(self, name: str) -> Callable:
         kind, args = self._kind, self._args

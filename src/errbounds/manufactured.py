@@ -21,7 +21,7 @@ import numpy as np
 from .fields import (BoxDomain, ConformityError, Factor, ScalarField,
                      SeparatedSum, VectorField, _empty, combination,
                      form_field, gradient_form, trig_factor)
-from .quadrature import QuadratureRule, norm_sq
+from .quadrature import QuadratureRule, separated_inner
 from .symbolic import (_expression, _memoised, data_field, derivatives,
                        nonvanishing_face, scalar_field)
 
@@ -198,7 +198,7 @@ _NORMALIZE_RULE = QuadratureRule(space_order=12, time_order=12)
 def _normalized(s: SeparatedSum, dom: BoxDomain) -> SeparatedSum:
     """The sum ``s`` scaled to unit L2 norm: each coefficient divided by the
     norm, the factors shared."""
-    norm = math.sqrt(norm_sq("L2", _scalar(s, dom), dom, _NORMALIZE_RULE))
+    norm = math.sqrt(separated_inner(s, s, dom, _NORMALIZE_RULE))
     return SeparatedSum([c / norm for c in s.coefs], s.factors)
 
 
@@ -312,8 +312,8 @@ def _free_fields(case: ProblemCase, strategy: str, index: int):
 def _flux_fields(dom: BoxDomain, n: int):
     """The n fields of the flux basis of ``dom``, built once for the
     :data:`FLUX_BASIS_MEMO` latest (box, size) pairs. Bases of different
-    sizes are different fields, but their forms share the interned trig
-    factors, and with them the plans of their integrals."""
+    sizes are different fields with plans of their own; their forms share
+    only the interned trig factors and the factors' values on the axes."""
     tpoly = [np.array([1.0])]
     return tuple(_gradient(_trig_sum([1.0], [mode], [("sin",) * dom.dim],
                                      tpoly, dom), dom)

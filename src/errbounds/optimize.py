@@ -5,12 +5,12 @@ everything once. The divergences and Grams of a flux basis are kept per
 basis, box and rule (:func:`_basis_grams`), and the fields of a basis per
 box and size (:func:`manufactured.flux_basis`), each for the
 :data:`manufactured.FLUX_BASIS_MEMO` latest keys. d, the targets and the
-error norms are signed atom terms, as in the estimators; the blocks that
-pair d and the targets with the basis, and the norms of every step, come
-from one program of their leaf forms (:func:`quadrature._program`), kept
-per process, so a warm record integrates nothing and builds no program.
-The blocks equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux,
-bit for bit. A step then costs one n x n solve and a few contractions.
+error norms are signed atom terms, bound as an estimator's table is bound
+(:func:`quadrature._bind`): the blocks that pair d and the targets with
+the basis, and the norms of every step, come from the program of a plan
+kept per basis, so a warm record resolves and integrates nothing. The
+blocks equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux, bit
+for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .elliptic import (_minus, _require, _require_vanishing,
                        friedrichs_constant, rd_nonconforming_report)
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase, flux_basis
-from .quadrature import (QuadratureRule, _block, _expression, _leaves,
+from .quadrature import (QuadratureRule, _bind, _block, _expression, _leaves,
                          _norms, _program, axis_rules, l2_gram,
                          record_norms_sq, samples, terms_norm_sq,
                          weighted_gram)
@@ -86,47 +86,63 @@ def _basis_grams(basis: Tuple[VectorField, ...], dom, rule):
     return (divs, *grams)
 
 
+def _flux_plan(dom, rule, table, atoms, basis):
+    """The plan of a step of ``basis`` whose d and targets are the terms
+    of ``table``, d first, and its recipe (see :func:`quadrature._bind`),
+    checked in ``l2_gram``'s order (the basis was, with its Grams): with
+    forms, the program of the leaf forms of d and the divergences (d + div
+    psi), and of the fields and the targets (psi - t, once per target), and
+    each target form's target; else None."""
+    (_, d, *_), *targets = table
+    own = [_leaves(t, "value", dom, atoms, rank=True) for _, t, *_ in targets]
+    df, _, recipe = _leaves(d, "value", dom, atoms, rank=False)
+    fields = tuple(b.separated() for b in basis)
+    divided = tuple(b.form("div") for b in basis)
+    if None in (df, *fields, *divided, *(f for f, *_ in own)):
+        return [], None
+    N, axes = len(basis), axis_rules(dom, rule)
+    sizes = tuple(len(f) for f, *_ in own)
+    gaps = (axes, None, sum((f for f, *_ in own), fields), (1,) * N + sizes)
+    return sum((r for *_, r in own), recipe), (
+        _program([(axes, None, df + divided, (len(df),) + (1,) * N),
+                  *[gaps] * len(own)]),
+        np.repeat(np.arange(len(own)), sizes))
+
+
 def _flux_terms(basis, divs, d, targets, dom, rule):
     """RD = ``l2_gram([d], divs)[0]``, RT = ``l2_gram(targets, basis)`` and
     the step's norms as a function of its coefficients c: ||d + sum_i c_i
     div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``, d and
-    each target signed atom terms, checked as ``l2_gram`` checks fields.
-    With forms, all come from one kept :func:`quadrature._program` of the
-    leaf forms of d and the divergences (d + div psi), and of the fields
-    and the targets (psi - t, once per target), bit for bit ``l2_gram`` and
-    ``norm_sq``. Else d, the targets and the basis are sampled once."""
-    # in l2_gram's order; the basis and its divergences were checked as
-    # their Grams were assembled
-    own = [_leaves(t, "value", dom, rank=True)[:2] for t in targets]
-    dm, df, *_ = _leaves(d, "value", dom, rank=False)
+    each target signed atom terms: with forms, from the program of their
+    plan (:func:`_flux_plan`), bit for bit ``l2_gram`` and ``norm_sq``;
+    else from samples of d, the targets and the basis, taken once."""
     N, T = len(basis), len(targets)
-    fields = tuple(b.separated() for b in basis)
-    divided = tuple(f.separated() for f in divs)
-    if None not in (df, *fields, *divided, *(f for _, f in own)):
-        axes, tm = axis_rules(dom, rule), [m for ms, _ in own for m in ms]
-        gaps = (axes, None, sum((f for _, f in own), fields),
-                (1,) * N + tuple(len(f) for _, f in own))
-        program = _program([(axes, None, df + divided, (len(df),) + (1,) * N),
-                            *[gaps] * T])
-        # the multipliers: d's, the coefficients of the leading n fields (0
-        # for the rest), a target's negated for its own norm, else 0
-        ends = [[-m if j == i else 0.0 for j, (ms, _) in enumerate(own)
-                 for m in ms] for i in range(T)]
+    table, atoms, plan, mults = _bind(dom, rule, dict(enumerate([d, *targets])),
+                                      None, _flux_plan, tuple(basis))
+    if plan is not None:
+        program, owner = plan
+        # the multipliers of d's forms and of the targets'; a target's gap
+        # takes its own negated, the others' 0
+        dm, tm = np.split(mults, [len(mults) - len(owner)])
+        ends = [np.where(owner == i, -tm, 0.0) for i in range(T)]
+        ones = np.ones(N)
 
         def norms(coeffs):
-            mults = coeffs.tolist() + [0.0] * (N - len(coeffs))
-            return _norms(dm + mults + [m for end in ends
-                                        for m in mults + end], program)
+            c = np.zeros(N)
+            c[:len(coeffs)] = coeffs
+            return _norms(np.concatenate(
+                [dm, c, *[v for end in ends for v in (c, end)]]), program)
 
-        return (_block(program, 0, np.array(dm + [1.0] * N), range(1),
+        return (_block(program, 0, np.concatenate([dm, ones]), range(1),
                        range(1, N + 1))[0],
-                _block(program, 1, np.array([1.0] * N + tm),
+                _block(program, 1, np.concatenate([ones, tm]),
                        range(N, N + T), range(N)), norms)
+    (_, d, *_), *targets = table
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)
-    rows = samples([_expression(t, "value", None) for t in targets],
-                   dom, rule)[0]
-    data = samples([_expression(d, "value", None)], dom, rule)[0]
+    rows = samples([_expression(t, "value", None, atoms)
+                    for _, t, *_ in targets], dom, rule)[0]
+    data = samples([_expression(d, "value", None, atoms)], dom, rule)[0]
 
     def norms(coeffs):
         r = data + coeffs @ div_rows[:len(coeffs)]
@@ -145,14 +161,10 @@ def _flux_step(basis: Sequence[VectorField], d: list, targets, dom, rule):
     ||d + div psi||^2 and ||psi - t||^2 per t of ``targets``, (t0, t1) or
     (t0,) with t1 = t0; d and each target signed atom terms.
 
-    Everything is assembled once, so a step costs one n x n solve and a
-    few contractions. The basis Grams and divergences come from
-    :func:`_basis_grams`, kept per basis, box and rule; the other blocks
-    and the norms from :func:`_flux_terms`. With separated forms, their
-    program is kept per process, so a warm record integrates nothing and
-    builds no program; its blocks equal :func:`quadrature.l2_gram`, and its
-    norms ``norm_sq("L2", ...)`` of d + psi.div_field() and of psi - t,
-    bit for bit."""
+    Everything is assembled once, the basis Grams and divergences by
+    :func:`_basis_grams`, the other blocks and the norms by
+    :func:`_flux_terms`, so a step costs one n x n solve and a few
+    contractions."""
     targets = list(targets)
     divs, BB, DD = _basis_grams(tuple(basis), dom, rule)
     RD, RT, norms = _flux_terms(basis, divs, d, targets, dom, rule)

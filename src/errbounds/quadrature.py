@@ -14,19 +14,18 @@ keyed by the raw factor tuples of some sums and the axis rules
 each raw term's slot, form and coefficient: the norms of all pieces times
 any multipliers (:func:`_norms`), and a Gram block of a piece's groups of
 forms (:func:`_block`), merge the terms into slots and gather the addends
-from H, integrating nothing. A record's norms are a declared table
-(:func:`norm_table`) of atoms named by role; bound to its atoms, it is
-checked once and compiled into a plan kept per table, box, rule and the
-atoms' record keys, so a warm record only looks up its plan and takes every
-norm in one :func:`_norms` (:func:`record_norms_sq`). A flux step's blocks
-and norms take the kept program of their atoms' leaf forms; inner products
-and Grams take unkept programs. Each entry of H is its own
-pair's einsum, so the memos, at most :data:`PLAN_MEMO` plans, programs and
-record plans each,
-restart empty past their bound without changing a bit. Any operand without
-a form (a field built from bare callables, or from an expression that does
-not split) is evaluated at every node instead; that path is the general
-fallback and the oracle of the tests.
+from H, integrating nothing. A record's norms, and a flux step's terms, are
+a declared table (:func:`norm_table`) of atoms named by role; bound to its
+atoms (:func:`_bind`), it is checked once and compiled into a plan, its
+program and multiplier recipe, kept in one memo per table, box, rule and
+the atoms' record keys, so a warm record or step only looks up its plan
+and takes its multipliers in one product. Inner products and Grams build
+programs they do not keep. Each entry of H is its own pair's einsum, so
+both memos, at most :data:`PLAN_MEMO` entries each, restart empty past
+their bound without changing a bit. Any operand without a form (a field
+built from bare callables, or from an expression that does not split) is
+evaluated at every node instead; that path is the general fallback and the
+oracle of the tests.
 
 Both paths of :func:`l2_inner` and :func:`record_norms_sq`, and the separated
 one of :func:`l2_gram`, reduce through a correctly rounded sum, equal to
@@ -289,8 +288,6 @@ PLAN_MEMO = 1024
 
 # (id of the axis rules, raw factor tuples) -> (slots, H)
 _PLANS = {}
-# per piece (id of the axis rules, slice time, forms, group sizes) -> program
-_PROGRAMS = {}
 
 
 def _plan(factors, axes):
@@ -315,49 +312,39 @@ def _plan(factors, axes):
     return plan
 
 
-def _program(pieces, kept: bool = True):
+def _program(pieces):
     """The program of ``pieces``, ``(axes, at, forms, sizes)`` each: forms
     on the axis rules ``axes``, sliced at ``at`` unless it is None, in
     groups of ``sizes`` forms (one form each if None). Per piece and
     component (for :func:`_block`) each raw term's slot in :func:`_plan`,
     group, form and coefficient, H and each group's first term; over all
     pieces (for :func:`_addends`) each raw term's bin, form, coefficient and
-    time factor's value at ``at``, and the slot pairs (k, l) with H_kl.
-    Kept, if ``kept``, per rules, slice times, forms (by identity) and
-    sizes, at most :data:`PLAN_MEMO` programs: a restart changes no bit."""
-    key = tuple((id(axes), at, forms, sizes)
-                for axes, at, forms, sizes in pieces)
-    program = _PROGRAMS.get(key) if kept else None
-    if program is None:
-        parts, columns, size, first = [], [], 0, 0
-        for axes, at, forms, sizes in pieces:
-            d, comps = len(axes), []
-            groups = np.repeat(np.arange(len(sizes or forms)), sizes or 1)
-            for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
-                factors = [fs for s in sums for fs in s.factors]
-                slots, H = _plan(tuple(fs[-d:] for fs in factors), axes)
-                form = np.array([i for i, s in enumerate(sums)
-                                 for _ in s.coefs], dtype=np.intp)
-                coefs = np.array([a for s in sums for a in s.coefs])
-                owners, n, k = groups[form], len(H), np.arange(len(H))
-                comps.append((slots, owners, form, coefs, H, np.searchsorted(
-                    owners, range(groups[-1] + 2)).tolist()))
-                columns.append((slots + size, form + first, coefs, [
-                    fs[0].at(at) if at is not None and len(fs) > d else 1.0
-                    for fs in factors], np.repeat(k, n) + size,
-                    np.tile(k, n) + size, H.ravel(), np.full(n * n, len(parts))))
-                size += n
-            parts.append(comps)
-            first += len(forms)
-        bins, form, coefs, taus, *pairs = map(np.concatenate, zip(*columns))
-        sliced = any(at is not None for _, at, _, _ in pieces)
-        program = parts, (bins, form, coefs, taus if sliced else None, size,
-                          pairs, {})
-        if kept:
-            if len(_PROGRAMS) >= PLAN_MEMO:
-                _PROGRAMS.clear()
-            _PROGRAMS[key] = program
-    return program
+    time factor's value at ``at``, and the slot pairs (k, l) with H_kl;
+    built at each call (a plan keeps its own, see :func:`_bind`)."""
+    parts, columns, size, first = [], [], 0, 0
+    for axes, at, forms, sizes in pieces:
+        d, comps = len(axes), []
+        groups = np.repeat(np.arange(len(sizes or forms)), sizes or 1)
+        for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
+            factors = [fs for s in sums for fs in s.factors]
+            slots, H = _plan(tuple(fs[-d:] for fs in factors), axes)
+            form = np.array([i for i, s in enumerate(sums)
+                             for _ in s.coefs], dtype=np.intp)
+            coefs = np.array([a for s in sums for a in s.coefs])
+            owners, n, k = groups[form], len(H), np.arange(len(H))
+            comps.append((slots, owners, form, coefs, H, np.searchsorted(
+                owners, range(groups[-1] + 2)).tolist()))
+            columns.append((slots + size, form + first, coefs, [
+                fs[0].at(at) if at is not None and len(fs) > d else 1.0
+                for fs in factors], np.repeat(k, n) + size,
+                np.tile(k, n) + size, H.ravel(), np.full(n * n, len(parts))))
+            size += n
+        parts.append(comps)
+        first += len(forms)
+    bins, form, coefs, taus, *pairs = map(np.concatenate, zip(*columns))
+    sliced = any(at is not None for _, at, _, _ in pieces)
+    return parts, (bins, form, coefs, taus if sliced else None, size, pairs,
+                   {})
 
 
 def _addends(mults, program) -> list:
@@ -426,10 +413,10 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
     component, without visiting the grid (sum factorisation): one correctly
     rounded sum of the addends c_k c_l H_kl of the merged terms of every
-    component, the 1 x 1 :func:`_block` of their unkept :func:`_program`,
-    or for a norm (``fb is fa``) its one-form :func:`_norms`."""
+    component, the 1 x 1 :func:`_block` of their :func:`_program`, or for a
+    norm (``fb is fa``) its one-form :func:`_norms`."""
     forms = (fa,) if fb is fa else (fa, fb)
-    program = _program([(axis_rules(dom, rule), None, forms, None)], False)
+    program = _program([(axis_rules(dom, rule), None, forms, None)])
     if fb is fa:
         return _norms([1.0], program)[0]
     return float(_block(program, 0, np.ones(2), range(1), range(1, 2))[0, 0])
@@ -437,12 +424,12 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
     """The Gram matrix of the lists of separated forms ``fl`` and ``fr``
-    (``fr is fl`` for a list with itself): a :func:`_block` of the unkept
+    (``fr is fl`` for a list with itself): a :func:`_block` of the
     :func:`_program` of both lists, each entry as :func:`separated_inner`
     takes it (0 where rounding leaves it below zero and the two are one
     form, a norm)."""
     forms = tuple(fl if fr is fl else [*fl, *fr])
-    G = _block(_program([(axes, None, forms, None)], False), 0,
+    G = _block(_program([(axes, None, forms, None)]), 0,
                np.ones(len(forms)), range(len(fl)),
                range(len(forms) - len(fr), len(forms)))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
@@ -530,40 +517,52 @@ def norm_table(table, role=lambda atom: atom) -> tuple:
                  for n, s in specs)
 
 
-# (declared table, box, rule, roles, the atoms' record keys) -> plan
+# (held fields, declared table, box, rule, roles, the atoms' record keys)
+# -> (index, base, plan)
 _RECORDS = {}
+
+
+def _bind(dom: BoxDomain, rule: QuadratureRule, table, atoms, compile,
+          *held):
+    """``table``, a :func:`norm_table` (of fields, numbered in order of
+    first appearance, if ``atoms`` is None), bound to ``atoms``: the table,
+    the atoms, the plan and each raw term's multiplier. ``compile(dom,
+    rule, table, atoms, *held)`` checks the table and returns its recipe,
+    per raw term (role, j, m) for m times its sum atom's coefficient j (1.0
+    if j is None), and the plan, both kept per ``held``, table, box, rule,
+    roles and the atoms' record keys (:meth:`fields._Field.record_key`):
+    a warm bind resolves nothing and takes every multiplier in one product,
+    c m as the leaf terms round it; a refused one keeps nothing."""
+    if atoms is None:
+        seen = {}
+        table = norm_table(table, lambda a: seen.setdefault(a, len(seen)))
+        atoms = dict(map(reversed, seen.items()))
+    keys, coefs = zip(*[a.record_key() for a in atoms.values()])
+    key = held, table, dom, rule, tuple(atoms), keys
+    plan = _RECORDS.get(key)
+    if plan is None:
+        recipe, plan = compile(dom, rule, table, atoms, *held)
+        offsets = dict(zip(atoms, accumulate([1, *map(len, coefs)])))
+        plan = (np.array([0 if j is None else offsets[r] + j
+                          for r, j, _ in recipe], dtype=np.intp),
+                np.array([m for *_, m in recipe]), plan)
+        if len(_RECORDS) >= PLAN_MEMO:
+            _RECORDS.clear()
+        _RECORDS[key] = plan
+    index, base, plan = plan
+    return table, atoms, plan, np.array(sum(coefs, (1.0,)))[index] * base
 
 
 def record_norms_sq(dom: BoxDomain, rule: QuadratureRule, table,
                     atoms: dict | None = None) -> dict:
     """The squared norms of a record, by name: ``table``, a
     :func:`norm_table`, names its atoms by role, and ``atoms`` binds each
-    role to a field; a slice time may be ``"T"``, the horizon of ``dom``.
-    Without ``atoms``, ``table`` is as :func:`norm_table` takes it, of
-    fields, numbered in order of first appearance. The plan of the record
-    (:func:`_compile`) is kept per table, box, rule and the atoms' record
-    keys (:meth:`fields._Field.record_key`: a sum by its operands and
-    which coefficients are 1.0 or -1.0, any other node by itself), at most
-    :data:`PLAN_MEMO` plans: a warm record takes each raw term's multiplier
-    as its sum atom's coefficient (1.0 for any other atom) times its signed
-    base multiplier, c m as its leaf terms round it, in one product, and
-    every formed L2 piece in one :func:`_norms`; any other piece takes its
-    grid norm."""
-    if atoms is None:
-        seen = {}
-        table = norm_table(table, lambda a: seen.setdefault(a, len(seen)))
-        atoms = dict(map(reversed, seen.items()))
-    keys, coefs = zip(*[a.record_key() for a in atoms.values()])
-    key = table, dom, rule, tuple(atoms), keys
-    plan = _RECORDS.get(key)
-    if plan is None:
-        plan = _compile(dom, rule, table, atoms, coefs)
-        if len(_RECORDS) >= PLAN_MEMO:
-            _RECORDS.clear()
-        _RECORDS[key] = plan
-    program, index, base, grid, trees = plan
-    sums = iter(_norms(np.array(sum(coefs, (1.0,)))[index] * base, program)
-                if program else ())
+    role to a field (see :func:`_bind`); a slice time may be ``"T"``, the
+    horizon of ``dom``. A warm record takes every formed L2 piece of its
+    plan (:func:`_compile`) in one :func:`_norms`, any other its grid norm."""
+    table, atoms, (program, grid, trees), mults = _bind(dom, rule, table,
+                                                        atoms, _compile)
+    sums = iter(_norms(mults, program) if program else ())
     values = [next(sums) if p is None else _grid_inner(
         *2 * [_expression(*p, atoms)], dom if p[2] is None else dom.spatial(),
         rule) for p in grid]
@@ -571,31 +570,24 @@ def record_norms_sq(dom: BoxDomain, rule: QuadratureRule, table,
             for (n, *_), t in zip(table, trees)}
 
 
-def _compile(dom, rule, table, atoms, coefs):
-    """The plan of ``table`` bound to ``atoms``, whose sums have ``coefs``:
-    every norm checked by :func:`_resolve`, in order (the first refusal
-    raised, no plan kept), its tree, and the kept :func:`_program` of the
-    formed L2 pieces, with per raw term the index of its coefficient in
-    ``(1.0, *coefs)`` and its signed base multiplier; per piece None, or
-    for a formless one its ``(terms, view, at)``."""
+def _compile(dom, rule, table, atoms):
+    """The recipe and plan of ``table`` bound to ``atoms`` (see
+    :func:`_bind`): every norm checked by :func:`_resolve`, in order, its
+    tree, and the :func:`_program` of the formed L2 pieces; per piece None,
+    or for a formless one its ``(terms, view, at)``."""
     found = []
     trees = [_resolve(dom, found, atoms, terms, view, kind,
                       dom.time_horizon if at == "T" else at)
              for _, terms, view, kind, at in table]
-    offsets = dict(zip(atoms, accumulate([1, *map(len, coefs)])))
-    axes, pieces, index, base = {}, [], [], []
-    for terms, view, at, recipe, forms in found:
+    pieces, recipe = [], []
+    for terms, view, at, own, forms in found:
         if forms is not None:
-            index += [0 if j is None else offsets[r] + j for r, j, _ in recipe]
-            base += [m for *_, m in recipe]
-            whole = at is None
-            if whole not in axes:
-                axes[whole] = axis_rules(dom if whole else dom.spatial(), rule)
-            pieces.append((axes[whole], at, forms, None))
-    return (_program(pieces) if pieces else None,
-            np.array(index, dtype=np.intp), np.array(base),
-            [None if forms is not None else (terms, view, at)
-             for terms, view, at, _, forms in found], trees)
+            recipe += own
+            pieces.append((axis_rules(dom if at is None else dom.spatial(),
+                                      rule), at, forms, None))
+    return recipe, (_program(pieces) if pieces else None,
+                    [None if forms is not None else (terms, view, at)
+                     for terms, view, at, _, forms in found], trees)
 
 
 def _value(tree, values) -> float:
@@ -616,8 +608,8 @@ def _resolve(dom, found, atoms, terms, view="value", kind="L2", at=None):
     k = kind.lower()
     if k != "l2" and k not in _PARTS:
         raise ValueError(f"unknown norm kind: {kind!r}")
-    _, forms, vector, recipe = _leaves(terms, view, dom if whole else
-                                       dom.spatial(), whole, atoms=atoms)
+    forms, vector, recipe = _leaves(terms, view, dom if whole else
+                                    dom.spatial(), atoms, whole)
     if k == "l2":
         found.append((terms, view, at, recipe, forms))
         return len(found) - 1
@@ -628,26 +620,22 @@ def _resolve(dom, found, atoms, terms, view="value", kind="L2", at=None):
             for s, part, v, *end in _PARTS[k]]
 
 
-def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
-            rank: bool | None = None, atoms=None):
-    """The multipliers and leaf forms (:meth:`fields._Field.leaf_terms`;
-    None if an atom lacks them) of the ``view`` of the terms on ``box``,
-    space-time atoms sliced unless ``whole``, whether they are vectors, and
-    per multiplier (role, j, sign m): m times its sum atom's coefficient j,
-    j None for any other atom. An atom is a field, or its role in
-    ``atoms``. Terms are checked as :func:`_check_fields` checks fields;
-    other signs, and ranks other than ``rank`` (True for vectors) if given,
-    refused."""
+def _leaves(terms, view: str, box: BoxDomain, atoms, whole: bool = True,
+            rank: bool | None = None):
+    """The leaf forms (:meth:`fields._Field.leaf_terms`; None if an atom
+    lacks them) of the ``view`` of the terms, which name ``atoms`` by role,
+    on ``box``, space-time atoms sliced unless ``whole``, whether they are
+    vectors, and their recipe (see :func:`_bind`), the sign folded into m.
+    Terms are checked as :func:`_check_fields` checks fields; other signs,
+    and ranks other than ``rank`` (True for vectors) if given, refused."""
     flat = [t for g in terms for t in g] if type(terms[0][0]) is tuple else terms
-    td, dim = box.is_parabolic, len(box.lower)
-    vector, mults, forms, recipe = set(), [], [], []
+    vector, forms, recipe = set(), [], []
     for sign, role, name in flat:
-        atom = role if atoms is None else atoms[role]
+        atom = atoms[role]
         if sign not in (1.0, -1.0):
             raise ValueError(f"term ({sign!r}, {name!r}): sign must be 1.0 "
                              "or -1.0")
-        if (atom.time_dependent and whole) != td or atom.dim != dim:
-            _check_domain_match(atom.time_dependent and whole, atom.dim, box)
+        _check_domain_match(atom.time_dependent and whole, atom.dim, box)
         name = name if view == "value" else _VIEWS[name, view]
         if name == "dt" and not whole:
             raise CapabilityError("a time slice carries no time-derivative")
@@ -657,22 +645,19 @@ def _leaves(terms, view: str, box: BoxDomain, whole: bool = True,
         if own is None:
             forms = None
         elif forms is not None:
-            mults += own[0] if sign == 1.0 else own[2]
             forms += own[1]
             # a sum's coefficients vary per record, any other atom's do not
             sum_atom = bool(atom.record_key()[1])
             recipe += [(role, j, sign * m) for j, m in (
-                own[3] if sum_atom else [(None, m) for m in own[0]])]
+                own[2] if sum_atom else [(None, m) for m in own[0]])]
     if len(vector) > 1 or rank is not None and vector != {rank}:
         raise TypeError("rank mismatch: cannot pair a scalar with a vector field")
-    return (mults, None if forms is None else tuple(forms), True in vector,
-            recipe)
+    return None if forms is None else tuple(forms), True in vector, recipe
 
 
-def _expression(terms, view: str, at, atoms=None):
+def _expression(terms, view: str, at, atoms):
     fields = [_expression(t, view, at, atoms) if type(t[0]) is tuple else
-              _field(t[1] if atoms is None else atoms[t[1]], t[2], view, at)
-              for t in terms]
+              _field(atoms[t[1]], t[2], view, at) for t in terms]
     signs = [1.0 if type(t[0]) is tuple else t[0] for t in terms]
     return fields[0] if signs == [1.0] else combination(fields, signs)
 

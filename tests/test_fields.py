@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from errbounds import (
     BoxDomain,
@@ -578,3 +580,48 @@ def test_a_box_and_a_rule_hash_as_the_tuple_of_their_fields():
     rule = QuadratureRule(3, 2)
     assert hash(rule) == hash((3, 2)) == hash(QuadratureRule(3, 2))
     assert hash(dataclasses.replace(rule, time_order=5)) == hash((3, 5))
+
+
+# the views a node of each capability can take
+_VIEWS = {"grad": "gradient_field", "laplacian": "laplacian_field",
+          "dt": "dt_field", "div": "div_field"}
+_FLAT_DOM = BoxDomain((0.0, 0.0), (2.0, 1.0), time_horizon=0.5)
+_FLAT_LEAVES = [
+    scalar_field("(1+t)*sin(pi*x)*sin(pi*y)", _FLAT_DOM),
+    _scalar(_random_trig(_FLAT_DOM, np.random.default_rng(4)), _FLAT_DOM),
+    _gradient(_random_trig(_FLAT_DOM, np.random.default_rng(5)), _FLAT_DOM),
+    _rotgrad(_random_trig(_FLAT_DOM, np.random.default_rng(6)), _FLAT_DOM)]
+
+
+@st.composite
+def _flat_nodes(draw, depth=3):
+    """A node of leaves with forms, nested sums at coefficients +-1, 0.5,
+    0.0 and -0.0, time slices and derivative views."""
+    kind = draw(st.sampled_from(["leaf", "sum", "slice", "view"] if depth
+                                else ["leaf"]))
+    if kind == "leaf":
+        return draw(st.sampled_from(_FLAT_LEAVES))
+    base = draw(_flat_nodes(depth - 1))
+    if kind == "slice":
+        return base.at_time(0.3) if base.time_dependent else base
+    if kind == "view":
+        names = sorted(set(_VIEWS) & base.capabilities)
+        return getattr(base, _VIEWS[draw(st.sampled_from(names))])() if (
+            names) else base
+    fields_ = [base] + [f for f in draw(st.lists(_flat_nodes(depth - 1),
+                                                 max_size=2))
+                        if type(f) is type(base)
+                        and f.time_dependent == base.time_dependent]
+    coefs = st.sampled_from([1.0, -1.0, 0.5, 0.0, -0.0])
+    return fields.combination(fields_, [draw(coefs) for _ in fields_])
+
+
+@given(_flat_nodes())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_flat_flag_is_the_scan_of_the_leaf_multipliers(node):
+    # set when the node is made, the flag says what a scan of its leaf
+    # terms would: every multiplier is 1.0 or -1.0
+    for name in node.capabilities:
+        terms = node.leaf_terms(name)
+        assert terms is not None
+        assert node.flat == all(m in (1.0, -1.0) for m in terms[0]), name

@@ -906,3 +906,16 @@ def test_fresh_approximation_forms_take_one_combination_each(
                     parts = len(form) if isinstance(form, tuple) else 1
                     assert calls == ["combination"] * parts, (level, name)
                     del calls[:]
+
+
+def test_building_directions_keeps_no_record_plan(monkeypatch):
+    # a direction set is normalised by the norms of its sums, not of
+    # throwaway field nodes that a kept plan would hold
+    from errbounds import quadrature
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
+    for dom in (BoxDomain((0.0,), (1.0,)), BoxDomain((0.0, -1.0), (1.0, 2.0)),
+                BoxDomain((0.0, 0.0, 0.0), (1.0, 1.0, 0.5)),
+                BoxDomain((0.0, 0.0), (1.0, 1.0), time_horizon=0.5)):
+        built = manufactured._build_directions(dom, 987654)
+        assert built.nonconforming.separated() is not None
+    assert quadrature._RECORDS == {}

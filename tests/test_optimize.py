@@ -807,7 +807,8 @@ class _NoListArrays:
 
 def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
     # the flux steps of a warm pass of majorant records and improve_bound
-    # take their blocks and norms from the programs a first pass kept, and
+    # take their blocks and norms from the plans a first pass kept: no leaf
+    # forms resolved, no program or plan built, every plan object kept, and
     # a block reads the program's arrays as they are
     from errbounds import optimize, quadrature
 
@@ -820,12 +821,13 @@ def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
                       free_fields(rd, "coarse")[0], RULE, budget=8)
 
     workload()
-    programs = dict(quadrature._PROGRAMS)
-    # a program, kept or not, is built from the plans of its pieces
-    built, blocks = [], []
-    plan = quadrature._plan
-    monkeypatch.setattr(quadrature, "_plan",
-                        lambda *a: built.append(a) or plan(*a))
+    plans = dict(quadrature._RECORDS)
+    calls, blocks = Counter(), []
+    for module in (quadrature, optimize):
+        for name in ("_plan", "_program", "_leaves"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, lambda *a, name=name, real=(
+                    getattr(module, name)): calls.update([name]) or real(*a))
     block = quadrature._block
 
     def spied(*args):
@@ -836,8 +838,9 @@ def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
     monkeypatch.setattr(quadrature, "_block", spied)
     monkeypatch.setattr(optimize, "_block", spied)
     workload()
-    assert built == [] and len(blocks) == 2 * (6 + 1)
-    assert quadrature._PROGRAMS == programs
+    assert calls == {} and len(blocks) == 2 * (6 + 1)
+    assert quadrature._RECORDS.keys() == plans.keys()
+    assert all(quadrature._RECORDS[k] is v for k, v in plans.items())
 
 
 # a field of each kind that does not fit the 2-D elliptic box of a step
@@ -870,6 +873,111 @@ def test_flux_step_checks_d_and_targets_against_the_box(role, field, error,
         targets.append([(1.0, field, "value")])
     with pytest.raises(error, match=match):
         _flux_step(flux_basis(DOM2, 4), d, targets, DOM2, RULE)
+
+
+def test_a_warm_flux_step_resolves_no_leaf_terms_of_a_fresh_approximation(
+        monkeypatch):
+    # once the steps of an approximation's directions ran, the steps of
+    # other scales of them, 1.0 among them, bind their atoms to the plans
+    # the first kept: no leaf terms of the fresh u_tilde or p_tilde built
+    from errbounds import fields
+
+    basis, phi = flux_basis(DOM2, 4), free_fields(_RD2, "coarse")[0]
+
+    def steps(eps):
+        approx = perturb(_RD2, "non_conforming", eps, 3)
+        ut = perturb(_RD2, "conforming_mixed", eps, 3).u_tilde
+        minimize_flux_majorant(_RD2, ut, basis, RULE)
+        improve_bound(_RD2, approx, phi, RULE, budget=2)
+        return {id(ut), id(approx.p_tilde)}
+
+    steps(0.1)
+    leaves = []
+    real = fields._Field.leaf_terms
+    monkeypatch.setattr(fields._Field, "leaf_terms", lambda self, n: (
+        leaves.append(id(self)) or real(self, n)))
+    for eps in (0.3, 1.0, 0.0):
+        assert steps(eps).isdisjoint(leaves), eps
+
+
+def test_a_flux_step_binds_a_sum_atom_at_any_coefficient_bitwise():
+    # d and a target that take a sum atom of an operand whose multipliers
+    # are not all +-1 take the operand's leaf terms at a coefficient +-1
+    # and its own form otherwise; each binding, in either order and under
+    # either sign, gives the blocks of l2_gram and the norms of norm_sq of
+    # the node expressions, in hex
+    from errbounds import fields, manufactured
+    from errbounds.optimize import _basis_grams, _flux_step, _flux_terms
+
+    u = _RD2.exact_u
+    du = manufactured.directions(DOM2, 3).at("very_conforming")[0]
+    inner = 0.5 * fields.combination([u, du], [0.9, 0.7])
+    assert not inner.flat
+    basis = flux_basis(DOM2, 4)
+    divs = list(_basis_grams(tuple(basis), DOM2, RULE)[0])
+    for coefs in ((-1.0, 0.5, 1.0, 0.3), (0.5, -1.0, 0.3, 1.0, 0.7)):
+        for c in coefs:
+            a = c * inner
+            for sign in (1.0, -1.0):
+                # one d under targets of either sign: a plan per targets
+                d = [(1.0, _RD2.f, "value"), (-1.0, a, "value")]
+                targets = ([(sign, a, "grad")],
+                           [(1.0, u, "grad"), (-1.0, a, "grad")])
+                nodes = (_RD2.f - a,
+                         sign * a.gradient_field(),
+                         u.gradient_field() - a.gradient_field())
+                RD, RT, _ = _flux_terms(basis, divs, d, targets, DOM2, RULE)
+                assert _hex(RD) == _hex(l2_gram([nodes[0]], divs, DOM2,
+                                                RULE)[0]), (c, sign)
+                assert _hex(RT) == _hex(l2_gram(list(nodes[1:]), basis, DOM2,
+                                                RULE)), (c, sign)
+                coeffs, *norms = _flux_step(basis, d, targets, DOM2, RULE)(
+                    3, 1.0, 0.5)
+                psi = combine_vector_fields(basis[:3], coeffs)
+                assert [v.hex() for v in norms] == [
+                    norm_sq("L2", w, DOM2, RULE).hex()
+                    for w in (nodes[0] + psi.div_field(), psi - nodes[1],
+                              psi - nodes[2])], (c, sign)
+
+
+@pytest.mark.parametrize("role, field", [
+    ("target", _RD2.f), ("target", _HEAT.exact_p), ("d", _RD2.exact_p),
+    ("d", _HEAT.f)], ids=["target-rank", "target-box", "d-rank", "d-box"])
+def test_a_refused_flux_bind_raises_the_gram_error_and_keeps_no_plan(
+        monkeypatch, role, field):
+    # a step bound to a field of the wrong rank or box raises what l2_gram
+    # of its expressions raises (the targets with the basis first, then d
+    # with the divergences), before and after a plan for the right fields
+    # exists, and keeps no plan
+    from errbounds import optimize, quadrature
+
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
+    basis = flux_basis(DOM2, 4)
+    divs = list(optimize._basis_grams(tuple(basis), DOM2, RULE)[0])
+    ut = perturb(_RD2, "conforming_mixed", 0.1, 3).u_tilde
+    d, targets = _minus_terms(_RD2.f, ut), [[(1.0, ut, "grad")]]
+    nodes = [_RD2.f - ut], [ut.gradient_field()]
+    wrong_d, wrong_targets = d, targets + [[(1.0, field, "value")]]
+    if role == "d":
+        wrong_d, wrong_targets = [(1.0, field, "value")], targets
+        nodes = [field], nodes[1]
+    else:
+        nodes = nodes[0], nodes[1] + [field]
+    with pytest.raises(Exception) as gram:
+        l2_gram(nodes[1], basis, DOM2, RULE)
+        l2_gram(nodes[0], divs, DOM2, RULE)
+    for warm in (False, True):
+        if warm:
+            optimize._flux_step(basis, d, targets, DOM2, RULE)
+        plans = dict(quadrature._RECORDS)
+        with pytest.raises(type(gram.value)) as bound:
+            optimize._flux_step(basis, wrong_d, wrong_targets, DOM2, RULE)
+        assert str(bound.value) == str(gram.value)
+        assert quadrature._RECORDS == plans
+
+
+def _minus_terms(a, b):
+    return [(1.0, a, "value"), (-1.0, b, "value")]
 
 
 def _close_hex(values, pinned, rel=1e-13):

@@ -621,7 +621,7 @@ def test_planned_norms_equal_the_merged_reference_bitwise(problem):
     assert other == _hex([_reference_inner(f, f, axes) for f in others])
     # so are the addends themselves, zeros of cancelled terms dropped
     for s in forms[:5] + others[:5]:
-        program = quadrature._program([(axes, None, (s,), None)], False)
+        program = quadrature._program([(axes, None, (s,), None)])
         m = [s.merged()]
         assert _hex(quadrature._addends([1.0], program)[0]) == _hex(
             _reference_addends(m, m, axes))
@@ -657,10 +657,10 @@ def test_warm_norms_take_no_merge_and_no_term_grams(monkeypatch):
                         counted("merged", fields.SeparatedSum.merged))
     warm = measure(-0.25)
     assert counts == {"term_grams": 0, "merged": 0}
-    # cold memos build the plans (and the programs over them) again, to
-    # the same bits
+    # cold memos build the plans (and the record plans over them) again,
+    # to the same bits
     monkeypatch.setattr(quadrature, "_PLANS", {})
-    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
     assert _hex(measure(-0.25)) == _hex(warm)
     assert counts["term_grams"] > 0 and counts["merged"] == 0
 
@@ -762,26 +762,25 @@ def _reductions(draw):
 @given(_reductions())
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_a_kept_program_gathers_each_pattern_of_zero_slots_afresh(problem):
-    # one kept program of a pair of forms, its second form scaled so that
-    # slots vanish or come back, reduces each scale as a program built for
-    # that scale alone, to the addends: the pairs it gathers are kept per
-    # pattern of zero slots
+    # one program of a pair of forms, kept as a plan keeps it, its second
+    # form scaled so that slots vanish or come back, reduces each scale as
+    # a program built for that scale alone, to the addends: the pairs it
+    # gathers are kept per pattern of zero slots
     dom, rule, forms = problem
     axes = quadrature.axis_rules(dom, rule)
-    with mock.patch.object(quadrature, "_PLANS", {}), \
-            mock.patch.object(quadrature, "_PROGRAMS", {}):
+    with mock.patch.object(quadrature, "_PLANS", {}):
         for a, b in zip(forms, forms[1:] + forms[:1]):
             if isinstance(a, tuple) != isinstance(b, tuple):
                 continue
             pieces = [(axes, None, (a, b), None)]
+            kept = quadrature._program(pieces)
             for x in (1.0, 0.0, -1.0, 0.5, 0.0, 1.0):
-                kept = quadrature._program(pieces)
-                fresh = quadrature._program(pieces, False)
+                fresh = quadrature._program(pieces)
                 assert _hex(quadrature._addends([1.0, x], kept)[0]) == _hex(
                     quadrature._addends([1.0, x], fresh)[0])
                 assert _hex(quadrature._norms([1.0, x], kept)) == _hex(
                     quadrature._norms([1.0, x], fresh))
-            assert len(quadrature._program(pieces)[1][-1]) <= 4
+            assert len(kept[1][-1]) <= 4
 
 
 def test_a_node_builds_each_form_once(monkeypatch):
@@ -1269,7 +1268,7 @@ def test_sliced_norms_round_as_the_sliced_forms(monkeypatch, path):
     # scalars, and round alike
     scalar = float if path == "floats" else np.float64
     monkeypatch.setattr(quadrature, "_PLANS", {})
-    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
     rule = QuadratureRule(space_order=3, time_order=2)
     for kind, dom, solution in [
             ("TRD", BoxDomain((0.0,), (1.0,), 1.0), "exp(-t)*sin(pi*x)"),
@@ -1317,9 +1316,9 @@ def test_a_warm_suite_takes_its_norms_from_leaf_terms(monkeypatch):
 @pytest.mark.parametrize("config", [_SUITE, _VOLUME, _MAJORANT],
                          ids=["suite", "volume", "majorant"])
 def test_a_warm_workload_pass_adds_no_norm_program(monkeypatch, config):
-    # the programs are keyed by the memoised forms of the atoms, never by
-    # those of a fresh approximation, so a second pass meets every one
-    monkeypatch.setattr(quadrature, "_PROGRAMS", {})
+    # the record plans, flux steps' among them, are keyed by the atoms'
+    # record keys, never by a fresh approximation itself, so a second pass
+    # meets every one and keeps it
     monkeypatch.setattr(quadrature, "_RECORDS", {})
 
     def workload():
@@ -1332,13 +1331,31 @@ def test_a_warm_workload_pass_adds_no_norm_program(monkeypatch, config):
                           budget=8)
 
     workload()
-    programs = dict(quadrature._PROGRAMS)
-    assert programs
     records = dict(quadrature._RECORDS)
+    # a flux step's plan is kept with its basis
+    assert {bool(held) for held, *_ in records} == (
+        {False, True} if config is _MAJORANT else {False})
     workload()
-    assert quadrature._PROGRAMS.keys() == programs.keys()
-    assert all(quadrature._PROGRAMS[k] is v for k, v in programs.items())
+    assert quadrature._RECORDS.keys() == records.keys()
     assert all(quadrature._RECORDS[k] is v for k, v in records.items())
+
+
+def test_a_suite_pass_keeps_one_record_plan_per_program(monkeypatch):
+    # a sum atom is keyed by which operands it takes flat, not by which
+    # coefficients are +-1: the scales of one seed's directions, 1.0 among
+    # them, share the plan of their leaf forms, so no two plans of a
+    # default-suite pass compile one program (its cases and directions
+    # are built first)
+    run(default_suite_config())
+    monkeypatch.setattr(quadrature, "_RECORDS", {})
+    programs, program = [], quadrature._program
+    monkeypatch.setattr(quadrature, "_program", lambda pieces: programs.append(
+        tuple((id(a), at, forms, sizes) for a, at, forms, sizes in pieces))
+        or program(pieces))
+    report = run(default_suite_config())
+    assert all(r["status"] == "ok" for r in report.records)
+    assert len(quadrature._RECORDS) == len(programs) == len(set(programs))
+    assert len(programs) > 20
 
 
 def _literal(terms, atoms):
