@@ -7,10 +7,10 @@ box and size (:func:`manufactured.flux_basis`), each for the
 :data:`manufactured.FLUX_BASIS_MEMO` latest keys. d, the targets and the
 error norms are signed atom terms, bound as an estimator's table is bound
 (:func:`quadrature._bind`): the blocks that pair d and the targets with
-the basis, and the norms of every step, come from the program of a plan
-kept per basis, so a warm record resolves and integrates nothing. The
-blocks equal ``l2_gram`` and the norms ``norm_sq`` of the step's flux, bit
-for bit.
+the basis, both in one reduction of their compiled cells, and the norms of
+every step come from the programs of a plan kept per basis, so a warm
+record resolves and integrates nothing. The blocks equal ``l2_gram`` and
+the norms ``norm_sq`` of the step's flux, bit for bit.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ from .elliptic import (_minus, _require, _require_vanishing,
                        friedrichs_constant, rd_nonconforming_report)
 from .fields import ScalarField, VectorField, combination
 from .manufactured import FLUX_BASIS_MEMO, ApproxPair, ProblemCase, flux_basis
-from .quadrature import (QuadratureRule, _bind, _block, _expression, _leaves,
+from .quadrature import (QuadratureRule, _bind, _cells, _expression, _leaves,
                          _norms, _program, axis_rules, l2_gram,
                          record_norms_sq, samples, terms_norm_sq,
                          weighted_gram)
@@ -90,9 +90,10 @@ def _flux_plan(dom, rule, table, atoms, basis):
     """The plan of a step of ``basis`` whose d and targets are the terms
     of ``table``, d first, and its recipe (see :func:`quadrature._bind`),
     checked in ``l2_gram``'s order (the basis was, with its Grams): with
-    forms, the program of the leaf forms of d and the divergences (d + div
-    psi), and of the fields and the targets (psi - t, once per target), and
-    each target form's target; else None."""
+    forms, the program of the norms of the leaf forms of d and the
+    divergences (d + div psi) and of the fields and the targets (psi - t,
+    once per target), that of the cells of RD and RT, and each target
+    form's target; else None."""
     (_, d, *_), *targets = table
     own = [_leaves(t, "value", dom, atoms, rank=True) for _, t, *_ in targets]
     df, _, recipe = _leaves(d, "value", dom, atoms, rank=False)
@@ -100,32 +101,37 @@ def _flux_plan(dom, rule, table, atoms, basis):
     divided = tuple(b.form("div") for b in basis)
     if None in (df, *fields, *divided, *(f for f, *_ in own)):
         return [], None
-    N, axes = len(basis), axis_rules(dom, rule)
+    N, T, axes = len(basis), len(own), axis_rules(dom, rule)
     sizes = tuple(len(f) for f, *_ in own)
-    gaps = (axes, None, sum((f for f, *_ in own), fields), (1,) * N + sizes)
+    residual, gaps = df + divided, sum((f for f, *_ in own), fields)
     return sum((r for *_, r in own), recipe), (
-        _program([(axes, None, df + divided, (len(df),) + (1,) * N),
-                  *[gaps] * len(own)]),
-        np.repeat(np.arange(len(own)), sizes))
+        _program([(axes, None, residual, None),
+                  *[(axes, None, gaps, None)] * T]),
+        _program([(axes, None, residual,
+                   ((len(df),) + (1,) * N, range(1), range(1, N + 1))),
+                  (axes, None, gaps,
+                   ((1,) * N + sizes, range(N, N + T), range(N)))]),
+        np.repeat(np.arange(T), sizes))
 
 
 def _flux_terms(basis, divs, d, targets, dom, rule):
     """RD = ``l2_gram([d], divs)[0]``, RT = ``l2_gram(targets, basis)`` and
     the step's norms as a function of its coefficients c: ||d + sum_i c_i
     div b_i||^2 and ||sum_i c_i b_i - t||^2 per t of ``targets``, d and
-    each target signed atom terms: with forms, from the program of their
-    plan (:func:`_flux_plan`), bit for bit ``l2_gram`` and ``norm_sq``;
-    else from samples of d, the targets and the basis, taken once."""
+    each target signed atom terms: with forms, from the programs of their
+    plan (:func:`_flux_plan`), RD and RT in one :func:`quadrature._cells`,
+    bit for bit ``l2_gram`` and ``norm_sq``; else from samples of d, the
+    targets and the basis, taken once."""
     N, T = len(basis), len(targets)
     table, atoms, plan, mults = _bind(dom, rule, dict(enumerate([d, *targets])),
                                       None, _flux_plan, tuple(basis))
     if plan is not None:
-        program, owner = plan
+        program, cells, owner = plan
         # the multipliers of d's forms and of the targets'; a target's gap
         # takes its own negated, the others' 0
-        dm, tm = np.split(mults, [len(mults) - len(owner)])
+        k = len(mults) - len(owner)
+        dm, tm = mults[:k], mults[k:]
         ends = [np.where(owner == i, -tm, 0.0) for i in range(T)]
-        ones = np.ones(N)
 
         def norms(coeffs):
             c = np.zeros(N)
@@ -133,10 +139,8 @@ def _flux_terms(basis, divs, d, targets, dom, rule):
             return _norms(np.concatenate(
                 [dm, c, *[v for end in ends for v in (c, end)]]), program)
 
-        return (_block(program, 0, np.concatenate([dm, ones]), range(1),
-                       range(1, N + 1))[0],
-                _block(program, 1, np.concatenate([ones, tm]),
-                       range(N, N + T), range(N)), norms)
+        G = _cells(np.concatenate([dm, np.ones(2 * N), tm]), cells)
+        return G[:N], G[N:].reshape(T, N), norms
     (_, d, *_), *targets = table
     values, wv = samples(basis, dom, rule)
     div_rows, w = samples(divs, dom, rule)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 
-from .elliptic import (_E, _EP, _atoms, _check_kind, _checked_cf, _gap,
-                       _halves, _minus, _require, _require_vanishing,
+from .elliptic import (_E, _atoms, _check_kind, _checked_cf, _gap, _halves,
+                       _minus, _require, _require_vanishing,
                        two_sided_prefactors)
 from .fields import ScalarField
 from .manufactured import ApproxPair, ProblemCase

@@ -8,24 +8,26 @@ the product of terms k and l, is per axis the 1-D integral of their
 factors' product, the axes multiplied elementwise (:func:`term_grams`), and
 an inner product is one correctly rounded sum of c_k c_l H_kl. That is the
 tensor rule's own value, at O(R^2 d n) cost for rank R and n nodes per axis,
-instead of O(n^d). H lives in one process-wide memo of plans (:func:`_plan`),
-keyed by the raw factor tuples of some sums and the axis rules
-(:func:`axis_rules`). A program of pieces of forms (:func:`_program`) holds
-each raw term's slot, form and coefficient: the norms of all pieces times
-any multipliers (:func:`_norms`), and a Gram block of a piece's groups of
-forms (:func:`_block`), merge the terms into slots and gather the addends
-from H, integrating nothing. A record's norms, and a flux step's terms, are
-a declared table (:func:`norm_table`) of atoms named by role; bound to its
-atoms (:func:`_bind`), it is checked once and compiled into a plan, its
-program and multiplier recipe, kept in one memo per table, box, rule and
-the atoms' record keys, so a warm record or step only looks up its plan
-and takes its multipliers in one product. Inner products and Grams build
-programs they do not keep. Each entry of H is its own pair's einsum, so
-both memos, at most :data:`PLAN_MEMO` entries each, restart empty past
-their bound without changing a bit. Any operand without a form (a field
-built from bare callables, or from an expression that does not split) is
-evaluated at every node instead; that path is the general fallback and the
-oracle of the tests.
+instead of O(n^d). H lives in one process-wide memo of plans
+(:func:`_plan`), keyed by the raw factor tuples of some sums and the axis
+rules (:func:`axis_rules`). A program of pieces of forms (:func:`_program`)
+holds its cells, the norm of a piece or the entries of a Gram block of its
+groups of forms: each raw term's bin, form and coefficient, and per cell its
+pairs of bins with their H_kl. Times any multipliers, the terms merge into
+their bins by one ``np.bincount`` and the addends of every cell are gathered
+at once (:func:`_addends`), then summed per cell, as norms (:func:`_norms`)
+or as Gram entries (:func:`_cells`), integrating nothing. A record's norms,
+and a flux step's norms and blocks, are a declared table
+(:func:`norm_table`) of atoms named by role; bound to its atoms
+(:func:`_bind`), it is checked once and compiled into a plan, its programs
+and multiplier recipe, kept in one memo per table, box, rule and the atoms'
+record keys, so a warm record or step only looks up its plan and takes its
+multipliers in one product. Inner products and Grams build programs they do
+not keep. Each entry of H is its own pair's einsum, so both memos, at most
+:data:`PLAN_MEMO` entries each, restart empty past their bound without
+changing a bit. Any operand without a form (a field built from bare
+callables, or from an expression that does not split) is evaluated at every
+node instead; that path is the general fallback and the oracle of the tests.
 
 Both paths of :func:`l2_inner` and :func:`record_norms_sq`, and the separated
 one of :func:`l2_gram`, reduce through a correctly rounded sum, equal to
@@ -313,49 +315,75 @@ def _plan(factors, axes):
 
 
 def _program(pieces):
-    """The program of ``pieces``, ``(axes, at, forms, sizes)`` each: forms
-    on the axis rules ``axes``, sliced at ``at`` unless it is None, in
-    groups of ``sizes`` forms (one form each if None). Per piece and
-    component (for :func:`_block`) each raw term's slot in :func:`_plan`,
-    group, form and coefficient, H and each group's first term; over all
-    pieces (for :func:`_addends`) each raw term's bin, form, coefficient and
-    time factor's value at ``at``, and the slot pairs (k, l) with H_kl;
-    built at each call (a plan keeps its own, see :func:`_bind`)."""
-    parts, columns, size, first = [], [], 0, 0
-    for axes, at, forms, sizes in pieces:
-        d, comps = len(axes), []
-        groups = np.repeat(np.arange(len(sizes or forms)), sizes or 1)
+    """The program of ``pieces``, ``(axes, at, forms, cells)`` each: forms
+    on the axis rules ``axes``, sliced at ``at`` unless it is None, and the
+    inner products taken of them, its cells: the norm of their sum if
+    ``cells`` is None, else, for ``(sizes, rows, cols)``, that of each
+    group of ``rows`` with each of ``cols``, row by row, the groups those
+    of ``sizes`` forms. Per raw term its bin, its group's slot in
+    :func:`_plan` (per piece and component), its form, coefficient and time
+    factor's value at ``at``; per cell, one after another, the pairs (k, l)
+    of the bins of its two groups in each component, with H_kl; and the
+    number of cells. Built at each call (a plan keeps its own, see
+    :func:`_bind`), in one pass over all pieces' arrays."""
+    terms, blocks, bounds, first, count, top, h = [], [], [], 0, 0, 0, 0
+    for axes, at, forms, cells in pieces:
+        d = len(axes)
+        sizes, rows, cols = cells or ((len(forms),), range(1), range(1))
+        groups = np.repeat(np.arange(len(sizes)), sizes)
+        rows, cols = np.repeat(rows, len(cols)), np.tile(cols, len(rows))
         for sums in zip(*forms) if type(forms[0]) is tuple else [forms]:
             factors = [fs for s in sums for fs in s.factors]
             slots, H = _plan(tuple(fs[-d:] for fs in factors), axes)
+            n = len(H)
             form = np.array([i for i, s in enumerate(sums)
                              for _ in s.coefs], dtype=np.intp)
-            coefs = np.array([a for s in sums for a in s.coefs])
-            owners, n, k = groups[form], len(H), np.arange(len(H))
-            comps.append((slots, owners, form, coefs, H, np.searchsorted(
-                owners, range(groups[-1] + 2)).tolist()))
-            columns.append((slots + size, form + first, coefs, [
-                fs[0].at(at) if at is not None and len(fs) > d else 1.0
-                for fs in factors], np.repeat(k, n) + size,
-                np.tile(k, n) + size, H.ravel(), np.full(n * n, len(parts))))
-            size += n
-        parts.append(comps)
+            # a bin is a group's slot, keyed from ``top`` on, and a
+            # group's bins lie between two of ``bounds``
+            terms.append((groups[form] * n + slots + top, form + first,
+                          [c for s in sums for c in s.coefs],
+                          [fs[0].at(at) if at is not None and len(fs) > d
+                           else 1.0 for fs in factors],
+                          slots * n + h, slots, H.ravel()))
+            blocks.append((rows + len(bounds), cols + len(bounds),
+                          np.arange(count, count + len(rows))))
+            bounds += [top + g * n for g in range(len(sizes) + 1)]
+            top, h = top + len(sizes) * n, h + n * n
         first += len(forms)
-    bins, form, coefs, taus, *pairs = map(np.concatenate, zip(*columns))
+        count += len(rows)
+    key, form, coefs, taus, row, col, H = map(np.concatenate, zip(*terms))
+    rows, cols, cell = map(np.concatenate, zip(*blocks))
+    used = np.zeros(top, dtype=bool)
+    used[key] = True
+    keys = np.flatnonzero(used)
+    bins, ends = np.searchsorted(keys, key), np.searchsorted(keys, bounds)
+    # per cell the bins of its row group by those of its column group
+    a, b = ends[rows], ends[cols]
+    wide = ends[cols + 1] - b
+    counts = (ends[rows + 1] - a) * wide
+    pair = np.repeat(np.arange(len(rows)), counts)
+    k, l = np.divmod(np.arange(len(pair)) - (np.cumsum(counts) - counts)[pair],
+                     wide[pair])
+    I, J = a[pair] + k, b[pair] + l
+    at_row, at_col = np.empty((2, len(keys)), dtype=np.intp)
+    at_row[bins], at_col[bins] = row, col
+    # the components of a cell are apart: the pairs in cell order
+    order = np.argsort(cell[pair], kind="stable")
     sliced = any(at is not None for _, at, _, _ in pieces)
-    return parts, (bins, form, coefs, taus if sliced else None, size, pairs,
-                   {})
+    return count, (bins, form, coefs, taus if sliced else None, len(keys), [
+        p[order] for p in (I, J, H[at_row[I] + at_col[J]], cell[pair])], {})
 
 
-def _addends(mults, program) -> list:
-    """Per piece of ``program``, the addends m_k m_l H_kl of its forms
-    times their multipliers, ``mults`` those of every piece in order: each
-    raw term's coefficient times its multiplier (then times its time
-    factor's value, as a sliced form rounds) added into its piece's slot
-    from 0.0 in raw-term order, as :meth:`fields.SeparatedSum.merged` adds
-    them, by one ``np.bincount``; the pairs of zero slots dropped, those
-    left kept per pattern of zero slots, and all addends gathered at once."""
-    bins, form, coefs, taus, size, (I, J, H, piece), gathers = program[1]
+def _addends(mults, program):
+    """The addends m_k m_l H_kl of the cells of ``program``, one cell after
+    another, and each cell's (start, end) among them, ``mults`` the
+    multipliers of every form in order: each raw term's coefficient times
+    its multiplier (then times its time factor's value, as a sliced form
+    rounds) added into its bin from 0.0 in raw-term order, as
+    :meth:`fields.SeparatedSum.merged` adds them, by one ``np.bincount``;
+    the pairs of zero bins dropped, those left kept per pattern of zero
+    bins, and all addends gathered at once."""
+    count, (bins, form, coefs, taus, size, (I, J, H, cell), gathers) = program
     w = coefs * np.asarray(mults)[form]
     m = np.bincount(bins, weights=w if taus is None else w * taus,
                     minlength=size)
@@ -363,49 +391,29 @@ def _addends(mults, program) -> list:
     pattern = live.tobytes()
     if pattern not in gathers:
         keep = live[I] & live[J]
-        cuts = [0, *accumulate(np.bincount(piece[keep],
-                                           minlength=len(program[0])).tolist())]
+        cuts = [0, *accumulate(np.bincount(cell[keep],
+                                           minlength=count).tolist())]
         if len(gathers) >= PLAN_MEMO:
             gathers.clear()
         gathers[pattern] = I[keep], J[keep], H[keep], list(zip(cuts, cuts[1:]))
     I, J, H, cuts = gathers[pattern]
-    addends = m[I] * m[J] * H
-    return [addends[a:b] for a, b in cuts]
+    return m[I] * m[J] * H, cuts
 
 
 def _norms(mults, program) -> list:
-    """The squared norm of each piece of ``program`` (see :func:`_addends`),
-    0 where rounding leaves it below."""
-    return [max(_fsum(a), 0.0) for a in _addends(mults, program)]
+    """Each cell of ``program``, a norm (see :func:`_addends`), 0 where
+    rounding leaves it below."""
+    addends, cuts = _addends(mults, program)
+    return [max(_fsum(addends[a:b]), 0.0) for a, b in cuts]
 
 
-def _block(program, piece: int, mults, rows: range, cols: range):
-    """``G[i, j] = <rows[i], cols[j]>`` of the groups of ``piece`` of
-    ``program``, a group the sum of its forms times their ``mults`` (an
-    array over the piece's forms): per component each range's terms merged
-    by one ``np.bincount`` over (group, slot) bins, in raw-term order within
-    a bin and zeros dropped, and each entry the correctly rounded sum of its
-    addends m_k m_l H_kl and a padded +0.0, so no entry is -0.0."""
-    n = len(cols)
-    cells = [[0.0] for _ in range(len(rows) * n)]
-    for slots, owners, form, coefs, H, at in program[0][piece]:
-        merged = []
-        for r in (rows, cols):
-            a, b = at[r.start], at[r.stop]
-            m = np.bincount((owners[a:b] - r.start) * len(H) + slots[a:b],
-                            coefs[a:b] * mults[form[a:b]], len(r) * len(H))
-            keep = np.flatnonzero(m)
-            merged.append((*np.divmod(keep, len(H)), m[keep]))
-        (group, slot, m), (col, cslot, c) = merged
-        # a group's rows are adjacent, and so are, in their transpose, the
-        # columns of an entry: group and col ascend
-        addends = np.multiply.outer(m, c) * H[slot[:, None], cslot]
-        ends = np.searchsorted(group, range(len(rows) + 1)).tolist()
-        for g, (a, b) in enumerate(zip(ends, ends[1:])):
-            for h, values in zip(col.tolist(), addends[a:b].T.tolist()):
-                cells[g * n + h] += values
-    return np.fromiter(map(math.fsum, cells), float, len(cells)).reshape(
-        len(rows), n)
+def _cells(mults, program) -> np.ndarray:
+    """Each cell of ``program`` (see :func:`_addends`): the correctly rounded
+    sum of its addends, plus 0.0, so that no cell is -0.0."""
+    addends, cuts = _addends(mults, program)
+    values = addends.tolist()
+    return np.fromiter((math.fsum(values[a:b]) + 0.0 for a, b in cuts),
+                       float, len(cuts))
 
 
 def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
@@ -413,25 +421,24 @@ def separated_inner(fa, fb, dom: BoxDomain, rule: QuadratureRule) -> float:
     forms, a :class:`fields.SeparatedSum` each or tuples of them, one per
     component, without visiting the grid (sum factorisation): one correctly
     rounded sum of the addends c_k c_l H_kl of the merged terms of every
-    component, the 1 x 1 :func:`_block` of their :func:`_program`, or for a
-    norm (``fb is fa``) its one-form :func:`_norms`."""
-    forms = (fa,) if fb is fa else (fa, fb)
-    program = _program([(axis_rules(dom, rule), None, forms, None)])
+    component, the one cell of :func:`_separated_gram`, or for a norm
+    (``fb is fa``) the one cell of its :func:`_norms`."""
+    axes = axis_rules(dom, rule)
     if fb is fa:
-        return _norms([1.0], program)[0]
-    return float(_block(program, 0, np.ones(2), range(1), range(1, 2))[0, 0])
+        return _norms([1.0], _program([(axes, None, (fa,), None)]))[0]
+    return float(_separated_gram([fa], [fb], axes)[0, 0])
 
 
 def _separated_gram(fl, fr, axes) -> np.ndarray:
     """The Gram matrix of the lists of separated forms ``fl`` and ``fr``
-    (``fr is fl`` for a list with itself): a :func:`_block` of the
-    :func:`_program` of both lists, each entry as :func:`separated_inner`
-    takes it (0 where rounding leaves it below zero and the two are one
-    form, a norm)."""
+    (``fr is fl`` for a list with itself): the :func:`_cells` of the
+    :func:`_program` of both lists, one form a group, each entry as
+    :func:`separated_inner` takes it (0 where rounding leaves it below zero
+    and the two are one form, a norm)."""
     forms = tuple(fl if fr is fl else [*fl, *fr])
-    G = _block(_program([(axes, None, forms, None)]), 0,
-               np.ones(len(forms)), range(len(fl)),
-               range(len(forms) - len(fr), len(forms)))
+    G = _cells(np.ones(len(forms)), _program([(axes, None, forms, (
+        (1,) * len(forms), range(len(fl)),
+        range(len(forms) - len(fr), len(forms))))])).reshape(len(fl), len(fr))
     same = np.equal.outer([id(f) for f in fl], [id(g) for g in fr])
     return np.where(same, np.maximum(G, 0.0), G)
 

@@ -757,6 +757,128 @@ def test_flux_step_blocks_equal_fresh_grams_bitwise(problem):
                                         RULE))
 
 
+def _oracle_inner(x, y, axes):
+    """<x, y> of two fields with forms, with no program: per component the
+    addends c_k c_l H_kl of the merged terms of both forms, H from
+    ``term_grams`` of their factor tuples, summed by ``math.fsum`` from a
+    +0.0."""
+    from errbounds.quadrature import term_grams
+
+    fx, fy = x.separated(), y.separated()
+    addends = [0.0]
+    for a, b in zip(fx, fy) if isinstance(fx, tuple) else [(fx, fy)]:
+        a, b = a.merged(), b.merged()
+        H = term_grams([*a.factors, *b.factors], axes)
+        addends += [ca * cb * H[k, len(a.coefs) + l]
+                    for k, ca in enumerate(a.coefs)
+                    for l, cb in enumerate(b.coefs)]
+    return math.fsum(addends)
+
+
+@st.composite
+def _flux_cells(draw):
+    """A shifted box of dimension 1 or 2, a basis of 1 to 36 fields, and a
+    step's d and targets, as signed atom terms and as fields: d = f - c w
+    with c +-1 or not, w the u~ of minimize_flux_majorant (target grad u~)
+    or the free phi of improve_bound (targets grad phi and p~), u~ and p~
+    sums of the exact field and a direction at a scale 1 or not."""
+    dim = draw(st.integers(1, 2))
+    lower = [draw(st.integers(-20, 20)) for _ in range(dim)]  # tenths
+    sides = [draw(st.integers(1, 30)) for _ in range(dim)]
+    dom = BoxDomain(tuple(a / 10 for a in lower),
+                    tuple((a + b) / 10 for a, b in zip(lower, sides)))
+    solution = "*".join(f"sin(pi*({v} - ({a})/10)*10/{b})"
+                        for v, a, b in zip("xy", lower, sides))
+    case = make_case("RD", dom, solution)
+    eps, seed = (draw(st.sampled_from([1.0, 0.3])),
+                 draw(st.integers(0, 2 ** 16)))
+    c = draw(st.sampled_from([1.0, -1.0, 0.5, -2.5]))
+    if draw(st.booleans()):
+        w = free_fields(case, "coarse")[0]
+        pt = perturb(case, "non_conforming", eps, seed).p_tilde
+        targets = ([(1.0, w, "grad")], [(1.0, pt, "value")])
+        fields = (w.gradient_field(), pt)
+    else:
+        w = perturb(case, "conforming_mixed", eps, seed).u_tilde
+        targets, fields = ([(1.0, w, "grad")],), (w.gradient_field(),)
+    scaled = c * w
+    return (dom, flux_basis(dom, draw(st.integers(1, 36))),
+            [(1.0, case.f, "value"), (-1.0, scaled, "value")], targets,
+            case.f - scaled, fields)
+
+
+@given(_flux_cells())
+@settings(max_examples=50, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+def test_flux_step_blocks_equal_an_oracle_of_merged_forms(problem):
+    # every entry of RD = <d, div b_j> and RT = <t, b_j>, cold and warm,
+    # is the correctly rounded sum of the addends of the merged forms
+    from errbounds import optimize
+    from errbounds.quadrature import axis_rules
+
+    dom, basis, d, targets, d_field, fields = problem
+    axes = axis_rules(dom, RULE)
+    divs = optimize._basis_grams(tuple(basis), dom, RULE)[0]
+    expected = (_hex([_oracle_inner(d_field, b, axes) for b in divs]),
+                _hex([[_oracle_inner(t, b, axes) for b in basis]
+                      for t in fields]))
+    for _ in range(2):
+        RD, RT, _ = optimize._flux_terms(basis, divs, d, targets, dom, RULE)
+        assert RT.shape == (len(fields), len(basis))
+        assert (_hex(RD), _hex(RT)) == expected
+
+
+@pytest.mark.parametrize("zero", [0.0, -0.0], ids=["+0", "-0"])
+def test_a_step_whose_d_has_a_zero_multiplier_has_positive_zero_blocks(zero):
+    # d = zero * f shares the plan of d = 0.5 * f, and the entries it
+    # pairs with the divergences are +0.0, as l2_gram's are
+    from errbounds import optimize
+
+    case = make_case("RD", DOM2, "sin(pi*x)*sin(pi*y)")
+    ut = perturb(case, "conforming_mixed", 0.1, 3).u_tilde
+    basis = flux_basis(DOM2, 9)
+    divs = optimize._basis_grams(tuple(basis), DOM2, RULE)[0]
+    targets = ([(1.0, ut, "grad")],)
+    for c in (0.5, zero):
+        RD, RT, _ = optimize._flux_terms(basis, divs, [(1.0, c * case.f,
+                                                        "value")],
+                                         targets, DOM2, RULE)
+    assert [math.copysign(1.0, v) for v in RD] == [1.0] * len(basis)
+    assert not RD.any()
+    assert _hex(RD) == _hex(l2_gram([zero * case.f], divs, DOM2, RULE)[0])
+    assert _hex(RT) == _hex(l2_gram([ut.gradient_field()], basis, DOM2, RULE))
+
+
+class _SignedZeroFsum:
+    """math, but an fsum of addends that are all -0.0 is -0.0, as it is
+    from CPython 3.12 on."""
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    @staticmethod
+    def fsum(values):
+        values = list(values)
+        negative = values and all(math.copysign(1.0, v) < 0 for v in values)
+        return -0.0 if negative and not any(values) else math.fsum(values)
+
+
+def test_a_gram_entry_of_negative_zero_addends_is_positive_zero(monkeypatch):
+    # a factor that is 0 at every node makes H exactly 0, so the one addend
+    # of the entry is (-1 * 1) * 0.0 = -0.0; the entry is +0.0 whatever the
+    # sign an fsum gives an exact zero
+    from errbounds import quadrature
+    from errbounds.fields import Factor, SeparatedSum
+
+    zero = Factor(np.zeros_like, tuple)
+    fa, fb = (SeparatedSum([c], [(zero, zero)]) for c in (-1.0, 1.0))
+    monkeypatch.setattr(quadrature, "math", _SignedZeroFsum())
+    assert quadrature.math.fsum([-0.0]) == 0.0
+    assert math.copysign(1.0, quadrature.math.fsum([-0.0])) == -1.0
+    value = quadrature.separated_inner(fa, fb, DOM2, RULE)
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
 def test_warm_flux_step_integrates_nothing(monkeypatch):
     from errbounds import optimize, quadrature
 
@@ -808,8 +930,9 @@ class _NoListArrays:
 def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
     # the flux steps of a warm pass of majorant records and improve_bound
     # take their blocks and norms from the plans a first pass kept: no leaf
-    # forms resolved, no program or plan built, every plan object kept, and
-    # a block reads the program's arrays as they are
+    # forms resolved, no program or plan built, every plan object kept, one
+    # reduction of the cells of both blocks per step, and it reads the
+    # program's arrays as they are
     from errbounds import optimize, quadrature
 
     config = _majorant_config()
@@ -828,17 +951,17 @@ def test_a_warm_majorant_pass_builds_no_program(monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, lambda *a, name=name, real=(
                     getattr(module, name)): calls.update([name]) or real(*a))
-    block = quadrature._block
+    cells = quadrature._cells
 
     def spied(*args):
         blocks.append(args)
         with mock.patch.object(quadrature, "np", _NoListArrays()):
-            return block(*args)
+            return cells(*args)
 
-    monkeypatch.setattr(quadrature, "_block", spied)
-    monkeypatch.setattr(optimize, "_block", spied)
+    monkeypatch.setattr(quadrature, "_cells", spied)
+    monkeypatch.setattr(optimize, "_cells", spied)
     workload()
-    assert calls == {} and len(blocks) == 2 * (6 + 1)
+    assert calls == {} and len(blocks) == 6 + 1
     assert quadrature._RECORDS.keys() == plans.keys()
     assert all(quadrature._RECORDS[k] is v for k, v in plans.items())
 
